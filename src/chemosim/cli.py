@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,6 @@ from . import io as cio
 from . import verify as ver
 from .config import ConfigError, config_digest, load_config
 from .field import BACKEND_FD, BACKEND_KERNEL, FieldProbe, QuadratureSpec, solve_field_fd
-from .kernel import default_estimate_params
 from .paths import AgentPath
 from .picard import (
     MODE_NONLOCAL,
@@ -105,9 +105,8 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     scenario = build_scenario(cfg)
     mode, delta = _mode_and_delta(args, cfg, scenario)
-    if delta is not None and scenario.nonlocal_delta is None:
-        from dataclasses import replace
-        scenario = replace(scenario, nonlocal_delta=delta)
+    if args.delta is not None:
+        scenario = replace(scenario, nonlocal_delta=args.delta)
     horizon = args.horizon if args.horizon is not None else scenario.growth.T
     outdir = _outdir(args)
 
@@ -121,8 +120,8 @@ def _cmd_simulate(args) -> int:
     cio.write_trajectory(path, traj_file)
     outputs = [str(traj_file)]
 
+    fdf = solve_field_fd(scenario, path) if args.field_snapshot else None
     for t_snap in args.field_snapshot:
-        fdf = solve_field_fd(scenario, path)
         snap_file = outdir / f"field_t{t_snap:g}.csv"
         cio.write_field_snapshot(fdf, t_snap, snap_file)
         outputs.append(str(snap_file))
@@ -256,9 +255,7 @@ def _cmd_verify(args) -> int:
 def _cmd_bounds(args) -> int:
     cfg = load_config(args.config)
     scenario = build_scenario(cfg)
-    mode = cfg.get("mode", MODE_POINTWISE)
-    delta = scenario.nonlocal_delta if mode == MODE_NONLOCAL else None
-    cert = horizon_certificate(scenario, mode=mode, delta=delta)
+    cert = horizon_certificate(scenario, mode=cfg.get("mode", MODE_POINTWISE))
     values = {
         "T1": cert.t_range,
         "T2": cert.t_contract,
@@ -269,7 +266,7 @@ def _cmd_bounds(args) -> int:
     }
     values.update(cert.constants)
     if scenario.satisfies_global_hypotheses:
-        values["B"] = gronwall_bound_B(scenario, scenario.growth.T, delta=delta)
+        values["B"] = gronwall_bound_B(scenario, scenario.growth.T, delta=cert.delta)
     outdir = _outdir(args)
     out_file = Path(args.output) if args.output else outdir / "bounds.txt"
     cio.write_bounds(values, out_file)

@@ -61,7 +61,6 @@ class QuadratureSpec:
     u_max: float = 8.0
     space_nodes: int | None = None
     time_nodes: int = 32
-    time_substitution: bool = True
     fd_half_width: float = 6.0
     fd_h: float | None = None
     fd_dt: float | None = None

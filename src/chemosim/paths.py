@@ -12,9 +12,10 @@ class AgentPath:
     """Sampled positions and velocities of all agents.
 
     ``times`` is strictly increasing, ``X`` and ``V`` have shape
-    (len(times), N, n).  Values between nodes are linear interpolants, so the
-    running sup of any norm is attained at the nodes.  Instances are
-    immutable and safe to share read-only across threads.
+    (len(times), N, n) = (nodes, dimension, agents).  Values between nodes
+    are linear interpolants, so the running sup of any norm is attained at
+    the nodes.  Instances are immutable and safe to share read-only across
+    threads.
     """
 
     times: np.ndarray

@@ -11,6 +11,11 @@ On a short enough horizon the map is a contraction and Picard iteration
 converges to the unique solution; a certificate records the horizon and the
 certified contraction modulus.  Global solutions are produced by restarting
 from the endpoint state until the requested horizon is covered.
+
+One segment engine implements this: ``_sweep`` applies the update map once
+on a segment grid and ``_iterate_segment`` runs Picard iteration on it.
+``apply_psi`` is a single sweep, ``solve_local`` one iterated segment on
+[0, t_bar] and ``solve_global`` one iterated segment per certificate.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ __all__ = [
     "horizon_certificate",
     "solve_local",
     "solve_global",
+    "sensed_gradients",
+    "stacked_forces",
     "gronwall_bound_B",
     "apriori_grad_bound",
 ]
@@ -176,12 +183,7 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
     (intersected with the gamma_bar > 0 constraint), t_bar = safety *
     min(T1, T2)."""
     r = radius if radius is not None else scenario.R
-    if mode == MODE_NONLOCAL:
-        delta = delta if delta is not None else scenario.nonlocal_delta
-        if delta is None:
-            raise ValueError("non-local mode needs a sensing radius delta")
-    elif mode != MODE_POINTWISE:
-        raise ValueError(f"unknown mode {mode!r}")
+    delta = _resolve_delta(scenario, mode, delta)
     params = params if params is not None else scenario.estimate_params
     growth = scenario.growth
 
@@ -238,16 +240,35 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
 # -- the update map -------------------------------------------------------------
 
 
-def _sensed_gradients(probe: FieldProbe, positions: np.ndarray, t: float,
-                      mode: str, delta: float | None) -> np.ndarray:
-    """w_j for all agents at one time; positions has shape (N, n)."""
-    pts = positions.T  # (n, N)
+def _resolve_delta(scenario: Scenario, mode: str, delta: float | None) -> float | None:
+    """Sensing radius for a mode: None for pointwise sensing, the given radius
+    (or the scenario's) for non-local sensing."""
     if mode == MODE_POINTWISE:
+        return None
+    if mode != MODE_NONLOCAL:
+        raise ValueError(f"unknown mode {mode!r}")
+    delta = delta if delta is not None else scenario.nonlocal_delta
+    if delta is None:
+        raise ValueError("non-local mode needs a sensing radius delta")
+    return delta
+
+
+def sensed_gradients(probe: FieldProbe, X: np.ndarray, t: float,
+                     delta: float | None) -> np.ndarray:
+    """w_j for all agents at one time, shape (N, n) like the configuration X:
+    the field gradient at X_j, or its average over the radius-delta ball."""
+    pts = X.T  # (n, N)
+    if delta is None:
         return probe.gradient_many(pts, t).T
-    out = np.empty_like(pts)
-    for j, x in enumerate(pts):
-        out[j] = probe.ball_average_gradient(x, t, delta)
-    return out.T
+    return np.stack([probe.ball_average_gradient(x, t, delta) for x in pts], axis=1)
+
+
+def stacked_forces(scenario: Scenario, t: float, X: np.ndarray, V: np.ndarray,
+                   W: np.ndarray) -> np.ndarray:
+    """F_j(t, X, V, w_j) for all agents, shape (N, n); column j of W is w_j."""
+    t = float(t)
+    return np.stack([scenario.force.eval(t, X, V, W[:, j], j) for j in range(X.shape[1])],
+                    axis=1)
 
 
 def _check_tube(path: AgentPath, X0: np.ndarray, V0: np.ndarray, radius: float) -> None:
@@ -263,27 +284,56 @@ def _check_tube(path: AgentPath, X0: np.ndarray, V0: np.ndarray, radius: float) 
         )
 
 
-def _psi_segment(scenario: Scenario, full_path: AgentPath, seg_times: np.ndarray,
-                 anchor_X: np.ndarray, anchor_V: np.ndarray,
-                 probe: FieldProbe, mode: str, delta: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """One sweep of the update map restricted to seg_times, anchored at the
-    segment start state; the field probe reads the full input path."""
-    m = len(seg_times)
-    n_dim, n_ag = anchor_X.shape
-    forces = np.empty((m, n_dim, n_ag))
-    v_in = np.empty((m, n_dim, n_ag))
+def _sweep(scenario: Scenario, prefix: AgentPath | None, seg: AgentPath,
+           X0: np.ndarray, V0: np.ndarray, delta: float | None,
+           backend: str, quad: QuadratureSpec | None) -> AgentPath:
+    """One application of the update map on the grid of ``seg``, anchored at
+    the segment start state (X0, V0).
+
+    ``seg`` must stay inside the radius-R tube around the anchor; the field
+    probe reads the whole input path ``prefix + seg``, so the source laid
+    down by earlier segments keeps acting.
+    """
+    _check_tube(seg, X0, V0, scenario.R)
+    path = prefix.concat(seg) if prefix is not None else seg
+    probe = FieldProbe(scenario, path, backend=backend, quad=quad or QuadratureSpec())
+    times = seg.times
+    forces = np.empty(seg.X.shape)
+    v_in = np.empty(seg.V.shape)
     w_blind = scenario.lipschitz_w == 0.0  # declared insensitive to the field
-    zero_w = np.zeros((n_dim, n_ag))
-    for k, t in enumerate(seg_times):
-        xk = full_path.positions_at(t)
-        vk = full_path.velocities_at(t)
+    zero_w = np.zeros(X0.shape)
+    for k, t in enumerate(times):
+        xk = path.positions_at(t)
+        vk = path.velocities_at(t)
         v_in[k] = vk
-        w = zero_w if w_blind else _sensed_gradients(probe, xk, float(t), mode, delta)
-        for j in range(n_ag):
-            forces[k, :, j] = scenario.force.eval(float(t), xk, vk, w[:, j], j)
-    new_X = anchor_X + trapezoid_cumulative(v_in, seg_times)
-    new_V = anchor_V + trapezoid_cumulative(forces, seg_times)
-    return new_X, new_V
+        w = zero_w if w_blind else sensed_gradients(probe, xk, float(t), delta)
+        forces[k] = stacked_forces(scenario, t, xk, vk, w)
+    return AgentPath(times, X0 + trapezoid_cumulative(v_in, times),
+                     V0 + trapezoid_cumulative(forces, times))
+
+
+def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, times: np.ndarray,
+                     X0: np.ndarray, V0: np.ndarray, delta: float | None,
+                     tol: float, max_iters: int, backend: str,
+                     quad: QuadratureSpec | None) -> tuple[AgentPath, list[float]]:
+    """Picard iteration on one segment, from the path frozen at (X0, V0).
+
+    Stops when successive iterates differ by less than tol in the sup norm;
+    returns the converged segment and the per-iteration differences.
+    """
+    current = AgentPath.constant(X0, V0, times)
+    history: list[float] = []
+    for _ in range(max_iters):
+        nxt = _sweep(scenario, prefix, current, X0, V0, delta, backend, quad)
+        history.append(nxt.sup_distance(current))
+        current = nxt
+        if history[-1] < tol:
+            return current, history
+    ratio = history[-1] / history[-2] if len(history) >= 2 and history[-2] > 0 else float("nan")
+    raise PicardError(
+        f"segment [{times[0]:g}, {times[-1]:g}] did not converge in {max_iters} iterations "
+        f"(last difference {history[-1]:.3e}, last contraction ratio {ratio:.3f})"
+    )
 
 
 def apply_psi(path: AgentPath, scenario: Scenario,
@@ -296,15 +346,8 @@ def apply_psi(path: AgentPath, scenario: Scenario,
     The input path must stay inside the radius-R tube around the initial
     state; field evaluations use the input path throughout.
     """
-    if mode == MODE_NONLOCAL:
-        delta = delta if delta is not None else scenario.nonlocal_delta
-        if delta is None:
-            raise ValueError("non-local mode needs a sensing radius delta")
-    _check_tube(path, scenario.X0, scenario.V0, scenario.R)
-    probe = FieldProbe(scenario, path, backend=backend, quad=quad or QuadratureSpec())
-    new_X, new_V = _psi_segment(scenario, path, path.times, scenario.X0, scenario.V0,
-                                probe, mode, delta)
-    return AgentPath(path.times.copy(), new_X, new_V)
+    delta = _resolve_delta(scenario, mode, delta)
+    return _sweep(scenario, None, path, scenario.X0, scenario.V0, delta, backend, quad)
 
 
 def _segment_grid(t0: float, t1: float, dt: float, min_nodes: int) -> np.ndarray:
@@ -321,24 +364,15 @@ def solve_local(scenario: Scenario, horizon: HorizonCertificate,
     """Picard iteration from the constant initial path on [0, t_bar].
 
     Stops when successive iterates differ by less than tol in the sup norm;
-    returns the converged path and the per-iteration differences.
+    returns the converged path and the per-iteration differences.  The
+    certificate must have been issued for the same sensing mode.
     """
-    delta = horizon.delta if mode == MODE_NONLOCAL else None
+    if horizon.mode != mode:
+        raise ValueError(f"certificate was issued for {horizon.mode!r} sensing, not {mode!r}")
+    delta = _resolve_delta(scenario, mode, horizon.delta)
     times = _segment_grid(0.0, horizon.t_bar, dt, min_nodes)
-    current = AgentPath.constant(scenario.X0, scenario.V0, times)
-    history: list[float] = []
-    for it in range(max_iters):
-        nxt = apply_psi(current, scenario, backend=backend, mode=mode, delta=delta, quad=quad)
-        diff = nxt.sup_distance(current)
-        history.append(diff)
-        current = nxt
-        if diff < tol:
-            return current, history
-    ratio = history[-1] / history[-2] if len(history) >= 2 and history[-2] > 0 else float("nan")
-    raise PicardError(
-        f"no convergence within {max_iters} iterations "
-        f"(last difference {history[-1]:.3e}, last contraction ratio {ratio:.3f})"
-    )
+    return _iterate_segment(scenario, None, times, scenario.X0, scenario.V0, delta,
+                            tol, max_iters, backend, quad)
 
 
 def solve_global(scenario: Scenario, horizon: float,
@@ -359,11 +393,8 @@ def solve_global(scenario: Scenario, horizon: float,
         raise PicardError("global continuation requires a globally Lipschitz force law")
     if horizon <= 0 or horizon > scenario.growth.T * (1.0 + 1e-12):
         raise ValueError("requested horizon must lie in (0, T]")
-    delta = scenario.nonlocal_delta if mode == MODE_NONLOCAL else None
-    if mode == MODE_NONLOCAL and delta is None:
-        raise ValueError("non-local mode needs scenario.nonlocal_delta")
+    delta = _resolve_delta(scenario, mode, None)
     params = scenario.estimate_params
-    quad = quad or QuadratureSpec()
     min_segment = 1e-5 * horizon
 
     full: AgentPath | None = None
@@ -379,29 +410,8 @@ def solve_global(scenario: Scenario, horizon: float,
                 f"is below the minimum {min_segment:g} (constants blow-up)"
             )
         seg_end = min(t0 + cert.t_bar, horizon)
-        seg_times = _segment_grid(t0, seg_end, dt, min_nodes)
-        seg = AgentPath.constant(state_X, state_V, seg_times)
-
-        history: list[float] = []
-        converged = False
-        for _ in range(max_iters):
-            candidate = full.concat(seg) if full is not None else seg
-            _check_tube(seg, state_X, state_V, seg_scn.R)
-            probe = FieldProbe(scenario, candidate, backend=backend, quad=quad)
-            new_X, new_V = _psi_segment(scenario, candidate, seg_times, state_X, state_V,
-                                        probe, mode, delta)
-            nxt = AgentPath(seg_times, new_X, new_V)
-            diff = nxt.sup_distance(seg)
-            history.append(diff)
-            seg = nxt
-            if diff < tol:
-                converged = True
-                break
-        if not converged:
-            raise PicardError(
-                f"segment [{t0:g}, {seg_end:g}] did not converge in {max_iters} iterations "
-                f"(last difference {history[-1]:.3e})"
-            )
+        seg, history = _iterate_segment(scenario, full, _segment_grid(t0, seg_end, dt, min_nodes),
+                                        state_X, state_V, delta, tol, max_iters, backend, quad)
         if segments_out is not None:
             segments_out.append(SegmentRecord(t_start=t0, t_end=seg_end, certificate=cert,
                                               iterations=len(history), final_diff=history[-1]))
@@ -431,11 +441,10 @@ def _lemma_constants(scenario: Scenario, params: EstimateParams | None = None) -
 def _c0_constant(scenario: Scenario, horizon: float, samples: int = 129) -> float:
     """max over [0, horizon] of the stacked force at the frozen initial state
     with zero sensed gradient."""
-    zero_w = np.zeros(scenario.dimension)
+    zero_w = np.zeros_like(scenario.X0)
     worst = 0.0
     for t in np.linspace(0.0, horizon, samples):
-        f = np.stack([scenario.force.eval(float(t), scenario.X0, scenario.V0, zero_w, j)
-                      for j in range(scenario.n)], axis=1)
+        f = stacked_forces(scenario, t, scenario.X0, scenario.V0, zero_w)
         worst = max(worst, float(np.linalg.norm(f)))
     return worst
 

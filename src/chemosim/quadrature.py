@@ -52,7 +52,6 @@ def sphere_rule(dim: int, n_polar: int = 8, n_azimuth: int = 16) -> tuple[np.nda
         mu, wmu = np.polynomial.legendre.leggauss(n_polar)
         theta = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
         wtheta = 2.0 * np.pi / n_azimuth
-        sin_polar = np.sqrt(1.0 - mu**2)
         pts = []
         wts = []
         for m, wm in zip(mu, wmu):

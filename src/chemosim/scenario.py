@@ -9,7 +9,7 @@ share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -182,7 +182,8 @@ def make_scenario(coeffs: OperatorCoefficients,
     """Validate parts and assemble a Scenario.
 
     Runs the sampled coefficient checks (symmetry, eigenvalue range), records
-    mu0/mu1, and enforces the growth side condition C < lambda0 / (4 T).
+    mu0/mu1 on a copy of ``coeffs`` (the caller's object is left as is), and
+    enforces the growth side condition C < lambda0 / (4 T).
     """
     if coeffs.dimension not in (1, 2, 3):
         raise ScenarioError("dimension must be 1, 2 or 3")
@@ -205,7 +206,7 @@ def make_scenario(coeffs: OperatorCoefficients,
         raise ScenarioError("compact radius R must be positive")
 
     mu0, mu1 = probe_parabolicity(coeffs, growth.T)
-    coeffs.mu0, coeffs.mu1 = mu0, mu1
+    coeffs = replace(coeffs, mu0=mu0, mu1=mu1)
 
     lam0 = lambda0_bound(mu0, mu1)
     if growth.C < 0:

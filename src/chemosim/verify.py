@@ -18,7 +18,7 @@ import numpy as np
 from .field import FieldProbe
 from .kernel import EstimateParams, Kernel
 from .paths import AgentPath
-from .picard import MODE_NONLOCAL, MODE_POINTWISE
+from .picard import MODE_POINTWISE, _resolve_delta, sensed_gradients, stacked_forces
 from .quadrature import halton_points, tensor_grid, trapezoid_cumulative
 from .scenario import Scenario
 
@@ -352,10 +352,7 @@ def residual_check(path: AgentPath, scenario: Scenario, probe: FieldProbe,
     max |dX/dt - V| and |dV/dt - F(t, X, V, w)| over interior nodes."""
     if len(path.times) < 3:
         raise ValueError("path too coarse for centered differences (need >= 3 nodes)")
-    if mode == MODE_NONLOCAL:
-        delta = delta if delta is not None else scenario.nonlocal_delta
-        if delta is None:
-            raise ValueError("non-local mode needs a sensing radius")
+    delta = _resolve_delta(scenario, mode, delta)
     times = path.times
     worst = -1.0
     rep = EstimateReport(claim="ode-residual", tolerance=tolerance,
@@ -365,14 +362,8 @@ def residual_check(path: AgentPath, scenario: Scenario, probe: FieldProbe,
         xdot = (path.X[k + 1] - path.X[k - 1]) / dt2
         vdot = (path.V[k + 1] - path.V[k - 1]) / dt2
         res_x = float(np.linalg.norm(xdot - path.V[k]))
-        pts = path.X[k].T
-        if mode == MODE_POINTWISE:
-            w = probe.gradient_many(pts, float(times[k])).T
-        else:
-            w = np.stack([probe.ball_average_gradient(x, float(times[k]), delta)
-                          for x in pts], axis=1)
-        f = np.stack([scenario.force.eval(float(times[k]), path.X[k], path.V[k], w[:, j], j)
-                      for j in range(scenario.n)], axis=1)
+        w = sensed_gradients(probe, path.X[k], float(times[k]), delta)
+        f = stacked_forces(scenario, times[k], path.X[k], path.V[k], w)
         res_v = float(np.linalg.norm(vdot - f))
         res = max(res_x, res_v)
         if res > worst:

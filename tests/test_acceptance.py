@@ -296,10 +296,11 @@ def test_criterion_12_determinism(tmp_path):
         out = tmp_path / name
         res = subprocess.run(
             [sys.executable, "-m", "chemosim.cli", "simulate", "--config", str(p),
-             "--output-dir", str(out), "--field-snapshot", "0.5"],
+             "--output-dir", str(out), "--field-snapshot", "0.5", "--field-snapshot", "1"],
             capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         outs.append(out)
     same_traj = (outs[0] / "trajectory.csv").read_bytes() == (outs[1] / "trajectory.csv").read_bytes()
-    same_snap = (outs[0] / "field_t0.5.csv").read_bytes() == (outs[1] / "field_t0.5.csv").read_bytes()
+    same_snap = all((outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
+                    for f in ("field_t0.5.csv", "field_t1.csv"))
     report(12, "repeated simulate runs are byte-identical", same_traj and same_snap)

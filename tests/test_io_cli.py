@@ -152,6 +152,22 @@ def test_cli_simulate_nonlocal_manifest_echo(tmp_path):
     assert manifest["delta"] == 0.1
 
 
+def test_cli_simulate_delta_flag_overrides_config_delta(tmp_path):
+    cfg = dict(DAMPED_CFG, horizon=0.5, g="agent-secretion", mode="nonlocal",
+               force={"name": "damped-chemotaxis", "chi": 0.05, "kappa_v": 1.0})
+    trajectories = {}
+    for label, cfg_delta, flags in (("flag", 0.1, ("--delta", "0.4")),
+                                    ("config-0.1", 0.1, ()), ("config-0.4", 0.4, ())):
+        p = write_cfg(tmp_path, dict(cfg, delta=cfg_delta), name=f"{label}.json")
+        out = tmp_path / label
+        res = run_cli("simulate", "--config", str(p), "--output-dir", str(out),
+                      "--horizon", "0.02", *flags)
+        assert res.returncode == 0, res.stderr
+        trajectories[label] = (out / "trajectory.csv").read_bytes()
+    assert trajectories["flag"] != trajectories["config-0.1"]
+    assert trajectories["flag"] == trajectories["config-0.4"]
+
+
 def test_cli_bounds_round_trip(tmp_path):
     p = write_cfg(tmp_path)
     out = tmp_path / "run"

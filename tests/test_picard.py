@@ -20,6 +20,7 @@ from chemosim.picard import (
     solve_local,
 )
 from chemosim.scenario import ForceLaw
+from chemosim.verify import residual_check
 
 from util import build, constant_force_law, rk4_second_order
 
@@ -227,6 +228,20 @@ def test_solve_local_fixed_point_property():
     assert again.sup_distance(path) < 2 * tol
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda scn, cert, path: apply_psi(path, scn, mode="non-local"), "unknown mode"),
+    (lambda scn, cert, path: residual_check(path, scn, FieldProbe(scn, path), mode="Pointwise"),
+     "unknown mode"),
+    (lambda scn, cert, path: solve_local(scn, cert, mode=MODE_NONLOCAL), "certificate"),
+], ids=["apply_psi-unknown-mode", "residual_check-unknown-mode", "solve_local-certificate-mode"])
+def test_mode_mistakes_raise_value_error(call, match):
+    scn = damped(delta=0.1)
+    cert = horizon_certificate(scn)  # pointwise
+    path = AgentPath.constant(scn.X0, scn.V0, np.linspace(0.0, cert.t_bar, 5))
+    with pytest.raises(ValueError, match=match):
+        call(scn, cert, path)
+
+
 def test_solve_local_max_iters_error():
     scn = damped()
     cert = horizon_certificate(scn)
@@ -314,8 +329,6 @@ def test_nonlocal_solution_converges_to_pointwise():
 
 
 def test_residuals_of_converged_paths():
-    from chemosim.verify import residual_check
-
     presets = [
         ("zero", build(V0=[[0.4]], T=2.0)),
         ("damped", damped()),

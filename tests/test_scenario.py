@@ -28,6 +28,14 @@ def test_anisotropic_preset_records_diagonal_eigenvalues():
     assert scn.coeffs.mu1 == pytest.approx(2.0)
 
 
+def test_make_scenario_leaves_caller_coefficients_untouched():
+    coeffs = coefficient_preset("anisotropic-constant", 2)
+    scn = build(coeff=coeffs, dim=2)  # make_scenario with these coefficients
+    assert coeffs.mu0 is None and coeffs.mu1 is None
+    assert scn.coeffs.mu0 == pytest.approx(0.5)
+    assert scn.coeffs.mu1 == pytest.approx(2.0)
+
+
 def test_variable_sine_eigenvalues_within_half_to_three_halves():
     coeffs = coefficient_preset("variable-sine", 2)
     rng = np.random.default_rng(0)
