@@ -12,6 +12,10 @@ which removes the integrable endpoint singularity of the gradient/hessian
 integrands.  Variable coefficients route to an explicit finite-difference
 solve on a truncated box.
 
+Batch evaluations take one time per point.  The source integral for all
+(s-node, point) pairs of a batch runs in a few vectorized passes, so one
+call can serve every agent at every node of a Picard sweep.
+
 Evaluation at t = 0 returns the initial datum (and its difference-quotient
 derivatives) by continuity.
 """
@@ -116,6 +120,21 @@ def _fd_hessian_of(fn, x: np.ndarray, step: float = 1e-4) -> np.ndarray:
     return out
 
 
+# Size of one vectorized pass, counted in kernel-derivative entries (items x
+# spatial nodes x derivative components); an item is a point of the
+# initial-datum integral or an (s-node, point) pair of the source integral.
+# Small passes keep their arrays in cache and the peak memory of a solve near
+# its level before batching (passes of 2^15 entries added 1.4 MB to a 2D
+# solve); on a 1D Picard sweep, 2^13 to 2^15 entries ran fastest, and
+# smaller passes pay Python overhead.
+_CHUNK_ELEMENTS = 2**13
+
+
+def _chunks(n: int, per_item: int) -> list[slice]:
+    step = max(1, _CHUNK_ELEMENTS // per_item)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 @lru_cache(maxsize=32)
 def _cached_ball_rule(dim: int, delta: float, n_radial: int, n_polar: int, n_azimuth: int):
     return ball_average_rule(dim, delta, n_radial, n_polar, n_azimuth)
@@ -148,74 +167,80 @@ class FieldProbe:
 
     # -- time-range handling -------------------------------------------------
 
-    def _check_time(self, t: float) -> float:
+    def _check_times(self, t, n_points: int) -> np.ndarray:
+        """Probe times clamped to [0, horizon], one per point."""
         horizon = self.path.horizon
-        if t < -1e-12 or t > horizon * (1.0 + 1e-9) + 1e-12:
-            raise ValueError(f"probe time {t} outside (0, {horizon}]")
-        return min(max(t, 0.0), horizon)
+        t = np.asarray(t, dtype=float)
+        if t.ndim > 1 or (t.ndim == 1 and len(t) != n_points):
+            raise ValueError(f"need one probe time or one per point, got shape {t.shape}")
+        outside = ~((t >= -1e-12) & (t <= horizon * (1.0 + 1e-9) + 1e-12))  # NaN too
+        if np.any(outside):
+            bad = float(t[outside][0]) if t.ndim else float(t)
+            raise ValueError(f"probe time {bad} outside (0, {horizon}]")
+        return np.broadcast_to(np.minimum(np.maximum(t, 0.0), horizon), (n_points,))
 
     # -- closed-form backend -------------------------------------------------
 
-    def _initial_batch(self, pts: np.ndarray, t: float, order: int) -> np.ndarray:
+    def _initial_batch(self, pts: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
         kern = self.scenario.kernel
         dim = kern.dim
         if _is_zero(self.scenario.phi):
-            shape = {0: (len(pts),), 1: (len(pts), dim), 2: (len(pts), dim, dim)}[order]
-            return np.zeros(shape)
-        xi = pts[:, None, :] + math.sqrt(t) * self._u_pts[None, :, :]
-        phi_vals = self.scenario.phi(xi)
-        jac = t ** (dim / 2.0)
-        x = pts[:, None, :]
-        if order == 0:
-            k = kern.eval(x, t, xi, 0.0)
-            return jac * np.einsum("m,pm,pm->p", self._u_wts, k, phi_vals)
-        if order == 1:
-            k = kern.grad_x(x, t, xi, 0.0)
-            return jac * np.einsum("m,pmi,pm->pi", self._u_wts, k, phi_vals)
-        k = kern.hess_x(x, t, xi, 0.0)
-        return jac * np.einsum("m,pmij,pm->pij", self._u_wts, k, phi_vals)
+            return np.zeros((len(pts),) + (dim,) * order)
+        out = []
+        for sl in _chunks(len(pts), len(self._u_pts) * dim**order):
+            p, t_col = pts[sl], t[sl, None]
+            xi = p[:, None, :] + np.sqrt(t_col)[..., None] * self._u_pts[None, :, :]
+            phi_vals = self.scenario.phi(xi)
+            jac = (t[sl] ** (dim / 2.0)).reshape((-1,) + (1,) * order)
+            x = p[:, None, :]
+            if order == 0:
+                k = kern.eval(x, t_col, xi, 0.0)
+                out.append(jac * np.einsum("m,pm,pm->p", self._u_wts, k, phi_vals))
+            elif order == 1:
+                k = kern.grad_x(x, t_col, xi, 0.0)
+                out.append(jac * np.einsum("m,pmi,pm->pi", self._u_wts, k, phi_vals))
+            else:
+                k = kern.hess_x(x, t_col, xi, 0.0)
+                out.append(jac * np.einsum("m,pmij,pm->pij", self._u_wts, k, phi_vals))
+        return np.concatenate(out, axis=0)
 
-    def _source_batch(self, pts: np.ndarray, t: float, order: int) -> np.ndarray:
+    def _source_batch(self, pts: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
         kern = self.scenario.kernel
         dim = kern.dim
         p = len(pts)
-        shape = {0: (p,), 1: (p, dim), 2: (p, dim, dim)}[order]
-        acc = np.zeros(shape)
-        if _is_zero(self.scenario.g) or t == 0.0:
-            return acc
-        sqrt_t = math.sqrt(t)
-        s_nodes = self._s_base * sqrt_t
-        s_weights = self._s_wts * sqrt_t
-        x = pts[:, None, :]
-        for s, ws in zip(s_nodes, s_weights):
-            tau = t - s * s
-            tau = max(tau, 0.0)
-            xi = pts[:, None, :] + s * self._u_pts[None, :, :]
-            gv = self.scenario.g(xi, self.path.positions_at(tau))
-            # jacobian of xi-substitution is s^dim; d tau = 2 s ds
-            factor = 2.0 * s ** (dim + 1) * ws
+        shape = (p,) + (dim,) * order
+        if _is_zero(self.scenario.g):
+            return np.zeros(shape)
+        n_s = len(self._s_base)
+        # one term per (s-node j, point i) pair, stored at j * p + i
+        terms = np.empty((n_s * p,) + shape[1:])
+        for sl in _chunks(len(terms), len(self._u_pts) * dim**order):
+            j, i = np.divmod(np.arange(sl.start, sl.stop), p)
+            sqrt_t = np.sqrt(t[i])
+            s = self._s_base[j] * sqrt_t
+            tau = np.maximum(t[i] - s * s, 0.0)
+            # jacobian of the xi-substitution is s^dim; d tau = 2 s ds
+            factor = (2.0 * s ** (dim + 1) * (self._s_wts[j] * sqrt_t)).reshape((-1,) + (1,) * order)
+            x = pts[i][:, None, :]
+            xi = x + s[:, None, None] * self._u_pts[None, :, :]
+            gv = self.scenario.g(xi, self.path.positions_at(tau)[:, None])
+            t_pair, tau = t[i][:, None], tau[:, None]
             if order == 0:
-                k = kern.eval(x, t, xi, tau)
-                acc += factor * np.einsum("m,pm,pm->p", self._u_wts, k, gv)
+                k = kern.eval(x, t_pair, xi, tau)
+                terms[sl] = factor * np.einsum("m,pm,pm->p", self._u_wts, k, gv)
             elif order == 1:
-                k = kern.grad_x(x, t, xi, tau)
-                acc += factor * np.einsum("m,pmi,pm->pi", self._u_wts, k, gv)
+                k = kern.grad_x(x, t_pair, xi, tau)
+                terms[sl] = factor * np.einsum("m,pmi,pm->pi", self._u_wts, k, gv)
             else:
-                k = kern.hess_x(x, t, xi, tau)
-                acc += factor * np.einsum("m,pmij,pm->pij", self._u_wts, k, gv)
+                k = kern.hess_x(x, t_pair, xi, tau)
+                terms[sl] = factor * np.einsum("m,pmij,pm->pij", self._u_wts, k, gv)
+        acc = np.zeros(shape)
+        for term in terms.reshape((n_s,) + shape):  # summed in s-node order
+            acc += term
         return acc
 
-    def _closed_batch(self, pts: np.ndarray, t: float, order: int) -> np.ndarray:
-        # chunk so the largest intermediate stays comfortably in memory
-        dim = self.scenario.dimension
-        per_point = len(self._u_pts) * dim ** order
-        block = max(1, int(4e6 / max(per_point, 1)))
-        out = []
-        for lo in range(0, len(pts), block):
-            chunk = pts[lo:lo + block]
-            val = self._initial_batch(chunk, t, order) - self._source_batch(chunk, t, order)
-            out.append(val)
-        return np.concatenate(out, axis=0)
+    def _closed_batch(self, pts: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
+        return self._initial_batch(pts, t, order) - self._source_batch(pts, t, order)
 
     # -- data-at-zero fallback ------------------------------------------------
 
@@ -235,21 +260,29 @@ class FieldProbe:
             self._fd_grid = solve_field_fd(self.scenario, self.path, self.quad)
         return self._fd_grid
 
-    # -- public surface --------------------------------------------------------
-
-    def _batch(self, pts: np.ndarray, t: float, order: int) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        t = self._check_time(t)
-        if t == 0.0:
-            return self._batch_at_zero(pts, order)
-        if self.backend == BACKEND_KERNEL:
-            return self._closed_batch(pts, t, order)
+    def _fd_batch(self, pts: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
         fdf = self._fd()
         if order == 0:
             return fdf.value_many(pts, t)
         if order == 1:
             return fdf.gradient_many(pts, t)
-        return np.stack([fdf.hessian(x, t) for x in pts])
+        return np.stack([fdf.hessian(x, tk) for x, tk in zip(pts, t)])
+
+    # -- public surface --------------------------------------------------------
+
+    def _batch(self, pts, t, order: int) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        t = self._check_times(t, len(pts))
+        live_batch = self._closed_batch if self.backend == BACKEND_KERNEL else self._fd_batch
+        at_zero = t == 0.0
+        if not at_zero.any():
+            return live_batch(pts, t, order)
+        out = np.empty((len(pts),) + (self.scenario.dimension,) * order)
+        out[at_zero] = self._batch_at_zero(pts[at_zero], order)
+        live = ~at_zero
+        if live.any():
+            out[live] = live_batch(pts[live], t[live], order)
+        return out
 
     def value(self, x, t: float) -> float:
         return float(self._batch(np.asarray(x, dtype=float)[None, :], t, 0)[0])
@@ -260,21 +293,30 @@ class FieldProbe:
     def hessian(self, x, t: float) -> np.ndarray:
         return self._batch(np.asarray(x, dtype=float)[None, :], t, 2)[0]
 
-    def value_many(self, pts, t: float) -> np.ndarray:
+    def value_many(self, pts, t) -> np.ndarray:
+        """f at stacked points ``pts`` (P, N), shape (P,).  ``t`` is one time
+        for all points or an array of shape (P,) with one time per point;
+        points at t = 0 take the initial datum."""
         return self._batch(pts, t, 0)
 
-    def gradient_many(self, pts, t: float) -> np.ndarray:
+    def gradient_many(self, pts, t) -> np.ndarray:
+        """grad f at stacked points ``pts`` (P, N), shape (P, N); ``t`` as in
+        ``value_many``."""
         return self._batch(pts, t, 1)
 
-    def ball_average_gradient(self, x, t: float, delta: float) -> np.ndarray:
-        """Average of grad f over the ball of radius delta centered at x."""
+    def ball_rule(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (offsets, weights) averaging over the radius-delta ball."""
         if delta <= 0:
             raise ValueError("sensing radius delta must be positive")
-        offsets, wts = _cached_ball_rule(
+        return _cached_ball_rule(
             self.scenario.dimension, float(delta),
             self.quad.ball_radial_nodes, self.quad.ball_polar_nodes,
             self.quad.ball_azimuth_nodes,
         )
+
+    def ball_average_gradient(self, x, t: float, delta: float) -> np.ndarray:
+        """Average of grad f over the ball of radius delta centered at x."""
+        offsets, wts = self.ball_rule(delta)
         pts = np.asarray(x, dtype=float)[None, :] + offsets
         grads = self.gradient_many(pts, t)
         return wts @ grads
@@ -333,20 +375,21 @@ class FdField:
                                         bounds_error=False, fill_value=None)
             )
 
-    def _query(self, pts: np.ndarray, t: float) -> np.ndarray:
-        t = min(max(t, self.times[0]), self.times[-1])
+    def _query(self, pts: np.ndarray, t) -> np.ndarray:
+        # t is one time for all points or one per point
+        t = np.minimum(np.maximum(t, self.times[0]), self.times[-1])
         q = np.empty((len(pts), 1 + len(self.axes)))
         q[:, 0] = t
         q[:, 1:] = pts
         return q
 
-    def value_many(self, pts, t: float) -> np.ndarray:
+    def value_many(self, pts, t) -> np.ndarray:
         return self._val_interp(self._query(np.atleast_2d(pts), t))
 
     def value(self, x, t: float) -> float:
         return float(self.value_many(np.asarray(x)[None, :], t)[0])
 
-    def gradient_many(self, pts, t: float) -> np.ndarray:
+    def gradient_many(self, pts, t) -> np.ndarray:
         q = self._query(np.atleast_2d(pts), t)
         return np.stack([gi(q) for gi in self._grad_interp], axis=-1)
 

@@ -52,21 +52,27 @@ class AgentPath:
     def dimension(self) -> int:
         return self.X.shape[1]
 
-    def _interp(self, values: np.ndarray, t: float) -> np.ndarray:
+    def _interp(self, values: np.ndarray, t) -> np.ndarray:
         times = self.times
+        t = np.asarray(t, dtype=float)
         eps = 1e-9 * max(1.0, abs(self.horizon))
-        if t < times[0] - eps or t > times[-1] + eps:
-            raise ValueError(f"time {t} outside path range [{times[0]}, {times[-1]}]")
-        t = min(max(t, times[0]), times[-1])
-        idx = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2))
-        lam = (t - times[idx]) / (times[idx + 1] - times[idx])
+        outside = ~((t >= times[0] - eps) & (t <= times[-1] + eps))  # NaN too
+        if np.any(outside):
+            bad = float(t[outside][0]) if t.ndim else float(t)
+            raise ValueError(f"time {bad} outside path range [{times[0]}, {times[-1]}]")
+        t = np.minimum(np.maximum(t, times[0]), times[-1])
+        idx = np.minimum(np.maximum(np.searchsorted(times, t, side="right") - 1, 0), len(times) - 2)
+        lam = ((t - times[idx]) / (times[idx + 1] - times[idx]))[..., None, None]
         return (1.0 - lam) * values[idx] + lam * values[idx + 1]
 
-    def positions_at(self, t: float) -> np.ndarray:
-        """Configuration X(t), shape (N, n)."""
+    def positions_at(self, t) -> np.ndarray:
+        """Configuration X(t): shape (N, n) for a scalar time, (*t.shape, N, n)
+        for an array of times (one ``searchsorted`` for all of them).  Raises
+        ValueError when any time lies outside the path range."""
         return self._interp(self.X, t)
 
-    def velocities_at(self, t: float) -> np.ndarray:
+    def velocities_at(self, t) -> np.ndarray:
+        """Velocities V(t), shaped like ``positions_at``."""
         return self._interp(self.V, t)
 
     def sup_deviation(self, X0: np.ndarray, V0: np.ndarray) -> tuple[float, float]:

@@ -13,7 +13,8 @@ certified contraction modulus.  Global solutions are produced by restarting
 from the endpoint state until the requested horizon is covered.
 
 One segment engine implements this: ``_sweep`` applies the update map once
-on a segment grid and ``_iterate_segment`` runs Picard iteration on it.
+on a segment grid, with one batched field evaluation for every (node,
+agent) pair, and ``_iterate_segment`` runs Picard iteration on it.
 ``apply_psi`` is a single sweep, ``solve_local`` one iterated segment on
 [0, t_bar] and ``solve_global`` one iterated segment per certificate.
 """
@@ -253,14 +254,22 @@ def _resolve_delta(scenario: Scenario, mode: str, delta: float | None) -> float 
     return delta
 
 
-def sensed_gradients(probe: FieldProbe, X: np.ndarray, t: float,
+def sensed_gradients(probe: FieldProbe, X: np.ndarray, times,
                      delta: float | None) -> np.ndarray:
-    """w_j for all agents at one time, shape (N, n) like the configuration X:
-    the field gradient at X_j, or its average over the radius-delta ball."""
-    pts = X.T  # (n, N)
+    """w_j for every agent at every node, shape (K, N, n) like the stacked
+    configurations X (K, N, n) at ``times`` (K,): the field gradient at X_j,
+    or its average over the radius-delta ball.  All points, ball points
+    included, go to the probe in one ``gradient_many`` call."""
+    pts = np.swapaxes(X, 1, 2)  # (K, n, N): one point per (node, agent)
+    _, n_agents, dim = pts.shape
+    times = np.asarray(times, dtype=float)
     if delta is None:
-        return probe.gradient_many(pts, t).T
-    return np.stack([probe.ball_average_gradient(x, t, delta) for x in pts], axis=1)
+        grads = probe.gradient_many(pts.reshape(-1, dim), np.repeat(times, n_agents))
+        return np.swapaxes(grads.reshape(pts.shape), 1, 2)
+    offsets, wts = probe.ball_rule(delta)
+    ball = pts[:, :, None, :] + offsets
+    grads = probe.gradient_many(ball.reshape(-1, dim), np.repeat(times, n_agents * len(wts)))
+    return np.swapaxes(wts @ grads.reshape(ball.shape), 1, 2)
 
 
 def stacked_forces(scenario: Scenario, t: float, X: np.ndarray, V: np.ndarray,
@@ -298,17 +307,14 @@ def _sweep(scenario: Scenario, prefix: AgentPath | None, seg: AgentPath,
     path = prefix.concat(seg) if prefix is not None else seg
     probe = FieldProbe(scenario, path, backend=backend, quad=quad or QuadratureSpec())
     times = seg.times
-    forces = np.empty(seg.X.shape)
-    v_in = np.empty(seg.V.shape)
-    w_blind = scenario.lipschitz_w == 0.0  # declared insensitive to the field
-    zero_w = np.zeros(X0.shape)
-    for k, t in enumerate(times):
-        xk = path.positions_at(t)
-        vk = path.velocities_at(t)
-        v_in[k] = vk
-        w = zero_w if w_blind else sensed_gradients(probe, xk, float(t), delta)
-        forces[k] = stacked_forces(scenario, t, xk, vk, w)
-    return AgentPath(times, X0 + trapezoid_cumulative(v_in, times),
+    X = path.positions_at(times)
+    V = path.velocities_at(times)
+    if scenario.lipschitz_w == 0.0:  # declared insensitive to the field
+        W = np.zeros(X.shape)
+    else:
+        W = sensed_gradients(probe, X, times, delta)
+    forces = np.stack([stacked_forces(scenario, t, x, v, w) for t, x, v, w in zip(times, X, V, W)])
+    return AgentPath(times, X0 + trapezoid_cumulative(V, times),
                      V0 + trapezoid_cumulative(forces, times))
 
 
@@ -487,8 +493,8 @@ def apriori_grad_bound(scenario: Scenario, x, t: float, path: AgentPath,
     k1, k2, _ = _lemma_constants(scenario, params)
     x_norm = float(np.linalg.norm(np.asarray(x, dtype=float)))
     s_nodes, s_wts = gauss_legendre(0.0, math.sqrt(t), time_nodes)
+    taus = np.maximum(t - s_nodes * s_nodes, 0.0)
     integral = 0.0
-    for s, ws in zip(s_nodes, s_wts):
-        tau = max(t - s * s, 0.0)
-        integral += ws * 2.0 * (1.0 + x_norm + float(np.linalg.norm(path.positions_at(tau))))
+    for ws, x_tau in zip(s_wts, path.positions_at(taus)):
+        integral += ws * 2.0 * (1.0 + x_norm + float(np.linalg.norm(x_tau)))
     return k1 * ((1.0 + x_norm) / math.sqrt(t) + k2 + integral)

@@ -3,7 +3,10 @@
 Every preset states its regularity constants (Hoelder constant, Gaussian
 weight, linear-growth bound, Lipschitz constants) explicitly; the
 verification module re-checks them by sampling.  All data callables are
-vectorized over stacked points of shape (..., N).
+vectorized over stacked points of shape (..., N); a source g(x, X) also takes
+stacked configurations X of shape (..., N, n) whose leading axes broadcast
+against those of x, so the field evaluator can pass one configuration per
+point.
 """
 
 from __future__ import annotations
@@ -121,9 +124,17 @@ def g_preset(name: str, n_agents: int, value: float = 1.0):
     if name == "agent-secretion":
         def secretion(x, X):
             x = np.asarray(x, dtype=float)
-            # X has shape (N, n); broadcast each agent against stacked x
-            diffs = x[..., None] - X  # (..., N, n)
-            return -np.exp(-np.sum(diffs * diffs, axis=-2)).sum(axis=-1)
+            X = np.asarray(X, dtype=float)
+            # X has shape (..., N, n); one pass per agent and axis keeps the
+            # long stacked-point axes innermost
+            total = 0.0
+            for a in range(X.shape[-1]):
+                sq = 0.0
+                for d in range(X.shape[-2]):
+                    diff = x[..., d] - X[..., d, a]
+                    sq = sq + diff * diff
+                total = total + np.exp(-sq)
+            return -total
         return secretion, (lambda r: float(n_agents)), 0.0, float(n_agents)
     raise ScenarioError(f"unknown g preset {name!r}")
 

@@ -6,14 +6,28 @@ explicit seed so sample sets are reproducible.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.stats import qmc
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=32)
+def _legendre_base(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # shared by every caller, hence read-only
+    return _read_only(*np.polynomial.legendre.leggauss(n))
+
+
 def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w
+    """Gauss-Legendre nodes and weights on [a, b], as read-only arrays."""
+    x, w = _legendre_base(n)
+    return _read_only(0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w)
 
 
 def tensor_grid(a: float, b: float, n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -69,7 +83,7 @@ def ball_average_rule(dim: int, radius: float, n_radial: int = 12,
 
     Weights sum to 1; the rule is the product of radial Gauss-Legendre (with
     the r^{dim-1} volume factor) and a sphere rule, normalized by the ball
-    volume.
+    volume.  Both arrays are read-only, so a cached rule can be shared.
     """
     if radius <= 0:
         raise ValueError("ball radius must be positive")
@@ -80,7 +94,7 @@ def ball_average_rule(dim: int, radius: float, n_radial: int = 12,
     offsets = offsets.reshape(-1, dim)
     wts = wts.ravel()
     volume = wts.sum()  # equals ball volume up to quadrature error
-    return offsets, wts / volume
+    return _read_only(offsets, wts / volume)
 
 
 def trapezoid_cumulative(y: np.ndarray, t: np.ndarray) -> np.ndarray:

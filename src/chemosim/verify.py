@@ -357,13 +357,13 @@ def residual_check(path: AgentPath, scenario: Scenario, probe: FieldProbe,
     worst = -1.0
     rep = EstimateReport(claim="ode-residual", tolerance=tolerance,
                          sample_count=len(times) - 2)
+    W = sensed_gradients(probe, path.X[1:-1], times[1:-1], delta)
     for k in range(1, len(times) - 1):
         dt2 = times[k + 1] - times[k - 1]
         xdot = (path.X[k + 1] - path.X[k - 1]) / dt2
         vdot = (path.V[k + 1] - path.V[k - 1]) / dt2
         res_x = float(np.linalg.norm(xdot - path.V[k]))
-        w = sensed_gradients(probe, path.X[k], float(times[k]), delta)
-        f = stacked_forces(scenario, times[k], path.X[k], path.V[k], w)
+        f = stacked_forces(scenario, times[k], path.X[k], path.V[k], W[k - 1])
         res_v = float(np.linalg.norm(vdot - f))
         res = max(res_x, res_v)
         if res > worst:

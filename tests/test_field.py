@@ -17,8 +17,15 @@ from chemosim.field import (
 )
 from chemosim.paths import AgentPath
 from chemosim.presets import phi_preset
+from chemosim.quadrature import gauss_legendre
 
-from util import build, heat_gaussian_field, heat_gaussian_grad, heat_gaussian_hess
+from util import (
+    build,
+    heat_gaussian_field,
+    heat_gaussian_grad,
+    heat_gaussian_hess,
+    loop_gradient,
+)
 
 
 def constant_path(scn, t_end=1.0, nodes=5):
@@ -251,3 +258,68 @@ def test_backend_cross_validation(coeff, dim):
         gc = closed.gradient_many(pts, t)
         gf = fd.gradient_many(pts, t)
         assert np.abs(gc - gf).max() / np.abs(gc).max() < 5e-3
+
+
+# -- batched evaluation -------------------------------------------------------------------
+
+
+def moving_path(scn, t_end=0.2, nodes=9):
+    times = np.linspace(0.0, t_end, nodes)
+    X = scn.X0 + 0.3 * np.sin(7.0 * times)[:, None, None]
+    return AgentPath(times, X, np.zeros_like(X))
+
+
+@pytest.mark.parametrize("backend", ["closed-form-kernel", BACKEND_FD])
+def test_gradient_many_per_point_times_match_scalar_calls(backend):
+    scn = build(phi="gaussian", g="agent-secretion", X0=[[0.2, -0.3]], T=0.2)
+    probe = FieldProbe(scn, moving_path(scn), backend=backend)
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.0, 1.0, (9, 1))
+    times = np.array([0.0, 0.05, 0.2, 0.0, 0.013, 0.05, 0.11, 0.0, 0.17])
+    batched = probe.gradient_many(pts, times)
+    single = np.stack([probe.gradient(x, t) for x, t in zip(pts, times)])
+    np.testing.assert_allclose(batched, single, rtol=0.0, atol=1e-14)
+    values = np.array([probe.value(x, t) for x, t in zip(pts, times)])
+    np.testing.assert_allclose(probe.value_many(pts, times), values, rtol=0.0, atol=1e-14)
+    with pytest.raises(ValueError):
+        probe.gradient_many(pts, times[:3])
+    for bad in (np.where(times > 0.1, 0.3, times), np.where(times > 0.1, np.nan, times)):
+        with pytest.raises(ValueError):
+            probe.gradient_many(pts, bad)
+
+
+def test_gradient_many_matches_s_node_loop_oracle():
+    scn = build(phi="gaussian", g="agent-secretion", X0=[[0.2, -0.3]], T=0.2)
+    path = moving_path(scn)
+    probe = FieldProbe(scn, path)
+    pts = np.array([[-0.6], [0.1], [0.9]])
+    times = np.array([0.2, 0.031, 0.2])
+    oracle = np.stack([loop_gradient(scn, path, x, t) for x, t in zip(pts, times)])
+    np.testing.assert_allclose(probe.gradient_many(pts, times), oracle, rtol=0.0, atol=1e-14)
+
+
+def test_gradient_many_2d_larger_than_one_chunk_matches_point_loop():
+    from chemosim import field
+
+    scn = build(phi="gaussian", g="agent-secretion", dim=2,
+                X0=[[0.2, -0.3], [0.1, 0.4]], T=0.2)
+    probe = FieldProbe(scn, moving_path(scn))
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-1.0, 1.0, (12, 2))
+    times = rng.uniform(0.01, 0.2, 12)
+    per_point = 48 ** 2 * 2  # spatial nodes x gradient components
+    assert len(pts) * per_point > field._CHUNK_ELEMENTS  # several passes
+    single = np.stack([probe.gradient(x, t) for x, t in zip(pts, times)])
+    np.testing.assert_allclose(probe.gradient_many(pts, times), single, rtol=0.0, atol=1e-14)
+
+
+def test_shared_quadrature_rules_are_read_only():
+    scn = build(phi="gaussian")
+    probe = FieldProbe(scn, constant_path(scn))
+    offsets, wts = probe.ball_rule(0.1)
+    nodes, weights = gauss_legendre(0.0, 1.0, 32)
+    for arr in (offsets, wts, nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    again, _ = gauss_legendre(0.0, 1.0, 32)
+    np.testing.assert_array_equal(nodes, again)

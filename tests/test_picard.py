@@ -9,6 +9,7 @@ from chemosim.field import FieldProbe
 from chemosim.paths import AgentPath
 from chemosim.picard import (
     MODE_NONLOCAL,
+    MODE_POINTWISE,
     PicardError,
     apply_psi,
     apriori_grad_bound,
@@ -22,7 +23,7 @@ from chemosim.picard import (
 from chemosim.scenario import ForceLaw
 from chemosim.verify import residual_check
 
-from util import build, constant_force_law, rk4_second_order
+from util import build, constant_force_law, per_node_sweep, rk4_second_order
 
 
 def damped(chi=0.3, kappa_v=1.0, T=1.0, delta=None, g="agent-secretion",
@@ -55,7 +56,38 @@ def test_agent_path_interpolation_and_norms():
     assert dx == pytest.approx(2.0) and dv == pytest.approx(1.0)
 
 
+def test_positions_at_array_matches_scalar_calls():
+    rng = np.random.default_rng(2)
+    times = np.cumsum(rng.uniform(0.01, 0.1, 12))
+    X = rng.normal(size=(12, 2, 3))
+    V = rng.normal(size=(12, 2, 3))
+    p = AgentPath(times, X, V)
+    query = np.concatenate([times, rng.uniform(times[0], times[-1], 20), [times[-1] + 1e-12]])
+    np.testing.assert_array_equal(p.positions_at(query),
+                                  np.stack([p.positions_at(float(t)) for t in query]))
+    np.testing.assert_array_equal(p.velocities_at(query),
+                                  np.stack([p.velocities_at(float(t)) for t in query]))
+    for bad in (np.array([times[1], times[-1] + 1.0]), math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            p.positions_at(bad)
+
+
 # -- update map ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("delta", [None, 0.1])
+def test_apply_psi_matches_per_node_reference_sweep(delta):
+    scn = build(phi="gaussian", g="agent-secretion", force="damped-chemotaxis",
+                force_kwargs={"chi": 0.3}, X0=[[0.2, -0.3]], V0=[[0.3, 0.0]],
+                M_override=1.0, delta=delta)
+    times = np.linspace(0.0, 0.01, 11)
+    X = scn.X0 + 0.2 * times[:, None, None] * np.array([[1.0, -2.0]])
+    path = AgentPath(times, X, np.broadcast_to(scn.V0, X.shape))
+    mode = MODE_NONLOCAL if delta is not None else MODE_POINTWISE
+    out = apply_psi(path, scn, mode=mode)
+    ref = per_node_sweep(path, scn, delta=delta)
+    np.testing.assert_allclose(out.X, ref.X, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(out.V, ref.V, rtol=0.0, atol=1e-14)
 
 
 def test_apply_psi_zero_force_gives_free_flight():

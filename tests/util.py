@@ -6,12 +6,16 @@ import math
 
 import numpy as np
 
+from chemosim.field import FieldProbe, QuadratureSpec
+from chemosim.paths import AgentPath
+from chemosim.picard import stacked_forces
 from chemosim.presets import (
     coefficient_preset,
     force_preset,
     g_preset,
     phi_preset,
 )
+from chemosim.quadrature import gauss_legendre, tensor_grid, trapezoid_cumulative
 from chemosim.scenario import ForceLaw, GrowthSpec, make_scenario
 
 
@@ -115,3 +119,46 @@ def rk4_second_order(force, x0, v0, t_end, dt):
         xs.append(x.copy())
         vs.append(v.copy())
     return np.asarray(times), np.asarray(xs), np.asarray(vs)
+
+
+def loop_gradient(scenario, path, x, t):
+    """Closed-form grad f(x, t) for t > 0 with the default quadrature, one
+    s-node of the Duhamel integral at a time: the plain loop that the batched
+    field evaluator must reproduce."""
+    quad = QuadratureSpec()
+    kern = scenario.kernel
+    dim = kern.dim
+    u_pts, u_wts = tensor_grid(-quad.u_max, quad.u_max, quad.resolved_space_nodes(dim), dim)
+    x = np.asarray(x, dtype=float)[None, None, :]
+    xi = x + math.sqrt(t) * u_pts[None]
+    k = kern.grad_x(x, t, xi, 0.0)
+    initial = t ** (dim / 2.0) * np.einsum("m,pmi,pm->pi", u_wts, k, scenario.phi(xi))[0]
+    source = np.zeros(dim)
+    s_nodes, s_wts = gauss_legendre(0.0, math.sqrt(t), quad.time_nodes)
+    for s, ws in zip(s_nodes, s_wts):
+        tau = max(t - s * s, 0.0)
+        xi = x + s * u_pts[None]
+        gv = scenario.g(xi, path.positions_at(tau))
+        k = kern.grad_x(x, t, xi, tau)
+        source += 2.0 * s ** (dim + 1) * ws * np.einsum("m,pmi,pm->pi", u_wts, k, gv)[0]
+    return initial - source
+
+
+def per_node_sweep(path, scenario, delta=None):
+    """The update map applied one time node at a time, with one field call
+    per node (pointwise) or per agent and node (ball average)."""
+    probe = FieldProbe(scenario, path)
+    times = path.times
+    forces = np.empty(path.X.shape)
+    v_in = np.empty(path.V.shape)
+    for k, t in enumerate(times):
+        xk = path.positions_at(float(t))
+        vk = path.velocities_at(float(t))
+        v_in[k] = vk
+        if delta is None:
+            w = probe.gradient_many(xk.T, float(t)).T
+        else:
+            w = np.stack([probe.ball_average_gradient(x, float(t), delta) for x in xk.T], axis=1)
+        forces[k] = stacked_forces(scenario, t, xk, vk, w)
+    return AgentPath(times, scenario.X0 + trapezoid_cumulative(v_in, times),
+                     scenario.V0 + trapezoid_cumulative(forces, times))
