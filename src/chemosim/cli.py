@@ -179,6 +179,12 @@ def _holder_pairs_two_arg(scenario: Scenario, count: int, seed: int, radius: flo
     return pairs
 
 
+def _sample_floor(default: float, horizon: float) -> float:
+    """Lower end of a sampled time range inside (0, horizon]: the generator
+    default, or a tenth of a horizon that lies below it."""
+    return default if default <= horizon else horizon / 10.0
+
+
 def _run_suites(scenario: Scenario, suites, samples: int, seed: int, falsify: bool):
     reports = []
     horizon = scenario.growth.T
@@ -188,19 +194,22 @@ def _run_suites(scenario: Scenario, suites, samples: int, seed: int, falsify: bo
             if kern.c != 0.0:
                 raise PicardError("kernel-mass suite requires a zero reaction rate")
             reports.append(ver.check_kernel_mass(
-                kern, ver.mass_samples(scenario.dimension, min(samples, 50), horizon, seed)))
+                kern, ver.mass_samples(scenario.dimension, min(samples, 50), horizon, seed,
+                                       t_min=_sample_floor(0.1, horizon))))
         elif suite == "gamma":
             params = scenario.estimate_params
             reps = ver.check_gamma_estimates(
                 scenario.kernel, params,
-                ver.gamma_samples(scenario.dimension, samples, t_max=horizon, seed=seed))
+                ver.gamma_samples(scenario.dimension, samples, t_max=horizon, seed=seed,
+                                  t_min=_sample_floor(0.01, horizon)))
             reports.extend(reps[k] for k in sorted(reps))
         elif suite == "prop1":
             times = np.linspace(0.0, horizon, 9)
             path = AgentPath.constant(scenario.X0, scenario.V0, times)
             probe = FieldProbe(scenario, path)
             pts = ver.space_time_samples(scenario.dimension, samples, box=3.0,
-                                         t_range=(0.01, min(1.0, horizon)), seed=seed)
+                                         t_range=(_sample_floor(0.01, horizon), min(1.0, horizon)),
+                                         seed=seed)
             # certified bounds hold with large margins, so the sanity control
             # must shrink K well below the observed worst ratio
             k_scale = 0.02 if falsify else 1.0

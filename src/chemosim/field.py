@@ -273,6 +273,8 @@ class FieldProbe:
     def _batch(self, pts, t, order: int) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         t = self._check_times(t, len(pts))
+        if len(pts) == 0:
+            return np.empty((0,) + (self.scenario.dimension,) * order)
         live_batch = self._closed_batch if self.backend == BACKEND_KERNEL else self._fd_batch
         at_zero = t == 0.0
         if not at_zero.any():
@@ -303,6 +305,11 @@ class FieldProbe:
         """grad f at stacked points ``pts`` (P, N), shape (P, N); ``t`` as in
         ``value_many``."""
         return self._batch(pts, t, 1)
+
+    def hessian_many(self, pts, t) -> np.ndarray:
+        """hess f at stacked points ``pts`` (P, N), shape (P, N, N); ``t`` as
+        in ``value_many``."""
+        return self._batch(pts, t, 2)
 
     def ball_rule(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (offsets, weights) averaging over the radius-delta ball."""

@@ -109,7 +109,11 @@ def trapezoid_cumulative(y: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def halton_points(n: int, bounds: list[tuple[float, float]], seed: int = 0) -> np.ndarray:
-    """n low-discrepancy points in the box given by per-axis (lo, hi) bounds."""
+    """n low-discrepancy points in the box given by per-axis (lo, hi) bounds;
+    an inverted bound (lo > hi) raises ValueError."""
+    for lo, hi in bounds:
+        if not lo <= hi:
+            raise ValueError(f"sample range ({lo}, {hi}) is inverted")
     dim = len(bounds)
     sampler = qmc.Halton(d=dim, scramble=True, seed=seed)
     u = sampler.random(n)

@@ -79,11 +79,13 @@ class EstimateReport:
 
 
 # -- sample-set generators -------------------------------------------------------
+# An inverted time range (t_min > t_max) raises ValueError.
 
 
-def mass_samples(dim: int, count: int = 20, t_max: float = 1.0, seed: int = 0):
-    """(x, t, tau) triples with 0 <= tau < t <= t_max."""
-    raw = halton_points(count, [(-2.0, 2.0)] * dim + [(0.1, t_max), (0.0, 0.9)], seed=seed)
+def mass_samples(dim: int, count: int = 20, t_max: float = 1.0, seed: int = 0,
+                 t_min: float = 0.1):
+    """(x, t, tau) triples with t_min <= t <= t_max and 0 <= tau < t."""
+    raw = halton_points(count, [(-2.0, 2.0)] * dim + [(t_min, t_max), (0.0, 0.9)], seed=seed)
     out = []
     for row in raw:
         x = row[:dim]
@@ -94,9 +96,11 @@ def mass_samples(dim: int, count: int = 20, t_max: float = 1.0, seed: int = 0):
 
 
 def gamma_samples(dim: int, count: int = 1000, z_max: float = 12.0,
-                  t_max: float = 1.0, seed: int = 0):
-    """(offset, s) pairs: offset = x - xi spanned through z = |offset|/sqrt(s)."""
-    raw = halton_points(count, [(0.0, z_max), (0.01, t_max)] + [(0.0, 1.0)] * (dim - 1), seed=seed)
+                  t_max: float = 1.0, seed: int = 0, t_min: float = 0.01):
+    """(offset, s) pairs with t_min <= s <= t_max: offset = x - xi spanned
+    through z = |offset|/sqrt(s)."""
+    raw = halton_points(count, [(0.0, z_max), (t_min, t_max)] + [(0.0, 1.0)] * (dim - 1),
+                        seed=seed)
     out = []
     for row in raw:
         z, s = float(row[0]), float(row[1])
@@ -218,15 +222,18 @@ def check_prop1(scenario: Scenario, probe: FieldProbe, samples,
                            tolerance=tolerance, sample_count=len(samples))
     worst_g = worst_h = -1.0
     tiny = 1e-14
-    for x, t in samples:
-        x = np.asarray(x, dtype=float)
+    pts = np.array([x for x, _ in samples], dtype=float).reshape(len(samples), scenario.dimension)
+    times = np.array([t for _, t in samples], dtype=float)
+    grads = probe.gradient_many(pts, times)
+    hessians = probe.hessian_many(pts, times)
+    for (_, t), x, grad, hess in zip(samples, pts, grads, hessians):
         weight = big_k * math.exp(kappa * float(x @ x))
         bound_g = weight * (h * t ** (-(1.0 - alpha) / 2.0)
                             + 2.0 / (alpha + 1.0) * t ** ((alpha + 1.0) / 2.0) * h_x)
         bound_h = weight * (h * t ** (-(1.0 - alpha / 2.0))
                             + 2.0 / alpha * t ** (alpha / 2.0) * h_x)
-        meas_g = float(np.abs(probe.gradient(x, t)).max())
-        meas_h = float(np.abs(probe.hessian(x, t)).max())
+        meas_g = float(np.abs(grad).max())
+        meas_h = float(np.abs(hess).max())
         ratio_g = meas_g / bound_g if bound_g > 0 else (0.0 if meas_g < tiny else math.inf)
         ratio_h = meas_h / bound_h if bound_h > 0 else (0.0 if meas_h < tiny else math.inf)
         if ratio_g > worst_g:
@@ -290,34 +297,43 @@ def gronwall_oracle(alpha_g: float, w, v, grid, tolerance: float = 1e-3,
         h(t) <= alpha_g + int_0^t w h + int_0^t int_0^tau v(s, tau) h(s) ds dtau
 
     by discrete fixed-point iteration and check it against the exponential
-    bound alpha_g * exp(int_0^t (w(tau) + int_0^tau v(s, tau) ds) dtau)."""
+    bound alpha_g * exp(int_0^t (w(tau) + int_0^tau v(s, tau) ds) dtau).
+
+    The kernels are called on arrays: ``w(grid)`` once, and
+    ``v(s, t)`` once per grid node t with the array s of grid nodes up to
+    and including t, so v is never evaluated where s > t.  Either may
+    return a scalar, which stands for a constant kernel."""
     grid = np.asarray(grid, dtype=float)
     m = len(grid)
     if m < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be increasing with at least two nodes")
-    w_vals = np.array([float(w(t)) for t in grid])
+    w_vals = np.broadcast_to(np.asarray(w(grid), dtype=float), grid.shape)
     if np.any(w_vals < 0):
         raise ValueError("w must be nonnegative")
+
+    # row j holds v(grid[k], grid[j]) times the trapezoid weight of node k
+    # on [0, grid[j]]: d[0]/2, then (d[k-1] + d[k])/2, then d[j-1]/2 (all
+    # zero on row 0)
+    d = np.diff(grid)
+    interior = (d[:-1] + d[1:]) / 2.0
     v_mat = np.zeros((m, m))
     for j in range(m):
-        for k in range(j + 1):
-            v_mat[j, k] = float(v(grid[k], grid[j]))
-    if np.any(v_mat < 0):
-        raise ValueError("v must be nonnegative")
-
-    # trapezoid weights of node k on [0, grid[j]]
-    wmat = np.zeros((m, m))
-    d = np.diff(grid)
-    for j in range(1, m):
-        wmat[j, 0] = d[0] / 2.0
-        wmat[j, 1:j] = (d[:j - 1] + d[1:j]) / 2.0
-        wmat[j, j] = d[j - 1] / 2.0
+        row = v_mat[j, :j + 1]
+        row[:] = v(grid[:j + 1], grid[j])
+        if np.any(row < 0):
+            raise ValueError("v must be nonnegative")
+        if j == 0:
+            row *= 0.0
+        else:
+            row[0] *= d[0] / 2.0
+            row[1:j] *= interior[:j - 1]
+            row[j] *= d[j - 1] / 2.0
 
     h = np.full(m, alpha_g, dtype=float)
     cap = 1e12 * max(1.0, alpha_g)
     for _ in range(max_iters):
         single = trapezoid_cumulative(w_vals * h, grid)
-        inner = (v_mat * wmat) @ h
+        inner = v_mat @ h
         double = trapezoid_cumulative(inner, grid)
         h_new = alpha_g + single + double
         if not np.all(np.isfinite(h_new)) or h_new.max() > cap:
@@ -329,7 +345,7 @@ def gronwall_oracle(alpha_g: float, w, v, grid, tolerance: float = 1e-3,
     else:
         raise RuntimeError("discrete fixed-point did not stabilize")
 
-    v_inner = (v_mat * wmat).sum(axis=1)
+    v_inner = v_mat.sum(axis=1)
     bound = alpha_g * np.exp(trapezoid_cumulative(w_vals + v_inner, grid))
     rep = EstimateReport(claim="integral-inequality-bound",
                          constants={"alpha_g": alpha_g},

@@ -288,6 +288,20 @@ def test_gradient_many_per_point_times_match_scalar_calls(backend):
             probe.gradient_many(pts, bad)
 
 
+@pytest.mark.parametrize("backend", ["closed-form-kernel", BACKEND_FD])
+def test_hessian_many_per_point_times_match_scalar_calls(backend):
+    scn = build(phi="gaussian", g="agent-secretion", X0=[[0.2, -0.3]], T=0.2)
+    probe = FieldProbe(scn, moving_path(scn), backend=backend)
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(-1.0, 1.0, (7, 1))
+    times = np.array([0.05, 0.0, 0.2, 0.013, 0.05, 0.11, 0.17])
+    batched = probe.hessian_many(pts, times)
+    assert batched.shape == (7, 1, 1)
+    single = np.stack([probe.hessian(x, t) for x, t in zip(pts, times)])
+    np.testing.assert_allclose(batched, single, rtol=0.0, atol=1e-14)
+    assert probe.hessian_many(np.empty((0, 1)), np.empty(0)).shape == (0, 1, 1)
+
+
 def test_gradient_many_matches_s_node_loop_oracle():
     scn = build(phi="gaussian", g="agent-secretion", X0=[[0.2, -0.3]], T=0.2)
     path = moving_path(scn)

@@ -237,6 +237,23 @@ def test_cli_verify_all_suites_serialize(tmp_path):
     assert all(r["passed"] for r in doc["reports"])
 
 
+def test_cli_verify_all_suites_below_the_default_sample_times(tmp_path):
+    # the horizon lies below the default lower ends of the sampled time
+    # ranges (0.01 and 0.1), which must shrink to fit inside (0, horizon]
+    cfg = dict(DAMPED_CFG)
+    cfg["horizon"] = 0.005
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "run"
+    res = run_cli("verify", "--config", str(p), "--suite", "all",
+                  "--samples", "100", "--output-dir", str(out))
+    assert res.returncode == 0, res.stderr
+    doc = json.loads((out / "verify_report.json").read_text())
+    assert len(doc["reports"]) == 12
+    prop1 = [r for r in doc["reports"] if r["claim"].startswith("field-")]
+    assert len(prop1) == 2
+    assert all(0.0 < r["worst_sample"][1] <= 0.005 for r in prop1)
+
+
 def test_cli_verify_falsify_nonzero_exit(tmp_path):
     p = write_cfg(tmp_path)
     out = tmp_path / "run"

@@ -21,7 +21,7 @@ from chemosim.verify import (
     space_time_samples,
 )
 
-from util import build
+from util import build, loop_gronwall_oracle, loop_prop1
 
 
 # -- kernel mass -------------------------------------------------------------------
@@ -45,6 +45,17 @@ def test_mass_rejects_reaction_rate():
     kern = make_kernel(inline_coefficients([[1.0]], c=0.3))
     with pytest.raises(ValueError, match="reaction"):
         check_kernel_mass(kern, mass_samples(1, 5, 1.0, seed=0))
+
+
+def test_sample_generators_reject_inverted_time_ranges():
+    with pytest.raises(ValueError, match="inverted"):
+        mass_samples(1, 5, t_max=0.005)
+    with pytest.raises(ValueError, match="inverted"):
+        gamma_samples(1, 5, t_max=0.005)
+    with pytest.raises(ValueError, match="inverted"):
+        space_time_samples(1, 5, t_range=(0.01, 0.005))
+    assert all(0.0005 <= t <= 0.005 for _, t, _ in mass_samples(1, 5, 0.005, t_min=0.0005))
+    assert all(0.0005 <= s <= 0.005 for _, s in gamma_samples(1, 5, t_max=0.005, t_min=0.0005))
 
 
 # -- kernel decay envelopes ----------------------------------------------------------
@@ -118,6 +129,29 @@ def test_prop1_abs_sqrt_passes():
     probe = FieldProbe(scn, path)
     rep_g, rep_h = check_prop1(scn, probe, space_time_samples(1, 300, seed=2))
     assert rep_g.passed and rep_h.passed
+
+
+def moving_probe(scn, t_end=1.0, nodes=9):
+    times = np.linspace(0.0, t_end, nodes)
+    X = scn.X0 + 0.3 * np.sin(7.0 * times)[:, None, None]
+    return FieldProbe(scn, AgentPath(times, X, np.zeros_like(X)))
+
+
+@pytest.mark.parametrize("k_scale", [1.0, 0.02])
+@pytest.mark.parametrize("data", [
+    {"phi": "zero", "g": "zero"},  # every ratio ties at 0: the first sample is the worst
+    {"phi": "abs-sqrt"},
+    {"phi": "gaussian", "g": "agent-secretion", "X0": [[0.2, -0.3]]},
+])
+def test_prop1_matches_per_sample_loop_oracle(data, k_scale):
+    scn = build(**data)
+    probe = moving_probe(scn)
+    samples = space_time_samples(1, 60, seed=4)
+    for got, want in zip(check_prop1(scn, probe, samples, k_scale=k_scale),
+                         loop_prop1(scn, probe, samples, k_scale=k_scale)):
+        assert got.to_dict() == want.to_dict()
+    for got, want in zip(check_prop1(scn, probe, []), loop_prop1(scn, probe, [])):
+        assert got.to_dict() == want.to_dict()
 
 
 def test_prop1_falsification_control():
@@ -211,6 +245,46 @@ def test_gronwall_discrete_extremal_matches_cosh():
 def test_gronwall_rejects_negative_inputs():
     with pytest.raises(ValueError):
         gronwall_oracle(1.0, lambda t: -1.0, lambda s, t: 0.0, GRID)
+
+
+GRONWALL_CASES = {
+    # the three `chemosim verify --suite gronwall` cases
+    "zero-kernels": (lambda t: 0.0, lambda s, t: 0.0),
+    "constant-single": (lambda t: 1.0, lambda s, t: 0.0),
+    "double-integral": (lambda t: 0.0, lambda s, t: 1.0),
+    # array-aware kernels that vary along both arguments
+    "varying": (lambda t: 1.0 + t, lambda s, t: np.exp(s - t)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRONWALL_CASES))
+def test_gronwall_matches_double_loop_oracle(case):
+    w, v = GRONWALL_CASES[case]
+    rep = gronwall_oracle(1.0, w, v, GRID)
+    ref = loop_gronwall_oracle(1.0, w, v, GRID)
+    assert rep.worst_ratio == ref.worst_ratio
+    assert rep.worst_sample == ref.worst_sample
+    assert rep.passed == ref.passed
+
+
+def test_gronwall_never_evaluates_v_above_the_diagonal():
+    calls = []
+
+    def v(s, t):
+        calls.append((np.array(s), t))
+        return np.exp(s - t)
+
+    gronwall_oracle(1.0, lambda t: 0.0, v, GRID)
+    assert len(calls) == len(GRID)
+    assert all(np.all(s <= t) for s, t in calls)
+
+
+def test_gronwall_rejects_one_negative_v_entry():
+    def v(s, t):
+        return np.where((s == GRID[3]) & (t == GRID[7]), -1e-3, 1.0)
+
+    with pytest.raises(ValueError, match="v must be nonnegative"):
+        gronwall_oracle(1.0, lambda t: 0.0, v, GRID)
 
 
 # -- residuals ----------------------------------------------------------------------------

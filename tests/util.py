@@ -17,6 +17,7 @@ from chemosim.presets import (
 )
 from chemosim.quadrature import gauss_legendre, tensor_grid, trapezoid_cumulative
 from chemosim.scenario import ForceLaw, GrowthSpec, make_scenario
+from chemosim.verify import EstimateReport
 
 
 def build(coeff="heat", phi="zero", g="zero", force="zero", dim=1, T=1.0,
@@ -162,3 +163,98 @@ def per_node_sweep(path, scenario, delta=None):
         forces[k] = stacked_forces(scenario, t, xk, vk, w)
     return AgentPath(times, scenario.X0 + trapezoid_cumulative(v_in, times),
                      scenario.V0 + trapezoid_cumulative(forces, times))
+
+
+def loop_gronwall_oracle(alpha_g, w, v, grid, tolerance=1e-3, max_iters=400):
+    """``verify.gronwall_oracle`` with one scalar call of w per node and of v
+    per (s, t) pair with s <= t: the plain double loop that the row-wise
+    kernel fill must reproduce."""
+    grid = np.asarray(grid, dtype=float)
+    m = len(grid)
+    if m < 2 or np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be increasing with at least two nodes")
+    w_vals = np.array([float(w(t)) for t in grid])
+    if np.any(w_vals < 0):
+        raise ValueError("w must be nonnegative")
+    v_mat = np.zeros((m, m))
+    for j in range(m):
+        for k in range(j + 1):
+            v_mat[j, k] = float(v(grid[k], grid[j]))
+    if np.any(v_mat < 0):
+        raise ValueError("v must be nonnegative")
+
+    # trapezoid weights of node k on [0, grid[j]]
+    wmat = np.zeros((m, m))
+    d = np.diff(grid)
+    for j in range(1, m):
+        wmat[j, 0] = d[0] / 2.0
+        wmat[j, 1:j] = (d[:j - 1] + d[1:j]) / 2.0
+        wmat[j, j] = d[j - 1] / 2.0
+
+    h = np.full(m, alpha_g, dtype=float)
+    cap = 1e12 * max(1.0, alpha_g)
+    for _ in range(max_iters):
+        single = trapezoid_cumulative(w_vals * h, grid)
+        inner = (v_mat * wmat) @ h
+        double = trapezoid_cumulative(inner, grid)
+        h_new = alpha_g + single + double
+        if not np.all(np.isfinite(h_new)) or h_new.max() > cap:
+            raise RuntimeError("discrete fixed-point diverged; inputs not integrable on this grid")
+        step = float(np.abs(h_new - h).max())
+        h = h_new
+        if step <= 1e-13 * max(1.0, alpha_g, float(h.max())):
+            break
+    else:
+        raise RuntimeError("discrete fixed-point did not stabilize")
+
+    v_inner = (v_mat * wmat).sum(axis=1)
+    bound = alpha_g * np.exp(trapezoid_cumulative(w_vals + v_inner, grid))
+    rep = EstimateReport(claim="integral-inequality-bound",
+                         constants={"alpha_g": alpha_g},
+                         tolerance=tolerance, sample_count=m)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratios = np.where(bound > 0, h / bound, np.where(h <= 1e-15, 0.0, np.inf))
+    k = int(np.argmax(ratios))
+    rep.worst_ratio = float(ratios[k])
+    rep.worst_sample = (grid[k],)
+    return rep.finalize()
+
+
+def loop_prop1(scenario, probe, samples, tolerance=1e-2, k_scale=1.0):
+    """``verify.check_prop1`` with one ``gradient`` and one ``hessian`` probe
+    call per sample: the loop that the batched check must reproduce."""
+    params = scenario.estimate_params
+    if params.big_k is None or params.kappa is None:
+        raise ValueError("scenario is missing derivative-bound constants")
+    big_k = params.big_k * k_scale
+    kappa = params.kappa
+    alpha = scenario.alpha
+    h = scenario.growth.H
+    h_x = scenario.growth.HR(probe.path.sup_position_norm())
+
+    rep_g = EstimateReport(claim="field-gradient-bound",
+                           constants={"K": big_k, "kappa": kappa, "H": h, "H_X": h_x},
+                           tolerance=tolerance, sample_count=len(samples))
+    rep_h = EstimateReport(claim="field-hessian-bound",
+                           constants={"K": big_k, "kappa": kappa, "H": h, "H_X": h_x},
+                           tolerance=tolerance, sample_count=len(samples))
+    worst_g = worst_h = -1.0
+    tiny = 1e-14
+    for x, t in samples:
+        x = np.asarray(x, dtype=float)
+        weight = big_k * math.exp(kappa * float(x @ x))
+        bound_g = weight * (h * t ** (-(1.0 - alpha) / 2.0)
+                            + 2.0 / (alpha + 1.0) * t ** ((alpha + 1.0) / 2.0) * h_x)
+        bound_h = weight * (h * t ** (-(1.0 - alpha / 2.0))
+                            + 2.0 / alpha * t ** (alpha / 2.0) * h_x)
+        meas_g = float(np.abs(probe.gradient(x, t)).max())
+        meas_h = float(np.abs(probe.hessian(x, t)).max())
+        ratio_g = meas_g / bound_g if bound_g > 0 else (0.0 if meas_g < tiny else math.inf)
+        ratio_h = meas_h / bound_h if bound_h > 0 else (0.0 if meas_h < tiny else math.inf)
+        if ratio_g > worst_g:
+            worst_g, rep_g.worst_sample = ratio_g, (x, t)
+        if ratio_h > worst_h:
+            worst_h, rep_h.worst_sample = ratio_h, (x, t)
+    rep_g.worst_ratio = worst_g
+    rep_h.worst_ratio = worst_h
+    return rep_g.finalize(), rep_h.finalize()
