@@ -92,30 +92,32 @@ def _is_zero(fn) -> bool:
     return bool(getattr(fn, "is_zero", False))
 
 
-def _fd_gradient_of(fn, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for i in range(len(x)):
-        e = np.zeros_like(x)
+def _fd_gradient_of(fn, pts: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """Central-difference gradients of fn at stacked points ``pts`` (P, N),
+    shape (P, N); one call of fn per offset serves every point."""
+    out = np.empty(pts.shape)
+    for i in range(pts.shape[1]):
+        e = np.zeros(pts.shape[1])
         e[i] = step
-        out[i] = (fn(x + e) - fn(x - e)) / (2.0 * step)
+        out[:, i] = (fn(pts + e) - fn(pts - e)) / (2.0 * step)
     return out
 
 
-def _fd_hessian_of(fn, x: np.ndarray, step: float = 1e-4) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    out = np.zeros((n, n))
-    f0 = fn(x)
+def _fd_hessian_of(fn, pts: np.ndarray, step: float = 1e-4) -> np.ndarray:
+    """Central-difference hessians of fn at stacked points ``pts`` (P, N),
+    shape (P, N, N); one call of fn per offset serves every point."""
+    n = pts.shape[1]
+    out = np.empty((len(pts), n, n))
+    f0 = fn(pts)
     for i in range(n):
         ei = np.zeros(n)
         ei[i] = step
-        out[i, i] = (fn(x + ei) - 2.0 * f0 + fn(x - ei)) / step**2
+        out[:, i, i] = (fn(pts + ei) - 2.0 * f0 + fn(pts - ei)) / step**2
         for j in range(i + 1, n):
             ej = np.zeros(n)
             ej[j] = step
-            out[i, j] = out[j, i] = (
-                fn(x + ei + ej) - fn(x + ei - ej) - fn(x - ei + ej) + fn(x - ei - ej)
+            out[:, i, j] = out[:, j, i] = (
+                fn(pts + ei + ej) - fn(pts + ei - ej) - fn(pts - ei + ej) + fn(pts - ei - ej)
             ) / (4.0 * step**2)
     return out
 
@@ -128,6 +130,11 @@ def _fd_hessian_of(fn, x: np.ndarray, step: float = 1e-4) -> np.ndarray:
 # solve); on a 1D Picard sweep, 2^13 to 2^15 entries ran fastest, and
 # smaller passes pay Python overhead.
 _CHUNK_ELEMENTS = 2**13
+
+
+# Contraction of a kernel derivative of order 0, 1 or 2 (p items, m nodes)
+# with the quadrature weights and the data on the nodes.
+_CONTRACTIONS = ("m,pm,pm->p", "m,pmi,pm->pi", "m,pmij,pm->pij")
 
 
 def _chunks(n: int, per_item: int) -> list[slice]:
@@ -192,16 +199,8 @@ class FieldProbe:
             xi = p[:, None, :] + np.sqrt(t_col)[..., None] * self._u_pts[None, :, :]
             phi_vals = self.scenario.phi(xi)
             jac = (t[sl] ** (dim / 2.0)).reshape((-1,) + (1,) * order)
-            x = p[:, None, :]
-            if order == 0:
-                k = kern.eval(x, t_col, xi, 0.0)
-                out.append(jac * np.einsum("m,pm,pm->p", self._u_wts, k, phi_vals))
-            elif order == 1:
-                k = kern.grad_x(x, t_col, xi, 0.0)
-                out.append(jac * np.einsum("m,pmi,pm->pi", self._u_wts, k, phi_vals))
-            else:
-                k = kern.hess_x(x, t_col, xi, 0.0)
-                out.append(jac * np.einsum("m,pmij,pm->pij", self._u_wts, k, phi_vals))
+            k = kern.derivative(order, p[:, None, :], t_col, xi, 0.0)
+            out.append(jac * np.einsum(_CONTRACTIONS[order], self._u_wts, k, phi_vals))
         return np.concatenate(out, axis=0)
 
     def _source_batch(self, pts: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
@@ -224,16 +223,8 @@ class FieldProbe:
             x = pts[i][:, None, :]
             xi = x + s[:, None, None] * self._u_pts[None, :, :]
             gv = self.scenario.g(xi, self.path.positions_at(tau)[:, None])
-            t_pair, tau = t[i][:, None], tau[:, None]
-            if order == 0:
-                k = kern.eval(x, t_pair, xi, tau)
-                terms[sl] = factor * np.einsum("m,pm,pm->p", self._u_wts, k, gv)
-            elif order == 1:
-                k = kern.grad_x(x, t_pair, xi, tau)
-                terms[sl] = factor * np.einsum("m,pmi,pm->pi", self._u_wts, k, gv)
-            else:
-                k = kern.hess_x(x, t_pair, xi, tau)
-                terms[sl] = factor * np.einsum("m,pmij,pm->pij", self._u_wts, k, gv)
+            k = kern.derivative(order, x, t[i][:, None], xi, tau[:, None])
+            terms[sl] = factor * np.einsum(_CONTRACTIONS[order], self._u_wts, k, gv)
         acc = np.zeros(shape)
         for term in terms.reshape((n_s,) + shape):  # summed in s-node order
             acc += term
@@ -248,10 +239,7 @@ class FieldProbe:
         phi = self.scenario.phi
         if order == 0:
             return phi(pts)
-        scalar = lambda y: float(phi(np.asarray(y)[None, :])[0])
-        if order == 1:
-            return np.stack([_fd_gradient_of(scalar, x) for x in pts])
-        return np.stack([_fd_hessian_of(scalar, x) for x in pts])
+        return (_fd_gradient_of if order == 1 else _fd_hessian_of)(phi, pts)
 
     # -- finite-difference backend --------------------------------------------
 
@@ -262,11 +250,7 @@ class FieldProbe:
 
     def _fd_batch(self, pts: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
         fdf = self._fd()
-        if order == 0:
-            return fdf.value_many(pts, t)
-        if order == 1:
-            return fdf.gradient_many(pts, t)
-        return np.stack([fdf.hessian(x, tk) for x, tk in zip(pts, t)])
+        return (fdf.value_many, fdf.gradient_many, fdf.hessian_many)[order](pts, t)
 
     # -- public surface --------------------------------------------------------
 
@@ -400,20 +384,19 @@ class FdField:
         q = self._query(np.atleast_2d(pts), t)
         return np.stack([gi(q) for gi in self._grad_interp], axis=-1)
 
-    def gradient(self, x, t: float) -> np.ndarray:
-        return self.gradient_many(np.asarray(x)[None, :], t)[0]
-
-    def hessian(self, x, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def hessian_many(self, pts, t) -> np.ndarray:
+        """Symmetrized central differences of the interpolated gradient at
+        stacked points (P, N), shape (P, N, N); two ``gradient_many`` calls
+        per axis serve every point."""
+        pts = np.atleast_2d(pts)
         dim = len(self.axes)
-        out = np.zeros((dim, dim))
+        out = np.empty((len(pts), dim, dim))
         for j in range(dim):
             e = np.zeros(dim)
             e[j] = self.h
-            gp = self.gradient(x + e, t)
-            gm = self.gradient(x - e, t)
-            out[:, j] = (gp - gm) / (2.0 * self.h)
-        return 0.5 * (out + out.T)
+            out[:, :, j] = (self.gradient_many(pts + e, t)
+                            - self.gradient_many(pts - e, t)) / (2.0 * self.h)
+        return 0.5 * (out + np.swapaxes(out, 1, 2))
 
 
 def solve_field_fd(scenario: Scenario, path: AgentPath, quad: QuadratureSpec | None = None) -> FdField:

@@ -129,6 +129,11 @@ class Kernel:
         outer = w[..., :, None] * w[..., None, :]
         return val[..., None, None] * (outer / (4.0 * s_col**2) - self.a_inv / (2.0 * s_col))
 
+    def derivative(self, order: int, x, t, xi, tau):
+        """x-derivative of the given order (0, 1 or 2): ``eval``, ``grad_x``
+        or ``hess_x``, with ``order`` trailing axes of length N."""
+        return (self.eval, self.grad_x, self.hess_x)[order](x, t, xi, tau)
+
 
 def make_kernel(coeffs: "OperatorCoefficients") -> Kernel:
     """Build the closed-form kernel for a constant-coefficient operator."""

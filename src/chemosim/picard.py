@@ -14,7 +14,8 @@ from the endpoint state until the requested horizon is covered.
 
 One segment engine implements this: ``_sweep`` applies the update map once
 on a segment grid, with one batched field evaluation for every (node,
-agent) pair, and ``_iterate_segment`` runs Picard iteration on it.
+agent) pair and one force-law call per sweep, and ``_iterate_segment``
+runs Picard iteration on it.
 ``apply_psi`` is a single sweep, ``solve_local`` one iterated segment on
 [0, t_bar] and ``solve_global`` one iterated segment per certificate.
 """
@@ -44,7 +45,6 @@ __all__ = [
     "solve_local",
     "solve_global",
     "sensed_gradients",
-    "stacked_forces",
     "gronwall_bound_B",
     "apriori_grad_bound",
 ]
@@ -272,14 +272,6 @@ def sensed_gradients(probe: FieldProbe, X: np.ndarray, times,
     return np.swapaxes(wts @ grads.reshape(ball.shape), 1, 2)
 
 
-def stacked_forces(scenario: Scenario, t: float, X: np.ndarray, V: np.ndarray,
-                   W: np.ndarray) -> np.ndarray:
-    """F_j(t, X, V, w_j) for all agents, shape (N, n); column j of W is w_j."""
-    t = float(t)
-    return np.stack([scenario.force.eval(t, X, V, W[:, j], j) for j in range(X.shape[1])],
-                    axis=1)
-
-
 def _check_tube(path: AgentPath, X0: np.ndarray, V0: np.ndarray, radius: float) -> None:
     slack = radius * (1.0 + 1e-6) + 1e-12
     dx = np.linalg.norm((path.X - X0).reshape(len(path.times), -1), axis=1)
@@ -313,7 +305,7 @@ def _sweep(scenario: Scenario, prefix: AgentPath | None, seg: AgentPath,
         W = np.zeros(X.shape)
     else:
         W = sensed_gradients(probe, X, times, delta)
-    forces = np.stack([stacked_forces(scenario, t, x, v, w) for t, x, v, w in zip(times, X, V, W)])
+    forces = scenario.force.eval(times, X, V, W)
     return AgentPath(times, X0 + trapezoid_cumulative(V, times),
                      V0 + trapezoid_cumulative(forces, times))
 
@@ -445,12 +437,14 @@ def _lemma_constants(scenario: Scenario, params: EstimateParams | None = None) -
 
 
 def _c0_constant(scenario: Scenario, horizon: float, samples: int = 129) -> float:
-    """max over [0, horizon] of the stacked force at the frozen initial state
-    with zero sensed gradient."""
-    zero_w = np.zeros_like(scenario.X0)
+    """max over [0, horizon] of the norm of the force on all agents at the
+    frozen initial state with zero sensed gradient."""
+    times = np.linspace(0.0, horizon, samples)
+    shape = (samples,) + scenario.X0.shape
+    forces = scenario.force.eval(times, np.broadcast_to(scenario.X0, shape),
+                                 np.broadcast_to(scenario.V0, shape), np.zeros(shape))
     worst = 0.0
-    for t in np.linspace(0.0, horizon, samples):
-        f = stacked_forces(scenario, t, scenario.X0, scenario.V0, zero_w)
+    for f in forces:
         worst = max(worst, float(np.linalg.norm(f)))
     return worst
 

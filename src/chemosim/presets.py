@@ -6,7 +6,8 @@ verification module re-checks them by sampling.  All data callables are
 vectorized over stacked points of shape (..., N); a source g(x, X) also takes
 stacked configurations X of shape (..., N, n) whose leading axes broadcast
 against those of x, so the field evaluator can pass one configuration per
-point.
+point.  A force law takes stacked states X, V and sensed gradients W of
+shape (..., N, n) and returns the force on every agent in the same shape.
 """
 
 from __future__ import annotations
@@ -140,26 +141,29 @@ def g_preset(name: str, n_agents: int, value: float = 1.0):
 
 
 def force_preset(name: str, chi: float = 1.0, kappa_v: float = 1.0) -> ForceLaw:
+    """Force law on stacked states (see `ForceLaw`): each preset reads column
+    j of W only for column j of the force."""
     if name == "zero":
-        def zero_force(t, X, V, w, i):
-            return np.zeros(X.shape[0])
+        def zero_force(t, X, V, W):
+            return np.zeros(np.shape(X))
         return ForceLaw(eval=zero_force, lipschitz_w=0.0,
                         lipschitz_xv=lambda r: 0.0, lipschitz_global=0.0)
     if name == "pure-chemotaxis":
-        def pure(t, X, V, w, i):
-            return chi * np.asarray(w, dtype=float)
+        def pure(t, X, V, W):
+            return chi * W
         return ForceLaw(eval=pure, lipschitz_w=chi,
                         lipschitz_xv=lambda r: 0.0, lipschitz_global=chi)
     if name == "damped-chemotaxis":
-        def damped(t, X, V, w, i):
-            return -kappa_v * V[:, i] + chi * np.asarray(w, dtype=float)
+        def damped(t, X, V, W):
+            return -kappa_v * V + chi * W
         return ForceLaw(eval=damped, lipschitz_w=chi,
                         lipschitz_xv=lambda r: kappa_v,
                         lipschitz_global=max(chi, kappa_v))
     if name == "saturating-chemotaxis":
-        def saturating(t, X, V, w, i):
-            w = np.asarray(w, dtype=float)
-            return chi * w / (1.0 + np.linalg.norm(w))
+        def saturating(t, X, V, W):
+            # |w_j| per column; vecdot rounds it as np.linalg.norm(w_j) does
+            norms = np.sqrt(np.vecdot(W, W, axis=-2))[..., None, :]
+            return chi * W / (1.0 + norms)
         # Jacobian norm of w -> w/(1+|w|) is (1+2|w|)/(1+|w|)^2 <= 1
         return ForceLaw(eval=saturating, lipschitz_w=chi,
                         lipschitz_xv=lambda r: 0.0, lipschitz_global=chi)

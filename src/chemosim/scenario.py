@@ -73,16 +73,21 @@ class GrowthSpec:
 
 @dataclass(eq=False)
 class ForceLaw:
-    """Per-agent force with declared Lipschitz structure.
+    """Force on every agent, with declared Lipschitz structure.
 
-    ``eval(t, X, V, w, i)`` returns the (N,) force on agent i given the full
-    configuration and that agent's sensed gradient w.  ``lipschitz_w`` bounds
-    sensitivity in w, ``lipschitz_xv(radius)`` in (X, V) over a compact of the
-    given radius, ``lipschitz_global`` (when not None) in all arguments
-    jointly, which is what the global continuation requires.
+    ``eval(t, X, V, W)`` returns the forces F, of the same shape as X.  X,
+    V and the sensed gradients W have shape (..., N, n): column j is agent
+    j, and leading axes stack configurations (one per time node, say).  t
+    is a scalar or has shape ``X.shape[:-2]``.  Column j of F may depend on
+    W only through column j, the agent's own sensed gradient w_j; that is
+    the structure F_j(t, X, V, w_j) of the model.  ``lipschitz_w`` bounds
+    the sensitivity of F_j in w_j, ``lipschitz_xv(radius)`` in (X, V) over
+    a compact of the given radius, and ``lipschitz_global`` (when not None)
+    in all arguments jointly, which is what the global continuation
+    requires.
     """
 
-    eval: Callable[[float, Array, Array, Array, int], Array]
+    eval: Callable[[float | Array, Array, Array, Array], Array]
     lipschitz_w: float
     lipschitz_xv: Callable[[float], float]
     lipschitz_global: float | None = None

@@ -18,7 +18,7 @@ import numpy as np
 from .field import FieldProbe
 from .kernel import EstimateParams, Kernel
 from .paths import AgentPath
-from .picard import MODE_POINTWISE, _resolve_delta, sensed_gradients, stacked_forces
+from .picard import MODE_POINTWISE, _resolve_delta, sensed_gradients
 from .quadrature import halton_points, tensor_grid, trapezoid_cumulative
 from .scenario import Scenario
 
@@ -168,22 +168,20 @@ def check_gamma_estimates(kernel: Kernel, params: EstimateParams, samples,
     dim = kernel.dim
     reports = {}
     x0 = np.zeros(dim)
+    offsets = np.array([o for o, _ in samples], dtype=float).reshape(len(samples), dim)
+    times = np.array([s for _, s in samples], dtype=float)
     for order in (0, 1, 2):
         rep = EstimateReport(claim=f"kernel-decay-order{order}",
                              constants={"C_gamma": c_g, "lambda0_star": lam_star},
                              tolerance=tolerance, sample_count=len(samples))
         worst = -1.0
-        for offset, s in samples:
-            xi = (x0 - np.asarray(offset, dtype=float))[None, :]
+        # one kernel call for all samples; |entries| maxed per sample
+        values = np.abs(kernel.derivative(order, x0, times, x0 - offsets, 0.0))
+        measured_all = values.reshape(len(samples), dim**order).max(axis=1)
+        for (offset, s), measured in zip(samples, measured_all):
             r2 = float(np.dot(offset, offset))
             envelope = c_g * s ** (-(dim + order) / 2.0) * math.exp(-lam_star * r2 / (4.0 * s))
-            if order == 0:
-                measured = float(kernel.eval(x0[None, :], s, xi, 0.0)[0])
-            elif order == 1:
-                measured = float(np.abs(kernel.grad_x(x0[None, :], s, xi, 0.0)[0]).max())
-            else:
-                measured = float(np.abs(kernel.hess_x(x0[None, :], s, xi, 0.0)[0]).max())
-            ratio = measured / envelope if envelope > 0 else math.inf
+            ratio = float(measured) / envelope if envelope > 0 else math.inf
             if ratio > worst:
                 worst = ratio
                 rep.worst_sample = (np.asarray(offset), s)
@@ -203,8 +201,12 @@ def check_prop1(scenario: Scenario, probe: FieldProbe, samples,
         |d2_ij f| <= K e^(kappa |x|^2) (H t^(-(1-alpha/2)) + 2/alpha t^(alpha/2) H_X)
 
     ``k_scale`` shrinks K for falsification controls.  Returns the gradient
-    and hessian reports.
+    and hessian reports.  The bounds blow up at t = 0, so every sample needs
+    t > 0 (ValueError otherwise).
     """
+    for k, (_, t) in enumerate(samples):
+        if not t > 0:
+            raise ValueError(f"prop1 sample {k} has t = {t}; the derivative bounds need t > 0")
     params = scenario.estimate_params
     if params.big_k is None or params.kappa is None:
         raise ValueError("scenario is missing derivative-bound constants")
@@ -374,13 +376,13 @@ def residual_check(path: AgentPath, scenario: Scenario, probe: FieldProbe,
     rep = EstimateReport(claim="ode-residual", tolerance=tolerance,
                          sample_count=len(times) - 2)
     W = sensed_gradients(probe, path.X[1:-1], times[1:-1], delta)
+    forces = scenario.force.eval(times[1:-1], path.X[1:-1], path.V[1:-1], W)
     for k in range(1, len(times) - 1):
         dt2 = times[k + 1] - times[k - 1]
         xdot = (path.X[k + 1] - path.X[k - 1]) / dt2
         vdot = (path.V[k + 1] - path.V[k - 1]) / dt2
         res_x = float(np.linalg.norm(xdot - path.V[k]))
-        f = stacked_forces(scenario, times[k], path.X[k], path.V[k], W[k - 1])
-        res_v = float(np.linalg.norm(vdot - f))
+        res_v = float(np.linalg.norm(vdot - forces[k - 1]))
         res = max(res_x, res_v)
         if res > worst:
             worst = res

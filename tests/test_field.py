@@ -302,6 +302,36 @@ def test_hessian_many_per_point_times_match_scalar_calls(backend):
     assert probe.hessian_many(np.empty((0, 1)), np.empty(0)).shape == (0, 1, 1)
 
 
+def test_fd_hessian_many_matches_per_point_differences():
+    scn = build(phi="gaussian", g="agent-secretion", dim=2,
+                X0=[[0.2, -0.3], [0.1, 0.4]], T=0.2)
+    fdf = solve_field_fd(scn, moving_path(scn), QuadratureSpec(fd_h=0.25, fd_half_width=4.0))
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-1.0, 1.0, (6, 2))
+    times = np.array([0.0, 0.03, 0.2, 0.11, 0.07, 0.0])
+    batched = fdf.hessian_many(pts, times)
+    for x, t, got in zip(pts, times, batched):
+        cols = [(fdf.gradient_many(x + e, t) - fdf.gradient_many(x - e, t))[0] / (2.0 * fdf.h)
+                for e in fdf.h * np.eye(2)]
+        want = np.stack(cols, axis=1)
+        np.testing.assert_array_equal(got, 0.5 * (want + want.T))
+
+
+def test_derivatives_at_time_zero_are_those_of_the_initial_datum():
+    scn = build(phi="gaussian", dim=2, X0=[[0.2], [0.1]])
+    probe = FieldProbe(scn, constant_path(scn))
+    pts = np.random.default_rng(13).uniform(-1.0, 1.0, (6, 2))
+    grads = probe.gradient_many(pts, 0.0)
+    hessians = probe.hessian_many(pts, 0.0)
+    bump = np.exp(-np.sum(pts * pts, axis=1))
+    np.testing.assert_allclose(grads, -2.0 * pts * bump[:, None], rtol=0.0, atol=1e-8)
+    exact_h = (4.0 * pts[:, :, None] * pts[:, None, :] - 2.0 * np.eye(2)) * bump[:, None, None]
+    np.testing.assert_allclose(hessians, exact_h, rtol=0.0, atol=1e-6)
+    for x, g, h in zip(pts, grads, hessians):  # stacking never mixes points
+        np.testing.assert_array_equal(probe.gradient(x, 0.0), g)
+        np.testing.assert_array_equal(probe.hessian(x, 0.0), h)
+
+
 def test_gradient_many_matches_s_node_loop_oracle():
     scn = build(phi="gaussian", g="agent-secretion", X0=[[0.2, -0.3]], T=0.2)
     path = moving_path(scn)

@@ -325,7 +325,7 @@ def test_solve_global_bounded_by_gronwall_constant():
 
 
 def test_solve_global_requires_global_lipschitz_force():
-    local_only = ForceLaw(eval=lambda t, X, V, w, i: np.zeros(1), lipschitz_w=0.0,
+    local_only = ForceLaw(eval=lambda t, X, V, W: np.zeros(np.shape(X)), lipschitz_w=0.0,
                           lipschitz_xv=lambda r: 0.0, lipschitz_global=None)
     scn = build(force=local_only)
     with pytest.raises(PicardError, match="globally Lipschitz"):

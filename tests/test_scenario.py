@@ -110,14 +110,14 @@ def test_damped_force_pure_damping_example():
     force = force_preset("damped-chemotaxis", chi=0.0, kappa_v=1.0)
     X = np.zeros((2, 1))
     V = np.array([[2.0], [0.0]])
-    out = force.eval(0.0, X, V, np.zeros(2), 0)
+    out = force.eval(0.0, X, V, np.zeros((2, 1)))[:, 0]
     np.testing.assert_allclose(out, [-2.0, 0.0])
 
 
 def test_saturating_force_bounded_slope():
     force = force_preset("saturating-chemotaxis", chi=1.0)
-    w = np.array([3.0])
-    out = force.eval(0.0, np.zeros((1, 1)), np.zeros((1, 1)), w, 0)
+    w = np.array([[3.0]])
+    out = force.eval(0.0, np.zeros((1, 1)), np.zeros((1, 1)), w)[:, 0]
     assert out[0] == pytest.approx(3.0 / 4.0)
 
 
@@ -137,8 +137,34 @@ def test_force_lipschitz_in_w_never_exceeds_declared(name, kwargs):
         w1 = rng.normal(size=dim) * rng.uniform(0.1, 5.0)
         w2 = rng.normal(size=dim) * rng.uniform(0.1, 5.0)
         i = int(rng.integers(0, n))
-        d = np.linalg.norm(force.eval(0.0, X, V, w1, i) - force.eval(0.0, X, V, w2, i))
+        only_i = np.eye(n)[i]  # w in column i, zeros elsewhere
+        d = np.linalg.norm(force.eval(0.0, X, V, np.outer(w1, only_i))[:, i]
+                           - force.eval(0.0, X, V, np.outer(w2, only_i))[:, i])
         assert d <= force.lipschitz_w * np.linalg.norm(w1 - w2) * (1.0 + 1e-9) + 1e-15
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("zero", {}),
+    ("pure-chemotaxis", {"chi": 0.7}),
+    ("damped-chemotaxis", {"chi": 0.4, "kappa_v": 1.3}),
+    ("saturating-chemotaxis", {"chi": 0.9}),
+])
+def test_force_column_reads_only_its_own_w(name, kwargs):
+    force = force_preset(name, **kwargs)
+    rng = np.random.default_rng(23)
+    nodes, dim, n = 5, 2, 3
+    times = np.linspace(0.0, 0.4, nodes)
+    X, V, W = (rng.normal(size=(nodes, dim, n)) for _ in range(3))
+    F = force.eval(times, X, V, W)
+    assert F.shape == X.shape
+    for k in range(nodes):  # stacked calls equal one-node calls
+        np.testing.assert_array_equal(F[k], force.eval(float(times[k]), X[k], V[k], W[k]))
+    for j in range(n):  # changing column j of W moves column j of F only
+        W2 = W.copy()
+        W2[..., j] = 3.0 * rng.normal(size=(nodes, dim))
+        F2 = force.eval(times, X, V, W2)
+        others = np.arange(n) != j
+        np.testing.assert_array_equal(F2[..., others], F[..., others])
 
 
 def test_build_scenario_from_config_is_deterministic():

@@ -21,7 +21,7 @@ from chemosim.verify import (
     space_time_samples,
 )
 
-from util import build, loop_gronwall_oracle, loop_prop1
+from util import build, loop_gamma_estimates, loop_gronwall_oracle, loop_prop1
 
 
 # -- kernel mass -------------------------------------------------------------------
@@ -111,6 +111,21 @@ def test_gamma_estimates_reject_bad_decay_rate(heat_setup):
         check_gamma_estimates(kern, bad, gamma_samples(1, 10, seed=0))
 
 
+@pytest.mark.parametrize("coeff,dim", [("heat", 1), ("anisotropic-constant", 2),
+                                       ("anisotropic-constant", 3)])
+def test_gamma_estimates_match_per_sample_loop_oracle(coeff, dim):
+    scn = build(coeff=coeff, phi="gaussian", dim=dim)
+    kern, params = scn.kernel, scn.estimate_params
+    for samples in (gamma_samples(dim, 300, seed=1), gamma_samples(dim, 200, seed=977), []):
+        got = check_gamma_estimates(kern, params, samples)
+        want = loop_gamma_estimates(kern, params, samples)
+        for order in (0, 1, 2):
+            g, w = got[order].to_dict(), want[order].to_dict()
+            # array and scalar kernel calls may round the last bit apart
+            assert g.pop("worst_ratio") == pytest.approx(w.pop("worst_ratio"), rel=1e-14, abs=0.0)
+            assert g == w
+
+
 # -- derivative bounds ----------------------------------------------------------------
 
 
@@ -152,6 +167,20 @@ def test_prop1_matches_per_sample_loop_oracle(data, k_scale):
         assert got.to_dict() == want.to_dict()
     for got, want in zip(check_prop1(scn, probe, []), loop_prop1(scn, probe, [])):
         assert got.to_dict() == want.to_dict()
+
+
+def test_prop1_rejects_a_sample_at_time_zero(monkeypatch):
+    scn = build(phi="gaussian")
+    probe = moving_probe(scn)
+
+    def no_probe_calls(*args, **kwargs):
+        raise AssertionError("the probe was called before the samples were checked")
+
+    monkeypatch.setattr(FieldProbe, "_batch", no_probe_calls)
+    with pytest.raises(ValueError, match=r"sample 1 has t = 0\.0"):
+        check_prop1(scn, probe, [(np.array([0.1]), 0.5), (np.array([0.3]), 0.0)])
+    with pytest.raises(ValueError, match=r"sample 0 has t = 0\.0"):
+        check_prop1(scn, probe, [(np.array([0.3]), 0.0)])
 
 
 def test_prop1_falsification_control():

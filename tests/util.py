@@ -8,7 +8,6 @@ import numpy as np
 
 from chemosim.field import FieldProbe, QuadratureSpec
 from chemosim.paths import AgentPath
-from chemosim.picard import stacked_forces
 from chemosim.presets import (
     coefficient_preset,
     force_preset,
@@ -50,7 +49,7 @@ def build(coeff="heat", phi="zero", g="zero", force="zero", dim=1, T=1.0,
 
 def constant_force_law(fbar) -> ForceLaw:
     fbar = np.asarray(fbar, dtype=float)
-    return ForceLaw(eval=lambda t, X, V, w, i: fbar, lipschitz_w=0.0,
+    return ForceLaw(eval=lambda t, X, V, W: np.zeros(np.shape(X)) + fbar[:, None], lipschitz_w=0.0,
                     lipschitz_xv=lambda r: 0.0, lipschitz_global=0.0)
 
 
@@ -147,7 +146,8 @@ def loop_gradient(scenario, path, x, t):
 
 def per_node_sweep(path, scenario, delta=None):
     """The update map applied one time node at a time, with one field call
-    per node (pointwise) or per agent and node (ball average)."""
+    per node (pointwise) or per agent and node (ball average) and one
+    force-law call per node."""
     probe = FieldProbe(scenario, path)
     times = path.times
     forces = np.empty(path.X.shape)
@@ -160,7 +160,7 @@ def per_node_sweep(path, scenario, delta=None):
             w = probe.gradient_many(xk.T, float(t)).T
         else:
             w = np.stack([probe.ball_average_gradient(x, float(t), delta) for x in xk.T], axis=1)
-        forces[k] = stacked_forces(scenario, t, xk, vk, w)
+        forces[k] = scenario.force.eval(float(t), xk, vk, w)
     return AgentPath(times, scenario.X0 + trapezoid_cumulative(v_in, times),
                      scenario.V0 + trapezoid_cumulative(forces, times))
 
@@ -258,3 +258,37 @@ def loop_prop1(scenario, probe, samples, tolerance=1e-2, k_scale=1.0):
     rep_g.worst_ratio = worst_g
     rep_h.worst_ratio = worst_h
     return rep_g.finalize(), rep_h.finalize()
+
+
+def loop_gamma_estimates(kernel, params, samples, tolerance=1e-2, c_gamma=None):
+    """``verify.check_gamma_estimates`` with one scalar kernel call per
+    sample and order: the loop that the batched check must reproduce."""
+    if params.lambda0_star >= params.lambda0:
+        raise ValueError("lambda0_star must be below lambda0")
+    c_g = c_gamma if c_gamma is not None else params.c_gamma
+    lam_star = params.lambda0_star
+    dim = kernel.dim
+    reports = {}
+    x0 = np.zeros(dim)
+    for order in (0, 1, 2):
+        rep = EstimateReport(claim=f"kernel-decay-order{order}",
+                             constants={"C_gamma": c_g, "lambda0_star": lam_star},
+                             tolerance=tolerance, sample_count=len(samples))
+        worst = -1.0
+        for offset, s in samples:
+            xi = (x0 - np.asarray(offset, dtype=float))[None, :]
+            r2 = float(np.dot(offset, offset))
+            envelope = c_g * s ** (-(dim + order) / 2.0) * math.exp(-lam_star * r2 / (4.0 * s))
+            if order == 0:
+                measured = float(kernel.eval(x0[None, :], s, xi, 0.0)[0])
+            elif order == 1:
+                measured = float(np.abs(kernel.grad_x(x0[None, :], s, xi, 0.0)[0]).max())
+            else:
+                measured = float(np.abs(kernel.hess_x(x0[None, :], s, xi, 0.0)[0]).max())
+            ratio = measured / envelope if envelope > 0 else math.inf
+            if ratio > worst:
+                worst = ratio
+                rep.worst_sample = (np.asarray(offset), s)
+        rep.worst_ratio = worst
+        reports[order] = rep.finalize()
+    return reports
