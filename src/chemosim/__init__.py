@@ -14,10 +14,6 @@ from .field import (
     FdField,
     FieldProbe,
     QuadratureSpec,
-    ball_avg_grad,
-    eval_f,
-    grad_f,
-    hessian_f,
     solve_field_fd,
 )
 from .kernel import (
@@ -50,6 +46,7 @@ from .picard import (
     solve_local,
 )
 from .presets import (
+    GaussianSource,
     coefficient_preset,
     force_preset,
     g_preset,

@@ -1,16 +1,21 @@
 """Signal-field evaluation from a given agent path.
 
 For constant coefficients the field, its gradient and its hessian are
-computed by quadrature against the closed-form kernel:
 
     f(x, t) = integral G(x,t,xi,0) phi(xi) dxi
               - integral_0^t integral G(x,t,xi,tau) g(xi, X(tau)) dxi dtau
 
-The spatial integrals use the substitution xi = x + sqrt(t - tau) u truncated
-at |u_i| <= u_max, and the time integral the substitution tau = t - s^2,
-which removes the integrable endpoint singularity of the gradient/hessian
-integrands.  Variable coefficients route to an explicit finite-difference
-solve on a truncated box.
+with the closed-form kernel G.  The time integral uses the substitution
+tau = t - s^2 on 32 Gauss nodes in s, which removes the integrable endpoint
+singularity of the gradient/hessian integrands.
+
+The spatial integrals are quadratures in u, with xi = x + sqrt(t - tau) L u
+(a = L L^T) truncated at |u_i| <= u_max, except for a source that declares
+Gaussian structure (``g.gaussian_source``, see `presets.GaussianSource`): a
+Gaussian integrates against G in closed form, so such a source costs one
+term per agent and (s-node, point) pair instead of a spatial rule.  The
+initial datum always takes the quadrature.  Variable coefficients route to
+an explicit finite-difference solve on a truncated box.
 
 Batch evaluations take one time per point.  The source integral for all
 (s-node, point) pairs of a batch runs in a few vectorized passes, so one
@@ -38,12 +43,9 @@ __all__ = [
     "FieldProbe",
     "FdField",
     "solve_field_fd",
-    "eval_f",
-    "grad_f",
-    "hessian_f",
-    "ball_avg_grad",
 ]
 
+_DEFAULT_U_MAX = {1: 10.0, 2: 8.0, 3: 8.0}
 _DEFAULT_SPACE_NODES = {1: 96, 2: 48, 3: 24}
 _DEFAULT_FD_H = {1: 0.02, 2: 0.08, 3: 0.25}
 
@@ -55,14 +57,19 @@ BACKEND_FD = "finite-difference"
 class QuadratureSpec:
     """Discretization choices for field evaluation.
 
-    ``u_max`` truncates the substituted spatial variable (must be >= 6 so the
-    Gaussian tail is negligible), ``space_nodes``/``time_nodes`` size the
-    Gauss-Legendre rules, and the ``fd_*`` fields control the
-    finite-difference fallback grid.  ``fd_dt`` of None picks 90% of the
-    explicit stability limit h^2 / (2 N mu1).
+    ``u_max`` truncates the substituted spatial variable u of
+    xi = x + sqrt(t - tau) L u (a = L L^T), in which the kernel decays like
+    exp(-|u|^2 / 4) in every direction.  The rule drops a share of about
+    erfc(u_max / 2) of the kernel's mass per axis: 2e-5 at the smallest
+    accepted value 6, 2e-8 at 8 and 2e-12 at 10.  None picks 10 in 1D, where
+    the 96-node rule still resolves the integrand on the wider box, and 8 in
+    2D and 3D, where the node spacing limits the accuracy first.
+    ``space_nodes``/``time_nodes`` size the Gauss-Legendre rules, and the
+    ``fd_*`` fields control the finite-difference fallback grid.  ``fd_dt``
+    of None picks 90% of the explicit stability limit h^2 / (2 N mu1).
     """
 
-    u_max: float = 8.0
+    u_max: float | None = None
     space_nodes: int | None = None
     time_nodes: int = 32
     fd_half_width: float = 6.0
@@ -70,16 +77,16 @@ class QuadratureSpec:
     fd_dt: float | None = None
     fd_store_max: int = 400
     fd_tail_tol: float = 1e-6
-    interpolation_order: int = 1
     ball_radial_nodes: int = 12
     ball_polar_nodes: int = 8
     ball_azimuth_nodes: int = 16
 
     def __post_init__(self):
-        if self.u_max < 6.0:
-            raise ValueError("u_max below 6 leaves a non-negligible Gaussian tail")
-        if self.interpolation_order != 1:
-            raise ValueError("only linear interpolation is implemented")
+        if self.u_max is not None and self.u_max < 6.0:
+            raise ValueError("u_max below 6 drops more than 2e-5 of the kernel's mass")
+
+    def resolved_u_max(self, dim: int) -> float:
+        return self.u_max if self.u_max is not None else _DEFAULT_U_MAX[dim]
 
     def resolved_space_nodes(self, dim: int) -> int:
         return self.space_nodes if self.space_nodes is not None else _DEFAULT_SPACE_NODES[dim]
@@ -123,10 +130,12 @@ def _fd_hessian_of(fn, pts: np.ndarray, step: float = 1e-4) -> np.ndarray:
 
 
 # Size of one vectorized pass, counted in kernel-derivative entries (items x
-# spatial nodes x derivative components); an item is a point of the
-# initial-datum integral or an (s-node, point) pair of the source integral.
-# Small passes keep their arrays in cache and the peak memory of a solve near
-# its level before batching (passes of 2^15 entries added 1.4 MB to a 2D
+# spatial nodes x derivative components, or items x agents x derivative
+# components for a source integrated in closed form); an item is a point of
+# the initial-datum integral or an (s-node, point) pair of the source
+# integral.  Small passes keep their arrays in cache and the peak memory of
+# a solve near its level before batching (passes of 2^15 entries added 1.4 MB
+# to a 2D solve; closed-form source terms in one pass added 1.6 MB to a 1D
 # solve); on a 1D Picard sweep, 2^13 to 2^15 entries ran fastest, and
 # smaller passes pay Python overhead.
 _CHUNK_ELEMENTS = 2**13
@@ -168,9 +177,18 @@ class FieldProbe:
                              "use the finite-difference backend")
         dim = self.scenario.dimension
         m = self.quad.resolved_space_nodes(dim)
-        self._u_pts, self._u_wts = tensor_grid(-self.quad.u_max, self.quad.u_max, m, dim)
+        u_max = self.quad.resolved_u_max(dim)
+        self._u_pts, self._u_wts = tensor_grid(-u_max, u_max, m, dim)
         self._s_base, self._s_wts = gauss_legendre(0.0, 1.0, self.quad.time_nodes)
         self._fd_grid: FdField | None = None
+        if self.backend == BACKEND_KERNEL:
+            a = self.scenario.kernel.a
+            # xi = x + sqrt(t - tau) L u with a = L L^T, so the kernel decays
+            # like exp(-|u|^2 / 4) in every direction of the truncated box
+            chol = np.linalg.cholesky(a)
+            self._u_pts = self._u_pts @ chol.T
+            self._u_wts = self._u_wts * np.prod(np.diag(chol))
+            self._a_eig = np.linalg.eigh(a)
 
     # -- time-range handling -------------------------------------------------
 
@@ -204,31 +222,83 @@ class FieldProbe:
         return np.concatenate(out, axis=0)
 
     def _source_batch(self, pts: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
-        kern = self.scenario.kernel
-        dim = kern.dim
+        dim = self.scenario.dimension
         p = len(pts)
         shape = (p,) + (dim,) * order
-        if _is_zero(self.scenario.g):
+        g = self.scenario.g
+        if _is_zero(g):
             return np.zeros(shape)
+        gauss = getattr(g, "gaussian_source", None)
+        # a pass holds, for each of its pairs, one closed-form term per agent
+        # or one kernel-derivative entry per spatial node
+        per_pair = (self.scenario.n if gauss is not None else len(self._u_pts)) * dim**order
         n_s = len(self._s_base)
         # one term per (s-node j, point i) pair, stored at j * p + i
         terms = np.empty((n_s * p,) + shape[1:])
-        for sl in _chunks(len(terms), len(self._u_pts) * dim**order):
+        for sl in _chunks(len(terms), per_pair):
             j, i = np.divmod(np.arange(sl.start, sl.stop), p)
             sqrt_t = np.sqrt(t[i])
             s = self._s_base[j] * sqrt_t
+            ds = self._s_wts[j] * sqrt_t
             tau = np.maximum(t[i] - s * s, 0.0)
-            # jacobian of the xi-substitution is s^dim; d tau = 2 s ds
-            factor = (2.0 * s ** (dim + 1) * (self._s_wts[j] * sqrt_t)).reshape((-1,) + (1,) * order)
-            x = pts[i][:, None, :]
-            xi = x + s[:, None, None] * self._u_pts[None, :, :]
-            gv = self.scenario.g(xi, self.path.positions_at(tau)[:, None])
-            k = kern.derivative(order, x, t[i][:, None], xi, tau[:, None])
-            terms[sl] = factor * np.einsum(_CONTRACTIONS[order], self._u_wts, k, gv)
+            X = self.path.positions_at(tau)
+            if gauss is None:
+                terms[sl] = self._quadrature_terms(order, pts[i], t[i], s, ds, tau, X)
+            else:
+                terms[sl] = self._gaussian_terms(order, gauss, pts[i], t[i], s, ds, tau, X)
         acc = np.zeros(shape)
         for term in terms.reshape((n_s,) + shape):  # summed in s-node order
             acc += term
         return acc
+
+    def _quadrature_terms(self, order, x, t, s, ds, tau, X) -> np.ndarray:
+        """Source terms of (s-node, point) pairs by the spatial rule."""
+        kern = self.scenario.kernel
+        # jacobian of the xi-substitution is s^dim; d tau = 2 s ds
+        factor = (2.0 * s ** (kern.dim + 1) * ds).reshape((-1,) + (1,) * order)
+        x = x[:, None, :]
+        xi = x + s[:, None, None] * self._u_pts[None, :, :]
+        gv = self.scenario.g(xi, X[:, None])
+        k = kern.derivative(order, x, t[:, None], xi, tau[:, None])
+        return factor * np.einsum(_CONTRACTIONS[order], self._u_wts, k, gv)
+
+    def _gaussian_terms(self, order, gauss, x, t, s, ds, tau, X) -> np.ndarray:
+        """Source terms of (s-node, point) pairs for a declared Gaussian
+        source, in closed form: no spatial rule."""
+        factor = (2.0 * s * ds).reshape((-1,) + (1,) * order)  # d tau = 2 s ds
+        sigma = t - tau
+        centres = X if gauss.at_agents else np.zeros(X.shape[:-1] + (1,))
+        # d = x - X + b sigma, one row per (pair, centre)
+        d = x[:, None, :] - np.swapaxes(centres, 1, 2) + self.scenario.kernel.b * sigma[:, None, None]
+        k = self._gaussian_integral(order, d, sigma[:, None], gauss.rate)
+        return factor * (gauss.weight * k.sum(axis=1))
+
+    def _gaussian_integral(self, order: int, d: np.ndarray, sigma: np.ndarray,
+                           rate: float) -> np.ndarray:
+        """x-derivative of the given order of the integral over xi of
+        G(x, t, xi, tau) exp(-rate |xi - X|^2), for stacked
+        d = x - X + b sigma (..., N) and sigma = t - tau broadcasting
+        against d's leading axes.
+
+        With M = I + 4 rate sigma a the integral is
+        det(M)^(-1/2) exp(-rate d^T M^-1 d + c sigma); the gradient is
+        -2 rate M^-1 d times that, the hessian
+        (4 rate^2 (M^-1 d)(M^-1 d)^T - 2 rate M^-1) times that.  M is
+        diagonal in the eigenbasis of a."""
+        lam, q = self._a_eig
+        m = 1.0 + 4.0 * rate * sigma[..., None] * lam  # eigenvalues of M
+        e = d @ q
+        val = (np.exp(-rate * np.sum(e * e / m, axis=-1) + self.scenario.kernel.c * sigma)
+               / np.sqrt(np.prod(m, axis=-1)))
+        if order == 0:
+            return val
+        w = (e / m) @ q.T  # M^-1 d
+        if order == 1:
+            return (-2.0 * rate) * w * val[..., None]
+        m_inv = (q / m[..., None, :]) @ q.T
+        m_inv = 0.5 * (m_inv + np.swapaxes(m_inv, -1, -2))  # exactly symmetric
+        outer = w[..., :, None] * w[..., None, :]
+        return (4.0 * rate * rate * outer - 2.0 * rate * m_inv) * val[..., None, None]
 
     def _closed_batch(self, pts: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
         return self._initial_batch(pts, t, order) - self._source_batch(pts, t, order)
@@ -311,28 +381,6 @@ class FieldProbe:
         pts = np.asarray(x, dtype=float)[None, :] + offsets
         grads = self.gradient_many(pts, t)
         return wts @ grads
-
-
-# -- module-level operation aliases ---------------------------------------------
-
-def eval_f(probe: FieldProbe, x, t: float) -> float:
-    """Field value f(x, t) for the probe's scenario and path."""
-    return probe.value(x, t)
-
-
-def grad_f(probe: FieldProbe, x, t: float) -> np.ndarray:
-    """Spatial gradient of the field."""
-    return probe.gradient(x, t)
-
-
-def hessian_f(probe: FieldProbe, x, t: float) -> np.ndarray:
-    """Second spatial derivatives (symmetric by construction)."""
-    return probe.hessian(x, t)
-
-
-def ball_avg_grad(probe: FieldProbe, x, t: float, delta: float) -> np.ndarray:
-    """Ball-averaged gradient, the sensed quantity in the non-local model."""
-    return probe.ball_average_gradient(x, t, delta)
 
 
 # -- finite-difference solve ----------------------------------------------------

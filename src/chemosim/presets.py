@@ -8,9 +8,15 @@ stacked configurations X of shape (..., N, n) whose leading axes broadcast
 against those of x, so the field evaluator can pass one configuration per
 point.  A force law takes stacked states X, V and sensed gradients W of
 shape (..., N, n) and returns the force on every agent in the same shape.
+
+A source that is a sum of Gaussians declares it in a ``gaussian_source``
+attribute (a `GaussianSource`), as a zero datum declares ``is_zero``; the
+field evaluator then integrates it against the kernel in closed form.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +30,18 @@ from .scenario import (
 )
 
 _ANISOTROPIC_DIAG = (0.5, 2.0, 1.25)
+
+
+class GaussianSource(NamedTuple):
+    """Declared structure of a source g(x, X) = weight * sum_c exp(-rate |x - c|^2).
+
+    The centres c are the agent columns of X when ``at_agents`` is true, and
+    a single point otherwise, so rate 0 declares the constant ``weight``.
+    """
+
+    weight: float
+    rate: float
+    at_agents: bool
 
 
 def coefficient_preset(name: str, dimension: int, alpha: float = 0.5) -> OperatorCoefficients:
@@ -121,6 +139,7 @@ def g_preset(name: str, n_agents: int, value: float = 1.0):
     if name == "constant":
         def const(x, X):
             return np.full(np.asarray(x).shape[:-1], value)
+        const.gaussian_source = GaussianSource(float(value), 0.0, False)
         return const, (lambda r: 0.0), 0.0, abs(value)
     if name == "agent-secretion":
         def secretion(x, X):
@@ -136,6 +155,7 @@ def g_preset(name: str, n_agents: int, value: float = 1.0):
                     sq = sq + diff * diff
                 total = total + np.exp(-sq)
             return -total
+        secretion.gaussian_source = GaussianSource(-1.0, 1.0, True)
         return secretion, (lambda r: float(n_agents)), 0.0, float(n_agents)
     raise ScenarioError(f"unknown g preset {name!r}")
 

@@ -257,34 +257,43 @@ def check_holder(fn, alpha: float, c_weight: float, claimed_h: float, pairs,
     Pairs of points check |fn(x) - fn(y)| against
     claimed_h * exp(c_weight * max(|x|^2, |y|^2)) * |x-y|^alpha; pairs of
     (x, X) tuples additionally carry the configuration term |X - Xhat|.
+    fn is called once per side with all pairs stacked: points (P, N), and
+    configurations (P, N, n) for two-argument pairs.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
     rep = EstimateReport(claim="holder-envelope",
                          constants={"H": claimed_h, "alpha": alpha, "C": c_weight},
                          tolerance=tolerance, sample_count=len(pairs))
+    if len(pairs) == 0:
+        return rep.finalize()
+    if isinstance(pairs[0][0], (tuple, list)):
+        x, xx, y, yy = (np.stack([np.asarray(pair[side][k], dtype=float) for pair in pairs])
+                        for side in (0, 1) for k in (0, 1))
+        fx, fy = fn(x, xx), fn(y, yy)
+        dconf = (xx - yy).reshape(len(pairs), -1)
+        conf = np.sqrt(np.vecdot(dconf, dconf)).tolist()
+    else:
+        x, y = (np.stack([np.asarray(pair[side], dtype=float) for pair in pairs])
+                for side in (0, 1))
+        fx, fy = fn(x), fn(y)
+        conf = [0.0] * len(pairs)
+    # vecdot rounds as one-pair dot products and norms do; the powers and
+    # exponentials stay scalar, where numpy's array routines round apart
+    num = np.abs(fx - fy).tolist()
+    dist = np.sqrt(np.vecdot(x - y, x - y)).tolist()
+    sq = np.maximum(np.vecdot(x, x), np.vecdot(y, y)).tolist()
     worst = 0.0
     tiny = 1e-15
-    for a, b in pairs:
-        two_arg = isinstance(a, (tuple, list))
-        if two_arg:
-            x, xx = np.asarray(a[0], dtype=float), np.asarray(a[1], dtype=float)
-            y, yy = np.asarray(b[0], dtype=float), np.asarray(b[1], dtype=float)
-            num = abs(float(fn(x[None, :], xx)[0]) - float(fn(y[None, :], yy)[0]))
-            spread = float(np.linalg.norm(x - y)) ** alpha + float(np.linalg.norm(xx - yy))
-        else:
-            x, y = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-            num = abs(float(fn(x[None, :])[0]) - float(fn(y[None, :])[0]))
-            spread = float(np.linalg.norm(x - y)) ** alpha
-        weight = math.exp(c_weight * max(float(x @ x), float(y @ y)))
-        denom = claimed_h * weight * spread
+    for k in range(len(pairs)):
+        denom = claimed_h * math.exp(c_weight * sq[k]) * (dist[k] ** alpha + conf[k])
         if denom <= tiny:
-            ratio = 0.0 if num <= tiny else math.inf
+            ratio = 0.0 if num[k] <= tiny else math.inf
         else:
-            ratio = num / denom
+            ratio = num[k] / denom
         if ratio > worst:
             worst = ratio
-            rep.worst_sample = (a, b)
+            rep.worst_sample = tuple(pairs[k])
     rep.worst_ratio = worst
     return rep.finalize()
 

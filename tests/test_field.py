@@ -1,5 +1,6 @@
 """Field evaluation: closed-form quadrature, FD fallback, ball averages."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,18 +10,15 @@ from chemosim.field import (
     BACKEND_FD,
     FieldProbe,
     QuadratureSpec,
-    ball_avg_grad,
-    eval_f,
-    grad_f,
-    hessian_f,
     solve_field_fd,
 )
 from chemosim.paths import AgentPath
-from chemosim.presets import phi_preset
+from chemosim.presets import inline_coefficients, phi_preset
 from chemosim.quadrature import gauss_legendre
 
 from util import (
     build,
+    gaussian_evolution,
     heat_gaussian_field,
     heat_gaussian_grad,
     heat_gaussian_hess,
@@ -49,14 +47,14 @@ def secretion1():
 
 def test_eval_f_gaussian_oracle(gauss1):
     _, probe = gauss1
-    assert eval_f(probe, np.array([0.0]), 1.0) == pytest.approx(5.0**-0.5, rel=1e-6)
+    assert probe.value(np.array([0.0]), 1.0) == pytest.approx(5.0**-0.5, rel=1e-6)
 
 
 def test_eval_f_constant_source():
     scn = build(phi="zero", g="constant", g_kwargs={"value": 2.0}, T=0.5)
     probe = FieldProbe(scn, constant_path(scn, 0.5))
     for x in (-1.0, 0.0, 2.0):
-        assert eval_f(probe, np.array([x]), 0.5) == pytest.approx(-1.0, abs=1e-6)
+        assert probe.value(np.array([x]), 0.5) == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_linear_data_preserved_by_the_flow():
@@ -64,20 +62,20 @@ def test_linear_data_preserved_by_the_flow():
     scn = build(phi=linear)
     probe = FieldProbe(scn, constant_path(scn))
     for x, t in [(-0.7, 0.3), (0.4, 1.0)]:
-        assert eval_f(probe, np.array([x]), t) == pytest.approx(x, abs=1e-5)
-        assert grad_f(probe, np.array([x]), t)[0] == pytest.approx(1.0, abs=1e-5)
-        assert abs(hessian_f(probe, np.array([x]), t)[0, 0]) < 1e-4
+        assert probe.value(np.array([x]), t) == pytest.approx(x, abs=1e-5)
+        assert probe.gradient(np.array([x]), t)[0] == pytest.approx(1.0, abs=1e-5)
+        assert abs(probe.hessian(np.array([x]), t)[0, 0]) < 1e-4
 
 
 def test_grad_f_gaussian_oracle(gauss1):
     _, probe = gauss1
     expected = -(2.0 ** -0.5) * math.exp(-0.5)
-    assert grad_f(probe, np.array([1.0]), 0.25)[0] == pytest.approx(expected, rel=1e-6)
+    assert probe.gradient(np.array([1.0]), 0.25)[0] == pytest.approx(expected, rel=1e-6)
 
 
 def test_hessian_f_gaussian_oracle(gauss1):
     _, probe = gauss1
-    assert hessian_f(probe, np.array([0.0]), 0.25)[0, 0] == pytest.approx(-(2.0 ** -0.5), rel=1e-6)
+    assert probe.hessian(np.array([0.0]), 0.25)[0, 0] == pytest.approx(-(2.0 ** -0.5), rel=1e-6)
 
 
 def test_field_matches_closed_form_everywhere(gauss1):
@@ -154,8 +152,8 @@ def test_backend_requires_constant_coefficients():
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError, match="u_max"):
         QuadratureSpec(u_max=4.0)
-    with pytest.raises(ValueError, match="interpolation"):
-        QuadratureSpec(interpolation_order=3)
+    with pytest.raises(TypeError):
+        QuadratureSpec(interpolation_order=1)  # the option is gone
 
 
 # -- ball averages ------------------------------------------------------------------
@@ -165,8 +163,8 @@ def test_ball_average_of_linear_field_equals_gradient():
     linear = (lambda x: np.asarray(x)[..., 0], 1.0, 0.0, 1.0)
     scn = build(phi=linear)
     probe = FieldProbe(scn, constant_path(scn))
-    avg = ball_avg_grad(probe, np.array([0.3]), 0.5, 0.2)
-    grad = grad_f(probe, np.array([0.3]), 0.5)
+    avg = probe.ball_average_gradient(np.array([0.3]), 0.5, 0.2)
+    grad = probe.gradient(np.array([0.3]), 0.5)
     assert avg[0] == pytest.approx(grad[0], abs=1e-9)
 
 
@@ -332,8 +330,15 @@ def test_derivatives_at_time_zero_are_those_of_the_initial_datum():
         np.testing.assert_array_equal(probe.hessian(x, 0.0), h)
 
 
+def without_structure(scn):
+    """The scenario with a copy of its source that declares no Gaussian
+    structure, so the field evaluator integrates it by quadrature."""
+    g = scn.g
+    return dataclasses.replace(scn, g=lambda x, X: g(x, X))
+
+
 def test_gradient_many_matches_s_node_loop_oracle():
-    scn = build(phi="gaussian", g="agent-secretion", X0=[[0.2, -0.3]], T=0.2)
+    scn = without_structure(build(phi="gaussian", g="agent-secretion", X0=[[0.2, -0.3]], T=0.2))
     path = moving_path(scn)
     probe = FieldProbe(scn, path)
     pts = np.array([[-0.6], [0.1], [0.9]])
@@ -367,3 +372,65 @@ def test_shared_quadrature_rules_are_read_only():
             arr[0] = 1.0
     again, _ = gauss_legendre(0.0, 1.0, 32)
     np.testing.assert_array_equal(nodes, again)
+
+
+# -- closed-form Gaussian sources and the anisotropic rule ---------------------------------
+
+
+DRIFT_REACTION_2D = inline_coefficients([[1.3, 0.4], [0.4, 0.7]], [0.5, -0.8], -0.6)
+DRIFT_REACTION_1D = inline_coefficients([[0.8]], [-0.7], 0.9)
+
+
+@pytest.mark.parametrize("coeff,dim,g,nodes", [
+    ("heat", 1, "agent-secretion", 640),
+    ("anisotropic-constant", 2, "agent-secretion", 160),
+    (DRIFT_REACTION_2D, 2, "agent-secretion", 160),
+    (DRIFT_REACTION_1D, 1, "constant", 640),
+], ids=["heat-1d", "anisotropic-2d", "drift-reaction-2d", "constant-drift-reaction-1d"])
+def test_closed_form_source_matches_refined_quadrature(coeff, dim, g, nodes):
+    X0 = [[0.2, -0.3], [0.1, 0.4]][:dim]
+    scn = build(coeff=coeff, g=g, dim=dim, X0=X0, T=0.2,
+                g_kwargs={"value": 1.7} if g == "constant" else None)
+    assert scn.g.gaussian_source is not None
+    path = moving_path(scn)
+    closed = FieldProbe(scn, path)
+    # the same 32 time nodes; a wide, fine spatial rule on the structure-less copy
+    refined = FieldProbe(without_structure(scn), path,
+                         quad=QuadratureSpec(u_max=16.0, space_nodes=nodes))
+    rng = np.random.default_rng(21)
+    pts = rng.uniform(-1.0, 1.0, (5, dim))
+    times = rng.uniform(0.01, 0.2, 5)
+    for order in ("value_many", "gradient_many", "hessian_many"):
+        got = getattr(closed, order)(pts, times)
+        want = getattr(refined, order)(pts, times)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11, err_msg=order)
+    hessians = closed.hessian_many(pts, times)
+    np.testing.assert_array_equal(hessians, np.swapaxes(hessians, 1, 2))
+
+
+def test_constant_source_with_reaction_is_exact():
+    c, value, t = 0.9, 1.7, 0.2
+    scn = build(coeff=DRIFT_REACTION_1D, g="constant", g_kwargs={"value": value}, T=t)
+    probe = FieldProbe(scn, constant_path(scn, t))
+    pts = np.array([[-1.3], [0.0], [2.1]])
+    # f_t = a f'' + b f' + c f - value with f(0) = 0
+    want = -value * (math.exp(c * t) - 1.0) / c
+    np.testing.assert_allclose(probe.value_many(pts, t), want, rtol=1e-14)
+    np.testing.assert_array_equal(probe.gradient_many(pts, t), 0.0)
+    np.testing.assert_array_equal(probe.hessian_many(pts, t), 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_anisotropic_gaussian_evolution_oracle(dim):
+    # the default rule against the exact evolution of exp(-|x|^2) under
+    # a = diag(0.5, 2, 1.25): the rule must follow a = L L^T, since a box in
+    # u itself cuts the kernel at exp(-8) along the mu1 = 2 axis
+    scn = build(coeff="anisotropic-constant", phi="gaussian", dim=dim)
+    probe = FieldProbe(scn, constant_path(scn))
+    pts = np.random.default_rng(22).uniform(-1.5, 1.5, (12, dim))
+    for t in (0.01, 0.1):
+        want = gaussian_evolution(scn.kernel.a, pts, t)
+        got = (probe.value_many(pts, t), probe.gradient_many(pts, t), probe.hessian_many(pts, t))
+        for order, tol in enumerate((1e-6, 1e-5, 1e-3)):
+            np.testing.assert_allclose(got[order], want[order], rtol=0.0, atol=tol,
+                                       err_msg=f"order {order}, t = {t}")

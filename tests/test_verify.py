@@ -21,7 +21,9 @@ from chemosim.verify import (
     space_time_samples,
 )
 
-from util import build, loop_gamma_estimates, loop_gronwall_oracle, loop_prop1
+from chemosim.cli import _holder_pairs, _holder_pairs_two_arg
+
+from util import build, loop_gamma_estimates, loop_gronwall_oracle, loop_holder, loop_prop1
 
 
 # -- kernel mass -------------------------------------------------------------------
@@ -233,6 +235,34 @@ def test_holder_falsification_control():
     pairs = [(rng.uniform(-3, 3, 1), rng.uniform(-3, 3, 1)) for _ in range(500)]
     rep = check_holder(phi, 0.5, c, h / 10.0, pairs)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("seed", [1, 977])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_holder_matches_per_pair_loop_oracle(seed, dim):
+    scn = build(phi="gaussian", g="agent-secretion", dim=dim, X0=np.zeros((dim, 2)))
+    growth, radius = scn.growth, 2.0
+    cases = [
+        (scn.phi, scn.alpha, growth.C, growth.H, _holder_pairs(scn, 300, seed)),
+        (scn.g, scn.alpha, growth.C, growth.HR(radius),
+         _holder_pairs_two_arg(scn, 300, seed, radius)),
+        # a power other than 1/2 and a nonzero weight, where numpy's array
+        # routines round apart from the scalar ones
+        (phi_preset("abs-sqrt")[0], 0.37, 0.05, 0.3, _holder_pairs(scn, 300, seed)),
+        (scn.g, 0.61, 0.02, 0.5, _holder_pairs_two_arg(scn, 300, seed, radius)),
+        (scn.phi, scn.alpha, growth.C, growth.H, []),
+        # every ratio 0: no worst pair; every pair twice: the first copy wins
+        (lambda x: np.full(x.shape[:-1], 2.5), scn.alpha, 0.0, 1.0, _holder_pairs(scn, 50, seed)),
+        (scn.phi, scn.alpha, growth.C, growth.H, 2 * _holder_pairs(scn, 50, seed)),
+    ]
+    for fn, alpha, c, h, pairs in cases:
+        got = check_holder(fn, alpha, c, h, pairs)
+        want = loop_holder(fn, alpha, c, h, pairs)
+        assert got.to_dict() == want.to_dict()
+        if want.worst_sample is None:
+            assert got.worst_sample is None
+        else:
+            assert all(a is b for a, b in zip(got.worst_sample, want.worst_sample))
 
 
 # -- integral inequality --------------------------------------------------------------------

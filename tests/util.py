@@ -95,6 +95,20 @@ def heat_gaussian_hess(x, t, dim):
     return (4.0 * np.outer(x, x) / sig**2 - 2.0 * np.eye(dim) / sig) * f
 
 
+def gaussian_evolution(a, pts, t):
+    """Value, gradient and hessian at stacked points (P, N) of the exact
+    evolution of exp(-|x|^2) under f_t = sum a_ij d_ij f for a constant
+    diffusion matrix a: det(I + 4ta)^(-1/2) exp(-x^T (I + 4ta)^-1 x)."""
+    a = np.asarray(a, dtype=float)
+    m = np.eye(len(a)) + 4.0 * t * a
+    m_inv = np.linalg.inv(m)
+    w = pts @ m_inv
+    f = np.exp(-np.sum(w * pts, axis=-1)) / math.sqrt(np.linalg.det(m))
+    grad = -2.0 * w * f[:, None]
+    hess = (4.0 * w[:, :, None] * w[:, None, :] - 2.0 * m_inv) * f[:, None, None]
+    return f, grad, hess
+
+
 def rk4_second_order(force, x0, v0, t_end, dt):
     """High-order integrator for x'' = force(t, x, v) with (N, n) states."""
     x = np.array(x0, dtype=float)
@@ -124,11 +138,14 @@ def rk4_second_order(force, x0, v0, t_end, dt):
 def loop_gradient(scenario, path, x, t):
     """Closed-form grad f(x, t) for t > 0 with the default quadrature, one
     s-node of the Duhamel integral at a time: the plain loop that the batched
-    field evaluator must reproduce."""
+    field evaluator must reproduce for a source without Gaussian structure."""
     quad = QuadratureSpec()
     kern = scenario.kernel
     dim = kern.dim
-    u_pts, u_wts = tensor_grid(-quad.u_max, quad.u_max, quad.resolved_space_nodes(dim), dim)
+    u_max = quad.resolved_u_max(dim)
+    u_pts, u_wts = tensor_grid(-u_max, u_max, quad.resolved_space_nodes(dim), dim)
+    chol = np.linalg.cholesky(kern.a)  # xi = x + sqrt(t - tau) L u
+    u_pts, u_wts = u_pts @ chol.T, u_wts * np.prod(np.diag(chol))
     x = np.asarray(x, dtype=float)[None, None, :]
     xi = x + math.sqrt(t) * u_pts[None]
     k = kern.grad_x(x, t, xi, 0.0)
@@ -292,3 +309,37 @@ def loop_gamma_estimates(kernel, params, samples, tolerance=1e-2, c_gamma=None):
         rep.worst_ratio = worst
         reports[order] = rep.finalize()
     return reports
+
+
+def loop_holder(fn, alpha, c_weight, claimed_h, pairs, tolerance=1e-9):
+    """``verify.check_holder`` with two one-point calls of fn per pair: the
+    loop that the stacked check must reproduce."""
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError("alpha must lie in (0, 1]")
+    rep = EstimateReport(claim="holder-envelope",
+                         constants={"H": claimed_h, "alpha": alpha, "C": c_weight},
+                         tolerance=tolerance, sample_count=len(pairs))
+    worst = 0.0
+    tiny = 1e-15
+    for a, b in pairs:
+        two_arg = isinstance(a, (tuple, list))
+        if two_arg:
+            x, xx = np.asarray(a[0], dtype=float), np.asarray(a[1], dtype=float)
+            y, yy = np.asarray(b[0], dtype=float), np.asarray(b[1], dtype=float)
+            num = abs(float(fn(x[None, :], xx)[0]) - float(fn(y[None, :], yy)[0]))
+            spread = float(np.linalg.norm(x - y)) ** alpha + float(np.linalg.norm(xx - yy))
+        else:
+            x, y = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            num = abs(float(fn(x[None, :])[0]) - float(fn(y[None, :])[0]))
+            spread = float(np.linalg.norm(x - y)) ** alpha
+        weight = math.exp(c_weight * max(float(x @ x), float(y @ y)))
+        denom = claimed_h * weight * spread
+        if denom <= tiny:
+            ratio = 0.0 if num <= tiny else math.inf
+        else:
+            ratio = num / denom
+        if ratio > worst:
+            worst = ratio
+            rep.worst_sample = (a, b)
+    rep.worst_ratio = worst
+    return rep.finalize()
