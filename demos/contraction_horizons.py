@@ -35,6 +35,15 @@ print(f"  working horizon t_bar  = {cert.t_bar:.6f}")
 print(f"  certified modulus S    = {cert.s_value:.4f}")
 print(f"  gamma_bar              = {cert.gamma_bar:.4f}")
 
+print("\nthe same scenario in higher dimension (exact envelope constants):")
+print(f"  {'dim':<4} {'T1':>10} {'T2':>10} {'t_bar':>10} {'S':>7}")
+for dim in (2, 3):
+    lifted = dict(config, dimension=dim,
+                  X0=config["X0"] + [[0.1], [0.05]][:dim - 1],
+                  V0=config["V0"] + [[0.0], [0.1]][:dim - 1])
+    c = horizon_certificate(build_scenario(lifted))
+    print(f"  {f'{dim}D':<4} {c.t_range:10.3e} {c.t_contract:10.3e} {c.t_bar:10.3e} {c.s_value:7.4f}")
+
 print("\nS grows with the horizon:")
 for t in np.geomspace(cert.t_bar / 100.0, cert.t_contract, 6):
     print(f"  S({t:.2e}) = {contraction_S(scenario, cert.radius, t):.4f}")

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .paths import AgentPath
 from .quadrature import ball_average_rule, gauss_legendre, tensor_grid
@@ -402,6 +401,10 @@ class FdField:
     h: float
 
     def __post_init__(self):
+        # imported here, not at module level: scipy.interpolate adds about
+        # 50 MB of resident memory to every run, and only this backend uses it
+        from scipy.interpolate import RegularGridInterpolator
+
         pts = (self.times,) + self.axes
         self._val_interp = RegularGridInterpolator(pts, self.values, method="linear",
                                                    bounds_error=False, fill_value=None)

@@ -193,26 +193,6 @@ class EstimateParams:
             raise ValueError("nu0 must equal (lambda0 - lambda0_star)/4")
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section maximization of a scalar unimodal function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol * max(1.0, abs(a) + abs(b)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
-
-
 def _direction_set(dim: int) -> np.ndarray:
     """Unit directions used when maximizing envelope ratios over orientations."""
     if dim == 1:
@@ -227,62 +207,74 @@ def _direction_set(dim: int) -> np.ndarray:
     return np.vstack([dirs, axes])
 
 
+def _envelope_peaks(kernel: Kernel, params: EstimateParams, dirs: np.ndarray,
+                    t_max: float) -> np.ndarray:
+    """Envelope prefactors of derivative orders 0, 1 and 2, each maximized
+    over the unit directions ``dirs`` (M, N) in closed form; see
+    ``gamma_estimate_Cgamma``."""
+    if params.lambda0_star >= params.lambda0:
+        raise ValueError("lambda0_star must be below lambda0")
+    if np.any(kernel.b != 0.0):
+        raise ValueError("envelope maximization requires zero drift")
+    w_dirs = dirs @ kernel.a_inv                       # (M, N)
+    q_dirs = np.einsum("ij,ij->i", w_dirs, dirs)       # <a^-1 eta, eta>
+    beta = (q_dirs - params.lambda0_star) / 4.0
+    if beta.min() <= 0:
+        raise ValueError("lambda0_star too large for this diffusion matrix")
+    pref = (4.0 * math.pi) ** (-kernel.dim / 2.0) / math.sqrt(kernel.det_a)
+    c_factor = math.exp(max(kernel.c, 0.0) * t_max)
+
+    # order 1: (|w|_inf / 2) z exp(-beta z^2) peaks at z^2 = 1 / (2 beta)
+    peak1 = np.abs(w_dirs).max(axis=1) / 2.0 * np.sqrt(0.5 / beta) * math.exp(-0.5)
+
+    # order 2: |A u - B| exp(-beta u) in u = z^2 per component (M, N, N);
+    # its value at u = 0 is |B|, and its stationary point u* = 1/beta + B/A
+    # gives |A|/beta exp(-beta u*) when it lies in u > 0
+    big_a = w_dirs[:, :, None] * w_dirs[:, None, :] / 4.0
+    big_b = kernel.a_inv / 2.0
+    beta_b = beta[:, None, None]
+    nonzero = big_a != 0.0
+    u_star = 1.0 / beta_b + big_b / np.where(nonzero, big_a, 1.0)
+    # masked before the exp, where u* < 0 would overflow it: u = inf gives 0
+    u_star = np.where(nonzero & (u_star > 0.0), u_star, np.inf)
+    stationary = np.abs(big_a) / beta_b * np.exp(-beta_b * u_star)
+    peak2 = np.maximum(np.abs(big_b), stationary).max(axis=(1, 2))
+
+    return pref * c_factor * np.array([1.0, peak1.max(), peak2.max()])
+
+
 def gamma_estimate_Cgamma(kernel: Kernel, params: EstimateParams, order: int,
                           t_max: float = 1.0) -> float:
     """Smallest prefactor C such that the order-k derivative envelope
 
         |D^k G| <= C * s^(-(N+k)/2) * exp(-lambda0_star |x-xi|^2 / (4 s))
 
-    holds, found by maximizing over the similarity variable z = |x-xi|/sqrt(s)
-    (within ~1%).  Requires a drift-free kernel, whose shape in z is
+    holds along a fixed set of unit directions eta.  Requires a drift-free
+    kernel, whose shape in the similarity variable z = |x-xi|/sqrt(s) is
     s-independent; a positive reaction rate contributes the exact factor
     exp(c * t_max).
+
+    With x - xi = z sqrt(s) eta, w = a^-1 eta and beta = (<w, eta> -
+    lambda0_star)/4 > 0, the ratio of |D^k G| to the envelope is
+    (4 pi)^(-N/2) det(a)^(-1/2) times
+
+        order 0:  exp(-beta z^2), largest at z = 0;
+        order 1:  (|w|_inf / 2) z exp(-beta z^2), largest at z^2 = 1/(2 beta),
+                  where it is (|w|_inf / 2) (2 beta)^(-1/2) e^(-1/2);
+        order 2:  max over (i, j) of |A u - B| exp(-beta u), u = z^2,
+                  A = w_i w_j / 4, B = (a^-1)_ij / 2.
+
+    In the order-2 case the derivative (A - beta (A u - B)) exp(-beta u)
+    vanishes only at u* = 1/beta + B/A, where |A u* - B| = |A|/beta, and
+    |A u - B| exp(-beta u) tends to 0 as u grows, so the maximum over u >= 0
+    is max(|B|, |A|/beta exp(-beta u*)), the second term counting only when
+    A != 0 and u* > 0.  Every maximum is exact; C is the largest over the
+    directions.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    if params.lambda0_star >= params.lambda0:
-        raise ValueError("lambda0_star must be below lambda0")
-    if np.any(kernel.b != 0.0):
-        raise ValueError("envelope maximization requires zero drift")
-    lam_star = params.lambda0_star
-    pref = (4.0 * math.pi) ** (-kernel.dim / 2.0) / math.sqrt(kernel.det_a)
-    c_factor = math.exp(max(kernel.c, 0.0) * t_max)
-
-    dirs = _direction_set(kernel.dim)
-    w_dirs = dirs @ kernel.a_inv                       # (M, N)
-    q_dirs = np.einsum("ij,ij->i", w_dirs, dirs)       # <a^-1 eta, eta>
-    beta = (q_dirs - lam_star) / 4.0
-    if beta.min() <= 0:
-        raise ValueError("lambda0_star too large for this diffusion matrix")
-
-    def ratio(z: np.ndarray, m: int) -> np.ndarray:
-        # envelope ratio for direction index m at similarity values z
-        decay = np.exp(-beta[m] * z**2)
-        if order == 0:
-            shape = np.ones_like(z)
-        elif order == 1:
-            shape = z * np.abs(w_dirs[m]).max() / 2.0
-        else:
-            w = w_dirs[m]
-            comp = np.abs(np.multiply.outer(z**2, np.outer(w, w) / 4.0)
-                          - kernel.a_inv / 2.0)
-            shape = comp.reshape(len(z), -1).max(axis=1)
-        return pref * shape * decay
-
-    z_max = math.sqrt(30.0 / beta.min())
-    z_grid = np.linspace(0.0, z_max, 2048)
-    best = 0.0
-    for m in range(len(dirs)):
-        vals = ratio(z_grid, m)
-        i = int(np.argmax(vals))
-        lo = z_grid[max(i - 1, 0)]
-        hi = z_grid[min(i + 1, len(z_grid) - 1)]
-        if hi > lo:
-            _, v = _golden_max(lambda z: float(ratio(np.array([z]), m)[0]), lo, hi)
-        else:
-            v = float(vals[i])
-        best = max(best, v)
-    return best * c_factor
+    peaks = _envelope_peaks(kernel, params, _direction_set(kernel.dim), t_max)
+    return float(peaks[order])
 
 
 def derivative_bound_constants(params: EstimateParams, growth: "GrowthSpec") -> tuple[float, float]:
@@ -332,8 +324,7 @@ def default_estimate_params(kernel: Kernel, growth: "GrowthSpec", alpha: float,
         lambda0_star=lam_star,
         nu0=(lam0 - lam_star) / 4.0,
     )
-    params.c_gamma = max(
-        gamma_estimate_Cgamma(kernel, params, order, t_max=growth.T) for order in (0, 1, 2)
-    )
+    params.c_gamma = float(
+        _envelope_peaks(kernel, params, _direction_set(kernel.dim), growth.T).max())
     params.big_k, params.kappa = derivative_bound_constants(params, growth)
     return params

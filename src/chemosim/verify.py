@@ -325,20 +325,17 @@ def gronwall_oracle(alpha_g: float, w, v, grid, tolerance: float = 1e-3,
     # row j holds v(grid[k], grid[j]) times the trapezoid weight of node k
     # on [0, grid[j]]: d[0]/2, then (d[k-1] + d[k])/2, then d[j-1]/2 (all
     # zero on row 0)
-    d = np.diff(grid)
-    interior = (d[:-1] + d[1:]) / 2.0
     v_mat = np.zeros((m, m))
     for j in range(m):
-        row = v_mat[j, :j + 1]
-        row[:] = v(grid[:j + 1], grid[j])
-        if np.any(row < 0):
-            raise ValueError("v must be nonnegative")
-        if j == 0:
-            row *= 0.0
-        else:
-            row[0] *= d[0] / 2.0
-            row[1:j] *= interior[:j - 1]
-            row[j] *= d[j - 1] / 2.0
+        v_mat[j, :j + 1] = v(grid[:j + 1], grid[j])
+    if v_mat.min() < 0:
+        raise ValueError("v must be nonnegative")
+    d = np.diff(grid)
+    diag = v_mat.diagonal()[1:] * (d / 2.0)
+    v_mat[:, 0] *= d[0] / 2.0
+    v_mat[:, 1:-1] *= (d[:-1] + d[1:]) / 2.0
+    np.fill_diagonal(v_mat[1:, 1:], diag)
+    v_mat[0] = 0.0
 
     h = np.full(m, alpha_g, dtype=float)
     cap = 1e12 * max(1.0, alpha_g)

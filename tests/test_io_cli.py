@@ -41,6 +41,15 @@ def run_cli(*args):
                           capture_output=True, text=True)
 
 
+def test_import_leaves_heavy_scipy_subpackages_unloaded():
+    # a solve needs neither; loading them adds about 70 MB of resident memory
+    code = ("import sys, chemosim, chemosim.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 # -- file formats -----------------------------------------------------------------------
 
 

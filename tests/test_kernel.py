@@ -1,10 +1,12 @@
 """Kernel helpers: scalar integrals, envelope constants, closed-form kernels."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from chemosim import kernel as kernel_module
 from chemosim.kernel import (
     EstimateParams,
     default_estimate_params,
@@ -21,7 +23,7 @@ from chemosim.presets import coefficient_preset, inline_coefficients
 from chemosim.quadrature import gauss_legendre, tensor_grid
 from chemosim.scenario import GrowthSpec
 
-from util import build, golden_section_max
+from util import build, golden_cgamma, golden_section_max
 
 
 # -- ell -------------------------------------------------------------------------
@@ -348,3 +350,70 @@ def test_default_estimate_params_rejects_large_lambda0():
     growth = scn.growth
     with pytest.raises(ValueError):
         default_estimate_params(scn.kernel, growth, alpha=0.5, lambda0=1.5)
+
+
+ENVELOPE_COEFFS = {
+    "heat-1": lambda: coefficient_preset("heat", 1),
+    "heat-2": lambda: coefficient_preset("heat", 2),
+    "anisotropic-constant-2": lambda: coefficient_preset("anisotropic-constant", 2),
+    "full-2-reaction": lambda: inline_coefficients([[1.0, 0.3], [0.3, 0.6]], c=0.3),
+}
+FULL_3D = [[1.0, 0.3, -0.2], [0.3, 0.7, 0.1], [-0.2, 0.1, 0.5]]
+
+
+def _split_params(kern, ratio):
+    lam0 = lambda0_bound(kern.mu0, kern.mu1)
+    lam_star = ratio * lam0
+    return EstimateParams(dimension=kern.dim, alpha=0.5, lambda0=lam0,
+                          lambda0_star=lam_star, nu0=(lam0 - lam_star) / 4.0)
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.2, 0.5, 0.9])
+@pytest.mark.parametrize("case", sorted(ENVELOPE_COEFFS))
+def test_gamma_estimate_matches_golden_search_oracle(case, ratio):
+    kern = make_kernel(ENVELOPE_COEFFS[case]())
+    params = _split_params(kern, ratio)
+    for order in (0, 1, 2):
+        exact = gamma_estimate_Cgamma(kern, params, order, t_max=0.7)
+        searched = golden_cgamma(kern, params, order, t_max=0.7)
+        assert exact == pytest.approx(searched, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.5, 0.9])
+def test_envelope_peaks_match_golden_search_oracle_3d(ratio):
+    kern = make_kernel(inline_coefficients(FULL_3D, c=0.3))
+    params = _split_params(kern, ratio)
+    dirs = kernel_module._direction_set(3)[::32]           # 65 directions
+    peaks = kernel_module._envelope_peaks(kern, params, dirs, 0.7)
+    for order in (0, 1, 2):
+        searched = golden_cgamma(kern, params, order, t_max=0.7, dirs=dirs)
+        assert peaks[order] == pytest.approx(searched, rel=1e-12, abs=0.0)
+
+
+def test_gamma_estimate_full_3d_raises_no_warning():
+    # components with u* < 0 would overflow exp unless masked first
+    kern = make_kernel(inline_coefficients(FULL_3D, c=0.3))
+    growth = GrowthSpec(C=0.0, H=1.0, HR=lambda r: 0.0, M=0.0, T=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ratio in (0.1, 0.5, 0.9):
+            params = default_estimate_params(
+                kern, growth, alpha=0.5,
+                lambda0_star=ratio * lambda0_bound(kern.mu0, kern.mu1))
+            assert math.isfinite(params.c_gamma) and params.c_gamma > 0.0
+
+
+def test_default_estimate_params_builds_one_direction_set(monkeypatch):
+    calls = []
+    build_dirs = kernel_module._direction_set
+
+    def counting(dim):
+        calls.append(dim)
+        return build_dirs(dim)
+
+    monkeypatch.setattr(kernel_module, "_direction_set", counting)
+    growth = GrowthSpec(C=0.0, H=1.0, HR=lambda r: 0.0, M=0.0, T=1.0)
+    for dim in (1, 2, 3):
+        calls.clear()
+        default_estimate_params(make_kernel(coefficient_preset("heat", dim)), growth, alpha=0.5)
+        assert calls == [dim]

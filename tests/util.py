@@ -75,6 +75,80 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[flo
     return x, f(x)
 
 
+def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
+    """Golden-section maximization of a scalar unimodal function on [lo, hi]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol * max(1.0, abs(a) + abs(b)):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    xm = 0.5 * (a + b)
+    return xm, f(xm)
+
+
+def golden_cgamma(kernel, params, order, t_max=1.0, dirs=None):
+    """``kernel.gamma_estimate_Cgamma`` by search: for each direction, sample
+    the envelope ratio on a 2048-point z-grid, then refine its largest sample
+    by golden section.  ``dirs`` defaults to the kernel's own direction set."""
+    if order not in (0, 1, 2):
+        raise ValueError("order must be 0, 1 or 2")
+    if params.lambda0_star >= params.lambda0:
+        raise ValueError("lambda0_star must be below lambda0")
+    if np.any(kernel.b != 0.0):
+        raise ValueError("envelope maximization requires zero drift")
+    lam_star = params.lambda0_star
+    pref = (4.0 * math.pi) ** (-kernel.dim / 2.0) / math.sqrt(kernel.det_a)
+    c_factor = math.exp(max(kernel.c, 0.0) * t_max)
+
+    if dirs is None:
+        from chemosim.kernel import _direction_set
+
+        dirs = _direction_set(kernel.dim)
+    w_dirs = dirs @ kernel.a_inv                       # (M, N)
+    q_dirs = np.einsum("ij,ij->i", w_dirs, dirs)       # <a^-1 eta, eta>
+    beta = (q_dirs - lam_star) / 4.0
+    if beta.min() <= 0:
+        raise ValueError("lambda0_star too large for this diffusion matrix")
+
+    def ratio(z: np.ndarray, m: int) -> np.ndarray:
+        # envelope ratio for direction index m at similarity values z
+        decay = np.exp(-beta[m] * z**2)
+        if order == 0:
+            shape = np.ones_like(z)
+        elif order == 1:
+            shape = z * np.abs(w_dirs[m]).max() / 2.0
+        else:
+            w = w_dirs[m]
+            comp = np.abs(np.multiply.outer(z**2, np.outer(w, w) / 4.0)
+                          - kernel.a_inv / 2.0)
+            shape = comp.reshape(len(z), -1).max(axis=1)
+        return pref * shape * decay
+
+    z_max = math.sqrt(30.0 / beta.min())
+    z_grid = np.linspace(0.0, z_max, 2048)
+    best = 0.0
+    for m in range(len(dirs)):
+        vals = ratio(z_grid, m)
+        i = int(np.argmax(vals))
+        lo = z_grid[max(i - 1, 0)]
+        hi = z_grid[min(i + 1, len(z_grid) - 1)]
+        if hi > lo:
+            _, v = _golden_max(lambda z: float(ratio(np.array([z]), m)[0]), lo, hi)
+        else:
+            v = float(vals[i])
+        best = max(best, v)
+    return best * c_factor
+
+
 def heat_gaussian_field(x, t, dim):
     """Closed-form evolution of exp(-|x|^2) under the constant unit-diffusion flow."""
     x = np.asarray(x, dtype=float)
