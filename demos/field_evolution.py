@@ -3,7 +3,7 @@
 A Gaussian initial concentration spreads under the heat flow while a single
 agent at the origin secretes more signal.  We compare the closed-form kernel
 quadrature with the analytic solution (where one exists) and with the
-finite-difference fallback.
+finite-difference backend, which variable coefficients take.
 """
 
 import numpy as np

@@ -21,7 +21,7 @@ import numpy as np
 from . import io as cio
 from . import verify as ver
 from .config import ConfigError, config_digest, load_config
-from .field import BACKEND_FD, BACKEND_KERNEL, FieldProbe, QuadratureSpec, solve_field_fd
+from .field import FieldProbe, backend_for, solve_field_fd
 from .paths import AgentPath
 from .picard import (
     MODE_NONLOCAL,
@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--tol", type=float, default=1e-8)
     sim.add_argument("--horizon", type=float, default=None, help="defaults to the config horizon")
     sim.add_argument("--dt", type=float, default=1e-2)
-    sim.add_argument("--backend", choices=[BACKEND_KERNEL, BACKEND_FD], default=BACKEND_KERNEL)
     sim.add_argument("--output-dir", default=None)
     sim.add_argument("--field-snapshot", type=float, action="append", default=[],
                      help="export a field grid at this time (repeatable)")
@@ -113,7 +112,7 @@ def _cmd_simulate(args) -> int:
     t_start = time.perf_counter()
     segments: list = []
     path = solve_global(scenario, horizon, tol=args.tol, mode=mode,
-                        backend=args.backend, dt=args.dt, segments_out=segments)
+                        dt=args.dt, segments_out=segments)
     wall_solve = time.perf_counter() - t_start
 
     traj_file = outdir / "trajectory.csv"
@@ -134,7 +133,7 @@ def _cmd_simulate(args) -> int:
         "delta": delta,
         "tol": args.tol,
         "horizon": horizon,
-        "backend": args.backend,
+        "backend": backend_for(scenario),
         "certificate": None if first is None else {
             "T1": first.t_range, "T2": first.t_contract, "T_bar": first.t_bar,
             "S_value": first.s_value, "gamma_bar": first.gamma_bar,

@@ -14,8 +14,8 @@ The spatial integrals are quadratures in u, with xi = x + sqrt(t - tau) L u
 Gaussian structure (``g.gaussian_source``, see `presets.GaussianSource`): a
 Gaussian integrates against G in closed form, so such a source costs one
 term per agent and (s-node, point) pair instead of a spatial rule.  The
-initial datum always takes the quadrature.  Variable coefficients route to
-an explicit finite-difference solve on a truncated box.
+initial datum always takes the quadrature.  Variable coefficients take an
+explicit finite-difference solve on a truncated box (`backend_for`).
 
 Batch evaluations take one time per point.  The source integral for all
 (s-node, point) pairs of a batch runs in a few vectorized passes, so one
@@ -40,6 +40,7 @@ from .scenario import Scenario
 __all__ = [
     "QuadratureSpec",
     "FieldProbe",
+    "backend_for",
     "FdField",
     "solve_field_fd",
 ]
@@ -50,6 +51,17 @@ _DEFAULT_FD_H = {1: 0.02, 2: 0.08, 3: 0.25}
 
 BACKEND_KERNEL = "closed-form-kernel"
 BACKEND_FD = "finite-difference"
+
+# finite-difference grid: at most this many stored time frames, and the
+# largest |phi| on the box boundary relative to max(1, sup |phi|)
+_FD_STORE_MAX = 400
+_FD_TAIL_TOL = 1e-6
+
+
+def backend_for(scenario: Scenario) -> str:
+    """The field backend the coefficients admit: the closed-form kernel for
+    constant coefficients, the finite-difference solve otherwise."""
+    return BACKEND_KERNEL if scenario.coeffs.is_constant else BACKEND_FD
 
 
 @dataclass(frozen=True)
@@ -64,8 +76,8 @@ class QuadratureSpec:
     the 96-node rule still resolves the integrand on the wider box, and 8 in
     2D and 3D, where the node spacing limits the accuracy first.
     ``space_nodes``/``time_nodes`` size the Gauss-Legendre rules, and the
-    ``fd_*`` fields control the finite-difference fallback grid.  ``fd_dt``
-    of None picks 90% of the explicit stability limit h^2 / (2 N mu1).
+    ``fd_*`` fields control the finite-difference grid.  ``fd_dt`` of None
+    picks 90% of the explicit stability limit h^2 / (2 N mu1) at t = 0.
     """
 
     u_max: float | None = None
@@ -74,11 +86,6 @@ class QuadratureSpec:
     fd_half_width: float = 6.0
     fd_h: float | None = None
     fd_dt: float | None = None
-    fd_store_max: int = 400
-    fd_tail_tol: float = 1e-6
-    ball_radial_nodes: int = 12
-    ball_polar_nodes: int = 8
-    ball_azimuth_nodes: int = 16
 
     def __post_init__(self):
         if self.u_max is not None and self.u_max < 6.0:
@@ -151,8 +158,8 @@ def _chunks(n: int, per_item: int) -> list[slice]:
 
 
 @lru_cache(maxsize=32)
-def _cached_ball_rule(dim: int, delta: float, n_radial: int, n_polar: int, n_azimuth: int):
-    return ball_average_rule(dim, delta, n_radial, n_polar, n_azimuth)
+def _cached_ball_rule(dim: int, delta: float):
+    return ball_average_rule(dim, delta)
 
 
 @dataclass(eq=False)
@@ -160,20 +167,22 @@ class FieldProbe:
     """Evaluator of f, grad f, hess f and ball-averaged grad f along a path.
 
     Immutable after construction; evaluations are pure and may be called
-    concurrently.  The closed-form backend requires constant coefficients.
+    concurrently.  ``backend`` defaults to `backend_for` the scenario; an
+    explicit ``BACKEND_FD`` cross-checks the closed form.
     """
 
     scenario: Scenario
     path: AgentPath
-    backend: str = BACKEND_KERNEL
+    backend: str | None = None
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
+        if self.backend is None:
+            self.backend = backend_for(self.scenario)
         if self.backend not in (BACKEND_KERNEL, BACKEND_FD):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend == BACKEND_KERNEL and not self.scenario.coeffs.is_constant:
-            raise ValueError("closed-form backend requires constant coefficients; "
-                             "use the finite-difference backend")
+            raise ValueError("closed-form backend requires constant coefficients")
         dim = self.scenario.dimension
         m = self.quad.resolved_space_nodes(dim)
         u_max = self.quad.resolved_u_max(dim)
@@ -368,11 +377,7 @@ class FieldProbe:
         """Read-only (offsets, weights) averaging over the radius-delta ball."""
         if delta <= 0:
             raise ValueError("sensing radius delta must be positive")
-        return _cached_ball_rule(
-            self.scenario.dimension, float(delta),
-            self.quad.ball_radial_nodes, self.quad.ball_polar_nodes,
-            self.quad.ball_azimuth_nodes,
-        )
+        return _cached_ball_rule(self.scenario.dimension, float(delta))
 
     def ball_average_gradient(self, x, t: float, delta: float) -> np.ndarray:
         """Average of grad f over the ball of radius delta centered at x."""
@@ -456,7 +461,9 @@ def solve_field_fd(scenario: Scenario, path: AgentPath, quad: QuadratureSpec | N
     Second-order central differences in space, forward Euler in time with
     step at most h^2 / (2 N mu1), Dirichlet boundary values frozen at the
     initial datum (valid when the data decay at the box edge; rejected
-    otherwise).  Returns the stored grid with interpolating samplers.
+    otherwise).  Variable coefficients are evaluated at every step, and the
+    step is re-checked on each new grid of a.  Returns the stored grid with
+    interpolating samplers.
     """
     quad = quad or QuadratureSpec()
     coeffs = scenario.coeffs
@@ -479,37 +486,34 @@ def solve_field_fd(scenario: Scenario, path: AgentPath, quad: QuadratureSpec | N
         sl[i] = -1
         boundary[tuple(sl)] = True
     max_phi_boundary = float(np.abs(f[boundary]).max()) if boundary.any() else 0.0
-    if max_phi_boundary > quad.fd_tail_tol * max(1.0, sup_phi):
+    if max_phi_boundary > _FD_TAIL_TOL * max(1.0, sup_phi):
         raise ValueError(
             f"box too small: |phi| = {max_phi_boundary:g} on the boundary exceeds the tail tolerance"
         )
     phi_boundary = f[boundary].copy()
 
-    # coefficient grids; detect time independence so they are evaluated once
     def coeff_grids(t: float):
         a = np.asarray(coeffs.a(pts, t), dtype=float)
         b = np.asarray(coeffs.b(pts, t), dtype=float)
         c = np.asarray(coeffs.c(pts, t), dtype=float)
         return a, b, c
 
+    def stable_step(a) -> float:
+        return h * h / (2.0 * dim * float(np.linalg.eigvalsh(a.reshape(-1, dim, dim)).max()))
+
+    def check_step(a, t: float) -> None:
+        limit = stable_step(a)
+        if dt > limit * (1.0 + 1e-9):
+            raise ValueError(f"time step {dt:g} violates the stability restriction "
+                             f"{limit:g} at t = {t:g}")
+
     horizon = path.horizon
-    a0, b0, c0 = coeff_grids(0.0)
-    a1, b1, c1 = coeff_grids(horizon / 2.0)
-    static = (np.array_equal(a0, a1) and np.array_equal(b0, b1) and np.array_equal(c0, c1))
-
-    def sup_mu1(a) -> float:
-        if a.shape == (dim, dim):
-            return float(np.linalg.eigvalsh(a).max())
-        return float(np.linalg.eigvalsh(a.reshape(-1, dim, dim)).max())
-
-    mu1_box = max(sup_mu1(a0), sup_mu1(a1))
-    dt_stable = h * h / (2.0 * dim * mu1_box)
-    dt = quad.fd_dt if quad.fd_dt is not None else 0.9 * dt_stable
-    if dt > dt_stable * (1.0 + 1e-9):
-        raise ValueError(f"time step {dt:g} violates the stability restriction {dt_stable:g}")
+    a, b, c = coeff_grids(0.0)
+    dt = quad.fd_dt if quad.fd_dt is not None else 0.9 * stable_step(a)
     n_steps = max(1, int(math.ceil(horizon / dt)))
     dt = horizon / n_steps
-    stride = max(1, int(math.ceil((n_steps + 1) / quad.fd_store_max)))
+    check_step(a, 0.0)
+    stride = max(1, int(math.ceil((n_steps + 1) / _FD_STORE_MAX)))
 
     g_zero = _is_zero(scenario.g)
 
@@ -522,10 +526,12 @@ def solve_field_fd(scenario: Scenario, path: AgentPath, quad: QuadratureSpec | N
     stored_t = [0.0]
     stored_f = [f.copy()]
     t = 0.0
-    a, b, c = a0, b0, c0
     for k in range(n_steps):
-        if not static:
+        if k > 0 and not coeffs.is_constant:
+            a_prev = a
             a, b, c = coeff_grids(t)
+            if not np.array_equal(a, a_prev):
+                check_step(a, t)
         rhs = c * f
         for i in range(dim):
             dii = (_shift(f, i, 1) - 2.0 * f + _shift(f, i, -1)) / (h * h)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import BACKEND_KERNEL, FieldProbe, QuadratureSpec
+from .field import FieldProbe, QuadratureSpec
 from .kernel import EstimateParams, ell, sphere_area
 from .paths import AgentPath
 from .quadrature import gauss_legendre, trapezoid_cumulative
@@ -51,6 +51,11 @@ __all__ = [
 
 MODE_POINTWISE = "pointwise"
 MODE_NONLOCAL = "nonlocal"
+
+# a certified horizon makes S at most 1 - _S_MARGIN
+_S_MARGIN = 0.1
+# fewest time nodes of a segment grid, however short the segment
+_MIN_NODES = 17
 
 
 class PicardError(RuntimeError):
@@ -178,9 +183,8 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
                         mode: str = MODE_POINTWISE,
                         delta: float | None = None,
                         params: EstimateParams | None = None,
-                        margin: float = 0.1,
                         safety: float = 0.9) -> HorizonCertificate:
-    """Compute the certified horizon: T2 by bisection on S = 1 - margin
+    """Compute the certified horizon: T2 by bisection on S = 1 - _S_MARGIN
     (intersected with the gamma_bar > 0 constraint), t_bar = safety *
     min(T1, T2)."""
     r = radius if radius is not None else scenario.R
@@ -197,7 +201,7 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
     if cap <= 0:
         raise ValueError("degenerate constants: no admissible contraction horizon")
 
-    target = 1.0 - margin
+    target = 1.0 - _S_MARGIN
     s_fn = lambda t: contraction_S(scenario, r, t, params, delta=delta, conservative=True)
     if s_fn(cap) <= target:
         t2 = cap
@@ -287,7 +291,7 @@ def _check_tube(path: AgentPath, X0: np.ndarray, V0: np.ndarray, radius: float) 
 
 def _sweep(scenario: Scenario, prefix: AgentPath | None, seg: AgentPath,
            X0: np.ndarray, V0: np.ndarray, delta: float | None,
-           backend: str, quad: QuadratureSpec | None) -> AgentPath:
+           quad: QuadratureSpec | None) -> AgentPath:
     """One application of the update map on the grid of ``seg``, anchored at
     the segment start state (X0, V0).
 
@@ -297,7 +301,7 @@ def _sweep(scenario: Scenario, prefix: AgentPath | None, seg: AgentPath,
     """
     _check_tube(seg, X0, V0, scenario.R)
     path = prefix.concat(seg) if prefix is not None else seg
-    probe = FieldProbe(scenario, path, backend=backend, quad=quad or QuadratureSpec())
+    probe = FieldProbe(scenario, path, quad=quad or QuadratureSpec())
     times = seg.times
     X = path.positions_at(times)
     V = path.velocities_at(times)
@@ -312,7 +316,7 @@ def _sweep(scenario: Scenario, prefix: AgentPath | None, seg: AgentPath,
 
 def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, times: np.ndarray,
                      X0: np.ndarray, V0: np.ndarray, delta: float | None,
-                     tol: float, max_iters: int, backend: str,
+                     tol: float, max_iters: int,
                      quad: QuadratureSpec | None) -> tuple[AgentPath, list[float]]:
     """Picard iteration on one segment, from the path frozen at (X0, V0).
 
@@ -322,7 +326,7 @@ def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, times: np.nda
     current = AgentPath.constant(X0, V0, times)
     history: list[float] = []
     for _ in range(max_iters):
-        nxt = _sweep(scenario, prefix, current, X0, V0, delta, backend, quad)
+        nxt = _sweep(scenario, prefix, current, X0, V0, delta, quad)
         history.append(nxt.sup_distance(current))
         current = nxt
         if history[-1] < tol:
@@ -335,7 +339,6 @@ def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, times: np.nda
 
 
 def apply_psi(path: AgentPath, scenario: Scenario,
-              backend: str = BACKEND_KERNEL,
               mode: str = MODE_POINTWISE,
               delta: float | None = None,
               quad: QuadratureSpec | None = None) -> AgentPath:
@@ -345,19 +348,17 @@ def apply_psi(path: AgentPath, scenario: Scenario,
     state; field evaluations use the input path throughout.
     """
     delta = _resolve_delta(scenario, mode, delta)
-    return _sweep(scenario, None, path, scenario.X0, scenario.V0, delta, backend, quad)
+    return _sweep(scenario, None, path, scenario.X0, scenario.V0, delta, quad)
 
 
-def _segment_grid(t0: float, t1: float, dt: float, min_nodes: int) -> np.ndarray:
-    n = max(min_nodes, int(math.ceil((t1 - t0) / dt)) + 1)
+def _segment_grid(t0: float, t1: float, dt: float) -> np.ndarray:
+    n = max(_MIN_NODES, int(math.ceil((t1 - t0) / dt)) + 1)
     return np.linspace(t0, t1, n)
 
 
 def solve_local(scenario: Scenario, horizon: HorizonCertificate,
                 tol: float = 1e-8, max_iters: int = 50,
-                mode: str = MODE_POINTWISE,
-                backend: str = BACKEND_KERNEL,
-                dt: float = 1e-2, min_nodes: int = 17,
+                mode: str = MODE_POINTWISE, dt: float = 1e-2,
                 quad: QuadratureSpec | None = None) -> tuple[AgentPath, list[float]]:
     """Picard iteration from the constant initial path on [0, t_bar].
 
@@ -368,17 +369,14 @@ def solve_local(scenario: Scenario, horizon: HorizonCertificate,
     if horizon.mode != mode:
         raise ValueError(f"certificate was issued for {horizon.mode!r} sensing, not {mode!r}")
     delta = _resolve_delta(scenario, mode, horizon.delta)
-    times = _segment_grid(0.0, horizon.t_bar, dt, min_nodes)
+    times = _segment_grid(0.0, horizon.t_bar, dt)
     return _iterate_segment(scenario, None, times, scenario.X0, scenario.V0, delta,
-                            tol, max_iters, backend, quad)
+                            tol, max_iters, quad)
 
 
 def solve_global(scenario: Scenario, horizon: float,
                  tol: float = 1e-8, mode: str = MODE_POINTWISE,
-                 backend: str = BACKEND_KERNEL,
-                 dt: float = 1e-2, min_nodes: int = 17,
-                 max_iters: int = 50,
-                 safety: float = 0.9, margin: float = 0.1,
+                 dt: float = 1e-2, max_iters: int = 50, safety: float = 0.9,
                  quad: QuadratureSpec | None = None,
                  segments_out: list | None = None) -> AgentPath:
     """Continue local solves until the requested horizon is covered.
@@ -401,15 +399,15 @@ def solve_global(scenario: Scenario, horizon: float,
     while horizon - t0 > 1e-12 * max(1.0, horizon):
         seg_scn = replace(scenario, X0=state_X, V0=state_V)
         cert = horizon_certificate(seg_scn, seg_scn.R, mode=mode, delta=delta,
-                                   params=params, margin=margin, safety=safety)
+                                   params=params, safety=safety)
         if cert.t_bar < min_segment:
             raise PicardError(
                 f"segment horizon underflow at t = {t0:g}: certified step {cert.t_bar:g} "
                 f"is below the minimum {min_segment:g} (constants blow-up)"
             )
         seg_end = min(t0 + cert.t_bar, horizon)
-        seg, history = _iterate_segment(scenario, full, _segment_grid(t0, seg_end, dt, min_nodes),
-                                        state_X, state_V, delta, tol, max_iters, backend, quad)
+        seg, history = _iterate_segment(scenario, full, _segment_grid(t0, seg_end, dt),
+                                        state_X, state_V, delta, tol, max_iters, quad)
         if segments_out is not None:
             segments_out.append(SegmentRecord(t_start=t0, t_end=seg_end, certificate=cert,
                                               iterations=len(history), final_diff=history[-1]))

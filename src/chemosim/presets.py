@@ -55,7 +55,6 @@ def coefficient_preset(name: str, dimension: int, alpha: float = 0.5) -> Operato
             c=lambda x, t: 0.0,
             is_constant=True,
             holder_exponent=alpha,
-            holder_constants={"a": (0.0, 0.0), "b": (0.0, 0.0), "c": (0.0, 0.0)},
         )
     if name == "anisotropic-constant":
         diag = np.diag(_ANISOTROPIC_DIAG[:dimension])
@@ -67,7 +66,6 @@ def coefficient_preset(name: str, dimension: int, alpha: float = 0.5) -> Operato
             c=lambda x, t: 0.0,
             is_constant=True,
             holder_exponent=alpha,
-            holder_constants={"a": (0.0, 0.0), "b": (0.0, 0.0), "c": (0.0, 0.0)},
         )
     if name == "variable-sine":
         eye = np.eye(dimension)
@@ -84,7 +82,6 @@ def coefficient_preset(name: str, dimension: int, alpha: float = 0.5) -> Operato
             c=lambda x, t: 0.0,
             is_constant=False,
             holder_exponent=alpha,
-            holder_constants={"a": (1.0, 0.0), "b": (0.0, 0.0), "c": (0.0, 0.0)},
         )
     raise ScenarioError(f"unknown coefficient preset {name!r}")
 
@@ -102,7 +99,6 @@ def inline_coefficients(a, b=None, c: float = 0.0, alpha: float = 0.5) -> Operat
         c=lambda x, t: c,
         is_constant=True,
         holder_exponent=alpha,
-        holder_constants={"a": (0.0, 0.0), "b": (0.0, 0.0), "c": (0.0, 0.0)},
     )
 
 

@@ -65,14 +65,11 @@ def sphere_rule(dim: int, n_polar: int = 8, n_azimuth: int = 16) -> tuple[np.nda
         mu, wmu = np.polynomial.legendre.leggauss(n_polar)
         theta = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
         wtheta = 2.0 * np.pi / n_azimuth
-        pts = []
-        wts = []
-        for m, wm in zip(mu, wmu):
-            s = np.sqrt(1.0 - m * m)
-            for th in theta:
-                pts.append([s * np.cos(th), s * np.sin(th), m])
-                wts.append(wm * wtheta)
-        return np.asarray(pts), np.asarray(wts)
+        s = np.sqrt(1.0 - mu * mu)[:, None]
+        z = np.broadcast_to(mu[:, None], (n_polar, n_azimuth))
+        # polar-major order: row i * n_azimuth + j is (mu_i, theta_j)
+        pts = np.stack([s * np.cos(theta), s * np.sin(theta), z], axis=-1)
+        return pts.reshape(-1, 3), np.repeat(wmu * wtheta, n_azimuth)
     raise ValueError(f"sphere_rule supports dim in {{1,2,3}}, got {dim}")
 
 

@@ -9,7 +9,7 @@ share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -32,9 +32,8 @@ class OperatorCoefficients:
     """Coefficients of the parabolic operator sum a_ij d2_ij + sum b_i d_i + c - d_t.
 
     ``a`` maps (x, t) to a symmetric positive definite (N, N) matrix, ``b`` to
-    an (N,) drift and ``c`` to a scalar rate.  ``holder_constants`` declares
-    the per-coefficient Hoelder constants in x (exponent alpha) and t
-    (exponent alpha/2); ``mu0``/``mu1`` record the sampled eigenvalue range.
+    an (N,) drift and ``c`` to a scalar rate; ``mu0``/``mu1`` record the
+    sampled eigenvalue range.
     """
 
     dimension: int
@@ -43,7 +42,6 @@ class OperatorCoefficients:
     c: CoeffScalarFn
     is_constant: bool
     holder_exponent: float
-    holder_constants: dict = field(default_factory=dict)
     mu0: float | None = None
     mu1: float | None = None
 

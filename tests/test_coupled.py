@@ -2,6 +2,7 @@
 weight, the finite-difference backend inside the iteration, and variable
 coefficients with a hand-built certificate."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -81,23 +82,26 @@ def test_fd_backend_inside_picard_matches_closed_form():
                 X0=[[0.2]], V0=[[0.3]], M_override=1.0)
     cert = horizon_certificate(scn)
     quad = QuadratureSpec(fd_h=0.02)
-    p_fd, _ = solve_local(scn, cert, tol=1e-8, backend=BACKEND_FD, quad=quad)
+    # coefficients not declared constant take the FD backend
+    scn_fd = dataclasses.replace(scn, coeffs=dataclasses.replace(scn.coeffs, is_constant=False))
+    p_fd, _ = solve_local(scn_fd, cert, tol=1e-8, quad=quad)
     p_cf, _ = solve_local(scn, cert, tol=1e-8)
     gap = p_fd.sup_distance(p_cf)
     assert gap < 1e-3
 
 
 def test_variable_coefficients_with_manual_certificate():
-    # variable-sine coefficients have no closed-form kernel; a hand-built
-    # certificate plus the FD backend still yields a converged solution
+    # variable-sine coefficients have no closed-form kernel; with a
+    # hand-built certificate the solve takes the FD backend on its own and
+    # still yields a converged solution
     scn = build(coeff="variable-sine", phi="gaussian", g="agent-secretion",
                 force="damped-chemotaxis", force_kwargs={"chi": 0.1, "kappa_v": 1.0},
                 X0=[[0.2]], V0=[[0.3]], M_override=1.0)
     cert = HorizonCertificate(t_range=0.1, t_contract=0.1, t_bar=0.05,
                               s_value=0.5, gamma_bar=0.1, radius=1.0)
-    path, history = solve_local(scn, cert, tol=1e-7, backend=BACKEND_FD)
+    path, history = solve_local(scn, cert, tol=1e-7)
     assert history[-1] < 1e-7
-    probe = FieldProbe(scn, path, backend=BACKEND_FD)
+    probe = FieldProbe(scn, path)
     rep = residual_check(path, scn, probe, tolerance=1e-3)
     assert rep.passed
 

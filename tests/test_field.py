@@ -8,6 +8,7 @@ import pytest
 
 from chemosim.field import (
     BACKEND_FD,
+    BACKEND_KERNEL,
     FieldProbe,
     QuadratureSpec,
     solve_field_fd,
@@ -15,6 +16,7 @@ from chemosim.field import (
 from chemosim.paths import AgentPath
 from chemosim.presets import inline_coefficients, phi_preset
 from chemosim.quadrature import gauss_legendre
+from chemosim.scenario import OperatorCoefficients
 
 from util import (
     build,
@@ -145,15 +147,18 @@ def test_time_domain_errors(gauss1):
 def test_backend_requires_constant_coefficients():
     scn = build(coeff="variable-sine", phi="gaussian")
     with pytest.raises(ValueError, match="constant coefficients"):
-        FieldProbe(scn, constant_path(scn))
-    FieldProbe(scn, constant_path(scn), backend=BACKEND_FD)  # allowed
+        FieldProbe(scn, constant_path(scn), backend=BACKEND_KERNEL)
+    assert FieldProbe(scn, constant_path(scn)).backend == BACKEND_FD
 
 
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError, match="u_max"):
         QuadratureSpec(u_max=4.0)
-    with pytest.raises(TypeError):
-        QuadratureSpec(interpolation_order=1)  # the option is gone
+    # the options are gone
+    for gone in ("interpolation_order", "fd_store_max", "fd_tail_tol", "ball_radial_nodes",
+                 "ball_polar_nodes", "ball_azimuth_nodes"):
+        with pytest.raises(TypeError):
+            QuadratureSpec(**{gone: 1})
 
 
 # -- ball averages ------------------------------------------------------------------
@@ -226,6 +231,27 @@ def test_fd_variable_sine_maximum_principle():
     fdf = solve_field_fd(scn, constant_path(scn, 0.5))
     assert fdf.values.min() >= -1e-9
     assert fdf.values.max() <= 1.0 + 1e-9
+
+
+def test_fd_time_dependent_coefficients_match_exact_solution():
+    # a(t) = (1 + 0.5 sin^2(2 pi t / T)) I spreads the Gaussian datum like the
+    # heat flow at time A = integral_0^T a = 1.25 T, so f(0, T) = (1 + 4A)^(-1/2)
+    T = 0.5
+
+    def a_fn(x, t):
+        return (1.0 + 0.5 * math.sin(2.0 * math.pi * t / T) ** 2) * np.eye(1)
+
+    coeffs = OperatorCoefficients(dimension=1, a=a_fn, b=lambda x, t: np.zeros(1),
+                                  c=lambda x, t: 0.0, is_constant=False, holder_exponent=0.5)
+    scn = build(coeff=coeffs, phi="gaussian", T=T)
+    path = constant_path(scn, T)
+    # the default step is stable for a(0) = 1 but not for the peak a = 1.5
+    with pytest.raises(ValueError, match="stability"):
+        solve_field_fd(scn, path)
+    h = QuadratureSpec().resolved_fd_h(1)
+    fdf = solve_field_fd(scn, path, QuadratureSpec(fd_dt=0.9 * h * h / (2.0 * 1.5)))
+    exact = (1.0 + 4.0 * 1.25 * T) ** -0.5
+    assert fdf.value(np.array([0.0]), T) == pytest.approx(exact, rel=5e-3)
 
 
 def test_fd_stability_guard():

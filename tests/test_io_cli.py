@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chemosim import cli
 from chemosim import io as cio
 from chemosim.config import ConfigError, config_digest, load_config
+from chemosim.field import BACKEND_KERNEL
 from chemosim.paths import AgentPath
 from chemosim.picard import contraction_S, horizon_certificate
 
@@ -175,6 +177,17 @@ def test_cli_simulate_delta_flag_overrides_config_delta(tmp_path):
         trajectories[label] = (out / "trajectory.csv").read_bytes()
     assert trajectories["flag"] != trajectories["config-0.1"]
     assert trajectories["flag"] == trajectories["config-0.4"]
+
+
+def test_cli_simulate_backend_follows_coefficients(tmp_path):
+    p = write_cfg(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--config", str(p), "--backend", "finite-difference"])
+    assert exc.value.code == 2
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(p), "--output-dir", str(out),
+                     "--horizon", "0.02"]) == 0
+    assert cio.read_manifest(out / "manifest.json")["backend"] == BACKEND_KERNEL
 
 
 def test_cli_bounds_round_trip(tmp_path):

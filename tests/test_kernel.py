@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chemosim import kernel as kernel_module
+from chemosim import quadrature
 from chemosim.kernel import (
     EstimateParams,
     default_estimate_params,
@@ -23,7 +24,7 @@ from chemosim.presets import coefficient_preset, inline_coefficients
 from chemosim.quadrature import gauss_legendre, tensor_grid
 from chemosim.scenario import GrowthSpec
 
-from util import build, golden_cgamma, golden_section_max
+from util import build, golden_cgamma, golden_section_max, loop_sphere_rule_3d
 
 
 # -- ell -------------------------------------------------------------------------
@@ -64,6 +65,14 @@ def test_sphere_area_known_values():
     assert sphere_area(3) == pytest.approx(4.0 * math.pi)
     with pytest.raises(ValueError):
         sphere_area(0)
+
+
+@pytest.mark.parametrize("n_polar,n_azimuth", [(32, 64), (8, 16)])
+def test_sphere_rule_3d_matches_loop_oracle(n_polar, n_azimuth):
+    pts, wts = quadrature.sphere_rule(3, n_polar, n_azimuth)
+    loop_pts, loop_wts = loop_sphere_rule_3d(n_polar, n_azimuth)
+    np.testing.assert_array_equal(pts, loop_pts)
+    np.testing.assert_array_equal(wts, loop_wts)
 
 
 def test_gaussian_I0_trivial():
@@ -401,6 +410,16 @@ def test_gamma_estimate_full_3d_raises_no_warning():
                 kern, growth, alpha=0.5,
                 lambda0_star=ratio * lambda0_bound(kern.mu0, kern.mu1))
             assert math.isfinite(params.c_gamma) and params.c_gamma > 0.0
+
+
+def test_cgamma_3d_unchanged_by_loop_sphere_rule(monkeypatch):
+    kern = make_kernel(inline_coefficients(FULL_3D, c=0.3))
+    params = default_estimate_params(kern, GrowthSpec(C=0.0, H=1.0, HR=lambda r: 0.0, M=0.0, T=1.0),
+                                     alpha=0.5)
+    vectorized = [gamma_estimate_Cgamma(kern, params, order) for order in (0, 1, 2)]
+    monkeypatch.setattr(quadrature, "sphere_rule",
+                        lambda dim, n_polar, n_azimuth: loop_sphere_rule_3d(n_polar, n_azimuth))
+    assert [gamma_estimate_Cgamma(kern, params, order) for order in (0, 1, 2)] == vectorized
 
 
 def test_default_estimate_params_builds_one_direction_set(monkeypatch):

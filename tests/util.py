@@ -149,6 +149,21 @@ def golden_cgamma(kernel, params, order, t_max=1.0, dirs=None):
     return best * c_factor
 
 
+def loop_sphere_rule_3d(n_polar, n_azimuth):
+    """``quadrature.sphere_rule(3, ...)`` one (polar, azimuth) node at a time."""
+    mu, wmu = np.polynomial.legendre.leggauss(n_polar)
+    theta = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
+    wtheta = 2.0 * np.pi / n_azimuth
+    pts = []
+    wts = []
+    for m, wm in zip(mu, wmu):
+        s = np.sqrt(1.0 - m * m)
+        for th in theta:
+            pts.append([s * np.cos(th), s * np.sin(th), m])
+            wts.append(wm * wtheta)
+    return np.asarray(pts), np.asarray(wts)
+
+
 def heat_gaussian_field(x, t, dim):
     """Closed-form evolution of exp(-|x|^2) under the constant unit-diffusion flow."""
     x = np.asarray(x, dtype=float)
