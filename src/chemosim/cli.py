@@ -93,9 +93,12 @@ def _outdir(args) -> Path:
 
 
 def _mode_and_delta(args, cfg, scenario: Scenario) -> tuple[str, float | None]:
+    """Sensing mode and radius of a run; pointwise sensing has no radius."""
     mode = args.mode or cfg.get("mode", MODE_POINTWISE)
+    if mode != MODE_NONLOCAL:
+        return mode, None
     delta = args.delta if args.delta is not None else scenario.nonlocal_delta
-    if mode == MODE_NONLOCAL and delta is None:
+    if delta is None:
         raise ConfigError("non-local mode needs --delta or a config delta")
     return mode, delta
 
@@ -138,7 +141,7 @@ def _cmd_simulate(args) -> int:
             "T1": first.t_range, "T2": first.t_contract, "T_bar": first.t_bar,
             "S_value": first.s_value, "gamma_bar": first.gamma_bar,
         },
-        "bound_B": gronwall_bound_B(scenario, horizon, delta=delta if mode == MODE_NONLOCAL else None),
+        "bound_B": gronwall_bound_B(scenario, horizon, delta=delta),
         "segments": [
             {"t_start": s.t_start, "t_end": s.t_end, "t_bar": s.certificate.t_bar,
              "s_value": s.certificate.s_value, "iterations": s.iterations,
@@ -184,7 +187,8 @@ def _sample_floor(default: float, horizon: float) -> float:
     return default if default <= horizon else horizon / 10.0
 
 
-def _run_suites(scenario: Scenario, suites, samples: int, seed: int, falsify: bool):
+def _run_suites(scenario: Scenario, suites, samples: int, seed: int, falsify: bool,
+                mode: str = MODE_POINTWISE):
     reports = []
     horizon = scenario.growth.T
     for suite in suites:
@@ -234,10 +238,10 @@ def _run_suites(scenario: Scenario, suites, samples: int, seed: int, falsify: bo
                 rep.claim = f"integral-inequality-{label}"
                 reports.append(rep)
         elif suite == "residual":
-            cert = horizon_certificate(scenario)
-            path, _ = solve_local(scenario, cert, tol=1e-8, dt=1e-2)
+            cert = horizon_certificate(scenario, mode=mode)
+            path, _ = solve_local(scenario, cert, tol=1e-8, mode=mode, dt=1e-2)
             probe = FieldProbe(scenario, path)
-            reports.append(ver.residual_check(path, scenario, probe))
+            reports.append(ver.residual_check(path, scenario, probe, mode=mode))
         else:
             raise ConfigError(f"unknown verify suite {suite!r}")
     return reports
@@ -247,7 +251,8 @@ def _cmd_verify(args) -> int:
     cfg = load_config(args.config)
     scenario = build_scenario(cfg)
     suites = ALL_SUITES if args.suite == "all" else tuple(s.strip() for s in args.suite.split(","))
-    reports = _run_suites(scenario, suites, args.samples, args.seed, args.falsify)
+    reports = _run_suites(scenario, suites, args.samples, args.seed, args.falsify,
+                          mode=cfg.get("mode", MODE_POINTWISE))
     outdir = _outdir(args)
     out_file = Path(args.output) if args.output else outdir / "verify_report.json"
     cio.write_reports(reports, out_file)

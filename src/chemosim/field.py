@@ -496,6 +496,10 @@ def solve_field_fd(scenario: Scenario, path: AgentPath, quad: QuadratureSpec | N
         a = np.asarray(coeffs.a(pts, t), dtype=float)
         b = np.asarray(coeffs.b(pts, t), dtype=float)
         c = np.asarray(coeffs.c(pts, t), dtype=float)
+        for name, val, tail in (("a", a, (dim, dim)), ("b", b, (dim,))):
+            if val.shape not in (tail, pts.shape[:-1] + tail):
+                raise ValueError(f"coefficient {name} at t = {t:g} has shape {val.shape}; "
+                                 f"expected {tail} or {pts.shape[:-1] + tail}")
         return a, b, c
 
     def stable_step(a) -> float:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -69,9 +70,9 @@ class HorizonCertificate:
     ``t_range`` keeps the update map inside the radius-R tube, ``t_contract``
     makes its modulus S drop below one (with margin), and ``t_bar`` is the
     working horizon (safety factor times the smaller of the two).  ``s_value``
-    is S at ``t_bar`` with the conservative exponential factor and
-    ``s_value_nominal`` the variant without the doubled exponent;
-    ``gamma_bar`` must stay positive for the decay estimates to hold.
+    is S at ``t_bar``, with the exponential factor e^{2 kappa (|X0|^2 + R^2 +
+    delta^2)} the proof uses; ``gamma_bar`` must stay positive for the decay
+    estimates to hold.
     """
 
     t_range: float            # T1
@@ -82,8 +83,6 @@ class HorizonCertificate:
     radius: float
     mode: str = MODE_POINTWISE
     delta: float | None = None
-    s_value_nominal: float | None = None
-    t_range_nominal: float | None = None
     constants: dict | None = None
 
     def __post_init__(self):
@@ -108,75 +107,78 @@ def _state_norms(scenario: Scenario) -> tuple[float, float]:
     return float(np.linalg.norm(scenario.X0)), float(np.linalg.norm(scenario.V0))
 
 
-def _exp_factor(kappa: float, x0_norm: float, radius: float, delta: float | None,
-                conservative: bool) -> float:
-    scale = 2.0 if conservative else 1.0
-    extra = delta * delta if delta is not None else 0.0
-    return math.exp(scale * kappa * (x0_norm**2 + radius**2 + extra))
+def _gamma_bar(params: EstimateParams, c: float, t_bar: float) -> float:
+    return params.lambda0_star / 4.0 - 2.0 * c * t_bar
 
 
-def horizon_T1(scenario: Scenario, radius: float | None = None,
-               params: EstimateParams | None = None,
-               delta: float | None = None,
-               conservative: bool = True) -> float:
-    """Horizon keeping the update map's range inside the radius-R tube,
-    capped at the scenario horizon."""
-    r = radius if radius is not None else scenario.R
-    params = params if params is not None else scenario.estimate_params
-    n = scenario.n
-    dim = scenario.dimension
-    alpha = scenario.alpha
+def _certificate_bounds(scenario: Scenario, r: float, params: EstimateParams,
+                        delta: float | None) -> tuple[float, Callable[[float], float]]:
+    """(T1, S as a function of t_bar): every input that does not depend on
+    t_bar is derived once, so a bisection on S pays only for the rest."""
+    n, n_dim, alpha, growth = scenario.n, scenario.dimension, scenario.alpha, scenario.growth
     x0_norm, v0_norm = _state_norms(scenario)
-    first = r / (n * (r + v0_norm))
     l_f = scenario.lipschitz_w
-    h_x = scenario.growth.HR(x0_norm + r)
+    l_f_r = scenario.lipschitz_xv(r)
+    h_x = growth.HR(x0_norm + r)
+    h_r = growth.HR(x0_norm + r + (delta or 0.0))
+    extra = delta * delta if delta is not None else 0.0
+    spread = x0_norm**2 + r**2 + extra
+    expfac = math.exp(2.0 * params.kappa * spread)
+
+    first = r / (n * (r + v0_norm))
     if l_f > 0 and params.big_k > 0:
-        expfac = _exp_factor(params.kappa, x0_norm, r, delta, conservative)
-        denom = (2.0 * n * math.sqrt(dim) * l_f * params.big_k * expfac / (alpha + 1.0)) \
+        denom = (2.0 * n * math.sqrt(n_dim) * l_f * params.big_k * expfac / (alpha + 1.0)) \
             * (1.0 + 2.0 * h_x / (alpha + 3.0))
         second = (r / denom) ** (2.0 / (alpha + 1.0))
     else:
         second = math.inf
-    return min(first, second, scenario.growth.T)
+    t1 = min(first, second, growth.T)
+
+    # whole left prefixes of terms 2 and 3, so every product keeps its order
+    pre2 = l_f * n_dim**2 * params.big_k * expfac
+    pre3 = l_f * params.c_gamma * h_r * math.exp(2.0 * growth.C * spread)
+
+    def s_of(t_bar: float) -> float:
+        gamma_bar = _gamma_bar(params, growth.C, t_bar)
+        if gamma_bar <= 0:
+            raise ValueError("t_bar too large: gamma_bar = lambda0*/4 - 2*C*t_bar must be positive")
+        term1 = 2.0 * l_f_r * t_bar
+        term2 = pre2 * t_bar ** (alpha / 2.0) * (2.0 / alpha) * (growth.H + h_x * t_bar)
+        term3 = pre3 * (math.pi / gamma_bar) ** (n_dim / 2.0) * t_bar**1.5
+        return term1 + term2 + term3
+
+    return t1, s_of
+
+
+def horizon_T1(scenario: Scenario, radius: float | None = None,
+               params: EstimateParams | None = None,
+               delta: float | None = None) -> float:
+    """Horizon keeping the update map's range inside the radius-R tube,
+    capped at the scenario horizon."""
+    r = radius if radius is not None else scenario.R
+    params = params if params is not None else scenario.estimate_params
+    return _certificate_bounds(scenario, r, params, delta)[0]
 
 
 def contraction_S(scenario: Scenario, radius: float | None = None,
                   t_bar: float | None = None,
                   params: EstimateParams | None = None,
-                  delta: float | None = None,
-                  conservative: bool = True) -> float:
-    """Certified contraction modulus S at horizon t_bar.
+                  delta: float | None = None) -> float:
+    """Certified contraction modulus S at horizon t_bar, the sum of three terms:
 
-    Three terms: direct (X, V) sensitivity of the force, gradient sensitivity
-    to the probe position through the hessian bound, and gradient sensitivity
-    to the path through the source.  Requires gamma_bar = lambda0*/4 -
-    2 C t_bar > 0.
+    1. force (X, V): 2 L_F(R) t_bar, the force's direct sensitivity;
+    2. hessian/position: the gradient's sensitivity to the probe position,
+       through the hessian bound K and e^{2 kappa (|X0|^2 + R^2 + delta^2)};
+    3. source/path: the gradient's sensitivity to the path through the
+       source, through C_gamma and (pi / gamma_bar)^{N/2}.
+
+    Requires gamma_bar = lambda0*/4 - 2 C t_bar > 0.
     """
     r = radius if radius is not None else scenario.R
     if t_bar is None or t_bar <= 0:
         raise ValueError("t_bar must be positive")
     params = params if params is not None else scenario.estimate_params
-    n_dim = scenario.dimension
-    alpha = scenario.alpha
-    growth = scenario.growth
-    x0_norm, _ = _state_norms(scenario)
-    gamma_bar = params.lambda0_star / 4.0 - 2.0 * growth.C * t_bar
-    if gamma_bar <= 0:
-        raise ValueError("t_bar too large: gamma_bar = lambda0*/4 - 2*C*t_bar must be positive")
-    l_f = scenario.lipschitz_w
-    l_f_r = scenario.lipschitz_xv(r)
-    h_x = growth.HR(x0_norm + r)
-    h_r = growth.HR(x0_norm + r + (delta or 0.0))
-    expfac = _exp_factor(params.kappa, x0_norm, r, delta, conservative)
-    extra = delta * delta if delta is not None else 0.0
-
-    term1 = 2.0 * l_f_r * t_bar
-    term2 = (l_f * n_dim**2 * params.big_k * expfac * t_bar ** (alpha / 2.0)
-             * (2.0 / alpha) * (growth.H + h_x * t_bar))
-    term3 = (l_f * params.c_gamma * h_r
-             * math.exp(2.0 * growth.C * (x0_norm**2 + r**2 + extra))
-             * (math.pi / gamma_bar) ** (n_dim / 2.0) * t_bar**1.5)
-    return term1 + term2 + term3
+    return _certificate_bounds(scenario, r, params, delta)[1](t_bar)
 
 
 def horizon_certificate(scenario: Scenario, radius: float | None = None,
@@ -191,9 +193,7 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
     delta = _resolve_delta(scenario, mode, delta)
     params = params if params is not None else scenario.estimate_params
     growth = scenario.growth
-
-    t1 = horizon_T1(scenario, r, params, delta=delta, conservative=True)
-    t1_nominal = horizon_T1(scenario, r, params, delta=delta, conservative=False)
+    t1, s_of = _certificate_bounds(scenario, r, params, delta)
 
     cap = growth.T
     if growth.C > 0:
@@ -202,16 +202,13 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
         raise ValueError("degenerate constants: no admissible contraction horizon")
 
     target = 1.0 - _S_MARGIN
-    s_fn = lambda t: contraction_S(scenario, r, t, params, delta=delta, conservative=True)
-    if s_fn(cap) <= target:
+    if s_of(cap) <= target:
         t2 = cap
     else:
         lo, hi = 0.0, cap
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if mid <= 0.0:
-                break
-            if s_fn(mid) <= target:
+            if s_of(mid) <= target:
                 lo = mid
             else:
                 hi = mid
@@ -222,9 +219,6 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
     t_bar = safety * min(t1, t2)
     if t_bar <= 0:
         raise ValueError("degenerate constants: certified horizon collapsed to zero")
-    s_value = s_fn(t_bar)
-    s_nominal = contraction_S(scenario, r, t_bar, params, delta=delta, conservative=False)
-    gamma_bar = params.lambda0_star / 4.0 - 2.0 * growth.C * t_bar
     constants = {
         "K": params.big_k,
         "kappa": params.kappa,
@@ -235,9 +229,8 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
         "alpha": params.alpha,
     }
     return HorizonCertificate(
-        t_range=t1, t_contract=t2, t_bar=t_bar, s_value=s_value,
-        gamma_bar=gamma_bar, radius=r, mode=mode, delta=delta,
-        s_value_nominal=s_nominal, t_range_nominal=t1_nominal,
+        t_range=t1, t_contract=t2, t_bar=t_bar, s_value=s_of(t_bar),
+        gamma_bar=_gamma_bar(params, growth.C, t_bar), radius=r, mode=mode, delta=delta,
         constants=constants,
     )
 

@@ -73,7 +73,7 @@ def coefficient_preset(name: str, dimension: int, alpha: float = 0.5) -> Operato
 
         def a_fn(x, t):
             x = np.asarray(x, dtype=float)
-            return (1.0 + 0.5 * np.sin(x[..., 0])) * eye
+            return (1.0 + 0.5 * np.sin(x[..., 0]))[..., None, None] * eye
 
         return OperatorCoefficients(
             dimension=dimension,

@@ -254,6 +254,41 @@ def test_fd_time_dependent_coefficients_match_exact_solution():
     assert fdf.value(np.array([0.0]), T) == pytest.approx(exact, rel=5e-3)
 
 
+def test_variable_sine_fd_field_follows_the_space_dependent_coefficient():
+    # a(x) = 1 + 0.5 sin(x_0) must vary over the FD grid, not collapse to its
+    # value 1 + 0.5 sin(-6) at the first grid point
+    scn = build(coeff="variable-sine", phi="gaussian", T=0.5)
+    frozen = build(coeff=inline_coefficients([[1.0 + 0.5 * math.sin(-6.0)]]), phi="gaussian", T=0.5)
+    x = np.array([0.5])
+    var = FieldProbe(scn, constant_path(scn, 0.5)).value(x, 0.2)
+    const = FieldProbe(frozen, constant_path(frozen, 0.5), backend=BACKEND_FD).value(x, 0.2)
+    assert abs(var - const) > 1e-3
+
+
+def test_variable_sine_fd_field_in_two_dimensions():
+    scn = build(coeff="variable-sine", phi="gaussian", dim=2, T=0.1)
+    val = FieldProbe(scn, constant_path(scn, 0.1)).value(np.array([0.5, 0.2]), 0.1)
+    assert np.isfinite(val)
+
+
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_fd_rejects_misshapen_coefficient(which):
+    # right at a single point, but one row of per-point values instead of a
+    # matrix (or vector) per point on a grid
+    def bad(x, t):
+        x = np.asarray(x)
+        return np.ones((1,) + x.shape[:-1]) if x.ndim > 1 else good_shape[which]
+
+    good_shape = {"a": np.eye(1), "b": np.zeros(1)}
+    good = {"a": lambda x, t: good_shape["a"], "b": lambda x, t: good_shape["b"]}
+    good[which] = bad
+    coeffs = OperatorCoefficients(dimension=1, a=good["a"], b=good["b"], c=lambda x, t: 0.0,
+                                  is_constant=False, holder_exponent=0.5)
+    scn = build(coeff=coeffs, phi="gaussian", T=0.5)
+    with pytest.raises(ValueError, match=rf"coefficient {which} .*shape \(1, 601\)"):
+        solve_field_fd(scn, constant_path(scn, 0.5))
+
+
 def test_fd_stability_guard():
     scn = build(phi="gaussian", T=0.5)
     quad = QuadratureSpec(fd_h=0.1, fd_dt=0.1)  # far above h^2/2

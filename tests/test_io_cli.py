@@ -11,9 +11,11 @@ import pytest
 from chemosim import cli
 from chemosim import io as cio
 from chemosim.config import ConfigError, config_digest, load_config
-from chemosim.field import BACKEND_KERNEL
+from chemosim.field import BACKEND_KERNEL, FieldProbe
 from chemosim.paths import AgentPath
-from chemosim.picard import contraction_S, horizon_certificate
+from chemosim.picard import MODE_NONLOCAL, contraction_S, horizon_certificate, solve_local
+from chemosim.scenario import build_scenario
+from chemosim.verify import residual_check
 
 from util import build
 
@@ -163,6 +165,17 @@ def test_cli_simulate_nonlocal_manifest_echo(tmp_path):
     assert manifest["delta"] == 0.1
 
 
+def test_cli_simulate_pointwise_manifest_has_no_radius(tmp_path):
+    # a config delta only matters for non-local sensing
+    p = write_cfg(tmp_path, dict(DAMPED_CFG, delta=0.1))
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(p), "--output-dir", str(out),
+                     "--horizon", "0.02"]) == 0
+    manifest = cio.read_manifest(out / "manifest.json")
+    assert manifest["mode"] == "pointwise"
+    assert manifest["delta"] is None
+
+
 def test_cli_simulate_delta_flag_overrides_config_delta(tmp_path):
     cfg = dict(DAMPED_CFG, horizon=0.5, g="agent-secretion", mode="nonlocal",
                force={"name": "damped-chemotaxis", "chi": 0.05, "kappa_v": 1.0})
@@ -274,6 +287,22 @@ def test_cli_verify_all_suites_below_the_default_sample_times(tmp_path):
     prop1 = [r for r in doc["reports"] if r["claim"].startswith("field-")]
     assert len(prop1) == 2
     assert all(0.0 < r["worst_sample"][1] <= 0.005 for r in prop1)
+
+
+def test_cli_verify_residual_follows_the_config_mode(tmp_path):
+    cfg = dict(DAMPED_CFG, horizon=0.005, g="agent-secretion", mode="nonlocal", delta=0.1,
+               force={"name": "damped-chemotaxis", "chi": 0.3, "kappa_v": 1.0},
+               X0=[[0.2]], V0=[[0.3]])
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert cli.main(["verify", "--config", str(p), "--suite", "residual",
+                     "--output-dir", str(out)]) == 0
+    (rep,) = json.loads((out / "verify_report.json").read_text())["reports"]
+    scn = build_scenario(cfg)
+    cert = horizon_certificate(scn, mode=MODE_NONLOCAL)
+    path, _ = solve_local(scn, cert, tol=1e-8, mode=MODE_NONLOCAL, dt=1e-2)
+    expected = residual_check(path, scn, FieldProbe(scn, path), mode=MODE_NONLOCAL)
+    assert rep["worst_ratio"] == expected.worst_ratio
 
 
 def test_cli_verify_falsify_nonzero_exit(tmp_path):

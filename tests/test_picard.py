@@ -23,7 +23,15 @@ from chemosim.picard import (
 from chemosim.scenario import ForceLaw
 from chemosim.verify import residual_check
 
-from util import build, constant_force_law, per_node_sweep, rk4_second_order
+from util import (
+    build,
+    constant_force_law,
+    loop_certificate_fields,
+    loop_contraction_S,
+    loop_horizon_T1,
+    per_node_sweep,
+    rk4_second_order,
+)
 
 
 def damped(chi=0.3, kappa_v=1.0, T=1.0, delta=None, g="agent-secretion",
@@ -187,12 +195,63 @@ def test_certificate_s_value_recomputes():
     assert again == pytest.approx(cert.s_value, rel=1e-12)
 
 
-def test_certificate_nominal_variant_matches_when_kappa_zero():
+def _s1(dim):
+    """S1 (2 agents, damped chemotaxis on secreted signal) in 1D-3D."""
+    X0 = [[0.2, -0.3], [0.1, 0.05], [0.0, 0.1]][:dim]
+    V0 = [[0.3, 0.0], [0.0, 0.1], [0.1, 0.0]][:dim]
+    return build(phi="gaussian", g="agent-secretion", force="damped-chemotaxis",
+                 force_kwargs={"chi": 0.3, "kappa_v": 1.0}, dim=dim, X0=X0, V0=V0)
+
+
+# (scenario, sensing mode, sensing radius): kappa = 0, kappa > 0 with C = 0.2, a
+# non-local radius, and S1 in two and three dimensions
+ORACLE_CASES = {
+    "damped-1d": lambda: (damped(), MODE_POINTWISE, None),
+    "gaussian-weight-C0.2": lambda: (
+        build(phi="gaussian", g="agent-secretion", force="damped-chemotaxis",
+              force_kwargs={"chi": 0.2, "kappa_v": 1.0}, X0=[[0.2]], V0=[[0.3]],
+              M_override=1.0, C_override=0.2),
+        MODE_POINTWISE, None),
+    "nonlocal-0.1": lambda: (damped(delta=0.1), MODE_NONLOCAL, 0.1),
+    "S1-2d": lambda: (_s1(2), MODE_POINTWISE, None),
+    "S1-3d": lambda: (_s1(3), MODE_POINTWISE, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_certificate_bounds_equal_the_per_call_oracle(case):
+    scn, _, delta = ORACLE_CASES[case]()
+    params = scn.estimate_params
+    for r in (scn.R, 0.5):
+        assert horizon_T1(scn, r, delta=delta) == loop_horizon_T1(scn, r, params, delta)
+        for t in np.geomspace(1e-10, scn.growth.T, 41):
+            t = float(t)
+            try:
+                expected = loop_contraction_S(scn, r, t, params, delta)
+            except ValueError:  # past the gamma_bar pole
+                with pytest.raises(ValueError, match="gamma_bar"):
+                    contraction_S(scn, r, t, delta=delta)
+                continue
+            assert contraction_S(scn, r, t, delta=delta) == expected
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_certificate_equals_bisection_over_the_oracle(case):
+    scn, mode, delta = ORACLE_CASES[case]()
+    cert = horizon_certificate(scn, mode=mode)
+    t1, t2, t_bar, s_value, gamma_bar = loop_certificate_fields(scn, delta=delta)
+    assert (cert.t_range, cert.t_contract, cert.t_bar, cert.s_value, cert.gamma_bar) \
+        == (t1, t2, t_bar, s_value, gamma_bar)
+    assert (cert.radius, cert.mode, cert.delta) == (scn.R, mode, delta)
+    assert cert.constants["kappa"] == scn.estimate_params.kappa
+
+
+def test_certificate_bounds_have_no_conservative_option():
     scn = damped()
-    cert = horizon_certificate(scn)
-    # with zero Gaussian weight the conservative and nominal factors coincide
-    assert cert.s_value_nominal == pytest.approx(cert.s_value, rel=1e-12)
-    assert cert.t_range_nominal == pytest.approx(cert.t_range, rel=1e-12)
+    with pytest.raises(TypeError):
+        horizon_T1(scn, 1.0, conservative=False)
+    with pytest.raises(TypeError):
+        contraction_S(scn, 1.0, 1e-3, conservative=False)
 
 
 def test_certificate_nonlocal_requires_delta():

@@ -164,6 +164,86 @@ def loop_sphere_rule_3d(n_polar, n_azimuth):
     return np.asarray(pts), np.asarray(wts)
 
 
+def loop_horizon_T1(scenario, radius=None, params=None, delta=None):
+    """``picard.horizon_T1`` as it was when each call derived its own inputs,
+    with the conservative exponential factor e^{2 kappa (...)}."""
+    r = radius if radius is not None else scenario.R
+    params = params if params is not None else scenario.estimate_params
+    n = scenario.n
+    dim = scenario.dimension
+    alpha = scenario.alpha
+    x0_norm, v0_norm = float(np.linalg.norm(scenario.X0)), float(np.linalg.norm(scenario.V0))
+    first = r / (n * (r + v0_norm))
+    l_f = scenario.lipschitz_w
+    h_x = scenario.growth.HR(x0_norm + r)
+    if l_f > 0 and params.big_k > 0:
+        extra = delta * delta if delta is not None else 0.0
+        expfac = math.exp(2.0 * params.kappa * (x0_norm**2 + r**2 + extra))
+        denom = (2.0 * n * math.sqrt(dim) * l_f * params.big_k * expfac / (alpha + 1.0)) \
+            * (1.0 + 2.0 * h_x / (alpha + 3.0))
+        second = (r / denom) ** (2.0 / (alpha + 1.0))
+    else:
+        second = math.inf
+    return min(first, second, scenario.growth.T)
+
+
+def loop_contraction_S(scenario, radius=None, t_bar=None, params=None, delta=None):
+    """``picard.contraction_S`` as it was when each call derived its own
+    inputs, with the conservative exponential factor."""
+    r = radius if radius is not None else scenario.R
+    if t_bar is None or t_bar <= 0:
+        raise ValueError("t_bar must be positive")
+    params = params if params is not None else scenario.estimate_params
+    n_dim = scenario.dimension
+    alpha = scenario.alpha
+    growth = scenario.growth
+    x0_norm = float(np.linalg.norm(scenario.X0))
+    gamma_bar = params.lambda0_star / 4.0 - 2.0 * growth.C * t_bar
+    if gamma_bar <= 0:
+        raise ValueError("t_bar too large: gamma_bar = lambda0*/4 - 2*C*t_bar must be positive")
+    l_f = scenario.lipschitz_w
+    l_f_r = scenario.lipschitz_xv(r)
+    h_x = growth.HR(x0_norm + r)
+    h_r = growth.HR(x0_norm + r + (delta or 0.0))
+    extra = delta * delta if delta is not None else 0.0
+    expfac = math.exp(2.0 * params.kappa * (x0_norm**2 + r**2 + extra))
+
+    term1 = 2.0 * l_f_r * t_bar
+    term2 = (l_f * n_dim**2 * params.big_k * expfac * t_bar ** (alpha / 2.0)
+             * (2.0 / alpha) * (growth.H + h_x * t_bar))
+    term3 = (l_f * params.c_gamma * h_r
+             * math.exp(2.0 * growth.C * (x0_norm**2 + r**2 + extra))
+             * (math.pi / gamma_bar) ** (n_dim / 2.0) * t_bar**1.5)
+    return term1 + term2 + term3
+
+
+def loop_certificate_fields(scenario, radius=None, delta=None, safety=0.9):
+    """(t_range, t_contract, t_bar, s_value, gamma_bar) by the certificate's
+    80-step bisection over ``loop_horizon_T1`` and ``loop_contraction_S``."""
+    r = radius if radius is not None else scenario.R
+    params = scenario.estimate_params
+    growth = scenario.growth
+    t1 = loop_horizon_T1(scenario, r, params, delta)
+    cap = growth.T
+    if growth.C > 0:
+        cap = min(cap, 0.999 * params.lambda0_star / (8.0 * growth.C))
+    s_fn = lambda t: loop_contraction_S(scenario, r, t, params, delta)
+    if s_fn(cap) <= 0.9:
+        t2 = cap
+    else:
+        lo, hi = 0.0, cap
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if s_fn(mid) <= 0.9:
+                lo = mid
+            else:
+                hi = mid
+        t2 = lo
+    t_bar = safety * min(t1, t2)
+    gamma_bar = params.lambda0_star / 4.0 - 2.0 * growth.C * t_bar
+    return t1, t2, t_bar, s_fn(t_bar), gamma_bar
+
+
 def heat_gaussian_field(x, t, dim):
     """Closed-form evolution of exp(-|x|^2) under the constant unit-diffusion flow."""
     x = np.asarray(x, dtype=float)
