@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vfy.add_argument("--samples", type=int, default=300)
     vfy.add_argument("--seed", type=int, default=0)
     vfy.add_argument("--falsify", action="store_true",
-                     help="shrink the claimed constants as a checker sanity control")
+                     help="shrink prop1's claimed K by 50x, so the checker must fail")
     vfy.add_argument("--output", default=None)
     vfy.add_argument("--output-dir", default=None)
 
@@ -92,24 +92,34 @@ def _outdir(args) -> Path:
     return out
 
 
-def _mode_and_delta(args, cfg, scenario: Scenario) -> tuple[str, float | None]:
-    """Sensing mode and radius of a run; pointwise sensing has no radius."""
-    mode = args.mode or cfg.get("mode", MODE_POINTWISE)
+def _sensing(cfg, scenario: Scenario, mode: str | None = None,
+             delta: float | None = None) -> tuple[Scenario, str, float | None]:
+    """(scenario carrying the radius, mode, radius) of a run: ``mode`` and
+    ``delta`` override the config's; pointwise sensing has no radius."""
+    mode = mode or cfg.get("mode", MODE_POINTWISE)
     if mode != MODE_NONLOCAL:
-        return mode, None
-    delta = args.delta if args.delta is not None else scenario.nonlocal_delta
-    if delta is None:
+        return scenario, mode, None
+    if delta is not None:
+        if not delta > 0:  # NaN too; the config's delta was checked at build
+            raise ConfigError(f"sensing radius --delta must be positive, got {delta:g}")
+        scenario = replace(scenario, nonlocal_delta=delta)
+    if scenario.nonlocal_delta is None:
         raise ConfigError("non-local mode needs --delta or a config delta")
-    return mode, delta
+    return scenario, mode, scenario.nonlocal_delta
+
+
+def _check_snapshot_times(times, horizon: float) -> None:
+    for t_snap in times:
+        if not 0.0 <= t_snap <= horizon:  # NaN too
+            raise ValueError(f"field snapshot time {t_snap:g} lies outside the solved "
+                             f"span [0, {horizon:g}]")
 
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    scenario = build_scenario(cfg)
-    mode, delta = _mode_and_delta(args, cfg, scenario)
-    if args.delta is not None:
-        scenario = replace(scenario, nonlocal_delta=args.delta)
+    scenario, mode, delta = _sensing(cfg, build_scenario(cfg), args.mode, args.delta)
     horizon = args.horizon if args.horizon is not None else scenario.growth.T
+    _check_snapshot_times(args.field_snapshot, horizon)
     outdir = _outdir(args)
 
     t_start = time.perf_counter()
@@ -193,12 +203,10 @@ def _run_suites(scenario: Scenario, suites, samples: int, seed: int, falsify: bo
     horizon = scenario.growth.T
     for suite in suites:
         if suite == "kernel-mass":
-            kern = scenario.kernel
-            if kern.c != 0.0:
-                raise PicardError("kernel-mass suite requires a zero reaction rate")
             reports.append(ver.check_kernel_mass(
-                kern, ver.mass_samples(scenario.dimension, min(samples, 50), horizon, seed,
-                                       t_min=_sample_floor(0.1, horizon))))
+                scenario.kernel,
+                ver.mass_samples(scenario.dimension, min(samples, 50), horizon, seed,
+                                 t_min=_sample_floor(0.1, horizon))))
         elif suite == "gamma":
             params = scenario.estimate_params
             reps = ver.check_gamma_estimates(
@@ -249,10 +257,9 @@ def _run_suites(scenario: Scenario, suites, samples: int, seed: int, falsify: bo
 
 def _cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    scenario = build_scenario(cfg)
+    scenario, mode, _ = _sensing(cfg, build_scenario(cfg))
     suites = ALL_SUITES if args.suite == "all" else tuple(s.strip() for s in args.suite.split(","))
-    reports = _run_suites(scenario, suites, args.samples, args.seed, args.falsify,
-                          mode=cfg.get("mode", MODE_POINTWISE))
+    reports = _run_suites(scenario, suites, args.samples, args.seed, args.falsify, mode=mode)
     outdir = _outdir(args)
     out_file = Path(args.output) if args.output else outdir / "verify_report.json"
     cio.write_reports(reports, out_file)
@@ -267,8 +274,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = load_config(args.config)
-    scenario = build_scenario(cfg)
-    cert = horizon_certificate(scenario, mode=cfg.get("mode", MODE_POINTWISE))
+    scenario, mode, delta = _sensing(cfg, build_scenario(cfg))
+    cert = horizon_certificate(scenario, mode=mode, delta=delta)
     values = {
         "T1": cert.t_range,
         "T2": cert.t_contract,
@@ -293,6 +300,7 @@ def _cmd_field_export(args) -> int:
     scenario = build_scenario(cfg)
     times = [float(v) for v in args.times.split(",")]
     horizon = scenario.growth.T
+    _check_snapshot_times(times, horizon)
     grid_times = np.linspace(0.0, horizon, 9)
     path = AgentPath.constant(scenario.X0, scenario.V0, grid_times)
     fdf = solve_field_fd(scenario, path)

@@ -9,17 +9,21 @@ with the closed-form kernel G.  The time integral uses the substitution
 tau = t - s^2 on 32 Gauss nodes in s, which removes the integrable endpoint
 singularity of the gradient/hessian integrands.
 
-The spatial integrals are quadratures in u, with xi = x + sqrt(t - tau) L u
-(a = L L^T) truncated at |u_i| <= u_max, except for a source that declares
-Gaussian structure (``g.gaussian_source``, see `presets.GaussianSource`): a
-Gaussian integrates against G in closed form, so such a source costs one
-term per agent and (s-node, point) pair instead of a spatial rule.  The
-initial datum always takes the quadrature.  Variable coefficients take an
-explicit finite-difference solve on a truncated box (`backend_for`).
+Both terms are the same kernel integral at different tau, summed by one
+integrator over items (x, t, tau, weight): the points of the initial-datum
+term (tau = 0, weight 1) and the (s-node, point) pairs of the source term
+(tau = t - s^2, weight 2 s ds).  An item integrates over xi by a quadrature
+in u, with xi = x + sqrt(t - tau) L u (a = L L^T) truncated at
+|u_i| <= u_max, unless its datum declares Gaussian structure
+(``gaussian_source``, see `presets.GaussianSource`), which G integrates in
+closed form.  The ``agent-secretion`` and ``constant`` sources declare it.
+phi may, but no phi preset does yet: the benchmark self-test expects
+pointwise-1d to evaluate the kernel, which only the phi quadrature still
+does.  Variable coefficients take an explicit finite-difference solve on a
+truncated box (`backend_for`).
 
-Batch evaluations take one time per point.  The source integral for all
-(s-node, point) pairs of a batch runs in a few vectorized passes, so one
-call can serve every agent at every node of a Picard sweep.
+Batch evaluations take one time per point, and the items of a batch run in
+a few vectorized passes, so one call serves a whole Picard sweep.
 
 Evaluation at t = 0 returns the initial datum (and its difference-quotient
 derivatives) by continuity.
@@ -137,7 +141,7 @@ def _fd_hessian_of(fn, pts: np.ndarray, step: float = 1e-4) -> np.ndarray:
 
 # Size of one vectorized pass, counted in kernel-derivative entries (items x
 # spatial nodes x derivative components, or items x agents x derivative
-# components for a source integrated in closed form); an item is a point of
+# components for a datum integrated in closed form); an item is a point of
 # the initial-datum integral or an (s-node, point) pair of the source
 # integral.  Small passes keep their arrays in cache and the peak memory of
 # a solve near its level before batching (passes of 2^15 entries added 1.4 MB
@@ -150,11 +154,6 @@ _CHUNK_ELEMENTS = 2**13
 # Contraction of a kernel derivative of order 0, 1 or 2 (p items, m nodes)
 # with the quadrature weights and the data on the nodes.
 _CONTRACTIONS = ("m,pm,pm->p", "m,pmi,pm->pi", "m,pmij,pm->pij")
-
-
-def _chunks(n: int, per_item: int) -> list[slice]:
-    step = max(1, _CHUNK_ELEMENTS // per_item)
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 @lru_cache(maxsize=32)
@@ -183,20 +182,17 @@ class FieldProbe:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend == BACKEND_KERNEL and not self.scenario.coeffs.is_constant:
             raise ValueError("closed-form backend requires constant coefficients")
-        dim = self.scenario.dimension
-        m = self.quad.resolved_space_nodes(dim)
-        u_max = self.quad.resolved_u_max(dim)
-        self._u_pts, self._u_wts = tensor_grid(-u_max, u_max, m, dim)
-        self._s_base, self._s_wts = gauss_legendre(0.0, 1.0, self.quad.time_nodes)
         self._fd_grid: FdField | None = None
         if self.backend == BACKEND_KERNEL:
-            a = self.scenario.kernel.a
+            dim = self.scenario.dimension
+            u_max = self.quad.resolved_u_max(dim)
+            u_pts, u_wts = tensor_grid(-u_max, u_max, self.quad.resolved_space_nodes(dim), dim)
             # xi = x + sqrt(t - tau) L u with a = L L^T, so the kernel decays
             # like exp(-|u|^2 / 4) in every direction of the truncated box
-            chol = np.linalg.cholesky(a)
-            self._u_pts = self._u_pts @ chol.T
-            self._u_wts = self._u_wts * np.prod(np.diag(chol))
-            self._a_eig = np.linalg.eigh(a)
+            chol = self.scenario.kernel.chol
+            self._u_pts = u_pts @ chol.T
+            self._u_wts = u_wts * np.prod(np.diag(chol))
+            self._s_base, self._s_wts = gauss_legendre(0.0, 1.0, self.quad.time_nodes)
 
     # -- time-range handling -------------------------------------------------
 
@@ -214,72 +210,57 @@ class FieldProbe:
 
     # -- closed-form backend -------------------------------------------------
 
-    def _initial_batch(self, pts: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
+    def _kernel_integral(self, datum, source: bool, pts: np.ndarray, t: np.ndarray,
+                         order: int) -> np.ndarray:
+        """x-derivative of the given order of the kernel integral of phi
+        (``source`` false) or of g over (0, t), at stacked points (P, N): a
+        sum over the items the module docstring describes, each in closed
+        form when the datum declares Gaussian structure and by the spatial
+        rule otherwise.  Source items are summed in s-node order."""
         kern = self.scenario.kernel
         dim = kern.dim
-        if _is_zero(self.scenario.phi):
-            return np.zeros((len(pts),) + (dim,) * order)
-        out = []
-        for sl in _chunks(len(pts), len(self._u_pts) * dim**order):
-            p, t_col = pts[sl], t[sl, None]
-            xi = p[:, None, :] + np.sqrt(t_col)[..., None] * self._u_pts[None, :, :]
-            phi_vals = self.scenario.phi(xi)
-            jac = (t[sl] ** (dim / 2.0)).reshape((-1,) + (1,) * order)
-            k = kern.derivative(order, p[:, None, :], t_col, xi, 0.0)
-            out.append(jac * np.einsum(_CONTRACTIONS[order], self._u_wts, k, phi_vals))
-        return np.concatenate(out, axis=0)
-
-    def _source_batch(self, pts: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
-        dim = self.scenario.dimension
-        p = len(pts)
-        shape = (p,) + (dim,) * order
-        g = self.scenario.g
-        if _is_zero(g):
+        shape = (len(pts),) + (dim,) * order
+        if _is_zero(datum):
             return np.zeros(shape)
-        gauss = getattr(g, "gaussian_source", None)
-        # a pass holds, for each of its pairs, one closed-form term per agent
-        # or one kernel-derivative entry per spatial node
-        per_pair = (self.scenario.n if gauss is not None else len(self._u_pts)) * dim**order
-        n_s = len(self._s_base)
-        # one term per (s-node j, point i) pair, stored at j * p + i
-        terms = np.empty((n_s * p,) + shape[1:])
-        for sl in _chunks(len(terms), per_pair):
-            j, i = np.divmod(np.arange(sl.start, sl.stop), p)
-            sqrt_t = np.sqrt(t[i])
-            s = self._s_base[j] * sqrt_t
-            ds = self._s_wts[j] * sqrt_t
-            tau = np.maximum(t[i] - s * s, 0.0)
-            X = self.path.positions_at(tau)
-            if gauss is None:
-                terms[sl] = self._quadrature_terms(order, pts[i], t[i], s, ds, tau, X)
+        gauss = getattr(datum, "gaussian_source", None)
+        # a pass holds, for each of its items, at most one closed-form term per
+        # agent or one kernel-derivative entry per spatial node
+        per_item = (self.scenario.n if gauss is not None else len(self._u_pts)) * dim**order
+        step = max(1, _CHUNK_ELEMENTS // per_item)
+        n_s = len(self._s_base) if source else 1
+        # item k is (s-node j, point i) with k = j * P + i
+        terms = np.empty((n_s * len(pts),) + shape[1:])
+        for lo in range(0, len(terms), step):
+            j, i = np.divmod(np.arange(lo, min(lo + step, len(terms))), len(pts))
+            x, t_i = pts[i], t[i]
+            if source:
+                sqrt_t = np.sqrt(t_i)
+                s = self._s_base[j] * sqrt_t
+                weight = 2.0 * s * (self._s_wts[j] * sqrt_t)  # d tau = 2 s ds
+                tau = np.maximum(t_i - s * s, 0.0)
+                X = self.path.positions_at(tau)
             else:
-                terms[sl] = self._gaussian_terms(order, gauss, pts[i], t[i], s, ds, tau, X)
+                weight, tau, X = np.ones(len(i)), np.zeros(len(i)), None
+            sigma = t_i - tau
+            if gauss is None:
+                xi = x[:, None, :] + np.sqrt(sigma)[:, None, None] * self._u_pts
+                vals = datum(xi, X[:, None]) if source else datum(xi)
+                k = kern.derivative(order, x[:, None, :], t_i[:, None], xi, tau[:, None])
+                weight = weight * sigma ** (dim / 2.0)  # jacobian; det L is in _u_wts
+                term = np.einsum(_CONTRACTIONS[order], self._u_wts, k, vals)
+            else:
+                centres = X if gauss.at_agents else np.zeros((len(i), dim, 1))
+                # d = x - c + b sigma, one row per (item, centre)
+                d = x[:, None, :] - np.swapaxes(centres, 1, 2) + kern.b * sigma[:, None, None]
+                k = self._gaussian_integral(order, d, sigma[:, None], gauss.rate)
+                term = gauss.weight * k.sum(axis=1)
+            terms[lo:lo + len(i)] = weight.reshape((-1,) + (1,) * order) * term
+        # one s-node at a time: a pairwise .sum(axis=0) would round a batch
+        # apart from the same points evaluated one by one
         acc = np.zeros(shape)
-        for term in terms.reshape((n_s,) + shape):  # summed in s-node order
-            acc += term
+        for part in terms.reshape((n_s,) + shape):
+            acc += part
         return acc
-
-    def _quadrature_terms(self, order, x, t, s, ds, tau, X) -> np.ndarray:
-        """Source terms of (s-node, point) pairs by the spatial rule."""
-        kern = self.scenario.kernel
-        # jacobian of the xi-substitution is s^dim; d tau = 2 s ds
-        factor = (2.0 * s ** (kern.dim + 1) * ds).reshape((-1,) + (1,) * order)
-        x = x[:, None, :]
-        xi = x + s[:, None, None] * self._u_pts[None, :, :]
-        gv = self.scenario.g(xi, X[:, None])
-        k = kern.derivative(order, x, t[:, None], xi, tau[:, None])
-        return factor * np.einsum(_CONTRACTIONS[order], self._u_wts, k, gv)
-
-    def _gaussian_terms(self, order, gauss, x, t, s, ds, tau, X) -> np.ndarray:
-        """Source terms of (s-node, point) pairs for a declared Gaussian
-        source, in closed form: no spatial rule."""
-        factor = (2.0 * s * ds).reshape((-1,) + (1,) * order)  # d tau = 2 s ds
-        sigma = t - tau
-        centres = X if gauss.at_agents else np.zeros(X.shape[:-1] + (1,))
-        # d = x - X + b sigma, one row per (pair, centre)
-        d = x[:, None, :] - np.swapaxes(centres, 1, 2) + self.scenario.kernel.b * sigma[:, None, None]
-        k = self._gaussian_integral(order, d, sigma[:, None], gauss.rate)
-        return factor * (gauss.weight * k.sum(axis=1))
 
     def _gaussian_integral(self, order: int, d: np.ndarray, sigma: np.ndarray,
                            rate: float) -> np.ndarray:
@@ -293,7 +274,7 @@ class FieldProbe:
         -2 rate M^-1 d times that, the hessian
         (4 rate^2 (M^-1 d)(M^-1 d)^T - 2 rate M^-1) times that.  M is
         diagonal in the eigenbasis of a."""
-        lam, q = self._a_eig
+        lam, q = self.scenario.kernel.eig
         m = 1.0 + 4.0 * rate * sigma[..., None] * lam  # eigenvalues of M
         e = d @ q
         val = (np.exp(-rate * np.sum(e * e / m, axis=-1) + self.scenario.kernel.c * sigma)
@@ -309,7 +290,8 @@ class FieldProbe:
         return (4.0 * rate * rate * outer - 2.0 * rate * m_inv) * val[..., None, None]
 
     def _closed_batch(self, pts: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
-        return self._initial_batch(pts, t, order) - self._source_batch(pts, t, order)
+        return (self._kernel_integral(self.scenario.phi, False, pts, t, order)
+                - self._kernel_integral(self.scenario.g, True, pts, t, order))
 
     # -- data-at-zero fallback ------------------------------------------------
 
@@ -321,13 +303,10 @@ class FieldProbe:
 
     # -- finite-difference backend --------------------------------------------
 
-    def _fd(self) -> "FdField":
-        if self._fd_grid is None:
-            self._fd_grid = solve_field_fd(self.scenario, self.path, self.quad)
-        return self._fd_grid
-
     def _fd_batch(self, pts: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
-        fdf = self._fd()
+        if self._fd_grid is None:  # solved on first use
+            self._fd_grid = solve_field_fd(self.scenario, self.path, self.quad)
+        fdf = self._fd_grid
         return (fdf.value_many, fdf.gradient_many, fdf.hessian_many)[order](pts, t)
 
     # -- public surface --------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -96,6 +97,16 @@ class Kernel:
     det_a: float
     mu0: float            # smallest eigenvalue of a
     mu1: float            # largest eigenvalue of a
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        """Lower-triangular Cholesky factor L of a = L L^T."""
+        return np.linalg.cholesky(self.a)
+
+    @cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and orthonormal eigenvectors of a, as ``np.linalg.eigh``."""
+        return np.linalg.eigh(self.a)
 
     def _core(self, x, t, xi, tau):
         s = np.asarray(t, dtype=float) - np.asarray(tau, dtype=float)

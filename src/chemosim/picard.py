@@ -295,27 +295,29 @@ def _sweep(scenario: Scenario, prefix: AgentPath | None, seg: AgentPath,
     _check_tube(seg, X0, V0, scenario.R)
     path = prefix.concat(seg) if prefix is not None else seg
     probe = FieldProbe(scenario, path, quad=quad or QuadratureSpec())
-    times = seg.times
-    X = path.positions_at(times)
-    V = path.velocities_at(times)
     if scenario.lipschitz_w == 0.0:  # declared insensitive to the field
-        W = np.zeros(X.shape)
+        W = np.zeros(seg.X.shape)
     else:
-        W = sensed_gradients(probe, X, times, delta)
-    forces = scenario.force.eval(times, X, V, W)
-    return AgentPath(times, X0 + trapezoid_cumulative(V, times),
-                     V0 + trapezoid_cumulative(forces, times))
+        W = sensed_gradients(probe, seg.X, seg.times, delta)
+    forces = scenario.force.eval(seg.times, seg.X, seg.V, W)
+    return AgentPath(seg.times, X0 + trapezoid_cumulative(seg.V, seg.times),
+                     V0 + trapezoid_cumulative(forces, seg.times))
 
 
-def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, times: np.ndarray,
+def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, t0: float, t1: float,
                      X0: np.ndarray, V0: np.ndarray, delta: float | None,
-                     tol: float, max_iters: int,
+                     tol: float, dt: float, max_iters: int,
                      quad: QuadratureSpec | None) -> tuple[AgentPath, list[float]]:
-    """Picard iteration on one segment, from the path frozen at (X0, V0).
+    """Picard iteration on [t0, t1] from the path frozen at (X0, V0), on a
+    uniform grid of step at most dt with at least _MIN_NODES nodes.
 
     Stops when successive iterates differ by less than tol in the sup norm;
     returns the converged segment and the per-iteration differences.
     """
+    for name, value in (("dt", dt), ("tol", tol)):
+        if not 0.0 < value < math.inf:  # NaN too
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    times = np.linspace(t0, t1, max(_MIN_NODES, int(math.ceil((t1 - t0) / dt)) + 1))
     current = AgentPath.constant(X0, V0, times)
     history: list[float] = []
     for _ in range(max_iters):
@@ -344,11 +346,6 @@ def apply_psi(path: AgentPath, scenario: Scenario,
     return _sweep(scenario, None, path, scenario.X0, scenario.V0, delta, quad)
 
 
-def _segment_grid(t0: float, t1: float, dt: float) -> np.ndarray:
-    n = max(_MIN_NODES, int(math.ceil((t1 - t0) / dt)) + 1)
-    return np.linspace(t0, t1, n)
-
-
 def solve_local(scenario: Scenario, horizon: HorizonCertificate,
                 tol: float = 1e-8, max_iters: int = 50,
                 mode: str = MODE_POINTWISE, dt: float = 1e-2,
@@ -362,9 +359,8 @@ def solve_local(scenario: Scenario, horizon: HorizonCertificate,
     if horizon.mode != mode:
         raise ValueError(f"certificate was issued for {horizon.mode!r} sensing, not {mode!r}")
     delta = _resolve_delta(scenario, mode, horizon.delta)
-    times = _segment_grid(0.0, horizon.t_bar, dt)
-    return _iterate_segment(scenario, None, times, scenario.X0, scenario.V0, delta,
-                            tol, max_iters, quad)
+    return _iterate_segment(scenario, None, 0.0, horizon.t_bar, scenario.X0, scenario.V0,
+                            delta, tol, dt, max_iters, quad)
 
 
 def solve_global(scenario: Scenario, horizon: float,
@@ -399,8 +395,8 @@ def solve_global(scenario: Scenario, horizon: float,
                 f"is below the minimum {min_segment:g} (constants blow-up)"
             )
         seg_end = min(t0 + cert.t_bar, horizon)
-        seg, history = _iterate_segment(scenario, full, _segment_grid(t0, seg_end, dt),
-                                        state_X, state_V, delta, tol, max_iters, quad)
+        seg, history = _iterate_segment(scenario, full, t0, seg_end, state_X, state_V,
+                                        delta, tol, dt, max_iters, quad)
         if segments_out is not None:
             segments_out.append(SegmentRecord(t_start=t0, t_end=seg_end, certificate=cert,
                                               iterations=len(history), final_diff=history[-1]))

@@ -9,9 +9,11 @@ against those of x, so the field evaluator can pass one configuration per
 point.  A force law takes stacked states X, V and sensed gradients W of
 shape (..., N, n) and returns the force on every agent in the same shape.
 
-A source that is a sum of Gaussians declares it in a ``gaussian_source``
+A datum that is a sum of Gaussians declares it in a ``gaussian_source``
 attribute (a `GaussianSource`), as a zero datum declares ``is_zero``; the
-field evaluator then integrates it against the kernel in closed form.
+field evaluator then integrates it against the kernel in closed form.  The
+sources ``agent-secretion`` and ``constant`` declare it; an initial datum
+may, with its centre at the origin.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ _ANISOTROPIC_DIAG = (0.5, 2.0, 1.25)
 
 
 class GaussianSource(NamedTuple):
-    """Declared structure of a source g(x, X) = weight * sum_c exp(-rate |x - c|^2).
+    """Declared structure of a datum weight * sum_c exp(-rate |x - c|^2).
 
-    The centres c are the agent columns of X when ``at_agents`` is true, and
-    a single point otherwise, so rate 0 declares the constant ``weight``.
+    The centres c are the agent columns of X of a source g(x, X) when
+    ``at_agents`` is true, and otherwise the origin alone, so rate 0 declares
+    the constant ``weight``.  An initial datum phi(x) has no agents.
     """
 
     weight: float

@@ -207,6 +207,8 @@ def make_scenario(coeffs: OperatorCoefficients,
         raise ScenarioError("nonlocal sensing radius must be strictly positive")
     if R <= 0:
         raise ScenarioError("compact radius R must be positive")
+    if getattr(getattr(phi, "gaussian_source", None), "at_agents", False):
+        raise ScenarioError("an initial datum has no agents to centre its Gaussians at")
 
     mu0, mu1 = probe_parabolicity(coeffs, growth.T)
     coeffs = replace(coeffs, mu0=mu0, mu1=mu1)

@@ -14,7 +14,7 @@ from chemosim.field import (
     solve_field_fd,
 )
 from chemosim.paths import AgentPath
-from chemosim.presets import inline_coefficients, phi_preset
+from chemosim.presets import GaussianSource, inline_coefficients, phi_preset
 from chemosim.quadrature import gauss_legendre
 from chemosim.scenario import OperatorCoefficients
 
@@ -479,6 +479,55 @@ def test_constant_source_with_reaction_is_exact():
     np.testing.assert_allclose(probe.value_many(pts, t), want, rtol=1e-14)
     np.testing.assert_array_equal(probe.gradient_many(pts, t), 0.0)
     np.testing.assert_array_equal(probe.hessian_many(pts, t), 0.0)
+
+
+def declared_gaussian_phi(calls=None):
+    """The gaussian phi preset, declaring its structure exp(-|x|^2); ``calls``
+    collects the shapes it is called on."""
+    phi, h_phi, c_phi, m_phi = phi_preset("gaussian")
+
+    def declared(x):
+        if calls is not None:
+            calls.append(np.shape(x))
+        return phi(x)
+
+    declared.gaussian_source = GaussianSource(1.0, 1.0, False)
+    return declared, h_phi, c_phi, m_phi
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_declared_phi_matches_the_heat_gaussian_oracle(dim):
+    calls = []
+    scn = build(phi=declared_gaussian_phi(calls), dim=dim)
+    probe = FieldProbe(scn, constant_path(scn))
+    rng = np.random.default_rng(23)
+    pts = rng.uniform(-1.5, 1.5, (6, dim))
+    times = rng.uniform(0.01, 1.0, 6)
+    oracles = (heat_gaussian_field, heat_gaussian_grad, heat_gaussian_hess)
+    for order, name in enumerate(("value_many", "gradient_many", "hessian_many")):
+        got = getattr(probe, name)(pts, times)
+        want = np.stack([oracles[order](x, t, dim) for x, t in zip(pts, times)])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15, err_msg=name)
+    assert calls == []  # the closed form never samples phi
+
+
+@pytest.mark.parametrize("coeff,dim,nodes", [
+    (DRIFT_REACTION_1D, 1, 640),
+    (DRIFT_REACTION_2D, 2, 160),
+], ids=["drift-reaction-1d", "drift-reaction-2d"])
+def test_declared_phi_matches_refined_quadrature(coeff, dim, nodes):
+    declared = build(coeff=coeff, phi=declared_gaussian_phi(), dim=dim)
+    plain = build(coeff=coeff, phi="gaussian", dim=dim)
+    closed = FieldProbe(declared, constant_path(declared))
+    refined = FieldProbe(plain, constant_path(plain),
+                         quad=QuadratureSpec(u_max=16.0, space_nodes=nodes))
+    rng = np.random.default_rng(24)
+    pts = rng.uniform(-1.0, 1.0, (5, dim))
+    times = rng.uniform(0.01, 1.0, 5)
+    for order in ("value_many", "gradient_many", "hessian_many"):
+        got = getattr(closed, order)(pts, times)
+        want = getattr(refined, order)(pts, times)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=order)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -345,6 +345,40 @@ def test_cli_solver_error_exit_code(tmp_path):
     assert res2.returncode == 3
 
 
+@pytest.mark.parametrize("command", ["simulate", "bounds", "verify"])
+def test_cli_nonlocal_config_without_radius_is_a_config_error(tmp_path, command):
+    p = write_cfg(tmp_path, dict(DAMPED_CFG, mode="nonlocal"))
+    extra = ("--suite", "residual") if command == "verify" else ()
+    res = run_cli(command, "--config", str(p), "--output-dir", str(tmp_path / "run"), *extra)
+    assert res.returncode == 2, res.stderr
+    assert "non-local mode needs --delta or a config delta" in res.stderr
+
+
+@pytest.mark.parametrize("delta", ["0", "-1", "nan"])
+def test_cli_nonpositive_delta_flag_is_a_config_error(tmp_path, delta):
+    p = write_cfg(tmp_path, dict(DAMPED_CFG, mode="nonlocal", delta=0.1))
+    res = run_cli("simulate", "--config", str(p), "--output-dir", str(tmp_path / "run"),
+                  "--delta", delta, "--horizon", "0.02")
+    assert res.returncode == 2, res.stderr
+    assert "sensing radius --delta must be positive" in res.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (("simulate", "--horizon", "0.01", "--field-snapshot", "0.01", "--field-snapshot", "5"),
+     "time 5 lies outside the solved span [0, 0.01]"),
+    (("simulate", "--horizon", "0.01", "--field-snapshot", "-0.5"),
+     "time -0.5 lies outside the solved span [0, 0.01]"),
+    (("field-export", "--times", "0.5,3"), "time 3 lies outside the solved span [0, 1]"),
+], ids=["simulate-after", "simulate-before", "field-export-after"])
+def test_cli_snapshot_outside_the_solved_span(tmp_path, args, message):
+    p = write_cfg(tmp_path, dict(DAMPED_CFG, horizon=1.0))
+    out = tmp_path / "run"
+    res = run_cli(args[0], "--config", str(p), "--output-dir", str(out), *args[1:])
+    assert res.returncode == 3, res.stderr
+    assert message in res.stderr
+    assert not list(out.glob("field_t*.csv"))  # not even the in-range one
+
+
 def test_cli_field_export(tmp_path):
     cfg = dict(DAMPED_CFG)
     cfg["horizon"] = 0.5

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chemosim.field import FieldProbe
+from chemosim.field import FieldProbe, QuadratureSpec
 from chemosim.paths import AgentPath
 from chemosim.picard import (
     MODE_NONLOCAL,
@@ -340,6 +340,28 @@ def test_solve_local_max_iters_error():
         solve_local(scn, cert, tol=1e-16, max_iters=2)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("solver", ["solve_local", "solve_global"])
+def test_solvers_reject_bad_dt(solver, bad):
+    scn = damped()
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        if solver == "solve_local":
+            solve_local(scn, horizon_certificate(scn), dt=bad)
+        else:
+            solve_global(scn, 0.01, dt=bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("solver", ["solve_local", "solve_global"])
+def test_solvers_reject_bad_tol(solver, bad):
+    scn = damped()
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        if solver == "solve_local":
+            solve_local(scn, horizon_certificate(scn), tol=bad)
+        else:
+            solve_global(scn, 0.01, tol=bad)
+
+
 # -- global solve ----------------------------------------------------------------------------
 
 
@@ -417,6 +439,22 @@ def test_nonlocal_solution_converges_to_pointwise():
     assert gaps[0] > gaps[1] > gaps[2]
     orders = [math.log(gaps[i] / gaps[i + 1], 2.0) for i in range(2)]
     assert min(orders) >= 1.8
+
+
+@pytest.mark.parametrize("mode, delta, horizon", [
+    (MODE_POINTWISE, None, 0.02),
+    (MODE_NONLOCAL, 0.1, 0.005),
+], ids=["pointwise", "nonlocal"])
+def test_solve_global_matches_refined_field_quadrature(mode, delta, horizon):
+    # the S1 reference scenario: the default rules against a wider, finer
+    # spatial rule and twice the s-nodes, on the same certified segment grids
+    scn = damped(X0=[[0.2, -0.3]], V0=[[0.3, 0.0]], delta=delta)
+    default = solve_global(scn, horizon, tol=1e-10, mode=mode)
+    refined = solve_global(scn, horizon, tol=1e-10, mode=mode,
+                           quad=QuadratureSpec(u_max=16.0, space_nodes=192, time_nodes=64))
+    np.testing.assert_array_equal(default.times, refined.times)
+    assert np.abs(default.X - refined.X).max() <= 1e-11
+    assert np.abs(default.V - refined.V).max() <= 1e-11
 
 
 def test_residuals_of_converged_paths():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chemosim.presets import (
+    GaussianSource,
     coefficient_preset,
     force_preset,
     g_preset,
@@ -85,6 +86,17 @@ def test_nonlocal_delta_must_be_positive():
     with pytest.raises(ScenarioError):
         build(delta=-0.1)
     assert build(delta=0.2).nonlocal_delta == 0.2
+
+
+def test_initial_datum_cannot_centre_gaussians_at_agents():
+    phi, h_phi, c_phi, m_phi = phi_preset("gaussian")
+
+    def declared(x):
+        return phi(x)
+
+    declared.gaussian_source = GaussianSource(1.0, 1.0, True)
+    with pytest.raises(ScenarioError, match="no agents"):
+        build(phi=(declared, h_phi, c_phi, m_phi))
 
 
 def test_preset_catalog_contents():
