@@ -47,6 +47,17 @@ def _default_outdir() -> str:
     return os.environ.get("CHEMOSIM_OUTDIR", ".")
 
 
+def _time_list(text: str) -> list[float]:
+    """Parse a comma-separated list of times; a bad entry is a usage error."""
+    times = []
+    for entry in text.split(","):
+        try:
+            times.append(float(entry))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"snapshot time {entry!r} is not a number") from None
+    return times
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chemosim",
                                      description="Coupled agent/signal simulation and bound verification")
@@ -81,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fex = sub.add_parser("field-export", help="export field grids for the frozen initial configuration")
     fex.add_argument("--config", required=True)
-    fex.add_argument("--times", required=True, help="comma-separated snapshot times")
+    fex.add_argument("--times", required=True, type=_time_list,
+                     help="comma-separated snapshot times")
     fex.add_argument("--output-dir", default=None)
     return parser
 
@@ -298,7 +310,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_field_export(args) -> int:
     cfg = load_config(args.config)
     scenario = build_scenario(cfg)
-    times = [float(v) for v in args.times.split(",")]
+    times = args.times
     horizon = scenario.growth.T
     _check_snapshot_times(times, horizon)
     grid_times = np.linspace(0.0, horizon, 9)

@@ -89,7 +89,9 @@ class AgentPath:
     def sup_distance(self, other: "AgentPath") -> float:
         """Sup-norm distance between two paths on the same grid, measured on
         the stacked (X, V) state."""
-        if len(self.times) != len(other.times) or not np.allclose(self.times, other.times):
+        same_grid = self.times is other.times or (
+            len(self.times) == len(other.times) and np.allclose(self.times, other.times))
+        if not same_grid:
             raise ValueError("paths must share the same time grid")
         dx = (self.X - other.X).reshape(len(self.times), -1)
         dv = (self.V - other.V).reshape(len(self.times), -1)

@@ -208,6 +208,8 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
         lo, hi = 0.0, cap
         for _ in range(80):
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break  # lo and hi are adjacent floats: nothing can change
             if s_of(mid) <= target:
                 lo = mid
             else:

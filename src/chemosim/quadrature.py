@@ -1,11 +1,15 @@
 """Deterministic quadrature rules shared by the field and verification code.
 
 Everything here is pure and seed-free except `halton_points`, which takes an
-explicit seed so sample sets are reproducible.
+explicit seed so sample sets are reproducible.  Its sampler is Owen's
+randomized Halton sequence (A. B. Owen, "A randomized Halton algorithm in
+R", arXiv:1706.02808, 2017), written with numpy alone; scipy's
+``qmc.Halton`` draws the same points and serves the tests as their oracle.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -104,19 +108,55 @@ def trapezoid_cumulative(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _first_primes(count: int) -> list[int]:
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
 def halton_points(n: int, bounds: list[tuple[float, float]], seed: int = 0) -> np.ndarray:
-    """n low-discrepancy points in the box given by per-axis (lo, hi) bounds;
-    an inverted bound (lo > hi) raises ValueError."""
+    """n scrambled-Halton points in the box given by per-axis (lo, hi) bounds;
+    an inverted bound (lo > hi) raises ValueError.
+
+    Axis k is the van der Corput sequence in the k-th prime base p,
+    randomized by Owen's digit permutations (A. B. Owen, "A randomized
+    Halton algorithm in R", arXiv:1706.02808, 2017): digit j of the index
+    goes through its own random permutation of range(p), for every j with
+    p**-(j+1) > 2**-54.  The permutations come, base by base and digit by
+    digit, from ``numpy.random.default_rng(seed)``, and each point sums its
+    digits in order, so the points equal those of scipy's
+    ``qmc.Halton(d, scramble=True, seed=seed).random(n)`` bit for bit.
+    """
     for lo, hi in bounds:
         if not lo <= hi:
             raise ValueError(f"sample range ({lo}, {hi}) is inverted")
-    # imported here, not at module level: scipy.stats adds about 70 MB of
-    # resident memory to every run, and only the verification samplers use it
-    from scipy.stats import qmc
-
-    dim = len(bounds)
-    sampler = qmc.Halton(d=dim, scramble=True, seed=seed)
-    u = sampler.random(n)
+    rng = np.random.default_rng(seed)
+    index = np.arange(n)
+    u = np.empty((n, len(bounds)))
+    for axis, base in enumerate(_first_primes(len(bounds))):
+        digits = math.ceil(54 / math.log2(base)) - 1
+        # one shuffle per row, in row order, all from the one generator
+        perms = rng.permuted(np.tile(np.arange(base), (digits, 1)), axis=1)
+        live, top = 0, n - 1  # how many digits the largest index has
+        while top > 0:
+            live, top = live + 1, top // base
+        value = np.zeros(n)
+        scale = 1.0 / base
+        rest = index
+        for perm in perms[:live]:
+            value += perm[rest % base] * scale
+            scale /= base
+            rest = rest // base
+        # every later digit is 0, but its permuted value still counts, and
+        # the sum runs digit by digit as the definition's does
+        for first in perms[live:, 0].tolist():
+            value += first * scale
+            scale /= base
+        u[:, axis] = value
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     return lo + u * (hi - lo)

@@ -9,6 +9,7 @@ share across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
@@ -201,12 +202,10 @@ def make_scenario(coeffs: OperatorCoefficients,
         )
     if not (0.0 < coeffs.holder_exponent < 1.0):
         raise ScenarioError("holder exponent must lie in (0, 1)")
-    if growth.T <= 0:
-        raise ScenarioError("horizon must be positive")
-    if nonlocal_delta is not None and nonlocal_delta <= 0:
-        raise ScenarioError("nonlocal sensing radius must be strictly positive")
-    if R <= 0:
-        raise ScenarioError("compact radius R must be positive")
+    for label, value in (("horizon", growth.T), ("compact radius R", R),
+                         ("nonlocal sensing radius delta", nonlocal_delta)):
+        if value is not None and not 0.0 < value < math.inf:  # NaN too
+            raise ScenarioError(f"{label} must be positive and finite, got {value!r}")
     if getattr(getattr(phi, "gaussian_source", None), "at_agents", False):
         raise ScenarioError("an initial datum has no agents to centre its Gaussians at")
 
@@ -214,8 +213,8 @@ def make_scenario(coeffs: OperatorCoefficients,
     coeffs = replace(coeffs, mu0=mu0, mu1=mu1)
 
     lam0 = lambda0_bound(mu0, mu1)
-    if growth.C < 0:
-        raise ScenarioError("growth constant C must be nonnegative")
+    if not growth.C >= 0:  # NaN too
+        raise ScenarioError(f"growth constant C must be nonnegative, got {growth.C!r}")
     if growth.C >= lam0 / (4.0 * growth.T):
         raise ScenarioError(
             f"growth constant C={growth.C:g} violates the parabolicity side "

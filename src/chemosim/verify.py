@@ -324,26 +324,31 @@ def gronwall_oracle(alpha_g: float, w, v, grid, tolerance: float = 1e-3,
 
     # row j holds v(grid[k], grid[j]) times the trapezoid weight of node k
     # on [0, grid[j]]: d[0]/2, then (d[k-1] + d[k])/2, then d[j-1]/2 (all
-    # zero on row 0)
-    v_mat = np.zeros((m, m))
+    # zero on row 0).  The matrix exists only once a row has a nonzero
+    # entry: for v == 0 the double integral is exactly 0 and is left out.
+    v_mat = None
     for j in range(m):
-        v_mat[j, :j + 1] = v(grid[:j + 1], grid[j])
-    if v_mat.min() < 0:
-        raise ValueError("v must be nonnegative")
-    d = np.diff(grid)
-    diag = v_mat.diagonal()[1:] * (d / 2.0)
-    v_mat[:, 0] *= d[0] / 2.0
-    v_mat[:, 1:-1] *= (d[:-1] + d[1:]) / 2.0
-    np.fill_diagonal(v_mat[1:, 1:], diag)
-    v_mat[0] = 0.0
+        row = v(grid[:j + 1], grid[j])
+        if v_mat is None and np.count_nonzero(row):  # NaN counts too
+            v_mat = np.zeros((m, m))
+        if v_mat is not None:
+            v_mat[j, :j + 1] = row
+    if v_mat is not None:
+        if v_mat.min() < 0:
+            raise ValueError("v must be nonnegative")
+        d = np.diff(grid)
+        diag = v_mat.diagonal()[1:] * (d / 2.0)
+        v_mat[:, 0] *= d[0] / 2.0
+        v_mat[:, 1:-1] *= (d[:-1] + d[1:]) / 2.0
+        np.fill_diagonal(v_mat[1:, 1:], diag)
+        v_mat[0] = 0.0
 
     h = np.full(m, alpha_g, dtype=float)
     cap = 1e12 * max(1.0, alpha_g)
     for _ in range(max_iters):
-        single = trapezoid_cumulative(w_vals * h, grid)
-        inner = v_mat @ h
-        double = trapezoid_cumulative(inner, grid)
-        h_new = alpha_g + single + double
+        h_new = alpha_g + trapezoid_cumulative(w_vals * h, grid)
+        if v_mat is not None:
+            h_new += trapezoid_cumulative(v_mat @ h, grid)
         if not np.all(np.isfinite(h_new)) or h_new.max() > cap:
             raise RuntimeError("discrete fixed-point diverged; inputs not integrable on this grid")
         step = float(np.abs(h_new - h).max())
@@ -353,8 +358,8 @@ def gronwall_oracle(alpha_g: float, w, v, grid, tolerance: float = 1e-3,
     else:
         raise RuntimeError("discrete fixed-point did not stabilize")
 
-    v_inner = v_mat.sum(axis=1)
-    bound = alpha_g * np.exp(trapezoid_cumulative(w_vals + v_inner, grid))
+    rate = w_vals if v_mat is None else w_vals + v_mat.sum(axis=1)
+    bound = alpha_g * np.exp(trapezoid_cumulative(rate, grid))
     rep = EstimateReport(claim="integral-inequality-bound",
                          constants={"alpha_g": alpha_g},
                          tolerance=tolerance, sample_count=m)

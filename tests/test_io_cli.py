@@ -54,6 +54,18 @@ def test_import_leaves_heavy_scipy_subpackages_unloaded():
     assert res.stdout.strip() == "[]"
 
 
+def test_verify_all_leaves_scipy_stats_unloaded(tmp_path):
+    # the verify sample sets come from chemosim's own Halton sampler
+    p = write_cfg(tmp_path)
+    code = ("import sys; from chemosim import cli; "
+            f"code = cli.main(['verify', '--config', {str(p)!r}, '--suite', 'all', "
+            f"'--output-dir', {str(tmp_path / 'run')!r}]); "
+            "print(code, 'scipy.stats' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().splitlines()[-1] == "0 False"
+
+
 # -- file formats -----------------------------------------------------------------------
 
 
@@ -377,6 +389,28 @@ def test_cli_snapshot_outside_the_solved_span(tmp_path, args, message):
     assert res.returncode == 3, res.stderr
     assert message in res.stderr
     assert not list(out.glob("field_t*.csv"))  # not even the in-range one
+
+
+@pytest.mark.parametrize("times", ["abc", "0.25,abc", "0.25,"])
+def test_cli_field_export_bad_time_is_a_usage_error(tmp_path, times):
+    p = write_cfg(tmp_path, dict(DAMPED_CFG, horizon=1.0))
+    out = tmp_path / "run"
+    res = run_cli("field-export", "--config", str(p), "--times", times, "--output-dir", str(out))
+    assert res.returncode == 2, res.stderr
+    bad = times.split(",")[-1]
+    assert f"argument --times: snapshot time {bad!r} is not a number" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, label", [("horizon", "horizon"), ("R", "compact radius R"),
+                                        ("delta", "nonlocal sensing radius delta")])
+@pytest.mark.parametrize("command", ["simulate", "bounds"])
+def test_cli_nan_config_number_is_a_config_error(tmp_path, command, key, label):
+    # json.dumps writes NaN and json.loads reads it back
+    p = write_cfg(tmp_path, {**DAMPED_CFG, "mode": "nonlocal", "delta": 0.1, key: float("nan")})
+    res = run_cli(command, "--config", str(p), "--output-dir", str(tmp_path / "run"))
+    assert res.returncode == 2, res.stderr
+    assert f"config error: {label} must be positive and finite, got nan" in res.stderr
 
 
 def test_cli_field_export(tmp_path):

@@ -88,6 +88,29 @@ def test_nonlocal_delta_must_be_positive():
     assert build(delta=0.2).nonlocal_delta == 0.2
 
 
+S1_CONFIG = {
+    "dimension": 1, "horizon": 1.0, "coefficients": "heat", "phi": "gaussian",
+    "g": "agent-secretion", "force": {"name": "damped-chemotaxis", "chi": 0.3, "kappa_v": 1.0},
+    "X0": [[0.2, -0.3]], "V0": [[0.3, 0.0]],
+}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("horizon", float("nan"), "horizon must be positive and finite, got nan"),
+    ("horizon", float("inf"), "horizon must be positive and finite, got inf"),
+    ("R", float("nan"), "compact radius R must be positive and finite, got nan"),
+    ("R", 0.0, "compact radius R must be positive and finite, got 0.0"),
+    ("delta", float("nan"), "sensing radius delta must be positive and finite, got nan"),
+    ("delta", float("inf"), "sensing radius delta must be positive and finite, got inf"),
+    ("growth", {"C": float("nan")}, "growth constant C must be nonnegative, got nan"),
+], ids=["horizon-nan", "horizon-inf", "R-nan", "R-zero", "delta-nan", "delta-inf",
+        "growth-C-nan"])
+def test_non_finite_config_numbers_are_rejected_by_name(key, value, message):
+    # json.loads accepts NaN and Infinity, so a config can carry them
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_config(dict(S1_CONFIG, **{key: value}))
+
+
 def test_initial_datum_cannot_centre_gaussians_at_agents():
     phi, h_phi, c_phi, m_phi = phi_preset("gaussian")
 
