@@ -32,7 +32,6 @@ from .picard import (
     solve_global,
     solve_local,
 )
-from .quadrature import halton_points
 from .scenario import Scenario, ScenarioError, build_scenario
 
 EXIT_OK = 0
@@ -58,6 +57,14 @@ def _time_list(text: str) -> list[float]:
     return times
 
 
+def _positive_int(text: str) -> int:
+    """A count of at least 1; argparse reports anything else as a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chemosim",
                                      description="Coupled agent/signal simulation and bound verification")
@@ -78,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vfy.add_argument("--config", required=True)
     vfy.add_argument("--suite", default="all",
                      help=f"comma-separated subset of {','.join(ALL_SUITES)} or 'all'")
-    vfy.add_argument("--samples", type=int, default=300)
+    vfy.add_argument("--samples", type=_positive_int, default=300)
     vfy.add_argument("--seed", type=int, default=0)
     vfy.add_argument("--falsify", action="store_true",
                      help="shrink prop1's claimed K by 50x, so the checker must fail")
@@ -110,6 +117,8 @@ def _sensing(cfg, scenario: Scenario, mode: str | None = None,
     ``delta`` override the config's; pointwise sensing has no radius."""
     mode = mode or cfg.get("mode", MODE_POINTWISE)
     if mode != MODE_NONLOCAL:
+        if delta is not None:
+            raise ConfigError(f"--delta sets the non-local sensing radius; {mode} sensing has none")
         return scenario, mode, None
     if delta is not None:
         if not delta > 0:  # NaN too; the config's delta was checked at build
@@ -178,31 +187,6 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _holder_pairs(scenario: Scenario, count: int, seed: int, radius: float = 2.0):
-    dim = scenario.dimension
-    pts = halton_points(2 * count, [(-radius, radius)] * dim, seed=seed)
-    return [(pts[2 * i], pts[2 * i + 1]) for i in range(count)]
-
-
-def _holder_pairs_two_arg(scenario: Scenario, count: int, seed: int, radius: float = 2.0):
-    dim, n = scenario.dimension, scenario.n
-    cols = 2 * dim + 2 * dim * n
-    raw = halton_points(count, [(-radius, radius)] * cols, seed=seed)
-    pairs = []
-    for row in raw:
-        x = row[:dim]
-        y = row[dim:2 * dim]
-        xx = row[2 * dim:2 * dim + dim * n].reshape(dim, n)
-        yy = row[2 * dim + dim * n:].reshape(dim, n)
-        # configurations stay inside the ball of the declared radius
-        for m in (xx, yy):
-            nrm = np.linalg.norm(m)
-            if nrm > radius:
-                m *= radius / nrm
-        pairs.append(((x, xx), (y, yy)))
-    return pairs
-
-
 def _sample_floor(default: float, horizon: float) -> float:
     """Lower end of a sampled time range inside (0, horizon]: the generator
     default, or a tenth of a horizon that lies below it."""
@@ -240,12 +224,12 @@ def _run_suites(scenario: Scenario, suites, samples: int, seed: int, falsify: bo
             reports.extend([rep_g, rep_h])
         elif suite == "holder":
             growth = scenario.growth
-            reports.append(ver.check_holder(scenario.phi, scenario.alpha, growth.C,
-                                            growth.H, _holder_pairs(scenario, samples, seed)))
+            pairs = ver.holder_pairs(scenario.dimension, samples, seed)
+            reports.append(ver.check_holder(scenario.phi, scenario.alpha, growth.C, growth.H, pairs))
             radius = 2.0
+            pairs = ver.holder_pairs_two_arg(scenario.dimension, scenario.n, samples, seed, radius)
             reports.append(ver.check_holder(scenario.g, scenario.alpha, growth.C,
-                                            growth.HR(radius),
-                                            _holder_pairs_two_arg(scenario, samples, seed, radius)))
+                                            growth.HR(radius), pairs))
         elif suite == "gronwall":
             grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
             cases = [

@@ -33,11 +33,11 @@ def write_trajectory(path: AgentPath, file) -> None:
     cols += [f"x{j + 1}_{d + 1}" for j in range(n_ag) for d in range(n_dim)]
     cols += [f"v{j + 1}_{d + 1}" for j in range(n_ag) for d in range(n_dim)]
     lines = [f"# {TRAJECTORY_TAG}", "# " + ",".join(cols)]
-    for k, t in enumerate(path.times):
-        row = [_fmt(t)]
-        row += [_fmt(path.X[k, d, j]) for j in range(n_ag) for d in range(n_dim)]
-        row += [_fmt(path.V[k, d, j]) for j in range(n_ag) for d in range(n_dim)]
-        lines.append(",".join(row))
+    m = len(path.times)
+    # (time, axis, agent) -> (time, agent, axis): agent-major columns
+    table = np.hstack([path.times[:, None], path.X.transpose(0, 2, 1).reshape(m, -1),
+                       path.V.transpose(0, 2, 1).reshape(m, -1)])
+    lines += [",".join(_fmt(v) for v in row) for row in table.tolist()]
     Path(file).write_text("\n".join(lines) + "\n")
 
 
@@ -55,17 +55,9 @@ def read_trajectory(file) -> AgentPath:
     rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
     data = np.asarray(rows)
     times = data[:, 0]
-    X = np.empty((len(times), n_dim, n_ag))
-    V = np.empty_like(X)
-    col = 1
-    for j in range(n_ag):
-        for d in range(n_dim):
-            X[:, d, j] = data[:, col]
-            col += 1
-    for j in range(n_ag):
-        for d in range(n_dim):
-            V[:, d, j] = data[:, col]
-            col += 1
+    # agent-major columns -> (time, axis, agent)
+    X, V = (block.reshape(len(times), n_ag, n_dim).transpose(0, 2, 1).copy()
+            for block in (data[:, 1:1 + n_pairs], data[:, 1 + n_pairs:]))
     return AgentPath(times, X, V)
 
 

@@ -378,7 +378,7 @@ def solve_global(scenario: Scenario, horizon: float,
     """
     if not scenario.satisfies_global_hypotheses:
         raise PicardError("global continuation requires a globally Lipschitz force law")
-    if horizon <= 0 or horizon > scenario.growth.T * (1.0 + 1e-12):
+    if not 0.0 < horizon <= scenario.growth.T * (1.0 + 1e-12):  # NaN too
         raise ValueError("requested horizon must lie in (0, T]")
     delta = _resolve_delta(scenario, mode, None)
     params = scenario.estimate_params
@@ -425,11 +425,11 @@ def _lemma_constants(scenario: Scenario, params: EstimateParams | None = None) -
     return k1, k2, ktilde2
 
 
-def _c0_constant(scenario: Scenario, horizon: float, samples: int = 129) -> float:
-    """max over [0, horizon] of the norm of the force on all agents at the
-    frozen initial state with zero sensed gradient."""
-    times = np.linspace(0.0, horizon, samples)
-    shape = (samples,) + scenario.X0.shape
+def _c0_constant(scenario: Scenario, horizon: float) -> float:
+    """max over 129 times in [0, horizon] of the norm of the force on all
+    agents at the frozen initial state with zero sensed gradient."""
+    times = np.linspace(0.0, horizon, 129)
+    shape = times.shape + scenario.X0.shape
     forces = scenario.force.eval(times, np.broadcast_to(scenario.X0, shape),
                                  np.broadcast_to(scenario.V0, shape), np.zeros(shape))
     worst = 0.0
@@ -463,19 +463,19 @@ def gronwall_bound_B(scenario: Scenario, horizon: float,
 
 
 def apriori_grad_bound(scenario: Scenario, x, t: float, path: AgentPath,
-                       params: EstimateParams | None = None,
-                       time_nodes: int = 32) -> float:
+                       params: EstimateParams | None = None) -> float:
     """Pointwise bound on |grad f(x, t)| under the linear-growth hypothesis:
 
         K1 ( (1 + |x|)/sqrt(t) + K2 + integral_0^t (1 + |x| + |X(tau)|)/sqrt(t - tau) dtau )
 
-    with the time integral evaluated through the tau = t - s^2 substitution.
+    with the time integral evaluated through the tau = t - s^2 substitution
+    by a 32-node Gauss-Legendre rule in s.
     """
     if t <= 0:
         raise ValueError("the gradient bound needs t > 0")
     k1, k2, _ = _lemma_constants(scenario, params)
     x_norm = float(np.linalg.norm(np.asarray(x, dtype=float)))
-    s_nodes, s_wts = gauss_legendre(0.0, math.sqrt(t), time_nodes)
+    s_nodes, s_wts = gauss_legendre(0.0, math.sqrt(t), 32)
     taus = np.maximum(t - s_nodes * s_nodes, 0.0)
     integral = 0.0
     for ws, x_tau in zip(s_wts, path.positions_at(taus)):

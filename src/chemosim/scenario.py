@@ -143,13 +143,12 @@ class Scenario:
         return default_estimate_params(self.kernel, self.growth, self.alpha)
 
 
-def _probe_grid(dimension: int, horizon: float, half_width: float = 2.0,
-                n_space: int = 5, n_time: int = 3) -> tuple[Array, Array]:
-    axes = [np.linspace(-half_width, half_width, n_space)] * dimension
+def _probe_grid(dimension: int, horizon: float) -> tuple[Array, Array]:
+    """5 points per axis on [-2, 2]^N and 3 times on [0, horizon]."""
+    axes = [np.linspace(-2.0, 2.0, 5)] * dimension
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    times = np.linspace(0.0, horizon, n_time)
-    return pts, times
+    return pts, np.linspace(0.0, horizon, 3)
 
 
 def probe_parabolicity(coeffs: OperatorCoefficients, horizon: float) -> tuple[float, float]:

@@ -6,6 +6,13 @@ observed/bound, so a report passes exactly when its worst ratio stays below
 1 + tolerance; checkers that measure a deviation (kernel mass, residuals)
 report 1 + deviation against the same rule.  Sample sets come from
 low-discrepancy sequences with a recorded seed, so reports are reproducible.
+
+A sample set is a tuple of arrays, one row per sample: points (P, N), times
+(P,) and agent configurations (P, N, n), in the order each builder lists.
+Every checker computes one ratio per sample, and one reduction keeps the
+first largest and its sample.  A NaN ratio counts as +inf, so a failed
+measurement fails the report and names its sample.  An empty set reports
+worst ratio -1 (0 for kernel mass and Hoelder) and no worst sample.
 """
 
 from __future__ import annotations
@@ -33,7 +40,12 @@ __all__ = [
     "mass_samples",
     "gamma_samples",
     "space_time_samples",
+    "holder_pairs",
+    "holder_pairs_two_arg",
 ]
+
+# reach of the scaled offset |x - xi| / sqrt(t - tau) in the kernel checks
+_Z_MAX = 12.0
 
 
 @dataclass
@@ -78,80 +90,100 @@ class EstimateReport:
         }
 
 
+def _reduce(rep: EstimateReport, ratios, sample, floor: float = -1.0,
+            deviation: bool = False) -> EstimateReport:
+    """Finalize ``rep`` with the largest ratio (NaN counts as +inf, 1 is
+    added for a deviation) and ``sample(k)`` of the first k reaching it;
+    ratios that never exceed ``floor`` leave ``floor`` and no sample."""
+    ratios = np.asarray(ratios, dtype=float)
+    ratios = np.where(np.isnan(ratios), np.inf, ratios)
+    worst = floor
+    if ratios.size:
+        k = int(np.argmax(ratios))
+        if ratios[k] > floor:
+            worst = float(ratios[k])
+            rep.worst_sample = sample(k)
+    rep.worst_ratio = 1.0 + worst if deviation else worst
+    return rep.finalize()
+
+
 # -- sample-set generators -------------------------------------------------------
 # An inverted time range (t_min > t_max) raises ValueError.
 
 
 def mass_samples(dim: int, count: int = 20, t_max: float = 1.0, seed: int = 0,
                  t_min: float = 0.1):
-    """(x, t, tau) triples with t_min <= t <= t_max and 0 <= tau < t."""
+    """x (P, N), t (P,) and tau (P,) with t_min <= t <= t_max and 0 <= tau < t."""
     raw = halton_points(count, [(-2.0, 2.0)] * dim + [(t_min, t_max), (0.0, 0.9)], seed=seed)
-    out = []
-    for row in raw:
-        x = row[:dim]
-        t = float(row[dim])
-        tau = float(row[dim + 1]) * t * 0.9
-        out.append((x, t, tau))
-    return out
+    t = raw[:, dim]
+    return raw[:, :dim], t, raw[:, dim + 1] * t * 0.9
 
 
-def gamma_samples(dim: int, count: int = 1000, z_max: float = 12.0,
-                  t_max: float = 1.0, seed: int = 0, t_min: float = 0.01):
-    """(offset, s) pairs with t_min <= s <= t_max: offset = x - xi spanned
-    through z = |offset|/sqrt(s)."""
-    raw = halton_points(count, [(0.0, z_max), (t_min, t_max)] + [(0.0, 1.0)] * (dim - 1),
+def gamma_samples(dim: int, count: int = 1000, t_max: float = 1.0, seed: int = 0,
+                  t_min: float = 0.01):
+    """offset (P, N) and s (P,) with t_min <= s <= t_max: offset = x - xi
+    spanned through z = |offset|/sqrt(s) in [0, _Z_MAX] and a direction."""
+    raw = halton_points(count, [(0.0, _Z_MAX), (t_min, t_max)] + [(0.0, 1.0)] * (dim - 1),
                         seed=seed)
-    out = []
-    for row in raw:
-        z, s = float(row[0]), float(row[1])
-        if dim == 1:
-            eta = np.array([1.0])
-        elif dim == 2:
-            th = 2.0 * math.pi * row[2]
-            eta = np.array([math.cos(th), math.sin(th)])
+    z, s = raw[:, 0], raw[:, 1]
+    if dim == 1:
+        eta = np.ones((count, 1))
+    else:
+        th = 2.0 * math.pi * raw[:, 2]
+        if dim == 2:
+            eta = np.stack([np.cos(th), np.sin(th)], axis=1)
         else:
-            th = 2.0 * math.pi * row[2]
-            mu = 2.0 * row[3] - 1.0 if len(row) > 3 else 0.0
-            r = math.sqrt(max(1.0 - mu * mu, 0.0))
-            eta = np.array([r * math.cos(th), r * math.sin(th), mu])
-        out.append((z * math.sqrt(s) * eta, s))
-    return out
+            mu = 2.0 * raw[:, 3] - 1.0
+            r = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
+            eta = np.stack([r * np.cos(th), r * np.sin(th), mu], axis=1)
+    return (z * np.sqrt(s))[:, None] * eta, s
 
 
 def space_time_samples(dim: int, count: int, box: float = 3.0,
                        t_range: tuple[float, float] = (0.01, 1.0), seed: int = 0):
-    """(x, t) pairs in [-box, box]^dim x t_range."""
+    """x (P, N) in [-box, box]^N and t (P,) in t_range."""
     raw = halton_points(count, [(-box, box)] * dim + [t_range], seed=seed)
-    return [(row[:dim], float(row[dim])) for row in raw]
+    return raw[:, :dim], raw[:, dim]
+
+
+def holder_pairs(dim: int, count: int, seed: int, radius: float = 2.0):
+    """Point pairs x, y (P, N) in [-radius, radius]^N."""
+    pts = halton_points(2 * count, [(-radius, radius)] * dim, seed=seed)
+    return pts[0::2], pts[1::2]
+
+
+def holder_pairs_two_arg(dim: int, n: int, count: int, seed: int, radius: float = 2.0):
+    """Pairs of (point, configuration): x, y (P, N) in [-radius, radius]^N and
+    configurations X, Y (P, N, n) scaled into the ball of that radius."""
+    raw = halton_points(count, [(-radius, radius)] * (2 * dim + 2 * dim * n), seed=seed)
+    conf = raw[:, 2 * dim:].reshape(count, 2, dim * n)
+    nrm = np.sqrt(np.vecdot(conf, conf))
+    conf *= (radius / np.maximum(nrm, radius))[:, :, None]  # exactly 1 inside the ball
+    conf = conf.reshape(count, 2, dim, n)
+    return raw[:, :dim], conf[:, 0], raw[:, dim:2 * dim], conf[:, 1]
 
 
 # -- kernel checks ----------------------------------------------------------------
 
 
 def check_kernel_mass(kernel: Kernel, samples, tolerance: float = 1e-6,
-                      u_max: float = 12.0, nodes: int | None = None) -> EstimateReport:
+                      nodes: int | None = None) -> EstimateReport:
     """Quadrature of the kernel over its second spatial argument; the total
     mass must be 1.  Rejects kernels with a nonzero reaction rate, which
     rescale mass by exp(c (t - tau))."""
     if kernel.c != 0.0:
         raise ValueError("mass check requires a zero reaction rate")
     nodes = nodes if nodes is not None else {1: 128, 2: 64, 3: 32}[kernel.dim]
-    u_pts, u_wts = tensor_grid(-u_max, u_max, nodes, kernel.dim)
-    report = EstimateReport(claim="kernel-mass", tolerance=tolerance,
-                            sample_count=len(samples))
-    worst_dev = -1.0
-    for x, t, tau in samples:
-        s = t - tau
-        center = np.asarray(x, dtype=float) + kernel.b * s
-        xi = center[None, :] + math.sqrt(s) * u_pts
-        vals = kernel.eval(np.asarray(x, dtype=float)[None, :], t, xi, tau)
-        mass = s ** (kernel.dim / 2.0) * float(u_wts @ vals)
-        dev = abs(mass - 1.0)
-        if dev > worst_dev:
-            worst_dev = dev
-            report.worst_sample = (np.asarray(x), t, tau)
-    report.worst_ratio = 1.0 + worst_dev
-    return report.finalize()
+    u_pts, u_wts = tensor_grid(-_Z_MAX, _Z_MAX, nodes, kernel.dim)
+    x, t, tau = samples
+    devs = []
+    for xk, tk, tau_k in zip(x, t.tolist(), tau.tolist()):
+        s = tk - tau_k
+        xi = (xk + kernel.b * s)[None, :] + math.sqrt(s) * u_pts
+        vals = kernel.eval(xk[None, :], tk, xi, tau_k)
+        devs.append(abs(s ** (kernel.dim / 2.0) * float(u_wts @ vals) - 1.0))
+    report = EstimateReport(claim="kernel-mass", tolerance=tolerance, sample_count=len(t))
+    return _reduce(report, devs, lambda k: (x[k], float(t[k]), float(tau[k])), deviation=True)
 
 
 def check_gamma_estimates(kernel: Kernel, params: EstimateParams, samples,
@@ -166,27 +198,22 @@ def check_gamma_estimates(kernel: Kernel, params: EstimateParams, samples,
         raise ValueError("no envelope prefactor available")
     lam_star = params.lambda0_star
     dim = kernel.dim
-    reports = {}
+    offsets, times = samples
     x0 = np.zeros(dim)
-    offsets = np.array([o for o, _ in samples], dtype=float).reshape(len(samples), dim)
-    times = np.array([s for _, s in samples], dtype=float)
+    r2 = np.vecdot(offsets, offsets).tolist()
+    reports = {}
     for order in (0, 1, 2):
         rep = EstimateReport(claim=f"kernel-decay-order{order}",
                              constants={"C_gamma": c_g, "lambda0_star": lam_star},
-                             tolerance=tolerance, sample_count=len(samples))
-        worst = -1.0
+                             tolerance=tolerance, sample_count=len(times))
         # one kernel call for all samples; |entries| maxed per sample
         values = np.abs(kernel.derivative(order, x0, times, x0 - offsets, 0.0))
-        measured_all = values.reshape(len(samples), dim**order).max(axis=1)
-        for (offset, s), measured in zip(samples, measured_all):
-            r2 = float(np.dot(offset, offset))
-            envelope = c_g * s ** (-(dim + order) / 2.0) * math.exp(-lam_star * r2 / (4.0 * s))
-            ratio = float(measured) / envelope if envelope > 0 else math.inf
-            if ratio > worst:
-                worst = ratio
-                rep.worst_sample = (np.asarray(offset), s)
-        rep.worst_ratio = worst
-        reports[order] = rep.finalize()
+        measured = values.reshape(len(times), dim**order).max(axis=1).tolist()
+        ratios = []
+        for m, s, rr in zip(measured, times.tolist(), r2):
+            envelope = c_g * s ** (-(dim + order) / 2.0) * math.exp(-lam_star * rr / (4.0 * s))
+            ratios.append(m / envelope if envelope > 0 else math.inf)
+        reports[order] = _reduce(rep, ratios, lambda k: (offsets[k], float(times[k])))
     return reports
 
 
@@ -204,47 +231,38 @@ def check_prop1(scenario: Scenario, probe: FieldProbe, samples,
     and hessian reports.  The bounds blow up at t = 0, so every sample needs
     t > 0 (ValueError otherwise).
     """
-    for k, (_, t) in enumerate(samples):
-        if not t > 0:
-            raise ValueError(f"prop1 sample {k} has t = {t}; the derivative bounds need t > 0")
+    pts, times = samples
+    bad = np.flatnonzero(~(times > 0))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"prop1 sample {k} has t = {float(times[k])}; "
+                         "the derivative bounds need t > 0")
     params = scenario.estimate_params
-    if params.big_k is None or params.kappa is None:
-        raise ValueError("scenario is missing derivative-bound constants")
     big_k = params.big_k * k_scale
     kappa = params.kappa
     alpha = scenario.alpha
     h = scenario.growth.H
     h_x = scenario.growth.HR(probe.path.sup_position_norm())
 
-    rep_g = EstimateReport(claim="field-gradient-bound",
-                           constants={"K": big_k, "kappa": kappa, "H": h, "H_X": h_x},
-                           tolerance=tolerance, sample_count=len(samples))
-    rep_h = EstimateReport(claim="field-hessian-bound",
-                           constants={"K": big_k, "kappa": kappa, "H": h, "H_X": h_x},
-                           tolerance=tolerance, sample_count=len(samples))
-    worst_g = worst_h = -1.0
-    tiny = 1e-14
-    pts = np.array([x for x, _ in samples], dtype=float).reshape(len(samples), scenario.dimension)
-    times = np.array([t for _, t in samples], dtype=float)
-    grads = probe.gradient_many(pts, times)
-    hessians = probe.hessian_many(pts, times)
-    for (_, t), x, grad, hess in zip(samples, pts, grads, hessians):
-        weight = big_k * math.exp(kappa * float(x @ x))
-        bound_g = weight * (h * t ** (-(1.0 - alpha) / 2.0)
-                            + 2.0 / (alpha + 1.0) * t ** ((alpha + 1.0) / 2.0) * h_x)
-        bound_h = weight * (h * t ** (-(1.0 - alpha / 2.0))
-                            + 2.0 / alpha * t ** (alpha / 2.0) * h_x)
-        meas_g = float(np.abs(grad).max())
-        meas_h = float(np.abs(hess).max())
-        ratio_g = meas_g / bound_g if bound_g > 0 else (0.0 if meas_g < tiny else math.inf)
-        ratio_h = meas_h / bound_h if bound_h > 0 else (0.0 if meas_h < tiny else math.inf)
-        if ratio_g > worst_g:
-            worst_g, rep_g.worst_sample = ratio_g, (x, t)
-        if ratio_h > worst_h:
-            worst_h, rep_h.worst_sample = ratio_h, (x, t)
-    rep_g.worst_ratio = worst_g
-    rep_h.worst_ratio = worst_h
-    return rep_g.finalize(), rep_h.finalize()
+    # the powers and exponentials stay scalar, where numpy's array routines
+    # round apart from libm
+    bounds_g, bounds_h = [], []
+    for t, sq in zip(times.tolist(), np.vecdot(pts, pts).tolist()):
+        weight = big_k * math.exp(kappa * sq)
+        bounds_g.append(weight * (h * t ** (-(1.0 - alpha) / 2.0)
+                                  + 2.0 / (alpha + 1.0) * t ** ((alpha + 1.0) / 2.0) * h_x))
+        bounds_h.append(weight * (h * t ** (-(1.0 - alpha / 2.0))
+                                  + 2.0 / alpha * t ** (alpha / 2.0) * h_x))
+    reports = []
+    for claim, values, bounds in (("field-gradient-bound", probe.gradient_many(pts, times), bounds_g),
+                                  ("field-hessian-bound", probe.hessian_many(pts, times), bounds_h)):
+        measured = np.abs(values).max(axis=tuple(range(1, values.ndim))).tolist()
+        ratios = [m / b if b > 0 else (0.0 if m < 1e-14 else math.inf)
+                  for m, b in zip(measured, bounds)]
+        rep = EstimateReport(claim=claim, constants={"K": big_k, "kappa": kappa, "H": h, "H_X": h_x},
+                             tolerance=tolerance, sample_count=len(times))
+        reports.append(_reduce(rep, ratios, lambda k: (pts[k], float(times[k]))))
+    return tuple(reports)
 
 
 # -- data regularity -----------------------------------------------------------------
@@ -254,55 +272,53 @@ def check_holder(fn, alpha: float, c_weight: float, claimed_h: float, pairs,
                  tolerance: float = 1e-9) -> EstimateReport:
     """Weighted Hoelder check on sampled argument pairs.
 
-    Pairs of points check |fn(x) - fn(y)| against
-    claimed_h * exp(c_weight * max(|x|^2, |y|^2)) * |x-y|^alpha; pairs of
-    (x, X) tuples additionally carry the configuration term |X - Xhat|.
-    fn is called once per side with all pairs stacked: points (P, N), and
-    configurations (P, N, n) for two-argument pairs.
+    Point pairs ``(x, y)`` check |fn(x) - fn(y)| against
+    claimed_h * exp(c_weight * max(|x|^2, |y|^2)) * |x-y|^alpha; pairs
+    ``(x, X, y, Y)`` with configurations X, Y (P, N, n) additionally carry the
+    configuration term |X - Y|.  fn is called once per side with all pairs
+    stacked.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
+    two_arg = len(pairs) == 4
+    x, y = pairs[::2] if two_arg else pairs
     rep = EstimateReport(claim="holder-envelope",
                          constants={"H": claimed_h, "alpha": alpha, "C": c_weight},
-                         tolerance=tolerance, sample_count=len(pairs))
-    if len(pairs) == 0:
+                         tolerance=tolerance, sample_count=len(x))
+    if len(x) == 0:
         return rep.finalize()
-    if isinstance(pairs[0][0], (tuple, list)):
-        x, xx, y, yy = (np.stack([np.asarray(pair[side][k], dtype=float) for pair in pairs])
-                        for side in (0, 1) for k in (0, 1))
+    if two_arg:
+        xx, yy = pairs[1::2]
         fx, fy = fn(x, xx), fn(y, yy)
-        dconf = (xx - yy).reshape(len(pairs), -1)
+        dconf = (xx - yy).reshape(len(x), -1)
         conf = np.sqrt(np.vecdot(dconf, dconf)).tolist()
     else:
-        x, y = (np.stack([np.asarray(pair[side], dtype=float) for pair in pairs])
-                for side in (0, 1))
         fx, fy = fn(x), fn(y)
-        conf = [0.0] * len(pairs)
+        conf = [0.0] * len(x)
     # vecdot rounds as one-pair dot products and norms do; the powers and
     # exponentials stay scalar, where numpy's array routines round apart
     num = np.abs(fx - fy).tolist()
     dist = np.sqrt(np.vecdot(x - y, x - y)).tolist()
     sq = np.maximum(np.vecdot(x, x), np.vecdot(y, y)).tolist()
-    worst = 0.0
     tiny = 1e-15
-    for k in range(len(pairs)):
+    ratios = []
+    for k in range(len(x)):
         denom = claimed_h * math.exp(c_weight * sq[k]) * (dist[k] ** alpha + conf[k])
         if denom <= tiny:
-            ratio = 0.0 if num[k] <= tiny else math.inf
+            ratios.append(0.0 if num[k] <= tiny else math.inf)
         else:
-            ratio = num[k] / denom
-        if ratio > worst:
-            worst = ratio
-            rep.worst_sample = tuple(pairs[k])
-    rep.worst_ratio = worst
-    return rep.finalize()
+            ratios.append(num[k] / denom)
+
+    def sample(k):
+        return ((x[k], xx[k]), (y[k], yy[k])) if two_arg else (x[k], y[k])
+
+    return _reduce(rep, ratios, sample, floor=0.0)
 
 
 # -- integral-inequality oracle --------------------------------------------------------
 
 
-def gronwall_oracle(alpha_g: float, w, v, grid, tolerance: float = 1e-3,
-                    max_iters: int = 400) -> EstimateReport:
+def gronwall_oracle(alpha_g: float, w, v, grid, tolerance: float = 1e-3) -> EstimateReport:
     """Build the extremal function of the two-kernel integral inequality
 
         h(t) <= alpha_g + int_0^t w h + int_0^t int_0^tau v(s, tau) h(s) ds dtau
@@ -345,7 +361,7 @@ def gronwall_oracle(alpha_g: float, w, v, grid, tolerance: float = 1e-3,
 
     h = np.full(m, alpha_g, dtype=float)
     cap = 1e12 * max(1.0, alpha_g)
-    for _ in range(max_iters):
+    for _ in range(400):
         h_new = alpha_g + trapezoid_cumulative(w_vals * h, grid)
         if v_mat is not None:
             h_new += trapezoid_cumulative(v_mat @ h, grid)
@@ -365,10 +381,7 @@ def gronwall_oracle(alpha_g: float, w, v, grid, tolerance: float = 1e-3,
                          tolerance=tolerance, sample_count=m)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(bound > 0, h / bound, np.where(h <= 1e-15, 0.0, np.inf))
-    k = int(np.argmax(ratios))
-    rep.worst_ratio = float(ratios[k])
-    rep.worst_sample = (grid[k],)
-    return rep.finalize()
+    return _reduce(rep, ratios, lambda k: (grid[k],))
 
 
 # -- converged-path residuals ------------------------------------------------------------
@@ -383,20 +396,12 @@ def residual_check(path: AgentPath, scenario: Scenario, probe: FieldProbe,
         raise ValueError("path too coarse for centered differences (need >= 3 nodes)")
     delta = _resolve_delta(scenario, mode, delta)
     times = path.times
-    worst = -1.0
-    rep = EstimateReport(claim="ode-residual", tolerance=tolerance,
-                         sample_count=len(times) - 2)
+    inner = len(times) - 2
     W = sensed_gradients(probe, path.X[1:-1], times[1:-1], delta)
     forces = scenario.force.eval(times[1:-1], path.X[1:-1], path.V[1:-1], W)
-    for k in range(1, len(times) - 1):
-        dt2 = times[k + 1] - times[k - 1]
-        xdot = (path.X[k + 1] - path.X[k - 1]) / dt2
-        vdot = (path.V[k + 1] - path.V[k - 1]) / dt2
-        res_x = float(np.linalg.norm(xdot - path.V[k]))
-        res_v = float(np.linalg.norm(vdot - forces[k - 1]))
-        res = max(res_x, res_v)
-        if res > worst:
-            worst = res
-            rep.worst_sample = (float(times[k]),)
-    rep.worst_ratio = 1.0 + worst
-    return rep.finalize()
+    dt2 = (times[2:] - times[:-2])[:, None, None]
+    res_x = ((path.X[2:] - path.X[:-2]) / dt2 - path.V[1:-1]).reshape(inner, -1)
+    res_v = ((path.V[2:] - path.V[:-2]) / dt2 - forces).reshape(inner, -1)
+    res = np.maximum(np.sqrt(np.vecdot(res_x, res_x)), np.sqrt(np.vecdot(res_v, res_v)))
+    rep = EstimateReport(claim="ode-residual", tolerance=tolerance, sample_count=inner)
+    return _reduce(rep, res, lambda k: (float(times[k + 1]),), deviation=True)

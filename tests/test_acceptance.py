@@ -100,8 +100,8 @@ def test_criterion_03_field_oracle():
         scn = build(phi="gaussian", dim=dim)
         path = AgentPath.constant(scn.X0, scn.V0, np.linspace(0, 1, 5))
         probe = FieldProbe(scn, path)
-        for x, t in space_time_samples(dim, 120, box=2.0, t_range=(0.05, 1.0), seed=3):
-            x = np.asarray(x)
+        pts, times = space_time_samples(dim, 120, box=2.0, t_range=(0.05, 1.0), seed=3)
+        for x, t in zip(pts, times.tolist()):
             f_ex = heat_gaussian_field(x, t, dim)
             g_ex = heat_gaussian_grad(x, t, dim)
             h_ex = heat_gaussian_hess(x, t, dim)

@@ -123,6 +123,12 @@ def test_solve_global_rejects_horizon_beyond_scenario():
         solve_global(scn, 2.0)
 
 
+def test_solve_global_rejects_nan_horizon():
+    scn = build(V0=[[0.4]], T=1.0)
+    with pytest.raises(ValueError, match="horizon"):
+        solve_global(scn, float("nan"))
+
+
 def test_three_dimensional_kernel_mass():
     from chemosim.verify import check_kernel_mass, mass_samples
 

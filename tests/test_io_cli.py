@@ -188,6 +188,38 @@ def test_cli_simulate_pointwise_manifest_has_no_radius(tmp_path):
     assert manifest["delta"] is None
 
 
+def test_cli_simulate_delta_flag_needs_nonlocal_sensing(tmp_path):
+    # the config delta stays allowed (see above); the flag asks for a radius
+    # that pointwise sensing would ignore
+    p = write_cfg(tmp_path, dict(DAMPED_CFG, delta=0.1))
+    out = tmp_path / "run"
+    res = run_cli("simulate", "--config", str(p), "--output-dir", str(out),
+                  "--horizon", "0.02", "--delta", "0.1")
+    assert res.returncode == 2, res.stderr
+    assert "config error: --delta" in res.stderr
+    assert not out.exists()
+
+
+def test_cli_simulate_nan_horizon_is_a_solver_error(tmp_path):
+    p = write_cfg(tmp_path)
+    res = run_cli("simulate", "--config", str(p), "--output-dir", str(tmp_path / "run"),
+                  "--horizon", "nan")
+    assert res.returncode == 3, res.stderr
+    assert "solver error: requested horizon must lie in (0, T]" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("samples", ["0", "-5", "2.5"])
+def test_cli_verify_samples_must_be_a_positive_integer(tmp_path, samples):
+    p = write_cfg(tmp_path)
+    out = tmp_path / "run"
+    res = run_cli("verify", "--config", str(p), "--suite", "holder", "--samples", samples,
+                  "--output-dir", str(out))
+    assert res.returncode == 2, res.stderr
+    assert "argument --samples:" in res.stderr
+    assert not out.exists()
+
+
 def test_cli_simulate_delta_flag_overrides_config_delta(tmp_path):
     cfg = dict(DAMPED_CFG, horizon=0.5, g="agent-secretion", mode="nonlocal",
                force={"name": "damped-chemotaxis", "chi": 0.05, "kappa_v": 1.0})

@@ -16,14 +16,27 @@ from chemosim.verify import (
     check_prop1,
     gamma_samples,
     gronwall_oracle,
+    holder_pairs,
+    holder_pairs_two_arg,
     mass_samples,
     residual_check,
     space_time_samples,
 )
+from chemosim.kernel import Kernel
 
-from chemosim.cli import _holder_pairs, _holder_pairs_two_arg
-
-from util import build, loop_gamma_estimates, loop_gronwall_oracle, loop_holder, loop_prop1
+from util import (
+    build,
+    loop_gamma_estimates,
+    loop_gamma_samples,
+    loop_gronwall_oracle,
+    loop_holder,
+    loop_holder_pairs,
+    loop_holder_pairs_two_arg,
+    loop_mass_samples,
+    loop_prop1,
+    loop_space_time_samples,
+    sample_rows,
+)
 
 
 # -- kernel mass -------------------------------------------------------------------
@@ -56,8 +69,46 @@ def test_sample_generators_reject_inverted_time_ranges():
         gamma_samples(1, 5, t_max=0.005)
     with pytest.raises(ValueError, match="inverted"):
         space_time_samples(1, 5, t_range=(0.01, 0.005))
-    assert all(0.0005 <= t <= 0.005 for _, t, _ in mass_samples(1, 5, 0.005, t_min=0.0005))
-    assert all(0.0005 <= s <= 0.005 for _, s in gamma_samples(1, 5, t_max=0.005, t_min=0.0005))
+    _, t, _ = mass_samples(1, 5, 0.005, t_min=0.0005)
+    assert np.all((0.0005 <= t) & (t <= 0.005))
+    _, s = gamma_samples(1, 5, t_max=0.005, t_min=0.0005)
+    assert np.all((0.0005 <= s) & (s <= 0.005))
+
+
+def _leaves(sample):
+    """The arrays and numbers of a worst sample, nested tuples flattened."""
+    for part in sample:
+        if isinstance(part, tuple):
+            yield from _leaves(part)
+        else:
+            yield part
+
+
+def _same_sample(got, want):
+    got, want = list(_leaves(got)), list(_leaves(want))
+    return len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 977])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sample_arrays_equal_per_row_builders(dim, seed):
+    """Each array builder holds exactly the samples of its per-row oracle,
+    in order; the empty set keeps its shape."""
+    cases = [
+        (mass_samples(dim, 50, 1.0, seed, t_min=0.1), loop_mass_samples(dim, 50, 1.0, seed)),
+        (gamma_samples(dim, 500, seed=seed), loop_gamma_samples(dim, 500, seed=seed)),
+        (space_time_samples(dim, 300, seed=seed), loop_space_time_samples(dim, 300, seed=seed)),
+        (holder_pairs(dim, 300, seed), loop_holder_pairs(dim, 300, seed)),
+    ]
+    cases += [(holder_pairs_two_arg(dim, n, 300, seed), loop_holder_pairs_two_arg(dim, n, 300, seed))
+              for n in (2, 8, 32)]
+    for arrays, rows in cases:
+        got = sample_rows(arrays)
+        assert len(got) == len(rows)
+        assert all(_same_sample(g, w) for g, w in zip(got, rows))
+    x, X, y, Y = holder_pairs_two_arg(dim, 3, 0, seed)
+    assert x.shape == y.shape == (0, dim) and X.shape == Y.shape == (0, dim, 3)
+    assert gamma_samples(dim, 0)[0].shape == (0, dim)
 
 
 # -- kernel decay envelopes ----------------------------------------------------------
@@ -118,9 +169,10 @@ def test_gamma_estimates_reject_bad_decay_rate(heat_setup):
 def test_gamma_estimates_match_per_sample_loop_oracle(coeff, dim):
     scn = build(coeff=coeff, phi="gaussian", dim=dim)
     kern, params = scn.kernel, scn.estimate_params
-    for samples in (gamma_samples(dim, 300, seed=1), gamma_samples(dim, 200, seed=977), []):
+    for samples in (gamma_samples(dim, 300, seed=1), gamma_samples(dim, 200, seed=977),
+                    gamma_samples(dim, 0)):
         got = check_gamma_estimates(kern, params, samples)
-        want = loop_gamma_estimates(kern, params, samples)
+        want = loop_gamma_estimates(kern, params, sample_rows(samples))
         for order in (0, 1, 2):
             g, w = got[order].to_dict(), want[order].to_dict()
             # array and scalar kernel calls may round the last bit apart
@@ -165,9 +217,9 @@ def test_prop1_matches_per_sample_loop_oracle(data, k_scale):
     probe = moving_probe(scn)
     samples = space_time_samples(1, 60, seed=4)
     for got, want in zip(check_prop1(scn, probe, samples, k_scale=k_scale),
-                         loop_prop1(scn, probe, samples, k_scale=k_scale)):
+                         loop_prop1(scn, probe, sample_rows(samples), k_scale=k_scale)):
         assert got.to_dict() == want.to_dict()
-    for got, want in zip(check_prop1(scn, probe, []), loop_prop1(scn, probe, [])):
+    for got, want in zip(check_prop1(scn, probe, space_time_samples(1, 0)), loop_prop1(scn, probe, [])):
         assert got.to_dict() == want.to_dict()
 
 
@@ -180,9 +232,9 @@ def test_prop1_rejects_a_sample_at_time_zero(monkeypatch):
 
     monkeypatch.setattr(FieldProbe, "_batch", no_probe_calls)
     with pytest.raises(ValueError, match=r"sample 1 has t = 0\.0"):
-        check_prop1(scn, probe, [(np.array([0.1]), 0.5), (np.array([0.3]), 0.0)])
+        check_prop1(scn, probe, (np.array([[0.1], [0.3]]), np.array([0.5, 0.0])))
     with pytest.raises(ValueError, match=r"sample 0 has t = 0\.0"):
-        check_prop1(scn, probe, [(np.array([0.3]), 0.0)])
+        check_prop1(scn, probe, (np.array([[0.3]]), np.array([0.0])))
 
 
 def test_prop1_falsification_control():
@@ -200,16 +252,16 @@ def test_prop1_falsification_control():
 def test_holder_abs_sqrt_passes():
     phi, h, c, _ = phi_preset("abs-sqrt")
     rng = np.random.default_rng(4)
-    pairs = [(rng.uniform(-3, 3, 1), rng.uniform(-3, 3, 1)) for _ in range(2000)]
-    rep = check_holder(phi, 0.5, c, h, pairs)
+    pts = rng.uniform(-3, 3, (2000, 2, 1))  # draws in the order x0, y0, x1, y1, ...
+    rep = check_holder(phi, 0.5, c, h, (pts[:, 0], pts[:, 1]))
     assert rep.passed
 
 
 def test_holder_constant_function_with_zero_constant():
     const = lambda x: np.full(np.asarray(x).shape[:-1], 2.5)
     rng = np.random.default_rng(5)
-    pairs = [(rng.uniform(-3, 3, 1), rng.uniform(-3, 3, 1)) for _ in range(100)]
-    rep = check_holder(const, 0.5, 0.0, 0.0, pairs)
+    pts = rng.uniform(-3, 3, (100, 2, 1))
+    rep = check_holder(const, 0.5, 0.0, 0.0, (pts[:, 0], pts[:, 1]))
     assert rep.passed
     assert rep.worst_ratio == 0.0
 
@@ -219,12 +271,13 @@ def test_holder_agent_secretion_two_argument():
     g, hr, c, _ = g_preset("agent-secretion", n)
     rng = np.random.default_rng(6)
     radius = 2.0
-    pairs = []
+    rows = []
     for _ in range(10_000):
         x, y = rng.uniform(-2, 2, 1), rng.uniform(-2, 2, 1)
         xx = rng.uniform(-0.9, 0.9, (1, n))
         yy = rng.uniform(-0.9, 0.9, (1, n))
-        pairs.append(((x, xx), (y, yy)))
+        rows.append((x, xx, y, yy))
+    pairs = tuple(np.array(side) for side in zip(*rows))
     rep = check_holder(g, 0.5, c, hr(radius), pairs)
     assert rep.passed
 
@@ -232,8 +285,8 @@ def test_holder_agent_secretion_two_argument():
 def test_holder_falsification_control():
     phi, h, c, _ = phi_preset("abs-sqrt")
     rng = np.random.default_rng(7)
-    pairs = [(rng.uniform(-3, 3, 1), rng.uniform(-3, 3, 1)) for _ in range(500)]
-    rep = check_holder(phi, 0.5, c, h / 10.0, pairs)
+    pts = rng.uniform(-3, 3, (500, 2, 1))
+    rep = check_holder(phi, 0.5, c, h / 10.0, (pts[:, 0], pts[:, 1]))
     assert not rep.passed
 
 
@@ -241,28 +294,31 @@ def test_holder_falsification_control():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_holder_matches_per_pair_loop_oracle(seed, dim):
     scn = build(phi="gaussian", g="agent-secretion", dim=dim, X0=np.zeros((dim, 2)))
-    growth, radius = scn.growth, 2.0
+    growth, radius, n = scn.growth, 2.0, scn.n
+    one, two = holder_pairs(dim, 300, seed), holder_pairs_two_arg(dim, n, 300, seed, radius)
+    one_rows, two_rows = loop_holder_pairs(dim, 300, seed), loop_holder_pairs_two_arg(dim, n, 300, seed)
+    few, few_rows = holder_pairs(dim, 50, seed), loop_holder_pairs(dim, 50, seed)
     cases = [
-        (scn.phi, scn.alpha, growth.C, growth.H, _holder_pairs(scn, 300, seed)),
-        (scn.g, scn.alpha, growth.C, growth.HR(radius),
-         _holder_pairs_two_arg(scn, 300, seed, radius)),
+        (scn.phi, scn.alpha, growth.C, growth.H, one, one_rows),
+        (scn.g, scn.alpha, growth.C, growth.HR(radius), two, two_rows),
         # a power other than 1/2 and a nonzero weight, where numpy's array
         # routines round apart from the scalar ones
-        (phi_preset("abs-sqrt")[0], 0.37, 0.05, 0.3, _holder_pairs(scn, 300, seed)),
-        (scn.g, 0.61, 0.02, 0.5, _holder_pairs_two_arg(scn, 300, seed, radius)),
-        (scn.phi, scn.alpha, growth.C, growth.H, []),
+        (phi_preset("abs-sqrt")[0], 0.37, 0.05, 0.3, one, one_rows),
+        (scn.g, 0.61, 0.02, 0.5, two, two_rows),
+        (scn.phi, scn.alpha, growth.C, growth.H, holder_pairs(dim, 0, seed), []),
         # every ratio 0: no worst pair; every pair twice: the first copy wins
-        (lambda x: np.full(x.shape[:-1], 2.5), scn.alpha, 0.0, 1.0, _holder_pairs(scn, 50, seed)),
-        (scn.phi, scn.alpha, growth.C, growth.H, 2 * _holder_pairs(scn, 50, seed)),
+        (lambda x: np.full(x.shape[:-1], 2.5), scn.alpha, 0.0, 1.0, few, few_rows),
+        (scn.phi, scn.alpha, growth.C, growth.H,
+         tuple(np.concatenate([a, a]) for a in few), 2 * few_rows),
     ]
-    for fn, alpha, c, h, pairs in cases:
+    for fn, alpha, c, h, pairs, rows in cases:
         got = check_holder(fn, alpha, c, h, pairs)
-        want = loop_holder(fn, alpha, c, h, pairs)
+        want = loop_holder(fn, alpha, c, h, rows)
         assert got.to_dict() == want.to_dict()
         if want.worst_sample is None:
             assert got.worst_sample is None
         else:
-            assert all(a is b for a, b in zip(got.worst_sample, want.worst_sample))
+            assert _same_sample(got.worst_sample, want.worst_sample)
 
 
 # -- integral inequality --------------------------------------------------------------------
@@ -389,3 +445,93 @@ def test_reports_deterministic_given_seed():
     r2 = check_kernel_mass(scn.kernel, mass_samples(2, 20, 1.0, seed=42))
     assert r1.worst_ratio == r2.worst_ratio
     assert np.array_equal(r1.worst_sample[0], r2.worst_sample[0])
+
+
+# -- NaN measurements -------------------------------------------------------------------------
+# A NaN ratio counts as +inf: the report fails with an infinite worst ratio
+# and names the sample whose measurement was NaN.
+
+
+def _fails_at(rep, sample):
+    return (not rep.passed and rep.worst_ratio == math.inf
+            and _same_sample(rep.worst_sample, sample))
+
+
+def test_kernel_mass_nan_measurement_fails(monkeypatch):
+    scn = build()
+    samples = mass_samples(1, 20, 1.0, seed=0)
+    x, t, tau = samples
+    eval_ = Kernel.eval
+
+    def nan_at_sample_3(self, xs, ts, xi, taus):
+        vals = eval_(self, xs, ts, xi, taus)
+        return np.full_like(vals, np.nan) if ts == t[3] else vals
+
+    monkeypatch.setattr(Kernel, "eval", nan_at_sample_3)
+    rep = check_kernel_mass(scn.kernel, samples)
+    assert _fails_at(rep, (x[3], t[3], tau[3]))
+
+
+def test_gamma_nan_measurement_fails(monkeypatch):
+    scn = build(phi="gaussian")
+    offsets, s = samples = gamma_samples(1, 200, seed=0)
+    derivative = Kernel.derivative
+
+    def nan_at_sample_4(self, order, *args):
+        vals = np.array(derivative(self, order, *args), dtype=float)
+        vals[4] = np.nan
+        return vals
+
+    monkeypatch.setattr(Kernel, "derivative", nan_at_sample_4)
+    reports = check_gamma_estimates(scn.kernel, scn.estimate_params, samples)
+    assert all(_fails_at(reports[k], (offsets[4], s[4])) for k in (0, 1, 2))
+
+
+@pytest.mark.parametrize("which", ["gradient_many", "hessian_many"])
+def test_prop1_nan_measurement_fails(which):
+    scn = build(phi="abs-sqrt")
+    probe = moving_probe(scn)
+    x, t = samples = space_time_samples(1, 60, seed=4)
+    measure = getattr(probe, which)
+
+    def nan_at_sample_5(pts, times):
+        vals = np.array(measure(pts, times), dtype=float)
+        vals[5] = np.nan
+        return vals
+
+    setattr(probe, which, nan_at_sample_5)
+    rep_g, rep_h = check_prop1(scn, probe, samples)
+    nan_rep, other = (rep_g, rep_h) if which == "gradient_many" else (rep_h, rep_g)
+    assert _fails_at(nan_rep, (x[5], t[5]))
+    assert other.passed
+
+
+def test_holder_nan_measurement_fails():
+    scn = build(phi="gaussian", g="agent-secretion", X0=np.zeros((1, 2)))
+    growth = scn.growth
+    x, y = pairs = holder_pairs(1, 100, seed=1)
+
+    def phi_nan_at_pair_6(pts):
+        return np.where((pts == x[6]).all(axis=-1), np.nan, scn.phi(pts))
+
+    rep = check_holder(phi_nan_at_pair_6, scn.alpha, growth.C, growth.H, pairs)
+    assert _fails_at(rep, (x[6], y[6]))
+
+    x2, xx, y2, yy = pairs2 = holder_pairs_two_arg(1, scn.n, 100, seed=1)
+
+    def g_nan_at_pair_6(pts, conf):
+        return np.where((pts == x2[6]).all(axis=-1), np.nan, scn.g(pts, conf))
+
+    rep = check_holder(g_nan_at_pair_6, scn.alpha, growth.C, growth.HR(2.0), pairs2)
+    assert _fails_at(rep, ((x2[6], xx[6]), (y2[6], yy[6])))
+
+
+def test_residual_nan_measurement_fails():
+    scn = build(V0=[[0.4]])
+    times = np.linspace(0.0, 0.5, 51)
+    X = (0.4 * times)[:, None, None]
+    V = np.full((51, 1, 1), 0.4)
+    V[-1] = np.nan  # only the last interior node's dV/dt reads it
+    path = AgentPath(times, X, V)
+    rep = residual_check(path, scn, FieldProbe(scn, path), tolerance=1e-10)
+    assert _fails_at(rep, (times[-2],))

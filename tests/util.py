@@ -14,7 +14,7 @@ from chemosim.presets import (
     g_preset,
     phi_preset,
 )
-from chemosim.quadrature import gauss_legendre, tensor_grid, trapezoid_cumulative
+from chemosim.quadrature import gauss_legendre, halton_points, tensor_grid, trapezoid_cumulative
 from chemosim.scenario import ForceLaw, GrowthSpec, make_scenario
 from chemosim.verify import EstimateReport
 
@@ -512,3 +512,74 @@ def loop_holder(fn, alpha, c_weight, claimed_h, pairs, tolerance=1e-9):
             rep.worst_sample = (a, b)
     rep.worst_ratio = worst
     return rep.finalize()
+
+
+# -- per-row sample builders: the tuple lists the array builders must equal --------
+
+
+def loop_mass_samples(dim, count=20, t_max=1.0, seed=0, t_min=0.1):
+    """``verify.mass_samples`` as a list of (x, t, tau) triples."""
+    raw = halton_points(count, [(-2.0, 2.0)] * dim + [(t_min, t_max), (0.0, 0.9)], seed=seed)
+    out = []
+    for row in raw:
+        t = float(row[dim])
+        out.append((row[:dim], t, float(row[dim + 1]) * t * 0.9))
+    return out
+
+
+def loop_gamma_samples(dim, count=1000, t_max=1.0, seed=0, t_min=0.01, z_max=12.0):
+    """``verify.gamma_samples`` as a list of (offset, s) pairs, one scalar
+    direction per row."""
+    raw = halton_points(count, [(0.0, z_max), (t_min, t_max)] + [(0.0, 1.0)] * (dim - 1),
+                        seed=seed)
+    out = []
+    for row in raw:
+        z, s = float(row[0]), float(row[1])
+        if dim == 1:
+            eta = np.array([1.0])
+        elif dim == 2:
+            th = 2.0 * math.pi * row[2]
+            eta = np.array([math.cos(th), math.sin(th)])
+        else:
+            th = 2.0 * math.pi * row[2]
+            mu = 2.0 * row[3] - 1.0
+            r = math.sqrt(max(1.0 - mu * mu, 0.0))
+            eta = np.array([r * math.cos(th), r * math.sin(th), mu])
+        out.append((z * math.sqrt(s) * eta, s))
+    return out
+
+
+def loop_space_time_samples(dim, count, box=3.0, t_range=(0.01, 1.0), seed=0):
+    """``verify.space_time_samples`` as a list of (x, t) pairs."""
+    raw = halton_points(count, [(-box, box)] * dim + [t_range], seed=seed)
+    return [(row[:dim], float(row[dim])) for row in raw]
+
+
+def loop_holder_pairs(dim, count, seed, radius=2.0):
+    """``verify.holder_pairs`` as a list of (x, y) pairs."""
+    pts = halton_points(2 * count, [(-radius, radius)] * dim, seed=seed)
+    return [(pts[2 * i], pts[2 * i + 1]) for i in range(count)]
+
+
+def loop_holder_pairs_two_arg(dim, n, count, seed, radius=2.0):
+    """``verify.holder_pairs_two_arg`` as a list of ((x, X), (y, Y)) pairs,
+    each configuration scaled into the ball by its own norm."""
+    raw = halton_points(count, [(-radius, radius)] * (2 * dim + 2 * dim * n), seed=seed)
+    pairs = []
+    for row in raw:
+        xx = row[2 * dim:2 * dim + dim * n].reshape(dim, n)
+        yy = row[2 * dim + dim * n:].reshape(dim, n)
+        for m in (xx, yy):
+            nrm = np.linalg.norm(m)
+            if nrm > radius:
+                m *= radius / nrm
+        pairs.append(((row[:dim], xx), (row[dim:2 * dim], yy)))
+    return pairs
+
+
+def sample_rows(samples):
+    """A tuple of per-sample arrays as the list of per-sample tuples; the
+    four arrays of two-argument Hoelder pairs become ((x, X), (y, Y))."""
+    if len(samples) == 4:
+        return [((x, xx), (y, yy)) for x, xx, y, yy in zip(*samples)]
+    return list(zip(*samples))
