@@ -65,6 +65,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """A seed of at least 0; argparse reports anything else as a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chemosim",
                                      description="Coupled agent/signal simulation and bound verification")
@@ -86,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vfy.add_argument("--suite", default="all",
                      help=f"comma-separated subset of {','.join(ALL_SUITES)} or 'all'")
     vfy.add_argument("--samples", type=_positive_int, default=300)
-    vfy.add_argument("--seed", type=int, default=0)
+    vfy.add_argument("--seed", type=_non_negative_int, default=0)
     vfy.add_argument("--falsify", action="store_true",
                      help="shrink prop1's claimed K by 50x, so the checker must fail")
     vfy.add_argument("--output", default=None)
@@ -176,7 +184,7 @@ def _cmd_simulate(args) -> int:
         "segments": [
             {"t_start": s.t_start, "t_end": s.t_end, "t_bar": s.certificate.t_bar,
              "s_value": s.certificate.s_value, "iterations": s.iterations,
-             "final_diff": s.final_diff}
+             "final_diff": s.final_diff, "start": s.start}
             for s in segments
         ],
         "wall_seconds": {"solve": wall_solve},
@@ -323,6 +331,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (PicardError, ValueError, RuntimeError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as exc:
+        print(f"solver error: out of memory: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

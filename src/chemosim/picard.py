@@ -12,6 +12,12 @@ converges to the unique solution; a certificate records the horizon and the
 certified contraction modulus.  Global solutions are produced by restarting
 from the endpoint state until the requested horizon is covered.
 
+Picard iteration on a continued segment starts from a cubic extrapolation of
+the segment before it, which is usually within tol of the fixed point after
+one sweep; a start that would leave the radius-R tube, and every first
+segment, starts from the path frozen at the segment's initial state.  The
+certificate covers either start, since the map sends the tube into itself.
+
 One segment engine implements this: ``_sweep`` applies the update map once
 on a segment grid, with one batched field evaluation for every (node,
 agent) pair and one force-law call per sweep, and ``_iterate_segment``
@@ -57,6 +63,9 @@ MODE_NONLOCAL = "nonlocal"
 _S_MARGIN = 0.1
 # fewest time nodes of a segment grid, however short the segment
 _MIN_NODES = 17
+# how a segment's Picard iteration started (SegmentRecord.start)
+START_CONSTANT = "constant"
+START_EXTRAPOLATED = "extrapolated"
 
 
 class PicardError(RuntimeError):
@@ -101,6 +110,7 @@ class SegmentRecord:
     certificate: HorizonCertificate
     iterations: int
     final_diff: float
+    start: str = START_CONSTANT   # or START_EXTRAPOLATED
 
 
 def _state_norms(scenario: Scenario) -> tuple[float, float]:
@@ -271,17 +281,58 @@ def sensed_gradients(probe: FieldProbe, X: np.ndarray, times,
     return np.swapaxes(wts @ grads.reshape(ball.shape), 1, 2)
 
 
-def _check_tube(path: AgentPath, X0: np.ndarray, V0: np.ndarray, radius: float) -> None:
+def _tube_exit(path: AgentPath, X0: np.ndarray, V0: np.ndarray,
+               radius: float) -> tuple[int, float, float] | None:
+    """(node, |X - X0|, |V - V0|) at the first node of ``path`` outside the
+    radius-R tube around (X0, V0), or None when every node is inside."""
     slack = radius * (1.0 + 1e-6) + 1e-12
     dx = np.linalg.norm((path.X - X0).reshape(len(path.times), -1), axis=1)
     dv = np.linalg.norm((path.V - V0).reshape(len(path.times), -1), axis=1)
     bad = np.nonzero((dx > slack) | (dv > slack))[0]
-    if len(bad):
-        k = int(bad[0])
+    if not len(bad):
+        return None
+    k = int(bad[0])
+    return k, float(dx[k]), float(dv[k])
+
+
+def _check_tube(path: AgentPath, X0: np.ndarray, V0: np.ndarray, radius: float) -> None:
+    exit_ = _tube_exit(path, X0, V0, radius)
+    if exit_ is not None:
+        k, dx, dv = exit_
         raise PicardError(
             f"path exits the radius-{radius:g} tube at node {k} (t = {path.times[k]:g}): "
-            f"|X - X0| = {dx[k]:g}, |V - V0| = {dv[k]:g}"
+            f"|X - X0| = {dx:g}, |V - V0| = {dv:g}"
         )
+
+
+def _start_path(previous: AgentPath | None, times: np.ndarray, X0: np.ndarray,
+                V0: np.ndarray, radius: float) -> tuple[AgentPath, str]:
+    """Picard start on ``times`` and its kind (START_CONSTANT or
+    START_EXTRAPOLATED).
+
+    Without a previous segment, or when the extrapolation leaves the radius-R
+    tube around (X0, V0), the start is the path frozen at (X0, V0).  Otherwise
+    V is the cubic Lagrange interpolant of the previous segment's V through
+    its first node, its last node (t0, so V(t0) = V0 exactly) and the two
+    nodes nearest its thirds, and X = X0 + the cumulative trapezoid of V, the
+    form of the update map's X.  The certificate covers any start inside the
+    tube, since the map sends the tube into itself.
+    """
+    if previous is not None:
+        last = len(previous.times) - 1
+        nodes = [0, round(last / 3), round(2 * last / 3), last]
+        t_k, v_k = previous.times[nodes], previous.V[nodes]
+        V = np.zeros((len(times),) + V0.shape)
+        for i in range(4):
+            basis = np.ones(len(times))
+            for j in range(4):
+                if j != i:
+                    basis = basis * ((times - t_k[j]) / (t_k[i] - t_k[j]))
+            V += basis[:, None, None] * v_k[i]
+        guess = AgentPath(times, X0 + trapezoid_cumulative(V, times), V)
+        if _tube_exit(guess, X0, V0, radius) is None:
+            return guess, START_EXTRAPOLATED
+    return AgentPath.constant(X0, V0, times), START_CONSTANT
 
 
 def _sweep(scenario: Scenario, prefix: AgentPath | None, seg: AgentPath,
@@ -309,25 +360,28 @@ def _sweep(scenario: Scenario, prefix: AgentPath | None, seg: AgentPath,
 def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, t0: float, t1: float,
                      X0: np.ndarray, V0: np.ndarray, delta: float | None,
                      tol: float, dt: float, max_iters: int,
-                     quad: QuadratureSpec | None) -> tuple[AgentPath, list[float]]:
-    """Picard iteration on [t0, t1] from the path frozen at (X0, V0), on a
-    uniform grid of step at most dt with at least _MIN_NODES nodes.
+                     quad: QuadratureSpec | None,
+                     previous: AgentPath | None = None) -> tuple[AgentPath, list[float], str]:
+    """Picard iteration on [t0, t1], on a uniform grid of step at most dt
+    with at least _MIN_NODES nodes, from the start ``_start_path`` builds out
+    of the ``previous`` converged segment (None: the path frozen at (X0, V0)).
 
     Stops when successive iterates differ by less than tol in the sup norm;
-    returns the converged segment and the per-iteration differences.
+    returns the converged segment, the per-iteration differences and the kind
+    of start.
     """
     for name, value in (("dt", dt), ("tol", tol)):
         if not 0.0 < value < math.inf:  # NaN too
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
     times = np.linspace(t0, t1, max(_MIN_NODES, int(math.ceil((t1 - t0) / dt)) + 1))
-    current = AgentPath.constant(X0, V0, times)
+    current, start = _start_path(previous, times, X0, V0, scenario.R)
     history: list[float] = []
     for _ in range(max_iters):
         nxt = _sweep(scenario, prefix, current, X0, V0, delta, quad)
         history.append(nxt.sup_distance(current))
         current = nxt
         if history[-1] < tol:
-            return current, history
+            return current, history, start
     ratio = history[-1] / history[-2] if len(history) >= 2 and history[-2] > 0 else float("nan")
     raise PicardError(
         f"segment [{times[0]:g}, {times[-1]:g}] did not converge in {max_iters} iterations "
@@ -361,8 +415,9 @@ def solve_local(scenario: Scenario, horizon: HorizonCertificate,
     if horizon.mode != mode:
         raise ValueError(f"certificate was issued for {horizon.mode!r} sensing, not {mode!r}")
     delta = _resolve_delta(scenario, mode, horizon.delta)
-    return _iterate_segment(scenario, None, 0.0, horizon.t_bar, scenario.X0, scenario.V0,
-                            delta, tol, dt, max_iters, quad)
+    path, history, _ = _iterate_segment(scenario, None, 0.0, horizon.t_bar, scenario.X0,
+                                        scenario.V0, delta, tol, dt, max_iters, quad)
+    return path, history
 
 
 def solve_global(scenario: Scenario, horizon: float,
@@ -374,7 +429,12 @@ def solve_global(scenario: Scenario, horizon: float,
 
     Each segment restarts from the previous endpoint state with a freshly
     derived certificate; the field keeps reading the full path from time 0.
-    Appends a SegmentRecord per segment to ``segments_out`` when given.
+    Picard iteration on a segment after the first starts from the cubic
+    extrapolation of the previous segment (``_start_path``), or from the
+    constant path when that extrapolation leaves the tube; the stopping
+    rule, the certificates and the grids are those of ``solve_local``.
+    Appends a SegmentRecord per segment, with its kind of start, to
+    ``segments_out`` when given.
     """
     if not scenario.satisfies_global_hypotheses:
         raise PicardError("global continuation requires a globally Lipschitz force law")
@@ -385,6 +445,7 @@ def solve_global(scenario: Scenario, horizon: float,
     min_segment = 1e-5 * horizon
 
     full: AgentPath | None = None
+    seg: AgentPath | None = None
     t0 = 0.0
     state_X, state_V = scenario.X0, scenario.V0
     while horizon - t0 > 1e-12 * max(1.0, horizon):
@@ -397,11 +458,12 @@ def solve_global(scenario: Scenario, horizon: float,
                 f"is below the minimum {min_segment:g} (constants blow-up)"
             )
         seg_end = min(t0 + cert.t_bar, horizon)
-        seg, history = _iterate_segment(scenario, full, t0, seg_end, state_X, state_V,
-                                        delta, tol, dt, max_iters, quad)
+        seg, history, start = _iterate_segment(scenario, full, t0, seg_end, state_X, state_V,
+                                               delta, tol, dt, max_iters, quad, previous=seg)
         if segments_out is not None:
             segments_out.append(SegmentRecord(t_start=t0, t_end=seg_end, certificate=cert,
-                                              iterations=len(history), final_diff=history[-1]))
+                                              iterations=len(history), final_diff=history[-1],
+                                              start=start))
         full = full.concat(seg) if full is not None else seg
         t0 = seg_end
         state_X = seg.X[-1].copy()
@@ -427,15 +489,17 @@ def _lemma_constants(scenario: Scenario, params: EstimateParams | None = None) -
 
 def _c0_constant(scenario: Scenario, horizon: float) -> float:
     """max over 129 times in [0, horizon] of the norm of the force on all
-    agents at the frozen initial state with zero sensed gradient."""
+    agents at the frozen initial state with zero sensed gradient; a
+    non-finite force raises ValueError naming its time."""
     times = np.linspace(0.0, horizon, 129)
     shape = times.shape + scenario.X0.shape
     forces = scenario.force.eval(times, np.broadcast_to(scenario.X0, shape),
                                  np.broadcast_to(scenario.V0, shape), np.zeros(shape))
-    worst = 0.0
-    for f in forces:
-        worst = max(worst, float(np.linalg.norm(f)))
-    return worst
+    flat = forces.reshape(len(times), -1)
+    bad = np.nonzero(~np.isfinite(flat).all(axis=1))[0]
+    if len(bad):
+        raise ValueError(f"force at the initial state is not finite at t = {times[bad[0]]:g}")
+    return float(np.sqrt(np.vecdot(flat, flat)).max())
 
 
 def gronwall_bound_B(scenario: Scenario, horizon: float,

@@ -10,6 +10,7 @@ import pytest
 
 from chemosim import cli
 from chemosim import io as cio
+from chemosim import verify as ver
 from chemosim.config import ConfigError, config_digest, load_config
 from chemosim.field import BACKEND_KERNEL, FieldProbe
 from chemosim.paths import AgentPath
@@ -147,7 +148,9 @@ def test_cli_simulate_zero_force_rows(tmp_path):
     np.testing.assert_allclose(path.X[:, 0, 0], 0.5 * path.times, atol=1e-12)
     manifest = cio.read_manifest(out / "manifest.json")
     assert manifest["config_digest"] == config_digest(cfg)
-    assert manifest["segments"]
+    starts = [seg["start"] for seg in manifest["segments"]]
+    assert starts[0] == "constant" and len(starts) >= 2
+    assert set(starts[1:]) == {"extrapolated"}
 
 
 def test_cli_simulate_deterministic(tmp_path):
@@ -218,6 +221,33 @@ def test_cli_verify_samples_must_be_a_positive_integer(tmp_path, samples):
     assert res.returncode == 2, res.stderr
     assert "argument --samples:" in res.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "2.5"])
+def test_cli_verify_seed_must_be_a_non_negative_integer(tmp_path, seed):
+    p = write_cfg(tmp_path)
+    out = tmp_path / "run"
+    res = run_cli("verify", "--config", str(p), "--suite", "holder", "--seed", seed,
+                  "--output-dir", str(out))
+    assert res.returncode == 2, res.stderr
+    assert "argument --seed:" in res.stderr
+    assert not out.exists()
+
+
+def test_cli_verify_out_of_memory_is_a_solver_error(tmp_path, monkeypatch, capsys):
+    # stands in for the 745 GiB that 1e11 samples would ask for
+    def too_big(n, bounds, seed=0):
+        raise MemoryError(f"Unable to allocate 745. GiB for {n} samples")
+
+    monkeypatch.setattr(ver, "halton_points", too_big)
+    p = write_cfg(tmp_path)
+    out = tmp_path / "run"
+    code = cli.main(["verify", "--config", str(p), "--suite", "prop1",
+                     "--samples", "100000000000", "--output-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "solver error: out of memory: Unable to allocate 745. GiB for 100000000000 samples\n"
+    assert not (out / "verify_report.json").exists()
 
 
 def test_cli_simulate_delta_flag_overrides_config_delta(tmp_path):

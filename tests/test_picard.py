@@ -10,7 +10,12 @@ from chemosim.paths import AgentPath
 from chemosim.picard import (
     MODE_NONLOCAL,
     MODE_POINTWISE,
+    START_CONSTANT,
+    START_EXTRAPOLATED,
     PicardError,
+    _c0_constant,
+    _start_path,
+    _tube_exit,
     apply_psi,
     apriori_grad_bound,
     contraction_S,
@@ -20,15 +25,18 @@ from chemosim.picard import (
     solve_global,
     solve_local,
 )
-from chemosim.scenario import ForceLaw
+from chemosim.scenario import ForceLaw, build_scenario
 from chemosim.verify import residual_check
 
 from util import (
     build,
     constant_force_law,
+    constant_start_global,
+    loop_c0_constant,
     loop_certificate_fields,
     loop_contraction_S,
     loop_horizon_T1,
+    oscillating_force_law,
     per_node_sweep,
     rk4_second_order,
 )
@@ -426,6 +434,95 @@ def test_solve_global_stitching_invariance():
     assert gap < 5 * tol
 
 
+def _s1_seeded(dim, seed, delta=None):
+    """S1 with the agents' initial state drawn as the benchmark workloads
+    draw it: X0 uniform in [-0.5, 0.5], V0 uniform in [-0.3, 0.3]."""
+    rng = np.random.default_rng(seed)
+    cfg = {"dimension": dim, "horizon": 1.0, "coefficients": "heat", "phi": "gaussian",
+           "g": "agent-secretion",
+           "force": {"name": "damped-chemotaxis", "chi": 0.3, "kappa_v": 1.0},
+           "X0": rng.uniform(-0.5, 0.5, size=(dim, 2)).tolist(),
+           "V0": rng.uniform(-0.3, 0.3, size=(dim, 2)).tolist()}
+    if delta is not None:
+        cfg.update(mode=MODE_NONLOCAL, delta=delta)
+    return build_scenario(cfg)
+
+
+def test_solve_global_extrapolated_starts_take_one_sweep():
+    scn = _s1_seeded(1, seed=1)
+    segments = []
+    path = solve_global(scn, 0.02, tol=1e-8, dt=1e-2, segments_out=segments)
+    assert len(segments) == 11 and len(path.times) == 177
+    assert [s.iterations for s in segments] == [3] + [1] * 10
+    assert [s.start for s in segments] == [START_CONSTANT] + [START_EXTRAPOLATED] * 10
+    assert all(s.final_diff < 1e-8 for s in segments)
+
+
+@pytest.mark.parametrize("dim, delta, horizon, quad", [
+    (1, None, 0.02, None), (1, 0.1, 0.005, None), (2, None, 5e-5, None),
+    # a coarse rule keeps the 2D ball averages cheap; both solves use it
+    (2, 0.1, 5e-5, QuadratureSpec(space_nodes=12, time_nodes=4)),
+], ids=["pointwise-1d", "nonlocal-1d", "pointwise-2d", "nonlocal-2d"])
+def test_solve_global_matches_the_constant_start_oracle(dim, delta, horizon, quad):
+    scn = _s1_seeded(dim, seed=1, delta=delta)
+    mode = MODE_POINTWISE if delta is None else MODE_NONLOCAL
+    segments = []
+    path = solve_global(scn, horizon, tol=1e-8, mode=mode, quad=quad, segments_out=segments)
+    oracle, sweeps = constant_start_global(scn, horizon, tol=1e-8, mode=mode, quad=quad)
+    np.testing.assert_array_equal(path.times, oracle.times)
+    assert np.abs(path.X - oracle.X).max() <= 1e-10
+    assert np.abs(path.V - oracle.V).max() <= 1e-10
+    assert len(sweeps) == len(segments) >= 2
+    assert sum(s.iterations for s in segments) < sum(sweeps)
+
+
+def test_start_path_extrapolates_a_cubic_exactly():
+    rng = np.random.default_rng(5)
+    coef = rng.normal(size=(4, 2, 3))  # V(t) = sum_k coef[k] t^k per axis and agent
+    v_of = lambda t: sum(c * t[:, None, None] ** k for k, c in enumerate(coef))
+    prev_times = np.linspace(0.1, 0.3, 21)
+    previous = AgentPath(prev_times, np.zeros((21, 2, 3)), v_of(prev_times))
+    X0, V0 = rng.normal(size=(2, 3)), previous.V[-1].copy()
+    times = np.linspace(0.3, 0.45, 17)
+    start, kind = _start_path(previous, times, X0, V0, radius=1e3)
+    assert kind == START_EXTRAPOLATED
+    np.testing.assert_array_equal(start.V[0], V0)
+    np.testing.assert_array_equal(start.X[0], X0)
+    np.testing.assert_allclose(start.V, v_of(times), rtol=0.0, atol=1e-12)
+    assert _start_path(None, times, X0, V0, radius=1e3)[1] == START_CONSTANT
+
+
+def test_start_outside_the_tube_falls_back_to_the_constant_start():
+    # a fast oscillating force: the cubic through the first segment's V
+    # overshoots the tube on the second segment, though the solve itself
+    # stays inside it
+    scn = build(force=oscillating_force_law(2.0, 30.0), T=2.0)
+    segments = []
+    path = solve_global(scn, 2.0, tol=1e-10, segments_out=segments)
+    assert [s.start for s in segments] == [START_CONSTANT, START_CONSTANT, START_EXTRAPOLATED]
+    first = path.times <= segments[0].t_end
+    previous = AgentPath(path.times[first], path.X[first], path.V[first])
+    second = path.times[(path.times >= segments[1].t_start) & (path.times <= segments[1].t_end)]
+    X1, V1 = previous.X[-1], previous.V[-1]
+    start, kind = _start_path(previous, second, X1, V1, scn.R)
+    assert kind == START_CONSTANT
+    np.testing.assert_array_equal(start.X, AgentPath.constant(X1, V1, second).X)
+    np.testing.assert_array_equal(start.V, AgentPath.constant(X1, V1, second).V)
+    oracle, _ = constant_start_global(scn, 2.0, tol=1e-10)
+    assert np.abs(path.X - oracle.X).max() <= 1e-10
+    assert np.abs(path.V - oracle.V).max() <= 1e-10
+
+
+def test_tube_exit_names_the_first_node_outside():
+    times = np.linspace(0.0, 1.0, 5)
+    X = np.zeros((5, 1, 2))
+    X[2, 0, 1] = 0.5
+    X[3, 0, 0] = 3.0
+    path = AgentPath(times, X, np.zeros_like(X))
+    assert _tube_exit(path, np.zeros((1, 2)), np.zeros((1, 2)), 1.0) == (3, 3.0, 0.0)
+    assert _tube_exit(path, np.zeros((1, 2)), np.zeros((1, 2)), 5.0) is None
+
+
 def test_nonlocal_solution_converges_to_pointwise():
     horizon = 0.4
     base = damped(chi=0.05, T=0.5)
@@ -529,3 +626,25 @@ def test_apriori_grad_bound_dominates_measured_gradient():
         t = rng.uniform(0.02, 1.0)
         measured = float(np.abs(probe.gradient(x, t)).max())
         assert measured <= apriori_grad_bound(scn, x, t, path)
+
+
+@pytest.mark.parametrize("scn", [
+    build(force=constant_force_law([0.7]), V0=[[0.2]]),
+    damped(X0=[[0.2, -0.3]], V0=[[0.3, 0.0]]),
+    _s1(3),
+    build(force=oscillating_force_law(1.3, 7.0), dim=2, X0=[[0.1, 0.2, 0.3], [0.0, -0.1, 0.4]]),
+], ids=["constant", "damped-1d", "S1-3d", "oscillating-2d"])
+def test_c0_constant_equals_the_loop_oracle(scn):
+    for horizon in (1e-3, 0.37, 1.0):
+        assert _c0_constant(scn, horizon) == loop_c0_constant(scn, horizon)
+
+
+def test_c0_constant_rejects_a_non_finite_force():
+    def force(t, X, V, W):
+        out = np.zeros(np.shape(X))
+        out[np.asarray(t) >= 0.5] = math.nan
+        return out
+    scn = build(force=ForceLaw(eval=force, lipschitz_w=0.0, lipschitz_xv=lambda r: 0.0,
+                               lipschitz_global=0.0))
+    with pytest.raises(ValueError, match="not finite at t = 0.5"):
+        gronwall_bound_B(scn, 1.0)

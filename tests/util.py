@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from chemosim.field import FieldProbe, QuadratureSpec
 from chemosim.paths import AgentPath
+from chemosim.picard import (
+    MODE_NONLOCAL,
+    MODE_POINTWISE,
+    START_CONSTANT,
+    _iterate_segment,
+    horizon_certificate,
+)
 from chemosim.presets import (
     coefficient_preset,
     force_preset,
@@ -51,6 +59,15 @@ def constant_force_law(fbar) -> ForceLaw:
     fbar = np.asarray(fbar, dtype=float)
     return ForceLaw(eval=lambda t, X, V, W: np.zeros(np.shape(X)) + fbar[:, None], lipschitz_w=0.0,
                     lipschitz_xv=lambda r: 0.0, lipschitz_global=0.0)
+
+
+def oscillating_force_law(amplitude, omega) -> ForceLaw:
+    """F = amplitude sin(omega t) on every agent and axis, whatever the state."""
+    def force(t, X, V, W):
+        wave = amplitude * np.sin(omega * np.asarray(t, dtype=float))
+        return np.zeros(np.shape(X)) + wave[..., None, None]
+    return ForceLaw(eval=force, lipschitz_w=0.0, lipschitz_xv=lambda r: 0.0,
+                    lipschitz_global=0.0)
 
 
 # -- independent oracles -------------------------------------------------------
@@ -349,6 +366,43 @@ def per_node_sweep(path, scenario, delta=None):
         forces[k] = scenario.force.eval(float(t), xk, vk, w)
     return AgentPath(times, scenario.X0 + trapezoid_cumulative(v_in, times),
                      scenario.V0 + trapezoid_cumulative(forces, times))
+
+
+def constant_start_global(scenario, horizon, tol=1e-8, mode=MODE_POINTWISE, dt=1e-2,
+                          max_iters=50, safety=0.9, quad=None):
+    """``picard.solve_global`` with every segment's Picard iteration started
+    from the path frozen at its initial state: the continuation that the
+    extrapolated starts must reproduce to within the iteration tolerance.
+    Returns the path and the iterations per segment."""
+    delta = scenario.nonlocal_delta if mode == MODE_NONLOCAL else None
+    full = None
+    sweeps = []
+    t0 = 0.0
+    X0, V0 = scenario.X0, scenario.V0
+    while horizon - t0 > 1e-12 * max(1.0, horizon):
+        cert = horizon_certificate(replace(scenario, X0=X0, V0=V0), mode=mode, delta=delta,
+                                   params=scenario.estimate_params, safety=safety)
+        t1 = min(t0 + cert.t_bar, horizon)
+        seg, history, start = _iterate_segment(scenario, full, t0, t1, X0, V0, delta,
+                                               tol, dt, max_iters, quad)
+        assert start == START_CONSTANT
+        sweeps.append(len(history))
+        full = full.concat(seg) if full is not None else seg
+        t0, X0, V0 = t1, seg.X[-1].copy(), seg.V[-1].copy()
+    return full, sweeps
+
+
+def loop_c0_constant(scenario, horizon):
+    """``picard._c0_constant`` as a loop over the 129 times, one
+    ``np.linalg.norm`` per force."""
+    times = np.linspace(0.0, horizon, 129)
+    shape = times.shape + scenario.X0.shape
+    forces = scenario.force.eval(times, np.broadcast_to(scenario.X0, shape),
+                                 np.broadcast_to(scenario.V0, shape), np.zeros(shape))
+    worst = 0.0
+    for f in forces:
+        worst = max(worst, float(np.linalg.norm(f)))
+    return worst
 
 
 def loop_gronwall_oracle(alpha_g, w, v, grid, tolerance=1e-3, max_iters=400):
