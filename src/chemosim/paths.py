@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy as np
 class AgentPath:
     """Sampled positions and velocities of all agents.
 
-    ``times`` is strictly increasing, ``X`` and ``V`` have shape
+    ``times`` is finite and strictly increasing, ``X`` and ``V`` have shape
     (len(times), N, n) = (nodes, dimension, agents).  Values between nodes
     are linear interpolants, so the running sup of any norm is attained at
     the nodes.  Instances are immutable and safe to share read-only across
@@ -28,8 +29,10 @@ class AgentPath:
         V = np.asarray(self.V, dtype=float)
         if times.ndim != 1 or len(times) < 2:
             raise ValueError("need at least two time nodes")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("time grid must be strictly increasing")
+        # increasing steps (NaN fails them) between finite ends: finite times
+        if not (np.all(np.diff(times) > 0) and math.isfinite(times[0])
+                and math.isfinite(times[-1])):
+            raise ValueError("time grid must be finite and strictly increasing")
         if X.ndim != 3 or X.shape != V.shape or X.shape[0] != len(times):
             raise ValueError("X and V must have shape (len(times), N, n)")
         object.__setattr__(self, "times", times)

@@ -506,9 +506,12 @@ def gronwall_bound_B(scenario: Scenario, horizon: float,
                      delta: float | None = None,
                      params: EstimateParams | None = None) -> float:
     """A-priori bound B on sup_t |Y(t) - Y0| for globally Lipschitz forces and
-    linear-growth data; 0 when the additive constant vanishes."""
+    linear-growth data; 0 when the additive constant vanishes.  A horizon
+    outside [0, T] raises ValueError, since K2 is built from T."""
     if scenario.force.lipschitz_global is None:
         raise PicardError("the a-priori bound needs a globally Lipschitz force law")
+    if not 0.0 <= horizon <= scenario.growth.T * (1.0 + 1e-12):  # NaN too
+        raise ValueError(f"horizon {horizon} must lie in [0, T] = [0, {scenario.growth.T}]")
     l_f = scenario.force.lipschitz_global
     n = scenario.n
     t = horizon

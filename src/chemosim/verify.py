@@ -318,6 +318,53 @@ def check_holder(fn, alpha: float, c_weight: float, claimed_h: float, pairs,
 # -- integral-inequality oracle --------------------------------------------------------
 
 
+def _double_integral(v, grid: np.ndarray):
+    """(apply, rate) for the kernel v on the grid: ``apply(h)`` is the
+    trapezoid rule for int_0^t int_0^tau v(s, tau) h(s) ds dtau at every
+    node t, and ``rate`` is int_0^t v(s, t) ds; both are None when v == 0.
+
+    v is called first at the first node.  A scalar c there is the constant
+    kernel, v is not called again and no matrix is built: the double
+    integral is c T(T(h)) and the rate c T(1), with T the cumulative
+    trapezoid.  Otherwise v is called once per node t with the array s of
+    the nodes up to and including t, and fills one row of a matrix."""
+    first = v(grid[:1], grid[0])
+    if np.ndim(first) == 0:
+        c = float(first)
+        if not c >= 0.0:  # NaN too
+            raise ValueError("v must be nonnegative and not NaN")
+        if c == 0.0:
+            return None, None
+        return (lambda h: c * trapezoid_cumulative(trapezoid_cumulative(h, grid), grid),
+                c * trapezoid_cumulative(np.ones_like(grid), grid))
+
+    # row j holds v(grid[k], grid[j]) times the trapezoid weight of node k
+    # on [0, grid[j]]: d[0]/2, then (d[k-1] + d[k])/2, then d[j-1]/2 (all
+    # zero on row 0).  The matrix exists only once a row has a nonzero
+    # entry: for v == 0 the double integral is exactly 0 and is left out.
+    m = len(grid)
+    v_mat = None
+    row = first
+    for j in range(m):
+        if j:
+            row = v(grid[:j + 1], grid[j])
+        if v_mat is None and np.count_nonzero(row):  # NaN counts too
+            v_mat = np.zeros((m, m))
+        if v_mat is not None:
+            v_mat[j, :j + 1] = row
+    if v_mat is None:
+        return None, None
+    if not (v_mat >= 0).all():
+        raise ValueError("v must be nonnegative and not NaN")
+    d = np.diff(grid)
+    diag = v_mat.diagonal()[1:] * (d / 2.0)
+    v_mat[:, 0] *= d[0] / 2.0
+    v_mat[:, 1:-1] *= (d[:-1] + d[1:]) / 2.0
+    np.fill_diagonal(v_mat[1:, 1:], diag)
+    v_mat[0] = 0.0
+    return (lambda h: trapezoid_cumulative(v_mat @ h, grid)), v_mat.sum(axis=1)
+
+
 def gronwall_oracle(alpha_g: float, w, v, grid, tolerance: float = 1e-3) -> EstimateReport:
     """Build the extremal function of the two-kernel integral inequality
 
@@ -326,45 +373,32 @@ def gronwall_oracle(alpha_g: float, w, v, grid, tolerance: float = 1e-3) -> Esti
     by discrete fixed-point iteration and check it against the exponential
     bound alpha_g * exp(int_0^t (w(tau) + int_0^tau v(s, tau) ds) dtau).
 
-    The kernels are called on arrays: ``w(grid)`` once, and
-    ``v(s, t)`` once per grid node t with the array s of grid nodes up to
-    and including t, so v is never evaluated where s > t.  Either may
-    return a scalar, which stands for a constant kernel."""
+    The kernels are called on arrays.  ``w(grid)`` is called once.
+    ``v(s, t)`` is called first at the first grid node; a scalar there
+    stands for a constant kernel, so v is called once and no grid-by-grid
+    matrix is built.  Otherwise v is called once per grid node t with the
+    array s of grid nodes up to and including t, so v is never evaluated
+    where s > t.  w may return a scalar for a constant kernel too.  A grid
+    that is not finite and increasing, an alpha_g that is not finite and
+    nonnegative, and a negative or NaN kernel value raise ValueError."""
     grid = np.asarray(grid, dtype=float)
     m = len(grid)
-    if m < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be increasing with at least two nodes")
+    # increasing steps (NaN fails them) between finite ends: a finite grid
+    if m < 2 or not (np.all(np.diff(grid) > 0) and np.isfinite(grid[[0, -1]]).all()):
+        raise ValueError("grid must be finite and increasing with at least two nodes")
+    if not 0.0 <= alpha_g < math.inf:  # NaN too
+        raise ValueError(f"alpha_g must be finite and nonnegative, got {alpha_g}")
     w_vals = np.broadcast_to(np.asarray(w(grid), dtype=float), grid.shape)
-    if np.any(w_vals < 0):
-        raise ValueError("w must be nonnegative")
-
-    # row j holds v(grid[k], grid[j]) times the trapezoid weight of node k
-    # on [0, grid[j]]: d[0]/2, then (d[k-1] + d[k])/2, then d[j-1]/2 (all
-    # zero on row 0).  The matrix exists only once a row has a nonzero
-    # entry: for v == 0 the double integral is exactly 0 and is left out.
-    v_mat = None
-    for j in range(m):
-        row = v(grid[:j + 1], grid[j])
-        if v_mat is None and np.count_nonzero(row):  # NaN counts too
-            v_mat = np.zeros((m, m))
-        if v_mat is not None:
-            v_mat[j, :j + 1] = row
-    if v_mat is not None:
-        if v_mat.min() < 0:
-            raise ValueError("v must be nonnegative")
-        d = np.diff(grid)
-        diag = v_mat.diagonal()[1:] * (d / 2.0)
-        v_mat[:, 0] *= d[0] / 2.0
-        v_mat[:, 1:-1] *= (d[:-1] + d[1:]) / 2.0
-        np.fill_diagonal(v_mat[1:, 1:], diag)
-        v_mat[0] = 0.0
+    if not (w_vals >= 0).all():
+        raise ValueError("w must be nonnegative and not NaN")
+    double, v_rate = _double_integral(v, grid)
 
     h = np.full(m, alpha_g, dtype=float)
     cap = 1e12 * max(1.0, alpha_g)
     for _ in range(400):
         h_new = alpha_g + trapezoid_cumulative(w_vals * h, grid)
-        if v_mat is not None:
-            h_new += trapezoid_cumulative(v_mat @ h, grid)
+        if double is not None:
+            h_new += double(h)
         if not np.all(np.isfinite(h_new)) or h_new.max() > cap:
             raise RuntimeError("discrete fixed-point diverged; inputs not integrable on this grid")
         step = float(np.abs(h_new - h).max())
@@ -374,7 +408,7 @@ def gronwall_oracle(alpha_g: float, w, v, grid, tolerance: float = 1e-3) -> Esti
     else:
         raise RuntimeError("discrete fixed-point did not stabilize")
 
-    rate = w_vals if v_mat is None else w_vals + v_mat.sum(axis=1)
+    rate = w_vals if v_rate is None else w_vals + v_rate
     bound = alpha_g * np.exp(trapezoid_cumulative(rate, grid))
     rep = EstimateReport(claim="integral-inequality-bound",
                          constants={"alpha_g": alpha_g},

@@ -60,6 +60,13 @@ def test_agent_path_validation():
         AgentPath(np.array([0.0, 1.0]), np.zeros((3, 1, 1)), np.zeros((3, 1, 1)))
 
 
+@pytest.mark.parametrize("times", [[0.0, math.nan, 1.0], [0.0, 1.0, math.inf],
+                                   [-math.inf, 0.0, 1.0]], ids=["nan", "inf-end", "inf-start"])
+def test_agent_path_rejects_non_finite_times(times):
+    with pytest.raises(ValueError, match="finite"):
+        AgentPath(np.array(times), np.zeros((3, 1, 1)), np.zeros((3, 1, 1)))
+
+
 def test_agent_path_interpolation_and_norms():
     times = np.array([0.0, 1.0, 2.0])
     X = np.array([0.0, 2.0, 2.0]).reshape(3, 1, 1)
@@ -581,6 +588,13 @@ def test_gronwall_bound_zero_data_gives_zero():
     assert gronwall_bound_B(scn, 1.0) == 0.0
     path = solve_global(scn, 1.0, tol=1e-10)
     assert np.abs(path.X).max() == 0.0 and np.abs(path.V).max() == 0.0
+
+
+@pytest.mark.parametrize("horizon", [-1.0, math.nan, 1.5])
+def test_gronwall_bound_rejects_a_horizon_outside_0_T(horizon):
+    scn = build(force=constant_force_law([0.7]), V0=[[0.2]], T=1.0)
+    with pytest.raises(ValueError, match=f"horizon {horizon}"):
+        gronwall_bound_B(scn, horizon)
 
 
 def test_gronwall_bound_force_offset_only():

@@ -1,6 +1,7 @@
 """Checkers: each passes on its positive preset and fails its falsification control."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,23 +364,54 @@ def test_gronwall_rejects_negative_inputs():
 
 
 GRONWALL_CASES = {
-    # the three `chemosim verify --suite gronwall` cases
-    "zero-kernels": (lambda t: 0.0, lambda s, t: 0.0),
-    "constant-single": (lambda t: 1.0, lambda s, t: 0.0),
-    "double-integral": (lambda t: 0.0, lambda s, t: 1.0),
+    # the three `chemosim verify --suite gronwall` cases, as (alpha_g, w, v)
+    "zero-kernels": (1.0, lambda t: 0.0, lambda s, t: 0.0),
+    "constant-single": (1.0, lambda t: 1.0, lambda s, t: 0.0),
+    "double-integral": (1.0, lambda t: 0.0, lambda s, t: 1.0),
     # array-aware kernels that vary along both arguments
-    "varying": (lambda t: 1.0 + t, lambda s, t: np.exp(s - t)),
+    "varying": (1.0, lambda t: 1.0 + t, lambda s, t: np.exp(s - t)),
 }
+# constant double kernels, which take the cumulative-sum path
+GRONWALL_CASES.update({
+    f"constant-c{c:g}-alpha{alpha_g:g}-w{w:g}": (alpha_g, lambda t, w=w: w, lambda s, t, c=c: c)
+    for c in (0.5, 2.0, 4.0) for alpha_g in (0.5, 3.0) for w in (0.0, 1.0)
+})
+SUITE_CASES = ("zero-kernels", "constant-single", "double-integral")
 
 
 @pytest.mark.parametrize("case", sorted(GRONWALL_CASES))
 def test_gronwall_matches_double_loop_oracle(case):
-    w, v = GRONWALL_CASES[case]
-    rep = gronwall_oracle(1.0, w, v, GRID)
-    ref = loop_gronwall_oracle(1.0, w, v, GRID)
+    alpha_g, w, v = GRONWALL_CASES[case]
+    rep = gronwall_oracle(alpha_g, w, v, GRID)
+    ref = loop_gronwall_oracle(alpha_g, w, v, GRID)
     assert rep.worst_ratio == ref.worst_ratio
     assert rep.worst_sample == ref.worst_sample
     assert rep.passed == ref.passed
+
+
+def test_gronwall_calls_a_scalar_v_once():
+    calls = []
+
+    def v(s, t):
+        calls.append((np.array(s), t))
+        return 2.0
+
+    gronwall_oracle(1.0, lambda t: 0.0, v, GRID)
+    assert len(calls) == 1
+    assert calls[0][0].tolist() == [GRID[0]] and calls[0][1] == GRID[0]
+
+
+@pytest.mark.parametrize("case", SUITE_CASES)
+def test_gronwall_suite_cases_build_no_matrix(case):
+    # a 1001 x 1001 float matrix alone would take 8 MB
+    alpha_g, w, v = GRONWALL_CASES[case]
+    tracemalloc.start()
+    try:
+        gronwall_oracle(alpha_g, w, v, GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_gronwall_never_evaluates_v_above_the_diagonal():
@@ -392,6 +424,35 @@ def test_gronwall_never_evaluates_v_above_the_diagonal():
     gronwall_oracle(1.0, lambda t: 0.0, v, GRID)
     assert len(calls) == len(GRID)
     assert all(np.all(s <= t) for s, t in calls)
+
+
+@pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0], [0.0, 0.5, math.inf]],
+                         ids=["nan", "inf"])
+def test_gronwall_rejects_a_non_finite_grid(grid):
+    with pytest.raises(ValueError, match="grid must be finite"):
+        gronwall_oracle(1.0, lambda t: 0.0, lambda s, t: 1.0, grid)
+
+
+@pytest.mark.parametrize("alpha_g", [-1.0, math.nan])
+def test_gronwall_rejects_a_negative_or_nan_alpha_g(alpha_g):
+    with pytest.raises(ValueError, match="alpha_g"):
+        gronwall_oracle(alpha_g, lambda t: 0.0, lambda s, t: 1.0, GRID)
+
+
+def test_gronwall_rejects_a_nan_w_entry():
+    with pytest.raises(ValueError, match="w must be nonnegative and not NaN"):
+        gronwall_oracle(1.0, lambda t: np.where(t == GRID[5], math.nan, 1.0),
+                        lambda s, t: 0.0, GRID)
+
+
+@pytest.mark.parametrize("v", [
+    lambda s, t: -1.0,
+    lambda s, t: math.nan,
+    lambda s, t: np.where((s == GRID[3]) & (t == GRID[7]), math.nan, 1.0),
+], ids=["negative-scalar", "nan-scalar", "nan-array"])
+def test_gronwall_rejects_a_negative_or_nan_v(v):
+    with pytest.raises(ValueError, match="v must be nonnegative and not NaN"):
+        gronwall_oracle(1.0, lambda t: 0.0, v, GRID)
 
 
 def test_gronwall_rejects_one_negative_v_entry():
