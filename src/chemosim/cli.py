@@ -73,6 +73,18 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _suite_list(text: str) -> tuple[str, ...]:
+    """'all' or a comma-separated list of suite names; an unknown name is a
+    usage error, reported before any suite runs."""
+    if text == "all":
+        return ALL_SUITES
+    suites = tuple(s.strip() for s in text.split(","))
+    for suite in suites:
+        if suite not in ALL_SUITES:
+            raise argparse.ArgumentTypeError(f"unknown verify suite {suite!r}")
+    return suites
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chemosim",
                                      description="Coupled agent/signal simulation and bound verification")
@@ -91,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     vfy = sub.add_parser("verify", help="run estimate checks and write a report")
     vfy.add_argument("--config", required=True)
-    vfy.add_argument("--suite", default="all",
+    vfy.add_argument("--suite", type=_suite_list, default=ALL_SUITES,
                      help=f"comma-separated subset of {','.join(ALL_SUITES)} or 'all'")
     vfy.add_argument("--samples", type=_positive_int, default=300)
     vfy.add_argument("--seed", type=_non_negative_int, default=0)
@@ -262,8 +274,7 @@ def _run_suites(scenario: Scenario, suites, samples: int, seed: int, falsify: bo
 def _cmd_verify(args) -> int:
     cfg = load_config(args.config)
     scenario, mode, _ = _sensing(cfg, build_scenario(cfg))
-    suites = ALL_SUITES if args.suite == "all" else tuple(s.strip() for s in args.suite.split(","))
-    reports = _run_suites(scenario, suites, args.samples, args.seed, args.falsify, mode=mode)
+    reports = _run_suites(scenario, args.suite, args.samples, args.seed, args.falsify, mode=mode)
     outdir = _outdir(args)
     out_file = Path(args.output) if args.output else outdir / "verify_report.json"
     cio.write_reports(reports, out_file)

@@ -23,7 +23,15 @@ does.  Variable coefficients take an explicit finite-difference solve on a
 truncated box (`backend_for`).
 
 Batch evaluations take one time per point, and the items of a batch run in
-a few vectorized passes, so one call serves a whole Picard sweep.
+a few vectorized passes, so one call serves a whole Picard sweep.  A call
+asks for any of the orders 0, 1, 2 (``derivatives_many``), and each pass
+serves all of them.  A spatial-rule pass builds xi and the datum on it once
+and calls the kernel derivative once per order, on (item, node, component)
+arrays.  A closed-form pass runs axis-last, on (component, centre, item)
+arrays, so its reductions and products run along the long item axis: it
+rotates into the eigenbasis of a once and shares M^-1 d and the scalar
+factor between the orders.  Either way an item's value does not depend on
+the pass it falls in, so every order equals its one-order call bit for bit.
 
 Evaluation at t = 0 returns the initial datum (and its difference-quotient
 derivatives) by continuity.
@@ -32,8 +40,9 @@ derivatives) by continuity.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -156,6 +165,12 @@ _CHUNK_ELEMENTS = 2**13
 _CONTRACTIONS = ("m,pm,pm->p", "m,pmi,pm->pi", "m,pmij,pm->pij")
 
 
+def _sum_in_order(terms):
+    """Left-to-right sum of arrays, without the 0 that ``sum`` starts from
+    (0 + -0.0 is 0.0)."""
+    return reduce(operator.add, terms)
+
+
 @lru_cache(maxsize=32)
 def _cached_ball_rule(dim: int, delta: float):
     return ball_average_rule(dim, delta)
@@ -205,34 +220,40 @@ class FieldProbe:
         outside = ~((t >= -1e-12) & (t <= horizon * (1.0 + 1e-9) + 1e-12))  # NaN too
         if np.any(outside):
             bad = float(t[outside][0]) if t.ndim else float(t)
-            raise ValueError(f"probe time {bad} outside (0, {horizon}]")
+            raise ValueError(f"probe time {bad} outside [0, {horizon}]")
         return np.broadcast_to(np.minimum(np.maximum(t, 0.0), horizon), (n_points,))
 
     # -- closed-form backend -------------------------------------------------
 
     def _kernel_integral(self, datum, source: bool, pts: np.ndarray, t: np.ndarray,
-                         order: int) -> np.ndarray:
-        """x-derivative of the given order of the kernel integral of phi
+                         orders: tuple) -> list[np.ndarray]:
+        """x-derivatives of the given orders of the kernel integral of phi
         (``source`` false) or of g over (0, t), at stacked points (P, N): a
         sum over the items the module docstring describes, each in closed
         form when the datum declares Gaussian structure and by the spatial
-        rule otherwise.  Source items are summed in s-node order."""
+        rule otherwise.  One array per order, shaped (P,) + (N,) * order;
+        every order comes from the same passes.  Source items are summed in
+        s-node order."""
         kern = self.scenario.kernel
         dim = kern.dim
-        shape = (len(pts),) + (dim,) * order
+        n_pts = len(pts)
+        shapes = [(n_pts,) + (dim,) * order for order in orders]
         if _is_zero(datum):
-            return np.zeros(shape)
+            return [np.zeros(shape) for shape in shapes]
         gauss = getattr(datum, "gaussian_source", None)
         # a pass holds, for each of its items, at most one closed-form term per
-        # agent or one kernel-derivative entry per spatial node
-        per_item = (self.scenario.n if gauss is not None else len(self._u_pts)) * dim**order
+        # agent or one kernel-derivative entry per spatial node, of the largest
+        # requested order: the orders' kernel derivatives come one at a time
+        per_item = ((self.scenario.n if gauss is not None else len(self._u_pts))
+                    * dim**max(orders))
         step = max(1, _CHUNK_ELEMENTS // per_item)
-        n_s = len(self._s_base) if source else 1
-        # item k is (s-node j, point i) with k = j * P + i
-        terms = np.empty((n_s * len(pts),) + shape[1:])
-        for lo in range(0, len(terms), step):
-            j, i = np.divmod(np.arange(lo, min(lo + step, len(terms))), len(pts))
-            x, t_i = pts[i], t[i]
+        n_items = (len(self._s_base) if source else 1) * n_pts
+        accs = [np.zeros(shape) for shape in shapes]
+        pts_t = pts.T
+        for lo in range(0, n_items, step):
+            # item k is (s-node j, point i) with k = j * P + i
+            j, i = np.divmod(np.arange(lo, min(lo + step, n_items)), n_pts)
+            t_i = t[i]
             if source:
                 sqrt_t = np.sqrt(t_i)
                 s = self._s_base[j] * sqrt_t
@@ -243,114 +264,152 @@ class FieldProbe:
                 weight, tau, X = np.ones(len(i)), np.zeros(len(i)), None
             sigma = t_i - tau
             if gauss is None:
+                # xi and the datum on it once, the kernel derivative once per order
+                x = pts[i]
                 xi = x[:, None, :] + np.sqrt(sigma)[:, None, None] * self._u_pts
                 vals = datum(xi, X[:, None]) if source else datum(xi)
-                k = kern.derivative(order, x[:, None, :], t_i[:, None], xi, tau[:, None])
                 weight = weight * sigma ** (dim / 2.0)  # jacobian; det L is in _u_wts
-                term = np.einsum(_CONTRACTIONS[order], self._u_wts, k, vals)
+                terms = [weight.reshape((-1,) + (1,) * order) * np.einsum(
+                    _CONTRACTIONS[order], self._u_wts,
+                    kern.derivative(order, x[:, None, :], t_i[:, None], xi, tau[:, None]), vals)
+                    for order in orders]
             else:
-                centres = X if gauss.at_agents else np.zeros((len(i), dim, 1))
-                # d = x - c + b sigma, one row per (item, centre)
-                d = x[:, None, :] - np.swapaxes(centres, 1, 2) + kern.b * sigma[:, None, None]
-                k = self._gaussian_integral(order, d, sigma[:, None], gauss.rate)
-                term = gauss.weight * k.sum(axis=1)
-            terms[lo:lo + len(i)] = weight.reshape((-1,) + (1,) * order) * term
-        # one s-node at a time: a pairwise .sum(axis=0) would round a batch
-        # apart from the same points evaluated one by one
-        acc = np.zeros(shape)
-        for part in terms.reshape((n_s,) + shape):
-            acc += part
-        return acc
+                # centres stacked (N, centre, item): moveaxis undoes the view
+                # positions_at returns, so no copy is made
+                centres = np.moveaxis(X, 0, -1) if gauss.at_agents else np.zeros((dim, 1, 1))
+                d = pts_t[:, i][:, None, :] - centres + kern.b[:, None, None] * sigma
+                terms = [np.moveaxis(weight * (gauss.weight * k), -1, 0)
+                         for k in self._gaussian_integrals(d, sigma, gauss.rate, orders)]
+            # each item goes to its point one s-node at a time: a pairwise sum
+            # over s-nodes would round a batch apart from the same points
+            # evaluated one by one
+            hi = lo + len(i)
+            bounds = [lo, *range((lo // n_pts + 1) * n_pts, hi, n_pts), hi]
+            for a, b in zip(bounds, bounds[1:]):
+                for acc, term in zip(accs, terms):
+                    acc[a % n_pts:a % n_pts + b - a] += term[a - lo:b - lo]
+        return accs
 
-    def _gaussian_integral(self, order: int, d: np.ndarray, sigma: np.ndarray,
-                           rate: float) -> np.ndarray:
-        """x-derivative of the given order of the integral over xi of
-        G(x, t, xi, tau) exp(-rate |xi - X|^2), for stacked
-        d = x - X + b sigma (..., N) and sigma = t - tau broadcasting
-        against d's leading axes.
+    def _gaussian_integrals(self, d: np.ndarray, sigma: np.ndarray, rate: float,
+                            orders: tuple) -> list[np.ndarray]:
+        """x-derivatives of the given orders of the integral over xi of
+        G(x, t, xi, tau) sum_c exp(-rate |xi - c|^2), for d = x - c + b sigma
+        stacked (N, centre, item) and sigma = t - tau (item,).  One array per
+        order, shaped (N,) * order + (item,).
 
-        With M = I + 4 rate sigma a the integral is
+        With M = I + 4 rate sigma a the integral of one centre is
         det(M)^(-1/2) exp(-rate d^T M^-1 d + c sigma); the gradient is
         -2 rate M^-1 d times that, the hessian
         (4 rate^2 (M^-1 d)(M^-1 d)^T - 2 rate M^-1) times that.  M is
-        diagonal in the eigenbasis of a."""
-        lam, q = self.scenario.kernel.eig
-        m = 1.0 + 4.0 * rate * sigma[..., None] * lam  # eigenvalues of M
-        e = d @ q
-        val = (np.exp(-rate * np.sum(e * e / m, axis=-1) + self.scenario.kernel.c * sigma)
-               / np.sqrt(np.prod(m, axis=-1)))
-        if order == 0:
-            return val
-        w = (e / m) @ q.T  # M^-1 d
-        if order == 1:
-            return (-2.0 * rate) * w * val[..., None]
-        m_inv = (q / m[..., None, :]) @ q.T
-        m_inv = 0.5 * (m_inv + np.swapaxes(m_inv, -1, -2))  # exactly symmetric
-        outer = w[..., :, None] * w[..., None, :]
-        return (4.0 * rate * rate * outer - 2.0 * rate * m_inv) * val[..., None, None]
+        diagonal in the eigenbasis Q of a, so the pass rotates d into it
+        once, e = Q^T d, and shares M^-1 d and the scalar factor between the
+        orders.  The rotations are sums of per-axis products rather than
+        BLAS calls, whose fused multiply-adds could round an item by its
+        position in the pass."""
+        kern = self.scenario.kernel
+        lam, q = kern.eig
+        axes = range(kern.dim)
+        scale = 4.0 * rate * sigma
+        m = [1.0 + scale * lam[a] for a in axes]  # eigenvalues of M, per item
+        e = [_sum_in_order(q[b, a] * d[b] for b in axes) for a in axes]
+        quad = _sum_in_order(e[a] * e[a] / m[a] for a in axes)
+        det = reduce(operator.mul, m)
+        val = np.exp(-rate * quad + kern.c * sigma) / np.sqrt(det)  # (centre, item)
+        if max(orders) > 0:
+            e_m = [e[a] / m[a] for a in axes]
+            w = [_sum_in_order(q[b, a] * e_m[a] for a in axes) for b in axes]  # M^-1 d
+        out = []
+        for order in orders:
+            if order == 0:
+                out.append(val.sum(axis=0))
+            elif order == 1:
+                out.append(np.stack([((-2.0 * rate) * w[a] * val).sum(axis=0) for a in axes]))
+            else:
+                hess = np.empty((kern.dim, kern.dim, d.shape[-1]))
+                for a in axes:
+                    for b in axes[a:]:
+                        m_inv = _sum_in_order(q[a, c] / m[c] * q[b, c] for c in axes)
+                        entry = (4.0 * rate * rate * (w[a] * w[b]) - 2.0 * rate * m_inv) * val
+                        hess[a, b] = hess[b, a] = entry.sum(axis=0)
+                out.append(hess)
+        return out
 
-    def _closed_batch(self, pts: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
-        return (self._kernel_integral(self.scenario.phi, False, pts, t, order)
-                - self._kernel_integral(self.scenario.g, True, pts, t, order))
+    def _closed_batch(self, pts: np.ndarray, t: np.ndarray, orders: tuple) -> list[np.ndarray]:
+        initial = self._kernel_integral(self.scenario.phi, False, pts, t, orders)
+        source = self._kernel_integral(self.scenario.g, True, pts, t, orders)
+        return [a - b for a, b in zip(initial, source)]
 
     # -- data-at-zero fallback ------------------------------------------------
 
-    def _batch_at_zero(self, pts: np.ndarray, order: int) -> np.ndarray:
+    def _batch_at_zero(self, pts: np.ndarray, orders: tuple) -> list[np.ndarray]:
         phi = self.scenario.phi
-        if order == 0:
-            return phi(pts)
-        return (_fd_gradient_of if order == 1 else _fd_hessian_of)(phi, pts)
+        derivs = (phi, lambda p: _fd_gradient_of(phi, p), lambda p: _fd_hessian_of(phi, p))
+        return [derivs[order](pts) for order in orders]
 
     # -- finite-difference backend --------------------------------------------
 
-    def _fd_batch(self, pts: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
+    def _fd_batch(self, pts: np.ndarray, t: np.ndarray, orders: tuple) -> list[np.ndarray]:
         if self._fd_grid is None:  # solved on first use
             self._fd_grid = solve_field_fd(self.scenario, self.path, self.quad)
         fdf = self._fd_grid
-        return (fdf.value_many, fdf.gradient_many, fdf.hessian_many)[order](pts, t)
+        return [(fdf.value_many, fdf.gradient_many, fdf.hessian_many)[order](pts, t)
+                for order in orders]
 
     # -- public surface --------------------------------------------------------
 
-    def _batch(self, pts, t, order: int) -> np.ndarray:
+    def _batch(self, pts, t, orders: tuple) -> list[np.ndarray]:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         t = self._check_times(t, len(pts))
+        shapes = [(len(pts),) + (self.scenario.dimension,) * order for order in orders]
         if len(pts) == 0:
-            return np.empty((0,) + (self.scenario.dimension,) * order)
+            return [np.empty(shape) for shape in shapes]
         live_batch = self._closed_batch if self.backend == BACKEND_KERNEL else self._fd_batch
         at_zero = t == 0.0
         if not at_zero.any():
-            return live_batch(pts, t, order)
-        out = np.empty((len(pts),) + (self.scenario.dimension,) * order)
-        out[at_zero] = self._batch_at_zero(pts[at_zero], order)
+            return live_batch(pts, t, orders)
+        outs = [np.empty(shape) for shape in shapes]
+        for out, vals in zip(outs, self._batch_at_zero(pts[at_zero], orders)):
+            out[at_zero] = vals
         live = ~at_zero
         if live.any():
-            out[live] = live_batch(pts[live], t[live], order)
-        return out
+            for out, vals in zip(outs, live_batch(pts[live], t[live], orders)):
+                out[live] = vals
+        return outs
+
+    def derivatives_many(self, pts, t, orders) -> tuple[np.ndarray, ...]:
+        """f (order 0), grad f (1) and hess f (2) at stacked points ``pts``
+        (P, N): one array per entry of ``orders``, shaped (P,) + (N,) * order.
+        ``t`` is one time for all points or an array of shape (P,) with one
+        time per point; points at t = 0 take the initial datum.  All orders
+        come from one field pass, and each equals its one-order call."""
+        orders = tuple(orders)
+        if not orders or any(order not in (0, 1, 2) for order in orders):
+            raise ValueError(f"derivative orders must be 0, 1 or 2, got {orders}")
+        return tuple(self._batch(pts, t, orders))
 
     def value(self, x, t: float) -> float:
-        return float(self._batch(np.asarray(x, dtype=float)[None, :], t, 0)[0])
+        return float(self._batch(np.asarray(x, dtype=float)[None, :], t, (0,))[0][0])
 
     def gradient(self, x, t: float) -> np.ndarray:
-        return self._batch(np.asarray(x, dtype=float)[None, :], t, 1)[0]
+        return self._batch(np.asarray(x, dtype=float)[None, :], t, (1,))[0][0]
 
     def hessian(self, x, t: float) -> np.ndarray:
-        return self._batch(np.asarray(x, dtype=float)[None, :], t, 2)[0]
+        return self._batch(np.asarray(x, dtype=float)[None, :], t, (2,))[0][0]
 
     def value_many(self, pts, t) -> np.ndarray:
-        """f at stacked points ``pts`` (P, N), shape (P,).  ``t`` is one time
-        for all points or an array of shape (P,) with one time per point;
-        points at t = 0 take the initial datum."""
-        return self._batch(pts, t, 0)
+        """f at stacked points ``pts`` (P, N), shape (P,); ``t`` as in
+        ``derivatives_many``."""
+        return self._batch(pts, t, (0,))[0]
 
     def gradient_many(self, pts, t) -> np.ndarray:
         """grad f at stacked points ``pts`` (P, N), shape (P, N); ``t`` as in
-        ``value_many``."""
-        return self._batch(pts, t, 1)
+        ``derivatives_many``."""
+        return self._batch(pts, t, (1,))[0]
 
     def hessian_many(self, pts, t) -> np.ndarray:
         """hess f at stacked points ``pts`` (P, N), shape (P, N, N); ``t`` as
-        in ``value_many``."""
-        return self._batch(pts, t, 2)
+        in ``derivatives_many``."""
+        return self._batch(pts, t, (2,))[0]
 
     def ball_rule(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (offsets, weights) averaging over the radius-delta ball."""

@@ -26,6 +26,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _table_lines(table: np.ndarray) -> list[str]:
+    """One comma-separated line per row of a 2D float table, each value as
+    ``_fmt`` writes it, through one printf template per row."""
+    template = ",".join(["%.17g"] * table.shape[1])
+    return [template % tuple(row) for row in table.tolist()]
+
+
 def write_trajectory(path: AgentPath, file) -> None:
     """One row per time node: t, then x and v per agent and axis."""
     n_dim, n_ag = path.dimension, path.n_agents
@@ -37,7 +44,7 @@ def write_trajectory(path: AgentPath, file) -> None:
     # (time, axis, agent) -> (time, agent, axis): agent-major columns
     table = np.hstack([path.times[:, None], path.X.transpose(0, 2, 1).reshape(m, -1),
                        path.V.transpose(0, 2, 1).reshape(m, -1)])
-    lines += [",".join(_fmt(v) for v in row) for row in table.tolist()]
+    lines += _table_lines(table)
     Path(file).write_text("\n".join(lines) + "\n")
 
 
@@ -70,9 +77,7 @@ def write_field_snapshot(fdf: FdField, t: float, file) -> None:
     header = (f"# {FIELD_TAG} dim={dim} box={_fmt(half_width)} "
               f"h={_fmt(fdf.h)} t={_fmt(fdf.times[k])}")
     table = values.reshape(-1, values.shape[-1]) if dim > 1 else values[None, :]
-    lines = [header]
-    for row in table:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [header] + _table_lines(table)
     Path(file).write_text("\n".join(lines) + "\n")
 
 

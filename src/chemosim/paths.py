@@ -56,6 +56,9 @@ class AgentPath:
         return self.X.shape[1]
 
     def _interp(self, values: np.ndarray, t) -> np.ndarray:
+        """``values`` (nodes, N, n) interpolated at times ``t``: the node
+        columns are gathered into (N * n, K) for the K times, and the result
+        is a (*t.shape, N, n) view of that array."""
         times = self.times
         t = np.asarray(t, dtype=float)
         eps = 1e-9 * max(1.0, abs(self.horizon))
@@ -63,10 +66,12 @@ class AgentPath:
         if np.any(outside):
             bad = float(t[outside][0]) if t.ndim else float(t)
             raise ValueError(f"time {bad} outside path range [{times[0]}, {times[-1]}]")
-        t = np.minimum(np.maximum(t, times[0]), times[-1])
-        idx = np.minimum(np.maximum(np.searchsorted(times, t, side="right") - 1, 0), len(times) - 2)
-        lam = ((t - times[idx]) / (times[idx + 1] - times[idx]))[..., None, None]
-        return (1.0 - lam) * values[idx] + lam * values[idx + 1]
+        flat = np.minimum(np.maximum(t.ravel(), times[0]), times[-1])
+        idx = np.minimum(np.maximum(np.searchsorted(times, flat, side="right") - 1, 0), len(times) - 2)
+        lam = (flat - times[idx]) / (times[idx + 1] - times[idx])
+        cols = values.reshape(len(times), -1).T
+        out = (1.0 - lam) * np.take(cols, idx, axis=1) + lam * np.take(cols, idx + 1, axis=1)
+        return np.moveaxis(out.reshape(values.shape[1:] + t.shape), (0, 1), (-2, -1))
 
     def positions_at(self, t) -> np.ndarray:
         """Configuration X(t): shape (N, n) for a scalar time, (*t.shape, N, n)

@@ -24,6 +24,7 @@ from util import (
     heat_gaussian_field,
     heat_gaussian_grad,
     heat_gaussian_hess,
+    loop_closed_form,
     loop_gradient,
 )
 
@@ -544,3 +545,72 @@ def test_anisotropic_gaussian_evolution_oracle(dim):
         for order, tol in enumerate((1e-6, 1e-5, 1e-3)):
             np.testing.assert_allclose(got[order], want[order], rtol=0.0, atol=tol,
                                        err_msg=f"order {order}, t = {t}")
+
+
+# -- one field pass for every derivative order ----------------------------------------------
+
+
+@pytest.mark.parametrize("coeff,dim", [
+    ("heat", 1), ("heat", 2), ("heat", 3),
+    ("anisotropic-constant", 2), ("anisotropic-constant", 3),
+    (DRIFT_REACTION_2D, 2),
+], ids=["heat-1d", "heat-2d", "heat-3d", "anisotropic-2d", "anisotropic-3d", "drift-reaction-2d"])
+@pytest.mark.parametrize("g", ["agent-secretion", "constant"])
+def test_closed_form_pass_matches_per_item_oracle(coeff, dim, g):
+    from chemosim import field
+
+    rng = np.random.default_rng(31)
+    X0 = rng.uniform(-0.5, 0.5, (dim, 8))  # eight agents
+    scn = build(coeff=coeff, phi=declared_gaussian_phi(), g=g, dim=dim, X0=X0, T=0.2,
+                g_kwargs={"value": 1.7} if g == "constant" else None)
+    path = moving_path(scn)
+    probe = FieldProbe(scn, path)
+    pts = rng.uniform(-1.0, 1.0, (72, dim))
+    times = rng.uniform(0.01, 0.2, 72)
+    entries = len(pts) * 32 * scn.n * dim * dim
+    assert entries > 2 * field._CHUNK_ELEMENTS  # several passes
+    got = probe.derivatives_many(pts, times, (0, 1, 2))
+    for order in (0, 1, 2):
+        want = np.stack([loop_closed_form(scn, path, x, t, order) for x, t in zip(pts, times)])
+        scale = np.abs(want).max()
+        assert np.abs(got[order] - want).max() <= 1e-15 * scale, f"order {order}"
+
+
+@pytest.mark.parametrize("backend", [BACKEND_KERNEL, BACKEND_FD])
+@pytest.mark.parametrize("phi", ["declared", "gaussian"])
+def test_multi_order_call_equals_one_order_calls(backend, phi):
+    # 2D drift and reaction with a non-diagonal a; an undeclared phi takes
+    # the spatial rule, so both branches of the closed-form backend run
+    X0 = [[0.2, -0.3, 0.5], [0.1, 0.4, -0.2]]
+    scn = build(coeff=DRIFT_REACTION_2D, phi=declared_gaussian_phi() if phi == "declared" else phi,
+                g="agent-secretion", dim=2, X0=X0, T=0.2)
+    probe = FieldProbe(scn, moving_path(scn), backend=backend)
+    rng = np.random.default_rng(32)
+    pts = rng.uniform(-1.0, 1.0, (40, 2))
+    times = rng.uniform(0.01, 0.2, 40)
+    times[::7] = 0.0
+    together = probe.derivatives_many(pts, times, (0, 1, 2))
+    alone = (probe.value_many(pts, times), probe.gradient_many(pts, times),
+             probe.hessian_many(pts, times))
+    for order in (0, 1, 2):
+        np.testing.assert_array_equal(together[order], alone[order], err_msg=f"order {order}")
+    # any order subset, in any order, returns the same arrays
+    hess, grad = probe.derivatives_many(pts, times, (2, 1))
+    np.testing.assert_array_equal(hess, alone[2])
+    np.testing.assert_array_equal(grad, alone[1])
+
+
+def test_derivatives_many_rejects_unknown_orders():
+    scn = build(phi="gaussian")
+    probe = FieldProbe(scn, constant_path(scn))
+    for orders in ((), (3,), (0, -1)):
+        with pytest.raises(ValueError, match="orders"):
+            probe.derivatives_many(np.zeros((2, 1)), 0.5, orders)
+
+
+def test_probe_time_outside_the_path_names_the_closed_range():
+    scn = build(phi="gaussian")
+    probe = FieldProbe(scn, constant_path(scn))
+    with pytest.raises(ValueError, match=r"probe time 1\.5 outside \[0, 1\.0\]"):
+        probe.gradient_many(np.zeros((2, 1)), 1.5)
+    assert probe.gradient_many(np.zeros((2, 1)), 0.0).shape == (2, 1)  # t = 0 is inside

@@ -133,6 +133,39 @@ def test_field_snapshot_format(tmp_path):
     assert "dim=1" in first and "t=" in first
 
 
+# negative zero, subnormals, the range ends and plain negatives
+AWKWARD_VALUES = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e300, -1e300,
+                           -3.75, 0.1, -1.0 / 3.0, 123456789.125, -7e-17])
+
+
+def per_value_lines(table):
+    return [",".join(cio._fmt(v) for v in row) for row in np.asarray(table).tolist()]
+
+
+def test_trajectory_rows_match_the_per_value_format(tmp_path):
+    times = np.array([0.0, 0.25, 0.5, 1.0])
+    X = np.resize(AWKWARD_VALUES, (4, 2, 3))
+    V = np.resize(AWKWARD_VALUES[::-1], (4, 2, 3))
+    f = tmp_path / "traj.csv"
+    cio.write_trajectory(AgentPath(times, X, V), f)
+    table = np.hstack([times[:, None], X.transpose(0, 2, 1).reshape(4, -1),
+                       V.transpose(0, 2, 1).reshape(4, -1)])
+    assert f.read_text().splitlines()[2:] == per_value_lines(table)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_field_snapshot_rows_match_the_per_value_format(tmp_path, dim):
+    from types import SimpleNamespace
+
+    axis = np.linspace(-1.0, 1.0, 4)
+    values = np.resize(AWKWARD_VALUES, (2,) + (4,) * dim)
+    grid = SimpleNamespace(axes=(axis,) * dim, times=np.array([0.0, 1.0]), values=values, h=2.0 / 3.0)
+    f = tmp_path / "snap.csv"
+    cio.write_field_snapshot(grid, 1.0, f)
+    rows = values[1].reshape(-1, 4) if dim > 1 else values[1][None, :]
+    assert f.read_text().splitlines()[1:] == per_value_lines(rows)
+
+
 # -- CLI ---------------------------------------------------------------------------------
 
 
@@ -394,6 +427,21 @@ def test_cli_verify_unknown_suite(tmp_path):
     res = run_cli("verify", "--config", str(p), "--suite", "nope")
     assert res.returncode == 2
     assert "unknown verify suite" in res.stderr
+
+
+def test_cli_verify_unknown_suite_runs_no_suite(tmp_path, monkeypatch, capsys):
+    p = write_cfg(tmp_path)
+    called = []
+    for name in ("check_kernel_mass", "check_gamma_estimates", "check_prop1", "check_holder",
+                 "gronwall_oracle", "residual_check"):
+        monkeypatch.setattr(ver, name, lambda *a, _name=name, **k: called.append(_name))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--config", str(p), "--suite", "prop1,residual,bogus",
+                  "--output-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unknown verify suite 'bogus'" in capsys.readouterr().err
+    assert called == []
+    assert not (tmp_path / "verify_report.json").exists()
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -33,6 +33,7 @@ from util import (
     loop_holder,
     loop_holder_pairs,
     loop_holder_pairs_two_arg,
+    loop_kernel_mass_deviations,
     loop_mass_samples,
     loop_prop1,
     loop_space_time_samples,
@@ -55,6 +56,29 @@ def test_mass_anisotropic_passes():
     rep = check_kernel_mass(scn.kernel, mass_samples(2, 20, 1.0, seed=0))
     assert rep.passed
     assert rep.worst_ratio - 1.0 < 1e-6
+
+
+@pytest.mark.parametrize("coeff,dim,count", [
+    ("heat", 1, 50), ("anisotropic-constant", 1, 50),
+    ("anisotropic-constant", 2, 7), ("anisotropic-constant", 3, 3),
+])
+def test_mass_deviations_match_the_per_sample_loop(monkeypatch, coeff, dim, count):
+    import chemosim.verify as ver
+
+    scn = build(coeff=coeff, dim=dim)
+    samples = mass_samples(dim, count, 1.0, seed=977)
+    seen = []
+    reduce_ = ver._reduce
+
+    def keep_ratios(rep, ratios, *args, **kwargs):
+        seen.append(np.asarray(ratios))
+        return reduce_(rep, ratios, *args, **kwargs)
+
+    monkeypatch.setattr(ver, "_reduce", keep_ratios)
+    rep = check_kernel_mass(scn.kernel, samples)
+    want = loop_kernel_mass_deviations(scn.kernel, samples)
+    assert np.abs(seen[0] - want).max() <= 1e-15
+    assert abs(rep.worst_ratio - (1.0 + want.max())) <= 1e-15
 
 
 def test_mass_rejects_reaction_rate():
@@ -525,8 +549,9 @@ def test_kernel_mass_nan_measurement_fails(monkeypatch):
     eval_ = Kernel.eval
 
     def nan_at_sample_3(self, xs, ts, xi, taus):
+        # one call for all samples: the rows of sample 3 read NaN
         vals = eval_(self, xs, ts, xi, taus)
-        return np.full_like(vals, np.nan) if ts == t[3] else vals
+        return np.where(np.asarray(ts) == t[3], np.nan, vals)
 
     monkeypatch.setattr(Kernel, "eval", nan_at_sample_3)
     rep = check_kernel_mass(scn.kernel, samples)
@@ -553,14 +578,16 @@ def test_prop1_nan_measurement_fails(which):
     scn = build(phi="abs-sqrt")
     probe = moving_probe(scn)
     x, t = samples = space_time_samples(1, 60, seed=4)
-    measure = getattr(probe, which)
+    measure = probe.derivatives_many
+    nan_order = 1 if which == "gradient_many" else 2
 
-    def nan_at_sample_5(pts, times):
-        vals = np.array(measure(pts, times), dtype=float)
-        vals[5] = np.nan
-        return vals
+    def nan_at_sample_5(pts, times, orders):
+        # the one call serves both reports; only ``which`` reads NaN
+        vals = [np.array(v, dtype=float) for v in measure(pts, times, orders)]
+        vals[orders.index(nan_order)][5] = np.nan
+        return tuple(vals)
 
-    setattr(probe, which, nan_at_sample_5)
+    probe.derivatives_many = nan_at_sample_5
     rep_g, rep_h = check_prop1(scn, probe, samples)
     nan_rep, other = (rep_g, rep_h) if which == "gradient_many" else (rep_h, rep_g)
     assert _fails_at(nan_rep, (x[5], t[5]))

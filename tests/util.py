@@ -347,6 +347,79 @@ def loop_gradient(scenario, path, x, t):
     return initial - source
 
 
+def gaussian_integral_per_item(kernel, order, d, sigma, rate):
+    """x-derivative of the given order of the integral over xi of
+    G(x, t, xi, tau) exp(-rate |xi - X|^2), for stacked d = x - X + b sigma
+    (..., N) and sigma = t - tau broadcasting against d's leading axes: the
+    closed form per item, with the axes trailing and matmul rotations, as
+    the reference for the field evaluator's axis-last passes.
+
+    With M = I + 4 rate sigma a the integral is
+    det(M)^(-1/2) exp(-rate d^T M^-1 d + c sigma); the gradient is
+    -2 rate M^-1 d times that, the hessian
+    (4 rate^2 (M^-1 d)(M^-1 d)^T - 2 rate M^-1) times that."""
+    lam, q = kernel.eig
+    m = 1.0 + 4.0 * rate * sigma[..., None] * lam  # eigenvalues of M
+    e = d @ q
+    val = np.exp(-rate * np.sum(e * e / m, axis=-1) + kernel.c * sigma) / np.sqrt(np.prod(m, axis=-1))
+    if order == 0:
+        return val
+    w = (e / m) @ q.T  # M^-1 d
+    if order == 1:
+        return (-2.0 * rate) * w * val[..., None]
+    m_inv = (q / m[..., None, :]) @ q.T
+    m_inv = 0.5 * (m_inv + np.swapaxes(m_inv, -1, -2))
+    outer = w[..., :, None] * w[..., None, :]
+    return (4.0 * rate * rate * outer - 2.0 * rate * m_inv) * val[..., None, None]
+
+
+def loop_closed_form(scenario, path, x, t, order, time_nodes=32):
+    """Derivative of the given order of f(x, t), t > 0, for a scenario whose
+    phi and g are zero or declare Gaussian structure: one point, and one
+    s-node of the source integral at a time, each through
+    `gaussian_integral_per_item`."""
+    kern = scenario.kernel
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((kern.dim,) * order)
+    for datum, source in ((scenario.phi, False), (scenario.g, True)):
+        if getattr(datum, "is_zero", False):
+            continue
+        gauss = datum.gaussian_source
+        if source:
+            s_base, s_wts = gauss_legendre(0.0, 1.0, time_nodes)
+            nodes = [(2.0 * s * (ws * math.sqrt(t)), max(t - s * s, 0.0))
+                     for s, ws in zip(s_base * math.sqrt(t), s_wts)]
+        else:
+            nodes = [(1.0, 0.0)]
+        acc = np.zeros((kern.dim,) * order)
+        for weight, tau in nodes:
+            sigma = t - tau
+            if gauss.at_agents:
+                centres = path.positions_at(tau).T
+            else:
+                centres = np.zeros((1, kern.dim))
+            d = x - centres + kern.b * sigma
+            k = gaussian_integral_per_item(kern, order, d, np.full(len(d), sigma), gauss.rate)
+            acc = acc + weight * (gauss.weight * k.sum(axis=0))
+        out = out - acc if source else out + acc
+    return out
+
+
+def loop_kernel_mass_deviations(kernel, samples, nodes=None):
+    """|mass - 1| per sample of `verify.check_kernel_mass`, one kernel call
+    per sample."""
+    nodes = nodes if nodes is not None else {1: 128, 2: 64, 3: 32}[kernel.dim]
+    u_pts, u_wts = tensor_grid(-12.0, 12.0, nodes, kernel.dim)
+    x, t, tau = samples
+    devs = []
+    for xk, tk, tau_k in zip(x, t.tolist(), tau.tolist()):
+        s = tk - tau_k
+        xi = (xk + kernel.b * s)[None, :] + math.sqrt(s) * u_pts
+        vals = kernel.eval(xk[None, :], tk, xi, tau_k)
+        devs.append(abs(s ** (kernel.dim / 2.0) * float(u_wts @ vals) - 1.0))
+    return np.asarray(devs)
+
+
 def per_node_sweep(path, scenario, delta=None):
     """The update map applied one time node at a time, with one field call
     per node (pointwise) or per agent and node (ball average) and one
