@@ -1,9 +1,11 @@
 """Finite sensing radius: agents read the ball-averaged gradient.
 
 A cell senses the chemical around its whole body, not at its center.  The
-non-local mode averages the field gradient over a ball of radius delta; as
-delta shrinks, trajectories converge to the pointwise-sensing ones at second
-order.
+non-local mode averages the field gradient over a ball of radius delta, which
+by the divergence theorem is (N / delta) times the mean of f nu over the
+sphere of radius delta: in 1D the centred difference
+(f(x + delta) - f(x - delta)) / (2 delta).  As delta shrinks, trajectories
+converge to the pointwise-sensing ones at second order.
 """
 
 import numpy as np

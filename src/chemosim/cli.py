@@ -141,8 +141,8 @@ def _sensing(cfg, scenario: Scenario, mode: str | None = None,
             raise ConfigError(f"--delta sets the non-local sensing radius; {mode} sensing has none")
         return scenario, mode, None
     if delta is not None:
-        if not delta > 0:  # NaN too; the config's delta was checked at build
-            raise ConfigError(f"sensing radius --delta must be positive, got {delta:g}")
+        if not 0.0 < delta < np.inf:  # NaN too; the config's delta was checked at build
+            raise ConfigError(f"sensing radius --delta must be positive and finite, got {delta:g}")
         scenario = replace(scenario, nonlocal_delta=delta)
     if scenario.nonlocal_delta is None:
         raise ConfigError("non-local mode needs --delta or a config delta")

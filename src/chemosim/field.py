@@ -34,7 +34,9 @@ factor between the orders.  Either way an item's value does not depend on
 the pass it falls in, so every order equals its one-order call bit for bit.
 
 Evaluation at t = 0 returns the initial datum (and its difference-quotient
-derivatives) by continuity.
+derivatives) by continuity.  The ball average of grad f is (N / delta) times
+the mean of f nu over the sphere of radius delta (divergence theorem), so
+non-local sensing takes field values only.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .paths import AgentPath
-from .quadrature import ball_average_rule, gauss_legendre, tensor_grid
+from .quadrature import _read_only, gauss_legendre, sphere_rule, tensor_grid
 from .scenario import Scenario
 
 __all__ = [
@@ -172,8 +174,11 @@ def _sum_in_order(terms):
 
 
 @lru_cache(maxsize=32)
-def _cached_ball_rule(dim: int, delta: float):
-    return ball_average_rule(dim, delta)
+def _cached_sphere_rule(dim: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only offsets delta nu_k and vector weights (N / delta) w_k /
+    sum(w) nu_k, both (K, N), of `quadrature.sphere_rule` at its defaults."""
+    nu, w = sphere_rule(dim)
+    return _read_only(delta * nu, (dim / delta) * (w / w.sum())[:, None] * nu)
 
 
 @dataclass(eq=False)
@@ -411,18 +416,22 @@ class FieldProbe:
         in ``derivatives_many``."""
         return self._batch(pts, t, (2,))[0]
 
-    def ball_rule(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (offsets, weights) averaging over the radius-delta ball."""
-        if delta <= 0:
-            raise ValueError("sensing radius delta must be positive")
-        return _cached_ball_rule(self.scenario.dimension, float(delta))
-
-    def ball_average_gradient(self, x, t: float, delta: float) -> np.ndarray:
-        """Average of grad f over the ball of radius delta centered at x."""
-        offsets, wts = self.ball_rule(delta)
-        pts = np.asarray(x, dtype=float)[None, :] + offsets
-        grads = self.gradient_many(pts, t)
-        return wts @ grads
+    def ball_average_gradient(self, x, t, delta: float) -> np.ndarray:
+        """Average of grad f over the radius-delta ball around one point
+        (N,) or stacked points (P, N), shaped like ``x``; ``t`` as in
+        ``derivatives_many``.  One ``value_many`` pass on the sphere rule
+        (2, 16 or 128 nodes) serves every point; in 1D the average is
+        (f(x + delta) - f(x - delta)) / (2 delta)."""
+        if not 0.0 < delta < math.inf:  # NaN too
+            raise ValueError(f"sensing radius delta must be positive and finite, got {delta!r}")
+        pts = np.atleast_2d(np.asarray(x, dtype=float))
+        t = self._check_times(t, len(pts))
+        offsets, wts = _cached_sphere_rule(self.scenario.dimension, float(delta))
+        # (node, centre) order: the sum runs in node order for any number of centres
+        vals = self.value_many((offsets[:, None, :] + pts).reshape(-1, pts.shape[1]),
+                               np.tile(t, len(offsets))).reshape(len(offsets), len(pts))
+        avg = (vals[:, :, None] * wts[:, None, :]).sum(axis=0)
+        return avg[0] if np.ndim(x) == 1 else avg
 
 
 # -- finite-difference solve ----------------------------------------------------

@@ -260,6 +260,8 @@ def _resolve_delta(scenario: Scenario, mode: str, delta: float | None) -> float 
     delta = delta if delta is not None else scenario.nonlocal_delta
     if delta is None:
         raise ValueError("non-local mode needs a sensing radius delta")
+    if not 0.0 < delta < math.inf:  # NaN too
+        raise ValueError(f"sensing radius delta must be positive and finite, got {delta!r}")
     return delta
 
 
@@ -267,18 +269,13 @@ def sensed_gradients(probe: FieldProbe, X: np.ndarray, times,
                      delta: float | None) -> np.ndarray:
     """w_j for every agent at every node, shape (K, N, n) like the stacked
     configurations X (K, N, n) at ``times`` (K,): the field gradient at X_j,
-    or its average over the radius-delta ball.  All points, ball points
-    included, go to the probe in one ``gradient_many`` call."""
+    or its average over the radius-delta ball, from one probe call."""
     pts = np.swapaxes(X, 1, 2)  # (K, n, N): one point per (node, agent)
-    _, n_agents, dim = pts.shape
-    times = np.asarray(times, dtype=float)
-    if delta is None:
-        grads = probe.gradient_many(pts.reshape(-1, dim), np.repeat(times, n_agents))
-        return np.swapaxes(grads.reshape(pts.shape), 1, 2)
-    offsets, wts = probe.ball_rule(delta)
-    ball = pts[:, :, None, :] + offsets
-    grads = probe.gradient_many(ball.reshape(-1, dim), np.repeat(times, n_agents * len(wts)))
-    return np.swapaxes(wts @ grads.reshape(ball.shape), 1, 2)
+    flat = pts.reshape(-1, pts.shape[2])
+    node_times = np.repeat(np.asarray(times, dtype=float), pts.shape[1])
+    grads = (probe.gradient_many(flat, node_times) if delta is None
+             else probe.ball_average_gradient(flat, node_times, delta))
+    return np.swapaxes(grads.reshape(pts.shape), 1, 2)
 
 
 def _tube_exit(path: AgentPath, X0: np.ndarray, V0: np.ndarray,
@@ -490,7 +487,9 @@ def _lemma_constants(scenario: Scenario, params: EstimateParams | None = None) -
 def _c0_constant(scenario: Scenario, horizon: float) -> float:
     """max over 129 times in [0, horizon] of the norm of the force on all
     agents at the frozen initial state with zero sensed gradient; a
-    non-finite force raises ValueError naming its time."""
+    non-finite force raises ValueError naming its time.  The maximum is
+    exact for every preset force law, since none depends on t; a force
+    that does is only sampled."""
     times = np.linspace(0.0, horizon, 129)
     shape = times.shape + scenario.X0.shape
     forces = scenario.force.eval(times, np.broadcast_to(scenario.X0, shape),

@@ -85,6 +85,7 @@ def coefficient_preset(name: str, dimension: int, alpha: float = 0.5) -> Operato
             c=lambda x, t: 0.0,
             is_constant=False,
             holder_exponent=alpha,
+            mu0=0.5, mu1=1.5,  # the range of 1 + sin(x_0) / 2
         )
     raise ScenarioError(f"unknown coefficient preset {name!r}")
 

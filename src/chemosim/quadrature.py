@@ -77,26 +77,6 @@ def sphere_rule(dim: int, n_polar: int = 8, n_azimuth: int = 16) -> tuple[np.nda
     raise ValueError(f"sphere_rule supports dim in {{1,2,3}}, got {dim}")
 
 
-def ball_average_rule(dim: int, radius: float, n_radial: int = 12,
-                      n_polar: int = 8, n_azimuth: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets and weights so that sum(w * h(x + offsets)) averages h over a ball.
-
-    Weights sum to 1; the rule is the product of radial Gauss-Legendre (with
-    the r^{dim-1} volume factor) and a sphere rule, normalized by the ball
-    volume.  Both arrays are read-only, so a cached rule can be shared.
-    """
-    if radius <= 0:
-        raise ValueError("ball radius must be positive")
-    r, wr = gauss_legendre(0.0, radius, n_radial)
-    s_pts, s_wts = sphere_rule(dim, n_polar, n_azimuth)
-    offsets = r[:, None, None] * s_pts[None, :, :]
-    wts = (wr * r**(dim - 1))[:, None] * s_wts[None, :]
-    offsets = offsets.reshape(-1, dim)
-    wts = wts.ravel()
-    volume = wts.sum()  # equals ball volume up to quadrature error
-    return _read_only(offsets, wts / volume)
-
-
 def trapezoid_cumulative(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Cumulative trapezoid integral of y over t along the first axis."""
     y = np.asarray(y, dtype=float)

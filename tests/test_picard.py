@@ -275,6 +275,20 @@ def test_certificate_nonlocal_requires_delta():
         horizon_certificate(scn, mode=MODE_NONLOCAL)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -0.1], ids=["nan", "inf", "zero", "negative"])
+def test_sensing_radius_must_be_positive_and_finite(delta):
+    scn = damped()
+    path = AgentPath.constant(scn.X0, scn.V0, np.linspace(0.0, 0.01, 5))
+    calls = [
+        lambda: apply_psi(path, scn, mode=MODE_NONLOCAL, delta=delta),
+        lambda: horizon_certificate(scn, mode=MODE_NONLOCAL, delta=delta),
+        lambda: FieldProbe(scn, path).ball_average_gradient(np.array([0.2]), 0.005, delta),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="sensing radius delta must be positive and finite"):
+            call()
+
+
 def test_certificate_invariants_enforced():
     from chemosim.picard import HorizonCertificate
 

@@ -46,6 +46,34 @@ def test_variable_sine_eigenvalues_within_half_to_three_halves():
         assert 0.5 - 1e-12 <= eigs.min() and eigs.max() <= 1.5 + 1e-12
 
 
+def test_variable_sine_declares_its_eigenvalue_range():
+    scn = build(coeff="variable-sine", phi="gaussian", dim=2)
+    assert (scn.coeffs.mu0, scn.coeffs.mu1) == (0.5, 1.5)
+    assert scn.coeffs.lambda0 == pytest.approx(2.0 / 9.0, rel=1e-15)
+
+
+def test_variable_sine_side_condition_reads_the_declared_range():
+    # C < lambda0 / (4 T) = 1/18 = 0.0556; the 5-point probe grid's range
+    # (0.545, 1.455) would have admitted C up to 0.0644
+    cfg = {
+        "dimension": 1, "horizon": 1.0, "coefficients": "variable-sine",
+        "phi": "gaussian", "g": "zero", "force": "zero",
+        "X0": [[0.0]], "V0": [[0.0]], "growth": {"C": 0.058},
+    }
+    with pytest.raises(ScenarioError, match="side condition"):
+        scenario_from_config(cfg)
+    cfg["growth"] = {"C": 0.055}
+    assert scenario_from_config(cfg).growth.C == 0.055
+
+
+def test_declared_eigenvalue_range_left_by_a_sample_raises():
+    from dataclasses import replace
+
+    narrow = replace(coefficient_preset("variable-sine", 1), mu0=0.6)
+    with pytest.raises(ScenarioError, match="leave the declared range"):
+        build(coeff=narrow, phi="gaussian")
+
+
 def test_growth_side_condition_rejected():
     # lambda0 = 1 for heat, so C = lambda0/(2T) violates C < lambda0/(4T)
     from chemosim.scenario import GrowthSpec, make_scenario

@@ -22,7 +22,13 @@ from chemosim.presets import (
     g_preset,
     phi_preset,
 )
-from chemosim.quadrature import gauss_legendre, halton_points, tensor_grid, trapezoid_cumulative
+from chemosim.quadrature import (
+    gauss_legendre,
+    halton_points,
+    sphere_rule,
+    tensor_grid,
+    trapezoid_cumulative,
+)
 from chemosim.scenario import ForceLaw, GrowthSpec, make_scenario
 from chemosim.verify import EstimateReport
 
@@ -179,6 +185,31 @@ def loop_sphere_rule_3d(n_polar, n_azimuth):
             pts.append([s * np.cos(th), s * np.sin(th), m])
             wts.append(wm * wtheta)
     return np.asarray(pts), np.asarray(wts)
+
+
+def ball_average_rule(dim: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and weights so that sum(w * h(x + offsets)) averages h over a
+    ball: the volume rule that non-local sensing applied to gradients before
+    it took the divergence form, kept as its oracle.
+
+    Weights sum to 1; the rule is the product of a 12-node radial
+    Gauss-Legendre rule (with the r^{dim-1} volume factor) and the default
+    sphere rule, normalized by the ball volume.
+    """
+    r, wr = gauss_legendre(0.0, radius, 12)
+    s_pts, s_wts = sphere_rule(dim)
+    offsets = (r[:, None, None] * s_pts[None, :, :]).reshape(-1, dim)
+    wts = ((wr * r**(dim - 1))[:, None] * s_wts[None, :]).ravel()
+    return offsets, wts / wts.sum()  # the sum is the ball volume up to quadrature error
+
+
+def volume_ball_average(gradient_many, pts, t, delta):
+    """Ball averages of grad f at stacked centres ``pts`` (P, N) at time
+    ``t`` by `ball_average_rule`, from ``gradient_many(points, t)``: the
+    gradient at stacked points, shape (points, N)."""
+    offsets, wts = ball_average_rule(pts.shape[1], delta)
+    grads = gradient_many((pts[:, None, :] + offsets).reshape(-1, pts.shape[1]), t)
+    return wts @ grads.reshape(len(pts), len(wts), -1)
 
 
 def loop_horizon_T1(scenario, radius=None, params=None, delta=None):
