@@ -1,8 +1,11 @@
 """Segment-by-segment continuation to a global solution.
 
 Each segment restarts the local solve from the previous endpoint with a fresh
-certificate; after the first, Picard iteration starts from an extrapolation
-of the segment before it ("start=extrapolated"), so it needs fewer sweeps.
+certificate.  Picard iteration on the first segment starts from the
+first-order Taylor path of the initial state ("start=taylor"), and on every
+later one from an extrapolation of the segment before it
+("start=extrapolated"), so both need fewer sweeps than a start from the
+frozen initial state.
 For a purely damped force the exact solution is known, so the stitched
 trajectory can be checked end to end, together with the a-priori excursion
 bound B.

@@ -23,15 +23,26 @@ does.  Variable coefficients take an explicit finite-difference solve on a
 truncated box (`backend_for`).
 
 Batch evaluations take one time per point, and the items of a batch run in
-a few vectorized passes, so one call serves a whole Picard sweep.  A call
-asks for any of the orders 0, 1, 2 (``derivatives_many``), and each pass
-serves all of them.  A spatial-rule pass builds xi and the datum on it once
-and calls the kernel derivative once per order, on (item, node, component)
-arrays.  A closed-form pass runs axis-last, on (component, centre, item)
-arrays, so its reductions and products run along the long item axis: it
-rotates into the eigenbasis of a once and shares M^-1 d and the scalar
-factor between the orders.  Either way an item's value does not depend on
-the pass it falls in, so every order equals its one-order call bit for bit.
+a few vectorized passes, so one call serves a whole Picard sweep.  The
+layout is time-major: the points are sorted into runs of equal probe time,
+and tau, the weight, sigma = t - tau and the agent positions X(tau) of each
+(s-node, distinct time) cell are computed once, for every point at that
+time (the initial-datum term is the one row tau = 0, weight 1).  A pass
+is an (s-node, point) block: every s-row of a range of points or, when one
+point's rows exceed the pass size, a range of the rows of one point.  Each
+point adds its rows to its running sum one at a time in s-node order, in
+one ``np.add.accumulate`` per pass, so a point's value is the same whatever
+else the batch holds.  A call asks for any of the orders 0, 1, 2
+(``derivatives_many``), and each pass serves all of them.  A spatial-rule
+pass builds xi and the datum on it once and calls the kernel derivative
+once per order, on (item, node, component) arrays.  A closed-form pass runs
+axis-last, on (component, centre, item) arrays, so its reductions and
+products run along the long item axis: it rotates into the eigenbasis of a
+once and shares M^-1 d and the scalar factor between the orders.  Either
+way an item's value does not depend on the pass it falls in, so every
+order equals its one-order call bit for bit.  The spatial rule and the
+s-rule are built once per (dimension, u_max, node counts, L) and shared
+read-only (`_cached_field_rules`).
 
 Evaluation at t = 0 returns the initial datum (and its difference-quotient
 derivatives) by continuity.  The ball average of grad f is (N / delta) times
@@ -103,8 +114,19 @@ class QuadratureSpec:
     fd_dt: float | None = None
 
     def __post_init__(self):
-        if self.u_max is not None and self.u_max < 6.0:
-            raise ValueError("u_max below 6 drops more than 2e-5 of the kernel's mass")
+        # each check is written as "not (valid)", so NaN fails it
+        if self.u_max is not None and not (_is_real(self.u_max) and 6.0 <= self.u_max < math.inf):
+            raise ValueError(f"u_max must be finite and at least 6 (below 6 the rule drops "
+                             f"more than 2e-5 of the kernel's mass), got {self.u_max!r}")
+        for name, optional in (("space_nodes", True), ("time_nodes", False)):
+            value = getattr(self, name)
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not (optional and value is None or integer and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        for name, optional in (("fd_half_width", False), ("fd_h", True), ("fd_dt", True)):
+            value = getattr(self, name)
+            if not (optional and value is None or _is_real(value) and 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     def resolved_u_max(self, dim: int) -> float:
         return self.u_max if self.u_max is not None else _DEFAULT_U_MAX[dim]
@@ -114,6 +136,10 @@ class QuadratureSpec:
 
     def resolved_fd_h(self, dim: int) -> float:
         return self.fd_h if self.fd_h is not None else _DEFAULT_FD_H[dim]
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def _is_zero(fn) -> bool:
@@ -152,13 +178,14 @@ def _fd_hessian_of(fn, pts: np.ndarray, step: float = 1e-4) -> np.ndarray:
 
 # Size of one vectorized pass, counted in kernel-derivative entries (items x
 # spatial nodes x derivative components, or items x agents x derivative
-# components for a datum integrated in closed form); an item is a point of
-# the initial-datum integral or an (s-node, point) pair of the source
-# integral.  Small passes keep their arrays in cache and the peak memory of
-# a solve near its level before batching (passes of 2^15 entries added 1.4 MB
-# to a 2D solve; closed-form source terms in one pass added 1.6 MB to a 1D
-# solve); on a 1D Picard sweep, 2^13 to 2^15 entries ran fastest, and
-# smaller passes pay Python overhead.
+# components for a datum integrated in closed form); an item is an (s-node,
+# point) cell of the source integral or a point of the initial-datum
+# integral.  The same cap bounds a group's table of agent positions X(tau).
+# Small passes keep their arrays in cache and the peak memory of a solve near
+# its level before batching (passes of 2^15 entries added 1.4 MB to a 2D
+# solve; closed-form source terms in one pass added 1.6 MB to a 1D solve); on
+# a 1D Picard sweep, 2^13 to 2^15 entries ran fastest, and smaller passes pay
+# Python overhead.
 _CHUNK_ELEMENTS = 2**13
 
 
@@ -174,11 +201,38 @@ def _sum_in_order(terms):
 
 
 @lru_cache(maxsize=32)
+def _cached_field_rules(dim: int, u_max: float, space_nodes: int, time_nodes: int,
+                        chol: bytes) -> tuple[np.ndarray, ...]:
+    """Read-only spatial rule (nodes L u, weights times det L) on the
+    truncated box |u_i| <= u_max, and Gauss nodes and weights in s on [0, 1],
+    for the Cholesky factor L whose C-order float64 bytes are ``chol``."""
+    factor = np.frombuffer(chol).reshape(dim, dim)
+    u_pts, u_wts = tensor_grid(-u_max, u_max, space_nodes, dim)
+    s_base, s_wts = gauss_legendre(0.0, 1.0, time_nodes)
+    return _read_only(u_pts @ factor.T, u_wts * np.prod(np.diag(factor)), s_base, s_wts)
+
+
+@lru_cache(maxsize=32)
 def _cached_sphere_rule(dim: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only offsets delta nu_k and vector weights (N / delta) w_k /
     sum(w) nu_k, both (K, N), of `quadrature.sphere_rule` at its defaults."""
     nu, w = sphere_rule(dim)
     return _read_only(delta * nu, (dim / delta) * (w / w.sum())[:, None] * nu)
+
+
+def _time_runs(t: np.ndarray) -> tuple:
+    """The points of probe times ``t`` (P,) in time order: the stable
+    permutation that sorts them (None when ``t`` is already in order, as a
+    sweep's node-major points are), the run of equal times each sorted point
+    belongs to (P,), the bounds of the runs in sorted order (runs + 1,) and
+    the time of each run (runs,)."""
+    order = np.argsort(t, kind="stable") if (t[1:] < t[:-1]).any() else None
+    t_sorted = t if order is None else t[order]
+    new = np.empty(len(t), dtype=bool)
+    new[0] = True
+    np.not_equal(t_sorted[1:], t_sorted[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    return order, np.cumsum(new) - 1, np.append(starts, len(t)), t_sorted[starts]
 
 
 @dataclass(eq=False)
@@ -204,15 +258,13 @@ class FieldProbe:
             raise ValueError("closed-form backend requires constant coefficients")
         self._fd_grid: FdField | None = None
         if self.backend == BACKEND_KERNEL:
-            dim = self.scenario.dimension
-            u_max = self.quad.resolved_u_max(dim)
-            u_pts, u_wts = tensor_grid(-u_max, u_max, self.quad.resolved_space_nodes(dim), dim)
             # xi = x + sqrt(t - tau) L u with a = L L^T, so the kernel decays
             # like exp(-|u|^2 / 4) in every direction of the truncated box
-            chol = self.scenario.kernel.chol
-            self._u_pts = u_pts @ chol.T
-            self._u_wts = u_wts * np.prod(np.diag(chol))
-            self._s_base, self._s_wts = gauss_legendre(0.0, 1.0, self.quad.time_nodes)
+            dim = self.scenario.dimension
+            chol = np.ascontiguousarray(self.scenario.kernel.chol, dtype=float)
+            self._u_pts, self._u_wts, self._s_base, self._s_wts = _cached_field_rules(
+                dim, float(self.quad.resolved_u_max(dim)), int(self.quad.resolved_space_nodes(dim)),
+                int(self.quad.time_nodes), chol.tobytes())
 
     # -- time-range handling -------------------------------------------------
 
@@ -230,70 +282,108 @@ class FieldProbe:
 
     # -- closed-form backend -------------------------------------------------
 
-    def _kernel_integral(self, datum, source: bool, pts: np.ndarray, t: np.ndarray,
+    def _kernel_integral(self, datum, source: bool, pts: np.ndarray, runs: tuple,
                          orders: tuple) -> list[np.ndarray]:
         """x-derivatives of the given orders of the kernel integral of phi
-        (``source`` false) or of g over (0, t), at stacked points (P, N): a
-        sum over the items the module docstring describes, each in closed
-        form when the datum declares Gaussian structure and by the spatial
-        rule otherwise.  One array per order, shaped (P,) + (N,) * order;
-        every order comes from the same passes.  Source items are summed in
-        s-node order."""
+        (``source`` false) or of g over (0, t), at stacked points (P, N)
+        whose probe times ``runs`` groups (`_time_runs`): a sum over the
+        items the module docstring describes, each in closed form when the
+        datum declares Gaussian structure and by the spatial rule otherwise.
+        One array per order, shaped (P,) + (N,) * order; every order comes
+        from the same passes.  Each point sums its items in s-node order,
+        across passes too."""
         kern = self.scenario.kernel
-        dim = kern.dim
-        n_pts = len(pts)
-        shapes = [(n_pts,) + (dim,) * order for order in orders]
+        dim, n_agents = kern.dim, self.scenario.n
+        order, run, bounds, run_times = runs
+        shapes = [(len(pts),) + (dim,) * k for k in orders]
         if _is_zero(datum):
             return [np.zeros(shape) for shape in shapes]
         gauss = getattr(datum, "gaussian_source", None)
         # a pass holds, for each of its items, at most one closed-form term per
         # agent or one kernel-derivative entry per spatial node, of the largest
-        # requested order: the orders' kernel derivatives come one at a time
-        per_item = ((self.scenario.n if gauss is not None else len(self._u_pts))
-                    * dim**max(orders))
-        step = max(1, _CHUNK_ELEMENTS // per_item)
-        n_items = (len(self._s_base) if source else 1) * n_pts
+        # requested order: the orders' kernel derivatives come one at a time.
+        # It takes every s-row of a range of points, or, when one point's rows
+        # do not fit, a range of the rows of one point.
+        per_item = (n_agents if gauss is not None else len(self._u_pts)) * dim**max(orders)
+        n_rows = len(self._s_base) if source else 1
+        rows_per_pass = min(n_rows, max(1, _CHUNK_ELEMENTS // per_item))
+        pts_per_pass = max(1, _CHUNK_ELEMENTS // (per_item * n_rows))
+        # a group of runs holds X(tau) of every agent for each of its cells
+        runs_per_group = max(1, _CHUNK_ELEMENTS // (n_rows * dim * n_agents))
         accs = [np.zeros(shape) for shape in shapes]
-        pts_t = pts.T
-        for lo in range(0, n_items, step):
-            # item k is (s-node j, point i) with k = j * P + i
-            j, i = np.divmod(np.arange(lo, min(lo + step, n_items)), n_pts)
-            t_i = t[i]
-            if source:
-                sqrt_t = np.sqrt(t_i)
-                s = self._s_base[j] * sqrt_t
-                weight = 2.0 * s * (self._s_wts[j] * sqrt_t)  # d tau = 2 s ds
-                tau = np.maximum(t_i - s * s, 0.0)
-                X = self.path.positions_at(tau)
-            else:
-                weight, tau, X = np.ones(len(i)), np.zeros(len(i)), None
-            sigma = t_i - tau
-            if gauss is None:
-                # xi and the datum on it once, the kernel derivative once per order
-                x = pts[i]
-                xi = x[:, None, :] + np.sqrt(sigma)[:, None, None] * self._u_pts
-                vals = datum(xi, X[:, None]) if source else datum(xi)
-                weight = weight * sigma ** (dim / 2.0)  # jacobian; det L is in _u_wts
-                terms = [weight.reshape((-1,) + (1,) * order) * np.einsum(
-                    _CONTRACTIONS[order], self._u_wts,
-                    kern.derivative(order, x[:, None, :], t_i[:, None], xi, tau[:, None]), vals)
-                    for order in orders]
-            else:
-                # centres stacked (N, centre, item): moveaxis undoes the view
-                # positions_at returns, so no copy is made
-                centres = np.moveaxis(X, 0, -1) if gauss.at_agents else np.zeros((dim, 1, 1))
-                d = pts_t[:, i][:, None, :] - centres + kern.b[:, None, None] * sigma
-                terms = [np.moveaxis(weight * (gauss.weight * k), -1, 0)
-                         for k in self._gaussian_integrals(d, sigma, gauss.rate, orders)]
-            # each item goes to its point one s-node at a time: a pairwise sum
-            # over s-nodes would round a batch apart from the same points
-            # evaluated one by one
-            hi = lo + len(i)
-            bounds = [lo, *range((lo // n_pts + 1) * n_pts, hi, n_pts), hi]
-            for a, b in zip(bounds, bounds[1:]):
-                for acc, term in zip(accs, terms):
-                    acc[a % n_pts:a % n_pts + b - a] += term[a - lo:b - lo]
+        for g0 in range(0, len(run_times), runs_per_group):
+            g1 = min(g0 + runs_per_group, len(run_times))
+            cells = self._cells(run_times[g0:g1], source, gauss)
+            for p0 in range(bounds[g0], bounds[g1], pts_per_pass):
+                p1 = min(p0 + pts_per_pass, bounds[g1])
+                idx = slice(p0, p1) if order is None else order[p0:p1]
+                cols = run[p0:p1] - g0
+                for r0 in range(0, n_rows, rows_per_pass):
+                    blocks = self._pass_blocks(datum, source, gauss, pts[idx], cells,
+                                               slice(r0, r0 + rows_per_pass), cols, orders)
+                    for acc, block in zip(accs, blocks):
+                        # the rows (block axis 0) go onto the point's running
+                        # sum one at a time, in s-node order: a sum would go
+                        # pairwise for a single point.  a + b is b + a exactly.
+                        block[0] += acc[idx]
+                        acc[idx] = np.add.accumulate(block, axis=0)[-1]
         return accs
+
+    def _cells(self, t_u: np.ndarray, source: bool, gauss) -> tuple:
+        """The (s-node, time) cells shared by every point at one of the
+        distinct probe times ``t_u`` (U,): (t_u, weight, tau, sigma, X), with
+        weight, tau and sigma = t - tau shaped (row, U) and the agent
+        positions X(tau) stacked (N, n, row, U), or None where no item reads
+        them.  The initial-datum integral is the one row tau = 0, weight 1."""
+        if not source:
+            tau = np.zeros((1, len(t_u)))
+            return t_u, np.ones((1, len(t_u))), tau, t_u - tau, None
+        sqrt_t = np.sqrt(t_u)
+        s = self._s_base[:, None] * sqrt_t
+        weight = 2.0 * s * (self._s_wts[:, None] * sqrt_t)  # d tau = 2 s ds
+        tau = np.maximum(t_u - s * s, 0.0)
+        X = None
+        if gauss is None or gauss.at_agents:
+            # positions_at returns a (row, U, N, n) view of an (N, n, row, U) array
+            X = self.path.positions_at(tau).transpose(2, 3, 0, 1)
+        return t_u, weight, tau, t_u - tau, X
+
+    def _pass_blocks(self, datum, source: bool, gauss, x: np.ndarray, cells: tuple,
+                     rows: slice, cols: np.ndarray, orders: tuple) -> list[np.ndarray]:
+        """Weighted terms of one pass, for the ``rows`` of the cells at
+        columns ``cols`` and the points ``x`` (P, N) at those columns: one
+        array per order, shaped (row, P) + (N,) * order."""
+        kern = self.scenario.kernel
+        dim = kern.dim
+        t_u, weight, tau, sigma, X = cells
+        weight, sigma = weight[rows].take(cols, axis=1), sigma[rows].take(cols, axis=1)  # (row, P)
+        if X is not None:
+            X = X[:, :, rows].take(cols, axis=3)  # (N, n, row, P)
+        n_rows = len(sigma)
+        if gauss is None:
+            # items (row, point) flattened; xi and the datum on it once, the
+            # kernel derivative once per order
+            x_i, t_i = x, t_u.take(cols)
+            if n_rows > 1:
+                x_i, t_i = np.tile(x_i, (n_rows, 1)), np.tile(t_i, n_rows)
+            tau, sigma = tau[rows].take(cols, axis=1).ravel(), sigma.ravel()
+            xi = x_i[:, None, :] + np.sqrt(sigma)[:, None, None] * self._u_pts
+            vals = datum(xi, X.reshape(X.shape[:2] + (-1,)).transpose(2, 0, 1)[:, None]) \
+                if source else datum(xi)
+            weight = weight.ravel() * sigma ** (dim / 2.0)  # jacobian; det L is in _u_wts
+            return [(weight.reshape((-1,) + (1,) * order) * np.einsum(
+                _CONTRACTIONS[order], self._u_wts,
+                kern.derivative(order, x_i[:, None, :], t_i[:, None], xi, tau[:, None]), vals)
+                ).reshape((n_rows, len(x)) + (dim,) * order) for order in orders]
+        # centres stacked (N, centre, row, P); the integrals run on the
+        # flattened (row, P) item axis
+        centres = X if gauss.at_agents else np.zeros((dim, 1, 1, 1))
+        d = x.T[:, None, None, :] - centres + kern.b[:, None, None, None] * sigma
+        integrals = self._gaussian_integrals(d.reshape(d.shape[:2] + (-1,)), sigma.ravel(),
+                                             gauss.rate, orders)
+        return [(weight * (gauss.weight * k.reshape(k.shape[:-1] + sigma.shape))).transpose(
+                    (k.ndim - 1, k.ndim) + tuple(range(k.ndim - 1)))
+                for k in integrals]
 
     def _gaussian_integrals(self, d: np.ndarray, sigma: np.ndarray, rate: float,
                             orders: tuple) -> list[np.ndarray]:
@@ -340,8 +430,9 @@ class FieldProbe:
         return out
 
     def _closed_batch(self, pts: np.ndarray, t: np.ndarray, orders: tuple) -> list[np.ndarray]:
-        initial = self._kernel_integral(self.scenario.phi, False, pts, t, orders)
-        source = self._kernel_integral(self.scenario.g, True, pts, t, orders)
+        runs = _time_runs(t)
+        initial = self._kernel_integral(self.scenario.phi, False, pts, runs, orders)
+        source = self._kernel_integral(self.scenario.g, True, pts, runs, orders)
         return [a - b for a, b in zip(initial, source)]
 
     # -- data-at-zero fallback ------------------------------------------------

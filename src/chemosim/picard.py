@@ -14,9 +14,12 @@ from the endpoint state until the requested horizon is covered.
 
 Picard iteration on a continued segment starts from a cubic extrapolation of
 the segment before it, which is usually within tol of the fixed point after
-one sweep; a start that would leave the radius-R tube, and every first
-segment, starts from the path frozen at the segment's initial state.  The
-certificate covers either start, since the map sends the tube into itself.
+one sweep.  A segment with no segment before it (the first segment of a
+global solve, and every local solve) starts from its first-order Taylor
+path, V(t) = V0 + F0 (t - t0) with F0 the force at the initial state and its
+sensed gradient.  A start that would leave the radius-R tube falls back to
+the path frozen at the segment's initial state.  The certificate covers
+every start, since the map sends the tube into itself.
 
 One segment engine implements this: ``_sweep`` applies the update map once
 on a segment grid, with one batched field evaluation for every (node,
@@ -65,6 +68,7 @@ _S_MARGIN = 0.1
 _MIN_NODES = 17
 # how a segment's Picard iteration started (SegmentRecord.start)
 START_CONSTANT = "constant"
+START_TAYLOR = "taylor"
 START_EXTRAPOLATED = "extrapolated"
 
 
@@ -110,7 +114,7 @@ class SegmentRecord:
     certificate: HorizonCertificate
     iterations: int
     final_diff: float
-    start: str = START_CONSTANT   # or START_EXTRAPOLATED
+    start: str = START_CONSTANT   # or START_TAYLOR, START_EXTRAPOLATED
 
 
 def _state_norms(scenario: Scenario) -> tuple[float, float]:
@@ -303,33 +307,65 @@ def _check_tube(path: AgentPath, X0: np.ndarray, V0: np.ndarray, radius: float) 
 
 
 def _start_path(previous: AgentPath | None, times: np.ndarray, X0: np.ndarray,
-                V0: np.ndarray, radius: float) -> tuple[AgentPath, str]:
-    """Picard start on ``times`` and its kind (START_CONSTANT or
-    START_EXTRAPOLATED).
+                V0: np.ndarray, radius: float,
+                force0: np.ndarray | None = None) -> tuple[AgentPath, str]:
+    """Picard start on ``times`` and its kind (START_EXTRAPOLATED,
+    START_TAYLOR or START_CONSTANT).
 
-    Without a previous segment, or when the extrapolation leaves the radius-R
-    tube around (X0, V0), the start is the path frozen at (X0, V0).  Otherwise
-    V is the cubic Lagrange interpolant of the previous segment's V through
-    its first node, its last node (t0, so V(t0) = V0 exactly) and the two
-    nodes nearest its thirds, and X = X0 + the cumulative trapezoid of V, the
-    form of the update map's X.  The certificate covers any start inside the
-    tube, since the map sends the tube into itself.
+    After a ``previous`` segment, V is the cubic Lagrange interpolant of its
+    V through its first node, its last node (t0, so V(t0) = V0 exactly) and
+    the two nodes nearest its thirds.  Without one, given the force
+    ``force0`` (N, n) at the initial state, V is the first-order Taylor path
+    V0 + force0 (t - t0).  Either way X = X0 + the cumulative trapezoid of V,
+    the form of the update map's X.  When neither is given, or the path
+    leaves the radius-R tube around (X0, V0), the start is the path frozen at
+    (X0, V0).  The certificate covers any start inside the tube, since the
+    map sends the tube into itself.
     """
     if previous is not None:
         last = len(previous.times) - 1
         nodes = [0, round(last / 3), round(2 * last / 3), last]
         t_k, v_k = previous.times[nodes], previous.V[nodes]
-        V = np.zeros((len(times),) + V0.shape)
-        for i in range(4):
-            basis = np.ones(len(times))
-            for j in range(4):
-                if j != i:
-                    basis = basis * ((times - t_k[j]) / (t_k[i] - t_k[j]))
-            V += basis[:, None, None] * v_k[i]
+        # factor (t - t_j) / (t_i - t_j) of basis i, shaped (time, i, j), is 1
+        # for j = i; each basis multiplies its factors, and V sums its terms,
+        # in index order
+        diagonal = np.eye(4, dtype=bool)
+        span = t_k[:, None] - t_k
+        span[diagonal] = 1.0
+        factor = (times[:, None] - t_k)[:, None, :] / span
+        factor[:, diagonal] = 1.0
+        basis = factor[:, :, 0] * factor[:, :, 1] * factor[:, :, 2] * factor[:, :, 3]
+        terms = basis[:, :, None, None] * v_k
+        V = 0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
+        kind = START_EXTRAPOLATED
+    elif force0 is not None:
+        V = V0 + force0 * (times - times[0])[:, None, None]
+        kind = START_TAYLOR
+    else:
+        kind = None
+    if kind is not None:
         guess = AgentPath(times, X0 + trapezoid_cumulative(V, times), V)
         if _tube_exit(guess, X0, V0, radius) is None:
-            return guess, START_EXTRAPOLATED
+            return guess, kind
     return AgentPath.constant(X0, V0, times), START_CONSTANT
+
+
+def _initial_force(scenario: Scenario, prefix: AgentPath | None, times: np.ndarray,
+                   X0: np.ndarray, V0: np.ndarray, delta: float | None,
+                   quad: QuadratureSpec | None) -> np.ndarray:
+    """The force F(t0, X0, V0, w0) on every agent, shape (N, n), at the
+    first node t0 of ``times``: w0 is the gradient sensed at X0 on the path
+    ``prefix`` followed by the path frozen at (X0, V0), and zero when the
+    force is declared insensitive to the field.  At t0 = 0 the field is
+    phi's, so w0 takes no kernel pass."""
+    if scenario.lipschitz_w == 0.0:
+        W0 = np.zeros((1,) + X0.shape)
+    else:
+        frozen = AgentPath.constant(X0, V0, times)
+        path = prefix.concat(frozen) if prefix is not None else frozen
+        probe = FieldProbe(scenario, path, quad=quad or QuadratureSpec())
+        W0 = sensed_gradients(probe, X0[None], times[:1], delta)
+    return scenario.force.eval(times[:1], X0[None], V0[None], W0)[0]
 
 
 def _sweep(scenario: Scenario, prefix: AgentPath | None, seg: AgentPath,
@@ -354,14 +390,20 @@ def _sweep(scenario: Scenario, prefix: AgentPath | None, seg: AgentPath,
                      V0 + trapezoid_cumulative(forces, seg.times))
 
 
+def _segment_grid(t0: float, t1: float, dt: float) -> np.ndarray:
+    """Uniform grid on [t0, t1] of step at most dt, with at least _MIN_NODES
+    nodes."""
+    return np.linspace(t0, t1, max(_MIN_NODES, int(math.ceil((t1 - t0) / dt)) + 1))
+
+
 def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, t0: float, t1: float,
                      X0: np.ndarray, V0: np.ndarray, delta: float | None,
                      tol: float, dt: float, max_iters: int,
                      quad: QuadratureSpec | None,
                      previous: AgentPath | None = None) -> tuple[AgentPath, list[float], str]:
-    """Picard iteration on [t0, t1], on a uniform grid of step at most dt
-    with at least _MIN_NODES nodes, from the start ``_start_path`` builds out
-    of the ``previous`` converged segment (None: the path frozen at (X0, V0)).
+    """Picard iteration on [t0, t1], on ``_segment_grid``, from the start
+    ``_start_path`` builds out of the ``previous`` converged segment, or,
+    when there is none, out of the force at (X0, V0) (``_initial_force``).
 
     Stops when successive iterates differ by less than tol in the sup norm;
     returns the converged segment, the per-iteration differences and the kind
@@ -370,8 +412,10 @@ def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, t0: float, t1
     for name, value in (("dt", dt), ("tol", tol)):
         if not 0.0 < value < math.inf:  # NaN too
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    times = np.linspace(t0, t1, max(_MIN_NODES, int(math.ceil((t1 - t0) / dt)) + 1))
-    current, start = _start_path(previous, times, X0, V0, scenario.R)
+    times = _segment_grid(t0, t1, dt)
+    force0 = (_initial_force(scenario, prefix, times, X0, V0, delta, quad)
+              if previous is None else None)
+    current, start = _start_path(previous, times, X0, V0, scenario.R, force0)
     history: list[float] = []
     for _ in range(max_iters):
         nxt = _sweep(scenario, prefix, current, X0, V0, delta, quad)
@@ -403,7 +447,9 @@ def solve_local(scenario: Scenario, horizon: HorizonCertificate,
                 tol: float = 1e-8, max_iters: int = 50,
                 mode: str = MODE_POINTWISE, dt: float = 1e-2,
                 quad: QuadratureSpec | None = None) -> tuple[AgentPath, list[float]]:
-    """Picard iteration from the constant initial path on [0, t_bar].
+    """Picard iteration on [0, t_bar] from the first-order Taylor path of
+    the initial state (``_start_path``; the path frozen at the initial state
+    when the Taylor path leaves the tube).
 
     Stops when successive iterates differ by less than tol in the sup norm;
     returns the converged path and the per-iteration differences.  The
@@ -426,10 +472,11 @@ def solve_global(scenario: Scenario, horizon: float,
 
     Each segment restarts from the previous endpoint state with a freshly
     derived certificate; the field keeps reading the full path from time 0.
-    Picard iteration on a segment after the first starts from the cubic
-    extrapolation of the previous segment (``_start_path``), or from the
-    constant path when that extrapolation leaves the tube; the stopping
-    rule, the certificates and the grids are those of ``solve_local``.
+    Picard iteration on the first segment starts from the Taylor path, as in
+    ``solve_local``, and on a later one from the cubic extrapolation of the
+    segment before it (``_start_path``); either falls back to the constant
+    path when it leaves the tube.  The stopping rule, the certificates and
+    the grids are those of ``solve_local``.
     Appends a SegmentRecord per segment, with its kind of start, to
     ``segments_out`` when given.
     """

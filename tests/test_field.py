@@ -27,6 +27,7 @@ from util import (
     heat_gaussian_hess,
     loop_closed_form,
     loop_gradient,
+    per_item_derivatives,
     volume_ball_average,
 )
 
@@ -157,6 +158,19 @@ def test_backend_requires_constant_coefficients():
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError, match="u_max"):
         QuadratureSpec(u_max=4.0)
+    bad = {
+        "u_max": (math.nan, math.inf, -math.inf, "8"),
+        "space_nodes": (0, -3, 12.0, math.nan, True),
+        "time_nodes": (0, -1, 32.5, math.nan, None),
+        "fd_half_width": (0.0, -6.0, math.nan, math.inf, None),
+        "fd_h": (0.0, -0.02, math.nan, math.inf),
+        "fd_dt": (0.0, -1e-3, math.nan, math.inf),
+    }
+    for name, values in bad.items():
+        for value in values:
+            with pytest.raises(ValueError, match=name):
+                QuadratureSpec(**{name: value})
+    QuadratureSpec(u_max=6, space_nodes=np.int64(12), time_nodes=4, fd_h=0.1, fd_dt=None)
     # the options are gone
     for gone in ("interpolation_order", "fd_store_max", "fd_tail_tol", "ball_radial_nodes",
                  "ball_polar_nodes", "ball_azimuth_nodes"):
@@ -496,7 +510,8 @@ def test_shared_quadrature_rules_are_read_only():
 
     offsets, wts = field._cached_sphere_rule(1, 0.1)
     nodes, weights = gauss_legendre(0.0, 1.0, 32)
-    for arr in (offsets, wts, nodes, weights):
+    rules = field._cached_field_rules(2, 8.0, 48, 32, np.eye(2).tobytes())
+    for arr in (offsets, wts, nodes, weights, *rules):
         with pytest.raises(ValueError):
             arr[0] = 1.0
     again, _ = gauss_legendre(0.0, 1.0, 32)
@@ -641,6 +656,39 @@ def test_closed_form_pass_matches_per_item_oracle(coeff, dim, g):
         want = np.stack([loop_closed_form(scn, path, x, t, order) for x, t in zip(pts, times)])
         scale = np.abs(want).max()
         assert np.abs(got[order] - want).max() <= 1e-15 * scale, f"order {order}"
+
+
+@pytest.mark.parametrize("phi", ["declared", "gaussian"])
+@pytest.mark.parametrize("g", ["agent-secretion", "constant", "undeclared"])
+def test_time_major_pass_equals_the_per_item_layout(phi, g):
+    # repeated and distinct probe times, out of order, and points at t = 0;
+    # a non-diagonal a with drift and reaction.  The undeclared source takes
+    # the spatial rule; on a 12^2-node rule a hessian pass holds 14 of a
+    # point's 32 s-rows, so its sum continues across passes
+    scn = build(coeff=DRIFT_REACTION_2D, phi=declared_gaussian_phi() if phi == "declared" else phi,
+                g="agent-secretion" if g == "undeclared" else g, dim=2,
+                X0=[[0.2, -0.3, 0.5], [0.1, 0.4, -0.2]], T=0.2,
+                g_kwargs={"value": 1.7} if g == "constant" else None)
+    quad = QuadratureSpec()
+    if g == "undeclared":
+        scn, quad = without_structure(scn), QuadratureSpec(space_nodes=12)
+    probe = FieldProbe(scn, moving_path(scn), quad=quad)
+    rng = np.random.default_rng(33)
+    n_pts = 12 if g == "undeclared" else 120  # 120: more distinct times than one group holds
+    pts = rng.uniform(-1.0, 1.0, (n_pts, 2))
+    times = rng.uniform(0.01, 0.2, n_pts)
+    times[::4] = 0.05
+    times[1::6] = 0.0
+    times[2::7] = 0.2
+    got = probe.derivatives_many(pts, times, (0, 1, 2))
+    want = per_item_derivatives(probe, pts, times, (0, 1, 2))
+    for order in (0, 1, 2):
+        np.testing.assert_array_equal(got[order], want[order], err_msg=f"order {order}")
+    # a point alone, whose value sums a single column of s-rows, equals its batch row
+    for i in range(4):
+        alone = probe.derivatives_many(pts[i:i + 1], times[i:i + 1], (0, 1, 2))
+        for order in (0, 1, 2):
+            np.testing.assert_array_equal(alone[order][0], got[order][i], err_msg=f"point {i}")
 
 
 @pytest.mark.parametrize("backend", [BACKEND_KERNEL, BACKEND_FD])

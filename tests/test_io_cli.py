@@ -182,7 +182,7 @@ def test_cli_simulate_zero_force_rows(tmp_path):
     manifest = cio.read_manifest(out / "manifest.json")
     assert manifest["config_digest"] == config_digest(cfg)
     starts = [seg["start"] for seg in manifest["segments"]]
-    assert starts[0] == "constant" and len(starts) >= 2
+    assert starts[0] == "taylor" and len(starts) >= 2
     assert set(starts[1:]) == {"extrapolated"}
 
 

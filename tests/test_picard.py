@@ -12,6 +12,7 @@ from chemosim.picard import (
     MODE_POINTWISE,
     START_CONSTANT,
     START_EXTRAPOLATED,
+    START_TAYLOR,
     PicardError,
     _c0_constant,
     _start_path,
@@ -33,6 +34,7 @@ from util import (
     constant_force_law,
     constant_start_global,
     loop_c0_constant,
+    loop_cubic_extrapolation,
     loop_certificate_fields,
     loop_contraction_S,
     loop_horizon_T1,
@@ -306,11 +308,11 @@ def test_certificate_invariants_enforced():
 # -- local solve --------------------------------------------------------------------------
 
 
-def test_solve_local_zero_force_two_iterations():
+def test_solve_local_zero_force_one_iteration():
     scn = build(V0=[[0.4]], T=2.0)
     cert = horizon_certificate(scn)
     path, history = solve_local(scn, cert, tol=1e-10)
-    assert len(history) == 2  # first sweep lands on the fixed point, second confirms
+    assert len(history) == 1  # the Taylor start is the fixed point; one sweep confirms it
     np.testing.assert_allclose(path.X[:, 0, 0], 0.4 * path.times, atol=1e-12)
 
 
@@ -474,8 +476,8 @@ def test_solve_global_extrapolated_starts_take_one_sweep():
     segments = []
     path = solve_global(scn, 0.02, tol=1e-8, dt=1e-2, segments_out=segments)
     assert len(segments) == 11 and len(path.times) == 177
-    assert [s.iterations for s in segments] == [3] + [1] * 10
-    assert [s.start for s in segments] == [START_CONSTANT] + [START_EXTRAPOLATED] * 10
+    assert [s.iterations for s in segments] == [2] + [1] * 10
+    assert [s.start for s in segments] == [START_TAYLOR] + [START_EXTRAPOLATED] * 10
     assert all(s.final_diff < 1e-8 for s in segments)
 
 
@@ -513,6 +515,18 @@ def test_start_path_extrapolates_a_cubic_exactly():
     assert _start_path(None, times, X0, V0, radius=1e3)[1] == START_CONSTANT
 
 
+def test_start_path_extrapolation_equals_the_basis_loop():
+    rng = np.random.default_rng(6)
+    for nodes, agents in ((17, 2), (23, 3), (40, 1)):
+        prev_times = np.sort(0.2 + rng.uniform(0.0, 0.05, nodes))
+        V = rng.normal(size=(nodes, 2, agents))
+        previous = AgentPath(prev_times, np.zeros_like(V), V)
+        times = np.linspace(prev_times[-1], prev_times[-1] + 0.04, 17)
+        start, kind = _start_path(previous, times, np.zeros((2, agents)), V[-1], radius=1e6)
+        assert kind == START_EXTRAPOLATED
+        np.testing.assert_array_equal(start.V, loop_cubic_extrapolation(previous, times))
+
+
 def test_start_outside_the_tube_falls_back_to_the_constant_start():
     # a fast oscillating force: the cubic through the first segment's V
     # overshoots the tube on the second segment, though the solve itself
@@ -520,7 +534,7 @@ def test_start_outside_the_tube_falls_back_to_the_constant_start():
     scn = build(force=oscillating_force_law(2.0, 30.0), T=2.0)
     segments = []
     path = solve_global(scn, 2.0, tol=1e-10, segments_out=segments)
-    assert [s.start for s in segments] == [START_CONSTANT, START_CONSTANT, START_EXTRAPOLATED]
+    assert [s.start for s in segments] == [START_TAYLOR, START_CONSTANT, START_EXTRAPOLATED]
     first = path.times <= segments[0].t_end
     previous = AgentPath(path.times[first], path.X[first], path.V[first])
     second = path.times[(path.times >= segments[1].t_start) & (path.times <= segments[1].t_end)]
@@ -532,6 +546,28 @@ def test_start_outside_the_tube_falls_back_to_the_constant_start():
     oracle, _ = constant_start_global(scn, 2.0, tol=1e-10)
     assert np.abs(path.X - oracle.X).max() <= 1e-10
     assert np.abs(path.V - oracle.V).max() <= 1e-10
+
+
+def test_taylor_start_under_a_constant_force_takes_one_sweep():
+    # V(t) = V0 + F (t - t0) is then the exact solution, and the trapezoid
+    # rule integrates it and its X exactly
+    fbar = np.array([0.7, -0.4])
+    scn = build(force=constant_force_law(fbar), dim=2, X0=[[0.1, -0.2], [0.3, 0.0]],
+                V0=[[0.2, 0.1], [-0.1, 0.3]], T=1.0)
+    segments = []
+    path = solve_global(scn, 1.0, tol=1e-10, segments_out=segments)
+    assert len(segments) >= 2 and segments[0].start == START_TAYLOR
+    assert [s.iterations for s in segments] == [1] * len(segments)
+    force0 = np.broadcast_to(fbar[:, None], scn.X0.shape)
+    times = np.linspace(0.0, 0.05, 17)
+    start, kind = _start_path(None, times, scn.X0, scn.V0, scn.R, force0=force0)
+    assert kind == START_TAYLOR
+    np.testing.assert_array_equal(start.V[0], scn.V0)
+    np.testing.assert_array_equal(start.X[0], scn.X0)
+    exact_v = scn.V0 + force0 * times[:, None, None]
+    np.testing.assert_allclose(path.V, scn.V0 + force0 * path.times[:, None, None],
+                               rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(start.V, exact_v, rtol=0.0, atol=1e-15)
 
 
 def test_tube_exit_names_the_first_node_outside():

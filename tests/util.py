@@ -12,8 +12,9 @@ from chemosim.paths import AgentPath
 from chemosim.picard import (
     MODE_NONLOCAL,
     MODE_POINTWISE,
-    START_CONSTANT,
-    _iterate_segment,
+    PicardError,
+    _segment_grid,
+    _sweep,
     horizon_certificate,
 )
 from chemosim.presets import (
@@ -436,6 +437,84 @@ def loop_closed_form(scenario, path, x, t, order, time_nodes=32):
     return out
 
 
+def per_item_kernel_integral(probe, datum, source, pts, t, orders, chunk=2**13):
+    """The kernel integral of phi (``source`` false) or g of
+    ``FieldProbe._kernel_integral`` in its per-item layout: item k is the
+    (s-node j, point i) pair k = j * P + i, and each item computes its own
+    tau, weight and X(tau).  Passes of at most ``chunk`` entries run in item
+    order, and each item is added to its point one s-node at a time; the
+    arithmetic of an item is that of the field evaluator."""
+    kern = probe.scenario.kernel
+    dim = kern.dim
+    quad = probe.quad
+    u_max = quad.resolved_u_max(dim)
+    u_pts, u_wts = tensor_grid(-u_max, u_max, quad.resolved_space_nodes(dim), dim)
+    chol = np.linalg.cholesky(kern.a)  # xi = x + sqrt(t - tau) L u
+    u_pts, u_wts = u_pts @ chol.T, u_wts * np.prod(np.diag(chol))
+    s_base, s_wts = gauss_legendre(0.0, 1.0, quad.time_nodes)
+    contractions = ("m,pm,pm->p", "m,pmi,pm->pi", "m,pmij,pm->pij")
+    n_pts = len(pts)
+    shapes = [(n_pts,) + (dim,) * order for order in orders]
+    if getattr(datum, "is_zero", False):
+        return [np.zeros(shape) for shape in shapes]
+    gauss = getattr(datum, "gaussian_source", None)
+    per_item = (probe.scenario.n if gauss is not None else len(u_pts)) * dim**max(orders)
+    step = max(1, chunk // per_item)
+    n_items = (len(s_base) if source else 1) * n_pts
+    accs = [np.zeros(shape) for shape in shapes]
+    pts_t = pts.T
+    for lo in range(0, n_items, step):
+        j, i = np.divmod(np.arange(lo, min(lo + step, n_items)), n_pts)
+        t_i = t[i]
+        if source:
+            sqrt_t = np.sqrt(t_i)
+            s = s_base[j] * sqrt_t
+            weight = 2.0 * s * (s_wts[j] * sqrt_t)
+            tau = np.maximum(t_i - s * s, 0.0)
+            X = probe.path.positions_at(tau)
+        else:
+            weight, tau, X = np.ones(len(i)), np.zeros(len(i)), None
+        sigma = t_i - tau
+        if gauss is None:
+            x = pts[i]
+            xi = x[:, None, :] + np.sqrt(sigma)[:, None, None] * u_pts
+            vals = datum(xi, X[:, None]) if source else datum(xi)
+            weight = weight * sigma ** (dim / 2.0)
+            terms = [weight.reshape((-1,) + (1,) * order) * np.einsum(
+                contractions[order], u_wts,
+                kern.derivative(order, x[:, None, :], t_i[:, None], xi, tau[:, None]), vals)
+                for order in orders]
+        else:
+            centres = np.moveaxis(X, 0, -1) if gauss.at_agents else np.zeros((dim, 1, 1))
+            d = pts_t[:, i][:, None, :] - centres + kern.b[:, None, None] * sigma
+            terms = [np.moveaxis(weight * (gauss.weight * k), -1, 0)
+                     for k in probe._gaussian_integrals(d, sigma, gauss.rate, orders)]
+        hi = lo + len(i)
+        bounds = [lo, *range((lo // n_pts + 1) * n_pts, hi, n_pts), hi]
+        for a, b in zip(bounds, bounds[1:]):
+            for acc, term in zip(accs, terms):
+                acc[a % n_pts:a % n_pts + b - a] += term[a - lo:b - lo]
+    return accs
+
+
+def per_item_derivatives(probe, pts, t, orders):
+    """``FieldProbe.derivatives_many`` on the closed-form backend with the
+    kernel integrals of `per_item_kernel_integral`; points at t = 0 take the
+    probe's initial-datum branch."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    t = np.broadcast_to(np.asarray(t, dtype=float), (len(pts),))
+    dim = probe.scenario.dimension
+    outs = [np.empty((len(pts),) + (dim,) * order) for order in orders]
+    at_zero, live = t == 0.0, t != 0.0
+    for out, vals in zip(outs, probe._batch_at_zero(pts[at_zero], orders)):
+        out[at_zero] = vals
+    initial = per_item_kernel_integral(probe, probe.scenario.phi, False, pts[live], t[live], orders)
+    source = per_item_kernel_integral(probe, probe.scenario.g, True, pts[live], t[live], orders)
+    for out, a, b in zip(outs, initial, source):
+        out[live] = a - b
+    return outs
+
+
 def loop_kernel_mass_deviations(kernel, samples, nodes=None):
     """|mass - 1| per sample of `verify.check_kernel_mass`, one kernel call
     per sample."""
@@ -472,12 +551,31 @@ def per_node_sweep(path, scenario, delta=None):
                      scenario.V0 + trapezoid_cumulative(forces, times))
 
 
+def loop_cubic_extrapolation(previous, times):
+    """V of ``picard._start_path``'s extrapolated start, one Lagrange basis
+    at a time: the cubic through the previous segment's V at its first node,
+    its last node and the two nodes nearest its thirds, each basis a running
+    product of its factors and V a running sum of its terms."""
+    last = len(previous.times) - 1
+    nodes = [0, round(last / 3), round(2 * last / 3), last]
+    t_k, v_k = previous.times[nodes], previous.V[nodes]
+    V = np.zeros((len(times),) + previous.V.shape[1:])
+    for i in range(4):
+        basis = np.ones(len(times))
+        for j in range(4):
+            if j != i:
+                basis = basis * ((times - t_k[j]) / (t_k[i] - t_k[j]))
+        V += basis[:, None, None] * v_k[i]
+    return V
+
+
 def constant_start_global(scenario, horizon, tol=1e-8, mode=MODE_POINTWISE, dt=1e-2,
                           max_iters=50, safety=0.9, quad=None):
     """``picard.solve_global`` with every segment's Picard iteration started
-    from the path frozen at its initial state: the continuation that the
-    extrapolated starts must reproduce to within the iteration tolerance.
-    Returns the path and the iterations per segment."""
+    from the path frozen at its initial state, by its own loop over
+    ``picard._sweep``: the continuation that the Taylor and extrapolated
+    starts must reproduce to within the iteration tolerance.  Returns the
+    path and the iterations per segment."""
     delta = scenario.nonlocal_delta if mode == MODE_NONLOCAL else None
     full = None
     sweeps = []
@@ -487,10 +585,16 @@ def constant_start_global(scenario, horizon, tol=1e-8, mode=MODE_POINTWISE, dt=1
         cert = horizon_certificate(replace(scenario, X0=X0, V0=V0), mode=mode, delta=delta,
                                    params=scenario.estimate_params, safety=safety)
         t1 = min(t0 + cert.t_bar, horizon)
-        seg, history, start = _iterate_segment(scenario, full, t0, t1, X0, V0, delta,
-                                               tol, dt, max_iters, quad)
-        assert start == START_CONSTANT
-        sweeps.append(len(history))
+        seg = AgentPath.constant(X0, V0, _segment_grid(t0, t1, dt))
+        for sweep in range(1, max_iters + 1):
+            nxt = _sweep(scenario, full, seg, X0, V0, delta, quad)
+            diff = nxt.sup_distance(seg)
+            seg = nxt
+            if diff < tol:
+                break
+        else:
+            raise PicardError(f"segment [{t0:g}, {t1:g}] did not converge from the constant start")
+        sweeps.append(sweep)
         full = full.concat(seg) if full is not None else seg
         t0, X0, V0 = t1, seg.X[-1].copy(), seg.V[-1].copy()
     return full, sweeps
