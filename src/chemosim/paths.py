@@ -30,7 +30,7 @@ class AgentPath:
         if times.ndim != 1 or len(times) < 2:
             raise ValueError("need at least two time nodes")
         # increasing steps (NaN fails them) between finite ends: finite times
-        if not (np.all(np.diff(times) > 0) and math.isfinite(times[0])
+        if not ((times[1:] > times[:-1]).all() and math.isfinite(times[0])
                 and math.isfinite(times[-1])):
             raise ValueError("time grid must be finite and strictly increasing")
         if X.ndim != 3 or X.shape != V.shape or X.shape[0] != len(times):

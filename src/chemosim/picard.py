@@ -23,8 +23,12 @@ every start, since the map sends the tube into itself.
 
 One segment engine implements this: ``_sweep`` applies the update map once
 on a segment grid, with one batched field evaluation for every (node,
-agent) pair and one force-law call per sweep, and ``_iterate_segment``
-runs Picard iteration on it.
+agent) pair, one force-law call and one trapezoid pass per sweep, and
+``_iterate_segment`` runs Picard iteration on it.  Each path is checked
+against the tube once before it is swept.  Within one ``solve_global``
+call the contraction horizon T2 is bisected once per distinct set of the
+inputs of S, so a segment whose constants repeat an earlier segment's
+skips the bisection.
 ``apply_psi`` is a single sweep, ``solve_local`` one iterated segment on
 [0, t_bar] and ``solve_global`` one iterated segment per certificate.
 """
@@ -32,6 +36,7 @@ runs Picard iteration on it.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -70,6 +75,15 @@ _MIN_NODES = 17
 START_CONSTANT = "constant"
 START_TAYLOR = "taylor"
 START_EXTRAPOLATED = "extrapolated"
+# T2 by the inputs of S and the cap it was bisected under, kept for the
+# duration of one solve_global call; None outside one, so that a certificate
+# derived on its own always runs its bisection
+_CONTRACTION_HORIZONS: ContextVar[dict | None] = ContextVar("contraction_horizons",
+                                                            default=None)
+# row i: the nodes j != i, in index order, whose factors make the cubic
+# Lagrange basis i of _start_path
+_OTHER_NODES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+_OTHER_NODES.setflags(write=False)
 
 
 class PicardError(RuntimeError):
@@ -99,6 +113,10 @@ class HorizonCertificate:
     constants: dict | None = None
 
     def __post_init__(self):
+        for name in ("t_range", "t_contract", "t_bar"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # NaN too
+                raise ValueError(f"certificate {name} must be positive and finite, got {value!r}")
         if not (self.s_value < 1.0):
             raise ValueError("certificate requires S(t_bar) < 1")
         if not (self.gamma_bar > 0.0):
@@ -126,9 +144,11 @@ def _gamma_bar(params: EstimateParams, c: float, t_bar: float) -> float:
 
 
 def _certificate_bounds(scenario: Scenario, r: float, params: EstimateParams,
-                        delta: float | None) -> tuple[float, Callable[[float], float]]:
-    """(T1, S as a function of t_bar): every input that does not depend on
-    t_bar is derived once, so a bisection on S pays only for the rest."""
+                        delta: float | None) -> tuple[float, tuple, Callable[[float], float]]:
+    """(T1, the inputs of S, S as a function of t_bar): every input that
+    does not depend on t_bar is derived once, so a bisection on S pays only
+    for the rest.  S reads nothing but the inputs tuple and t_bar, so equal
+    tuples give equal S at every t_bar."""
     n, n_dim, alpha, growth = scenario.n, scenario.dimension, scenario.alpha, scenario.growth
     x0_norm, v0_norm = _state_norms(scenario)
     l_f = scenario.lipschitz_w
@@ -151,6 +171,7 @@ def _certificate_bounds(scenario: Scenario, r: float, params: EstimateParams,
     # whole left prefixes of terms 2 and 3, so every product keeps its order
     pre2 = l_f * n_dim**2 * params.big_k * expfac
     pre3 = l_f * params.c_gamma * h_r * math.exp(2.0 * growth.C * spread)
+    s_inputs = (l_f_r, pre2, pre3, growth.H, h_x, alpha, growth.C, params.lambda0_star, n_dim)
 
     def s_of(t_bar: float) -> float:
         gamma_bar = _gamma_bar(params, growth.C, t_bar)
@@ -161,7 +182,7 @@ def _certificate_bounds(scenario: Scenario, r: float, params: EstimateParams,
         term3 = pre3 * (math.pi / gamma_bar) ** (n_dim / 2.0) * t_bar**1.5
         return term1 + term2 + term3
 
-    return t1, s_of
+    return t1, s_inputs, s_of
 
 
 def horizon_T1(scenario: Scenario, radius: float | None = None,
@@ -192,7 +213,25 @@ def contraction_S(scenario: Scenario, radius: float | None = None,
     if t_bar is None or t_bar <= 0:
         raise ValueError("t_bar must be positive")
     params = params if params is not None else scenario.estimate_params
-    return _certificate_bounds(scenario, r, params, delta)[1](t_bar)
+    return _certificate_bounds(scenario, r, params, delta)[2](t_bar)
+
+
+def _contraction_horizon(s_of: Callable[[float], float], cap: float) -> float:
+    """T2: the cap when S(cap) <= 1 - _S_MARGIN, else the largest t in (0,
+    cap) that bisection to adjacent floats finds with S(t) <= 1 - _S_MARGIN."""
+    target = 1.0 - _S_MARGIN
+    if s_of(cap) <= target:
+        return cap
+    lo, hi = 0.0, cap
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats: nothing can change
+        if s_of(mid) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def horizon_certificate(scenario: Scenario, radius: float | None = None,
@@ -202,12 +241,20 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
                         safety: float = 0.9) -> HorizonCertificate:
     """Compute the certified horizon: T2 by bisection on S = 1 - _S_MARGIN
     (intersected with the gamma_bar > 0 constraint), t_bar = safety *
-    min(T1, T2)."""
+    min(T1, T2), with safety in (0, 1].
+
+    Within one ``solve_global`` call T2 is bisected once per distinct set of
+    S's inputs (L_F(R), the two prefactors, H, HR(|X0| + R), alpha, C,
+    lambda0*, N) and cap, and taken from that solve's table when they recur;
+    the table holds exactly what the bisection returned, so every field is
+    the one a certificate derived on its own would have."""
+    if not 0.0 < safety <= 1.0:  # NaN too
+        raise ValueError(f"safety must lie in (0, 1], got {safety!r}")
     r = radius if radius is not None else scenario.R
     delta = _resolve_delta(scenario, mode, delta)
     params = params if params is not None else scenario.estimate_params
     growth = scenario.growth
-    t1, s_of = _certificate_bounds(scenario, r, params, delta)
+    t1, s_inputs, s_of = _certificate_bounds(scenario, r, params, delta)
 
     cap = growth.T
     if growth.C > 0:
@@ -215,22 +262,15 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
     if cap <= 0:
         raise ValueError("degenerate constants: no admissible contraction horizon")
 
-    target = 1.0 - _S_MARGIN
-    if s_of(cap) <= target:
-        t2 = cap
-    else:
-        lo, hi = 0.0, cap
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break  # lo and hi are adjacent floats: nothing can change
-            if s_of(mid) <= target:
-                lo = mid
-            else:
-                hi = mid
-        t2 = lo
-    if t2 <= 0:
-        raise ValueError("degenerate constants: no positive horizon satisfies the contraction condition")
+    known = _CONTRACTION_HORIZONS.get()
+    key = s_inputs + (cap,)
+    t2 = known.get(key) if known is not None else None
+    if t2 is None:
+        t2 = _contraction_horizon(s_of, cap)
+        if t2 <= 0:
+            raise ValueError("degenerate constants: no positive horizon satisfies the contraction condition")
+        if known is not None:
+            known[key] = t2
 
     t_bar = safety * min(t1, t2)
     if t_bar <= 0:
@@ -326,15 +366,12 @@ def _start_path(previous: AgentPath | None, times: np.ndarray, X0: np.ndarray,
         last = len(previous.times) - 1
         nodes = [0, round(last / 3), round(2 * last / 3), last]
         t_k, v_k = previous.times[nodes], previous.V[nodes]
-        # factor (t - t_j) / (t_i - t_j) of basis i, shaped (time, i, j), is 1
-        # for j = i; each basis multiplies its factors, and V sums its terms,
-        # in index order
-        diagonal = np.eye(4, dtype=bool)
-        span = t_k[:, None] - t_k
-        span[diagonal] = 1.0
-        factor = (times[:, None] - t_k)[:, None, :] / span
-        factor[:, diagonal] = 1.0
-        basis = factor[:, :, 0] * factor[:, :, 1] * factor[:, :, 2] * factor[:, :, 3]
+        # factor (t - t_j) / (t_i - t_j) of basis i, shaped (time, i, j != i);
+        # each basis multiplies its factors, and V sums its terms, in index
+        # order
+        t_j = t_k[_OTHER_NODES]
+        factor = (times[:, None, None] - t_j) / (t_k[:, None] - t_j)
+        basis = factor[:, :, 0] * factor[:, :, 1] * factor[:, :, 2]
         terms = basis[:, :, None, None] * v_k
         V = 0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
         kind = START_EXTRAPOLATED
@@ -374,11 +411,12 @@ def _sweep(scenario: Scenario, prefix: AgentPath | None, seg: AgentPath,
     """One application of the update map on the grid of ``seg``, anchored at
     the segment start state (X0, V0).
 
-    ``seg`` must stay inside the radius-R tube around the anchor; the field
-    probe reads the whole input path ``prefix + seg``, so the source laid
-    down by earlier segments keeps acting.
+    ``seg`` must stay inside the radius-R tube around the anchor, which the
+    caller checks (``_start_path``, ``_iterate_segment``, ``apply_psi``); the
+    field probe reads the whole input path ``prefix + seg``, so the source
+    laid down by earlier segments keeps acting.  X and V are integrated in
+    one trapezoid pass over their rates stacked along the dimension axis.
     """
-    _check_tube(seg, X0, V0, scenario.R)
     path = prefix.concat(seg) if prefix is not None else seg
     probe = FieldProbe(scenario, path, quad=quad or QuadratureSpec())
     if scenario.lipschitz_w == 0.0:  # declared insensitive to the field
@@ -386,8 +424,9 @@ def _sweep(scenario: Scenario, prefix: AgentPath | None, seg: AgentPath,
     else:
         W = sensed_gradients(probe, seg.X, seg.times, delta)
     forces = scenario.force.eval(seg.times, seg.X, seg.V, W)
-    return AgentPath(seg.times, X0 + trapezoid_cumulative(seg.V, seg.times),
-                     V0 + trapezoid_cumulative(forces, seg.times))
+    integral = trapezoid_cumulative(np.concatenate((seg.V, forces), axis=1), seg.times)
+    n_dim = seg.X.shape[1]
+    return AgentPath(seg.times, X0 + integral[:, :n_dim], V0 + integral[:, n_dim:])
 
 
 def _segment_grid(t0: float, t1: float, dt: float) -> np.ndarray:
@@ -405,9 +444,10 @@ def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, t0: float, t1
     ``_start_path`` builds out of the ``previous`` converged segment, or,
     when there is none, out of the force at (X0, V0) (``_initial_force``).
 
-    Stops when successive iterates differ by less than tol in the sup norm;
-    returns the converged segment, the per-iteration differences and the kind
-    of start.
+    Every path is tube-checked once before it is swept: the start by
+    ``_start_path``, each later iterate here.  Stops when successive iterates
+    differ by less than tol in the sup norm; returns the converged segment,
+    the per-iteration differences and the kind of start.
     """
     for name, value in (("dt", dt), ("tol", tol)):
         if not 0.0 < value < math.inf:  # NaN too
@@ -417,7 +457,9 @@ def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, t0: float, t1
               if previous is None else None)
     current, start = _start_path(previous, times, X0, V0, scenario.R, force0)
     history: list[float] = []
-    for _ in range(max_iters):
+    for sweep in range(max_iters):
+        if sweep:
+            _check_tube(current, X0, V0, scenario.R)
         nxt = _sweep(scenario, prefix, current, X0, V0, delta, quad)
         history.append(nxt.sup_distance(current))
         current = nxt
@@ -440,6 +482,7 @@ def apply_psi(path: AgentPath, scenario: Scenario,
     state; field evaluations use the input path throughout.
     """
     delta = _resolve_delta(scenario, mode, delta)
+    _check_tube(path, scenario.X0, scenario.V0, scenario.R)
     return _sweep(scenario, None, path, scenario.X0, scenario.V0, delta, quad)
 
 
@@ -472,6 +515,9 @@ def solve_global(scenario: Scenario, horizon: float,
 
     Each segment restarts from the previous endpoint state with a freshly
     derived certificate; the field keeps reading the full path from time 0.
+    The certificates' T2 is bisected once per distinct set of S's inputs in
+    this call (``horizon_certificate``), so on a run whose constants do not
+    move with the state only the first segment bisects.
     Picard iteration on the first segment starts from the Taylor path, as in
     ``solve_local``, and on a later one from the cubic extrapolation of the
     segment before it (``_start_path``); either falls back to the constant
@@ -492,26 +538,31 @@ def solve_global(scenario: Scenario, horizon: float,
     seg: AgentPath | None = None
     t0 = 0.0
     state_X, state_V = scenario.X0, scenario.V0
-    while horizon - t0 > 1e-12 * max(1.0, horizon):
-        seg_scn = replace(scenario, X0=state_X, V0=state_V)
-        cert = horizon_certificate(seg_scn, seg_scn.R, mode=mode, delta=delta,
-                                   params=params, safety=safety)
-        if cert.t_bar < min_segment:
-            raise PicardError(
-                f"segment horizon underflow at t = {t0:g}: certified step {cert.t_bar:g} "
-                f"is below the minimum {min_segment:g} (constants blow-up)"
-            )
-        seg_end = min(t0 + cert.t_bar, horizon)
-        seg, history, start = _iterate_segment(scenario, full, t0, seg_end, state_X, state_V,
-                                               delta, tol, dt, max_iters, quad, previous=seg)
-        if segments_out is not None:
-            segments_out.append(SegmentRecord(t_start=t0, t_end=seg_end, certificate=cert,
-                                              iterations=len(history), final_diff=history[-1],
-                                              start=start))
-        full = full.concat(seg) if full is not None else seg
-        t0 = seg_end
-        state_X = seg.X[-1].copy()
-        state_V = seg.V[-1].copy()
+    token = _CONTRACTION_HORIZONS.set({})
+    try:
+        while horizon - t0 > 1e-12 * max(1.0, horizon):
+            seg_scn = replace(scenario, X0=state_X, V0=state_V)
+            cert = horizon_certificate(seg_scn, seg_scn.R, mode=mode, delta=delta,
+                                       params=params, safety=safety)
+            if cert.t_bar < min_segment:
+                raise PicardError(
+                    f"segment horizon underflow at t = {t0:g}: certified step {cert.t_bar:g} "
+                    f"is below the minimum {min_segment:g} (constants blow-up)"
+                )
+            seg_end = min(t0 + cert.t_bar, horizon)
+            seg, history, start = _iterate_segment(scenario, full, t0, seg_end, state_X,
+                                                   state_V, delta, tol, dt, max_iters, quad,
+                                                   previous=seg)
+            if segments_out is not None:
+                segments_out.append(SegmentRecord(t_start=t0, t_end=seg_end, certificate=cert,
+                                                  iterations=len(history),
+                                                  final_diff=history[-1], start=start))
+            full = full.concat(seg) if full is not None else seg
+            t0 = seg_end
+            state_X = seg.X[-1].copy()
+            state_V = seg.V[-1].copy()
+    finally:
+        _CONTRACTION_HORIZONS.reset(token)
     assert full is not None
     return full
 

@@ -1,10 +1,12 @@
 """Fixed-point machinery: update map, certificates, local/global solves, bounds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from chemosim import picard
 from chemosim.field import FieldProbe, QuadratureSpec
 from chemosim.paths import AgentPath
 from chemosim.picard import (
@@ -13,6 +15,7 @@ from chemosim.picard import (
     START_CONSTANT,
     START_EXTRAPOLATED,
     START_TAYLOR,
+    HorizonCertificate,
     PicardError,
     _c0_constant,
     _start_path,
@@ -292,8 +295,6 @@ def test_sensing_radius_must_be_positive_and_finite(delta):
 
 
 def test_certificate_invariants_enforced():
-    from chemosim.picard import HorizonCertificate
-
     with pytest.raises(ValueError, match="S"):
         HorizonCertificate(t_range=1.0, t_contract=1.0, t_bar=0.5,
                            s_value=1.2, gamma_bar=0.1, radius=1.0)
@@ -303,6 +304,27 @@ def test_certificate_invariants_enforced():
     with pytest.raises(ValueError, match="range"):
         HorizonCertificate(t_range=0.4, t_contract=1.0, t_bar=0.5,
                            s_value=0.5, gamma_bar=0.1, radius=1.0)
+    for name in ("t_bar", "t_range", "t_contract"):
+        for bad in (math.nan, math.inf, 0.0, -0.5):
+            horizons = {"t_range": 1.0, "t_contract": 1.0, "t_bar": 0.5, name: bad}
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                HorizonCertificate(**horizons, s_value=0.5, gamma_bar=0.1, radius=1.0)
+
+
+@pytest.mark.parametrize("safety", [1.05, math.nan, -0.5, 0.0, math.inf],
+                         ids=["above-one", "nan", "negative", "zero", "inf"])
+def test_safety_outside_the_unit_interval_is_rejected(safety):
+    scn = damped()
+    with pytest.raises(ValueError, match="safety must lie in"):
+        horizon_certificate(scn, safety=safety)
+    with pytest.raises(ValueError, match="safety must lie in"):
+        solve_global(scn, 0.01, safety=safety)
+
+
+def test_safety_one_keeps_s_within_the_margin():
+    cert = horizon_certificate(damped(), safety=1.0)
+    assert cert.t_bar == min(cert.t_range, cert.t_contract)
+    assert cert.s_value <= 0.9
 
 
 # -- local solve --------------------------------------------------------------------------
@@ -457,9 +479,10 @@ def test_solve_global_stitching_invariance():
     assert gap < 5 * tol
 
 
-def _s1_seeded(dim, seed, delta=None):
+def _s1_seeded(dim, seed, delta=None, growth=None):
     """S1 with the agents' initial state drawn as the benchmark workloads
-    draw it: X0 uniform in [-0.5, 0.5], V0 uniform in [-0.3, 0.3]."""
+    draw it: X0 uniform in [-0.5, 0.5], V0 uniform in [-0.3, 0.3]; ``growth``
+    overrides declared growth constants."""
     rng = np.random.default_rng(seed)
     cfg = {"dimension": dim, "horizon": 1.0, "coefficients": "heat", "phi": "gaussian",
            "g": "agent-secretion",
@@ -468,6 +491,8 @@ def _s1_seeded(dim, seed, delta=None):
            "V0": rng.uniform(-0.3, 0.3, size=(dim, 2)).tolist()}
     if delta is not None:
         cfg.update(mode=MODE_NONLOCAL, delta=delta)
+    if growth is not None:
+        cfg["growth"] = growth
     return build_scenario(cfg)
 
 
@@ -479,6 +504,82 @@ def test_solve_global_extrapolated_starts_take_one_sweep():
     assert [s.iterations for s in segments] == [2] + [1] * 10
     assert [s.start for s in segments] == [START_TAYLOR] + [START_EXTRAPOLATED] * 10
     assert all(s.final_diff < 1e-8 for s in segments)
+
+
+@pytest.mark.parametrize("growth, segment_count, t2_count", [(None, 11, 1), ({"C": 0.05}, 46, 46)],
+                         ids=["C0", "C0.05"])
+def test_solve_global_certificates_equal_fresh_ones(growth, segment_count, t2_count):
+    # with C = 0 no input of S moves with the state, so every segment reuses
+    # the first T2; with C > 0 every segment has its own and bisects again
+    scn = _s1_seeded(1, seed=1, growth=growth)
+    segments = []
+    path = solve_global(scn, 0.02, segments_out=segments)
+    assert len(segments) == segment_count
+    assert len({s.certificate.t_contract for s in segments}) == t2_count
+    for s in segments:
+        k = int(np.searchsorted(path.times, s.t_start))
+        assert path.times[k] == s.t_start
+        fresh = horizon_certificate(replace(scn, X0=path.X[k], V0=path.V[k]),
+                                    params=scn.estimate_params)
+        assert s.certificate == fresh
+        for name in ("t_range", "t_contract", "t_bar", "s_value", "gamma_bar"):
+            assert getattr(s.certificate, name).hex() == getattr(fresh, name).hex()
+
+
+def test_solve_global_bisects_once_when_the_inputs_of_s_repeat(monkeypatch):
+    counts = {"s_of": 0, "bisections": 0}
+    bounds, bisect = picard._certificate_bounds, picard._contraction_horizon
+
+    def counted_bounds(*args):
+        t1, s_inputs, s_of = bounds(*args)
+
+        def counted_s_of(t_bar):
+            counts["s_of"] += 1
+            return s_of(t_bar)
+        return t1, s_inputs, counted_s_of
+
+    def counted_bisect(*args):
+        counts["bisections"] += 1
+        return bisect(*args)
+
+    monkeypatch.setattr(picard, "_certificate_bounds", counted_bounds)
+    monkeypatch.setattr(picard, "_contraction_horizon", counted_bisect)
+    scn = _s1_seeded(1, seed=1)
+    segments = []
+    solve_global(scn, 0.02, segments_out=segments)
+    assert len(segments) == 11 and counts["bisections"] == 1
+    in_solve, counts["s_of"] = counts["s_of"], 0
+    # on its own a certificate always bisects: S(cap), the bisection steps
+    # and S(t_bar), where the solve's later segments evaluate S(t_bar) only
+    horizon_certificate(scn)
+    assert counts["bisections"] == 2 and counts["s_of"] > 50
+    assert in_solve == counts["s_of"] + 10
+    horizon_certificate(scn)
+    assert counts["bisections"] == 3
+    assert picard._CONTRACTION_HORIZONS.get() is None
+
+
+def test_solve_global_reruns_bit_for_bit():
+    scn = _s1_seeded(1, seed=1)
+    runs = []
+    for _ in range(2):
+        segments = []
+        runs.append((solve_global(scn, 0.02, segments_out=segments), segments))
+    (first, first_segments), (second, second_segments) = runs
+    for name in ("times", "X", "V"):
+        assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+    assert first_segments == second_segments
+
+
+def test_iterate_leaving_the_tube_names_its_node():
+    # with t_bar too long for the tube, the Taylor start (X0 + V0 t) leaves
+    # it, so iteration starts from the constant path; its first iterate is
+    # X0 + V0 t again, which must be refused before it is swept
+    scn = build(V0=[[0.5]], T=3.0)
+    cert = HorizonCertificate(t_range=3.0, t_contract=3.0, t_bar=3.0,
+                              s_value=0.5, gamma_bar=0.1, radius=1.0)
+    with pytest.raises(PicardError, match=r"tube at node 201 \(t = 2.01\)"):
+        solve_local(scn, cert)
 
 
 @pytest.mark.parametrize("dim, delta, horizon, quad", [

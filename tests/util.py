@@ -13,6 +13,7 @@ from chemosim.picard import (
     MODE_NONLOCAL,
     MODE_POINTWISE,
     PicardError,
+    _check_tube,
     _segment_grid,
     _sweep,
     horizon_certificate,
@@ -573,9 +574,10 @@ def constant_start_global(scenario, horizon, tol=1e-8, mode=MODE_POINTWISE, dt=1
                           max_iters=50, safety=0.9, quad=None):
     """``picard.solve_global`` with every segment's Picard iteration started
     from the path frozen at its initial state, by its own loop over
-    ``picard._sweep``: the continuation that the Taylor and extrapolated
-    starts must reproduce to within the iteration tolerance.  Returns the
-    path and the iterations per segment."""
+    ``picard._sweep`` that checks each path against the tube before sweeping
+    it (``_sweep`` leaves that to its caller): the continuation that the
+    Taylor and extrapolated starts must reproduce to within the iteration
+    tolerance.  Returns the path and the iterations per segment."""
     delta = scenario.nonlocal_delta if mode == MODE_NONLOCAL else None
     full = None
     sweeps = []
@@ -587,6 +589,7 @@ def constant_start_global(scenario, horizon, tol=1e-8, mode=MODE_POINTWISE, dt=1
         t1 = min(t0 + cert.t_bar, horizon)
         seg = AgentPath.constant(X0, V0, _segment_grid(t0, t1, dt))
         for sweep in range(1, max_iters + 1):
+            _check_tube(seg, X0, V0, scenario.R)
             nxt = _sweep(scenario, full, seg, X0, V0, delta, quad)
             diff = nxt.sup_distance(seg)
             seg = nxt
