@@ -25,9 +25,12 @@ truncated box (`backend_for`).
 Batch evaluations take one time per point, and the items of a batch run in
 a few vectorized passes, so one call serves a whole Picard sweep.  The
 layout is time-major: the points are sorted into runs of equal probe time,
-and tau, the weight, sigma = t - tau and the agent positions X(tau) of each
-(s-node, distinct time) cell are computed once, for every point at that
-time (the initial-datum term is the one row tau = 0, weight 1).  A pass
+and tau, the weight, sigma = t - tau, the agent positions X(tau) and every
+other factor of an item that depends on its cell alone (for a closed-form
+item the eigenvalues of M, sqrt(det M) and c sigma) are computed once per
+(s-node, distinct time) cell, for every point at that time (the
+initial-datum term is the one row tau = 0, weight 1).  The cells form one
+table, which a pass gathers to its points with one ``take``.  A pass
 is an (s-node, point) block: every s-row of a range of points or, when one
 point's rows exceed the pass size, a range of the rows of one point.  Each
 point adds its rows to its running sum one at a time in s-node order, in
@@ -44,6 +47,14 @@ order equals its one-order call bit for bit.  The spatial rule and the
 s-rule are built once per (dimension, u_max, node counts, L) and shared
 read-only (`_cached_field_rules`).
 
+A call's fixed cost, paid before its passes, is one scan of the probe
+times: the test that they are in order, which a NaN fails (the range check
+then reads only the first and last sorted time), and the runs, whose first
+is the points at t = 0 when there are any.  On the pointwise-1d benchmark
+(2 agents, 17 nodes) a sweep's gradient pass takes about 0.28 ms at its 34
+points and 0.17 ms at one point on a 2-core x86 box: most of a pass is
+this per-call work, not work per point.
+
 Evaluation at t = 0 returns the initial datum (and its difference-quotient
 derivatives) by continuity.  The ball average of grad f is (N / delta) times
 the mean of f nu over the sphere of radius delta (divergence theorem), so
@@ -54,7 +65,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -142,6 +153,10 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+# the default discretization, shared read-only (QuadratureSpec is frozen)
+DEFAULT_QUAD = QuadratureSpec()
+
+
 def _is_zero(fn) -> bool:
     return bool(getattr(fn, "is_zero", False))
 
@@ -220,19 +235,23 @@ def _cached_sphere_rule(dim: int, delta: float) -> tuple[np.ndarray, np.ndarray]
     return _read_only(delta * nu, (dim / delta) * (w / w.sum())[:, None] * nu)
 
 
-def _time_runs(t: np.ndarray) -> tuple:
-    """The points of probe times ``t`` (P,) in time order: the stable
-    permutation that sorts them (None when ``t`` is already in order, as a
-    sweep's node-major points are), the run of equal times each sorted point
-    belongs to (P,), the bounds of the runs in sorted order (runs + 1,) and
-    the time of each run (runs,)."""
-    order = np.argsort(t, kind="stable") if (t[1:] < t[:-1]).any() else None
+def _time_runs(t: np.ndarray, order: np.ndarray | None) -> tuple:
+    """The points of probe times ``t`` (P,) in time order, given the stable
+    permutation ``order`` that sorts them (None when ``t`` is already in
+    order, as a sweep's node-major points are): that permutation, the run of
+    equal times each sorted point belongs to (P,), the bounds of the runs in
+    sorted order (runs + 1,) and the time of each run (runs,)."""
     t_sorted = t if order is None else t[order]
-    new = np.empty(len(t), dtype=bool)
-    new[0] = True
-    np.not_equal(t_sorted[1:], t_sorted[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    return order, np.cumsum(new) - 1, np.append(starts, len(t)), t_sorted[starts]
+    new = np.empty(len(t) + 1, dtype=bool)
+    new[0] = new[-1] = True
+    np.not_equal(t_sorted[1:], t_sorted[:-1], out=new[1:-1])
+    bounds = new.nonzero()[0]
+    return order, np.cumsum(new[:-1]) - 1, bounds, t_sorted[bounds[:-1]]
+
+
+def _sorted_points(order: np.ndarray | None, start: int, stop: int):
+    """Index of the points at sorted positions [start, stop)."""
+    return slice(start, stop) if order is None else order[start:stop]
 
 
 @dataclass(eq=False)
@@ -247,7 +266,7 @@ class FieldProbe:
     scenario: Scenario
     path: AgentPath
     backend: str | None = None
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
+    quad: QuadratureSpec = DEFAULT_QUAD
 
     def __post_init__(self):
         if self.backend is None:
@@ -268,17 +287,28 @@ class FieldProbe:
 
     # -- time-range handling -------------------------------------------------
 
-    def _check_times(self, t, n_points: int) -> np.ndarray:
-        """Probe times clamped to [0, horizon], one per point."""
+    def _check_times(self, t, n_points: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Probe times clamped to [0, horizon], one per point, and the stable
+        permutation that sorts them (None when they are in order).  The one
+        scan of the times is the order test, which a NaN fails; the sort puts
+        NaN last, so the range check reads the first and last sorted time."""
         horizon = self.path.horizon
         t = np.asarray(t, dtype=float)
         if t.ndim > 1 or (t.ndim == 1 and len(t) != n_points):
             raise ValueError(f"need one probe time or one per point, got shape {t.shape}")
-        outside = ~((t >= -1e-12) & (t <= horizon * (1.0 + 1e-9) + 1e-12))  # NaN too
-        if np.any(outside):
-            bad = float(t[outside][0]) if t.ndim else float(t)
-            raise ValueError(f"probe time {bad} outside [0, {horizon}]")
-        return np.broadcast_to(np.minimum(np.maximum(t, 0.0), horizon), (n_points,))
+        if t.ndim == 0:
+            t = np.full(max(n_points, 1), t)  # a lone time is checked, points or not
+        elif not n_points:
+            return t, None
+        order = None if (t[:-1] <= t[1:]).all() else np.argsort(t, kind="stable")
+        lo, hi = (t[0], t[-1]) if order is None else (t[order[0]], t[order[-1]])
+        top = horizon * (1.0 + 1e-9) + 1e-12
+        if not (lo >= -1e-12 and hi <= top):
+            bad = t[~((t >= -1e-12) & (t <= top))][0]
+            raise ValueError(f"probe time {float(bad)} outside [0, {horizon}]")
+        if lo < 0.0 or hi > horizon:  # clamping keeps the order
+            t = np.minimum(np.maximum(t, 0.0), horizon)
+        return t[:n_points], order
 
     # -- closed-form backend -------------------------------------------------
 
@@ -329,68 +359,92 @@ class FieldProbe:
                         acc[idx] = np.add.accumulate(block, axis=0)[-1]
         return accs
 
-    def _cells(self, t_u: np.ndarray, source: bool, gauss) -> tuple:
+    def _cells(self, t_u: np.ndarray, source: bool, gauss) -> np.ndarray:
         """The (s-node, time) cells shared by every point at one of the
-        distinct probe times ``t_u`` (U,): (t_u, weight, tau, sigma, X), with
-        weight, tau and sigma = t - tau shaped (row, U) and the agent
-        positions X(tau) stacked (N, n, row, U), or None where no item reads
-        them.  The initial-datum integral is the one row tau = 0, weight 1."""
-        if not source:
-            tau = np.zeros((1, len(t_u)))
-            return t_u, np.ones((1, len(t_u))), tau, t_u - tau, None
-        sqrt_t = np.sqrt(t_u)
-        s = self._s_base[:, None] * sqrt_t
-        weight = 2.0 * s * (self._s_wts[:, None] * sqrt_t)  # d tau = 2 s ds
-        tau = np.maximum(t_u - s * s, 0.0)
-        X = None
-        if gauss is None or gauss.at_agents:
+        distinct probe times ``t_u`` (U,), as one table (field, row, U) that
+        a pass gathers at its points' columns with one ``take``.
+
+        The fields are the factors of an item that depend on its cell alone,
+        computed once per cell by the elementwise operations an item would
+        apply to the same values, so every item keeps its bits.  By the
+        spatial rule: weight * sigma^(N/2), sqrt(sigma), t and tau; in closed
+        form: the weight, b sigma (N rows) and `_gaussian_factors` (N + 2
+        rows).  The agent positions X(tau) follow, N * n rows, where an item
+        reads them.  The initial-datum integral is the one row tau = 0,
+        weight 1."""
+        kern = self.scenario.kernel
+        if source:
+            sqrt_t = np.sqrt(t_u)
+            s = self._s_base[:, None] * sqrt_t
+            weight = 2.0 * s * (self._s_wts[:, None] * sqrt_t)  # d tau = 2 s ds
+            tau = np.maximum(t_u - s * s, 0.0)
+            sigma = t_u - tau
+        else:
+            sigma = t_u[None]  # t - 0 is t, exactly
+            weight, tau = np.ones(sigma.shape), np.zeros(sigma.shape)
+        if gauss is None:
+            fields = [weight * sigma ** (kern.dim / 2.0),  # jacobian; det L is in _u_wts
+                      np.sqrt(sigma), np.broadcast_to(t_u, sigma.shape), tau]
+        else:
+            m, root_det, c_sigma = self._gaussian_factors(sigma, gauss.rate)
+            fields = [weight, *(b * sigma for b in kern.b), *m, root_det, c_sigma]
+        if source and (gauss is None or gauss.at_agents):
             # positions_at returns a (row, U, N, n) view of an (N, n, row, U) array
             X = self.path.positions_at(tau).transpose(2, 3, 0, 1)
-        return t_u, weight, tau, t_u - tau, X
+            fields.extend(X.reshape((-1,) + sigma.shape))
+        return np.array(fields)
 
-    def _pass_blocks(self, datum, source: bool, gauss, x: np.ndarray, cells: tuple,
+    def _pass_blocks(self, datum, source: bool, gauss, x: np.ndarray, cells: np.ndarray,
                      rows: slice, cols: np.ndarray, orders: tuple) -> list[np.ndarray]:
         """Weighted terms of one pass, for the ``rows`` of the cells at
         columns ``cols`` and the points ``x`` (P, N) at those columns: one
         array per order, shaped (row, P) + (N,) * order."""
         kern = self.scenario.kernel
         dim = kern.dim
-        t_u, weight, tau, sigma, X = cells
-        weight, sigma = weight[rows].take(cols, axis=1), sigma[rows].take(cols, axis=1)  # (row, P)
-        if X is not None:
-            X = X[:, :, rows].take(cols, axis=3)  # (N, n, row, P)
-        n_rows = len(sigma)
+        cell = cells[:, rows].take(cols, axis=2)  # (field, row, P)
+        n_rows = cell.shape[1]
         if gauss is None:
             # items (row, point) flattened; xi and the datum on it once, the
             # kernel derivative once per order
-            x_i, t_i = x, t_u.take(cols)
-            if n_rows > 1:
-                x_i, t_i = np.tile(x_i, (n_rows, 1)), np.tile(t_i, n_rows)
-            tau, sigma = tau[rows].take(cols, axis=1).ravel(), sigma.ravel()
-            xi = x_i[:, None, :] + np.sqrt(sigma)[:, None, None] * self._u_pts
-            vals = datum(xi, X.reshape(X.shape[:2] + (-1,)).transpose(2, 0, 1)[:, None]) \
-                if source else datum(xi)
-            weight = weight.ravel() * sigma ** (dim / 2.0)  # jacobian; det L is in _u_wts
+            weight, root_sigma, t_i, tau = cell[:4].reshape(4, -1)
+            x_i = x if n_rows == 1 else np.tile(x, (n_rows, 1))
+            xi = x_i[:, None, :] + root_sigma[:, None, None] * self._u_pts
+            if source:
+                X = cell[4:].reshape((dim, -1, len(t_i))).transpose(2, 0, 1)
+                vals = datum(xi, X[:, None])
+            else:
+                vals = datum(xi)
             return [(weight.reshape((-1,) + (1,) * order) * np.einsum(
                 _CONTRACTIONS[order], self._u_wts,
                 kern.derivative(order, x_i[:, None, :], t_i[:, None], xi, tau[:, None]), vals)
                 ).reshape((n_rows, len(x)) + (dim,) * order) for order in orders]
-        # centres stacked (N, centre, row, P); the integrals run on the
-        # flattened (row, P) item axis
-        centres = X if gauss.at_agents else np.zeros((dim, 1, 1, 1))
-        d = x.T[:, None, None, :] - centres + kern.b[:, None, None, None] * sigma
-        integrals = self._gaussian_integrals(d.reshape(d.shape[:2] + (-1,)), sigma.ravel(),
-                                             gauss.rate, orders)
-        return [(weight * (gauss.weight * k.reshape(k.shape[:-1] + sigma.shape))).transpose(
-                    (k.ndim - 1, k.ndim) + tuple(range(k.ndim - 1)))
+        # the cell fields (`_cells`), then the items as (N, centre, row, P)
+        weight, drift, m = cell[0], cell[1:1 + dim], cell[1 + dim:1 + 2 * dim]
+        root_det, c_sigma = cell[1 + 2 * dim], cell[2 + 2 * dim]
+        centres = cell[3 + 2 * dim:].reshape((dim, -1) + weight.shape) if gauss.at_agents \
+            else np.zeros((dim, 1, 1, 1))
+        d = x.T[:, None, None, :] - centres + drift[:, None]
+        integrals = self._gaussian_integrals(d, m, root_det, c_sigma, gauss.rate, orders)
+        return [(weight * (gauss.weight * k)).transpose((k.ndim - 2, k.ndim - 1)
+                                                          + tuple(range(k.ndim - 2)))
                 for k in integrals]
 
-    def _gaussian_integrals(self, d: np.ndarray, sigma: np.ndarray, rate: float,
-                            orders: tuple) -> list[np.ndarray]:
+    def _gaussian_factors(self, sigma: np.ndarray, rate: float) -> tuple:
+        """The factors of `_gaussian_integrals` that depend on sigma = t - tau
+        alone: the eigenvalues 1 + 4 rate sigma lambda_a of M (one array per
+        axis a), sqrt(det M) and c sigma, each shaped like ``sigma``."""
+        kern = self.scenario.kernel
+        scale = 4.0 * rate * sigma
+        m = [1.0 + scale * lam for lam in kern.eig[0]]
+        return m, np.sqrt(reduce(operator.mul, m)), kern.c * sigma
+
+    def _gaussian_integrals(self, d: np.ndarray, m, root_det: np.ndarray, c_sigma: np.ndarray,
+                            rate: float, orders: tuple) -> list[np.ndarray]:
         """x-derivatives of the given orders of the integral over xi of
         G(x, t, xi, tau) sum_c exp(-rate |xi - c|^2), for d = x - c + b sigma
-        stacked (N, centre, item) and sigma = t - tau (item,).  One array per
-        order, shaped (N,) * order + (item,).
+        stacked (N, centre, *items) with sigma = t - tau, given the factors
+        m, sqrt(det M) and c sigma of `_gaussian_factors`, shaped like the
+        items.  One array per order, shaped (N,) * order + items.
 
         With M = I + 4 rate sigma a the integral of one centre is
         det(M)^(-1/2) exp(-rate d^T M^-1 d + c sigma); the gradient is
@@ -402,14 +456,11 @@ class FieldProbe:
         BLAS calls, whose fused multiply-adds could round an item by its
         position in the pass."""
         kern = self.scenario.kernel
-        lam, q = kern.eig
+        q = kern.eig[1]
         axes = range(kern.dim)
-        scale = 4.0 * rate * sigma
-        m = [1.0 + scale * lam[a] for a in axes]  # eigenvalues of M, per item
         e = [_sum_in_order(q[b, a] * d[b] for b in axes) for a in axes]
         quad = _sum_in_order(e[a] * e[a] / m[a] for a in axes)
-        det = reduce(operator.mul, m)
-        val = np.exp(-rate * quad + kern.c * sigma) / np.sqrt(det)  # (centre, item)
+        val = np.exp(-rate * quad + c_sigma) / root_det  # (centre, *items)
         if max(orders) > 0:
             e_m = [e[a] / m[a] for a in axes]
             w = [_sum_in_order(q[b, a] * e_m[a] for a in axes) for b in axes]  # M^-1 d
@@ -418,9 +469,12 @@ class FieldProbe:
             if order == 0:
                 out.append(val.sum(axis=0))
             elif order == 1:
-                out.append(np.stack([((-2.0 * rate) * w[a] * val).sum(axis=0) for a in axes]))
+                grad = np.empty((kern.dim,) + d.shape[2:])
+                for a in axes:
+                    ((-2.0 * rate) * w[a] * val).sum(axis=0, out=grad[a])
+                out.append(grad)
             else:
-                hess = np.empty((kern.dim, kern.dim, d.shape[-1]))
+                hess = np.empty((kern.dim, kern.dim) + d.shape[2:])
                 for a in axes:
                     for b in axes[a:]:
                         m_inv = _sum_in_order(q[a, c] / m[c] * q[b, c] for c in axes)
@@ -429,8 +483,7 @@ class FieldProbe:
                 out.append(hess)
         return out
 
-    def _closed_batch(self, pts: np.ndarray, t: np.ndarray, orders: tuple) -> list[np.ndarray]:
-        runs = _time_runs(t)
+    def _closed_batch(self, pts: np.ndarray, runs: tuple, orders: tuple) -> list[np.ndarray]:
         initial = self._kernel_integral(self.scenario.phi, False, pts, runs, orders)
         source = self._kernel_integral(self.scenario.g, True, pts, runs, orders)
         return [a - b for a, b in zip(initial, source)]
@@ -455,21 +508,28 @@ class FieldProbe:
 
     def _batch(self, pts, t, orders: tuple) -> list[np.ndarray]:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        t = self._check_times(t, len(pts))
-        shapes = [(len(pts),) + (self.scenario.dimension,) * order for order in orders]
+        t, order = self._check_times(t, len(pts))
+        shapes = [(len(pts),) + (self.scenario.dimension,) * k for k in orders]
         if len(pts) == 0:
             return [np.empty(shape) for shape in shapes]
-        live_batch = self._closed_batch if self.backend == BACKEND_KERNEL else self._fd_batch
-        at_zero = t == 0.0
-        if not at_zero.any():
-            return live_batch(pts, t, orders)
-        outs = [np.empty(shape) for shape in shapes]
-        for out, vals in zip(outs, self._batch_at_zero(pts[at_zero], orders)):
-            out[at_zero] = vals
-        live = ~at_zero
-        if live.any():
-            for out, vals in zip(outs, live_batch(pts[live], t[live], orders)):
-                out[live] = vals
+        runs = _time_runs(t, order)
+        _, run, bounds, run_times = runs
+        # the points at t = 0 are the first run, if there are any
+        zero = int(bounds[1]) if run_times[0] == 0.0 else 0
+        if zero:
+            runs = (order, run - 1, bounds[1:], run_times[1:])
+        if self.backend == BACKEND_KERNEL:
+            outs = self._closed_batch(pts, runs, orders)  # 0 at t = 0
+        else:
+            outs = [np.empty(shape) for shape in shapes]
+            if zero < len(pts):
+                live = _sorted_points(order, zero, len(pts))
+                for out, vals in zip(outs, self._fd_batch(pts[live], t[live], orders)):
+                    out[live] = vals
+        if zero:
+            at_zero = _sorted_points(order, 0, zero)
+            for out, vals in zip(outs, self._batch_at_zero(pts[at_zero], orders)):
+                out[at_zero] = vals
         return outs
 
     def derivatives_many(self, pts, t, orders) -> tuple[np.ndarray, ...]:
@@ -516,7 +576,7 @@ class FieldProbe:
         if not 0.0 < delta < math.inf:  # NaN too
             raise ValueError(f"sensing radius delta must be positive and finite, got {delta!r}")
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        t = self._check_times(t, len(pts))
+        t, _ = self._check_times(t, len(pts))
         offsets, wts = _cached_sphere_rule(self.scenario.dimension, float(delta))
         # (node, centre) order: the sum runs in node order for any number of centres
         vals = self.value_many((offsets[:, None, :] + pts).reshape(-1, pts.shape[1]),
@@ -603,7 +663,7 @@ def solve_field_fd(scenario: Scenario, path: AgentPath, quad: QuadratureSpec | N
     step is re-checked on each new grid of a.  Returns the stored grid with
     interpolating samplers.
     """
-    quad = quad or QuadratureSpec()
+    quad = quad or DEFAULT_QUAD
     coeffs = scenario.coeffs
     dim = coeffs.dimension
     h = quad.resolved_fd_h(dim)

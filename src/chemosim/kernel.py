@@ -109,18 +109,20 @@ class Kernel:
         return np.linalg.eigh(self.a)
 
     def _core(self, x, t, xi, tau):
-        s = np.asarray(t, dtype=float) - np.asarray(tau, dtype=float)
-        if np.any(s <= 0):
+        s = np.subtract(t, tau, dtype=float)  # the ufuncs convert their inputs
+        if (s <= 0).any():
             raise ValueError("kernel requires tau < t")
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        s_b = s[..., None] if np.ndim(s) else s
-        d = x - xi + self.b * s_b
-        w = d @ self.a_inv
+        s_b = s[..., None] if s.ndim else s
+        d = np.subtract(x, xi, dtype=float) + self.b * s_b
+        # in 1D the product with a^-1 is one multiplication per entry, the
+        # value the BLAS call returns, at a fraction of its call cost; the
+        # two differ only at d = -0.0, which d never is: it carries + b s,
+        # which is nonzero or, for zero drift, +0.0
+        w = d * self.a_inv[0] if self.dim == 1 else d @ self.a_inv
         quad = np.einsum("...i,...i->...", w, d)
         pref = (4.0 * math.pi * s) ** (-self.dim / 2.0) / math.sqrt(self.det_a)
-        val = pref * np.exp(-quad / (4.0 * s) + self.c * s)
-        return val, w, s
+        val = pref * np.exp(quad / (-4.0 * s) + self.c * s)  # -q / (4 s), exactly
+        return val, w, s_b
 
     def eval(self, x, t, xi, tau):
         """Kernel value; broadcasts over stacked x / xi points."""
@@ -129,14 +131,13 @@ class Kernel:
 
     def grad_x(self, x, t, xi, tau):
         """Gradient in x, shape (..., N)."""
-        val, w, s = self._core(x, t, xi, tau)
-        s_b = s[..., None] if np.ndim(s) else s
-        return -val[..., None] * w / (2.0 * s_b)
+        val, w, s_b = self._core(x, t, xi, tau)
+        return val[..., None] * w / (-2.0 * s_b)  # -v w / (2 s), exactly
 
     def hess_x(self, x, t, xi, tau):
         """Second x-derivatives, shape (..., N, N); exactly symmetric."""
-        val, w, s = self._core(x, t, xi, tau)
-        s_col = np.asarray(s)[..., None, None]
+        val, w, s_b = self._core(x, t, xi, tau)
+        s_col = np.asarray(s_b)[..., None]
         outer = w[..., :, None] * w[..., None, :]
         return val[..., None, None] * (outer / (4.0 * s_col**2) - self.a_inv / (2.0 * s_col))
 

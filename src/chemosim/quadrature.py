@@ -80,11 +80,11 @@ def sphere_rule(dim: int, n_polar: int = 8, n_azimuth: int = 16) -> tuple[np.nda
 def trapezoid_cumulative(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Cumulative trapezoid integral of y over t along the first axis."""
     y = np.asarray(y, dtype=float)
-    dt = np.diff(t)
-    shape = (len(dt),) + (1,) * (y.ndim - 1)
-    increments = 0.5 * dt.reshape(shape) * (y[1:] + y[:-1])
-    out = np.zeros_like(y)
-    np.cumsum(increments, axis=0, out=out[1:])
+    t = np.asarray(t, dtype=float)
+    dt = (t[1:] - t[:-1]).reshape((len(t) - 1,) + (1,) * (y.ndim - 1))
+    out = np.empty(y.shape)
+    out[0] = 0.0
+    np.cumsum(0.5 * dt * (y[1:] + y[:-1]), axis=0, out=out[1:])
     return out
 
 

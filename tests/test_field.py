@@ -729,3 +729,14 @@ def test_probe_time_outside_the_path_names_the_closed_range():
     with pytest.raises(ValueError, match=r"probe time 1\.5 outside \[0, 1\.0\]"):
         probe.gradient_many(np.zeros((2, 1)), 1.5)
     assert probe.gradient_many(np.zeros((2, 1)), 0.0).shape == (2, 1)  # t = 0 is inside
+    # times in order, with the bad one inside, last or first
+    for bad, shown in (([0.1, math.nan, 0.2], "nan"), ([0.1, 0.2, math.inf], "inf"),
+                       ([-0.5, 0.1, 0.2], "-0.5"), ([0.1, 0.2, math.nan], "nan")):
+        with pytest.raises(ValueError, match=rf"probe time {shown} outside"):
+            probe.gradient_many(np.zeros((3, 1)), np.array(bad))
+    # times just outside the range are clamped onto it, in or out of order
+    pts = np.array([[0.3], [0.1], [-0.2]])
+    for near, at in (([-1e-13, 0.5, 1.0 + 1e-10], [0.0, 0.5, 1.0]),
+                     ([1.0 + 1e-10, -1e-13, 0.5], [1.0, 0.0, 0.5])):
+        np.testing.assert_array_equal(probe.gradient_many(pts, np.array(near)),
+                                      probe.gradient_many(pts, np.array(at)))

@@ -41,6 +41,7 @@ from util import (
     loop_certificate_fields,
     loop_contraction_S,
     loop_horizon_T1,
+    masked_interp,
     oscillating_force_law,
     per_node_sweep,
     rk4_second_order,
@@ -95,9 +96,46 @@ def test_positions_at_array_matches_scalar_calls():
                                   np.stack([p.positions_at(float(t)) for t in query]))
     np.testing.assert_array_equal(p.velocities_at(query),
                                   np.stack([p.velocities_at(float(t)) for t in query]))
-    for bad in (np.array([times[1], times[-1] + 1.0]), math.nan):
+    for bad in (np.array([times[1], times[-1] + 1.0]), math.nan, math.inf,
+                np.array([[times[1], times[2]], [times[3], math.nan]])):
         with pytest.raises(ValueError, match="outside"):
             p.positions_at(bad)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_interpolation_equals_the_masked_oracle_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    nodes, dim, agents = int(rng.integers(2, 40)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    t0 = float(rng.choice([0.0, rng.uniform(-3.0, 3.0)]))
+    times = t0 + np.cumsum(rng.uniform(1e-3, 0.5, nodes)) - rng.uniform(1e-3, 0.5)
+    p = AgentPath(times, rng.normal(size=(nodes, dim, agents)), rng.normal(size=(nodes, dim, agents)))
+    eps = 1e-9 * max(1.0, abs(p.horizon))
+    inside = rng.uniform(times[0], times[-1], 37)
+    queries = [
+        times,                                                   # node times
+        np.array([times[0] - 0.5 * eps, times[-1] + 0.5 * eps,   # clamped ends
+                  times[0] - eps, times[-1] + eps]),
+        float(inside[0]), float(times[0] - 0.25 * eps), float(times[-1]),  # scalars
+        inside,                                                  # 1-D
+        np.concatenate([inside[:15], times[:5]]).reshape(4, 5),  # 2-D
+        np.empty(0),
+    ]
+    for t in queries:
+        for values, method in ((p.X, p.positions_at), (p.V, p.velocities_at)):
+            got, want = method(t), masked_interp(p, values, t)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (t, method.__name__)
+    # -0.0 at a +0.0 end is clamped to +0.0, which decides the sign of a zero
+    zero_start = AgentPath(np.array([0.0, 0.5, 1.0]), np.full((3, 1, 1), -0.0), np.ones((3, 1, 1)))
+    for t in (-0.0, np.array([-0.0, 0.25])):
+        assert zero_start.positions_at(t).tobytes() == \
+            masked_interp(zero_start, zero_start.X, t).tobytes()
+    for bad in (times[-1] + 2.0 * eps, np.array([times[1], times[0] - 2.0 * eps]), math.nan):
+        with pytest.raises(ValueError, match="outside") as got:
+            p.positions_at(bad)
+        with pytest.raises(ValueError, match="outside") as want:
+            masked_interp(p, p.X, bad)
+        assert str(got.value) == str(want.value)
 
 
 # -- update map ----------------------------------------------------------------------
@@ -415,6 +453,40 @@ def test_solvers_reject_bad_tol(solver, bad):
             solve_global(scn, 0.01, tol=bad)
 
 
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True], ids=["zero", "negative", "float", "bool"])
+@pytest.mark.parametrize("solver", ["solve_local", "solve_global"])
+def test_solvers_reject_bad_max_iters(solver, bad):
+    scn = damped()
+    with pytest.raises(ValueError, match="max_iters must be a positive integer"):
+        if solver == "solve_local":
+            solve_local(scn, horizon_certificate(scn), max_iters=bad)
+        else:
+            solve_global(scn, 0.01, max_iters=bad)
+
+
+def test_solvers_accept_a_numpy_integer_max_iters():
+    scn = damped()
+    path, history = solve_local(scn, horizon_certificate(scn), max_iters=np.int64(50))
+    assert 1 <= len(history) <= 50
+
+
+def test_non_finite_force_fails_at_its_first_node():
+    # a force law that returns NaN: the Taylor start is NaN from its first
+    # node and falls back to the constant path, whose first sweep is NaN;
+    # the sweep after it must refuse that path, not run on to max_iters
+    calls = []
+
+    def nan_force(t, X, V, W):
+        calls.append(1)
+        return np.full(np.shape(X), math.nan)
+
+    scn = build(force=ForceLaw(eval=nan_force, lipschitz_w=0.0, lipschitz_xv=lambda r: 0.0,
+                               lipschitz_global=1.0), V0=[[0.3]])
+    with pytest.raises(PicardError, match=r"tube at node 1 \(t = .*\): .*not finite"):
+        solve_global(scn, 0.5)
+    assert len(calls) <= 2
+
+
 # -- global solve ----------------------------------------------------------------------------
 
 
@@ -679,6 +751,15 @@ def test_tube_exit_names_the_first_node_outside():
     path = AgentPath(times, X, np.zeros_like(X))
     assert _tube_exit(path, np.zeros((1, 2)), np.zeros((1, 2)), 1.0) == (3, 3.0, 0.0)
     assert _tube_exit(path, np.zeros((1, 2)), np.zeros((1, 2)), 5.0) is None
+    # a node that is not finite is outside, whatever the radius
+    X[1, 0, 1] = math.nan
+    V = np.zeros_like(X)
+    V[4, 0, 0] = math.inf
+    k, dx, dv = _tube_exit(AgentPath(times, X, V), np.zeros((1, 2)), np.zeros((1, 2)), 5.0)
+    assert k == 1 and math.isnan(dx) and dv == 0.0
+    X[1, 0, 1] = 0.0
+    assert _tube_exit(AgentPath(times, X, V), np.zeros((1, 2)), np.zeros((1, 2)), 5.0) \
+        == (4, 0.0, math.inf)
 
 
 def test_nonlocal_solution_converges_to_pointwise():

@@ -488,8 +488,9 @@ def per_item_kernel_integral(probe, datum, source, pts, t, orders, chunk=2**13):
         else:
             centres = np.moveaxis(X, 0, -1) if gauss.at_agents else np.zeros((dim, 1, 1))
             d = pts_t[:, i][:, None, :] - centres + kern.b[:, None, None] * sigma
+            factors = probe._gaussian_factors(sigma, gauss.rate)
             terms = [np.moveaxis(weight * (gauss.weight * k), -1, 0)
-                     for k in probe._gaussian_integrals(d, sigma, gauss.rate, orders)]
+                     for k in probe._gaussian_integrals(d, *factors, gauss.rate, orders)]
         hi = lo + len(i)
         bounds = [lo, *range((lo // n_pts + 1) * n_pts, hi, n_pts), hi]
         for a, b in zip(bounds, bounds[1:]):
@@ -529,6 +530,26 @@ def loop_kernel_mass_deviations(kernel, samples, nodes=None):
         vals = kernel.eval(xk[None, :], tk, xi, tau_k)
         devs.append(abs(s ** (kernel.dim / 2.0) * float(u_wts @ vals) - 1.0))
     return np.asarray(devs)
+
+
+def masked_interp(path, values, t):
+    """``AgentPath.positions_at`` / ``velocities_at`` of ``values`` (nodes, N,
+    n) at times ``t`` in its former layout: an elementwise range mask, both
+    times and node indices clamped, and the (N * n, K) gather moved to
+    (*t.shape, N, n) with ``np.moveaxis``."""
+    times = path.times
+    t = np.asarray(t, dtype=float)
+    eps = 1e-9 * max(1.0, abs(path.horizon))
+    outside = ~((t >= times[0] - eps) & (t <= times[-1] + eps))  # NaN too
+    if np.any(outside):
+        bad = float(t[outside][0]) if t.ndim else float(t)
+        raise ValueError(f"time {bad} outside path range [{times[0]}, {times[-1]}]")
+    flat = np.minimum(np.maximum(t.ravel(), times[0]), times[-1])
+    idx = np.minimum(np.maximum(np.searchsorted(times, flat, side="right") - 1, 0), len(times) - 2)
+    lam = (flat - times[idx]) / (times[idx + 1] - times[idx])
+    cols = values.reshape(len(times), -1).T
+    out = (1.0 - lam) * np.take(cols, idx, axis=1) + lam * np.take(cols, idx + 1, axis=1)
+    return np.moveaxis(out.reshape(values.shape[1:] + t.shape), (0, 1), (-2, -1))
 
 
 def per_node_sweep(path, scenario, delta=None):
