@@ -32,6 +32,7 @@ from .picard import (
     solve_global,
     solve_local,
 )
+from .quadrature import halton_run
 from .scenario import Scenario, ScenarioError, build_scenario
 
 EXIT_OK = 0
@@ -215,59 +216,67 @@ def _sample_floor(default: float, horizon: float) -> float:
 
 def _run_suites(scenario: Scenario, suites, samples: int, seed: int, falsify: bool,
                 mode: str = MODE_POINTWISE):
+    """Reports of the named verify suites, in order.  The sample sets of a
+    run come from one Halton table per seed (`quadrature.halton_run`,
+    closed when the run ends or raises): the suites' draws share the seed's
+    digit permutations and the points computed, and each set equals the
+    one the suite draws when it runs on its own, bit for bit."""
     reports = []
     horizon = scenario.growth.T
-    for suite in suites:
-        if suite == "kernel-mass":
-            reports.append(ver.check_kernel_mass(
-                scenario.kernel,
-                ver.mass_samples(scenario.dimension, min(samples, 50), horizon, seed,
-                                 t_min=_sample_floor(0.1, horizon))))
-        elif suite == "gamma":
-            params = scenario.estimate_params
-            reps = ver.check_gamma_estimates(
-                scenario.kernel, params,
-                ver.gamma_samples(scenario.dimension, samples, t_max=horizon, seed=seed,
-                                  t_min=_sample_floor(0.01, horizon)))
-            reports.extend(reps[k] for k in sorted(reps))
-        elif suite == "prop1":
-            times = np.linspace(0.0, horizon, 9)
-            path = AgentPath.constant(scenario.X0, scenario.V0, times)
-            probe = FieldProbe(scenario, path)
-            pts = ver.space_time_samples(scenario.dimension, samples, box=3.0,
-                                         t_range=(_sample_floor(0.01, horizon), min(1.0, horizon)),
-                                         seed=seed)
-            # certified bounds hold with large margins, so the sanity control
-            # must shrink K well below the observed worst ratio
-            k_scale = 0.02 if falsify else 1.0
-            rep_g, rep_h = ver.check_prop1(scenario, probe, pts, k_scale=k_scale)
-            reports.extend([rep_g, rep_h])
-        elif suite == "holder":
-            growth = scenario.growth
-            pairs = ver.holder_pairs(scenario.dimension, samples, seed)
-            reports.append(ver.check_holder(scenario.phi, scenario.alpha, growth.C, growth.H, pairs))
-            radius = 2.0
-            pairs = ver.holder_pairs_two_arg(scenario.dimension, scenario.n, samples, seed, radius)
-            reports.append(ver.check_holder(scenario.g, scenario.alpha, growth.C,
-                                            growth.HR(radius), pairs))
-        elif suite == "gronwall":
-            grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
-            cases = [
-                ("zero-kernels", lambda t: 0.0, lambda s, t: 0.0),
-                ("constant-single", lambda t: 1.0, lambda s, t: 0.0),
-                ("double-integral", lambda t: 0.0, lambda s, t: 1.0),
-            ]
-            for label, w_fn, v_fn in cases:
-                rep = ver.gronwall_oracle(1.0, w_fn, v_fn, grid)
-                rep.claim = f"integral-inequality-{label}"
-                reports.append(rep)
-        elif suite == "residual":
-            cert = horizon_certificate(scenario, mode=mode)
-            path, _ = solve_local(scenario, cert, tol=1e-8, mode=mode, dt=1e-2)
-            probe = FieldProbe(scenario, path)
-            reports.append(ver.residual_check(path, scenario, probe, mode=mode))
-        else:
-            raise ConfigError(f"unknown verify suite {suite!r}")
+    with halton_run():
+        for suite in suites:
+            if suite == "kernel-mass":
+                reports.append(ver.check_kernel_mass(
+                    scenario.kernel,
+                    ver.mass_samples(scenario.dimension, min(samples, 50), horizon, seed,
+                                     t_min=_sample_floor(0.1, horizon))))
+            elif suite == "gamma":
+                params = scenario.estimate_params
+                reps = ver.check_gamma_estimates(
+                    scenario.kernel, params,
+                    ver.gamma_samples(scenario.dimension, samples, t_max=horizon, seed=seed,
+                                      t_min=_sample_floor(0.01, horizon)))
+                reports.extend(reps[k] for k in sorted(reps))
+            elif suite == "prop1":
+                times = np.linspace(0.0, horizon, 9)
+                path = AgentPath.constant(scenario.X0, scenario.V0, times)
+                probe = FieldProbe(scenario, path)
+                t_range = (_sample_floor(0.01, horizon), min(1.0, horizon))
+                pts = ver.space_time_samples(scenario.dimension, samples, box=3.0,
+                                             t_range=t_range, seed=seed)
+                # certified bounds hold with large margins, so the sanity control
+                # must shrink K well below the observed worst ratio
+                k_scale = 0.02 if falsify else 1.0
+                rep_g, rep_h = ver.check_prop1(scenario, probe, pts, k_scale=k_scale)
+                reports.extend([rep_g, rep_h])
+            elif suite == "holder":
+                growth = scenario.growth
+                pairs = ver.holder_pairs(scenario.dimension, samples, seed)
+                reports.append(ver.check_holder(scenario.phi, scenario.alpha, growth.C, growth.H,
+                                                pairs))
+                radius = 2.0
+                pairs = ver.holder_pairs_two_arg(scenario.dimension, scenario.n, samples, seed,
+                                                 radius)
+                reports.append(ver.check_holder(scenario.g, scenario.alpha, growth.C,
+                                                growth.HR(radius), pairs))
+            elif suite == "gronwall":
+                grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
+                cases = [
+                    ("zero-kernels", lambda t: 0.0, lambda s, t: 0.0),
+                    ("constant-single", lambda t: 1.0, lambda s, t: 0.0),
+                    ("double-integral", lambda t: 0.0, lambda s, t: 1.0),
+                ]
+                for label, w_fn, v_fn in cases:
+                    rep = ver.gronwall_oracle(1.0, w_fn, v_fn, grid)
+                    rep.claim = f"integral-inequality-{label}"
+                    reports.append(rep)
+            elif suite == "residual":
+                cert = horizon_certificate(scenario, mode=mode)
+                path, _ = solve_local(scenario, cert, tol=1e-8, mode=mode, dt=1e-2)
+                probe = FieldProbe(scenario, path)
+                reports.append(ver.residual_check(path, scenario, probe, mode=mode))
+            else:
+                raise ConfigError(f"unknown verify suite {suite!r}")
     return reports
 
 

@@ -37,8 +37,9 @@ point adds its rows to its running sum one at a time in s-node order, in
 one ``np.add.accumulate`` per pass, so a point's value is the same whatever
 else the batch holds.  A call asks for any of the orders 0, 1, 2
 (``derivatives_many``), and each pass serves all of them.  A spatial-rule
-pass builds xi and the datum on it once and calls the kernel derivative
-once per order, on (item, node, component) arrays.  A closed-form pass runs
+pass builds xi, the datum on it and the kernel core once, and forms every
+order from that core (`Kernel.derivatives`), on (item, node, component)
+arrays.  A closed-form pass runs
 axis-last, on (component, centre, item) arrays, so its reductions and
 products run along the long item axis: it rotates into the eigenbasis of a
 once and shares M^-1 d and the scalar factor between the orders.  Either
@@ -331,7 +332,8 @@ class FieldProbe:
         gauss = getattr(datum, "gaussian_source", None)
         # a pass holds, for each of its items, at most one closed-form term per
         # agent or one kernel-derivative entry per spatial node, of the largest
-        # requested order: the orders' kernel derivatives come one at a time.
+        # requested order (the lower orders' arrays from the same kernel core
+        # are no larger).
         # It takes every s-row of a range of points, or, when one point's rows
         # do not fit, a range of the rows of one point.
         per_item = (n_agents if gauss is not None else len(self._u_pts)) * dim**max(orders)
@@ -404,8 +406,8 @@ class FieldProbe:
         cell = cells[:, rows].take(cols, axis=2)  # (field, row, P)
         n_rows = cell.shape[1]
         if gauss is None:
-            # items (row, point) flattened; xi and the datum on it once, the
-            # kernel derivative once per order
+            # items (row, point) flattened; xi, the datum on it and the
+            # kernel core once, for every order
             weight, root_sigma, t_i, tau = cell[:4].reshape(4, -1)
             x_i = x if n_rows == 1 else np.tile(x, (n_rows, 1))
             xi = x_i[:, None, :] + root_sigma[:, None, None] * self._u_pts
@@ -414,10 +416,10 @@ class FieldProbe:
                 vals = datum(xi, X[:, None])
             else:
                 vals = datum(xi)
+            kernels = kern.derivatives(orders, x_i[:, None, :], t_i[:, None], xi, tau[:, None])
             return [(weight.reshape((-1,) + (1,) * order) * np.einsum(
-                _CONTRACTIONS[order], self._u_wts,
-                kern.derivative(order, x_i[:, None, :], t_i[:, None], xi, tau[:, None]), vals)
-                ).reshape((n_rows, len(x)) + (dim,) * order) for order in orders]
+                _CONTRACTIONS[order], self._u_wts, k, vals)
+                ).reshape((n_rows, len(x)) + (dim,) * order) for order, k in zip(orders, kernels)]
         # the cell fields (`_cells`), then the items as (N, centre, row, P)
         weight, drift, m = cell[0], cell[1:1 + dim], cell[1 + dim:1 + 2 * dim]
         root_det, c_sigma = cell[1 + 2 * dim], cell[2 + 2 * dim]
@@ -508,7 +510,12 @@ class FieldProbe:
 
     def _batch(self, pts, t, orders: tuple) -> list[np.ndarray]:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        t, order = self._check_times(t, len(pts))
+        return self._checked_batch(pts, *self._check_times(t, len(pts)), orders)
+
+    def _checked_batch(self, pts: np.ndarray, t: np.ndarray, order: np.ndarray | None,
+                       orders: tuple) -> list[np.ndarray]:
+        """`_batch` on points (P, N) whose times ``t`` (P,) and sorting
+        permutation ``order`` come from `_check_times`."""
         shapes = [(len(pts),) + (self.scenario.dimension,) * k for k in orders]
         if len(pts) == 0:
             return [np.empty(shape) for shape in shapes]
@@ -570,18 +577,25 @@ class FieldProbe:
     def ball_average_gradient(self, x, t, delta: float) -> np.ndarray:
         """Average of grad f over the radius-delta ball around one point
         (N,) or stacked points (P, N), shaped like ``x``; ``t`` as in
-        ``derivatives_many``.  One ``value_many`` pass on the sphere rule
-        (2, 16 or 128 nodes) serves every point; in 1D the average is
+        ``derivatives_many``.  One value pass on the sphere rule (2, 16 or
+        128 nodes) serves every point; in 1D the average is
         (f(x + delta) - f(x - delta)) / (2 delta)."""
         if not 0.0 < delta < math.inf:  # NaN too
             raise ValueError(f"sensing radius delta must be positive and finite, got {delta!r}")
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        t, _ = self._check_times(t, len(pts))
+        t, order = self._check_times(t, len(pts))
         offsets, wts = _cached_sphere_rule(self.scenario.dimension, float(delta))
-        # (node, centre) order: the sum runs in node order for any number of centres
-        vals = self.value_many((offsets[:, None, :] + pts).reshape(-1, pts.shape[1]),
-                               np.tile(t, len(offsets))).reshape(len(offsets), len(pts))
-        avg = (vals[:, :, None] * wts[:, None, :]).sum(axis=0)
+        k = len(offsets)
+        # (centre, node) order: a centre's nodes share its time, so times in
+        # order stay in order, and the stable sort of the repeated times is
+        # the centres' sort, each index expanded to its k nodes
+        if order is not None:
+            order = (order[:, None] * k + np.arange(k)).ravel()
+        vals = self._checked_batch((pts[:, None, :] + offsets).reshape(-1, pts.shape[1]),
+                                   np.repeat(t, k), order, (0,))[0]
+        # the sum runs over a (node, centre) view in node order, as for one centre
+        terms = np.multiply(vals.reshape(len(pts), k).T[:, :, None], wts[:, None, :], order="C")
+        avg = terms.sum(axis=0)
         return avg[0] if np.ndim(x) == 1 else avg
 
 

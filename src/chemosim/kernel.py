@@ -86,7 +86,10 @@ class Kernel:
     """Evaluable constant-coefficient kernel with exact spatial derivatives.
 
     Immutable; all evaluations are pure and broadcast over leading axes of
-    ``x`` and ``xi``.  Defined for 0 <= tau < t.
+    ``x`` and ``xi``.  Defined for 0 <= tau < t; any other pair of times,
+    NaN included, raises ValueError.  One pass computes the kernel core
+    (the value, a^-1 d and s) once and forms every derivative order it
+    needs from it (``derivatives``).
     """
 
     dim: int
@@ -110,8 +113,8 @@ class Kernel:
 
     def _core(self, x, t, xi, tau):
         s = np.subtract(t, tau, dtype=float)  # the ufuncs convert their inputs
-        if (s <= 0).any():
-            raise ValueError("kernel requires tau < t")
+        if not (s > 0).all():  # a NaN time fails it too
+            raise ValueError("kernel requires tau < t, neither of them NaN")
         s_b = s[..., None] if s.ndim else s
         d = np.subtract(x, xi, dtype=float) + self.b * s_b
         # in 1D the product with a^-1 is one multiplication per entry, the
@@ -124,27 +127,46 @@ class Kernel:
         val = pref * np.exp(quad / (-4.0 * s) + self.c * s)  # -q / (4 s), exactly
         return val, w, s_b
 
-    def eval(self, x, t, xi, tau):
-        """Kernel value; broadcasts over stacked x / xi points."""
-        val, _, _ = self._core(x, t, xi, tau)
+    # the derivative of each order from the core (value, a^-1 d, s)
+
+    @staticmethod
+    def _value(val, w, s_b):
         return val
 
-    def grad_x(self, x, t, xi, tau):
-        """Gradient in x, shape (..., N)."""
-        val, w, s_b = self._core(x, t, xi, tau)
+    @staticmethod
+    def _gradient(val, w, s_b):
         return val[..., None] * w / (-2.0 * s_b)  # -v w / (2 s), exactly
 
-    def hess_x(self, x, t, xi, tau):
-        """Second x-derivatives, shape (..., N, N); exactly symmetric."""
-        val, w, s_b = self._core(x, t, xi, tau)
+    def _hessian(self, val, w, s_b):
         s_col = np.asarray(s_b)[..., None]
         outer = w[..., :, None] * w[..., None, :]
         return val[..., None, None] * (outer / (4.0 * s_col**2) - self.a_inv / (2.0 * s_col))
 
-    def derivative(self, order: int, x, t, xi, tau):
-        """x-derivative of the given order (0, 1 or 2): ``eval``, ``grad_x``
-        or ``hess_x``, with ``order`` trailing axes of length N."""
-        return (self.eval, self.grad_x, self.hess_x)[order](x, t, xi, tau)
+    def eval(self, x, t, xi, tau):
+        """Kernel value; broadcasts over stacked x / xi points."""
+        return self._core(x, t, xi, tau)[0]
+
+    def grad_x(self, x, t, xi, tau):
+        """Gradient in x, shape (..., N)."""
+        return self._gradient(*self._core(x, t, xi, tau))
+
+    def hess_x(self, x, t, xi, tau):
+        """Second x-derivatives, shape (..., N, N); exactly symmetric."""
+        return self._hessian(*self._core(x, t, xi, tau))
+
+    def derivatives(self, orders, x, t, xi, tau) -> tuple:
+        """x-derivatives of the given orders (each 0, 1 or 2), one array per
+        entry of ``orders`` with ``order`` trailing axes of length N, all
+        from one kernel core.  A one-order request is the ``eval``,
+        ``grad_x`` or ``hess_x`` call; each order equals that call bit for
+        bit."""
+        if any(order not in (0, 1, 2) for order in orders):
+            raise ValueError(f"derivative orders must be 0, 1 or 2, got {tuple(orders)}")
+        if len(orders) == 1:
+            return ((self.eval, self.grad_x, self.hess_x)[orders[0]](x, t, xi, tau),)
+        core = self._core(x, t, xi, tau)
+        forms = (self._value, self._gradient, self._hessian)
+        return tuple(forms[order](*core) for order in orders)
 
 
 def make_kernel(coeffs: "OperatorCoefficients") -> Kernel:

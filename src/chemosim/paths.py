@@ -125,11 +125,9 @@ class AgentPath:
         return float(np.linalg.norm(self.X.reshape(len(self.times), -1), axis=1).max())
 
     def sup_distance(self, other: "AgentPath") -> float:
-        """Sup-norm distance between two paths on the same grid, measured on
-        the stacked (X, V) state."""
-        same_grid = self.times is other.times or (
-            len(self.times) == len(other.times) and np.allclose(self.times, other.times))
-        if not same_grid:
+        """Sup-norm distance between two paths on the same grid (one array,
+        or exactly equal times), measured on the stacked (X, V) state."""
+        if not (self.times is other.times or np.array_equal(self.times, other.times)):
             raise ValueError("paths must share the same time grid")
         dx = (self.X - other.X).reshape(len(self.times), -1)
         dv = (self.V - other.V).reshape(len(self.times), -1)

@@ -5,7 +5,9 @@ against its claimed bound and returns an EstimateReport.  Ratios are
 observed/bound, so a report passes exactly when its worst ratio stays below
 1 + tolerance; checkers that measure a deviation (kernel mass, residuals)
 report 1 + deviation against the same rule.  Sample sets come from
-low-discrepancy sequences with a recorded seed, so reports are reproducible.
+low-discrepancy sequences with a recorded seed, so reports are reproducible;
+the builders of one ``chemosim verify`` run read one Halton table per seed
+(`quadrature.halton_run`) and build the sets they build on their own.
 
 A sample set is a tuple of arrays, one row per sample: points (P, N), times
 (P,) and agent configurations (P, N, n), in the order each builder lists.
@@ -200,7 +202,8 @@ def check_gamma_estimates(kernel: Kernel, params: EstimateParams, samples,
                           tolerance: float = 1e-2,
                           c_gamma: float | None = None) -> dict[int, EstimateReport]:
     """Check the decay envelopes |D^k G| <= C (t-tau)^(-(N+k)/2)
-    exp(-lambda0* r^2 / (4 (t-tau))) for k = 0, 1, 2 on the sample set."""
+    exp(-lambda0* r^2 / (4 (t-tau))) for k = 0, 1, 2 on the sample set; one
+    kernel evaluation (`Kernel.derivatives`) measures all three orders."""
     if params.lambda0_star >= params.lambda0:
         raise ValueError("lambda0_star must be below lambda0")
     c_g = c_gamma if c_gamma is not None else params.c_gamma
@@ -210,18 +213,22 @@ def check_gamma_estimates(kernel: Kernel, params: EstimateParams, samples,
     dim = kernel.dim
     offsets, times = samples
     x0 = np.zeros(dim)
-    r2 = np.vecdot(offsets, offsets).tolist()
+    s_list = times.tolist()
+    # the decay factor of each sample, shared by its three envelopes
+    decay = [math.exp(-lam_star * rr / (4.0 * s))
+             for s, rr in zip(s_list, np.vecdot(offsets, offsets).tolist())]
+    # one kernel core for all samples and orders
+    kernels = kernel.derivatives((0, 1, 2), x0, times, x0 - offsets, 0.0)
     reports = {}
-    for order in (0, 1, 2):
+    for order, values in enumerate(kernels):
         rep = EstimateReport(claim=f"kernel-decay-order{order}",
                              constants={"C_gamma": c_g, "lambda0_star": lam_star},
                              tolerance=tolerance, sample_count=len(times))
-        # one kernel call for all samples; |entries| maxed per sample
-        values = np.abs(kernel.derivative(order, x0, times, x0 - offsets, 0.0))
-        measured = values.reshape(len(times), dim**order).max(axis=1).tolist()
+        # |entries| maxed per sample
+        measured = np.abs(values).reshape(len(times), dim**order).max(axis=1).tolist()
         ratios = []
-        for m, s, rr in zip(measured, times.tolist(), r2):
-            envelope = c_g * s ** (-(dim + order) / 2.0) * math.exp(-lam_star * rr / (4.0 * s))
+        for m, s, e in zip(measured, s_list, decay):
+            envelope = c_g * s ** (-(dim + order) / 2.0) * e
             ratios.append(m / envelope if envelope > 0 else math.inf)
         reports[order] = _reduce(rep, ratios, lambda k: (offsets[k], float(times[k])))
     return reports
@@ -329,10 +336,11 @@ def check_holder(fn, alpha: float, c_weight: float, claimed_h: float, pairs,
 # -- integral-inequality oracle --------------------------------------------------------
 
 
-def _double_integral(v, grid: np.ndarray):
+def _double_integral(v, grid: np.ndarray, integrate):
     """(apply, rate) for the kernel v on the grid: ``apply(h)`` is the
     trapezoid rule for int_0^t int_0^tau v(s, tau) h(s) ds dtau at every
     node t, and ``rate`` is int_0^t v(s, t) ds; both are None when v == 0.
+    ``integrate`` is the cumulative trapezoid rule T on the grid.
 
     v is called first at the first node.  A scalar c there is the constant
     kernel, v is not called again and no matrix is built: the double
@@ -346,8 +354,7 @@ def _double_integral(v, grid: np.ndarray):
             raise ValueError("v must be nonnegative and not NaN")
         if c == 0.0:
             return None, None
-        return (lambda h: c * trapezoid_cumulative(trapezoid_cumulative(h, grid), grid),
-                c * trapezoid_cumulative(np.ones_like(grid), grid))
+        return (lambda h: c * integrate(integrate(h)), c * integrate(np.ones_like(grid)))
 
     # row j holds v(grid[k], grid[j]) times the trapezoid weight of node k
     # on [0, grid[j]]: d[0]/2, then (d[k-1] + d[k])/2, then d[j-1]/2 (all
@@ -373,7 +380,7 @@ def _double_integral(v, grid: np.ndarray):
     v_mat[:, 1:-1] *= (d[:-1] + d[1:]) / 2.0
     np.fill_diagonal(v_mat[1:, 1:], diag)
     v_mat[0] = 0.0
-    return (lambda h: trapezoid_cumulative(v_mat @ h, grid)), v_mat.sum(axis=1)
+    return (lambda h: integrate(v_mat @ h)), v_mat.sum(axis=1)
 
 
 def gronwall_oracle(alpha_g: float, w, v, grid, tolerance: float = 1e-3) -> EstimateReport:
@@ -394,33 +401,42 @@ def gronwall_oracle(alpha_g: float, w, v, grid, tolerance: float = 1e-3) -> Esti
     nonnegative, and a negative or NaN kernel value raise ValueError."""
     grid = np.asarray(grid, dtype=float)
     m = len(grid)
+    steps = grid[1:] - grid[:-1]
     # increasing steps (NaN fails them) between finite ends: a finite grid
-    if m < 2 or not (np.all(np.diff(grid) > 0) and np.isfinite(grid[[0, -1]]).all()):
+    if m < 2 or not (np.all(steps > 0) and np.isfinite(grid[[0, -1]]).all()):
         raise ValueError("grid must be finite and increasing with at least two nodes")
+    halves = 0.5 * steps  # formed once for every integral on the grid
+
+    def integrate(y):
+        return trapezoid_cumulative(y, grid, halves)
+
     if not 0.0 <= alpha_g < math.inf:  # NaN too
         raise ValueError(f"alpha_g must be finite and nonnegative, got {alpha_g}")
     w_vals = np.broadcast_to(np.asarray(w(grid), dtype=float), grid.shape)
     if not (w_vals >= 0).all():
         raise ValueError("w must be nonnegative and not NaN")
-    double, v_rate = _double_integral(v, grid)
+    double, v_rate = _double_integral(v, grid, integrate)
 
     h = np.full(m, alpha_g, dtype=float)
     cap = 1e12 * max(1.0, alpha_g)
     for _ in range(400):
-        h_new = alpha_g + trapezoid_cumulative(w_vals * h, grid)
+        h_new = alpha_g + integrate(w_vals * h)
         if double is not None:
             h_new += double(h)
-        if not np.all(np.isfinite(h_new)) or h_new.max() > cap:
+        # no entry is below 0 (all inputs are nonnegative), so the maximum
+        # is NaN or inf when any entry is not finite
+        top = float(h_new.max())
+        if not top <= cap:
             raise RuntimeError("discrete fixed-point diverged; inputs not integrable on this grid")
         step = float(np.abs(h_new - h).max())
         h = h_new
-        if step <= 1e-13 * max(1.0, alpha_g, float(h.max())):
+        if step <= 1e-13 * max(1.0, alpha_g, top):
             break
     else:
         raise RuntimeError("discrete fixed-point did not stabilize")
 
     rate = w_vals if v_rate is None else w_vals + v_rate
-    bound = alpha_g * np.exp(trapezoid_cumulative(rate, grid))
+    bound = alpha_g * np.exp(integrate(rate))
     rep = EstimateReport(claim="integral-inequality-bound",
                          constants={"alpha_g": alpha_g},
                          tolerance=tolerance, sample_count=m)

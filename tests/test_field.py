@@ -11,6 +11,7 @@ from chemosim.field import (
     BACKEND_KERNEL,
     FieldProbe,
     QuadratureSpec,
+    _cached_sphere_rule,
     solve_field_fd,
 )
 from chemosim.paths import AgentPath
@@ -284,6 +285,45 @@ def test_ball_average_batch_equals_per_point_calls(dim):
     single = np.stack([probe.ball_average_gradient(x, t, 0.1) for x, t in zip(pts, times)])
     assert batch.shape == (5, dim)
     np.testing.assert_array_equal(batch, single)
+
+
+def node_major_ball_average(probe, pts, t, delta):
+    """The ball average with its sphere points tiled node-major, (node,
+    centre): the layout the centre-major pass must equal byte for byte."""
+    offsets, wts = _cached_sphere_rule(probe.scenario.dimension, delta)
+    t = np.broadcast_to(t, (len(pts),))
+    vals = probe.value_many((offsets[:, None, :] + pts).reshape(-1, pts.shape[1]),
+                            np.tile(t, len(offsets))).reshape(len(offsets), len(pts))
+    return (vals[:, :, None] * wts[:, None, :]).sum(axis=0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ball_average_sorted_times_sort_nothing(dim, monkeypatch):
+    scn = build(phi="gaussian", g="agent-secretion", dim=dim,
+                X0=np.array([[0.2, -0.3], [0.1, 0.05], [0.0, 0.1]])[:dim], T=0.2)
+    probe = FieldProbe(scn, moving_path(scn))
+    rng = np.random.default_rng(37)
+    pts = rng.uniform(-1.0, 1.0, (4, dim))
+    times = np.array([0.0, 0.05, 0.05, 0.2])  # in order, t = 0 and a tie included
+    checks = []
+    check_times = FieldProbe._check_times
+
+    def recorded(self, t, n_points):
+        t, order = check_times(self, t, n_points)
+        checks.append(order)
+        return t, order
+
+    monkeypatch.setattr(FieldProbe, "_check_times", recorded)
+    got = probe.ball_average_gradient(pts, times, 0.1)
+    assert len(checks) == 1 and checks[0] is None  # checked once, sorted nothing
+    want = node_major_ball_average(probe, pts, times, 0.1)
+    assert got.tobytes() == want.tobytes()
+    # out of order, the centres' sort serves their sphere points
+    shuffled = [2, 0, 3, 1]
+    got = probe.ball_average_gradient(pts[shuffled], times[shuffled], 0.1)
+    assert got.tobytes() == want[shuffled].tobytes()
+    assert probe.ball_average_gradient(pts, 0.05, 0.1).tobytes() == \
+        node_major_ball_average(probe, pts, 0.05, 0.1).tobytes()
 
 
 # -- finite-difference backend ---------------------------------------------------------

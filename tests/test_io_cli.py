@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chemosim import cli
+from chemosim import cli, quadrature
 from chemosim import io as cio
 from chemosim import verify as ver
 from chemosim.config import ConfigError, config_digest, load_config
@@ -281,6 +281,55 @@ def test_cli_verify_out_of_memory_is_a_solver_error(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err == "solver error: out of memory: Unable to allocate 745. GiB for 100000000000 samples\n"
     assert not (out / "verify_report.json").exists()
+
+
+S1_CFG = {
+    "horizon": 1.0,
+    "coefficients": "heat",
+    "phi": "gaussian",
+    "g": "agent-secretion",
+    "force": {"name": "damped-chemotaxis", "chi": 0.3, "kappa_v": 1.0},
+}
+
+
+def s1_scenario(dim):
+    return build_scenario(dict(S1_CFG, dimension=dim,
+                               X0=[[0.2, -0.3], [0.1, 0.05]][:dim],
+                               V0=[[0.3, 0.0], [0.0, 0.1]][:dim]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_run_suites_equal_each_suite_on_its_own(dim):
+    scn = s1_scenario(dim)
+    for seed in (1, 977):
+        together = [r.to_dict() for r in cli._run_suites(scn, cli.ALL_SUITES, 300, seed, False)]
+        alone = [r.to_dict() for suite in cli.ALL_SUITES
+                 for r in cli._run_suites(scn, [suite], 300, seed, False)]
+        assert together == alone, seed
+
+
+def test_run_suites_draw_each_seed_once_and_close_the_table(monkeypatch):
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counted(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    scn = s1_scenario(1)
+    for seed in (1, 977):
+        cli._run_suites(scn, cli.ALL_SUITES, 300, seed, False)
+    assert seeds == [1, 977]
+    assert quadrature._HALTON_TABLES.get() is None
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("holder check failed to run")
+
+    monkeypatch.setattr(ver, "check_holder", broken)
+    with pytest.raises(RuntimeError, match="holder check"):
+        cli._run_suites(scn, ("gamma", "holder"), 300, 1, False)
+    assert quadrature._HALTON_TABLES.get() is None
 
 
 def test_cli_simulate_delta_flag_overrides_config_delta(tmp_path):

@@ -225,6 +225,64 @@ def test_kernel_gradient_and_hessian_match_finite_differences():
     np.testing.assert_array_equal(hess, hess.T)
 
 
+_DRIFT_REACTION = {
+    1: ([[0.7]], [0.4], 0.2),
+    2: ([[1.0, 0.2], [0.2, 0.8]], [0.3, -0.1], 0.1),
+    3: ([[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 1.3]], [0.3, -0.1, 0.2], -0.3),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_derivatives_equal_the_per_order_calls_bit_for_bit(dim):
+    kern = make_kernel(inline_coefficients(*_DRIFT_REACTION[dim]))
+    rng = np.random.default_rng(dim)
+    x = rng.uniform(-1.0, 1.0, (7, 1, dim))
+    xi = rng.uniform(-1.0, 1.0, (7, 5, dim))
+    t = rng.uniform(0.2, 1.0, (7, 1))
+    tau = t * rng.uniform(0.0, 0.9, (7, 5))
+    per_order = (kern.eval, kern.grad_x, kern.hess_x)
+    for orders in [(0, 1, 2), (1, 2), (2, 0), (1,), (0,), (2,)]:
+        got = kern.derivatives(orders, x, t, xi, tau)
+        assert len(got) == len(orders)
+        for order, values in zip(orders, got):
+            want = per_order[order](x, t, xi, tau)
+            assert values.shape == (7, 5) + (dim,) * order
+            assert values.tobytes() == want.tobytes(), (orders, order)
+
+
+def test_derivatives_take_one_kernel_core(monkeypatch):
+    kern = make_kernel(inline_coefficients(*_DRIFT_REACTION[2]))
+    calls = []
+    core = type(kern)._core
+
+    def counted(self, *args):
+        calls.append(1)
+        return core(self, *args)
+
+    monkeypatch.setattr(type(kern), "_core", counted)
+    kern.derivatives((0, 1, 2), np.zeros(2), 0.5, np.ones((4, 2)), 0.0)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="orders must be 0, 1 or 2"):
+        kern.derivatives((1, 3), np.zeros(2), 0.5, np.ones((4, 2)), 0.0)
+
+
+@pytest.mark.parametrize("times", [(math.nan, 0.0), (0.5, math.nan),
+                                   (np.array([0.5, math.nan, 0.7]), 0.0),
+                                   (0.9, np.array([0.1, math.nan])),
+                                   (0.5, 0.5), (0.5, np.array([0.1, 0.6]))])
+def test_kernel_rejects_a_nan_or_non_increasing_time_pair(times):
+    kern = make_kernel(coefficient_preset("heat", 1, 0.5))
+    t, tau = times
+    calls = [lambda: kern.eval([0.1], t, [0.0], tau),
+             lambda: kern.grad_x([0.1], t, [0.0], tau),
+             lambda: kern.hess_x([0.1], t, [0.0], tau),
+             lambda: kern.derivatives((0, 1, 2), [0.1], t, [0.0], tau),
+             lambda: kern.derivatives((1,), [0.1], t, [0.0], tau)]
+    for call in calls:
+        with pytest.raises(ValueError, match="kernel requires tau < t"):
+            call()
+
+
 def test_drifted_kernel_matches_fd_evolution_oracle():
     """Pins the drift sign: evolve a point-like bump with the FD solver and
     compare against the closed form."""

@@ -85,6 +85,35 @@ def test_agent_path_interpolation_and_norms():
     assert dx == pytest.approx(2.0) and dv == pytest.approx(1.0)
 
 
+def test_sup_distance_needs_the_same_grid():
+    times = np.linspace(0.0, 1.0, 5)
+    X = np.zeros((5, 1, 2))
+    path = AgentPath(times, X, X)
+    other = AgentPath(times.copy(), X + 1.0, X)  # equal times, another array
+    assert path.sup_distance(other) == pytest.approx(math.sqrt(2.0))
+    # a grid within np.allclose of this one is still another grid
+    shifted = AgentPath(times + 5e-9, X + 1.0, X)
+    with pytest.raises(ValueError, match="same time grid"):
+        path.sup_distance(shifted)
+    with pytest.raises(ValueError, match="same time grid"):
+        path.sup_distance(AgentPath(times[:4], X[:4], X[:4]))
+
+
+def test_segment_iteration_compares_paths_on_one_grid(monkeypatch):
+    same = []
+    sup_distance = AgentPath.sup_distance
+
+    def recorded(self, other):
+        same.append(self.times is other.times)
+        return sup_distance(self, other)
+
+    monkeypatch.setattr(AgentPath, "sup_distance", recorded)
+    scn = damped()
+    path = solve_global(scn, 0.01, tol=1e-8)
+    assert path.times[-1] == 0.01
+    assert same and all(same)
+
+
 def test_positions_at_array_matches_scalar_calls():
     rng = np.random.default_rng(2)
     times = np.cumsum(rng.uniform(0.01, 0.1, 12))

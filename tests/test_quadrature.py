@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import qmc  # the oracle
 
-from chemosim.quadrature import halton_points
+from chemosim import quadrature
+from chemosim.quadrature import halton_points, halton_run
 
 SEEDS = (0, 1, 2, 3, 42, 977, 12345, 2**31)
 COUNTS = (1, 2, 3, 50, 300, 600, 1000, 2000)
@@ -48,3 +49,41 @@ def test_halton_points_scale_into_the_box():
 def test_halton_points_reject_inverted_bounds(bounds):
     with pytest.raises(ValueError, match="inverted"):
         halton_points(10, bounds, seed=0)
+
+
+def test_halton_run_draws_equal_fresh_draws_bit_for_bit():
+    # growing counts and axes, two seeds interleaved, empty and one-point draws
+    draws = [(1, 50, 3), (977, 1, 1), (1, 300, 2), (977, 0, 2), (1, 300, 2), (1, 600, 1),
+             (977, 300, 6), (1, 300, 6), (1, 0, 0), (977, 1, 8), (1, 1, 4), (977, 601, 2),
+             (1, 2000, 7), (977, 5, 3)]
+
+    def box(dim):
+        return [(-1.0 - k, 2.0 + 0.5 * k) for k in range(dim)]
+
+    fresh = [halton_points(n, box(d), seed) for seed, n, d in draws]
+    with halton_run():
+        shared = [halton_points(n, box(d), seed) for seed, n, d in draws]
+        assert sorted(quadrature._HALTON_TABLES.get()) == [1, 977]
+    assert quadrature._HALTON_TABLES.get() is None
+    for (seed, n, d), a, b in zip(draws, shared, fresh):
+        assert a.shape == b.shape == (n, d)
+        assert a.tobytes() == b.tobytes(), (seed, n, d)
+
+
+def test_halton_points_outside_a_run_keep_nothing(monkeypatch):
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counted(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    first = halton_points(10, [(0.0, 1.0)] * 2, seed=3)
+    second = halton_points(10, [(0.0, 1.0)] * 2, seed=3)
+    assert seeds == [3, 3]
+    assert first.tobytes() == second.tobytes()
+    with halton_run():
+        halton_points(10, [(0.0, 1.0)] * 2, seed=3)
+        halton_points(20, [(0.0, 1.0)] * 3, seed=3)
+    assert seeds == [3, 3, 3]

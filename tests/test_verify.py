@@ -487,6 +487,18 @@ def test_gronwall_rejects_one_negative_v_entry():
         gronwall_oracle(1.0, lambda t: 0.0, v, GRID)
 
 
+@pytest.mark.parametrize("w, v", [(lambda t: 1e6, lambda s, t: 0.0),     # past the cap
+                                  (lambda t: 0.0, lambda s, t: math.inf),  # inf, and NaN at 0
+                                  (lambda t: np.where(t > 0.02, math.inf, 0.0), lambda s, t: 0.0)],
+                         ids=["cap", "nan", "inf"])
+def test_gronwall_divergence_is_a_runtime_error(w, v):
+    with np.errstate(invalid="ignore"):  # inf * 0 makes the NaN case
+        with pytest.raises(RuntimeError, match="diverged"):
+            gronwall_oracle(1.0, w, v, GRID)
+        with pytest.raises(RuntimeError, match="diverged"):
+            loop_gronwall_oracle(1.0, w, v, GRID[:41])
+
+
 # -- residuals ----------------------------------------------------------------------------
 
 
@@ -561,14 +573,16 @@ def test_kernel_mass_nan_measurement_fails(monkeypatch):
 def test_gamma_nan_measurement_fails(monkeypatch):
     scn = build(phi="gaussian")
     offsets, s = samples = gamma_samples(1, 200, seed=0)
-    derivative = Kernel.derivative
+    derivatives = Kernel.derivatives
 
-    def nan_at_sample_4(self, order, *args):
-        vals = np.array(derivative(self, order, *args), dtype=float)
-        vals[4] = np.nan
-        return vals
+    def nan_at_sample_4(self, orders, *args):
+        # the one call serves every order; sample 4 reads NaN in each
+        vals = [np.array(v, dtype=float) for v in derivatives(self, orders, *args)]
+        for v in vals:
+            v[4] = np.nan
+        return tuple(vals)
 
-    monkeypatch.setattr(Kernel, "derivative", nan_at_sample_4)
+    monkeypatch.setattr(Kernel, "derivatives", nan_at_sample_4)
     reports = check_gamma_estimates(scn.kernel, scn.estimate_params, samples)
     assert all(_fails_at(reports[k], (offsets[4], s[4])) for k in (0, 1, 2))
 

@@ -483,7 +483,8 @@ def per_item_kernel_integral(probe, datum, source, pts, t, orders, chunk=2**13):
             weight = weight * sigma ** (dim / 2.0)
             terms = [weight.reshape((-1,) + (1,) * order) * np.einsum(
                 contractions[order], u_wts,
-                kern.derivative(order, x[:, None, :], t_i[:, None], xi, tau[:, None]), vals)
+                (kern.eval, kern.grad_x, kern.hess_x)[order](
+                    x[:, None, :], t_i[:, None], xi, tau[:, None]), vals)
                 for order in orders]
         else:
             centres = np.moveaxis(X, 0, -1) if gauss.at_agents else np.zeros((dim, 1, 1))
