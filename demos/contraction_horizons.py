@@ -49,7 +49,7 @@ for t in np.geomspace(cert.t_bar / 100.0, cert.t_contract, 6):
     print(f"  S({t:.2e}) = {contraction_S(scenario, cert.radius, t):.4f}")
 
 path, history = solve_local(scenario, cert, tol=1e-10)
-print(f"\nPicard iteration on [0, {cert.t_bar:.4f}] from the frozen initial state:")
+print(f"\nPicard iteration on [0, {cert.t_bar:.4f}] from the first-order Taylor path:")
 for k, diff in enumerate(history):
     ratio = f"  ratio {history[k] / history[k - 1]:.2e}" if k else ""
     print(f"  sweep {k + 1}: |change| = {diff:.3e}{ratio}")

@@ -32,7 +32,7 @@ def show(rep):
           f"({rep.sample_count} samples)")
 
 
-print("kernel mass (must equal 1 exactly):")
+print("kernel mass (must equal e^{c (t - tau)}, here 1):")
 show(check_kernel_mass(scenario.kernel, mass_samples(1, 20, 1.0, seed=0)))
 
 print("\nkernel decay envelopes, orders 0-2:")
@@ -53,6 +53,6 @@ samples = space_time_samples(1, 500, box=3.0, t_range=(0.01, 1.0), seed=2)
 for rep in check_prop1(scenario, probe, samples):
     show(rep)
 
-print("\nintegral-inequality oracle (double-kernel case):")
+print("\nintegral-inequality oracle (double-kernel case, constant kernels w = 0, v = 1):")
 grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
-show(gronwall_oracle(1.0, lambda t: 0.0, lambda s, t: 1.0, grid))
+show(gronwall_oracle(1.0, 0.0, 1.0, grid))

@@ -261,13 +261,14 @@ def _run_suites(scenario: Scenario, suites, samples: int, seed: int, falsify: bo
                                                 growth.HR(radius), pairs))
             elif suite == "gronwall":
                 grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
+                # constant kernels (w, v)
                 cases = [
-                    ("zero-kernels", lambda t: 0.0, lambda s, t: 0.0),
-                    ("constant-single", lambda t: 1.0, lambda s, t: 0.0),
-                    ("double-integral", lambda t: 0.0, lambda s, t: 1.0),
+                    ("zero-kernels", 0.0, 0.0),
+                    ("constant-single", 1.0, 0.0),
+                    ("double-integral", 0.0, 1.0),
                 ]
-                for label, w_fn, v_fn in cases:
-                    rep = ver.gronwall_oracle(1.0, w_fn, v_fn, grid)
+                for label, w, v in cases:
+                    rep = ver.gronwall_oracle(1.0, w, v, grid)
                     rep.claim = f"integral-inequality-{label}"
                     reports.append(rep)
             elif suite == "residual":

@@ -51,10 +51,9 @@ read-only (`_cached_field_rules`).
 A call's fixed cost, paid before its passes, is one scan of the probe
 times: the test that they are in order, which a NaN fails (the range check
 then reads only the first and last sorted time), and the runs, whose first
-is the points at t = 0 when there are any.  On the pointwise-1d benchmark
-(2 agents, 17 nodes) a sweep's gradient pass takes about 0.28 ms at its 34
-points and 0.17 ms at one point on a 2-core x86 box: most of a pass is
-this per-call work, not work per point.
+is the points at t = 0 when there are any.  At the size of a Picard sweep's
+pass (tens of points) most of a pass is this per-call work, not work per
+point.
 
 Evaluation at t = 0 returns the initial datum (and its difference-quotient
 derivatives) by continuity.  The ball average of grad f is (N / delta) times
@@ -508,8 +507,18 @@ class FieldProbe:
 
     # -- public surface --------------------------------------------------------
 
+    def _points(self, x) -> np.ndarray:
+        """``x`` as stacked points (P, N), from one point (N,) or stacked
+        points; any other shape raises ValueError."""
+        pts = np.atleast_2d(np.asarray(x, dtype=float))
+        dim = self.scenario.dimension
+        if pts.ndim != 2 or pts.shape[1] != dim:
+            raise ValueError(f"points must have shape ({dim},) or (P, {dim}) in {dim}D, "
+                             f"got shape {np.shape(x)}")
+        return pts
+
     def _batch(self, pts, t, orders: tuple) -> list[np.ndarray]:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        pts = self._points(pts)
         return self._checked_batch(pts, *self._check_times(t, len(pts)), orders)
 
     def _checked_batch(self, pts: np.ndarray, t: np.ndarray, order: np.ndarray | None,
@@ -582,7 +591,7 @@ class FieldProbe:
         (f(x + delta) - f(x - delta)) / (2 delta)."""
         if not 0.0 < delta < math.inf:  # NaN too
             raise ValueError(f"sensing radius delta must be positive and finite, got {delta!r}")
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
+        pts = self._points(x)
         t, order = self._check_times(t, len(pts))
         offsets, wts = _cached_sphere_rule(self.scenario.dimension, float(delta))
         k = len(offsets)

@@ -3,9 +3,8 @@
 A lookup of any array of times costs one min and one max (the range check,
 which a NaN fails), one ``searchsorted`` and two gathers of the node
 columns; the times are clamped only when one reaches an end of the grid.
-The field pass of a Picard sweep makes one such lookup, for the 32 x 17
-source cells of a pointwise-1d segment, which takes about 25 us on a 2-core
-x86 box.  A path is validated once, when it is built from outside; the
+The field pass of a Picard sweep makes one such lookup, for all its source
+cells.  A path is validated once, when it is built from outside; the
 solver's paths on an already checked grid (each Picard iterate, the join of
 `AgentPath.concat`) reuse that grid unchecked, and a join checks only its
 junction.
@@ -112,13 +111,6 @@ class AgentPath:
     def velocities_at(self, t) -> np.ndarray:
         """Velocities V(t), shaped like ``positions_at``."""
         return self._interp(self.V, t)
-
-    def sup_deviation(self, X0: np.ndarray, V0: np.ndarray) -> tuple[float, float]:
-        """Largest node distances (max |X(t)-X0|, max |V(t)-V0|), Euclidean in
-        the stacked configuration vector."""
-        dx = np.linalg.norm((self.X - X0).reshape(len(self.times), -1), axis=1)
-        dv = np.linalg.norm((self.V - V0).reshape(len(self.times), -1), axis=1)
-        return float(dx.max()), float(dv.max())
 
     def sup_position_norm(self) -> float:
         """max over nodes of |X(t)| (exact for linear interpolation)."""

@@ -27,16 +27,19 @@ agent) pair, one force-law call and one trapezoid pass per sweep, and
 ``_iterate_segment`` runs Picard iteration on it.  Each path is checked
 against the tube once before it is swept; a node whose distance from the
 anchor is not finite counts as outside, so a NaN path fails at its first
-such node.  Within one ``solve_global`` call the contraction horizon T2 is
-bisected once per distinct set of the inputs of S, so a segment whose
-constants repeat an earlier segment's skips the bisection.  Only a
-segment's start path validates its grid; the iterates and the join onto
-the solution reuse it (`AgentPath.concat` checks the junction).  On the
-pointwise-1d benchmark a continued segment (its certificate, its start, one
-sweep and the join) takes about 0.44 ms on a 2-core x86 box, about 0.28 ms
-of it the sweep's field pass.
-``apply_psi`` is a single sweep, ``solve_local`` one iterated segment on
-[0, t_bar] and ``solve_global`` one iterated segment per certificate.
+such node.  Only a segment's start path validates its grid; the iterates
+and the join onto the solution reuse it (`AgentPath.concat` checks the
+junction).  ``apply_psi`` is a single sweep, ``solve_local`` one iterated
+segment on [0, t_bar] and ``solve_global`` one iterated segment per
+certificate.
+
+One certificate core serves every entry point that reads the certificate
+constants (``horizon_T1``, ``contraction_S``, ``horizon_certificate``):
+``_certificate_bounds`` resolves and checks the radius, the estimate params
+and the sensing radius once and derives T1 and the tuple of S's inputs, and
+``_s_value`` evaluates S from that tuple alone.  Within one ``solve_global``
+call the contraction horizon T2 is bisected once per distinct tuple, so a
+segment whose constants repeat an earlier segment's skips the bisection.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -120,9 +122,7 @@ class HorizonCertificate:
 
     def __post_init__(self):
         for name in ("t_range", "t_contract", "t_bar"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:  # NaN too
-                raise ValueError(f"certificate {name} must be positive and finite, got {value!r}")
+            _positive_finite(f"certificate {name}", getattr(self, name))
         if not (self.s_value < 1.0):
             raise ValueError("certificate requires S(t_bar) < 1")
         if not (self.gamma_bar > 0.0):
@@ -149,24 +149,39 @@ def _state_norms(scenario: Scenario) -> tuple[float, float]:
     return math.sqrt(x.dot(x)), math.sqrt(v.dot(v))
 
 
-def _gamma_bar(params: EstimateParams, c: float, t_bar: float) -> float:
-    return params.lambda0_star / 4.0 - 2.0 * c * t_bar
+def _positive_finite(name: str, value: float | None) -> float:
+    """``value`` when it is positive and finite; otherwise (None and NaN
+    included) a ValueError naming ``name``."""
+    if value is None or not 0.0 < value < math.inf:  # NaN too
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
-def _certificate_bounds(scenario: Scenario, r: float, params: EstimateParams,
-                        delta: float | None) -> tuple[float, tuple, Callable[[float], float]]:
-    """(T1, the inputs of S, S as a function of t_bar): every input that
-    does not depend on t_bar is derived once, so a bisection on S pays only
-    for the rest.  S reads nothing but the inputs tuple and t_bar, so equal
-    tuples give equal S at every t_bar."""
+def _gamma_bar(lambda0_star: float, c: float, t_bar: float) -> float:
+    return lambda0_star / 4.0 - 2.0 * c * t_bar
+
+
+def _certificate_bounds(scenario: Scenario, radius: float | None,
+                        params: EstimateParams | None,
+                        delta: float | None) -> tuple[float, EstimateParams, float, tuple]:
+    """(R, params, T1, the inputs of S) for the radius R (default: the
+    scenario's) and the estimate params (default: the scenario's), with the
+    sensing radius delta, or None for pointwise sensing.  R and a given delta
+    must be positive and finite (ValueError naming the argument).
+
+    Every input of S that does not depend on t_bar is derived here, once, and
+    ``_s_value`` reads nothing else, so equal tuples give equal S at every
+    t_bar."""
+    r = _positive_finite("radius", radius if radius is not None else scenario.R)
+    params = params if params is not None else scenario.estimate_params
+    d = _positive_finite("sensing radius delta", delta) if delta is not None else 0.0
     n, n_dim, alpha, growth = scenario.n, scenario.dimension, scenario.alpha, scenario.growth
     x0_norm, v0_norm = _state_norms(scenario)
     l_f = scenario.lipschitz_w
     l_f_r = scenario.lipschitz_xv(r)
     h_x = growth.HR(x0_norm + r)
-    h_r = growth.HR(x0_norm + r + (delta or 0.0))
-    extra = delta * delta if delta is not None else 0.0
-    spread = x0_norm**2 + r**2 + extra
+    h_r = growth.HR(x0_norm + r + d)
+    spread = x0_norm**2 + r**2 + d * d
     expfac = math.exp(2.0 * params.kappa * spread)
 
     first = r / (n * (r + v0_norm))
@@ -182,17 +197,20 @@ def _certificate_bounds(scenario: Scenario, r: float, params: EstimateParams,
     pre2 = l_f * n_dim**2 * params.big_k * expfac
     pre3 = l_f * params.c_gamma * h_r * math.exp(2.0 * growth.C * spread)
     s_inputs = (l_f_r, pre2, pre3, growth.H, h_x, alpha, growth.C, params.lambda0_star, n_dim)
+    return r, params, t1, s_inputs
 
-    def s_of(t_bar: float) -> float:
-        gamma_bar = _gamma_bar(params, growth.C, t_bar)
-        if gamma_bar <= 0:
-            raise ValueError("t_bar too large: gamma_bar = lambda0*/4 - 2*C*t_bar must be positive")
-        term1 = 2.0 * l_f_r * t_bar
-        term2 = pre2 * t_bar ** (alpha / 2.0) * (2.0 / alpha) * (growth.H + h_x * t_bar)
-        term3 = pre3 * (math.pi / gamma_bar) ** (n_dim / 2.0) * t_bar**1.5
-        return term1 + term2 + term3
 
-    return t1, s_inputs, s_of
+def _s_value(s_inputs: tuple, t_bar: float) -> float:
+    """S at t_bar from the inputs ``_certificate_bounds`` derives: the one
+    place that evaluates S's three terms (see ``contraction_S``)."""
+    l_f_r, pre2, pre3, h, h_x, alpha, c, lambda0_star, n_dim = s_inputs
+    gamma_bar = _gamma_bar(lambda0_star, c, t_bar)
+    if gamma_bar <= 0:
+        raise ValueError("t_bar too large: gamma_bar = lambda0*/4 - 2*C*t_bar must be positive")
+    term1 = 2.0 * l_f_r * t_bar
+    term2 = pre2 * t_bar ** (alpha / 2.0) * (2.0 / alpha) * (h + h_x * t_bar)
+    term3 = pre3 * (math.pi / gamma_bar) ** (n_dim / 2.0) * t_bar**1.5
+    return term1 + term2 + term3
 
 
 def horizon_T1(scenario: Scenario, radius: float | None = None,
@@ -200,9 +218,7 @@ def horizon_T1(scenario: Scenario, radius: float | None = None,
                delta: float | None = None) -> float:
     """Horizon keeping the update map's range inside the radius-R tube,
     capped at the scenario horizon."""
-    r = radius if radius is not None else scenario.R
-    params = params if params is not None else scenario.estimate_params
-    return _certificate_bounds(scenario, r, params, delta)[0]
+    return _certificate_bounds(scenario, radius, params, delta)[2]
 
 
 def contraction_S(scenario: Scenario, radius: float | None = None,
@@ -217,27 +233,25 @@ def contraction_S(scenario: Scenario, radius: float | None = None,
     3. source/path: the gradient's sensitivity to the path through the
        source, through C_gamma and (pi / gamma_bar)^{N/2}.
 
-    Requires gamma_bar = lambda0*/4 - 2 C t_bar > 0.
+    t_bar must be positive and finite, and gamma_bar = lambda0*/4 - 2 C t_bar
+    positive.
     """
-    r = radius if radius is not None else scenario.R
-    if t_bar is None or t_bar <= 0:
-        raise ValueError("t_bar must be positive")
-    params = params if params is not None else scenario.estimate_params
-    return _certificate_bounds(scenario, r, params, delta)[2](t_bar)
+    _positive_finite("t_bar", t_bar)
+    return _s_value(_certificate_bounds(scenario, radius, params, delta)[3], t_bar)
 
 
-def _contraction_horizon(s_of: Callable[[float], float], cap: float) -> float:
+def _contraction_horizon(s_inputs: tuple, cap: float) -> float:
     """T2: the cap when S(cap) <= 1 - _S_MARGIN, else the largest t in (0,
     cap) that bisection to adjacent floats finds with S(t) <= 1 - _S_MARGIN."""
     target = 1.0 - _S_MARGIN
-    if s_of(cap) <= target:
+    if _s_value(s_inputs, cap) <= target:
         return cap
     lo, hi = 0.0, cap
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # lo and hi are adjacent floats: nothing can change
-        if s_of(mid) <= target:
+        if _s_value(s_inputs, mid) <= target:
             lo = mid
         else:
             hi = mid
@@ -251,20 +265,21 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
                         safety: float = 0.9) -> HorizonCertificate:
     """Compute the certified horizon: T2 by bisection on S = 1 - _S_MARGIN
     (intersected with the gamma_bar > 0 constraint), t_bar = safety *
-    min(T1, T2), with safety in (0, 1].
+    min(T1, T2), with safety in (0, 1].  The radius, the params and the
+    sensing radius (``_resolve_delta``) are resolved and checked as for
+    ``horizon_T1`` and ``contraction_S``.
 
-    Within one ``solve_global`` call T2 is bisected once per distinct set of
-    S's inputs (L_F(R), the two prefactors, H, HR(|X0| + R), alpha, C,
-    lambda0*, N) and cap, and taken from that solve's table when they recur;
-    the table holds exactly what the bisection returned, so every field is
-    the one a certificate derived on its own would have."""
+    Within one ``solve_global`` call T2 is bisected once per distinct tuple
+    of S's inputs (L_F(R), the two prefactors, H, HR(|X0| + R), alpha, C,
+    lambda0*, N) and cap, and taken from that solve's table when they recur.
+    The key is everything ``_s_value`` reads, and the table holds exactly
+    what the bisection returned, so every field is the one a certificate
+    derived on its own would have."""
     if not 0.0 < safety <= 1.0:  # NaN too
         raise ValueError(f"safety must lie in (0, 1], got {safety!r}")
-    r = radius if radius is not None else scenario.R
     delta = _resolve_delta(scenario, mode, delta)
-    params = params if params is not None else scenario.estimate_params
+    r, params, t1, s_inputs = _certificate_bounds(scenario, radius, params, delta)
     growth = scenario.growth
-    t1, s_inputs, s_of = _certificate_bounds(scenario, r, params, delta)
 
     cap = growth.T
     if growth.C > 0:
@@ -276,7 +291,7 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
     key = s_inputs + (cap,)
     t2 = known.get(key) if known is not None else None
     if t2 is None:
-        t2 = _contraction_horizon(s_of, cap)
+        t2 = _contraction_horizon(s_inputs, cap)
         if t2 <= 0:
             raise ValueError("degenerate constants: no positive horizon satisfies the contraction condition")
         if known is not None:
@@ -295,9 +310,9 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
         "alpha": params.alpha,
     }
     return HorizonCertificate(
-        t_range=t1, t_contract=t2, t_bar=t_bar, s_value=s_of(t_bar),
-        gamma_bar=_gamma_bar(params, growth.C, t_bar), radius=r, mode=mode, delta=delta,
-        constants=constants,
+        t_range=t1, t_contract=t2, t_bar=t_bar, s_value=_s_value(s_inputs, t_bar),
+        gamma_bar=_gamma_bar(params.lambda0_star, growth.C, t_bar), radius=r, mode=mode,
+        delta=delta, constants=constants,
     )
 
 
@@ -305,18 +320,19 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
 
 
 def _resolve_delta(scenario: Scenario, mode: str, delta: float | None) -> float | None:
-    """Sensing radius for a mode: None for pointwise sensing, the given radius
-    (or the scenario's) for non-local sensing."""
+    """Sensing radius for a mode: None for pointwise sensing, which takes none
+    (a given radius raises), and the given radius (or the scenario's) for
+    non-local sensing, which must be positive and finite."""
     if mode == MODE_POINTWISE:
+        if delta is not None:
+            raise ValueError(f"pointwise sensing takes no sensing radius delta, got {delta!r}")
         return None
     if mode != MODE_NONLOCAL:
         raise ValueError(f"unknown mode {mode!r}")
     delta = delta if delta is not None else scenario.nonlocal_delta
     if delta is None:
         raise ValueError("non-local mode needs a sensing radius delta")
-    if not 0.0 < delta < math.inf:  # NaN too
-        raise ValueError(f"sensing radius delta must be positive and finite, got {delta!r}")
-    return delta
+    return _positive_finite("sensing radius delta", delta)
 
 
 def sensed_gradients(probe: FieldProbe, X: np.ndarray, times,
@@ -399,20 +415,17 @@ def _start_path(previous: AgentPath | None, times: np.ndarray, X0: np.ndarray,
     return AgentPath.constant(X0, V0, times), START_CONSTANT
 
 
-def _initial_force(scenario: Scenario, prefix: AgentPath | None, times: np.ndarray,
-                   X0: np.ndarray, V0: np.ndarray, delta: float | None,
-                   quad: QuadratureSpec | None) -> np.ndarray:
+def _initial_force(scenario: Scenario, times: np.ndarray, X0: np.ndarray, V0: np.ndarray,
+                   delta: float | None, quad: QuadratureSpec | None) -> np.ndarray:
     """The force F(t0, X0, V0, w0) on every agent, shape (N, n), at the
-    first node t0 of ``times``: w0 is the gradient sensed at X0 on the path
-    ``prefix`` followed by the path frozen at (X0, V0), and zero when the
-    force is declared insensitive to the field.  At t0 = 0 the field is
-    phi's, so w0 takes no kernel pass."""
+    first node t0 of ``times``, for a segment with no segment before it
+    (t0 = 0): w0 is the gradient sensed at X0 on the path frozen at (X0,
+    V0), and zero when the force is declared insensitive to the field.  At
+    t0 = 0 the field is phi's, so w0 takes no kernel pass."""
     if scenario.lipschitz_w == 0.0:
         W0 = np.zeros((1,) + X0.shape)
     else:
-        frozen = AgentPath.constant(X0, V0, times)
-        path = prefix.concat(frozen) if prefix is not None else frozen
-        probe = FieldProbe(scenario, path, quad=quad or DEFAULT_QUAD)
+        probe = FieldProbe(scenario, AgentPath.constant(X0, V0, times), quad=quad or DEFAULT_QUAD)
         W0 = sensed_gradients(probe, X0[None], times[:1], delta)
     return scenario.force.eval(times[:1], X0[None], V0[None], W0)[0]
 
@@ -454,22 +467,21 @@ def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, t0: float, t1
                      previous: AgentPath | None = None) -> tuple[AgentPath, list[float], str]:
     """Picard iteration on [t0, t1], on ``_segment_grid``, from the start
     ``_start_path`` builds out of the ``previous`` converged segment, or,
-    when there is none, out of the force at (X0, V0) (``_initial_force``).
+    when there is none (the first segment: t0 = 0 and no ``prefix``), out
+    of the force at (X0, V0) (``_initial_force``).
 
     Every path is tube-checked once before it is swept: the start by
     ``_start_path``, each later iterate here.  Stops when successive iterates
     differ by less than tol in the sup norm; returns the converged segment,
     the per-iteration differences and the kind of start.
     """
-    for name, value in (("dt", dt), ("tol", tol)):
-        if not 0.0 < value < math.inf:  # NaN too
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    _positive_finite("dt", dt)
+    _positive_finite("tol", tol)
     if not (isinstance(max_iters, (int, np.integer)) and not isinstance(max_iters, bool)
             and max_iters >= 1):
         raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
     times = _segment_grid(t0, t1, dt)
-    force0 = (_initial_force(scenario, prefix, times, X0, V0, delta, quad)
-              if previous is None else None)
+    force0 = _initial_force(scenario, times, X0, V0, delta, quad) if previous is None else None
     current, start = _start_path(previous, times, X0, V0, scenario.R, force0)
     history: list[float] = []
     for sweep in range(max_iters):
@@ -619,18 +631,19 @@ def gronwall_bound_B(scenario: Scenario, horizon: float,
                      params: EstimateParams | None = None) -> float:
     """A-priori bound B on sup_t |Y(t) - Y0| for globally Lipschitz forces and
     linear-growth data; 0 when the additive constant vanishes.  A horizon
-    outside [0, T] raises ValueError, since K2 is built from T."""
+    outside [0, T] raises ValueError, since K2 is built from T, and so does
+    a sensing radius delta that is given and not positive and finite."""
     if scenario.force.lipschitz_global is None:
         raise PicardError("the a-priori bound needs a globally Lipschitz force law")
     if not 0.0 <= horizon <= scenario.growth.T * (1.0 + 1e-12):  # NaN too
         raise ValueError(f"horizon {horizon} must lie in [0, T] = [0, {scenario.growth.T}]")
+    d = _positive_finite("sensing radius delta", delta) if delta is not None else 0.0
     l_f = scenario.force.lipschitz_global
     n = scenario.n
     t = horizon
     k1, k2, _ = _lemma_constants(scenario, params)
     c0 = _c0_constant(scenario, t)
     x0_norm, v0_norm = _state_norms(scenario)
-    d = delta if delta is not None else 0.0
     alpha_g = (v0_norm * t + n * t * c0
                + n * l_f * k1 * (1.0 + d + x0_norm) * 2.0 * math.sqrt(t)
                + n * l_f * k1 * (1.0 + d + 2.0 * x0_norm) * (4.0 / 3.0) * t**1.5

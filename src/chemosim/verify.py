@@ -175,11 +175,10 @@ def holder_pairs_two_arg(dim: int, n: int, count: int, seed: int, radius: float 
 
 def check_kernel_mass(kernel: Kernel, samples, tolerance: float = 1e-6,
                       nodes: int | None = None) -> EstimateReport:
-    """Quadrature of the kernel over its second spatial argument; the total
-    mass must be 1.  Rejects kernels with a nonzero reaction rate, which
-    rescale mass by exp(c (t - tau))."""
-    if kernel.c != 0.0:
-        raise ValueError("mass check requires a zero reaction rate")
+    """Quadrature of the kernel over its second spatial argument against its
+    exact mass exp(c s), s = t - tau: the deviation of a sample is
+    |s^(N/2) exp(-c s) mass - 1|, with the scaled quadrature's jacobian
+    s^(N/2).  At c = 0 the factor exp(-c s) is exactly 1."""
     nodes = nodes if nodes is not None else {1: 128, 2: 64, 3: 32}[kernel.dim]
     u_pts, u_wts = tensor_grid(-_Z_MAX, _Z_MAX, nodes, kernel.dim)
     x, t, tau = samples
@@ -192,7 +191,8 @@ def check_kernel_mass(kernel: Kernel, samples, tolerance: float = 1e-6,
         xi = (x[k] + kernel.b * s[k, None])[:, None, :] + np.sqrt(s[k])[:, None, None] * u_pts
         vals = kernel.eval(x[k, None, :], t[k, None], xi, tau[k, None])
         mass[k] = np.vecdot(vals, u_wts)
-    jacobian = [sk ** (kernel.dim / 2.0) for sk in s.tolist()]  # scalar powers, as libm rounds
+    # scalar powers and exponentials, as libm rounds
+    jacobian = [sk ** (kernel.dim / 2.0) * math.exp(-kernel.c * sk) for sk in s.tolist()]
     devs = np.abs(np.asarray(jacobian) * mass - 1.0)
     report = EstimateReport(claim="kernel-mass", tolerance=tolerance, sample_count=len(t))
     return _reduce(report, devs, lambda k: (x[k], float(t[k]), float(tau[k])), deviation=True)
@@ -339,17 +339,15 @@ def check_holder(fn, alpha: float, c_weight: float, claimed_h: float, pairs,
 def _double_integral(v, grid: np.ndarray, integrate):
     """(apply, rate) for the kernel v on the grid: ``apply(h)`` is the
     trapezoid rule for int_0^t int_0^tau v(s, tau) h(s) ds dtau at every
-    node t, and ``rate`` is int_0^t v(s, t) ds; both are None when v == 0.
-    ``integrate`` is the cumulative trapezoid rule T on the grid.
+    node t, and ``rate`` is int_0^t v(s, t) ds; both are None when v is the
+    number 0.  ``integrate`` is the cumulative trapezoid rule T on the grid.
 
-    v is called first at the first node.  A scalar c there is the constant
-    kernel, v is not called again and no matrix is built: the double
-    integral is c T(T(h)) and the rate c T(1), with T the cumulative
-    trapezoid.  Otherwise v is called once per node t with the array s of
-    the nodes up to and including t, and fills one row of a matrix."""
-    first = v(grid[:1], grid[0])
-    if np.ndim(first) == 0:
-        c = float(first)
+    A number c is the constant kernel: the double integral is c T(T(h)) and
+    the rate c T(1), with no matrix.  A callable is called once per node t
+    with the array s of the nodes up to and including t, and fills one row
+    of a grid-by-grid matrix."""
+    if not callable(v):
+        c = float(v)
         if not c >= 0.0:  # NaN too
             raise ValueError("v must be nonnegative and not NaN")
         if c == 0.0:
@@ -358,20 +356,11 @@ def _double_integral(v, grid: np.ndarray, integrate):
 
     # row j holds v(grid[k], grid[j]) times the trapezoid weight of node k
     # on [0, grid[j]]: d[0]/2, then (d[k-1] + d[k])/2, then d[j-1]/2 (all
-    # zero on row 0).  The matrix exists only once a row has a nonzero
-    # entry: for v == 0 the double integral is exactly 0 and is left out.
+    # zero on row 0)
     m = len(grid)
-    v_mat = None
-    row = first
+    v_mat = np.zeros((m, m))
     for j in range(m):
-        if j:
-            row = v(grid[:j + 1], grid[j])
-        if v_mat is None and np.count_nonzero(row):  # NaN counts too
-            v_mat = np.zeros((m, m))
-        if v_mat is not None:
-            v_mat[j, :j + 1] = row
-    if v_mat is None:
-        return None, None
+        v_mat[j, :j + 1] = v(grid[:j + 1], grid[j])
     if not (v_mat >= 0).all():
         raise ValueError("v must be nonnegative and not NaN")
     d = np.diff(grid)
@@ -391,14 +380,15 @@ def gronwall_oracle(alpha_g: float, w, v, grid, tolerance: float = 1e-3) -> Esti
     by discrete fixed-point iteration and check it against the exponential
     bound alpha_g * exp(int_0^t (w(tau) + int_0^tau v(s, tau) ds) dtau).
 
-    The kernels are called on arrays.  ``w(grid)`` is called once.
-    ``v(s, t)`` is called first at the first grid node; a scalar there
-    stands for a constant kernel, so v is called once and no grid-by-grid
-    matrix is built.  Otherwise v is called once per grid node t with the
-    array s of grid nodes up to and including t, so v is never evaluated
-    where s > t.  w may return a scalar for a constant kernel too.  A grid
-    that is not finite and increasing, an alpha_g that is not finite and
-    nonnegative, and a negative or NaN kernel value raise ValueError."""
+    Each kernel is a number (a constant kernel) or a callable, which is
+    always evaluated on arrays of grid nodes: ``w(grid)`` once, and
+    ``v(s, t)`` once per grid node t with the array s of the grid nodes up
+    to and including t, so v is never evaluated where s > t.  A callable may
+    return a scalar, which counts for every node it was called with.  A
+    constant v takes two cumulative trapezoid sums and no grid-by-grid
+    matrix.  A grid that is not finite and increasing, an alpha_g that is
+    not finite and nonnegative, and a negative or NaN kernel value raise
+    ValueError."""
     grid = np.asarray(grid, dtype=float)
     m = len(grid)
     steps = grid[1:] - grid[:-1]
@@ -412,7 +402,7 @@ def gronwall_oracle(alpha_g: float, w, v, grid, tolerance: float = 1e-3) -> Esti
 
     if not 0.0 <= alpha_g < math.inf:  # NaN too
         raise ValueError(f"alpha_g must be finite and nonnegative, got {alpha_g}")
-    w_vals = np.broadcast_to(np.asarray(w(grid), dtype=float), grid.shape)
+    w_vals = np.broadcast_to(np.asarray(w(grid) if callable(w) else w, dtype=float), grid.shape)
     if not (w_vals >= 0).all():
         raise ValueError("w must be nonnegative and not NaN")
     double, v_rate = _double_integral(v, grid, integrate)

@@ -780,3 +780,32 @@ def test_probe_time_outside_the_path_names_the_closed_range():
                      ([1.0 + 1e-10, -1e-13, 0.5], [1.0, 0.0, 0.5])):
         np.testing.assert_array_equal(probe.gradient_many(pts, np.array(near)),
                                       probe.gradient_many(pts, np.array(at)))
+
+
+@pytest.mark.parametrize("backend", [BACKEND_KERNEL, BACKEND_FD])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_every_evaluator_rejects_points_of_another_dimension(dim, backend):
+    scn = build(phi="gaussian", g="agent-secretion", dim=dim, X0=[[0.2]] * dim, V0=[[0.0]] * dim)
+    probe = FieldProbe(scn, constant_path(scn), backend=backend)
+    many = (
+        lambda pts: probe.value_many(pts, 0.5),
+        lambda pts: probe.gradient_many(pts, 0.5),
+        lambda pts: probe.hessian_many(pts, 0.5),
+        lambda pts: probe.derivatives_many(pts, 0.5, (0, 1)),
+        lambda pts: probe.ball_average_gradient(pts, 0.5, 0.1),
+    )
+    # a wider point, a 1-D array of three points, and a stack of stacks
+    for bad in (np.zeros((3, dim + 1)), np.zeros(3), np.zeros((2, 3, dim))):
+        for call in many:
+            with pytest.raises(ValueError, match=rf"points must have shape \({dim},\) or \(P, {dim}\)"):
+                call(bad)
+    for call in (probe.value, probe.gradient, probe.hessian):
+        with pytest.raises(ValueError, match="points must have shape"):
+            call(np.zeros(dim + 1), 0.5)
+    if backend == BACKEND_KERNEL:  # the shapes that fit still evaluate
+        pts = np.full((3, dim), 0.1)
+        assert probe.value_many(pts, 0.5).shape == (3,)
+        assert probe.gradient_many(pts, 0.5).shape == (3, dim)
+        assert probe.hessian_many(pts, 0.5).shape == (3, dim, dim)
+        assert probe.ball_average_gradient(pts, 0.5, 0.1).shape == (3, dim)
+        assert probe.ball_average_gradient(pts[0], 0.5, 0.1).shape == (dim,)

@@ -308,6 +308,15 @@ def test_run_suites_equal_each_suite_on_its_own(dim):
         assert together == alone, seed
 
 
+def test_run_suites_pass_with_a_reaction_rate():
+    # the kernel's mass is e^{c (t - tau)}, which the kernel-mass suite checks
+    scn = build_scenario(dict(S1_CFG, dimension=1, coefficients={"a": [[1.0]], "c": -0.1},
+                              X0=[[0.2, -0.3]], V0=[[0.3, 0.0]]))
+    reports = cli._run_suites(scn, cli.ALL_SUITES, 300, 1, False)
+    assert [r.claim for r in reports][:1] == ["kernel-mass"]
+    assert all(r.passed for r in reports), [r.claim for r in reports if not r.passed]
+
+
 def test_run_suites_draw_each_seed_once_and_close_the_table(monkeypatch):
     seeds = []
     default_rng = np.random.default_rng
@@ -507,13 +516,16 @@ def test_cli_solver_error_exit_code(tmp_path):
     p = write_cfg(tmp_path, cfg)
     res = run_cli("bounds", "--config", str(p))
     assert res.returncode == 2
-    # an admissible config whose kernel-mass suite is ill-posed: reaction rate
+    # an admissible config, with a reaction rate, and a time step that is
+    # not positive: a solver error
     cfg2 = dict(DAMPED_CFG)
     cfg2["coefficients"] = {"a": [[1.0]], "c": 0.3}
     cfg2["growth"] = {}
     p2 = write_cfg(tmp_path, cfg2, name="cfg2.json")
-    res2 = run_cli("verify", "--config", str(p2), "--suite", "kernel-mass")
+    res2 = run_cli("simulate", "--config", str(p2), "--output-dir", str(tmp_path / "run"),
+                   "--dt", "0")
     assert res2.returncode == 3
+    assert "dt must be positive and finite" in res2.stderr
 
 
 @pytest.mark.parametrize("command", ["simulate", "bounds", "verify"])

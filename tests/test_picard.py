@@ -81,8 +81,10 @@ def test_agent_path_interpolation_and_norms():
     assert p.positions_at(0.5)[0, 0] == pytest.approx(1.0)
     assert p.velocities_at(1.5)[0, 0] == pytest.approx(0.0)
     assert p.sup_position_norm() == pytest.approx(2.0)
-    dx, dv = p.sup_deviation(np.zeros((1, 1)), np.zeros((1, 1)))
-    assert dx == pytest.approx(2.0) and dv == pytest.approx(1.0)
+    # the largest node distances from the origin: |X| peaks at 2 and |V| at 1
+    assert _tube_exit(p, np.zeros((1, 1)), np.zeros((1, 1)), 2.0) is None
+    assert _tube_exit(p, np.zeros((1, 1)), np.zeros((1, 1)), 1.99) == (1, 2.0, 1.0)
+    assert _tube_exit(p, np.zeros((1, 1)), np.zeros((1, 1)), 0.99) == (0, 0.0, 1.0)
 
 
 def test_sup_distance_needs_the_same_grid():
@@ -339,6 +341,54 @@ def test_certificate_bounds_have_no_conservative_option():
         horizon_T1(scn, 1.0, conservative=False)
     with pytest.raises(TypeError):
         contraction_S(scn, 1.0, 1e-3, conservative=False)
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf],
+                         ids=["negative", "zero", "nan", "inf"])
+def test_certificate_entry_points_reject_a_bad_radius(radius):
+    scn = damped()
+    calls = [
+        lambda: horizon_T1(scn, radius),
+        lambda: contraction_S(scn, radius, 1e-3),
+        lambda: horizon_certificate(scn, radius),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^radius must be positive and finite, got "):
+            call()
+
+
+@pytest.mark.parametrize("t_bar", [0.0, -1e-3, math.nan, math.inf, None],
+                         ids=["zero", "negative", "nan", "inf", "none"])
+def test_contraction_S_rejects_a_bad_t_bar(t_bar):
+    with pytest.raises(ValueError, match="^t_bar must be positive and finite"):
+        contraction_S(damped(), 1.0, t_bar)
+
+
+@pytest.mark.parametrize("delta", [-1.0, 0.0, math.nan, math.inf],
+                         ids=["negative", "zero", "nan", "inf"])
+def test_certificate_constants_reject_a_bad_delta(delta):
+    scn = damped()
+    calls = [
+        lambda: horizon_T1(scn, 1.0, delta=delta),
+        lambda: contraction_S(scn, 1.0, 1e-3, delta=delta),
+        lambda: gronwall_bound_B(scn, 1.0, delta=delta),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="sensing radius delta must be positive and finite"):
+            call()
+
+
+def test_pointwise_sensing_rejects_a_delta():
+    scn = damped(delta=0.1)  # a scenario radius is still not read under pointwise sensing
+    path = AgentPath.constant(scn.X0, scn.V0, np.linspace(0.0, 0.01, 5))
+    calls = [
+        lambda: horizon_certificate(scn, mode=MODE_POINTWISE, delta=0.1),
+        lambda: apply_psi(path, scn, mode=MODE_POINTWISE, delta=0.1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="pointwise sensing takes no sensing radius delta"):
+            call()
+    assert horizon_certificate(scn, mode=MODE_POINTWISE).delta is None
 
 
 def test_certificate_nonlocal_requires_delta():
@@ -628,36 +678,50 @@ def test_solve_global_certificates_equal_fresh_ones(growth, segment_count, t2_co
 
 
 def test_solve_global_bisects_once_when_the_inputs_of_s_repeat(monkeypatch):
-    counts = {"s_of": 0, "bisections": 0}
-    bounds, bisect = picard._certificate_bounds, picard._contraction_horizon
+    counts = {"s_value": 0, "bisections": 0}
+    s_value, bisect = picard._s_value, picard._contraction_horizon
 
-    def counted_bounds(*args):
-        t1, s_inputs, s_of = bounds(*args)
-
-        def counted_s_of(t_bar):
-            counts["s_of"] += 1
-            return s_of(t_bar)
-        return t1, s_inputs, counted_s_of
+    def counted_s_value(*args):
+        counts["s_value"] += 1
+        return s_value(*args)
 
     def counted_bisect(*args):
         counts["bisections"] += 1
         return bisect(*args)
 
-    monkeypatch.setattr(picard, "_certificate_bounds", counted_bounds)
+    monkeypatch.setattr(picard, "_s_value", counted_s_value)
     monkeypatch.setattr(picard, "_contraction_horizon", counted_bisect)
     scn = _s1_seeded(1, seed=1)
     segments = []
     solve_global(scn, 0.02, segments_out=segments)
     assert len(segments) == 11 and counts["bisections"] == 1
-    in_solve, counts["s_of"] = counts["s_of"], 0
+    in_solve, counts["s_value"] = counts["s_value"], 0
     # on its own a certificate always bisects: S(cap), the bisection steps
     # and S(t_bar), where the solve's later segments evaluate S(t_bar) only
     horizon_certificate(scn)
-    assert counts["bisections"] == 2 and counts["s_of"] > 50
-    assert in_solve == counts["s_of"] + 10
+    assert counts["bisections"] == 2 and counts["s_value"] > 50
+    assert in_solve == counts["s_value"] + 10
     horizon_certificate(scn)
     assert counts["bisections"] == 3
     assert picard._CONTRACTION_HORIZONS.get() is None
+
+
+def test_the_table_key_is_everything_s_reads(monkeypatch):
+    # the bisection and S see the tuple that keys T2, and nothing else
+    seen = []
+    s_value = picard._s_value
+
+    def recorded(s_inputs, t_bar):
+        seen.append(s_inputs)
+        return s_value(s_inputs, t_bar)
+
+    scn = _s1_seeded(1, seed=1)
+    _, _, _, s_inputs = picard._certificate_bounds(scn, None, None, None)
+    monkeypatch.setattr(picard, "_s_value", recorded)
+    cert = horizon_certificate(scn)
+    assert len(seen) > 50 and all(inputs == s_inputs for inputs in seen)
+    assert cert.s_value == s_value(s_inputs, cert.t_bar)
+    assert cert.t_contract == picard._contraction_horizon(s_inputs, scn.growth.T)
 
 
 def test_solve_global_reruns_bit_for_bit():

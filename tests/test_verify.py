@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -81,10 +82,21 @@ def test_mass_deviations_match_the_per_sample_loop(monkeypatch, coeff, dim, coun
     assert abs(rep.worst_ratio - (1.0 + want.max())) <= 1e-15
 
 
-def test_mass_rejects_reaction_rate():
-    kern = make_kernel(inline_coefficients([[1.0]], c=0.3))
-    with pytest.raises(ValueError, match="reaction"):
-        check_kernel_mass(kern, mass_samples(1, 5, 1.0, seed=0))
+@pytest.mark.parametrize("c", [0.3, -0.1])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mass_with_a_reaction_rate_is_exp_cs(monkeypatch, dim, c):
+    a = np.eye(dim) if dim == 1 else np.array([[1.0, 0.2], [0.2, 0.5]])
+    kern = make_kernel(inline_coefficients(a.tolist(), b=[0.1] * dim, c=c))
+    samples = mass_samples(dim, 20, 1.0, seed=0)
+    rep = check_kernel_mass(kern, samples)
+    assert rep.passed and rep.worst_ratio - 1.0 < 1e-8
+    devs = loop_kernel_mass_deviations(kern, samples)
+    assert abs(rep.worst_ratio - (1.0 + devs.max())) <= 1e-15
+    # a kernel that loses its reaction factor e^{c (t - tau)} fails the check
+    eval_ = Kernel.eval
+    monkeypatch.setattr(Kernel, "eval", lambda self, x, t, xi, tau:
+                        eval_(self, x, t, xi, tau) * np.exp(-self.c * (t - tau)))
+    assert not check_kernel_mass(kern, samples).passed
 
 
 def test_sample_generators_reject_inverted_time_ranges():
@@ -385,6 +397,9 @@ def test_gronwall_discrete_extremal_matches_cosh():
 def test_gronwall_rejects_negative_inputs():
     with pytest.raises(ValueError):
         gronwall_oracle(1.0, lambda t: -1.0, lambda s, t: 0.0, GRID)
+    for w in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="w must be nonnegative and not NaN"):
+            gronwall_oracle(1.0, w, 0.0, GRID)
 
 
 GRONWALL_CASES = {
@@ -395,12 +410,18 @@ GRONWALL_CASES = {
     # array-aware kernels that vary along both arguments
     "varying": (1.0, lambda t: 1.0 + t, lambda s, t: np.exp(s - t)),
 }
-# constant double kernels, which take the cumulative-sum path
+# constant double kernels written as callables, which take the grid path
 GRONWALL_CASES.update({
     f"constant-c{c:g}-alpha{alpha_g:g}-w{w:g}": (alpha_g, lambda t, w=w: w, lambda s, t, c=c: c)
     for c in (0.5, 2.0, 4.0) for alpha_g in (0.5, 3.0) for w in (0.0, 1.0)
 })
+# the same constant kernels as numbers, which take the cumulative-sum path
+NUMBER_CASES = {f"c{c:g}-alpha{alpha_g:g}-w{w:g}": (alpha_g, w, c)
+                for c in (0.0, 0.5, 2.0, 4.0) for alpha_g in (0.5, 3.0) for w in (0.0, 1.0)}
 SUITE_CASES = ("zero-kernels", "constant-single", "double-integral")
+# the suite's cases as `chemosim verify` passes them: numbers
+SUITE_NUMBERS = {"zero-kernels": (1.0, 0.0, 0.0), "constant-single": (1.0, 1.0, 0.0),
+                 "double-integral": (1.0, 0.0, 1.0)}
 
 
 @pytest.mark.parametrize("case", sorted(GRONWALL_CASES))
@@ -413,29 +434,55 @@ def test_gronwall_matches_double_loop_oracle(case):
     assert rep.passed == ref.passed
 
 
-def test_gronwall_calls_a_scalar_v_once():
+@pytest.mark.parametrize("case", sorted(NUMBER_CASES))
+def test_gronwall_numbers_match_the_double_loop_oracle(case):
+    alpha_g, w, c = NUMBER_CASES[case]
+    rep = gronwall_oracle(alpha_g, w, c, GRID)
+    ref = loop_gronwall_oracle(alpha_g, lambda t: w, lambda s, t: c, GRID)
+    assert rep.worst_ratio == ref.worst_ratio
+    assert rep.worst_sample == ref.worst_sample
+    assert rep.passed == ref.passed
+
+
+def test_gronwall_evaluates_a_callable_v_on_every_row():
     calls = []
 
     def v(s, t):
         calls.append((np.array(s), t))
-        return 2.0
+        return 2.0  # a scalar counts for every node of the row
 
-    gronwall_oracle(1.0, lambda t: 0.0, v, GRID)
-    assert len(calls) == 1
-    assert calls[0][0].tolist() == [GRID[0]] and calls[0][1] == GRID[0]
+    rep = gronwall_oracle(1.0, 0.0, v, GRID)
+    assert [len(s) for s, _ in calls] == list(range(1, len(GRID) + 1))
+    assert rep.to_dict() == gronwall_oracle(1.0, 0.0, lambda s, t: np.full(len(s), 2.0),
+                                            GRID).to_dict()
+
+
+def test_gronwall_math_exp_kernel_fails_loudly():
+    # math.exp takes no array of nodes: a kernel written with it raises
+    # instead of passing for a constant
+    with warnings.catch_warnings():
+        # older numpy converts a one-node array with a DeprecationWarning
+        warnings.simplefilter("ignore", DeprecationWarning)
+        with pytest.raises(TypeError):
+            gronwall_oracle(1.0, 0.0, lambda s, t: math.exp(s - t), GRID)
+        with pytest.raises(TypeError):
+            gronwall_oracle(1.0, lambda t: math.exp(-t), 0.0, GRID)
 
 
 @pytest.mark.parametrize("case", SUITE_CASES)
 def test_gronwall_suite_cases_build_no_matrix(case):
     # a 1001 x 1001 float matrix alone would take 8 MB
-    alpha_g, w, v = GRONWALL_CASES[case]
+    alpha_g, w, v = SUITE_NUMBERS[case]
     tracemalloc.start()
     try:
-        gronwall_oracle(alpha_g, w, v, GRID)
+        rep = gronwall_oracle(alpha_g, w, v, GRID)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+    # the numbers stand for the callables of the same constant kernels
+    ref = gronwall_oracle(*GRONWALL_CASES[case], GRID)
+    assert rep.worst_ratio == pytest.approx(ref.worst_ratio, abs=1e-12)
 
 
 def test_gronwall_never_evaluates_v_above_the_diagonal():
@@ -473,7 +520,9 @@ def test_gronwall_rejects_a_nan_w_entry():
     lambda s, t: -1.0,
     lambda s, t: math.nan,
     lambda s, t: np.where((s == GRID[3]) & (t == GRID[7]), math.nan, 1.0),
-], ids=["negative-scalar", "nan-scalar", "nan-array"])
+    -1.0,
+    math.nan,
+], ids=["negative-scalar", "nan-scalar", "nan-array", "negative-number", "nan-number"])
 def test_gronwall_rejects_a_negative_or_nan_v(v):
     with pytest.raises(ValueError, match="v must be nonnegative and not NaN"):
         gronwall_oracle(1.0, lambda t: 0.0, v, GRID)

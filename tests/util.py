@@ -519,8 +519,8 @@ def per_item_derivatives(probe, pts, t, orders):
 
 
 def loop_kernel_mass_deviations(kernel, samples, nodes=None):
-    """|mass - 1| per sample of `verify.check_kernel_mass`, one kernel call
-    per sample."""
+    """|mass e^{-c s} - 1| per sample of `verify.check_kernel_mass`, one
+    kernel call per sample."""
     nodes = nodes if nodes is not None else {1: 128, 2: 64, 3: 32}[kernel.dim]
     u_pts, u_wts = tensor_grid(-12.0, 12.0, nodes, kernel.dim)
     x, t, tau = samples
@@ -529,7 +529,8 @@ def loop_kernel_mass_deviations(kernel, samples, nodes=None):
         s = tk - tau_k
         xi = (xk + kernel.b * s)[None, :] + math.sqrt(s) * u_pts
         vals = kernel.eval(xk[None, :], tk, xi, tau_k)
-        devs.append(abs(s ** (kernel.dim / 2.0) * float(u_wts @ vals) - 1.0))
+        devs.append(abs(s ** (kernel.dim / 2.0) * math.exp(-kernel.c * s) * float(u_wts @ vals)
+                        - 1.0))
     return np.asarray(devs)
 
 
