@@ -109,7 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     vfy.add_argument("--samples", type=_positive_int, default=300)
     vfy.add_argument("--seed", type=_non_negative_int, default=0)
     vfy.add_argument("--falsify", action="store_true",
-                     help="shrink prop1's claimed K by 50x, so the checker must fail")
+                     help="shrink prop1's claimed K by 50x and halve the holder suite's declared "
+                          "H2, so those checkers must fail")
     vfy.add_argument("--output", default=None)
     vfy.add_argument("--output-dir", default=None)
 
@@ -254,11 +255,16 @@ def _run_suites(scenario: Scenario, suites, samples: int, seed: int, falsify: bo
                 pairs = ver.holder_pairs(scenario.dimension, samples, seed)
                 reports.append(ver.check_holder(scenario.phi, scenario.alpha, growth.C, growth.H,
                                                 pairs))
+                points = np.concatenate(pairs)
                 radius = 2.0
                 pairs = ver.holder_pairs_two_arg(scenario.dimension, scenario.n, samples, seed,
                                                  radius)
                 reports.append(ver.check_holder(scenario.g, scenario.alpha, growth.C,
                                                 growth.HR(radius), pairs))
+                if growth.H2 is not None:
+                    # the falsification control halves the declared bound
+                    h2 = growth.H2 / 2.0 if falsify else growth.H2
+                    reports.append(ver.check_phi_hessian(scenario.phi, h2, points))
             elif suite == "gronwall":
                 grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
                 # constant kernels (w, v)
@@ -309,7 +315,8 @@ def _cmd_bounds(args) -> int:
         "gamma_bar": cert.gamma_bar,
         "R": cert.radius,
     }
-    values.update(cert.constants)
+    # H2 only when the certificate used a declared one
+    values.update((key, val) for key, val in cert.constants.items() if val is not None)
     if scenario.satisfies_global_hypotheses:
         values["B"] = gronwall_bound_B(scenario, scenario.growth.T, delta=cert.delta)
     outdir = _outdir(args)

@@ -196,19 +196,28 @@ def _certificate_bounds(scenario: Scenario, radius: float | None,
     # whole left prefixes of terms 2 and 3, so every product keeps its order
     pre2 = l_f * n_dim**2 * params.big_k * expfac
     pre3 = l_f * params.c_gamma * h_r * math.exp(2.0 * growth.C * spread)
-    s_inputs = (l_f_r, pre2, pre3, growth.H, h_x, alpha, growth.C, params.lambda0_star, n_dim)
+    # the declared bound of phi's part of term 2 (constant coefficients only)
+    pre2_phi = None
+    if growth.H2 is not None and scenario.coeffs.is_constant:
+        pre2_phi = l_f * n_dim**2 * growth.H2 * math.exp(max(scenario.kernel.c, 0.0) * growth.T)
+    s_inputs = (l_f_r, pre2, pre3, growth.H, h_x, alpha, growth.C, params.lambda0_star, n_dim,
+                pre2_phi)
     return r, params, t1, s_inputs
 
 
 def _s_value(s_inputs: tuple, t_bar: float) -> float:
     """S at t_bar from the inputs ``_certificate_bounds`` derives: the one
     place that evaluates S's three terms (see ``contraction_S``)."""
-    l_f_r, pre2, pre3, h, h_x, alpha, c, lambda0_star, n_dim = s_inputs
+    l_f_r, pre2, pre3, h, h_x, alpha, c, lambda0_star, n_dim, pre2_phi = s_inputs
     gamma_bar = _gamma_bar(lambda0_star, c, t_bar)
     if gamma_bar <= 0:
         raise ValueError("t_bar too large: gamma_bar = lambda0*/4 - 2*C*t_bar must be positive")
     term1 = 2.0 * l_f_r * t_bar
-    term2 = pre2 * t_bar ** (alpha / 2.0) * (2.0 / alpha) * (h + h_x * t_bar)
+    envelope = pre2 * t_bar ** (alpha / 2.0) * (2.0 / alpha)
+    if pre2_phi is None:
+        term2 = envelope * (h + h_x * t_bar)
+    else:  # phi's part: the smaller of the envelope's and the declared H2's
+        term2 = min(envelope * h, pre2_phi * t_bar) + envelope * h_x * t_bar
     term3 = pre3 * (math.pi / gamma_bar) ** (n_dim / 2.0) * t_bar**1.5
     return term1 + term2 + term3
 
@@ -229,12 +238,50 @@ def contraction_S(scenario: Scenario, radius: float | None = None,
 
     1. force (X, V): 2 L_F(R) t_bar, the force's direct sensitivity;
     2. hessian/position: the gradient's sensitivity to the probe position,
-       through the hessian bound K and e^{2 kappa (|X0|^2 + R^2 + delta^2)};
+       through the hessian bound K and e^{2 kappa (|X0|^2 + R^2 + delta^2)},
+       or, for phi's part, through a declared H2 (below);
     3. source/path: the gradient's sensitivity to the path through the
        source, through C_gamma and (pi / gamma_bar)^{N/2}.
 
     t_bar must be positive and finite, and gamma_bar = lambda0*/4 - 2 C t_bar
     positive.
+
+    Term 2.  Two input paths X, Y move w_j(s) = grad f(X_j(s), s) by at
+    most sup|D^2 f(., s)| |X_j(s) - Y_j(s)| through the probe position,
+    with |D^2 f| <= N^2 max_ij |d2_ij f|, and the force turns that into an
+    L_F share of the velocity's integral.  So term 2 is L_F N^2 times the
+    integral over the segment's window of the entrywise hessian bound of f
+    on the tube, |x| <= |X0| + R (+ delta).  A ball average of grad f moves
+    by at most sup|D^2 f| |x - y| too, so non-local sensing takes the same
+    term.  The field is linear in its data, f = f_phi + f_g, and
+    ``verify.check_prop1``'s hessian bound splits the same way:
+
+        |d2_ij f(x, s)| <= K e^{kappa |x|^2} (H s^(alpha/2 - 1) + (2/alpha) s^(alpha/2) H_X)
+
+    with e^{kappa |x|^2} <= e^{2 kappa (|X0|^2 + R^2 + delta^2)} on the tube.
+    Integrated over [0, t], phi's part gives (2/alpha) t^(alpha/2) H and
+    g's part (2/alpha) (2/(alpha+2)) t^(alpha/2 + 1) H_X, which the
+    (2/alpha) t^(alpha/2) H_X t that S charges bounds.  Hence term 2 =
+    L_F N^2 K e^{2 kappa (...)} (2/alpha) t^(alpha/2) (H + H_X t).
+
+    A declared H2 (``GrowthSpec.H2``) bounds phi's part with no singularity
+    at s = 0.  For constant coefficients f_phi(x, s) = e^{c s} integral
+    p_s(y) phi(x + b s - y) dy, with p_s the N(0, 2 s a) density, a
+    probability density: the drift b shifts the argument and c scales by
+    e^{c s}.  Differentiating under the integral, |d2_ij f_phi(., s)| <=
+    e^{c s} integral p_s |d2_ij phi| <= e^{max(c, 0) T} H2 for every s in
+    [0, T], and its integral over a window of length t is at most
+    e^{max(c, 0) T} H2 t.  Both bounds are proofs, so phi's part of term 2
+    is L_F N^2 min(K e^{2 kappa (...)} (2/alpha) t^(alpha/2) H,
+    e^{max(c, 0) T} H2 t); g's part is unchanged.  Undeclared H2, and
+    variable coefficients, keep the envelope alone, bit for bit.
+
+    Windows.  A continued segment covers [t0, t0 + t_bar], and S charges
+    the integrals over [0, t_bar].  phi's envelope part s^(alpha/2 - 1)
+    decreases, so [0, t_bar] is its largest window of that length; the
+    declared part is constant in the window.  g's part s^(alpha/2) grows,
+    so for t0 > 0 its integral over [t0, t0 + t_bar] can exceed what S
+    charges (at alpha = 1/2 it does once t0 >= t_bar).
     """
     _positive_finite("t_bar", t_bar)
     return _s_value(_certificate_bounds(scenario, radius, params, delta)[3], t_bar)
@@ -271,8 +318,8 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
 
     Within one ``solve_global`` call T2 is bisected once per distinct tuple
     of S's inputs (L_F(R), the two prefactors, H, HR(|X0| + R), alpha, C,
-    lambda0*, N) and cap, and taken from that solve's table when they recur.
-    The key is everything ``_s_value`` reads, and the table holds exactly
+    lambda0*, N and a declared H2's prefactor) and cap, and taken from that
+    solve's table when they recur.  The key is everything ``_s_value`` reads, and the table holds exactly
     what the bisection returned, so every field is the one a certificate
     derived on its own would have."""
     if not 0.0 < safety <= 1.0:  # NaN too
@@ -308,6 +355,8 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
         "lambda0_star": params.lambda0_star,
         "nu0": params.nu0,
         "alpha": params.alpha,
+        # None when S does not use it: undeclared, or variable coefficients
+        "H2": growth.H2 if s_inputs[-1] is not None else None,
     }
     return HorizonCertificate(
         t_range=t1, t_contract=t2, t_bar=t_bar, s_value=_s_value(s_inputs, t_bar),
@@ -661,10 +710,10 @@ def apriori_grad_bound(scenario: Scenario, x, t: float, path: AgentPath,
         K1 ( (1 + |x|)/sqrt(t) + K2 + integral_0^t (1 + |x| + |X(tau)|)/sqrt(t - tau) dtau )
 
     with the time integral evaluated through the tau = t - s^2 substitution
-    by a 32-node Gauss-Legendre rule in s.
+    by a 32-node Gauss-Legendre rule in s.  t must be positive and finite
+    (ValueError naming it otherwise).
     """
-    if t <= 0:
-        raise ValueError("the gradient bound needs t > 0")
+    _positive_finite("t", t)
     k1, k2, _ = _lemma_constants(scenario, params)
     x_norm = float(np.linalg.norm(np.asarray(x, dtype=float)))
     s_nodes, s_wts = gauss_legendre(0.0, math.sqrt(t), 32)

@@ -13,7 +13,9 @@ A datum that is a sum of Gaussians declares it in a ``gaussian_source``
 attribute (a `GaussianSource`), as a zero datum declares ``is_zero``; the
 field evaluator then integrates it against the kernel in closed form.  The
 sources ``agent-secretion`` and ``constant`` declare it; an initial datum
-may, with its centre at the origin.
+may, with its centre at the origin.  An initial datum whose second
+derivatives are bounded declares the bound in a ``hessian_bound`` attribute
+(`GrowthSpec.H2`): sup over x of |d2_ij phi(x)| for every i, j.
 """
 
 from __future__ import annotations
@@ -107,7 +109,9 @@ def inline_coefficients(a, b=None, c: float = 0.0, alpha: float = 0.5) -> Operat
 
 
 def phi_preset(name: str):
-    """Initial datum callable plus its declared (H, C, M) constants."""
+    """Initial datum callable plus its declared (H, C, M) constants; a datum
+    with bounded second derivatives also declares their bound H2 in its
+    ``hessian_bound`` attribute (only ``gaussian``: H2 = 2)."""
     if name == "zero":
         def zero_phi(x):
             return np.zeros(np.asarray(x).shape[:-1])
@@ -118,6 +122,9 @@ def phi_preset(name: str):
             x = np.asarray(x, dtype=float)
             return np.exp(-np.sum(x * x, axis=-1))
         # |grad| <= sqrt(2) e^{-1/2} < 1 and |phi| <= 1, so H = 1 at alpha = 1/2
+        # d2_ii phi = (4 x_i^2 - 2) e^{-|x|^2}, at most 2 in size (at x = 0),
+        # and |d2_ij phi| = 4 |x_i x_j| e^{-|x|^2} <= 2/e for i != j
+        gaussian.hessian_bound = 2.0
         return gaussian, 1.0, 0.0, 1.0
     if name == "abs-sqrt":
         def abs_sqrt(x):
@@ -247,6 +254,7 @@ def scenario_from_config(config: dict) -> Scenario:
         HR=hr,
         M=float(overrides.get("M", max(m_phi, m_g))),
         T=horizon,
+        H2=getattr(phi, "hessian_bound", None),
     )
     return make_scenario(
         coeffs, phi, g, force, X0, V0, growth,

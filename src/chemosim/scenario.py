@@ -61,7 +61,10 @@ class GrowthSpec:
     ``C`` is the Gaussian-weight exponent, ``H`` the Hoelder constant of phi,
     ``HR`` maps a configuration radius to the Hoelder constant of g, ``M`` the
     linear-growth constant of the data (0 when unused) and ``T`` the time
-    horizon.
+    horizon.  ``H2``, when declared, bounds the second derivatives of phi:
+    sup over x of |d2_ij phi(x)| for every i, j.  With constant coefficients
+    the certificate then bounds the hessian of phi's part of the field by it
+    (`picard.contraction_S`); None declares nothing.
     """
 
     C: float
@@ -69,6 +72,7 @@ class GrowthSpec:
     HR: Callable[[float], float]
     M: float
     T: float
+    H2: float | None = None
 
 
 @dataclass(eq=False)
@@ -222,6 +226,9 @@ def make_scenario(coeffs: OperatorCoefficients,
     lam0 = lambda0_bound(mu0, mu1)
     if not growth.C >= 0:  # NaN too
         raise ScenarioError(f"growth constant C must be nonnegative, got {growth.C!r}")
+    if growth.H2 is not None and not 0.0 <= growth.H2 < math.inf:  # NaN too
+        raise ScenarioError(f"declared hessian bound H2 must be finite and nonnegative, "
+                            f"got {growth.H2!r}")
     if growth.C >= lam0 / (4.0 * growth.T):
         raise ScenarioError(
             f"growth constant C={growth.C:g} violates the parabolicity side "

@@ -14,7 +14,8 @@ A sample set is a tuple of arrays, one row per sample: points (P, N), times
 Every checker computes one ratio per sample, and one reduction keeps the
 first largest and its sample.  A NaN ratio counts as +inf, so a failed
 measurement fails the report and names its sample.  An empty set reports
-worst ratio -1 (0 for kernel mass and Hoelder) and no worst sample.
+worst ratio -1 (0 for kernel mass, Hoelder and the phi hessian) and no worst
+sample.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import FieldProbe
+from .field import FieldProbe, _fd_hessian_of
 from .kernel import EstimateParams, Kernel
 from .paths import AgentPath
 from .picard import MODE_POINTWISE, _resolve_delta, sensed_gradients
@@ -37,6 +38,7 @@ __all__ = [
     "check_gamma_estimates",
     "check_prop1",
     "check_holder",
+    "check_phi_hessian",
     "gronwall_oracle",
     "residual_check",
     "mass_samples",
@@ -191,9 +193,7 @@ def check_kernel_mass(kernel: Kernel, samples, tolerance: float = 1e-6,
         xi = (x[k] + kernel.b * s[k, None])[:, None, :] + np.sqrt(s[k])[:, None, None] * u_pts
         vals = kernel.eval(x[k, None, :], t[k, None], xi, tau[k, None])
         mass[k] = np.vecdot(vals, u_wts)
-    # scalar powers and exponentials, as libm rounds
-    jacobian = [sk ** (kernel.dim / 2.0) * math.exp(-kernel.c * sk) for sk in s.tolist()]
-    devs = np.abs(np.asarray(jacobian) * mass - 1.0)
+    devs = np.abs(s ** (kernel.dim / 2.0) * np.exp(-kernel.c * s) * mass - 1.0)
     report = EstimateReport(claim="kernel-mass", tolerance=tolerance, sample_count=len(t))
     return _reduce(report, devs, lambda k: (x[k], float(t[k]), float(tau[k])), deviation=True)
 
@@ -213,10 +213,8 @@ def check_gamma_estimates(kernel: Kernel, params: EstimateParams, samples,
     dim = kernel.dim
     offsets, times = samples
     x0 = np.zeros(dim)
-    s_list = times.tolist()
     # the decay factor of each sample, shared by its three envelopes
-    decay = [math.exp(-lam_star * rr / (4.0 * s))
-             for s, rr in zip(s_list, np.vecdot(offsets, offsets).tolist())]
+    decay = np.exp(-lam_star * np.vecdot(offsets, offsets) / (4.0 * times))
     # one kernel core for all samples and orders
     kernels = kernel.derivatives((0, 1, 2), x0, times, x0 - offsets, 0.0)
     reports = {}
@@ -225,11 +223,10 @@ def check_gamma_estimates(kernel: Kernel, params: EstimateParams, samples,
                              constants={"C_gamma": c_g, "lambda0_star": lam_star},
                              tolerance=tolerance, sample_count=len(times))
         # |entries| maxed per sample
-        measured = np.abs(values).reshape(len(times), dim**order).max(axis=1).tolist()
-        ratios = []
-        for m, s, e in zip(measured, s_list, decay):
-            envelope = c_g * s ** (-(dim + order) / 2.0) * e
-            ratios.append(m / envelope if envelope > 0 else math.inf)
+        measured = np.abs(values).reshape(len(times), dim**order).max(axis=1)
+        envelope = c_g * times ** (-(dim + order) / 2.0) * decay
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(envelope > 0, measured / envelope, np.inf)
         reports[order] = _reduce(rep, ratios, lambda k: (offsets[k], float(times[k])))
     return reports
 
@@ -261,22 +258,19 @@ def check_prop1(scenario: Scenario, probe: FieldProbe, samples,
     h = scenario.growth.H
     h_x = scenario.growth.HR(probe.path.sup_position_norm())
 
-    # the powers and exponentials stay scalar, where numpy's array routines
-    # round apart from libm
-    bounds_g, bounds_h = [], []
-    for t, sq in zip(times.tolist(), np.vecdot(pts, pts).tolist()):
-        weight = big_k * math.exp(kappa * sq)
-        bounds_g.append(weight * (h * t ** (-(1.0 - alpha) / 2.0)
-                                  + 2.0 / (alpha + 1.0) * t ** ((alpha + 1.0) / 2.0) * h_x))
-        bounds_h.append(weight * (h * t ** (-(1.0 - alpha / 2.0))
-                                  + 2.0 / alpha * t ** (alpha / 2.0) * h_x))
+    weight = big_k * np.exp(kappa * np.vecdot(pts, pts))
+    bounds_g = weight * (h * times ** (-(1.0 - alpha) / 2.0)
+                         + 2.0 / (alpha + 1.0) * times ** ((alpha + 1.0) / 2.0) * h_x)
+    bounds_h = weight * (h * times ** (-(1.0 - alpha / 2.0))
+                         + 2.0 / alpha * times ** (alpha / 2.0) * h_x)
     reports = []
     grads, hessians = probe.derivatives_many(pts, times, (1, 2))
     for claim, values, bounds in (("field-gradient-bound", grads, bounds_g),
                                   ("field-hessian-bound", hessians, bounds_h)):
-        measured = np.abs(values).max(axis=tuple(range(1, values.ndim))).tolist()
-        ratios = [m / b if b > 0 else (0.0 if m < 1e-14 else math.inf)
-                  for m, b in zip(measured, bounds)]
+        measured = np.abs(values).max(axis=tuple(range(1, values.ndim)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(bounds > 0, measured / bounds,
+                              np.where(measured < 1e-14, 0.0, np.inf))
         rep = EstimateReport(claim=claim, constants={"K": big_k, "kappa": kappa, "H": h, "H_X": h_x},
                              tolerance=tolerance, sample_count=len(times))
         reports.append(_reduce(rep, ratios, lambda k: (pts[k], float(times[k]))))
@@ -309,28 +303,38 @@ def check_holder(fn, alpha: float, c_weight: float, claimed_h: float, pairs,
         xx, yy = pairs[1::2]
         fx, fy = fn(x, xx), fn(y, yy)
         dconf = (xx - yy).reshape(len(x), -1)
-        conf = np.sqrt(np.vecdot(dconf, dconf)).tolist()
+        conf = np.sqrt(np.vecdot(dconf, dconf))
     else:
         fx, fy = fn(x), fn(y)
-        conf = [0.0] * len(x)
-    # vecdot rounds as one-pair dot products and norms do; the powers and
-    # exponentials stay scalar, where numpy's array routines round apart
-    num = np.abs(fx - fy).tolist()
-    dist = np.sqrt(np.vecdot(x - y, x - y)).tolist()
-    sq = np.maximum(np.vecdot(x, x), np.vecdot(y, y)).tolist()
+        conf = 0.0
+    # vecdot rounds as one-pair dot products and norms do
+    num = np.abs(fx - fy)
+    dist = np.sqrt(np.vecdot(x - y, x - y))
+    sq = np.maximum(np.vecdot(x, x), np.vecdot(y, y))
+    denom = claimed_h * np.exp(c_weight * sq) * (dist**alpha + conf)
     tiny = 1e-15
-    ratios = []
-    for k in range(len(x)):
-        denom = claimed_h * math.exp(c_weight * sq[k]) * (dist[k] ** alpha + conf[k])
-        if denom <= tiny:
-            ratios.append(0.0 if num[k] <= tiny else math.inf)
-        else:
-            ratios.append(num[k] / denom)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(denom <= tiny, np.where(num <= tiny, 0.0, np.inf), num / denom)
 
     def sample(k):
         return ((x[k], xx[k]), (y[k], yy[k])) if two_arg else (x[k], y[k])
 
     return _reduce(rep, ratios, sample, floor=0.0)
+
+
+def check_phi_hessian(phi, claimed_h2: float, points, tolerance: float = 1e-6) -> EstimateReport:
+    """A declared second-derivative bound of the initial datum
+    (``GrowthSpec.H2``) against central-difference hessians of phi at the
+    points (P, N): the ratio of a point is max_ij |d2_ij phi| / claimed_h2.
+    One call of phi per difference offset serves every point (three in
+    1D); the differences' own error, about 1e-7, sits well inside the
+    tolerance."""
+    rep = EstimateReport(claim="phi-hessian-bound", constants={"H2": claimed_h2},
+                         tolerance=tolerance, sample_count=len(points))
+    measured = np.abs(_fd_hessian_of(phi, points)).max(axis=(1, 2), initial=0.0)
+    ratios = (measured / claimed_h2 if claimed_h2 > 0
+              else np.where(measured <= tolerance, 0.0, np.inf))
+    return _reduce(rep, ratios, lambda k: (points[k],), floor=0.0)
 
 
 # -- integral-inequality oracle --------------------------------------------------------

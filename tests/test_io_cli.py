@@ -341,6 +341,37 @@ def test_run_suites_draw_each_seed_once_and_close_the_table(monkeypatch):
     assert quadrature._HALTON_TABLES.get() is None
 
 
+def test_holder_suite_checks_a_declared_phi_hessian_bound():
+    # S1's gaussian phi declares H2 = 2; the holder suite appends its check,
+    # and the falsification control halves H2 so that the check fails
+    scn = s1_scenario(1)
+    reports = cli._run_suites(scn, ["holder"], 300, 1, False)
+    assert [r.claim for r in reports] == ["holder-envelope"] * 2 + ["phi-hessian-bound"]
+    assert reports[-1].passed and reports[-1].constants == {"H2": 2.0}
+    assert reports[-1].sample_count == 600  # both points of each pair
+    falsified = cli._run_suites(scn, ["holder"], 300, 1, True)
+    assert [r.passed for r in falsified] == [True, True, False]
+    assert falsified[-1].constants == {"H2": 1.0}
+    # abs-sqrt declares no H2: no report
+    rough = build_scenario(dict(S1_CFG, dimension=1, phi="abs-sqrt", X0=[[0.2, -0.3]],
+                                V0=[[0.3, 0.0]]))
+    assert rough.growth.H2 is None
+    assert [r.claim for r in cli._run_suites(rough, ["holder"], 300, 1, True)] \
+        == ["holder-envelope"] * 2
+
+
+@pytest.mark.parametrize("phi, h2", [("gaussian", 2.0), ("abs-sqrt", None)])
+def test_cli_bounds_records_h2_only_when_declared(tmp_path, phi, h2):
+    p = write_cfg(tmp_path, dict(S1_CFG, dimension=1, phi=phi, X0=[[0.2, -0.3]],
+                                 V0=[[0.3, 0.0]]))
+    out = tmp_path / "run"
+    res = run_cli("bounds", "--config", str(p), "--output-dir", str(out))
+    assert res.returncode == 0, res.stderr
+    values = cio.read_bounds(out / "bounds.txt")
+    assert values.get("H2") == h2
+    assert ("H2 = 2" in res.stdout) == (h2 is not None)
+
+
 def test_cli_simulate_delta_flag_overrides_config_delta(tmp_path):
     cfg = dict(DAMPED_CFG, horizon=0.5, g="agent-secretion", mode="nonlocal",
                force={"name": "damped-chemotaxis", "chi": 0.05, "kappa_v": 1.0})
@@ -433,7 +464,8 @@ def test_cli_verify_all_suites_serialize(tmp_path):
                   "--samples", "100", "--output-dir", str(out))
     assert res.returncode == 0, res.stderr
     doc = json.loads((out / "verify_report.json").read_text())
-    assert len(doc["reports"]) == 12
+    # the gaussian phi declares H2, so the holder suite adds phi-hessian-bound
+    assert len(doc["reports"]) == 13
     assert all(r["passed"] for r in doc["reports"])
 
 
@@ -448,7 +480,7 @@ def test_cli_verify_all_suites_below_the_default_sample_times(tmp_path):
                   "--samples", "100", "--output-dir", str(out))
     assert res.returncode == 0, res.stderr
     doc = json.loads((out / "verify_report.json").read_text())
-    assert len(doc["reports"]) == 12
+    assert len(doc["reports"]) == 13  # phi-hessian-bound included
     prop1 = [r for r in doc["reports"] if r["claim"].startswith("field-")]
     assert len(prop1) == 2
     assert all(0.0 < r["worst_sample"][1] <= 0.005 for r in prop1)
@@ -491,7 +523,7 @@ def test_cli_verify_unknown_suite_runs_no_suite(tmp_path, monkeypatch, capsys):
     p = write_cfg(tmp_path)
     called = []
     for name in ("check_kernel_mass", "check_gamma_estimates", "check_prop1", "check_holder",
-                 "gronwall_oracle", "residual_check"):
+                 "check_phi_hessian", "gronwall_oracle", "residual_check"):
         monkeypatch.setattr(ver, name, lambda *a, _name=name, **k: called.append(_name))
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--config", str(p), "--suite", "prop1,residual,bogus",

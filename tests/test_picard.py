@@ -29,6 +29,8 @@ from chemosim.picard import (
     solve_global,
     solve_local,
 )
+from chemosim.presets import inline_coefficients, phi_preset
+from chemosim.quadrature import halton_points
 from chemosim.scenario import ForceLaw, build_scenario
 from chemosim.verify import residual_check
 
@@ -36,6 +38,7 @@ from util import (
     build,
     constant_force_law,
     constant_start_global,
+    heat_gaussian_hess,
     loop_c0_constant,
     loop_cubic_extrapolation,
     loop_certificate_fields,
@@ -292,8 +295,41 @@ def _s1(dim):
                  force_kwargs={"chi": 0.3, "kappa_v": 1.0}, dim=dim, X0=X0, V0=V0)
 
 
+def _inline_a(dim, **kwargs):
+    a = np.array([[1.0, 0.2], [0.2, 0.5]])[:dim, :dim]
+    return inline_coefficients(a.tolist(), **kwargs)
+
+
+def _gaussian_phi_declaring(h2):
+    """The gaussian preset's phi and constants, declaring the hessian bound
+    h2 (true for every h2 >= 2)."""
+    phi, h, c, m = phi_preset("gaussian")
+
+    def declared(x):
+        return phi(x)
+
+    declared.hessian_bound = h2
+    return declared, h, c, m
+
+
+def _without_h2(scn):
+    """``scn`` with phi's declared hessian bound dropped: the envelope's
+    certificate alone."""
+    return replace(scn, growth=replace(scn.growth, H2=None))
+
+
+def _damped_with(coeff=None, phi="gaussian"):
+    """``damped()`` with other coefficients or another phi."""
+    return build(coeff=coeff or "heat", phi=phi, g="agent-secretion", force="damped-chemotaxis",
+                 force_kwargs={"chi": 0.3, "kappa_v": 1.0}, X0=[[0.2]], V0=[[0.3]],
+                 M_override=1.0)
+
+
 # (scenario, sensing mode, sensing radius): kappa = 0, kappa > 0 with C = 0.2, a
-# non-local radius, and S1 in two and three dimensions
+# non-local radius, S1 in two and three dimensions, reaction rates of both
+# signs (the declared term's e^{max(c, 0) T}; the estimate constants take no
+# drift), an H2 so loose that the envelope is the smaller bound of phi's part
+# above t = 1.5e-4, and phi without a declared H2
 ORACLE_CASES = {
     "damped-1d": lambda: (damped(), MODE_POINTWISE, None),
     "gaussian-weight-C0.2": lambda: (
@@ -304,6 +340,11 @@ ORACLE_CASES = {
     "nonlocal-0.1": lambda: (damped(delta=0.1), MODE_NONLOCAL, 0.1),
     "S1-2d": lambda: (_s1(2), MODE_POINTWISE, None),
     "S1-3d": lambda: (_s1(3), MODE_POINTWISE, None),
+    "c+0.1": lambda: (_damped_with(_inline_a(1, c=0.1)), MODE_POINTWISE, None),
+    "c-0.1": lambda: (_damped_with(_inline_a(1, c=-0.1)), MODE_POINTWISE, None),
+    "loose-H2": lambda: (_damped_with(phi=_gaussian_phi_declaring(1e4)), MODE_POINTWISE, None),
+    "undeclared-abs-sqrt": lambda: (_damped_with(phi="abs-sqrt"), MODE_POINTWISE, None),
+    "undeclared-S1-2d": lambda: (_without_h2(_s1(2)), MODE_POINTWISE, None),
 }
 
 
@@ -333,6 +374,73 @@ def test_certificate_equals_bisection_over_the_oracle(case):
         == (t1, t2, t_bar, s_value, gamma_bar)
     assert (cert.radius, cert.mode, cert.delta) == (scn.R, mode, delta)
     assert cert.constants["kappa"] == scn.estimate_params.kappa
+
+
+# coefficients under which the gaussian phi's part of the field is sampled
+H2_COEFFICIENTS = {
+    "heat": lambda dim: "heat",
+    "anisotropic-constant": lambda dim: "anisotropic-constant",
+    "drift": lambda dim: _inline_a(dim, b=[0.3, -0.2][:dim]),
+    "drift-c+0.1": lambda dim: _inline_a(dim, b=[0.3, -0.2][:dim], c=0.1),
+    "c-0.1": lambda dim: _inline_a(dim, c=-0.1),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("coeff", sorted(H2_COEFFICIENTS))
+def test_phi_part_hessian_stays_below_the_declared_bound(coeff, dim):
+    # the declared term of S: |d2_ij f_phi(., s)| <= e^{max(c, 0) T} H2 for s in (0, T]
+    scn = build(coeff=H2_COEFFICIENTS[coeff](dim), phi="gaussian", dim=dim)
+    growth = scn.growth
+    assert growth.H2 == 2.0 and scn.g.is_zero
+    bound = math.exp(max(scn.kernel.c, 0.0) * growth.T) * growth.H2
+    # Halton (x, t) in [-3, 3]^N x (0, T], and near the maximum: the origin at
+    # small t
+    wide = halton_points(128, [(-3.0, 3.0)] * dim + [(0.0, growth.T)], seed=3)
+    peak = halton_points(64, [(-0.3, 0.3)] * dim + [(1e-3, 0.02)], seed=5)
+    raw = np.concatenate([wide, peak])
+    x, t = raw[:, :dim], raw[:, dim]
+    probe = FieldProbe(scn, AgentPath.constant(scn.X0, scn.V0, np.linspace(0.0, growth.T, 9)))
+    hess = probe.hessian_many(x, t)
+    ratios = np.abs(hess).max(axis=(1, 2)) / bound
+    # the quadrature rule's hessian error stays below 1e-3 of the bound at t >= 1e-3
+    assert ratios.max() <= 1.0 + 1e-3
+    assert ratios.max() > 0.85  # the bound is nearly reached
+    if coeff == "heat":
+        exact = np.array([heat_gaussian_hess(xk, tk, dim) for xk, tk in zip(x, t)])
+        assert np.abs(exact).max() <= growth.H2
+        assert np.abs(hess - exact).max() <= 1e-3 * bound
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_declared_h2_certificates_bound_the_observed_contraction(dim):
+    # criterion 06 (observed Picard ratios <= S + 0.05) on S1's certificates
+    # with phi's declared H2, whose t_bar is 43x (1D) and 1550x (2D) the
+    # envelope's
+    for scn in (_s1(dim), _s1_seeded(dim, seed=977)):
+        cert = horizon_certificate(scn)
+        envelope = horizon_certificate(_without_h2(scn))
+        assert cert.constants["H2"] == 2.0 and envelope.constants["H2"] is None
+        assert cert.t_bar > 40.0 * envelope.t_bar
+        _, history = solve_local(scn, cert, tol=1e-8, max_iters=30)
+        ratios = [b / a for a, b in zip(history, history[1:]) if a > 1e-14]
+        assert len(ratios) >= 2
+        assert all(r <= cert.s_value + 0.05 for r in ratios)
+
+
+def test_declared_h2_is_not_used_with_variable_coefficients():
+    # the semigroup bound needs constant coefficients; variable ones keep the
+    # envelope, bit for bit
+    scn = build(coeff="variable-sine", phi="gaussian", g="agent-secretion",
+                force="damped-chemotaxis", force_kwargs={"chi": 0.3, "kappa_v": 1.0},
+                X0=[[0.2]], V0=[[0.3]])
+    params = damped().estimate_params
+    assert scn.growth.H2 == 2.0
+    envelope = _without_h2(scn)
+    for t in (1e-6, 1e-3, 0.05):
+        assert contraction_S(scn, t_bar=t, params=params) \
+            == contraction_S(envelope, t_bar=t, params=params)
+    assert horizon_certificate(scn, params=params).constants["H2"] is None
 
 
 def test_certificate_bounds_have_no_conservative_option():
@@ -630,10 +738,12 @@ def test_solve_global_stitching_invariance():
     assert gap < 5 * tol
 
 
-def _s1_seeded(dim, seed, delta=None, growth=None):
+def _s1_seeded(dim, seed, delta=None, growth=None, declare_h2=True):
     """S1 with the agents' initial state drawn as the benchmark workloads
     draw it: X0 uniform in [-0.5, 0.5], V0 uniform in [-0.3, 0.3]; ``growth``
-    overrides declared growth constants."""
+    overrides declared growth constants.  Without ``declare_h2`` the growth
+    drops phi's declared hessian bound, so the certificate is the envelope's
+    alone: short segments (t_bar 2.0e-3 in 1D), for the tests that need many."""
     rng = np.random.default_rng(seed)
     cfg = {"dimension": dim, "horizon": 1.0, "coefficients": "heat", "phi": "gaussian",
            "g": "agent-secretion",
@@ -644,11 +754,12 @@ def _s1_seeded(dim, seed, delta=None, growth=None):
         cfg.update(mode=MODE_NONLOCAL, delta=delta)
     if growth is not None:
         cfg["growth"] = growth
-    return build_scenario(cfg)
+    scn = build_scenario(cfg)
+    return scn if declare_h2 else _without_h2(scn)
 
 
 def test_solve_global_extrapolated_starts_take_one_sweep():
-    scn = _s1_seeded(1, seed=1)
+    scn = _s1_seeded(1, seed=1, declare_h2=False)
     segments = []
     path = solve_global(scn, 0.02, tol=1e-8, dt=1e-2, segments_out=segments)
     assert len(segments) == 11 and len(path.times) == 177
@@ -662,7 +773,7 @@ def test_solve_global_extrapolated_starts_take_one_sweep():
 def test_solve_global_certificates_equal_fresh_ones(growth, segment_count, t2_count):
     # with C = 0 no input of S moves with the state, so every segment reuses
     # the first T2; with C > 0 every segment has its own and bisects again
-    scn = _s1_seeded(1, seed=1, growth=growth)
+    scn = _s1_seeded(1, seed=1, growth=growth, declare_h2=False)
     segments = []
     path = solve_global(scn, 0.02, segments_out=segments)
     assert len(segments) == segment_count
@@ -691,7 +802,7 @@ def test_solve_global_bisects_once_when_the_inputs_of_s_repeat(monkeypatch):
 
     monkeypatch.setattr(picard, "_s_value", counted_s_value)
     monkeypatch.setattr(picard, "_contraction_horizon", counted_bisect)
-    scn = _s1_seeded(1, seed=1)
+    scn = _s1_seeded(1, seed=1, declare_h2=False)
     segments = []
     solve_global(scn, 0.02, segments_out=segments)
     assert len(segments) == 11 and counts["bisections"] == 1
@@ -753,7 +864,7 @@ def test_iterate_leaving_the_tube_names_its_node():
     (2, 0.1, 5e-5, QuadratureSpec(space_nodes=12, time_nodes=4)),
 ], ids=["pointwise-1d", "nonlocal-1d", "pointwise-2d", "nonlocal-2d"])
 def test_solve_global_matches_the_constant_start_oracle(dim, delta, horizon, quad):
-    scn = _s1_seeded(dim, seed=1, delta=delta)
+    scn = _s1_seeded(dim, seed=1, delta=delta, declare_h2=False)
     mode = MODE_POINTWISE if delta is None else MODE_NONLOCAL
     segments = []
     path = solve_global(scn, horizon, tol=1e-8, mode=mode, quad=quad, segments_out=segments)
@@ -952,6 +1063,14 @@ def test_apriori_grad_bound_constant_path_integral():
     assert bound == pytest.approx(expected, rel=1e-8)
     with pytest.raises(ValueError):
         apriori_grad_bound(scn, x, 0.0, path)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+def test_apriori_grad_bound_rejects_a_bad_time(t):
+    scn = build(phi="gaussian", M_override=1.0, X0=[[0.3]])
+    path = AgentPath.constant(scn.X0, scn.V0, np.linspace(0.0, 1.0, 5))
+    with pytest.raises(ValueError, match=r"t must be positive and finite, got"):
+        apriori_grad_bound(scn, np.array([0.8]), t, path)
 
 
 def test_apriori_grad_bound_dominates_measured_gradient():

@@ -150,6 +150,25 @@ def test_initial_datum_cannot_centre_gaussians_at_agents():
         build(phi=(declared, h_phi, c_phi, m_phi))
 
 
+def test_only_the_gaussian_phi_declares_a_hessian_bound():
+    for name, h2 in (("gaussian", 2.0), ("zero", None), ("abs-sqrt", None)):
+        phi, *_ = phi_preset(name)
+        assert getattr(phi, "hessian_bound", None) == h2
+        assert scenario_from_config(dict(S1_CONFIG, phi=name)).growth.H2 == h2
+
+
+@pytest.mark.parametrize("h2", [-1.0, float("nan"), float("inf")])
+def test_a_declared_hessian_bound_must_be_finite_and_nonnegative(h2):
+    phi, h_phi, c_phi, m_phi = phi_preset("gaussian")
+
+    def declared(x):
+        return phi(x)
+
+    declared.hessian_bound = h2
+    with pytest.raises(ScenarioError, match="hessian bound H2"):
+        build(phi=(declared, h_phi, c_phi, m_phi))
+
+
 def test_preset_catalog_contents():
     cat = preset_catalog()
     assert "heat" in cat["coefficients"]

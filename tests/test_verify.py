@@ -15,6 +15,7 @@ from chemosim.verify import (
     check_gamma_estimates,
     check_holder,
     check_kernel_mass,
+    check_phi_hessian,
     check_prop1,
     gamma_samples,
     gronwall_oracle,
@@ -124,6 +125,15 @@ def _leaves(sample):
 def _same_sample(got, want):
     got, want = list(_leaves(got)), list(_leaves(want))
     return len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _same_report(got, want):
+    """Equal report dicts, but for worst ratios that may differ in the last
+    bits: the batched checks' numpy exp and power may round apart from the
+    loops' scalar libm calls."""
+    got, want = got.to_dict(), want.to_dict()
+    assert got.pop("worst_ratio") == pytest.approx(want.pop("worst_ratio"), rel=1e-14, abs=0.0)
+    assert got == want
 
 
 @pytest.mark.parametrize("seed", [0, 1, 977])
@@ -255,7 +265,7 @@ def test_prop1_matches_per_sample_loop_oracle(data, k_scale):
     samples = space_time_samples(1, 60, seed=4)
     for got, want in zip(check_prop1(scn, probe, samples, k_scale=k_scale),
                          loop_prop1(scn, probe, sample_rows(samples), k_scale=k_scale)):
-        assert got.to_dict() == want.to_dict()
+        _same_report(got, want)
     for got, want in zip(check_prop1(scn, probe, space_time_samples(1, 0)), loop_prop1(scn, probe, [])):
         assert got.to_dict() == want.to_dict()
 
@@ -327,6 +337,37 @@ def test_holder_falsification_control():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_phi_hessian_passes_at_the_declared_bound_and_fails_below_it(dim):
+    phi, *_ = phi_preset("gaussian")
+    x, y = holder_pairs(dim, 300, seed=1)
+    points = np.concatenate([x, y, np.zeros((1, dim))])  # the maximum, 2, is at 0
+    rep = check_phi_hessian(phi, phi.hessian_bound, points)
+    assert rep.passed and rep.claim == "phi-hessian-bound"
+    assert 1.0 - 1e-6 <= rep.worst_ratio <= 1.0 + 1e-6
+    np.testing.assert_array_equal(rep.worst_sample[0], np.zeros(dim))
+    assert rep.constants == {"H2": 2.0} and rep.sample_count == 601
+    assert not check_phi_hessian(phi, phi.hessian_bound / 2.0, points).passed
+
+
+def test_phi_hessian_counts_the_calls_and_handles_edge_cases():
+    phi, *_ = phi_preset("gaussian")
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return phi(x)
+
+    x, y = holder_pairs(1, 300, seed=1)
+    check_phi_hessian(counted, 2.0, np.concatenate([x, y]))
+    assert calls == [600] * 3  # f(x), f(x + h), f(x - h) for every point at once
+    empty = check_phi_hessian(phi, 2.0, np.zeros((0, 2)))
+    assert empty.passed and empty.worst_ratio == 0.0 and empty.worst_sample is None
+    const = lambda x: np.full(np.asarray(x).shape[:-1], 2.5)
+    assert check_phi_hessian(const, 0.0, x).passed
+    assert not check_phi_hessian(phi, 0.0, x).passed
+
+
 @pytest.mark.parametrize("seed", [1, 977])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_holder_matches_per_pair_loop_oracle(seed, dim):
@@ -338,8 +379,7 @@ def test_holder_matches_per_pair_loop_oracle(seed, dim):
     cases = [
         (scn.phi, scn.alpha, growth.C, growth.H, one, one_rows),
         (scn.g, scn.alpha, growth.C, growth.HR(radius), two, two_rows),
-        # a power other than 1/2 and a nonzero weight, where numpy's array
-        # routines round apart from the scalar ones
+        # a power other than 1/2 and a nonzero weight
         (phi_preset("abs-sqrt")[0], 0.37, 0.05, 0.3, one, one_rows),
         (scn.g, 0.61, 0.02, 0.5, two, two_rows),
         (scn.phi, scn.alpha, growth.C, growth.H, holder_pairs(dim, 0, seed), []),
@@ -351,7 +391,7 @@ def test_holder_matches_per_pair_loop_oracle(seed, dim):
     for fn, alpha, c, h, pairs, rows in cases:
         got = check_holder(fn, alpha, c, h, pairs)
         want = loop_holder(fn, alpha, c, h, rows)
-        assert got.to_dict() == want.to_dict()
+        _same_report(got, want)
         if want.worst_sample is None:
             assert got.worst_sample is None
         else:

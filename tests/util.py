@@ -38,7 +38,9 @@ from chemosim.verify import EstimateReport
 def build(coeff="heat", phi="zero", g="zero", force="zero", dim=1, T=1.0,
           X0=None, V0=None, R=1.0, delta=None, alpha=0.5, name="test",
           g_kwargs=None, force_kwargs=None, M_override=None, C_override=None):
-    """Assemble a validated scenario from preset names (or ready-made parts)."""
+    """Assemble a validated scenario from preset names (or ready-made parts);
+    phi's ``hessian_bound``, when it declares one, is the growth's H2, as in
+    a config."""
     coeffs = coefficient_preset(coeff, dim, alpha) if isinstance(coeff, str) else coeff
     if isinstance(phi, str):
         phi_fn, h_phi, c_phi, m_phi = phi_preset(phi)
@@ -58,7 +60,7 @@ def build(coeff="heat", phi="zero", g="zero", force="zero", dim=1, T=1.0,
     growth = GrowthSpec(C=C_override if C_override is not None else max(c_phi, c_g),
                         H=h_phi, HR=hr,
                         M=M_override if M_override is not None else max(m_phi, m_g),
-                        T=T)
+                        T=T, H2=getattr(phi_fn, "hessian_bound", None))
     return make_scenario(coeffs, phi_fn, g_fn, force_law, X0, V0, growth,
                          R=R, nonlocal_delta=delta, name=name)
 
@@ -259,8 +261,16 @@ def loop_contraction_S(scenario, radius=None, t_bar=None, params=None, delta=Non
     expfac = math.exp(2.0 * params.kappa * (x0_norm**2 + r**2 + extra))
 
     term1 = 2.0 * l_f_r * t_bar
-    term2 = (l_f * n_dim**2 * params.big_k * expfac * t_bar ** (alpha / 2.0)
-             * (2.0 / alpha) * (growth.H + h_x * t_bar))
+    # L_F N^2 times the entrywise hessian bound of f integrated over [0,
+    # t_bar]: phi's part by the envelope K e^{kappa |x|^2} H s^(alpha/2 - 1)
+    # or, for a declared H2 and constant coefficients, by e^{max(c, 0) T} H2;
+    # g's part by the envelope
+    envelope = l_f * n_dim**2 * params.big_k * expfac * t_bar ** (alpha / 2.0) * (2.0 / alpha)
+    if growth.H2 is None or not scenario.coeffs.is_constant:
+        term2 = envelope * (growth.H + h_x * t_bar)
+    else:
+        declared = l_f * n_dim**2 * growth.H2 * math.exp(max(scenario.kernel.c, 0.0) * growth.T)
+        term2 = min(envelope * growth.H, declared * t_bar) + envelope * h_x * t_bar
     term3 = (l_f * params.c_gamma * h_r
              * math.exp(2.0 * growth.C * (x0_norm**2 + r**2 + extra))
              * (math.pi / gamma_bar) ** (n_dim / 2.0) * t_bar**1.5)
