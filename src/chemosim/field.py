@@ -230,7 +230,7 @@ def _cached_field_rules(dim: int, u_max: float, space_nodes: int, time_nodes: in
 @lru_cache(maxsize=32)
 def _cached_sphere_rule(dim: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only offsets delta nu_k and vector weights (N / delta) w_k /
-    sum(w) nu_k, both (K, N), of `quadrature.sphere_rule` at its defaults."""
+    sum(w) nu_k, both (K, N), of `quadrature.sphere_rule`."""
     nu, w = sphere_rule(dim)
     return _read_only(delta * nu, (dim / delta) * (w / w.sum())[:, None] * nu)
 

@@ -227,54 +227,40 @@ class EstimateParams:
             raise ValueError("nu0 must equal (lambda0 - lambda0_star)/4")
 
 
-def _direction_set(dim: int) -> np.ndarray:
-    """Unit directions used when maximizing envelope ratios over orientations."""
-    if dim == 1:
-        return np.array([[1.0]])
-    from .quadrature import sphere_rule
-
-    if dim == 2:
-        dirs, _ = sphere_rule(2, n_azimuth=256)
-    else:
-        dirs, _ = sphere_rule(3, n_polar=32, n_azimuth=64)
-    axes = np.eye(dim)
-    return np.vstack([dirs, axes])
-
-
-def _envelope_peaks(kernel: Kernel, params: EstimateParams, dirs: np.ndarray,
-                    t_max: float) -> np.ndarray:
-    """Envelope prefactors of derivative orders 0, 1 and 2, each maximized
-    over the unit directions ``dirs`` (M, N) in closed form; see
-    ``gamma_estimate_Cgamma``."""
+def _envelope_peaks(kernel: Kernel, params: EstimateParams, t_max: float) -> np.ndarray:
+    """Envelope prefactors of derivative orders 0, 1 and 2, each the
+    supremum over every offset in closed form; see ``gamma_estimate_Cgamma``."""
     if params.lambda0_star >= params.lambda0:
         raise ValueError("lambda0_star must be below lambda0")
     if np.any(kernel.b != 0.0):
         raise ValueError("envelope maximization requires zero drift")
-    w_dirs = dirs @ kernel.a_inv                       # (M, N)
-    q_dirs = np.einsum("ij,ij->i", w_dirs, dirs)       # <a^-1 eta, eta>
-    beta = (q_dirs - params.lambda0_star) / 4.0
-    if beta.min() <= 0:
+    # Q = a^-1 - lambda0_star I is positive definite exactly when this holds
+    if params.lambda0_star * kernel.mu1 >= 1.0:
         raise ValueError("lambda0_star too large for this diffusion matrix")
+    a = kernel.a
+    gram = np.linalg.inv(a - params.lambda0_star * (a @ a))   # a^-1 Q^-1 a^-1
     pref = (4.0 * math.pi) ** (-kernel.dim / 2.0) / math.sqrt(kernel.det_a)
     c_factor = math.exp(max(kernel.c, 0.0) * t_max)
 
-    # order 1: (|w|_inf / 2) z exp(-beta z^2) peaks at z^2 = 1 / (2 beta)
-    peak1 = np.abs(w_dirs).max(axis=1) / 2.0 * np.sqrt(0.5 / beta) * math.exp(-0.5)
+    # order 1: sqrt(G_ii r) / 2 exp(-r / 4) peaks at r = 2
+    g_diag = np.diagonal(gram)
+    peak1 = math.sqrt(g_diag.max() / 2.0) * math.exp(-0.5)
 
-    # order 2: |A u - B| exp(-beta u) in u = z^2 per component (M, N, N);
-    # its value at u = 0 is |B|, and its stationary point u* = 1/beta + B/A
-    # gives |A|/beta exp(-beta u*) when it lies in u > 0
-    big_a = w_dirs[:, :, None] * w_dirs[:, None, :] / 4.0
+    # order 2: |A r - B| exp(-r / 4) per component and end A = sigma_+/4,
+    # sigma_-/4 of the range of w_i w_j / (4 r), shape (2, N, N); its value
+    # at r = 0 is |B|, and its stationary point r* = 4 + B/A gives
+    # 4 |A| exp(-r*/4) when it lies in r > 0
+    root = np.sqrt(np.multiply.outer(g_diag, g_diag))
+    big_a = np.array([gram + root, gram - root]) / 8.0
     big_b = kernel.a_inv / 2.0
-    beta_b = beta[:, None, None]
     nonzero = big_a != 0.0
-    u_star = 1.0 / beta_b + big_b / np.where(nonzero, big_a, 1.0)
-    # masked before the exp, where u* < 0 would overflow it: u = inf gives 0
-    u_star = np.where(nonzero & (u_star > 0.0), u_star, np.inf)
-    stationary = np.abs(big_a) / beta_b * np.exp(-beta_b * u_star)
-    peak2 = np.maximum(np.abs(big_b), stationary).max(axis=(1, 2))
+    r_star = 4.0 + big_b / np.where(nonzero, big_a, 1.0)
+    # masked before the exp, where r* < 0 would overflow it: r = inf gives 0
+    r_star = np.where(nonzero & (r_star > 0.0), r_star, np.inf)
+    stationary = 4.0 * np.abs(big_a) * np.exp(-r_star / 4.0)
+    peak2 = np.maximum(np.abs(big_b), stationary).max()
 
-    return pref * c_factor * np.array([1.0, peak1.max(), peak2.max()])
+    return pref * c_factor * np.array([1.0, peak1, peak2])
 
 
 def gamma_estimate_Cgamma(kernel: Kernel, params: EstimateParams, order: int,
@@ -283,32 +269,46 @@ def gamma_estimate_Cgamma(kernel: Kernel, params: EstimateParams, order: int,
 
         |D^k G| <= C * s^(-(N+k)/2) * exp(-lambda0_star |x-xi|^2 / (4 s))
 
-    holds along a fixed set of unit directions eta.  Requires a drift-free
-    kernel, whose shape in the similarity variable z = |x-xi|/sqrt(s) is
+    holds for every x - xi and every s in (0, t_max].  Requires a drift-free
+    kernel, whose shape in the similarity variable y = (x-xi)/sqrt(s) is
     s-independent; a positive reaction rate contributes the exact factor
     exp(c * t_max).
 
-    With x - xi = z sqrt(s) eta, w = a^-1 eta and beta = (<w, eta> -
-    lambda0_star)/4 > 0, the ratio of |D^k G| to the envelope is
-    (4 pi)^(-N/2) det(a)^(-1/2) times
+    With w = a^-1 y, Q = a^-1 - lambda0_star I and r = y^T Q y, the ratio of
+    |D^k G| to the envelope is (4 pi)^(-N/2) det(a)^(-1/2) times
 
-        order 0:  exp(-beta z^2), largest at z = 0;
-        order 1:  (|w|_inf / 2) z exp(-beta z^2), largest at z^2 = 1/(2 beta),
-                  where it is (|w|_inf / 2) (2 beta)^(-1/2) e^(-1/2);
-        order 2:  max over (i, j) of |A u - B| exp(-beta u), u = z^2,
-                  A = w_i w_j / 4, B = (a^-1)_ij / 2.
+        order 0:  exp(-r/4);
+        order 1:  |w_i| / 2 exp(-r/4), for each component i;
+        order 2:  |w_i w_j / 4 - B| exp(-r/4), B = (a^-1)_ij / 2.
 
-    In the order-2 case the derivative (A - beta (A u - B)) exp(-beta u)
-    vanishes only at u* = 1/beta + B/A, where |A u* - B| = |A|/beta, and
-    |A u - B| exp(-beta u) tends to 0 as u grows, so the maximum over u >= 0
-    is max(|B|, |A|/beta exp(-beta u*)), the second term counting only when
-    A != 0 and u* > 0.  Every maximum is exact; C is the largest over the
-    directions.
+    Every supremum is over all y, so Q must be positive definite, that is
+    lambda0_star mu1 < 1 (ValueError otherwise).  The Gram matrix of the
+    functionals y -> w_i in the Q inner product is
+
+        G = a^-1 Q^-1 a^-1 = (a - lambda0_star a a)^-1.
+
+    Order 0 peaks at y = 0, where it is 1.
+
+    Order 1.  w_i = <Q^-1 a^-1 e_i, y>_Q, so by Cauchy-Schwarz in the Q
+    inner product |w_i| <= sqrt(G_ii r), with equality along the multiples
+    of Q^-1 a^-1 e_i.  sqrt(r) exp(-r/4) peaks at r = 2, so the supremum
+    is sqrt(max_i G_ii / 2) e^(-1/2).
+
+    Order 2.  In coordinates orthonormal for Q the level set r = const is
+    a sphere, on which w_i w_j is a rank-two quadratic form; its extreme
+    values are r sigma_- and r sigma_+, sigma_(+/-) = (G_ij +/- sqrt(G_ii
+    G_jj)) / 2, taken along the generalized eigenvectors of that form
+    against Q.  |x/4 - B| is convex in x, so on the level set the ratio
+    peaks at an end: it is |A r - B| exp(-r/4) with A = sigma_(+/-) / 4.
+    Its derivative in r, (A - (A r - B)/4) exp(-r/4), vanishes only at
+    r* = 4 + B/A, where |A r* - B| = 4 |A|, and it tends to 0 as r grows,
+    so the supremum over r >= 0 is max(|B|, 4 |A| exp(-r*/4)), the second
+    term counting only when A != 0 and r* > 0.  C is the largest over
+    (i, j) and both ends.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    peaks = _envelope_peaks(kernel, params, _direction_set(kernel.dim), t_max)
-    return float(peaks[order])
+    return float(_envelope_peaks(kernel, params, t_max)[order])
 
 
 def derivative_bound_constants(params: EstimateParams, growth: "GrowthSpec") -> tuple[float, float]:
@@ -358,7 +358,6 @@ def default_estimate_params(kernel: Kernel, growth: "GrowthSpec", alpha: float,
         lambda0_star=lam_star,
         nu0=(lam0 - lam_star) / 4.0,
     )
-    params.c_gamma = float(
-        _envelope_peaks(kernel, params, _direction_set(kernel.dim), growth.T).max())
+    params.c_gamma = float(_envelope_peaks(kernel, params, growth.T).max())
     params.big_k, params.kappa = derivative_bound_constants(params, growth)
     return params

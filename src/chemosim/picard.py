@@ -37,16 +37,16 @@ One certificate core serves every entry point that reads the certificate
 constants (``horizon_T1``, ``contraction_S``, ``horizon_certificate``):
 ``_certificate_bounds`` resolves and checks the radius, the estimate params
 and the sensing radius once and derives T1 and the tuple of S's inputs, and
-``_s_value`` evaluates S from that tuple alone.  Within one ``solve_global``
-call the contraction horizon T2 is bisected once per distinct tuple, so a
-segment whose constants repeat an earlier segment's skips the bisection.
+``_s_value`` evaluates S from that tuple alone.  The contraction horizon T2
+is a function of that tuple and the cap, cached (``_contraction_horizon``),
+so a segment whose constants repeat an earlier segment's skips the bisection.
 """
 
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,11 +83,6 @@ _MIN_NODES = 17
 START_CONSTANT = "constant"
 START_TAYLOR = "taylor"
 START_EXTRAPOLATED = "extrapolated"
-# T2 by the inputs of S and the cap it was bisected under, kept for the
-# duration of one solve_global call; None outside one, so that a certificate
-# derived on its own always runs its bisection
-_CONTRACTION_HORIZONS: ContextVar[dict | None] = ContextVar("contraction_horizons",
-                                                            default=None)
 # row i: the nodes j != i, in index order, whose factors make the cubic
 # Lagrange basis i of _start_path
 _OTHER_NODES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
@@ -178,8 +173,9 @@ def _certificate_bounds(scenario: Scenario, radius: float | None,
     n, n_dim, alpha, growth = scenario.n, scenario.dimension, scenario.alpha, scenario.growth
     x0_norm, v0_norm = _state_norms(scenario)
     l_f = scenario.lipschitz_w
-    l_f_r = scenario.lipschitz_xv(r)
-    h_x = growth.HR(x0_norm + r)
+    # floats, so that the tuple keys the T2 cache whatever the callables return
+    l_f_r = float(scenario.lipschitz_xv(r))
+    h_x = float(growth.HR(x0_norm + r))
     h_r = growth.HR(x0_norm + r + d)
     spread = x0_norm**2 + r**2 + d * d
     expfac = math.exp(2.0 * params.kappa * spread)
@@ -287,9 +283,12 @@ def contraction_S(scenario: Scenario, radius: float | None = None,
     return _s_value(_certificate_bounds(scenario, radius, params, delta)[3], t_bar)
 
 
+@lru_cache(maxsize=256)
 def _contraction_horizon(s_inputs: tuple, cap: float) -> float:
     """T2: the cap when S(cap) <= 1 - _S_MARGIN, else the largest t in (0,
-    cap) that bisection to adjacent floats finds with S(t) <= 1 - _S_MARGIN."""
+    cap) that bisection to adjacent floats finds with S(t) <= 1 - _S_MARGIN.
+    It reads nothing but its arguments, so a cached value is the one the
+    bisection returns."""
     target = 1.0 - _S_MARGIN
     if _s_value(s_inputs, cap) <= target:
         return cap
@@ -316,12 +315,10 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
     sensing radius (``_resolve_delta``) are resolved and checked as for
     ``horizon_T1`` and ``contraction_S``.
 
-    Within one ``solve_global`` call T2 is bisected once per distinct tuple
-    of S's inputs (L_F(R), the two prefactors, H, HR(|X0| + R), alpha, C,
-    lambda0*, N and a declared H2's prefactor) and cap, and taken from that
-    solve's table when they recur.  The key is everything ``_s_value`` reads, and the table holds exactly
-    what the bisection returned, so every field is the one a certificate
-    derived on its own would have."""
+    T2 is bisected once per distinct tuple of S's inputs (L_F(R), the two
+    prefactors, H, HR(|X0| + R), alpha, C, lambda0*, N and a declared H2's
+    prefactor) and cap, and taken from ``_contraction_horizon``'s cache when
+    they recur."""
     if not 0.0 < safety <= 1.0:  # NaN too
         raise ValueError(f"safety must lie in (0, 1], got {safety!r}")
     delta = _resolve_delta(scenario, mode, delta)
@@ -334,15 +331,9 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
     if cap <= 0:
         raise ValueError("degenerate constants: no admissible contraction horizon")
 
-    known = _CONTRACTION_HORIZONS.get()
-    key = s_inputs + (cap,)
-    t2 = known.get(key) if known is not None else None
-    if t2 is None:
-        t2 = _contraction_horizon(s_inputs, cap)
-        if t2 <= 0:
-            raise ValueError("degenerate constants: no positive horizon satisfies the contraction condition")
-        if known is not None:
-            known[key] = t2
+    t2 = _contraction_horizon(s_inputs, cap)
+    if t2 <= 0:
+        raise ValueError("degenerate constants: no positive horizon satisfies the contraction condition")
 
     t_bar = safety * min(t1, t2)
     if t_bar <= 0:
@@ -591,9 +582,9 @@ def solve_global(scenario: Scenario, horizon: float,
 
     Each segment restarts from the previous endpoint state with a freshly
     derived certificate; the field keeps reading the full path from time 0.
-    The certificates' T2 is bisected once per distinct set of S's inputs in
-    this call (``horizon_certificate``), so on a run whose constants do not
-    move with the state only the first segment bisects.
+    T2 is bisected once per distinct set of S's inputs
+    (``horizon_certificate``), so on a run whose constants do not move with
+    the state only the first segment bisects.
     Picard iteration on the first segment starts from the Taylor path, as in
     ``solve_local``, and on a later one from the cubic extrapolation of the
     segment before it (``_start_path``); either falls back to the constant
@@ -614,31 +605,27 @@ def solve_global(scenario: Scenario, horizon: float,
     seg: AgentPath | None = None
     t0 = 0.0
     state_X, state_V = scenario.X0, scenario.V0
-    token = _CONTRACTION_HORIZONS.set({})
-    try:
-        while horizon - t0 > 1e-12 * max(1.0, horizon):
-            seg_scn = replace(scenario, X0=state_X, V0=state_V)
-            cert = horizon_certificate(seg_scn, seg_scn.R, mode=mode, delta=delta,
-                                       params=params, safety=safety)
-            if cert.t_bar < min_segment:
-                raise PicardError(
-                    f"segment horizon underflow at t = {t0:g}: certified step {cert.t_bar:g} "
-                    f"is below the minimum {min_segment:g} (constants blow-up)"
-                )
-            seg_end = min(t0 + cert.t_bar, horizon)
-            seg, history, start = _iterate_segment(scenario, full, t0, seg_end, state_X,
-                                                   state_V, delta, tol, dt, max_iters, quad,
-                                                   previous=seg)
-            if segments_out is not None:
-                segments_out.append(SegmentRecord(t_start=t0, t_end=seg_end, certificate=cert,
-                                                  iterations=len(history),
-                                                  final_diff=history[-1], start=start))
-            full = full.concat(seg) if full is not None else seg
-            t0 = seg_end
-            state_X = seg.X[-1].copy()
-            state_V = seg.V[-1].copy()
-    finally:
-        _CONTRACTION_HORIZONS.reset(token)
+    while horizon - t0 > 1e-12 * max(1.0, horizon):
+        seg_scn = replace(scenario, X0=state_X, V0=state_V)
+        cert = horizon_certificate(seg_scn, seg_scn.R, mode=mode, delta=delta,
+                                   params=params, safety=safety)
+        if cert.t_bar < min_segment:
+            raise PicardError(
+                f"segment horizon underflow at t = {t0:g}: certified step {cert.t_bar:g} "
+                f"is below the minimum {min_segment:g} (constants blow-up)"
+            )
+        seg_end = min(t0 + cert.t_bar, horizon)
+        seg, history, start = _iterate_segment(scenario, full, t0, seg_end, state_X,
+                                               state_V, delta, tol, dt, max_iters, quad,
+                                               previous=seg)
+        if segments_out is not None:
+            segments_out.append(SegmentRecord(t_start=t0, t_end=seg_end, certificate=cert,
+                                              iterations=len(history),
+                                              final_diff=history[-1], start=start))
+        full = full.concat(seg) if full is not None else seg
+        t0 = seg_end
+        state_X = seg.X[-1].copy()
+        state_V = seg.V[-1].copy()
     assert full is not None
     return full
 

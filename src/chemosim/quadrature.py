@@ -55,29 +55,33 @@ def tensor_grid(a: float, b: float, n: int, dim: int) -> tuple[np.ndarray, np.nd
     return pts, wts
 
 
-def sphere_rule(dim: int, n_polar: int = 8, n_azimuth: int = 16) -> tuple[np.ndarray, np.ndarray]:
+# nodes of `sphere_rule`: 16 angles in 2D, 8 polar x 16 azimuthal in 3D
+_N_POLAR = 8
+_N_AZIMUTH = 16
+
+
+def sphere_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature rule on the unit sphere S^{dim-1}, weights summing to its area.
 
-    dim=1 uses the two endpoints, dim=2 equally spaced angles (trapezoid rule,
-    spectrally accurate for periodic integrands), dim=3 a Gauss-Legendre x
-    trapezoid product in (cos(polar), azimuth).
+    dim=1 uses the two endpoints, dim=2 `_N_AZIMUTH` equally spaced angles
+    (trapezoid rule, spectrally accurate for periodic integrands), dim=3 a
+    `_N_POLAR`-node Gauss-Legendre x `_N_AZIMUTH`-node trapezoid product in
+    (cos(polar), azimuth).
     """
     if dim == 1:
         return np.array([[-1.0], [1.0]]), np.array([1.0, 1.0])
+    theta = 2.0 * np.pi * np.arange(_N_AZIMUTH) / _N_AZIMUTH
+    wtheta = 2.0 * np.pi / _N_AZIMUTH
     if dim == 2:
-        theta = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
         pts = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        wts = np.full(n_azimuth, 2.0 * np.pi / n_azimuth)
-        return pts, wts
+        return pts, np.full(_N_AZIMUTH, wtheta)
     if dim == 3:
-        mu, wmu = np.polynomial.legendre.leggauss(n_polar)
-        theta = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
-        wtheta = 2.0 * np.pi / n_azimuth
+        mu, wmu = np.polynomial.legendre.leggauss(_N_POLAR)
         s = np.sqrt(1.0 - mu * mu)[:, None]
-        z = np.broadcast_to(mu[:, None], (n_polar, n_azimuth))
-        # polar-major order: row i * n_azimuth + j is (mu_i, theta_j)
+        z = np.broadcast_to(mu[:, None], (_N_POLAR, _N_AZIMUTH))
+        # polar-major order: row i * _N_AZIMUTH + j is (mu_i, theta_j)
         pts = np.stack([s * np.cos(theta), s * np.sin(theta), z], axis=-1)
-        return pts.reshape(-1, 3), np.repeat(wmu * wtheta, n_azimuth)
+        return pts.reshape(-1, 3), np.repeat(wmu * wtheta, _N_AZIMUTH)
     raise ValueError(f"sphere_rule supports dim in {{1,2,3}}, got {dim}")
 
 

@@ -1,12 +1,13 @@
 """Kernel helpers: scalar integrals, envelope constants, closed-form kernels."""
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from chemosim import kernel as kernel_module
 from chemosim import quadrature
 from chemosim.kernel import (
     EstimateParams,
@@ -24,7 +25,15 @@ from chemosim.presets import coefficient_preset, inline_coefficients
 from chemosim.quadrature import gauss_legendre, tensor_grid
 from chemosim.scenario import GrowthSpec
 
-from util import build, golden_cgamma, golden_section_max, loop_sphere_rule_3d
+from util import (
+    build,
+    dense_directions,
+    direction_set,
+    golden_cgamma,
+    golden_section_max,
+    loop_sphere_rule_3d,
+    sampled_envelope_peaks,
+)
 
 
 # -- ell -------------------------------------------------------------------------
@@ -67,10 +76,9 @@ def test_sphere_area_known_values():
         sphere_area(0)
 
 
-@pytest.mark.parametrize("n_polar,n_azimuth", [(32, 64), (8, 16)])
-def test_sphere_rule_3d_matches_loop_oracle(n_polar, n_azimuth):
-    pts, wts = quadrature.sphere_rule(3, n_polar, n_azimuth)
-    loop_pts, loop_wts = loop_sphere_rule_3d(n_polar, n_azimuth)
+def test_sphere_rule_3d_matches_loop_oracle():
+    pts, wts = quadrature.sphere_rule(3)
+    loop_pts, loop_wts = loop_sphere_rule_3d(8, 16)
     np.testing.assert_array_equal(pts, loop_pts)
     np.testing.assert_array_equal(wts, loop_wts)
 
@@ -435,11 +443,50 @@ def _split_params(kern, ratio):
                           lambda0_star=lam_star, nu0=(lam0 - lam_star) / 4.0)
 
 
+def _extremal_directions(kern, params, order):
+    """Unit directions along which the envelope ratio of an order reaches its
+    supremum over every offset: the axes for order 0 (it peaks at the
+    origin), Q^-1 a^-1 e_i for order 1, and for order 2 the generalized
+    eigenvectors of the extreme eigenvalues of each rank-two form
+    (p_i p_j^T + p_j p_i^T) / 2 against Q, with p_i = a^-1 e_i and
+    Q = a^-1 - lambda0_star I."""
+    q = kern.a_inv - params.lambda0_star * np.eye(kern.dim)
+    if order == 0:
+        dirs = np.eye(kern.dim)
+    elif order == 1:
+        dirs = np.linalg.solve(q, kern.a_inv).T
+    else:
+        dirs = []
+        for i, j in itertools.combinations_with_replacement(range(kern.dim), 2):
+            p_i, p_j = kern.a_inv[i], kern.a_inv[j]
+            form = (np.outer(p_i, p_j) + np.outer(p_j, p_i)) / 2.0
+            _, vecs = scipy.linalg.eigh(form, q)
+            dirs += [vecs[:, 0], vecs[:, -1]]
+        dirs = np.array(dirs)
+    return dirs / np.linalg.norm(dirs, axis=1)[:, None]
+
+
+def _check_against_golden_search(kern, params, old_dirs):
+    # the closed form bounds the search over the directions C_gamma was once
+    # sampled on, and equals the search along its own extremal directions
+    for order in (0, 1, 2):
+        exact = gamma_estimate_Cgamma(kern, params, order, t_max=0.7)
+        sampled = golden_cgamma(kern, params, order, t_max=0.7, dirs=old_dirs)
+        assert exact >= sampled * (1.0 - 4.0 * np.finfo(float).eps)
+        extremal = golden_cgamma(kern, params, order, t_max=0.7,
+                                 dirs=_extremal_directions(kern, params, order))
+        assert exact == pytest.approx(extremal, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("ratio", [0.1, 0.2, 0.5, 0.9])
 @pytest.mark.parametrize("case", sorted(ENVELOPE_COEFFS))
 def test_gamma_estimate_matches_golden_search_oracle(case, ratio):
     kern = make_kernel(ENVELOPE_COEFFS[case]())
     params = _split_params(kern, ratio)
+    if np.any(kern.a != np.diag(np.diagonal(kern.a))):
+        _check_against_golden_search(kern, params, direction_set(kern.dim))
+        return
+    # a diagonal a peaks along the axes, which the direction set holds
     for order in (0, 1, 2):
         exact = gamma_estimate_Cgamma(kern, params, order, t_max=0.7)
         searched = golden_cgamma(kern, params, order, t_max=0.7)
@@ -450,15 +497,56 @@ def test_gamma_estimate_matches_golden_search_oracle(case, ratio):
 def test_envelope_peaks_match_golden_search_oracle_3d(ratio):
     kern = make_kernel(inline_coefficients(FULL_3D, c=0.3))
     params = _split_params(kern, ratio)
-    dirs = kernel_module._direction_set(3)[::32]           # 65 directions
-    peaks = kernel_module._envelope_peaks(kern, params, dirs, 0.7)
+    _check_against_golden_search(kern, params, direction_set(3)[::32])  # 65 directions
+
+
+def _rotated_diffusions(dim, count, seed):
+    # symmetric positive definite, eigenvalues in [e^-1.5, e^1.5], random axes
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        axes, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        a = (axes * np.exp(rng.uniform(-1.5, 1.5, dim))) @ axes.T
+        yield 0.5 * (a + a.T)
+
+
+@pytest.mark.parametrize("dim, count, slack", [(2, 100_000, 1e-8), (3, 60_000, 1e-4)])
+def test_closed_form_envelope_bounds_a_dense_direction_sample(dim, count, slack):
+    # the supremum over every direction is never below a dense sample of them
+    # (4 ulps of rounding aside) and above it by no more than the sample's gap
+    dirs = dense_directions(dim, count)
+    for a in _rotated_diffusions(dim, 20, seed=dim):
+        kern = make_kernel(inline_coefficients(a, c=0.3))
+        for ratio in (0.9, 0.2):
+            params = _split_params(kern, ratio)
+            exact = np.array([gamma_estimate_Cgamma(kern, params, order, t_max=0.7)
+                              for order in (0, 1, 2)])
+            sampled = sampled_envelope_peaks(kern, params, dirs, t_max=0.7)
+            assert (exact >= sampled * (1.0 - 4.0 * np.finfo(float).eps)).all()
+            assert (exact <= sampled * (1.0 + slack)).all()
+
+
+def test_lambda0_star_beyond_every_direction_raises():
+    # a's largest eigenvalue 4 lies along an axis halfway between two of the
+    # 256 directions, so the smallest <a^-1 eta, eta> over them is above
+    # 1/4, its minimum over every direction; a lambda0_star between the two
+    # leaves a^-1 - lambda0_star I indefinite, and no envelope holds
+    turn = np.pi / 256
+    axes = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+    a = (axes * np.array([4.0, 1.0])) @ axes.T
+    kern = make_kernel(inline_coefficients(0.5 * (a + a.T)))
+    dirs = direction_set(2)
+    sampled_min = np.einsum("ij,ij->i", dirs @ kern.a_inv, dirs).min()
+    lam_star = 0.5 * (sampled_min + 1.0 / kern.mu1)
+    assert 1.0 / kern.mu1 < lam_star < sampled_min
+    params = EstimateParams(dimension=2, alpha=0.5, lambda0=2.0 * lam_star,
+                            lambda0_star=lam_star, nu0=lam_star / 4.0)
     for order in (0, 1, 2):
-        searched = golden_cgamma(kern, params, order, t_max=0.7, dirs=dirs)
-        assert peaks[order] == pytest.approx(searched, rel=1e-12, abs=0.0)
+        with pytest.raises(ValueError, match="lambda0_star too large"):
+            gamma_estimate_Cgamma(kern, params, order)
 
 
 def test_gamma_estimate_full_3d_raises_no_warning():
-    # components with u* < 0 would overflow exp unless masked first
+    # components with r* < 0 would overflow exp unless masked first
     kern = make_kernel(inline_coefficients(FULL_3D, c=0.3))
     growth = GrowthSpec(C=0.0, H=1.0, HR=lambda r: 0.0, M=0.0, T=1.0)
     with warnings.catch_warnings():
@@ -468,29 +556,3 @@ def test_gamma_estimate_full_3d_raises_no_warning():
                 kern, growth, alpha=0.5,
                 lambda0_star=ratio * lambda0_bound(kern.mu0, kern.mu1))
             assert math.isfinite(params.c_gamma) and params.c_gamma > 0.0
-
-
-def test_cgamma_3d_unchanged_by_loop_sphere_rule(monkeypatch):
-    kern = make_kernel(inline_coefficients(FULL_3D, c=0.3))
-    params = default_estimate_params(kern, GrowthSpec(C=0.0, H=1.0, HR=lambda r: 0.0, M=0.0, T=1.0),
-                                     alpha=0.5)
-    vectorized = [gamma_estimate_Cgamma(kern, params, order) for order in (0, 1, 2)]
-    monkeypatch.setattr(quadrature, "sphere_rule",
-                        lambda dim, n_polar, n_azimuth: loop_sphere_rule_3d(n_polar, n_azimuth))
-    assert [gamma_estimate_Cgamma(kern, params, order) for order in (0, 1, 2)] == vectorized
-
-
-def test_default_estimate_params_builds_one_direction_set(monkeypatch):
-    calls = []
-    build_dirs = kernel_module._direction_set
-
-    def counting(dim):
-        calls.append(dim)
-        return build_dirs(dim)
-
-    monkeypatch.setattr(kernel_module, "_direction_set", counting)
-    growth = GrowthSpec(C=0.0, H=1.0, HR=lambda r: 0.0, M=0.0, T=1.0)
-    for dim in (1, 2, 3):
-        calls.clear()
-        default_estimate_params(make_kernel(coefficient_preset("heat", dim)), growth, alpha=0.5)
-        assert calls == [dim]

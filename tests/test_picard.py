@@ -789,32 +789,31 @@ def test_solve_global_certificates_equal_fresh_ones(growth, segment_count, t2_co
 
 
 def test_solve_global_bisects_once_when_the_inputs_of_s_repeat(monkeypatch):
-    counts = {"s_value": 0, "bisections": 0}
-    s_value, bisect = picard._s_value, picard._contraction_horizon
+    counts = {"s_value": 0}
+    s_value = picard._s_value
 
     def counted_s_value(*args):
         counts["s_value"] += 1
         return s_value(*args)
 
-    def counted_bisect(*args):
-        counts["bisections"] += 1
-        return bisect(*args)
-
     monkeypatch.setattr(picard, "_s_value", counted_s_value)
-    monkeypatch.setattr(picard, "_contraction_horizon", counted_bisect)
+    bisect = picard._contraction_horizon
+    bisect.cache_clear()
     scn = _s1_seeded(1, seed=1, declare_h2=False)
     segments = []
     solve_global(scn, 0.02, segments_out=segments)
-    assert len(segments) == 11 and counts["bisections"] == 1
+    assert len(segments) == 11 and bisect.cache_info().misses == 1
     in_solve, counts["s_value"] = counts["s_value"], 0
-    # on its own a certificate always bisects: S(cap), the bisection steps
-    # and S(t_bar), where the solve's later segments evaluate S(t_bar) only
+    # a fresh bisection: S(cap), the bisection steps and S(t_bar), where the
+    # solve's later segments evaluate S(t_bar) only
+    bisect.cache_clear()
     horizon_certificate(scn)
-    assert counts["bisections"] == 2 and counts["s_value"] > 50
+    assert bisect.cache_info().misses == 1 and counts["s_value"] > 50
     assert in_solve == counts["s_value"] + 10
+    # a certificate whose inputs were seen before reads the cache
+    counts["s_value"] = 0
     horizon_certificate(scn)
-    assert counts["bisections"] == 3
-    assert picard._CONTRACTION_HORIZONS.get() is None
+    assert bisect.cache_info().hits == 1 and counts["s_value"] == 1
 
 
 def test_the_table_key_is_everything_s_reads(monkeypatch):
@@ -829,10 +828,11 @@ def test_the_table_key_is_everything_s_reads(monkeypatch):
     scn = _s1_seeded(1, seed=1)
     _, _, _, s_inputs = picard._certificate_bounds(scn, None, None, None)
     monkeypatch.setattr(picard, "_s_value", recorded)
+    picard._contraction_horizon.cache_clear()
     cert = horizon_certificate(scn)
     assert len(seen) > 50 and all(inputs == s_inputs for inputs in seen)
     assert cert.s_value == s_value(s_inputs, cert.t_bar)
-    assert cert.t_contract == picard._contraction_horizon(s_inputs, scn.growth.T)
+    assert cert.t_contract == picard._contraction_horizon.__wrapped__(s_inputs, scn.growth.T)
 
 
 def test_solve_global_reruns_bit_for_bit():

@@ -122,10 +122,67 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, flo
     return xm, f(xm)
 
 
+def direction_set(dim):
+    """Unit directions: the axes, after 256 equally spaced angles (2D) or a
+    32 x 64 Gauss-Legendre x trapezoid grid (3D).  The kernel once took C_gamma
+    as its maximum over these directions."""
+    if dim == 1:
+        return np.array([[1.0]])
+    if dim == 2:
+        theta = 2.0 * np.pi * np.arange(256) / 256
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    else:
+        dirs, _ = loop_sphere_rule_3d(32, 64)
+    return np.vstack([dirs, np.eye(dim)])
+
+
+def dense_directions(dim, count):
+    """About ``count`` unit directions spread over the sphere: equally spaced
+    angles on a half circle in 2D (every envelope ratio is even in the
+    direction), a Fibonacci lattice in 3D."""
+    if dim == 2:
+        theta = np.pi * np.arange(count) / count
+        return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    z = 1.0 - (2.0 * np.arange(count) + 1.0) / count
+    azimuth = np.pi * (1.0 + math.sqrt(5.0)) * np.arange(count)
+    ring = np.sqrt(1.0 - z * z)
+    return np.stack([ring * np.cos(azimuth), ring * np.sin(azimuth), z], axis=-1)
+
+
+def sampled_envelope_peaks(kernel, params, dirs, t_max=1.0, chunk=20_000):
+    """Envelope prefactors of orders 0, 1 and 2, each maximized over the unit
+    directions ``dirs`` (M, N), exactly in the radius along each direction:
+    the sampled form ``kernel._envelope_peaks`` had before its closed form.
+    Along x - xi = z sqrt(s) eta, with w = a^-1 eta and beta = (<w, eta> -
+    lambda0_star)/4 > 0, order 1 peaks at z^2 = 1/(2 beta), and order 2's
+    |A u - B| exp(-beta u), u = z^2, A = w_i w_j / 4, B = (a^-1)_ij / 2, at
+    u = 0 or u* = 1/beta + B/A."""
+    pref = (4.0 * math.pi) ** (-kernel.dim / 2.0) / math.sqrt(kernel.det_a)
+    c_factor = math.exp(max(kernel.c, 0.0) * t_max)
+    big_b = kernel.a_inv / 2.0
+    peak1 = peak2 = 0.0
+    for start in range(0, len(dirs), chunk):
+        part = dirs[start:start + chunk]
+        w_dirs = part @ kernel.a_inv
+        beta = (np.einsum("ij,ij->i", w_dirs, part) - params.lambda0_star) / 4.0
+        if beta.min() <= 0:
+            raise ValueError("lambda0_star too large for this diffusion matrix")
+        peak1 = max(peak1, float((np.abs(w_dirs).max(axis=1) / 2.0 * np.sqrt(0.5 / beta)).max())
+                    * math.exp(-0.5))
+        big_a = w_dirs[:, :, None] * w_dirs[:, None, :] / 4.0
+        beta_b = beta[:, None, None]
+        nonzero = big_a != 0.0
+        u_star = 1.0 / beta_b + big_b / np.where(nonzero, big_a, 1.0)
+        u_star = np.where(nonzero & (u_star > 0.0), u_star, np.inf)
+        stationary = np.abs(big_a) / beta_b * np.exp(-beta_b * u_star)
+        peak2 = max(peak2, float(np.maximum(np.abs(big_b), stationary).max()))
+    return pref * c_factor * np.array([1.0, peak1, peak2])
+
+
 def golden_cgamma(kernel, params, order, t_max=1.0, dirs=None):
     """``kernel.gamma_estimate_Cgamma`` by search: for each direction, sample
     the envelope ratio on a 2048-point z-grid, then refine its largest sample
-    by golden section.  ``dirs`` defaults to the kernel's own direction set."""
+    by golden section.  ``dirs`` defaults to `direction_set`."""
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     if params.lambda0_star >= params.lambda0:
@@ -137,9 +194,7 @@ def golden_cgamma(kernel, params, order, t_max=1.0, dirs=None):
     c_factor = math.exp(max(kernel.c, 0.0) * t_max)
 
     if dirs is None:
-        from chemosim.kernel import _direction_set
-
-        dirs = _direction_set(kernel.dim)
+        dirs = direction_set(kernel.dim)
     w_dirs = dirs @ kernel.a_inv                       # (M, N)
     q_dirs = np.einsum("ij,ij->i", w_dirs, dirs)       # <a^-1 eta, eta>
     beta = (q_dirs - lam_star) / 4.0
@@ -177,7 +232,8 @@ def golden_cgamma(kernel, params, order, t_max=1.0, dirs=None):
 
 
 def loop_sphere_rule_3d(n_polar, n_azimuth):
-    """``quadrature.sphere_rule(3, ...)`` one (polar, azimuth) node at a time."""
+    """A Gauss-Legendre x trapezoid rule on the unit sphere in R^3, built one
+    (polar, azimuth) node at a time; at (8, 16) it is ``quadrature.sphere_rule(3)``."""
     mu, wmu = np.polynomial.legendre.leggauss(n_polar)
     theta = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
     wtheta = 2.0 * np.pi / n_azimuth
