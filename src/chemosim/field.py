@@ -12,41 +12,56 @@ singularity of the gradient/hessian integrands.
 Both terms are the same kernel integral at different tau, summed by one
 integrator over items (x, t, tau, weight): the points of the initial-datum
 term (tau = 0, weight 1) and the (s-node, point) pairs of the source term
-(tau = t - s^2, weight 2 s ds).  An item integrates over xi by a quadrature
-in u, with xi = x + sqrt(t - tau) L u (a = L L^T) truncated at
-|u_i| <= u_max, unless its datum declares Gaussian structure
-(``gaussian_source``, see `presets.GaussianSource`), which G integrates in
-closed form.  The ``agent-secretion`` and ``constant`` sources declare it.
-phi may, but no phi preset does yet: the benchmark self-test expects
-pointwise-1d to evaluate the kernel, which only the phi quadrature still
-does.  Variable coefficients take an explicit finite-difference solve on a
+(tau = t - s^2, weight 2 s ds).  An item integrates over xi in closed form
+when its datum declares Gaussian structure (``gaussian_source``, see
+`presets.GaussianSource`); the ``agent-secretion`` and ``constant`` sources
+declare it.  phi may, but no phi preset does yet: the benchmark self-test
+expects pointwise-1d to evaluate the kernel, which only the phi quadrature
+still does.  Any other datum takes the spatial rule, a quadrature in u on
+the box |u_i| <= u_max, with nodes
+
+    xi = x + b sigma + sqrt(sigma) L u,    sigma = t - tau, a = L L^T.
+
+For constant coefficients the fundamental solution is a Gaussian in
+(x - xi + b sigma) / sqrt(sigma) (A. Friedman, Partial Differential
+Equations of Parabolic Type, 1964, ch. 1), and on these nodes that argument
+is -L u whatever x is: G dxi = e^{c (sigma - 1)} G(0, 1, b + L u, 0) det L
+du, and each x-derivative brings a factor sigma^(-1/2).  So a call forms
+the rule's kernel weights once, the node weight times D^k G(0, 1, b + L u,
+0) for each order k, from one kernel call on the m nodes
+(`FieldProbe._rule_weights`), and a spatial-rule item is its datum on its
+nodes contracted with those weights, times e^{c (sigma - 1)} sigma^(-k/2).
+Variable coefficients take an explicit finite-difference solve on a
 truncated box (`backend_for`).
 
 Batch evaluations take one time per point, and the items of a batch run in
 a few vectorized passes, so one call serves a whole Picard sweep.  The
 layout is time-major: the points are sorted into runs of equal probe time,
 and tau, the weight, sigma = t - tau, the agent positions X(tau) and every
-other factor of an item that depends on its cell alone (for a closed-form
-item the eigenvalues of M, sqrt(det M) and c sigma) are computed once per
-(s-node, distinct time) cell, for every point at that time (the
-initial-datum term is the one row tau = 0, weight 1).  The cells form one
-table, which a pass gathers to its points with one ``take``.  A pass
-is an (s-node, point) block: every s-row of a range of points or, when one
-point's rows exceed the pass size, a range of the rows of one point.  Each
-point adds its rows to its running sum one at a time in s-node order, in
-one ``np.add.accumulate`` per pass, so a point's value is the same whatever
+other factor of an item that depends on its cell alone (by the spatial
+rule sqrt(sigma), b sigma and the factor of each order; in closed form the
+eigenvalues of M, sqrt(det M) and c sigma) are computed once per (s-node,
+distinct time) cell, for every point at that time (the initial-datum term
+is the one row tau = 0, weight 1).  The cells form one table, which a pass
+gathers to its points with one ``take``.  A pass is an (s-node, point)
+block: every s-row of a range of points or, when one point's rows exceed
+the pass size, a range of the rows of one point.  Each point adds its rows
+to its running sum one at a time in s-node order, in one
+``np.add.accumulate`` per pass, so a point's value is the same whatever
 else the batch holds.  A call asks for any of the orders 0, 1, 2
 (``derivatives_many``), and each pass serves all of them.  A spatial-rule
-pass builds xi, the datum on it and the kernel core once, and forms every
-order from that core (`Kernel.derivatives`), on (item, node, component)
-arrays.  A closed-form pass runs
+pass builds xi and the datum on it once, on (item, node, component)
+arrays, and contracts the datum with each order's weights by ``einsum``,
+which sums every item alone in node order (a BLAS product may block, and
+so round, an item by its position in the pass).  A closed-form pass runs
 axis-last, on (component, centre, item) arrays, so its reductions and
 products run along the long item axis: it rotates into the eigenbasis of a
 once and shares M^-1 d and the scalar factor between the orders.  Either
-way an item's value does not depend on the pass it falls in, so every
-order equals its one-order call bit for bit.  The spatial rule and the
-s-rule are built once per (dimension, u_max, node counts, L) and shared
-read-only (`_cached_field_rules`).
+way an item's value does not depend on the pass it falls in, and the
+weights of each order equal its one-order kernel call, so every order
+equals its one-order call bit for bit.  The spatial rule and the s-rule are
+built once per (dimension, u_max, node counts, L) and shared read-only
+(`_cached_field_rules`); the kernel weights are formed per call.
 
 A call's fixed cost, paid before its passes, is one scan of the probe
 times: the test that they are in order, which a NaN fails (the range check
@@ -106,10 +121,11 @@ class QuadratureSpec:
     """Discretization choices for field evaluation.
 
     ``u_max`` truncates the substituted spatial variable u of
-    xi = x + sqrt(t - tau) L u (a = L L^T), in which the kernel decays like
-    exp(-|u|^2 / 4) in every direction.  The rule drops a share of about
-    erfc(u_max / 2) of the kernel's mass per axis: 2e-5 at the smallest
-    accepted value 6, 2e-8 at 8 and 2e-12 at 10.  None picks 10 in 1D, where
+    xi = x + b sigma + sqrt(sigma) L u (sigma = t - tau, a = L L^T), in which
+    the kernel is exp(-|u|^2 / 4) up to a factor that does not depend on u,
+    so it decays alike in every direction, with drift too.  The rule drops
+    a share of about erfc(u_max / 2) of the kernel's mass per axis: 2e-5 at
+    the smallest accepted value 6, 2e-8 at 8 and 2e-12 at 10.  None picks 10 in 1D, where
     the 96-node rule still resolves the integrand on the wider box, and 8 in
     2D and 3D, where the node spacing limits the accuracy first.
     ``space_nodes``/``time_nodes`` size the Gauss-Legendre rules, and the
@@ -191,22 +207,21 @@ def _fd_hessian_of(fn, pts: np.ndarray, step: float = 1e-4) -> np.ndarray:
     return out
 
 
-# Size of one vectorized pass, counted in kernel-derivative entries (items x
-# spatial nodes x derivative components, or items x agents x derivative
-# components for a datum integrated in closed form); an item is an (s-node,
-# point) cell of the source integral or a point of the initial-datum
-# integral.  The same cap bounds a group's table of agent positions X(tau).
-# Small passes keep their arrays in cache and the peak memory of a solve near
-# its level before batching (passes of 2^15 entries added 1.4 MB to a 2D
-# solve; closed-form source terms in one pass added 1.6 MB to a 1D solve); on
-# a 1D Picard sweep, 2^13 to 2^15 entries ran fastest, and smaller passes pay
-# Python overhead.
+# Size of one vectorized pass, counted in array entries per item (spatial
+# nodes x components of xi, or agents x derivative components for a datum
+# integrated in closed form); an item is an (s-node, point) cell of the
+# source integral or a point of the initial-datum integral.  The same cap
+# bounds a group's table of agent positions X(tau).  Small passes keep their
+# arrays in cache and the peak memory of a solve near its level before
+# batching (passes of 2^15 entries added 1.4 MB to a 2D solve; closed-form
+# source terms in one pass added 1.6 MB to a 1D solve); on a 1D Picard sweep,
+# 2^13 to 2^15 entries ran fastest, and smaller passes pay Python overhead.
 _CHUNK_ELEMENTS = 2**13
 
 
-# Contraction of a kernel derivative of order 0, 1 or 2 (p items, m nodes)
-# with the quadrature weights and the data on the nodes.
-_CONTRACTIONS = ("m,pm,pm->p", "m,pmi,pm->pi", "m,pmij,pm->pij")
+# Contraction of the data on the nodes (q items, m nodes) with the kernel
+# weights of order 0, 1 or 2, whose node axis is last and contiguous
+_CONTRACTIONS = ("m,qm->q", "im,qm->qi", "ijm,qm->qij")
 
 
 def _sum_in_order(terms):
@@ -277,8 +292,8 @@ class FieldProbe:
             raise ValueError("closed-form backend requires constant coefficients")
         self._fd_grid: FdField | None = None
         if self.backend == BACKEND_KERNEL:
-            # xi = x + sqrt(t - tau) L u with a = L L^T, so the kernel decays
-            # like exp(-|u|^2 / 4) in every direction of the truncated box
+            # xi = x + b sigma + sqrt(sigma) L u with a = L L^T, so the kernel
+            # is exp(-|u|^2 / 4) up to a factor in sigma (module docstring)
             dim = self.scenario.dimension
             chol = np.ascontiguousarray(self.scenario.kernel.chol, dtype=float)
             self._u_pts, self._u_wts, self._s_base, self._s_wts = _cached_field_rules(
@@ -313,29 +328,27 @@ class FieldProbe:
     # -- closed-form backend -------------------------------------------------
 
     def _kernel_integral(self, datum, source: bool, pts: np.ndarray, runs: tuple,
-                         orders: tuple) -> list[np.ndarray]:
+                         orders: tuple, weights: list | None) -> list[np.ndarray]:
         """x-derivatives of the given orders of the kernel integral of phi
         (``source`` false) or of g over (0, t), at stacked points (P, N)
         whose probe times ``runs`` groups (`_time_runs`): a sum over the
         items the module docstring describes, each in closed form when the
-        datum declares Gaussian structure and by the spatial rule otherwise.
+        datum declares Gaussian structure and otherwise by the spatial rule,
+        with the call's kernel ``weights`` (`_rule_weights`, one per order).
         One array per order, shaped (P,) + (N,) * order; every order comes
         from the same passes.  Each point sums its items in s-node order,
         across passes too."""
-        kern = self.scenario.kernel
-        dim, n_agents = kern.dim, self.scenario.n
+        dim, n_agents = self.scenario.dimension, self.scenario.n
         order, run, bounds, run_times = runs
         shapes = [(len(pts),) + (dim,) * k for k in orders]
         if _is_zero(datum):
             return [np.zeros(shape) for shape in shapes]
         gauss = getattr(datum, "gaussian_source", None)
         # a pass holds, for each of its items, at most one closed-form term per
-        # agent or one kernel-derivative entry per spatial node, of the largest
-        # requested order (the lower orders' arrays from the same kernel core
-        # are no larger).
+        # agent of the largest requested order, or xi on the spatial nodes.
         # It takes every s-row of a range of points, or, when one point's rows
         # do not fit, a range of the rows of one point.
-        per_item = (n_agents if gauss is not None else len(self._u_pts)) * dim**max(orders)
+        per_item = n_agents * dim**max(orders) if gauss is not None else len(self._u_pts) * dim
         n_rows = len(self._s_base) if source else 1
         rows_per_pass = min(n_rows, max(1, _CHUNK_ELEMENTS // per_item))
         pts_per_pass = max(1, _CHUNK_ELEMENTS // (per_item * n_rows))
@@ -350,8 +363,11 @@ class FieldProbe:
                 idx = slice(p0, p1) if order is None else order[p0:p1]
                 cols = run[p0:p1] - g0
                 for r0 in range(0, n_rows, rows_per_pass):
-                    blocks = self._pass_blocks(datum, source, gauss, pts[idx], cells,
-                                               slice(r0, r0 + rows_per_pass), cols, orders)
+                    cell = cells[:, r0:r0 + rows_per_pass].take(cols, axis=2)  # (field, row, P)
+                    if gauss is None:
+                        blocks = self._rule_blocks(datum, source, pts[idx], cell, orders, weights)
+                    else:
+                        blocks = self._closed_blocks(gauss, pts[idx], cell, orders)
                     for acc, block in zip(accs, blocks):
                         # the rows (block axis 0) go onto the point's running
                         # sum one at a time, in s-node order: a sum would go
@@ -359,6 +375,17 @@ class FieldProbe:
                         block[0] += acc[idx]
                         acc[idx] = np.add.accumulate(block, axis=0)[-1]
         return accs
+
+    def _rule_weights(self, orders: tuple) -> list[np.ndarray]:
+        """The spatial rule's kernel weights of one call: for each order k,
+        the node weight (det L included) times D^k G(0, 1, b + L u, 0), the
+        k-th x-derivative of the kernel at sigma = 1 on node u, shaped (N,) *
+        k + (m,) with the node axis contiguous.  One kernel call on the m
+        nodes serves every order; each order equals its one-order call."""
+        kern = self.scenario.kernel
+        derivs = kern.derivatives(orders, np.zeros(kern.dim), 1.0, kern.b + self._u_pts, 0.0)
+        return [np.multiply(d.transpose(tuple(range(1, k + 1)) + (0,)), self._u_wts, order="C")
+                for k, d in zip(orders, derivs)]
 
     def _cells(self, t_u: np.ndarray, source: bool, gauss) -> np.ndarray:
         """The (s-node, time) cells shared by every point at one of the
@@ -368,11 +395,12 @@ class FieldProbe:
         The fields are the factors of an item that depend on its cell alone,
         computed once per cell by the elementwise operations an item would
         apply to the same values, so every item keeps its bits.  By the
-        spatial rule: weight * sigma^(N/2), sqrt(sigma), t and tau; in closed
-        form: the weight, b sigma (N rows) and `_gaussian_factors` (N + 2
-        rows).  The agent positions X(tau) follow, N * n rows, where an item
-        reads them.  The initial-datum integral is the one row tau = 0,
-        weight 1."""
+        spatial rule: sqrt(sigma), b sigma (N rows) and the factor
+        weight e^{c (sigma - 1)} sigma^(-k/2) of each order k = 0, 1, 2 (3
+        rows); in closed form: the weight, b sigma (N rows) and
+        `_gaussian_factors` (N + 2 rows).  The agent positions X(tau)
+        follow, N * n rows, where an item reads them.  The initial-datum
+        integral is the one row tau = 0, weight 1."""
         kern = self.scenario.kernel
         if source:
             sqrt_t = np.sqrt(t_u)
@@ -383,43 +411,47 @@ class FieldProbe:
         else:
             sigma = t_u[None]  # t - 0 is t, exactly
             weight, tau = np.ones(sigma.shape), np.zeros(sigma.shape)
+        drift = [b * sigma for b in kern.b]
         if gauss is None:
-            fields = [weight * sigma ** (kern.dim / 2.0),  # jacobian; det L is in _u_wts
-                      np.sqrt(sigma), np.broadcast_to(t_u, sigma.shape), tau]
+            root_sigma = np.sqrt(sigma)
+            scale = weight * np.exp(kern.c * (sigma - 1.0))  # the weights hold e^c
+            fields = [root_sigma, *drift, scale, scale / root_sigma, scale / sigma]
         else:
             m, root_det, c_sigma = self._gaussian_factors(sigma, gauss.rate)
-            fields = [weight, *(b * sigma for b in kern.b), *m, root_det, c_sigma]
+            fields = [weight, *drift, *m, root_det, c_sigma]
         if source and (gauss is None or gauss.at_agents):
             # positions_at returns a (row, U, N, n) view of an (N, n, row, U) array
             X = self.path.positions_at(tau).transpose(2, 3, 0, 1)
             fields.extend(X.reshape((-1,) + sigma.shape))
         return np.array(fields)
 
-    def _pass_blocks(self, datum, source: bool, gauss, x: np.ndarray, cells: np.ndarray,
-                     rows: slice, cols: np.ndarray, orders: tuple) -> list[np.ndarray]:
-        """Weighted terms of one pass, for the ``rows`` of the cells at
-        columns ``cols`` and the points ``x`` (P, N) at those columns: one
-        array per order, shaped (row, P) + (N,) * order."""
-        kern = self.scenario.kernel
-        dim = kern.dim
-        cell = cells[:, rows].take(cols, axis=2)  # (field, row, P)
+    def _rule_blocks(self, datum, source: bool, x: np.ndarray, cell: np.ndarray,
+                     orders: tuple, weights: list) -> list[np.ndarray]:
+        """Weighted spatial-rule terms of one pass, for the cell fields
+        ``cell`` (field, row, P) (`_cells`) at the points ``x`` (P, N): one
+        array per order, shaped (row, P) + (N,) * order.  The items (row,
+        point) are flattened; xi = x + b sigma + sqrt(sigma) L u and the
+        datum on it are built once, for every order."""
+        dim = self.scenario.dimension
         n_rows = cell.shape[1]
-        if gauss is None:
-            # items (row, point) flattened; xi, the datum on it and the
-            # kernel core once, for every order
-            weight, root_sigma, t_i, tau = cell[:4].reshape(4, -1)
-            x_i = x if n_rows == 1 else np.tile(x, (n_rows, 1))
-            xi = x_i[:, None, :] + root_sigma[:, None, None] * self._u_pts
-            if source:
-                X = cell[4:].reshape((dim, -1, len(t_i))).transpose(2, 0, 1)
-                vals = datum(xi, X[:, None])
-            else:
-                vals = datum(xi)
-            kernels = kern.derivatives(orders, x_i[:, None, :], t_i[:, None], xi, tau[:, None])
-            return [(weight.reshape((-1,) + (1,) * order) * np.einsum(
-                _CONTRACTIONS[order], self._u_wts, k, vals)
-                ).reshape((n_rows, len(x)) + (dim,) * order) for order, k in zip(orders, kernels)]
-        # the cell fields (`_cells`), then the items as (N, centre, row, P)
+        centre = (x.T[:, None, :] + cell[1:1 + dim]).reshape(dim, -1).T  # x + b sigma
+        xi = centre[:, None, :] + cell[0].reshape(-1, 1, 1) * self._u_pts
+        if source:
+            X = cell[4 + dim:].reshape((dim, -1, len(centre))).transpose(2, 0, 1)
+            vals = datum(xi, X[:, None])
+        else:
+            vals = datum(xi)
+        return [(cell[1 + dim + k].reshape((-1,) + (1,) * k)
+                 * np.einsum(_CONTRACTIONS[k], w, vals)).reshape((n_rows, len(x)) + (dim,) * k)
+                for k, w in zip(orders, weights)]
+
+    def _closed_blocks(self, gauss, x: np.ndarray, cell: np.ndarray,
+                       orders: tuple) -> list[np.ndarray]:
+        """Weighted closed-form terms of one pass, for the cell fields
+        ``cell`` (field, row, P) (`_cells`) at the points ``x`` (P, N): one
+        array per order, shaped (row, P) + (N,) * order."""
+        dim = self.scenario.dimension
+        # the cell fields, then the items as (N, centre, row, P)
         weight, drift, m = cell[0], cell[1:1 + dim], cell[1 + dim:1 + 2 * dim]
         root_det, c_sigma = cell[1 + 2 * dim], cell[2 + 2 * dim]
         centres = cell[3 + 2 * dim:].reshape((dim, -1) + weight.shape) if gauss.at_agents \
@@ -485,8 +517,13 @@ class FieldProbe:
         return out
 
     def _closed_batch(self, pts: np.ndarray, runs: tuple, orders: tuple) -> list[np.ndarray]:
-        initial = self._kernel_integral(self.scenario.phi, False, pts, runs, orders)
-        source = self._kernel_integral(self.scenario.g, True, pts, runs, orders)
+        phi, g = self.scenario.phi, self.scenario.g
+        # the kernel weights once per call, when a datum takes the spatial rule
+        by_rule = any(not _is_zero(datum) and getattr(datum, "gaussian_source", None) is None
+                      for datum in (phi, g))
+        weights = self._rule_weights(orders) if by_rule and len(runs[3]) else None
+        initial = self._kernel_integral(phi, False, pts, runs, orders, weights)
+        source = self._kernel_integral(g, True, pts, runs, orders, weights)
         return [a - b for a, b in zip(initial, source)]
 
     # -- data-at-zero fallback ------------------------------------------------

@@ -201,19 +201,23 @@ def _certificate_bounds(scenario: Scenario, radius: float | None,
     return r, params, t1, s_inputs
 
 
-def _s_value(s_inputs: tuple, t_bar: float) -> float:
-    """S at t_bar from the inputs ``_certificate_bounds`` derives: the one
-    place that evaluates S's three terms (see ``contraction_S``)."""
+def _s_value(s_inputs: tuple, t_bar: float, t0: float = 0.0) -> float:
+    """S at t_bar on the window [t0, t0 + t_bar] from the inputs
+    ``_certificate_bounds`` derives: the one place that evaluates S's three
+    terms (see ``contraction_S``)."""
     l_f_r, pre2, pre3, h, h_x, alpha, c, lambda0_star, n_dim, pre2_phi = s_inputs
     gamma_bar = _gamma_bar(lambda0_star, c, t_bar)
     if gamma_bar <= 0:
         raise ValueError("t_bar too large: gamma_bar = lambda0*/4 - 2*C*t_bar must be positive")
     term1 = 2.0 * l_f_r * t_bar
     envelope = pre2 * t_bar ** (alpha / 2.0) * (2.0 / alpha)
+    # g's part peaks at the window's end: (t0 + t_bar)^(alpha/2) in place of
+    # t_bar^(alpha/2), a factor that is 1.0 exactly at t0 = 0
+    h_x_window = (t0 + t_bar) ** (alpha / 2.0) / t_bar ** (alpha / 2.0) * h_x
     if pre2_phi is None:
-        term2 = envelope * (h + h_x * t_bar)
+        term2 = envelope * (h + h_x_window * t_bar)
     else:  # phi's part: the smaller of the envelope's and the declared H2's
-        term2 = min(envelope * h, pre2_phi * t_bar) + envelope * h_x * t_bar
+        term2 = min(envelope * h, pre2_phi * t_bar) + envelope * h_x_window * t_bar
     term3 = pre3 * (math.pi / gamma_bar) ** (n_dim / 2.0) * t_bar**1.5
     return term1 + term2 + term3
 
@@ -229,8 +233,9 @@ def horizon_T1(scenario: Scenario, radius: float | None = None,
 def contraction_S(scenario: Scenario, radius: float | None = None,
                   t_bar: float | None = None,
                   params: EstimateParams | None = None,
-                  delta: float | None = None) -> float:
-    """Certified contraction modulus S at horizon t_bar, the sum of three terms:
+                  delta: float | None = None, t0: float = 0.0) -> float:
+    """Certified contraction modulus S at horizon t_bar, on the segment
+    [t0, t0 + t_bar], the sum of three terms:
 
     1. force (X, V): 2 L_F(R) t_bar, the force's direct sensitivity;
     2. hessian/position: the gradient's sensitivity to the probe position,
@@ -239,8 +244,8 @@ def contraction_S(scenario: Scenario, radius: float | None = None,
     3. source/path: the gradient's sensitivity to the path through the
        source, through C_gamma and (pi / gamma_bar)^{N/2}.
 
-    t_bar must be positive and finite, and gamma_bar = lambda0*/4 - 2 C t_bar
-    positive.
+    t_bar must be positive and finite, gamma_bar = lambda0*/4 - 2 C t_bar
+    positive, and the segment start t0 at least 0 and finite.
 
     Term 2.  Two input paths X, Y move w_j(s) = grad f(X_j(s), s) by at
     most sup|D^2 f(., s)| |X_j(s) - Y_j(s)| through the probe position,
@@ -272,32 +277,41 @@ def contraction_S(scenario: Scenario, radius: float | None = None,
     e^{max(c, 0) T} H2 t); g's part is unchanged.  Undeclared H2, and
     variable coefficients, keep the envelope alone, bit for bit.
 
-    Windows.  A continued segment covers [t0, t0 + t_bar], and S charges
-    the integrals over [0, t_bar].  phi's envelope part s^(alpha/2 - 1)
-    decreases, so [0, t_bar] is its largest window of that length; the
-    declared part is constant in the window.  g's part s^(alpha/2) grows,
-    so for t0 > 0 its integral over [t0, t0 + t_bar] can exceed what S
-    charges (at alpha = 1/2 it does once t0 >= t_bar).
+    Windows.  A continued segment covers [t0, t0 + t_bar].  phi's envelope
+    part s^(alpha/2 - 1) decreases, so [0, t_bar] is its largest window of
+    that length, and S charges phi's part over [0, t_bar]; the declared
+    part is constant in the window.  g's part s^(alpha/2) grows, so over
+    [t0, t0 + t_bar] it is at most (t0 + t_bar)^(alpha/2) times the
+    window's length: S charges g's part as
+    L_F N^2 K e^{2 kappa (...)} (2/alpha) (t0 + t_bar)^(alpha/2) H_X t_bar,
+    which is the term above at t0 = 0.
     """
     _positive_finite("t_bar", t_bar)
-    return _s_value(_certificate_bounds(scenario, radius, params, delta)[3], t_bar)
+    _segment_start(t0)
+    return _s_value(_certificate_bounds(scenario, radius, params, delta)[3], t_bar, t0)
+
+
+def _segment_start(t0: float) -> None:
+    """Check the segment start t0, which must be at least 0 and finite."""
+    if not 0.0 <= t0 < math.inf:  # NaN too
+        raise ValueError(f"segment start t0 must be non-negative and finite, got {t0!r}")
 
 
 @lru_cache(maxsize=256)
-def _contraction_horizon(s_inputs: tuple, cap: float) -> float:
-    """T2: the cap when S(cap) <= 1 - _S_MARGIN, else the largest t in (0,
-    cap) that bisection to adjacent floats finds with S(t) <= 1 - _S_MARGIN.
-    It reads nothing but its arguments, so a cached value is the one the
-    bisection returns."""
+def _contraction_horizon(s_inputs: tuple, cap: float, t0: float) -> float:
+    """T2 of a segment starting at t0: the cap when S(cap) <= 1 - _S_MARGIN,
+    else the largest t in (0, cap) that bisection to adjacent floats finds
+    with S(t) <= 1 - _S_MARGIN.  It reads nothing but its arguments, so a
+    cached value is the one the bisection returns."""
     target = 1.0 - _S_MARGIN
-    if _s_value(s_inputs, cap) <= target:
+    if _s_value(s_inputs, cap, t0) <= target:
         return cap
     lo, hi = 0.0, cap
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # lo and hi are adjacent floats: nothing can change
-        if _s_value(s_inputs, mid) <= target:
+        if _s_value(s_inputs, mid, t0) <= target:
             lo = mid
         else:
             hi = mid
@@ -308,19 +322,20 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
                         mode: str = MODE_POINTWISE,
                         delta: float | None = None,
                         params: EstimateParams | None = None,
-                        safety: float = 0.9) -> HorizonCertificate:
-    """Compute the certified horizon: T2 by bisection on S = 1 - _S_MARGIN
-    (intersected with the gamma_bar > 0 constraint), t_bar = safety *
-    min(T1, T2), with safety in (0, 1].  The radius, the params and the
-    sensing radius (``_resolve_delta``) are resolved and checked as for
-    ``horizon_T1`` and ``contraction_S``.
+                        safety: float = 0.9, t0: float = 0.0) -> HorizonCertificate:
+    """Compute the certified horizon of a segment starting at t0: T2 by
+    bisection on S = 1 - _S_MARGIN (intersected with the gamma_bar > 0
+    constraint), t_bar = safety * min(T1, T2), with safety in (0, 1].  The
+    radius, the params, the sensing radius (``_resolve_delta``) and t0 are
+    resolved and checked as for ``horizon_T1`` and ``contraction_S``.
 
     T2 is bisected once per distinct tuple of S's inputs (L_F(R), the two
     prefactors, H, HR(|X0| + R), alpha, C, lambda0*, N and a declared H2's
-    prefactor) and cap, and taken from ``_contraction_horizon``'s cache when
-    they recur."""
+    prefactor), cap and t0, and taken from ``_contraction_horizon``'s cache
+    when they recur."""
     if not 0.0 < safety <= 1.0:  # NaN too
         raise ValueError(f"safety must lie in (0, 1], got {safety!r}")
+    _segment_start(t0)
     delta = _resolve_delta(scenario, mode, delta)
     r, params, t1, s_inputs = _certificate_bounds(scenario, radius, params, delta)
     growth = scenario.growth
@@ -331,7 +346,7 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
     if cap <= 0:
         raise ValueError("degenerate constants: no admissible contraction horizon")
 
-    t2 = _contraction_horizon(s_inputs, cap)
+    t2 = _contraction_horizon(s_inputs, cap, t0)
     if t2 <= 0:
         raise ValueError("degenerate constants: no positive horizon satisfies the contraction condition")
 
@@ -350,7 +365,7 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
         "H2": growth.H2 if s_inputs[-1] is not None else None,
     }
     return HorizonCertificate(
-        t_range=t1, t_contract=t2, t_bar=t_bar, s_value=_s_value(s_inputs, t_bar),
+        t_range=t1, t_contract=t2, t_bar=t_bar, s_value=_s_value(s_inputs, t_bar, t0),
         gamma_bar=_gamma_bar(params.lambda0_star, growth.C, t_bar), radius=r, mode=mode,
         delta=delta, constants=constants,
     )
@@ -582,9 +597,9 @@ def solve_global(scenario: Scenario, horizon: float,
 
     Each segment restarts from the previous endpoint state with a freshly
     derived certificate; the field keeps reading the full path from time 0.
-    T2 is bisected once per distinct set of S's inputs
-    (``horizon_certificate``), so on a run whose constants do not move with
-    the state only the first segment bisects.
+    A segment's certificate reads its start t0, since S charges the
+    source's part over [t0, t0 + t_bar], so T2 is bisected once per segment
+    (``horizon_certificate``).
     Picard iteration on the first segment starts from the Taylor path, as in
     ``solve_local``, and on a later one from the cubic extrapolation of the
     segment before it (``_start_path``); either falls back to the constant
@@ -608,7 +623,7 @@ def solve_global(scenario: Scenario, horizon: float,
     while horizon - t0 > 1e-12 * max(1.0, horizon):
         seg_scn = replace(scenario, X0=state_X, V0=state_V)
         cert = horizon_certificate(seg_scn, seg_scn.R, mode=mode, delta=delta,
-                                   params=params, safety=safety)
+                                   params=params, safety=safety, t0=t0)
         if cert.t_bar < min_segment:
             raise PicardError(
                 f"segment horizon underflow at t = {t0:g}: certified step {cert.t_bar:g} "

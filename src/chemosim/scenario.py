@@ -53,6 +53,13 @@ class OperatorCoefficients:
             raise ScenarioError("eigenvalue range not probed yet")
         return lambda0_bound(self.mu0, self.mu1)
 
+    @cached_property
+    def kernel(self) -> Kernel:
+        """The closed-form kernel of constant coefficients, built on first
+        use and kept with them, so every scenario that shares them (a
+        `dataclasses.replace` copy too) shares it."""
+        return make_kernel(self)
+
 
 @dataclass(eq=False)
 class GrowthSpec:
@@ -134,9 +141,9 @@ class Scenario:
         declared linear-growth constant, the preconditions for continuation."""
         return self.force.lipschitz_global is not None
 
-    @cached_property
+    @property
     def kernel(self) -> Kernel:
-        return make_kernel(self.coeffs)
+        return self.coeffs.kernel
 
     @cached_property
     def estimate_params(self) -> EstimateParams:

@@ -653,6 +653,61 @@ def test_declared_phi_matches_refined_quadrature(coeff, dim, nodes):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=order)
 
 
+@pytest.mark.parametrize("coeff,dim,bounds", [
+    (DRIFT_REACTION_1D, 1, (9e-13, 3.5e-11, 1.4e-9)),
+    (DRIFT_REACTION_2D, 2, (1.5e-8, 4e-7, 1.2e-5)),
+], ids=["drift-reaction-1d", "drift-reaction-2d"])
+def test_drift_centred_rule_is_no_less_accurate(coeff, dim, bounds):
+    # the spatial rule's nodes follow the drift, xi = x + b sigma + sqrt(sigma)
+    # L u, and the rule must be at least as accurate as the nodes
+    # xi = x + sqrt(sigma) L u were; the bounds sit just below the errors
+    # those nodes made here (1D 9.2e-13, 3.6e-11, 1.4e-9; 2D 1.55e-8, 4.2e-7,
+    # 1.24e-5), against phi's closed form
+    declared = build(coeff=coeff, phi=declared_gaussian_phi(), dim=dim, T=0.2)
+    plain = build(coeff=coeff, phi="gaussian", dim=dim, T=0.2)
+    closed = FieldProbe(declared, constant_path(declared, 0.2))
+    rule = FieldProbe(plain, constant_path(plain, 0.2))
+    rng = np.random.default_rng(41)
+    pts = rng.uniform(-1.0, 1.0, (50, dim))
+    times = rng.uniform(0.01, 0.2, 50)
+    want = closed.derivatives_many(pts, times, (0, 1, 2))
+    got = rule.derivatives_many(pts, times, (0, 1, 2))
+    for order, bound in enumerate(bounds):
+        assert np.abs(got[order] - want[order]).max() <= bound, f"order {order}"
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_field_call_evaluates_the_kernel_once_on_the_rule_nodes(monkeypatch, dim):
+    from chemosim.kernel import Kernel
+
+    shapes = []
+    core = Kernel._core
+
+    def counted(self, x, t, xi, tau):
+        shapes.append(np.shape(xi))
+        return core(self, x, t, xi, tau)
+
+    monkeypatch.setattr(Kernel, "_core", counted)
+    # phi and g both by the spatial rule, g's integral over many passes
+    scn = without_structure(build(coeff=DRIFT_REACTION_2D if dim == 2 else DRIFT_REACTION_1D,
+                                  phi="gaussian", g="agent-secretion", dim=dim,
+                                  X0=[[0.2, -0.3], [0.1, 0.4]][:dim], T=0.2))
+    probe = FieldProbe(scn, moving_path(scn))
+    nodes = QuadratureSpec().resolved_space_nodes(dim) ** dim
+    rng = np.random.default_rng(42)
+    pts = rng.uniform(-1.0, 1.0, (40, dim))
+    times = rng.uniform(0.01, 0.2, 40)
+    times[::5] = 0.0
+    for orders in ((0, 1, 2), (1,), (2, 0)):
+        shapes.clear()
+        probe.derivatives_many(pts, times, orders)
+        assert shapes == [(nodes, dim)], orders
+    # points at t = 0 alone take the initial datum, and no kernel
+    shapes.clear()
+    probe.gradient_many(pts[:3], 0.0)
+    assert shapes == []
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_anisotropic_gaussian_evolution_oracle(dim):
     # the default rule against the exact evolution of exp(-|x|^2) under
@@ -703,8 +758,11 @@ def test_closed_form_pass_matches_per_item_oracle(coeff, dim, g):
 def test_time_major_pass_equals_the_per_item_layout(phi, g):
     # repeated and distinct probe times, out of order, and points at t = 0;
     # a non-diagonal a with drift and reaction.  The undeclared source takes
-    # the spatial rule; on a 12^2-node rule a hessian pass holds 14 of a
-    # point's 32 s-rows, so its sum continues across passes
+    # the spatial rule; on a 12^2-node rule a pass holds 28 of a point's 32
+    # s-rows, so its sum continues across passes.  Closed-form data equal
+    # the per-item layout bit for bit; spatial-rule data, whose kernel
+    # weights the evaluator forms once per call and the oracle per item,
+    # agree to rounding
     scn = build(coeff=DRIFT_REACTION_2D, phi=declared_gaussian_phi() if phi == "declared" else phi,
                 g="agent-secretion" if g == "undeclared" else g, dim=2,
                 X0=[[0.2, -0.3, 0.5], [0.1, 0.4, -0.2]], T=0.2,
@@ -723,7 +781,11 @@ def test_time_major_pass_equals_the_per_item_layout(phi, g):
     got = probe.derivatives_many(pts, times, (0, 1, 2))
     want = per_item_derivatives(probe, pts, times, (0, 1, 2))
     for order in (0, 1, 2):
-        np.testing.assert_array_equal(got[order], want[order], err_msg=f"order {order}")
+        if phi == "declared" and g != "undeclared":
+            np.testing.assert_array_equal(got[order], want[order], err_msg=f"order {order}")
+        else:
+            scale = np.abs(want[order]).max()
+            assert np.abs(got[order] - want[order]).max() <= 1e-12 * scale, f"order {order}"
     # a point alone, whose value sums a single column of s-rows, equals its batch row
     for i in range(4):
         alone = probe.derivatives_many(pts[i:i + 1], times[i:i + 1], (0, 1, 2))

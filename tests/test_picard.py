@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chemosim import picard
+from chemosim import picard, scenario as scenario_module
 from chemosim.field import FieldProbe, QuadratureSpec
 from chemosim.paths import AgentPath
 from chemosim.picard import (
@@ -30,7 +30,7 @@ from chemosim.picard import (
     solve_local,
 )
 from chemosim.presets import inline_coefficients, phi_preset
-from chemosim.quadrature import halton_points
+from chemosim.quadrature import gauss_legendre, halton_points
 from chemosim.scenario import ForceLaw, build_scenario
 from chemosim.verify import residual_check
 
@@ -768,11 +768,12 @@ def test_solve_global_extrapolated_starts_take_one_sweep():
     assert all(s.final_diff < 1e-8 for s in segments)
 
 
-@pytest.mark.parametrize("growth, segment_count, t2_count", [(None, 11, 1), ({"C": 0.05}, 46, 46)],
+@pytest.mark.parametrize("growth, segment_count, t2_count", [(None, 11, 11), ({"C": 0.05}, 46, 46)],
                          ids=["C0", "C0.05"])
 def test_solve_global_certificates_equal_fresh_ones(growth, segment_count, t2_count):
-    # with C = 0 no input of S moves with the state, so every segment reuses
-    # the first T2; with C > 0 every segment has its own and bisects again
+    # S charges the source's part over the segment's window [t0, t0 + t_bar],
+    # so every segment has its own T2, with C = 0 too; a fresh certificate
+    # from the segment's start state and t0 is the solve's, bit for bit
     scn = _s1_seeded(1, seed=1, growth=growth, declare_h2=False)
     segments = []
     path = solve_global(scn, 0.02, segments_out=segments)
@@ -782,7 +783,7 @@ def test_solve_global_certificates_equal_fresh_ones(growth, segment_count, t2_co
         k = int(np.searchsorted(path.times, s.t_start))
         assert path.times[k] == s.t_start
         fresh = horizon_certificate(replace(scn, X0=path.X[k], V0=path.V[k]),
-                                    params=scn.estimate_params)
+                                    params=scn.estimate_params, t0=s.t_start)
         assert s.certificate == fresh
         for name in ("t_range", "t_contract", "t_bar", "s_value", "gamma_bar"):
             assert getattr(s.certificate, name).hex() == getattr(fresh, name).hex()
@@ -802,18 +803,70 @@ def test_solve_global_bisects_once_when_the_inputs_of_s_repeat(monkeypatch):
     scn = _s1_seeded(1, seed=1, declare_h2=False)
     segments = []
     solve_global(scn, 0.02, segments_out=segments)
-    assert len(segments) == 11 and bisect.cache_info().misses == 1
+    # each segment starts at its own t0, which S reads: one bisection each
+    assert len(segments) == 11 and bisect.cache_info().misses == 11
+    assert bisect.cache_info().hits == 0
     in_solve, counts["s_value"] = counts["s_value"], 0
-    # a fresh bisection: S(cap), the bisection steps and S(t_bar), where the
-    # solve's later segments evaluate S(t_bar) only
+    # a fresh bisection: S(cap), the bisection steps and S(t_bar), as the
+    # solve's first segment evaluates them
     bisect.cache_clear()
     horizon_certificate(scn)
     assert bisect.cache_info().misses == 1 and counts["s_value"] > 50
-    assert in_solve == counts["s_value"] + 10
+    assert in_solve > 11 * 50
     # a certificate whose inputs were seen before reads the cache
     counts["s_value"] = 0
     horizon_certificate(scn)
     assert bisect.cache_info().hits == 1 and counts["s_value"] == 1
+
+
+def test_solve_global_builds_no_kernel_after_set_up(monkeypatch):
+    # every segment certifies a copy of the scenario with its own start
+    # state; the copies share the coefficients, and with them the kernel
+    scn = _s1_seeded(1, seed=1)
+    scn.estimate_params  # set-up: the kernel and the estimate constants
+    calls = []
+    make_kernel = scenario_module.make_kernel
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return make_kernel(coeffs)
+
+    monkeypatch.setattr(scenario_module, "make_kernel", counted)
+    segments = []
+    solve_global(scn, 1.0, segments_out=segments)
+    assert len(segments) > 10 and calls == []
+    assert replace(scn, X0=scn.X0 + 0.1).kernel is scn.kernel
+
+
+def test_source_part_of_s_covers_the_segment_window():
+    # g's part of the hessian bound grows like s^(alpha/2), so on a continued
+    # segment [t0, t0 + t] its integral exceeds the charge over [0, t] once
+    # t0 >= 0.53 t at alpha = 1/2; S keeps only g's part when H, L_F(R) and
+    # the source/path term are zeroed
+    scn = _s1_seeded(1, seed=1)
+    _, _, _, s_inputs = picard._certificate_bounds(scn, None, None, None)
+    _, pre2, _, _, h_x, alpha, *rest = s_inputs
+    assert alpha == 0.5 and pre2 > 0.0 and h_x > 0.0
+    g_only = (0.0, pre2, 0.0, 0.0, h_x, alpha, *rest)
+    t = horizon_certificate(scn).t_bar
+
+    def integrated(t0):
+        nodes, weights = gauss_legendre(t0, t0 + t, 64)
+        return pre2 * float(np.sum(weights * (2.0 / alpha) * nodes ** (alpha / 2.0) * h_x))
+
+    for t0 in (0.0, 0.5 * t, t, 10.0 * t):
+        assert picard._s_value(g_only, t, t0) >= integrated(t0), t0
+    # the FOUND case: the charge over [0, t] falls short at t0 = t
+    assert picard._s_value(g_only, t, 0.0) < integrated(t)
+    # S grows with t0, and t0 = 0 is the first segment's S, bit for bit
+    s_values = [contraction_S(scn, t_bar=t, t0=t0) for t0 in (0.0, t, 10.0 * t)]
+    assert s_values[0] < s_values[1] < s_values[2]
+    assert s_values[0] == contraction_S(scn, t_bar=t) == horizon_certificate(scn, t0=0.0).s_value
+    for bad in (-1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t0"):
+            contraction_S(scn, t_bar=t, t0=bad)
+        with pytest.raises(ValueError, match="t0"):
+            horizon_certificate(scn, t0=bad)
 
 
 def test_the_table_key_is_everything_s_reads(monkeypatch):
@@ -821,18 +874,18 @@ def test_the_table_key_is_everything_s_reads(monkeypatch):
     seen = []
     s_value = picard._s_value
 
-    def recorded(s_inputs, t_bar):
-        seen.append(s_inputs)
-        return s_value(s_inputs, t_bar)
+    def recorded(s_inputs, t_bar, t0=0.0):
+        seen.append((s_inputs, t0))
+        return s_value(s_inputs, t_bar, t0)
 
     scn = _s1_seeded(1, seed=1)
     _, _, _, s_inputs = picard._certificate_bounds(scn, None, None, None)
     monkeypatch.setattr(picard, "_s_value", recorded)
     picard._contraction_horizon.cache_clear()
     cert = horizon_certificate(scn)
-    assert len(seen) > 50 and all(inputs == s_inputs for inputs in seen)
+    assert len(seen) > 50 and all(key == (s_inputs, 0.0) for key in seen)
     assert cert.s_value == s_value(s_inputs, cert.t_bar)
-    assert cert.t_contract == picard._contraction_horizon.__wrapped__(s_inputs, scn.growth.T)
+    assert cert.t_contract == picard._contraction_horizon.__wrapped__(s_inputs, scn.growth.T, 0.0)
 
 
 def test_solve_global_reruns_bit_for_bit():

@@ -429,17 +429,17 @@ def loop_gradient(scenario, path, x, t):
     dim = kern.dim
     u_max = quad.resolved_u_max(dim)
     u_pts, u_wts = tensor_grid(-u_max, u_max, quad.resolved_space_nodes(dim), dim)
-    chol = np.linalg.cholesky(kern.a)  # xi = x + sqrt(t - tau) L u
+    chol = np.linalg.cholesky(kern.a)  # xi = x + b (t - tau) + sqrt(t - tau) L u
     u_pts, u_wts = u_pts @ chol.T, u_wts * np.prod(np.diag(chol))
     x = np.asarray(x, dtype=float)[None, None, :]
-    xi = x + math.sqrt(t) * u_pts[None]
+    xi = x + kern.b * t + math.sqrt(t) * u_pts[None]
     k = kern.grad_x(x, t, xi, 0.0)
     initial = t ** (dim / 2.0) * np.einsum("m,pmi,pm->pi", u_wts, k, scenario.phi(xi))[0]
     source = np.zeros(dim)
     s_nodes, s_wts = gauss_legendre(0.0, math.sqrt(t), quad.time_nodes)
     for s, ws in zip(s_nodes, s_wts):
         tau = max(t - s * s, 0.0)
-        xi = x + s * u_pts[None]
+        xi = x + kern.b * (s * s) + s * u_pts[None]
         gv = scenario.g(xi, path.positions_at(tau))
         k = kern.grad_x(x, t, xi, tau)
         source += 2.0 * s ** (dim + 1) * ws * np.einsum("m,pmi,pm->pi", u_wts, k, gv)[0]
@@ -509,14 +509,16 @@ def per_item_kernel_integral(probe, datum, source, pts, t, orders, chunk=2**13):
     ``FieldProbe._kernel_integral`` in its per-item layout: item k is the
     (s-node j, point i) pair k = j * P + i, and each item computes its own
     tau, weight and X(tau).  Passes of at most ``chunk`` entries run in item
-    order, and each item is added to its point one s-node at a time; the
-    arithmetic of an item is that of the field evaluator."""
+    order, and each item is added to its point one s-node at a time.  A
+    closed-form item's arithmetic is that of the field evaluator; a
+    spatial-rule item evaluates the kernel itself, on its own nodes
+    xi = x + b sigma + sqrt(sigma) L u, at its own x, t and tau."""
     kern = probe.scenario.kernel
     dim = kern.dim
     quad = probe.quad
     u_max = quad.resolved_u_max(dim)
     u_pts, u_wts = tensor_grid(-u_max, u_max, quad.resolved_space_nodes(dim), dim)
-    chol = np.linalg.cholesky(kern.a)  # xi = x + sqrt(t - tau) L u
+    chol = np.linalg.cholesky(kern.a)  # xi = x + b sigma + sqrt(sigma) L u
     u_pts, u_wts = u_pts @ chol.T, u_wts * np.prod(np.diag(chol))
     s_base, s_wts = gauss_legendre(0.0, 1.0, quad.time_nodes)
     contractions = ("m,pm,pm->p", "m,pmi,pm->pi", "m,pmij,pm->pij")
@@ -544,7 +546,7 @@ def per_item_kernel_integral(probe, datum, source, pts, t, orders, chunk=2**13):
         sigma = t_i - tau
         if gauss is None:
             x = pts[i]
-            xi = x[:, None, :] + np.sqrt(sigma)[:, None, None] * u_pts
+            xi = (x + kern.b * sigma[:, None])[:, None, :] + np.sqrt(sigma)[:, None, None] * u_pts
             vals = datum(xi, X[:, None]) if source else datum(xi)
             weight = weight * sigma ** (dim / 2.0)
             terms = [weight.reshape((-1,) + (1,) * order) * np.einsum(
@@ -674,7 +676,7 @@ def constant_start_global(scenario, horizon, tol=1e-8, mode=MODE_POINTWISE, dt=1
     X0, V0 = scenario.X0, scenario.V0
     while horizon - t0 > 1e-12 * max(1.0, horizon):
         cert = horizon_certificate(replace(scenario, X0=X0, V0=V0), mode=mode, delta=delta,
-                                   params=scenario.estimate_params, safety=safety)
+                                   params=scenario.estimate_params, safety=safety, t0=t0)
         t1 = min(t0 + cert.t_bar, horizon)
         seg = AgentPath.constant(X0, V0, _segment_grid(t0, t1, dt))
         for sweep in range(1, max_iters + 1):
