@@ -279,7 +279,7 @@ def _run_suites(scenario: Scenario, suites, samples: int, seed: int, falsify: bo
                     reports.append(rep)
             elif suite == "residual":
                 cert = horizon_certificate(scenario, mode=mode)
-                path, _ = solve_local(scenario, cert, tol=1e-8, mode=mode, dt=1e-2)
+                path, _ = solve_local(scenario, cert, tol=1e-8, dt=1e-2)
                 probe = FieldProbe(scenario, path)
                 reports.append(ver.residual_check(path, scenario, probe, mode=mode))
             else:

@@ -38,15 +38,14 @@ constants (``horizon_T1``, ``contraction_S``, ``horizon_certificate``):
 ``_certificate_bounds`` resolves and checks the radius, the estimate params
 and the sensing radius once and derives T1 and the tuple of S's inputs, and
 ``_s_value`` evaluates S from that tuple alone.  The contraction horizon T2
-is a function of that tuple and the cap, cached (``_contraction_horizon``),
-so a segment whose constants repeat an earlier segment's skips the bisection.
+is bisected on S from that tuple, the cap and t0 (``_contraction_horizon``),
+once per certificate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -173,9 +172,8 @@ def _certificate_bounds(scenario: Scenario, radius: float | None,
     n, n_dim, alpha, growth = scenario.n, scenario.dimension, scenario.alpha, scenario.growth
     x0_norm, v0_norm = _state_norms(scenario)
     l_f = scenario.lipschitz_w
-    # floats, so that the tuple keys the T2 cache whatever the callables return
-    l_f_r = float(scenario.lipschitz_xv(r))
-    h_x = float(growth.HR(x0_norm + r))
+    l_f_r = scenario.lipschitz_xv(r)
+    h_x = growth.HR(x0_norm + r)
     h_r = growth.HR(x0_norm + r + d)
     spread = x0_norm**2 + r**2 + d * d
     expfac = math.exp(2.0 * params.kappa * spread)
@@ -297,12 +295,10 @@ def _segment_start(t0: float) -> None:
         raise ValueError(f"segment start t0 must be non-negative and finite, got {t0!r}")
 
 
-@lru_cache(maxsize=256)
 def _contraction_horizon(s_inputs: tuple, cap: float, t0: float) -> float:
     """T2 of a segment starting at t0: the cap when S(cap) <= 1 - _S_MARGIN,
     else the largest t in (0, cap) that bisection to adjacent floats finds
-    with S(t) <= 1 - _S_MARGIN.  It reads nothing but its arguments, so a
-    cached value is the one the bisection returns."""
+    with S(t) <= 1 - _S_MARGIN."""
     target = 1.0 - _S_MARGIN
     if _s_value(s_inputs, cap, t0) <= target:
         return cap
@@ -327,12 +323,7 @@ def horizon_certificate(scenario: Scenario, radius: float | None = None,
     bisection on S = 1 - _S_MARGIN (intersected with the gamma_bar > 0
     constraint), t_bar = safety * min(T1, T2), with safety in (0, 1].  The
     radius, the params, the sensing radius (``_resolve_delta``) and t0 are
-    resolved and checked as for ``horizon_T1`` and ``contraction_S``.
-
-    T2 is bisected once per distinct tuple of S's inputs (L_F(R), the two
-    prefactors, H, HR(|X0| + R), alpha, C, lambda0*, N and a declared H2's
-    prefactor), cap and t0, and taken from ``_contraction_horizon``'s cache
-    when they recur."""
+    resolved and checked as for ``horizon_T1`` and ``contraction_S``."""
     if not 0.0 < safety <= 1.0:  # NaN too
         raise ValueError(f"safety must lie in (0, 1], got {safety!r}")
     _segment_start(t0)
@@ -569,20 +560,17 @@ def apply_psi(path: AgentPath, scenario: Scenario,
 
 
 def solve_local(scenario: Scenario, horizon: HorizonCertificate,
-                tol: float = 1e-8, max_iters: int = 50,
-                mode: str = MODE_POINTWISE, dt: float = 1e-2,
+                tol: float = 1e-8, max_iters: int = 50, dt: float = 1e-2,
                 quad: QuadratureSpec | None = None) -> tuple[AgentPath, list[float]]:
     """Picard iteration on [0, t_bar] from the first-order Taylor path of
     the initial state (``_start_path``; the path frozen at the initial state
-    when the Taylor path leaves the tube).
+    when the Taylor path leaves the tube), with the sensing mode and radius
+    the certificate was issued for.
 
     Stops when successive iterates differ by less than tol in the sup norm;
-    returns the converged path and the per-iteration differences.  The
-    certificate must have been issued for the same sensing mode.
+    returns the converged path and the per-iteration differences.
     """
-    if horizon.mode != mode:
-        raise ValueError(f"certificate was issued for {horizon.mode!r} sensing, not {mode!r}")
-    delta = _resolve_delta(scenario, mode, horizon.delta)
+    delta = _resolve_delta(scenario, horizon.mode, horizon.delta)
     path, history, _ = _iterate_segment(scenario, None, 0.0, horizon.t_bar, scenario.X0,
                                         scenario.V0, delta, tol, dt, max_iters, quad)
     return path, history

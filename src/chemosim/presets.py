@@ -20,6 +20,7 @@ derivatives are bounded declares the bound in a ``hessian_bound`` attribute
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -51,27 +52,9 @@ class GaussianSource(NamedTuple):
 
 def coefficient_preset(name: str, dimension: int, alpha: float = 0.5) -> OperatorCoefficients:
     if name == "heat":
-        eye = np.eye(dimension)
-        zero_b = np.zeros(dimension)
-        return OperatorCoefficients(
-            dimension=dimension,
-            a=lambda x, t: eye,
-            b=lambda x, t: zero_b,
-            c=lambda x, t: 0.0,
-            is_constant=True,
-            holder_exponent=alpha,
-        )
+        return inline_coefficients(np.eye(dimension), alpha=alpha)
     if name == "anisotropic-constant":
-        diag = np.diag(_ANISOTROPIC_DIAG[:dimension])
-        zero_b = np.zeros(dimension)
-        return OperatorCoefficients(
-            dimension=dimension,
-            a=lambda x, t: diag,
-            b=lambda x, t: zero_b,
-            c=lambda x, t: 0.0,
-            is_constant=True,
-            holder_exponent=alpha,
-        )
+        return inline_coefficients(np.diag(_ANISOTROPIC_DIAG[:dimension]), alpha=alpha)
     if name == "variable-sine":
         eye = np.eye(dimension)
         zero_b = np.zeros(dimension)
@@ -93,11 +76,16 @@ def coefficient_preset(name: str, dimension: int, alpha: float = 0.5) -> Operato
 
 
 def inline_coefficients(a, b=None, c: float = 0.0, alpha: float = 0.5) -> OperatorCoefficients:
-    """Constant coefficients from explicit arrays."""
+    """Constant coefficients from explicit arrays, which must be finite."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     dimension = a.shape[0]
     b = np.zeros(dimension) if b is None else np.asarray(b, dtype=float)
     c = float(c)
+    for label, value in (("a", a), ("b", b)):
+        if not all(map(math.isfinite, value.flat)):
+            raise ScenarioError(f"coefficient {label} must be finite, got {value.tolist()!r}")
+    if not math.isfinite(c):
+        raise ScenarioError(f"coefficient c must be finite, got {c!r}")
     return OperatorCoefficients(
         dimension=dimension,
         a=lambda x, t: a,
@@ -207,18 +195,13 @@ def preset_catalog() -> dict[str, tuple[str, ...]]:
     }
 
 
-def _force_from_config(spec) -> ForceLaw:
+def _from_spec(spec, preset, *args):
+    """The preset a config names: a bare name, or a mapping of its name and
+    keyword parameters."""
     if isinstance(spec, str):
-        return force_preset(spec)
+        return preset(spec, *args)
     params = {k: v for k, v in spec.items() if k != "name"}
-    return force_preset(spec["name"], **params)
-
-
-def _g_from_config(spec, n_agents: int):
-    if isinstance(spec, str):
-        return g_preset(spec, n_agents)
-    params = {k: v for k, v in spec.items() if k != "name"}
-    return g_preset(spec["name"], n_agents, **params)
+    return preset(spec.get("name"), *args, **params)
 
 
 def scenario_from_config(config: dict) -> Scenario:
@@ -238,14 +221,14 @@ def scenario_from_config(config: dict) -> Scenario:
     else:
         coeffs = inline_coefficients(coeff_spec["a"], coeff_spec.get("b"),
                                      coeff_spec.get("c", 0.0), alpha)
-        if coeffs.dimension != dimension:
-            raise ScenarioError("inline coefficient dimension does not match config dimension")
+    if coeffs.dimension != dimension:
+        raise ScenarioError("coefficient dimension does not match config dimension")
 
     X0 = np.atleast_2d(X0)
     n_agents = X0.shape[1]
     phi, h_phi, c_phi, m_phi = phi_preset(config.get("phi", "zero"))
-    g, hr, c_g, m_g = _g_from_config(config.get("g", "zero"), n_agents)
-    force = _force_from_config(config.get("force", "zero"))
+    g, hr, c_g, m_g = _from_spec(config.get("g", "zero"), g_preset, n_agents)
+    force = _from_spec(config.get("force", "zero"), force_preset)
 
     overrides = config.get("growth", {})
     growth = GrowthSpec(

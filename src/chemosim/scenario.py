@@ -34,8 +34,10 @@ class OperatorCoefficients:
 
     ``a`` maps (x, t) to a symmetric positive definite (N, N) matrix, ``b`` to
     an (N,) drift and ``c`` to a scalar rate; ``mu0``/``mu1`` bound the
-    eigenvalues of a.  Variable coefficients may declare them; otherwise
-    `make_scenario` records the sampled range.
+    eigenvalues of a.  Variable coefficients must declare them, and
+    `make_scenario` checks the declaration on a sample grid; constant
+    coefficients may leave them None, and `make_scenario` records their
+    exact spectrum.
     """
 
     dimension: int
@@ -164,8 +166,10 @@ def _probe_grid(dimension: int, horizon: float) -> tuple[Array, Array]:
 
 
 def probe_parabolicity(coeffs: OperatorCoefficients, horizon: float) -> tuple[float, float]:
-    """Sample a(x, t) on a default grid; check symmetry and return the
-    eigenvalue range (mu0, mu1).  Raises on asymmetry or loss of positivity."""
+    """Sample a(x, t) on a default grid, at one point for constant
+    coefficients; check symmetry and return the sampled eigenvalue range
+    (mu0, mu1), the exact spectrum for constant coefficients.  Raises on
+    asymmetry or loss of positivity."""
     pts, times = _probe_grid(coeffs.dimension, horizon)
     if coeffs.is_constant:
         pts, times = pts[:1], times[:1]
@@ -196,11 +200,14 @@ def make_scenario(coeffs: OperatorCoefficients,
                   name: str = "scenario") -> Scenario:
     """Validate parts and assemble a Scenario.
 
-    Runs the sampled coefficient checks (symmetry, eigenvalue range).  A
-    declared eigenvalue range (mu0 and mu1 both set) is kept, and a sample
-    outside it raises; otherwise the sampled range is recorded on a copy of
-    ``coeffs`` (the caller's object is left as is).  Enforces the growth side
-    condition C < lambda0 / (4 T).
+    Every number a certificate reads is checked by name: the initial state
+    must be finite, and H, M and the force's Lipschitz constants (in (X, V)
+    at the radius R) finite and nonnegative.  Variable coefficients must
+    declare their eigenvalue range (mu0, mu1), which the sampled coefficient
+    checks (symmetry, eigenvalue range) must not leave; a declared range is
+    kept.  Constant coefficients that declare none get their exact spectrum,
+    from one sample, on a copy of ``coeffs`` (the caller's object is left as
+    is).  Enforces the growth side condition C < lambda0 / (4 T).
     """
     if coeffs.dimension not in (1, 2, 3):
         raise ScenarioError("dimension must be 1, 2 or 3")
@@ -213,36 +220,49 @@ def make_scenario(coeffs: OperatorCoefficients,
         raise ScenarioError(
             f"initial state must have shape ({coeffs.dimension}, n); got {X0.shape} and {V0.shape}"
         )
+    for label, state in (("X0", X0), ("V0", V0)):
+        if not all(map(math.isfinite, state.flat)):
+            raise ScenarioError(f"initial state {label} must be finite, got {state.tolist()!r}")
     if not (0.0 < coeffs.holder_exponent < 1.0):
         raise ScenarioError("holder exponent must lie in (0, 1)")
     for label, value in (("horizon", growth.T), ("compact radius R", R),
                          ("nonlocal sensing radius delta", nonlocal_delta)):
         if value is not None and not 0.0 < value < math.inf:  # NaN too
             raise ScenarioError(f"{label} must be positive and finite, got {value!r}")
+    if not growth.C >= 0:  # NaN too
+        raise ScenarioError(f"growth constant C must be nonnegative, got {growth.C!r}")
+    for label, value in (("growth constant H", growth.H), ("growth constant M", growth.M),
+                         ("declared hessian bound H2", growth.H2),
+                         ("force Lipschitz constant lipschitz_w", force.lipschitz_w),
+                         ("force Lipschitz constant lipschitz_xv(R)", force.lipschitz_xv(R)),
+                         ("force Lipschitz constant lipschitz_global", force.lipschitz_global)):
+        if value is not None and not 0.0 <= value < math.inf:  # NaN too
+            raise ScenarioError(f"{label} must be finite and nonnegative, got {value!r}")
     if getattr(getattr(phi, "gaussian_source", None), "at_agents", False):
         raise ScenarioError("an initial datum has no agents to centre its Gaussians at")
 
+    declared = coeffs.mu0 is not None and coeffs.mu1 is not None
+    if not declared and not coeffs.is_constant:
+        raise ScenarioError(f"variable coefficients must declare their eigenvalue range: "
+                            f"mu0 and mu1, got mu0={coeffs.mu0!r}, mu1={coeffs.mu1!r}")
+    if declared and not 0.0 < coeffs.mu0 <= coeffs.mu1 < math.inf:  # NaN too
+        raise ScenarioError(f"declared eigenvalue range needs 0 < mu0 <= mu1 < inf, "
+                            f"got mu0={coeffs.mu0!r}, mu1={coeffs.mu1!r}")
     mu0, mu1 = probe_parabolicity(coeffs, growth.T)
-    if coeffs.mu0 is not None and coeffs.mu1 is not None:  # declared; slack for rounding
+    if declared:  # slack for rounding
         if mu0 < coeffs.mu0 * (1.0 - 1e-12) or mu1 > coeffs.mu1 * (1.0 + 1e-12):
             raise ScenarioError(f"sampled diffusion eigenvalues [{mu0:g}, {mu1:g}] leave "
                                 f"the declared range [{coeffs.mu0:g}, {coeffs.mu1:g}]")
-        mu0, mu1 = coeffs.mu0, coeffs.mu1
-    coeffs = replace(coeffs, mu0=mu0, mu1=mu1)
+    else:
+        coeffs = replace(coeffs, mu0=mu0, mu1=mu1)
 
-    lam0 = lambda0_bound(mu0, mu1)
-    if not growth.C >= 0:  # NaN too
-        raise ScenarioError(f"growth constant C must be nonnegative, got {growth.C!r}")
-    if growth.H2 is not None and not 0.0 <= growth.H2 < math.inf:  # NaN too
-        raise ScenarioError(f"declared hessian bound H2 must be finite and nonnegative, "
-                            f"got {growth.H2!r}")
+    lam0 = coeffs.lambda0
     if growth.C >= lam0 / (4.0 * growth.T):
         raise ScenarioError(
             f"growth constant C={growth.C:g} violates the parabolicity side "
             f"condition C < lambda0/(4T) = {lam0 / (4.0 * growth.T):g}"
         )
-    radii = np.linspace(0.0, 10.0, 21)
-    hr_vals = [growth.HR(float(r)) for r in radii]
+    hr_vals = [growth.HR(0.5 * k) for k in range(21)]  # radii 0, 0.5, ..., 10
     if any(b < a - 1e-12 for a, b in zip(hr_vals, hr_vals[1:])):
         raise ScenarioError("HR must be nondecreasing in the radius")
 

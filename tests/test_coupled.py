@@ -108,7 +108,7 @@ def test_nonlocal_residual_check():
                 force_kwargs={"chi": 0.05, "kappa_v": 1.0},
                 X0=[[0.2]], V0=[[0.3]], T=0.5, delta=0.1, M_override=1.0)
     cert = horizon_certificate(scn, mode=MODE_NONLOCAL)
-    path, _ = solve_local(scn, cert, tol=1e-8, mode=MODE_NONLOCAL)
+    path, _ = solve_local(scn, cert, tol=1e-8)
     probe = FieldProbe(scn, path)
     rep = residual_check(path, scn, probe, mode=MODE_NONLOCAL, tolerance=1e-3)
     assert rep.passed

@@ -364,7 +364,8 @@ def test_fd_time_dependent_coefficients_match_exact_solution():
         return (1.0 + 0.5 * math.sin(2.0 * math.pi * t / T) ** 2) * np.eye(1)
 
     coeffs = OperatorCoefficients(dimension=1, a=a_fn, b=lambda x, t: np.zeros(1),
-                                  c=lambda x, t: 0.0, is_constant=False, holder_exponent=0.5)
+                                  c=lambda x, t: 0.0, is_constant=False, holder_exponent=0.5,
+                                  mu0=1.0, mu1=1.5)
     scn = build(coeff=coeffs, phi="gaussian", T=T)
     path = constant_path(scn, T)
     # the default step is stable for a(0) = 1 but not for the peak a = 1.5
@@ -405,7 +406,7 @@ def test_fd_rejects_misshapen_coefficient(which):
     good = {"a": lambda x, t: good_shape["a"], "b": lambda x, t: good_shape["b"]}
     good[which] = bad
     coeffs = OperatorCoefficients(dimension=1, a=good["a"], b=good["b"], c=lambda x, t: 0.0,
-                                  is_constant=False, holder_exponent=0.5)
+                                  is_constant=False, holder_exponent=0.5, mu0=1.0, mu1=1.0)
     scn = build(coeff=coeffs, phi="gaussian", T=0.5)
     with pytest.raises(ValueError, match=rf"coefficient {which} .*shape \(1, 601\)"):
         solve_field_fd(scn, constant_path(scn, 0.5))

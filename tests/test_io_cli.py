@@ -497,7 +497,7 @@ def test_cli_verify_residual_follows_the_config_mode(tmp_path):
     (rep,) = json.loads((out / "verify_report.json").read_text())["reports"]
     scn = build_scenario(cfg)
     cert = horizon_certificate(scn, mode=MODE_NONLOCAL)
-    path, _ = solve_local(scn, cert, tol=1e-8, mode=MODE_NONLOCAL, dt=1e-2)
+    path, _ = solve_local(scn, cert, tol=1e-8, dt=1e-2)
     expected = residual_check(path, scn, FieldProbe(scn, path), mode=MODE_NONLOCAL)
     assert rep["worst_ratio"] == expected.worst_ratio
 
@@ -614,6 +614,17 @@ def test_cli_nan_config_number_is_a_config_error(tmp_path, command, key, label):
     res = run_cli(command, "--config", str(p), "--output-dir", str(tmp_path / "run"))
     assert res.returncode == 2, res.stderr
     assert f"config error: {label} must be positive and finite, got nan" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "bounds"])
+def test_cli_nan_growth_constant_is_a_config_error(tmp_path, command):
+    # a NaN M made bounds print B = nan and simulate write it to the manifest
+    p = write_cfg(tmp_path, {**DAMPED_CFG, "growth": {"M": float("nan")}})
+    out = tmp_path / "run"
+    res = run_cli(command, "--config", str(p), "--output-dir", str(out))
+    assert res.returncode == 2, res.stderr
+    assert "config error: growth constant M must be finite and nonnegative, got nan" in res.stderr
+    assert not out.exists()
 
 
 def test_cli_field_export(tmp_path):

@@ -601,8 +601,7 @@ def test_solve_local_fixed_point_property():
     (lambda scn, cert, path: apply_psi(path, scn, mode="non-local"), "unknown mode"),
     (lambda scn, cert, path: residual_check(path, scn, FieldProbe(scn, path), mode="Pointwise"),
      "unknown mode"),
-    (lambda scn, cert, path: solve_local(scn, cert, mode=MODE_NONLOCAL), "certificate"),
-], ids=["apply_psi-unknown-mode", "residual_check-unknown-mode", "solve_local-certificate-mode"])
+], ids=["apply_psi-unknown-mode", "residual_check-unknown-mode"])
 def test_mode_mistakes_raise_value_error(call, match):
     scn = damped(delta=0.1)
     cert = horizon_certificate(scn)  # pointwise
@@ -790,33 +789,34 @@ def test_solve_global_certificates_equal_fresh_ones(growth, segment_count, t2_co
 
 
 def test_solve_global_bisects_once_when_the_inputs_of_s_repeat(monkeypatch):
-    counts = {"s_value": 0}
-    s_value = picard._s_value
+    calls, s_calls = [], []
+    bisect, s_value = picard._contraction_horizon, picard._s_value
+
+    def counted(*args):
+        calls.append(args)
+        return bisect(*args)
 
     def counted_s_value(*args):
-        counts["s_value"] += 1
+        s_calls.append(args)
         return s_value(*args)
 
+    monkeypatch.setattr(picard, "_contraction_horizon", counted)
     monkeypatch.setattr(picard, "_s_value", counted_s_value)
-    bisect = picard._contraction_horizon
-    bisect.cache_clear()
     scn = _s1_seeded(1, seed=1, declare_h2=False)
     segments = []
     solve_global(scn, 0.02, segments_out=segments)
     # each segment starts at its own t0, which S reads: one bisection each
-    assert len(segments) == 11 and bisect.cache_info().misses == 11
-    assert bisect.cache_info().hits == 0
-    in_solve, counts["s_value"] = counts["s_value"], 0
-    # a fresh bisection: S(cap), the bisection steps and S(t_bar), as the
-    # solve's first segment evaluates them
-    bisect.cache_clear()
-    horizon_certificate(scn)
-    assert bisect.cache_info().misses == 1 and counts["s_value"] > 50
-    assert in_solve > 11 * 50
-    # a certificate whose inputs were seen before reads the cache
-    counts["s_value"] = 0
-    horizon_certificate(scn)
-    assert bisect.cache_info().hits == 1 and counts["s_value"] == 1
+    assert len(segments) == 11 and len(calls) == 11
+    assert [args[2] for args in calls] == [s.t_start for s in segments]
+    # a repeated certificate bisects afresh, S(cap), the bisection steps and
+    # S(t_bar) each time, and equals the first
+    first = horizon_certificate(scn)
+    del calls[:], s_calls[:]
+    again = horizon_certificate(scn)
+    assert len(calls) == 1 and len(s_calls) > 50
+    assert again == first
+    for name in ("t_range", "t_contract", "t_bar", "s_value", "gamma_bar"):
+        assert getattr(again, name).hex() == getattr(first, name).hex()
 
 
 def test_solve_global_builds_no_kernel_after_set_up(monkeypatch):
@@ -870,7 +870,7 @@ def test_source_part_of_s_covers_the_segment_window():
 
 
 def test_the_table_key_is_everything_s_reads(monkeypatch):
-    # the bisection and S see the tuple that keys T2, and nothing else
+    # the bisection and S see the tuple of S's inputs, and nothing else
     seen = []
     s_value = picard._s_value
 
@@ -881,11 +881,10 @@ def test_the_table_key_is_everything_s_reads(monkeypatch):
     scn = _s1_seeded(1, seed=1)
     _, _, _, s_inputs = picard._certificate_bounds(scn, None, None, None)
     monkeypatch.setattr(picard, "_s_value", recorded)
-    picard._contraction_horizon.cache_clear()
     cert = horizon_certificate(scn)
     assert len(seen) > 50 and all(key == (s_inputs, 0.0) for key in seen)
     assert cert.s_value == s_value(s_inputs, cert.t_bar)
-    assert cert.t_contract == picard._contraction_horizon.__wrapped__(s_inputs, scn.growth.T, 0.0)
+    assert cert.t_contract == picard._contraction_horizon(s_inputs, scn.growth.T, 0.0)
 
 
 def test_solve_global_reruns_bit_for_bit():

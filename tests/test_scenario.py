@@ -74,6 +74,30 @@ def test_declared_eigenvalue_range_left_by_a_sample_raises():
         build(coeff=narrow, phi="gaussian")
 
 
+@pytest.mark.parametrize("declared", [{}, {"mu0": 0.5}, {"mu1": 1.5}],
+                         ids=["none", "mu0-only", "mu1-only"])
+def test_undeclared_variable_coefficients_raise_before_a_is_sampled(declared):
+    from dataclasses import replace
+
+    def unsampled(x, t):
+        raise AssertionError("a(x, t) sampled")
+
+    coeffs = replace(coefficient_preset("variable-sine", 1), a=unsampled,
+                     **{"mu0": None, "mu1": None, **declared})
+    with pytest.raises(ScenarioError, match="must declare their eigenvalue range: mu0 and mu1"):
+        build(coeff=coeffs, phi="gaussian")
+
+
+@pytest.mark.parametrize("mu0, mu1", [(0.0, 1.5), (1.5, 0.5), (float("nan"), 1.5),
+                                      (0.5, float("inf"))])
+def test_a_declared_eigenvalue_range_must_be_positive_and_ordered(mu0, mu1):
+    from dataclasses import replace
+
+    coeffs = replace(coefficient_preset("variable-sine", 1), mu0=mu0, mu1=mu1)
+    with pytest.raises(ScenarioError, match="0 < mu0 <= mu1 < inf"):
+        build(coeff=coeffs, phi="gaussian")
+
+
 def test_growth_side_condition_rejected():
     # lambda0 = 1 for heat, so C = lambda0/(2T) violates C < lambda0/(4T)
     from chemosim.scenario import GrowthSpec, make_scenario
@@ -131,12 +155,48 @@ S1_CONFIG = {
     ("delta", float("nan"), "sensing radius delta must be positive and finite, got nan"),
     ("delta", float("inf"), "sensing radius delta must be positive and finite, got inf"),
     ("growth", {"C": float("nan")}, "growth constant C must be nonnegative, got nan"),
+    ("X0", [[float("nan"), -0.3]], r"initial state X0 must be finite, got \[\[nan, -0.3\]\]"),
+    ("V0", [[0.3, float("inf")]], r"initial state V0 must be finite, got \[\[0.3, inf\]\]"),
+    ("growth", {"H": float("nan")}, "growth constant H must be finite and nonnegative, got nan"),
+    ("growth", {"H": -1.0}, "growth constant H must be finite and nonnegative, got -1.0"),
+    ("growth", {"M": float("nan")}, "growth constant M must be finite and nonnegative, got nan"),
+    ("growth", {"M": float("inf")}, "growth constant M must be finite and nonnegative, got inf"),
+    ("force", {"name": "damped-chemotaxis", "chi": float("nan"), "kappa_v": 1.0},
+     "force Lipschitz constant lipschitz_w must be finite and nonnegative, got nan"),
+    ("force", {"name": "damped-chemotaxis", "chi": 0.3, "kappa_v": float("nan")},
+     r"force Lipschitz constant lipschitz_xv\(R\) must be finite and nonnegative, got nan"),
+    ("force", {"name": "pure-chemotaxis", "chi": float("inf")},
+     "force Lipschitz constant lipschitz_w must be finite and nonnegative, got inf"),
+    ("force", {"name": "damped-chemotaxis", "chi": 0.3, "kappa_v": float("inf")},
+     r"force Lipschitz constant lipschitz_xv\(R\) must be finite and nonnegative, got inf"),
+    ("coefficients", {"a": [[float("nan")]]}, r"coefficient a must be finite, got \[\[nan\]\]"),
+    ("coefficients", {"a": [[1.0]], "b": [float("inf")]},
+     r"coefficient b must be finite, got \[inf\]"),
+    ("coefficients", {"a": [[1.0]], "c": float("nan")}, "coefficient c must be finite, got nan"),
 ], ids=["horizon-nan", "horizon-inf", "R-nan", "R-zero", "delta-nan", "delta-inf",
-        "growth-C-nan"])
+        "growth-C-nan", "X0-nan", "V0-inf", "growth-H-nan", "growth-H-negative",
+        "growth-M-nan", "growth-M-inf", "force-chi-nan", "force-kappa_v-nan",
+        "force-chi-inf", "force-kappa_v-inf", "coefficients-a-nan", "coefficients-b-inf",
+        "coefficients-c-nan"])
 def test_non_finite_config_numbers_are_rejected_by_name(key, value, message):
     # json.loads accepts NaN and Infinity, so a config can carry them
     with pytest.raises(ScenarioError, match=message):
         scenario_from_config(dict(S1_CONFIG, **{key: value}))
+
+
+@pytest.mark.parametrize("name, value", [("lipschitz_w", -0.5), ("lipschitz_global", float("nan")),
+                                         ("lipschitz_global", -1.0),
+                                         ("lipschitz_global", float("inf"))])
+def test_force_law_constants_are_rejected_by_name(name, value):
+    from dataclasses import replace
+
+    force = replace(force_preset("damped-chemotaxis", chi=0.3), **{name: value})
+    with pytest.raises(ScenarioError,
+                       match=f"force Lipschitz constant {name} must be finite and nonnegative, "
+                             f"got {value!r}"):
+        build(phi="gaussian", force=force)
+    # an undeclared global constant is no input
+    assert build(force=replace(force, lipschitz_w=0.3, lipschitz_global=None)).force is not None
 
 
 def test_initial_datum_cannot_centre_gaussians_at_agents():
@@ -292,6 +352,10 @@ def test_unknown_preset_names_raise():
         g_preset("nope", 1)
     with pytest.raises(ScenarioError):
         force_preset("nope")
+    # a config mapping without a name names no preset
+    for key, spec in (("g", {"value": 2.0}), ("force", {"chi": 0.3})):
+        with pytest.raises(ScenarioError, match=f"unknown {key} preset None"):
+            scenario_from_config(dict(S1_CONFIG, **{key: spec}))
 
 
 def test_scenario_exposes_lipschitz_policy():
