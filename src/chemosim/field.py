@@ -29,7 +29,7 @@ is -L u whatever x is: G dxi = e^{c (sigma - 1)} G(0, 1, b + L u, 0) det L
 du, and each x-derivative brings a factor sigma^(-1/2).  So a call forms
 the rule's kernel weights once, the node weight times D^k G(0, 1, b + L u,
 0) for each order k, from one kernel call on the m nodes
-(`FieldProbe._rule_weights`), and a spatial-rule item is its datum on its
+(`FieldTable._rule_weights`), and a spatial-rule item is its datum on its
 nodes contracted with those weights, times e^{c (sigma - 1)} sigma^(-k/2).
 Variable coefficients take an explicit finite-difference solve on a
 truncated box (`backend_for`).
@@ -43,7 +43,9 @@ rule sqrt(sigma), b sigma and the factor of each order; in closed form the
 eigenvalues of M, sqrt(det M) and c sigma) are computed once per (s-node,
 distinct time) cell, for every point at that time (the initial-datum term
 is the one row tau = 0, weight 1).  The cells form one table, which a pass
-gathers to its points with one ``take``.  A pass is an (s-node, point)
+gathers to its points with one ``take``, and X(tau) is one lookup of the
+cells' times on the path's grid and one gather (`paths._lookup`,
+`paths._gather`).  A pass is an (s-node, point)
 block: every s-row of a range of points or, when one point's rows exceed
 the pass size, a range of the rows of one point.  Each point adds its rows
 to its running sum one at a time in s-node order, in one
@@ -61,14 +63,24 @@ way an item's value does not depend on the pass it falls in, and the
 weights of each order equal its one-order kernel call, so every order
 equals its one-order call bit for bit.  The spatial rule and the s-rule are
 built once per (dimension, u_max, node counts, L) and shared read-only
-(`_cached_field_rules`); the kernel weights are formed per call.
+(`_cached_field_rules`); the kernel weights are formed per time table.
 
-A call's fixed cost, paid before its passes, is one scan of the probe
-times: the test that they are in order, which a NaN fails (the range check
-then reads only the first and last sorted time), and the runs, whose first
-is the points at t = 0 when there are any.  At the size of a Picard sweep's
-pass (tens of points) most of a pass is this per-call work, not work per
-point.
+A call is a time table and an evaluation (`FieldTable`).  The table holds
+what depends on the probe times and the path's time grid alone: the one
+scan of the times (the order test, which a NaN fails; the range check then
+reads only the first and last sorted time), their runs, the points at
+t = 0, which are the first run when there are any, the kernel weights of
+the requested orders, each pass's cell factors already gathered to its
+items, and the lookup of X(tau) on the grid.  The evaluation takes the
+table, the points and the path's positions X, and runs only the gather of
+X(tau), the datum, the Gaussian terms and the s-node-order accumulation.
+Every call builds its table and evaluates it; a Picard segment builds one
+for its grid and node times (`picard._sensing_table`), and each sweep of
+the segment evaluates it on its own iterate, so a sweep computes only what
+the iterate changes.  At the size of a sweep (tens of points) the table is
+about a quarter of a call.  An item's elementwise operations and a point's
+accumulation order are the same whether the table is new or reused, so a
+reused table gives every value bit for bit.
 
 Evaluation at t = 0 returns the initial datum (and its difference-quotient
 derivatives) by continuity.  The ball average of grad f is (N / delta) times
@@ -85,13 +97,14 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .paths import AgentPath
+from .paths import AgentPath, _gather, _lookup
 from .quadrature import _read_only, gauss_legendre, sphere_rule, tensor_grid
 from .scenario import Scenario
 
 __all__ = [
     "QuadratureSpec",
     "FieldProbe",
+    "FieldTable",
     "backend_for",
     "FdField",
     "solve_field_fd",
@@ -250,6 +263,29 @@ def _cached_sphere_rule(dim: int, delta: float) -> tuple[np.ndarray, np.ndarray]
     return _read_only(delta * nu, (dim / delta) * (w / w.sum())[:, None] * nu)
 
 
+def _check_times(t, n_points: int, horizon: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """Probe times ``t`` clamped to [0, horizon], one per point, and the
+    stable permutation that sorts them (None when they are in order).  The
+    one scan of the times is the order test, which a NaN fails; the sort puts
+    NaN last, so the range check reads the first and last sorted time."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1 or (t.ndim == 1 and len(t) != n_points):
+        raise ValueError(f"need one probe time or one per point, got shape {t.shape}")
+    if t.ndim == 0:
+        t = np.full(max(n_points, 1), t)  # a lone time is checked, points or not
+    elif not n_points:
+        return t, None
+    order = None if (t[:-1] <= t[1:]).all() else np.argsort(t, kind="stable")
+    lo, hi = (t[0], t[-1]) if order is None else (t[order[0]], t[order[-1]])
+    top = horizon * (1.0 + 1e-9) + 1e-12
+    if not (lo >= -1e-12 and hi <= top):
+        bad = t[~((t >= -1e-12) & (t <= top))][0]
+        raise ValueError(f"probe time {float(bad)} outside [0, {horizon}]")
+    if lo < 0.0 or hi > horizon:  # clamping keeps the order
+        t = np.minimum(np.maximum(t, 0.0), horizon)
+    return t[:n_points], order
+
+
 def _time_runs(t: np.ndarray, order: np.ndarray | None) -> tuple:
     """The points of probe times ``t`` (P,) in time order, given the stable
     permutation ``order`` that sorts them (None when ``t`` is already in
@@ -269,128 +305,194 @@ def _sorted_points(order: np.ndarray | None, start: int, stop: int):
     return slice(start, stop) if order is None else order[start:stop]
 
 
-@dataclass(eq=False)
-class FieldProbe:
-    """Evaluator of f, grad f, hess f and ball-averaged grad f along a path.
+def _phi_at_zero(phi, pts: np.ndarray, orders: tuple) -> list[np.ndarray]:
+    """The field at t = 0 by continuity: phi and its difference-quotient
+    derivatives at points (P, N), one array per order."""
+    derivs = (phi, lambda p: _fd_gradient_of(phi, p), lambda p: _fd_hessian_of(phi, p))
+    return [derivs[order](pts) for order in orders]
 
-    Immutable after construction; evaluations are pure and may be called
-    concurrently.  ``backend`` defaults to `backend_for` the scenario; an
-    explicit ``BACKEND_FD`` cross-checks the closed form.
-    """
 
-    scenario: Scenario
-    path: AgentPath
-    backend: str | None = None
-    quad: QuadratureSpec = DEFAULT_QUAD
+def _gaussian_factors(kern, sigma: np.ndarray, rate: float) -> tuple:
+    """The factors of `_gaussian_integrals` that depend on sigma = t - tau
+    alone: the eigenvalues 1 + 4 rate sigma lambda_a of M (one array per
+    axis a), sqrt(det M) and c sigma, each shaped like ``sigma``."""
+    scale = 4.0 * rate * sigma
+    m = [1.0 + scale * lam for lam in kern.eig[0]]
+    return m, np.sqrt(reduce(operator.mul, m)), kern.c * sigma
 
-    def __post_init__(self):
-        if self.backend is None:
-            self.backend = backend_for(self.scenario)
-        if self.backend not in (BACKEND_KERNEL, BACKEND_FD):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == BACKEND_KERNEL and not self.scenario.coeffs.is_constant:
-            raise ValueError("closed-form backend requires constant coefficients")
-        self._fd_grid: FdField | None = None
-        if self.backend == BACKEND_KERNEL:
-            # xi = x + b sigma + sqrt(sigma) L u with a = L L^T, so the kernel
-            # is exp(-|u|^2 / 4) up to a factor in sigma (module docstring)
-            dim = self.scenario.dimension
-            chol = np.ascontiguousarray(self.scenario.kernel.chol, dtype=float)
-            self._u_pts, self._u_wts, self._s_base, self._s_wts = _cached_field_rules(
-                dim, float(self.quad.resolved_u_max(dim)), int(self.quad.resolved_space_nodes(dim)),
-                int(self.quad.time_nodes), chol.tobytes())
 
-    # -- time-range handling -------------------------------------------------
+def _gaussian_integrals(kern, d: np.ndarray, m, root_det: np.ndarray, c_sigma: np.ndarray,
+                        rate: float, orders: tuple) -> list[np.ndarray]:
+    """x-derivatives of the given orders of the integral over xi of
+    G(x, t, xi, tau) sum_c exp(-rate |xi - c|^2), for the kernel ``kern``
+    and d = x - c + b sigma stacked (N, centre, *items) with sigma = t - tau,
+    given the factors m, sqrt(det M) and c sigma of `_gaussian_factors`,
+    shaped like the items.  One array per order, shaped (N,) * order +
+    items.
 
-    def _check_times(self, t, n_points: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """Probe times clamped to [0, horizon], one per point, and the stable
-        permutation that sorts them (None when they are in order).  The one
-        scan of the times is the order test, which a NaN fails; the sort puts
-        NaN last, so the range check reads the first and last sorted time."""
-        horizon = self.path.horizon
-        t = np.asarray(t, dtype=float)
-        if t.ndim > 1 or (t.ndim == 1 and len(t) != n_points):
-            raise ValueError(f"need one probe time or one per point, got shape {t.shape}")
-        if t.ndim == 0:
-            t = np.full(max(n_points, 1), t)  # a lone time is checked, points or not
-        elif not n_points:
-            return t, None
-        order = None if (t[:-1] <= t[1:]).all() else np.argsort(t, kind="stable")
-        lo, hi = (t[0], t[-1]) if order is None else (t[order[0]], t[order[-1]])
-        top = horizon * (1.0 + 1e-9) + 1e-12
-        if not (lo >= -1e-12 and hi <= top):
-            bad = t[~((t >= -1e-12) & (t <= top))][0]
-            raise ValueError(f"probe time {float(bad)} outside [0, {horizon}]")
-        if lo < 0.0 or hi > horizon:  # clamping keeps the order
-            t = np.minimum(np.maximum(t, 0.0), horizon)
-        return t[:n_points], order
+    With M = I + 4 rate sigma a the integral of one centre is
+    det(M)^(-1/2) exp(-rate d^T M^-1 d + c sigma); the gradient is
+    -2 rate M^-1 d times that, the hessian
+    (4 rate^2 (M^-1 d)(M^-1 d)^T - 2 rate M^-1) times that.  M is
+    diagonal in the eigenbasis Q of a, so the pass rotates d into it
+    once, e = Q^T d, and shares M^-1 d and the scalar factor between the
+    orders.  The rotations are sums of per-axis products rather than
+    BLAS calls, whose fused multiply-adds could round an item by its
+    position in the pass."""
+    q = kern.eig[1]
+    axes = range(kern.dim)
+    e = [_sum_in_order(q[b, a] * d[b] for b in axes) for a in axes]
+    quad = _sum_in_order(e[a] * e[a] / m[a] for a in axes)
+    val = np.exp(-rate * quad + c_sigma) / root_det  # (centre, *items)
+    if max(orders) > 0:
+        e_m = [e[a] / m[a] for a in axes]
+        w = [_sum_in_order(q[b, a] * e_m[a] for a in axes) for b in axes]  # M^-1 d
+    out = []
+    for order in orders:
+        if order == 0:
+            out.append(val.sum(axis=0))
+        elif order == 1:
+            grad = np.empty((kern.dim,) + d.shape[2:])
+            for a in axes:
+                ((-2.0 * rate) * w[a] * val).sum(axis=0, out=grad[a])
+            out.append(grad)
+        else:
+            hess = np.empty((kern.dim, kern.dim) + d.shape[2:])
+            for a in axes:
+                for b in axes[a:]:
+                    m_inv = _sum_in_order(q[a, c] / m[c] * q[b, c] for c in axes)
+                    entry = (4.0 * rate * rate * (w[a] * w[b]) - 2.0 * rate * m_inv) * val
+                    hess[a, b] = hess[b, a] = entry.sum(axis=0)
+            out.append(hess)
+    return out
 
-    # -- closed-form backend -------------------------------------------------
 
-    def _kernel_integral(self, datum, source: bool, pts: np.ndarray, runs: tuple,
-                         orders: tuple, weights: list | None) -> list[np.ndarray]:
-        """x-derivatives of the given orders of the kernel integral of phi
-        (``source`` false) or of g over (0, t), at stacked points (P, N)
-        whose probe times ``runs`` groups (`_time_runs`): a sum over the
-        items the module docstring describes, each in closed form when the
-        datum declares Gaussian structure and otherwise by the spatial rule,
-        with the call's kernel ``weights`` (`_rule_weights`, one per order).
-        One array per order, shaped (P,) + (N,) * order; every order comes
-        from the same passes.  Each point sums its items in s-node order,
-        across passes too."""
+class FieldTable:
+    """The time table of one field call: every part of the call that
+    depends on its probe times and on the time grid of the path alone, built
+    once (module docstring).  `evaluate` runs the rest at any points, on any
+    path on that grid.
+
+    ``t`` is one probe time for all ``n_points`` points or one time per
+    point, ``grid`` the path's time grid and ``orders`` the derivative
+    orders of the call.  With a sensing radius ``delta`` it is the table of
+    `FieldProbe.ball_average_gradient`: the points are the centres, f (the
+    one order 0) is evaluated on each centre's sphere points, and the result
+    is the average.  ``backend`` defaults to `backend_for` the scenario.
+    Immutable after construction, and it lives as long as its caller holds
+    it: nothing caches it."""
+
+    def __init__(self, scenario: Scenario, grid: np.ndarray, t, n_points: int,
+                 orders: tuple = (1,), delta: float | None = None,
+                 quad: QuadratureSpec = DEFAULT_QUAD, backend: str | None = None):
+        self.scenario, self.grid, self.quad = scenario, grid, quad
+        self.backend = backend_for(scenario) if backend is None else backend
+        self.n_points, self.orders, self.delta = n_points, tuple(orders), delta
+        self.times = _read_only(np.array(t, dtype=float))[0]
+        t, order = _check_times(self.times, n_points, float(grid[-1]))
+        if delta is not None:
+            # (centre, node) order: a centre's nodes share its time, so times
+            # in order stay in order, and the stable sort of the repeated
+            # times is the centres' sort, each index expanded to its k nodes
+            k = len(_cached_sphere_rule(scenario.dimension, float(delta))[0])
+            if order is not None:
+                order = (order[:, None] * k + np.arange(k)).ravel()
+            t = np.repeat(t, k)
+        self._at_zero = self._live = None
+        if not len(t):
+            return
+        runs = _time_runs(t, order)
+        _, run, bounds, run_times = runs
+        # the points at t = 0 are the first run, if there are any
+        zero = int(bounds[1]) if run_times[0] == 0.0 else 0
+        if zero:
+            runs = (order, run - 1, bounds[1:], run_times[1:])
+            self._at_zero = _sorted_points(order, 0, zero)
+        if zero == len(t):
+            return
+        self._live = _sorted_points(order, zero, len(t))
+        if self.backend != BACKEND_KERNEL:
+            self._live_times = t[self._live]
+            return
+        # xi = x + b sigma + sqrt(sigma) L u with a = L L^T, so the kernel is
+        # exp(-|u|^2 / 4) up to a factor in sigma (module docstring)
+        dim = scenario.dimension
+        chol = np.ascontiguousarray(scenario.kernel.chol, dtype=float)
+        self._u_pts, self._u_wts, self._s_base, self._s_wts = _cached_field_rules(
+            dim, float(quad.resolved_u_max(dim)), int(quad.resolved_space_nodes(dim)),
+            int(quad.time_nodes), chol.tobytes())
+        phi, g = scenario.phi, scenario.g
+        # the kernel weights once per table, when a datum takes the spatial rule
+        by_rule = any(not _is_zero(datum) and getattr(datum, "gaussian_source", None) is None
+                      for datum in (phi, g))
+        self._weights = self._rule_weights() if by_rule else None
+        self._terms = (self._passes(phi, False, runs), self._passes(g, True, runs))
+
+    def head(self, count: int) -> "FieldTable":
+        """The table of this call at its first ``count`` probe times (its
+        first centres, for a ball average), on the same grid."""
+        t = self.times if self.times.ndim == 0 else self.times[:count]
+        return FieldTable(self.scenario, self.grid, t, count, self.orders, self.delta,
+                          self.quad, self.backend)
+
+    # -- the time table ----------------------------------------------------------
+
+    def _rule_weights(self) -> list[np.ndarray]:
+        """The spatial rule's kernel weights: for each order k, the node
+        weight (det L included) times D^k G(0, 1, b + L u, 0), the k-th
+        x-derivative of the kernel at sigma = 1 on node u, shaped (N,) * k +
+        (m,) with the node axis contiguous.  One kernel call on the m nodes
+        serves every order; each order equals its one-order call."""
+        kern = self.scenario.kernel
+        derivs = kern.derivatives(self.orders, np.zeros(kern.dim), 1.0, kern.b + self._u_pts, 0.0)
+        return [np.multiply(d.transpose(tuple(range(1, k + 1)) + (0,)), self._u_wts, order="C")
+                for k, d in zip(self.orders, derivs)]
+
+    def _passes(self, datum, source: bool, runs: tuple):
+        """The passes of the kernel integral of phi (``source`` false) or of
+        g over (0, t), for the live points whose times ``runs`` groups
+        (`_time_runs`): None for a zero datum, else (datum, source, its
+        Gaussian structure, groups).  A group of runs holds the `_lookup`
+        of X(tau) on its cells (None when the datum reads no agents), the
+        shape of its cells and its passes; a pass holds its points (by
+        sorted position), each point's column in the group, its s-rows and
+        its cell factors gathered to its items (field, row, point)."""
+        if _is_zero(datum):
+            return None
         dim, n_agents = self.scenario.dimension, self.scenario.n
         order, run, bounds, run_times = runs
-        shapes = [(len(pts),) + (dim,) * k for k in orders]
-        if _is_zero(datum):
-            return [np.zeros(shape) for shape in shapes]
         gauss = getattr(datum, "gaussian_source", None)
+        reads_agents = source and (gauss is None or gauss.at_agents)
         # a pass holds, for each of its items, at most one closed-form term per
         # agent of the largest requested order, or xi on the spatial nodes.
         # It takes every s-row of a range of points, or, when one point's rows
         # do not fit, a range of the rows of one point.
-        per_item = n_agents * dim**max(orders) if gauss is not None else len(self._u_pts) * dim
+        per_item = n_agents * dim**max(self.orders) if gauss is not None else len(self._u_pts) * dim
         n_rows = len(self._s_base) if source else 1
         rows_per_pass = min(n_rows, max(1, _CHUNK_ELEMENTS // per_item))
         pts_per_pass = max(1, _CHUNK_ELEMENTS // (per_item * n_rows))
         # a group of runs holds X(tau) of every agent for each of its cells
         runs_per_group = max(1, _CHUNK_ELEMENTS // (n_rows * dim * n_agents))
-        accs = [np.zeros(shape) for shape in shapes]
+        groups = []
         for g0 in range(0, len(run_times), runs_per_group):
             g1 = min(g0 + runs_per_group, len(run_times))
-            cells = self._cells(run_times[g0:g1], source, gauss)
+            cells, tau = self._cells(run_times[g0:g1], source, gauss)
+            passes = []
             for p0 in range(bounds[g0], bounds[g1], pts_per_pass):
                 p1 = min(p0 + pts_per_pass, bounds[g1])
-                idx = slice(p0, p1) if order is None else order[p0:p1]
                 cols = run[p0:p1] - g0
                 for r0 in range(0, n_rows, rows_per_pass):
-                    cell = cells[:, r0:r0 + rows_per_pass].take(cols, axis=2)  # (field, row, P)
-                    if gauss is None:
-                        blocks = self._rule_blocks(datum, source, pts[idx], cell, orders, weights)
-                    else:
-                        blocks = self._closed_blocks(gauss, pts[idx], cell, orders)
-                    for acc, block in zip(accs, blocks):
-                        # the rows (block axis 0) go onto the point's running
-                        # sum one at a time, in s-node order: a sum would go
-                        # pairwise for a single point.  a + b is b + a exactly.
-                        block[0] += acc[idx]
-                        acc[idx] = np.add.accumulate(block, axis=0)[-1]
-        return accs
+                    rows = slice(r0, r0 + rows_per_pass)
+                    passes.append((_sorted_points(order, p0, p1), cols, rows,
+                                   cells[:, rows].take(cols, axis=2)))
+            groups.append((_lookup(self.grid, tau) if reads_agents else None, tau.shape, passes))
+        return datum, source, gauss, groups
 
-    def _rule_weights(self, orders: tuple) -> list[np.ndarray]:
-        """The spatial rule's kernel weights of one call: for each order k,
-        the node weight (det L included) times D^k G(0, 1, b + L u, 0), the
-        k-th x-derivative of the kernel at sigma = 1 on node u, shaped (N,) *
-        k + (m,) with the node axis contiguous.  One kernel call on the m
-        nodes serves every order; each order equals its one-order call."""
-        kern = self.scenario.kernel
-        derivs = kern.derivatives(orders, np.zeros(kern.dim), 1.0, kern.b + self._u_pts, 0.0)
-        return [np.multiply(d.transpose(tuple(range(1, k + 1)) + (0,)), self._u_wts, order="C")
-                for k, d in zip(orders, derivs)]
-
-    def _cells(self, t_u: np.ndarray, source: bool, gauss) -> np.ndarray:
+    def _cells(self, t_u: np.ndarray, source: bool, gauss) -> tuple[np.ndarray, np.ndarray]:
         """The (s-node, time) cells shared by every point at one of the
-        distinct probe times ``t_u`` (U,), as one table (field, row, U) that
-        a pass gathers at its points' columns with one ``take``.
+        distinct probe times ``t_u`` (U,): one table (field, row, U) of their
+        factors, which `_passes` gathers to each pass's points, and tau
+        (row, U), where an item reads X(tau).
 
         The fields are the factors of an item that depend on its cell alone,
         computed once per cell by the elementwise operations an item would
@@ -398,9 +500,8 @@ class FieldProbe:
         spatial rule: sqrt(sigma), b sigma (N rows) and the factor
         weight e^{c (sigma - 1)} sigma^(-k/2) of each order k = 0, 1, 2 (3
         rows); in closed form: the weight, b sigma (N rows) and
-        `_gaussian_factors` (N + 2 rows).  The agent positions X(tau)
-        follow, N * n rows, where an item reads them.  The initial-datum
-        integral is the one row tau = 0, weight 1."""
+        `_gaussian_factors` (N + 2 rows).  The initial-datum integral is the
+        one row tau = 0, weight 1."""
         kern = self.scenario.kernel
         if source:
             sqrt_t = np.sqrt(t_u)
@@ -417,121 +518,164 @@ class FieldProbe:
             scale = weight * np.exp(kern.c * (sigma - 1.0))  # the weights hold e^c
             fields = [root_sigma, *drift, scale, scale / root_sigma, scale / sigma]
         else:
-            m, root_det, c_sigma = self._gaussian_factors(sigma, gauss.rate)
+            m, root_det, c_sigma = _gaussian_factors(kern, sigma, gauss.rate)
             fields = [weight, *drift, *m, root_det, c_sigma]
-        if source and (gauss is None or gauss.at_agents):
-            # positions_at returns a (row, U, N, n) view of an (N, n, row, U) array
-            X = self.path.positions_at(tau).transpose(2, 3, 0, 1)
-            fields.extend(X.reshape((-1,) + sigma.shape))
-        return np.array(fields)
+        return np.array(fields), tau
+
+    # -- the evaluation ----------------------------------------------------------
+
+    def evaluate(self, pts: np.ndarray, X: np.ndarray, fd_batch=None) -> list[np.ndarray]:
+        """The call at points ``pts`` (P, N), on a path on the table's grid
+        whose positions are ``X`` (nodes, N, n): one array per order, shaped
+        (P,) + (N,) * order, or for a ball average the one array of averages
+        (P, N).  What runs here is the datum, the Gaussian terms and the
+        s-node-order accumulation; the closed-form backend reads X through
+        the source cells' lookup, and on the finite-difference backend
+        ``fd_batch`` (points, times, orders) evaluates the points at t > 0.
+        Points at t = 0 take the initial datum and read no path."""
+        if self.delta is None:
+            return self._derivatives(pts, X, fd_batch)
+        offsets, wts = _cached_sphere_rule(self.scenario.dimension, float(self.delta))
+        k = len(offsets)
+        vals = self._derivatives((pts[:, None, :] + offsets).reshape(-1, pts.shape[1]),
+                                 X, fd_batch)[0]
+        # the sum runs over a (node, centre) view in node order, as for one centre
+        terms = np.multiply(vals.reshape(len(pts), k).T[:, :, None], wts[:, None, :], order="C")
+        return [terms.sum(axis=0)]
+
+    def _derivatives(self, pts: np.ndarray, X: np.ndarray, fd_batch) -> list[np.ndarray]:
+        live, at_zero = self._live, self._at_zero
+        if live is not None and self.backend == BACKEND_KERNEL:
+            outs = [a - b for a, b in zip(self._integral(self._terms[0], pts, X),
+                                          self._integral(self._terms[1], pts, X))]
+        else:
+            outs = [np.empty((len(pts),) + (self.scenario.dimension,) * k) for k in self.orders]
+            if live is not None:
+                for out, vals in zip(outs, fd_batch(pts[live], self._live_times, self.orders)):
+                    out[live] = vals
+        if at_zero is not None:
+            for out, vals in zip(outs, _phi_at_zero(self.scenario.phi, pts[at_zero], self.orders)):
+                out[at_zero] = vals
+        return outs
+
+    def _integral(self, term, pts: np.ndarray, X: np.ndarray) -> list[np.ndarray]:
+        """x-derivatives of the orders of the kernel integral of one datum
+        at points (P, N), for its `_passes` ``term``: one array per order,
+        shaped (P,) + (N,) * order, 0 at the points at t = 0.  Each point
+        sums its items in s-node order, across passes too."""
+        accs = [np.zeros((len(pts),) + (self.scenario.dimension,) * k) for k in self.orders]
+        if term is None:
+            return accs
+        datum, source, gauss, groups = term
+        for lookup, shape, passes in groups:
+            # X(tau) of every agent on the group's cells, (N * n, row, U)
+            X_cells = None if lookup is None else _gather(X, lookup).reshape((-1,) + shape)
+            for idx, cols, rows, cell in passes:
+                X_items = None if X_cells is None else X_cells[:, rows].take(cols, axis=2)
+                if gauss is None:
+                    blocks = self._rule_blocks(datum, source, pts[idx], cell, X_items)
+                else:
+                    blocks = self._closed_blocks(gauss, pts[idx], cell, X_items)
+                for acc, block in zip(accs, blocks):
+                    # the rows (block axis 0) go onto the point's running
+                    # sum one at a time, in s-node order: a sum would go
+                    # pairwise for a single point.  a + b is b + a exactly.
+                    block[0] += acc[idx]
+                    acc[idx] = np.add.accumulate(block, axis=0)[-1]
+        return accs
 
     def _rule_blocks(self, datum, source: bool, x: np.ndarray, cell: np.ndarray,
-                     orders: tuple, weights: list) -> list[np.ndarray]:
-        """Weighted spatial-rule terms of one pass, for the cell fields
-        ``cell`` (field, row, P) (`_cells`) at the points ``x`` (P, N): one
-        array per order, shaped (row, P) + (N,) * order.  The items (row,
-        point) are flattened; xi = x + b sigma + sqrt(sigma) L u and the
-        datum on it are built once, for every order."""
+                     X: np.ndarray | None) -> list[np.ndarray]:
+        """Weighted spatial-rule terms of one pass, for its cell factors
+        ``cell`` (field, row, P) at the points ``x`` (P, N), with X(tau) of
+        every agent ``X`` (N * n, row, P) for a source: one array per order,
+        shaped (row, P) + (N,) * order.  The items (row, point) are
+        flattened; xi = x + b sigma + sqrt(sigma) L u and the datum on it are
+        built once, for every order."""
         dim = self.scenario.dimension
         n_rows = cell.shape[1]
         centre = (x.T[:, None, :] + cell[1:1 + dim]).reshape(dim, -1).T  # x + b sigma
         xi = centre[:, None, :] + cell[0].reshape(-1, 1, 1) * self._u_pts
         if source:
-            X = cell[4 + dim:].reshape((dim, -1, len(centre))).transpose(2, 0, 1)
-            vals = datum(xi, X[:, None])
+            vals = datum(xi, X.reshape((dim, -1, len(centre))).transpose(2, 0, 1)[:, None])
         else:
             vals = datum(xi)
         return [(cell[1 + dim + k].reshape((-1,) + (1,) * k)
                  * np.einsum(_CONTRACTIONS[k], w, vals)).reshape((n_rows, len(x)) + (dim,) * k)
-                for k, w in zip(orders, weights)]
+                for k, w in zip(self.orders, self._weights)]
 
     def _closed_blocks(self, gauss, x: np.ndarray, cell: np.ndarray,
-                       orders: tuple) -> list[np.ndarray]:
-        """Weighted closed-form terms of one pass, for the cell fields
-        ``cell`` (field, row, P) (`_cells`) at the points ``x`` (P, N): one
-        array per order, shaped (row, P) + (N,) * order."""
-        dim = self.scenario.dimension
+                       X: np.ndarray | None) -> list[np.ndarray]:
+        """Weighted closed-form terms of one pass, for its cell factors
+        ``cell`` (field, row, P) at the points ``x`` (P, N), with the centres
+        X(tau) ``X`` (N * n, row, P) when they are at the agents: one array
+        per order, shaped (row, P) + (N,) * order."""
+        kern = self.scenario.kernel
+        dim = kern.dim
         # the cell fields, then the items as (N, centre, row, P)
         weight, drift, m = cell[0], cell[1:1 + dim], cell[1 + dim:1 + 2 * dim]
         root_det, c_sigma = cell[1 + 2 * dim], cell[2 + 2 * dim]
-        centres = cell[3 + 2 * dim:].reshape((dim, -1) + weight.shape) if gauss.at_agents \
+        centres = X.reshape((dim, -1) + weight.shape) if gauss.at_agents \
             else np.zeros((dim, 1, 1, 1))
         d = x.T[:, None, None, :] - centres + drift[:, None]
-        integrals = self._gaussian_integrals(d, m, root_det, c_sigma, gauss.rate, orders)
+        integrals = _gaussian_integrals(kern, d, m, root_det, c_sigma, gauss.rate, self.orders)
         return [(weight * (gauss.weight * k)).transpose((k.ndim - 2, k.ndim - 1)
                                                           + tuple(range(k.ndim - 2)))
                 for k in integrals]
 
-    def _gaussian_factors(self, sigma: np.ndarray, rate: float) -> tuple:
-        """The factors of `_gaussian_integrals` that depend on sigma = t - tau
-        alone: the eigenvalues 1 + 4 rate sigma lambda_a of M (one array per
-        axis a), sqrt(det M) and c sigma, each shaped like ``sigma``."""
-        kern = self.scenario.kernel
-        scale = 4.0 * rate * sigma
-        m = [1.0 + scale * lam for lam in kern.eig[0]]
-        return m, np.sqrt(reduce(operator.mul, m)), kern.c * sigma
 
-    def _gaussian_integrals(self, d: np.ndarray, m, root_det: np.ndarray, c_sigma: np.ndarray,
-                            rate: float, orders: tuple) -> list[np.ndarray]:
-        """x-derivatives of the given orders of the integral over xi of
-        G(x, t, xi, tau) sum_c exp(-rate |xi - c|^2), for d = x - c + b sigma
-        stacked (N, centre, *items) with sigma = t - tau, given the factors
-        m, sqrt(det M) and c sigma of `_gaussian_factors`, shaped like the
-        items.  One array per order, shaped (N,) * order + items.
+@dataclass(eq=False)
+class FieldProbe:
+    """Evaluator of f, grad f, hess f and ball-averaged grad f along a path.
 
-        With M = I + 4 rate sigma a the integral of one centre is
-        det(M)^(-1/2) exp(-rate d^T M^-1 d + c sigma); the gradient is
-        -2 rate M^-1 d times that, the hessian
-        (4 rate^2 (M^-1 d)(M^-1 d)^T - 2 rate M^-1) times that.  M is
-        diagonal in the eigenbasis Q of a, so the pass rotates d into it
-        once, e = Q^T d, and shares M^-1 d and the scalar factor between the
-        orders.  The rotations are sums of per-axis products rather than
-        BLAS calls, whose fused multiply-adds could round an item by its
-        position in the pass."""
-        kern = self.scenario.kernel
-        q = kern.eig[1]
-        axes = range(kern.dim)
-        e = [_sum_in_order(q[b, a] * d[b] for b in axes) for a in axes]
-        quad = _sum_in_order(e[a] * e[a] / m[a] for a in axes)
-        val = np.exp(-rate * quad + c_sigma) / root_det  # (centre, *items)
-        if max(orders) > 0:
-            e_m = [e[a] / m[a] for a in axes]
-            w = [_sum_in_order(q[b, a] * e_m[a] for a in axes) for b in axes]  # M^-1 d
-        out = []
-        for order in orders:
-            if order == 0:
-                out.append(val.sum(axis=0))
-            elif order == 1:
-                grad = np.empty((kern.dim,) + d.shape[2:])
-                for a in axes:
-                    ((-2.0 * rate) * w[a] * val).sum(axis=0, out=grad[a])
-                out.append(grad)
-            else:
-                hess = np.empty((kern.dim, kern.dim) + d.shape[2:])
-                for a in axes:
-                    for b in axes[a:]:
-                        m_inv = _sum_in_order(q[a, c] / m[c] * q[b, c] for c in axes)
-                        entry = (4.0 * rate * rate * (w[a] * w[b]) - 2.0 * rate * m_inv) * val
-                        hess[a, b] = hess[b, a] = entry.sum(axis=0)
-                out.append(hess)
-        return out
+    Immutable after construction; evaluations are pure and may be called
+    concurrently.  ``backend`` defaults to `backend_for` the scenario; an
+    explicit ``BACKEND_FD`` cross-checks the closed form.  Every evaluation
+    builds a `FieldTable` of its probe times and evaluates it; a caller that
+    senses at the same probe times on several paths on one grid, as Picard
+    sweeps do, builds the table once and hands it to ``gradient_many`` or
+    ``ball_average_gradient``.
+    """
 
-    def _closed_batch(self, pts: np.ndarray, runs: tuple, orders: tuple) -> list[np.ndarray]:
-        phi, g = self.scenario.phi, self.scenario.g
-        # the kernel weights once per call, when a datum takes the spatial rule
-        by_rule = any(not _is_zero(datum) and getattr(datum, "gaussian_source", None) is None
-                      for datum in (phi, g))
-        weights = self._rule_weights(orders) if by_rule and len(runs[3]) else None
-        initial = self._kernel_integral(phi, False, pts, runs, orders, weights)
-        source = self._kernel_integral(g, True, pts, runs, orders, weights)
-        return [a - b for a, b in zip(initial, source)]
+    scenario: Scenario
+    path: AgentPath
+    backend: str | None = None
+    quad: QuadratureSpec = DEFAULT_QUAD
 
-    # -- data-at-zero fallback ------------------------------------------------
+    def __post_init__(self):
+        if self.backend is None:
+            self.backend = backend_for(self.scenario)
+        if self.backend not in (BACKEND_KERNEL, BACKEND_FD):
+            raise ValueError(f"unknown backend {self.backend!r}")
+        if self.backend == BACKEND_KERNEL and not self.scenario.coeffs.is_constant:
+            raise ValueError("closed-form backend requires constant coefficients")
+        self._fd_grid: FdField | None = None
 
-    def _batch_at_zero(self, pts: np.ndarray, orders: tuple) -> list[np.ndarray]:
-        phi = self.scenario.phi
-        derivs = (phi, lambda p: _fd_gradient_of(phi, p), lambda p: _fd_hessian_of(phi, p))
-        return [derivs[order](pts) for order in orders]
+    # -- time tables ----------------------------------------------------------------
+
+    def _table(self, t, n_points: int, orders: tuple, delta: float | None = None,
+               table: FieldTable | None = None) -> FieldTable:
+        """The time table of a call at probe times ``t``: a new one, or the
+        given ``table``, which must have been built for this probe's
+        scenario, quadrature, backend and time grid and for this call's
+        kind and probe times (ValueError otherwise)."""
+        if table is None:
+            return FieldTable(self.scenario, self.path.times, t, n_points, orders, delta,
+                              self.quad, self.backend)
+        if not (table.scenario is self.scenario and table.quad == self.quad
+                and table.backend == self.backend and table.orders == orders
+                and table.delta == delta):
+            raise ValueError("the field table was built for another scenario, quadrature, "
+                             "backend or kind of call")
+        if not (table.grid is self.path.times or np.array_equal(table.grid, self.path.times)):
+            raise ValueError("the field table was built for another time grid")
+        if not (table.n_points == n_points
+                and np.array_equal(np.asarray(t, dtype=float), table.times)):
+            raise ValueError("the field table was built for other probe times")
+        return table
+
+    def _evaluate(self, table: FieldTable, pts: np.ndarray) -> list[np.ndarray]:
+        return table.evaluate(pts, self.path.X, self._fd_batch)
 
     # -- finite-difference backend --------------------------------------------
 
@@ -554,36 +698,9 @@ class FieldProbe:
                              f"got shape {np.shape(x)}")
         return pts
 
-    def _batch(self, pts, t, orders: tuple) -> list[np.ndarray]:
+    def _batch(self, pts, t, orders: tuple, table: FieldTable | None = None) -> list[np.ndarray]:
         pts = self._points(pts)
-        return self._checked_batch(pts, *self._check_times(t, len(pts)), orders)
-
-    def _checked_batch(self, pts: np.ndarray, t: np.ndarray, order: np.ndarray | None,
-                       orders: tuple) -> list[np.ndarray]:
-        """`_batch` on points (P, N) whose times ``t`` (P,) and sorting
-        permutation ``order`` come from `_check_times`."""
-        shapes = [(len(pts),) + (self.scenario.dimension,) * k for k in orders]
-        if len(pts) == 0:
-            return [np.empty(shape) for shape in shapes]
-        runs = _time_runs(t, order)
-        _, run, bounds, run_times = runs
-        # the points at t = 0 are the first run, if there are any
-        zero = int(bounds[1]) if run_times[0] == 0.0 else 0
-        if zero:
-            runs = (order, run - 1, bounds[1:], run_times[1:])
-        if self.backend == BACKEND_KERNEL:
-            outs = self._closed_batch(pts, runs, orders)  # 0 at t = 0
-        else:
-            outs = [np.empty(shape) for shape in shapes]
-            if zero < len(pts):
-                live = _sorted_points(order, zero, len(pts))
-                for out, vals in zip(outs, self._fd_batch(pts[live], t[live], orders)):
-                    out[live] = vals
-        if zero:
-            at_zero = _sorted_points(order, 0, zero)
-            for out, vals in zip(outs, self._batch_at_zero(pts[at_zero], orders)):
-                out[at_zero] = vals
-        return outs
+        return self._evaluate(self._table(t, len(pts), orders, table=table), pts)
 
     def derivatives_many(self, pts, t, orders) -> tuple[np.ndarray, ...]:
         """f (order 0), grad f (1) and hess f (2) at stacked points ``pts``
@@ -610,38 +727,29 @@ class FieldProbe:
         ``derivatives_many``."""
         return self._batch(pts, t, (0,))[0]
 
-    def gradient_many(self, pts, t) -> np.ndarray:
+    def gradient_many(self, pts, t, table: FieldTable | None = None) -> np.ndarray:
         """grad f at stacked points ``pts`` (P, N), shape (P, N); ``t`` as in
-        ``derivatives_many``."""
-        return self._batch(pts, t, (1,))[0]
+        ``derivatives_many``.  ``table`` is this call's `FieldTable`, built
+        once for several paths on this probe's grid; by default the call
+        builds its own."""
+        return self._batch(pts, t, (1,), table)[0]
 
     def hessian_many(self, pts, t) -> np.ndarray:
         """hess f at stacked points ``pts`` (P, N), shape (P, N, N); ``t`` as
         in ``derivatives_many``."""
         return self._batch(pts, t, (2,))[0]
 
-    def ball_average_gradient(self, x, t, delta: float) -> np.ndarray:
+    def ball_average_gradient(self, x, t, delta: float,
+                              table: FieldTable | None = None) -> np.ndarray:
         """Average of grad f over the radius-delta ball around one point
         (N,) or stacked points (P, N), shaped like ``x``; ``t`` as in
-        ``derivatives_many``.  One value pass on the sphere rule (2, 16 or
-        128 nodes) serves every point; in 1D the average is
-        (f(x + delta) - f(x - delta)) / (2 delta)."""
+        ``derivatives_many`` and ``table`` as in ``gradient_many``.  One
+        value pass on the sphere rule (2, 16 or 128 nodes) serves every
+        point; in 1D the average is (f(x + delta) - f(x - delta)) / (2 delta)."""
         if not 0.0 < delta < math.inf:  # NaN too
             raise ValueError(f"sensing radius delta must be positive and finite, got {delta!r}")
         pts = self._points(x)
-        t, order = self._check_times(t, len(pts))
-        offsets, wts = _cached_sphere_rule(self.scenario.dimension, float(delta))
-        k = len(offsets)
-        # (centre, node) order: a centre's nodes share its time, so times in
-        # order stay in order, and the stable sort of the repeated times is
-        # the centres' sort, each index expanded to its k nodes
-        if order is not None:
-            order = (order[:, None] * k + np.arange(k)).ravel()
-        vals = self._checked_batch((pts[:, None, :] + offsets).reshape(-1, pts.shape[1]),
-                                   np.repeat(t, k), order, (0,))[0]
-        # the sum runs over a (node, centre) view in node order, as for one centre
-        terms = np.multiply(vals.reshape(len(pts), k).T[:, :, None], wts[:, None, :], order="C")
-        avg = terms.sum(axis=0)
+        avg = self._evaluate(self._table(t, len(pts), (0,), delta, table), pts)[0]
         return avg[0] if np.ndim(x) == 1 else avg
 
 

@@ -177,6 +177,10 @@ def make_kernel(coeffs: "OperatorCoefficients") -> Kernel:
     a = np.asarray(coeffs.a(zero, 0.0), dtype=float)
     b = np.asarray(coeffs.b(zero, 0.0), dtype=float)
     c = float(coeffs.c(zero, 0.0))
+    if not all(map(math.isfinite, b.flat)):  # NaN too
+        raise ValueError(f"drift b must be finite, got {b.tolist()!r}")
+    if not math.isfinite(c):
+        raise ValueError(f"reaction rate c must be finite, got {c!r}")
     if a.shape != (coeffs.dimension, coeffs.dimension):
         raise ValueError("diffusion matrix has wrong shape")
     if not np.allclose(a, a.T, rtol=1e-12, atol=1e-12):

@@ -1,13 +1,14 @@
 """Time-sampled agent trajectories with linear interpolation between nodes.
 
-A lookup of any array of times costs one min and one max (the range check,
-which a NaN fails), one ``searchsorted`` and two gathers of the node
-columns; the times are clamped only when one reaches an end of the grid.
-The field pass of a Picard sweep makes one such lookup, for all its source
-cells.  A path is validated once, when it is built from outside; the
-solver's paths on an already checked grid (each Picard iterate, the join of
-`AgentPath.concat`) reuse that grid unchecked, and a join checks only its
-junction.
+Interpolation at any array of times is a lookup, which reads the grid
+alone (one min and one max for the range check, which a NaN fails, and one
+``searchsorted``; the times are clamped only when one reaches an end of the
+grid), then a gather of the node columns.  A lookup serves every path on
+its grid: a Picard segment looks up its source cells' times once, in its
+field time table, and each sweep only gathers.  A path is validated once,
+when it is built from outside; the solver's paths on an already checked
+grid (each Picard iterate, the join of `AgentPath.concat`) reuse that grid
+unchecked, and a join checks only its junction.
 """
 
 from __future__ import annotations
@@ -72,34 +73,12 @@ class AgentPath:
         return self.X.shape[1]
 
     def _interp(self, values: np.ndarray, t) -> np.ndarray:
-        """``values`` (nodes, N, n) interpolated at times ``t``: the node
-        columns are gathered into (N * n, K) for the K times, and the result
-        is a (*t.shape, N, n) view of that array.
-
-        One min and one max check the range (a NaN time fails both).  The
-        times are clamped onto the grid only when one reaches an end, where
-        the clamp can change it (a time within eps outside, or -0.0 at a
-        +0.0 end); inside, the clamp would return every time as it is.  The
-        node left of a time is the count of interior nodes at or before it,
-        which needs no clamp of its own."""
-        times = self.times
+        """``values`` (nodes, N, n) interpolated at times ``t``: the
+        `_lookup` of the times and the `_gather` of the node columns, whose
+        (N * n, K) result for the K times is returned as a (*t.shape, N, n)
+        view."""
         t = np.asarray(t, dtype=float)
-        flat = t.ravel()
-        if flat.size:
-            lo, hi, first, last = flat.min(), flat.max(), times[0], times[-1]
-            eps = 1e-9 * max(1.0, abs(float(last)))
-            if not (lo >= first - eps and hi <= last + eps):
-                bad = flat[~((flat >= first - eps) & (flat <= last + eps))][0]
-                raise ValueError(f"time {float(bad)} outside path range [{first}, {last}]")
-            if lo <= first or hi >= last:
-                flat = np.minimum(np.maximum(flat, first), last)
-        idx = times[1:-1].searchsorted(flat, side="right")
-        nxt = idx + 1
-        t_lo = times.take(idx)
-        lam = (flat - t_lo) / (times.take(nxt) - t_lo)
-        cols = values.reshape(len(times), -1).T
-        out = (1.0 - lam) * cols.take(idx, axis=1) + lam * cols.take(nxt, axis=1)
-        out = out.reshape(values.shape[1:] + t.shape)
+        out = _gather(values, _lookup(self.times, t)).reshape(values.shape[1:] + t.shape)
         return out.transpose(tuple(range(2, out.ndim)) + (0, 1)) if t.ndim else out
 
     def positions_at(self, t) -> np.ndarray:
@@ -151,6 +130,42 @@ class AgentPath:
         X = np.concatenate([self.X, other.X[1:]], axis=0)
         V = np.concatenate([self.V, other.V[1:]], axis=0)
         return _unchecked(times, X, V)
+
+
+def _lookup(times: np.ndarray, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the times ``t`` (any shape, K entries) fall on the grid
+    ``times``: the node left of each time, the node right of it and the
+    weight of the right node, each (K,).  It reads the grid alone, so it
+    serves every path on that grid (`_gather`).
+
+    One min and one max check the range (a NaN time fails both).  The
+    times are clamped onto the grid only when one reaches an end, where the
+    clamp can change it (a time within eps outside, or -0.0 at a +0.0 end);
+    inside, the clamp would return every time as it is.  The node left of a
+    time is the count of interior nodes at or before it, which needs no
+    clamp of its own."""
+    flat = np.asarray(t, dtype=float).ravel()
+    if flat.size:
+        lo, hi, first, last = flat.min(), flat.max(), times[0], times[-1]
+        eps = 1e-9 * max(1.0, abs(float(last)))
+        if not (lo >= first - eps and hi <= last + eps):
+            bad = flat[~((flat >= first - eps) & (flat <= last + eps))][0]
+            raise ValueError(f"time {float(bad)} outside path range [{first}, {last}]")
+        if lo <= first or hi >= last:
+            flat = np.minimum(np.maximum(flat, first), last)
+    idx = times[1:-1].searchsorted(flat, side="right")
+    nxt = idx + 1
+    t_lo = times.take(idx)
+    return idx, nxt, (flat - t_lo) / (times.take(nxt) - t_lo)
+
+
+def _gather(values: np.ndarray, lookup: tuple) -> np.ndarray:
+    """``values`` (nodes, N, n) of a path interpolated at the times of a
+    `_lookup` on its grid, shaped (N * n, K): the node columns are gathered
+    and weighted.  The one place that does the interpolation arithmetic."""
+    idx, nxt, lam = lookup
+    cols = values.reshape(len(values), -1).T
+    return (1.0 - lam) * cols.take(idx, axis=1) + lam * cols.take(nxt, axis=1)
 
 
 def _unchecked(times: np.ndarray, X: np.ndarray, V: np.ndarray) -> AgentPath:

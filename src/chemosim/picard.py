@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import DEFAULT_QUAD, FieldProbe, QuadratureSpec
+from .field import DEFAULT_QUAD, FieldProbe, FieldTable, QuadratureSpec
 from .kernel import EstimateParams, ell, sphere_area
 from .paths import AgentPath
 from .quadrature import gauss_legendre, trapezoid_cumulative
@@ -382,16 +382,26 @@ def _resolve_delta(scenario: Scenario, mode: str, delta: float | None) -> float 
 
 
 def sensed_gradients(probe: FieldProbe, X: np.ndarray, times,
-                     delta: float | None) -> np.ndarray:
+                     delta: float | None, table: FieldTable | None = None) -> np.ndarray:
     """w_j for every agent at every node, shape (K, N, n) like the stacked
     configurations X (K, N, n) at ``times`` (K,): the field gradient at X_j,
-    or its average over the radius-delta ball, from one probe call."""
+    or its average over the radius-delta ball, from one probe call, which
+    reads the `_sensing_table` ``table`` when one is given."""
     pts = np.swapaxes(X, 1, 2)  # (K, n, N): one point per (node, agent)
     flat = pts.reshape(-1, pts.shape[2])
     node_times = np.repeat(np.asarray(times, dtype=float), pts.shape[1])
-    grads = (probe.gradient_many(flat, node_times) if delta is None
-             else probe.ball_average_gradient(flat, node_times, delta))
+    grads = (probe.gradient_many(flat, node_times, table=table) if delta is None
+             else probe.ball_average_gradient(flat, node_times, delta, table=table))
     return np.swapaxes(grads.reshape(pts.shape), 1, 2)
+
+
+def _sensing_table(scenario: Scenario, grid: np.ndarray, times: np.ndarray, n_agents: int,
+                   delta: float | None, quad: QuadratureSpec | None) -> FieldTable:
+    """The time table of `sensed_gradients` for every agent at every node
+    of ``times``, on paths on the time grid ``grid``."""
+    node_times = np.repeat(np.asarray(times, dtype=float), n_agents)
+    return FieldTable(scenario, grid, node_times, len(node_times),
+                      (1,) if delta is None else (0,), delta, quad or DEFAULT_QUAD)
 
 
 def _tube_exit(path: AgentPath, X0: np.ndarray, V0: np.ndarray,
@@ -461,39 +471,44 @@ def _start_path(previous: AgentPath | None, times: np.ndarray, X0: np.ndarray,
     return AgentPath.constant(X0, V0, times), START_CONSTANT
 
 
-def _initial_force(scenario: Scenario, times: np.ndarray, X0: np.ndarray, V0: np.ndarray,
-                   delta: float | None, quad: QuadratureSpec | None) -> np.ndarray:
+def _initial_force(scenario: Scenario, table: FieldTable | None, times: np.ndarray,
+                   X0: np.ndarray, V0: np.ndarray) -> np.ndarray:
     """The force F(t0, X0, V0, w0) on every agent, shape (N, n), at the
     first node t0 of ``times``, for a segment with no segment before it
-    (t0 = 0): w0 is the gradient sensed at X0 on the path frozen at (X0,
-    V0), and zero when the force is declared insensitive to the field.  At
-    t0 = 0 the field is phi's, so w0 takes no kernel pass."""
-    if scenario.lipschitz_w == 0.0:
+    (t0 = 0).  w0 is the gradient sensed at X0 on the path frozen at (X0,
+    V0), read through the segment's `_sensing_table` ``table`` at its first
+    node; at t0 = 0 the field is phi's, so w0 takes no kernel pass.  Without
+    a table (the force is declared insensitive to the field) w0 is zero."""
+    if table is None:
         W0 = np.zeros((1,) + X0.shape)
     else:
-        probe = FieldProbe(scenario, AgentPath.constant(X0, V0, times), quad=quad or DEFAULT_QUAD)
-        W0 = sensed_gradients(probe, X0[None], times[:1], delta)
+        probe = FieldProbe(scenario, AgentPath.constant(X0, V0, table.grid), quad=table.quad)
+        W0 = sensed_gradients(probe, X0[None], times[:1], table.delta,
+                              table.head(X0.shape[1]))
     return scenario.force.eval(times[:1], X0[None], V0[None], W0)[0]
 
 
 def _sweep(scenario: Scenario, prefix: AgentPath | None, seg: AgentPath,
            X0: np.ndarray, V0: np.ndarray, delta: float | None,
-           quad: QuadratureSpec | None) -> AgentPath:
+           quad: QuadratureSpec | None, table: FieldTable | None = None) -> AgentPath:
     """One application of the update map on the grid of ``seg``, anchored at
     the segment start state (X0, V0).
 
     ``seg`` must stay inside the radius-R tube around the anchor, which the
     caller checks (``_start_path``, ``_iterate_segment``, ``apply_psi``); the
     field probe reads the whole input path ``prefix + seg``, so the source
-    laid down by earlier segments keeps acting.  X and V are integrated in
-    one trapezoid pass over their rates stacked along the dimension axis.
+    laid down by earlier segments keeps acting.  The sensed gradients are
+    one `sensed_gradients` call, which evaluates the segment's time table
+    ``table`` (`_sensing_table` on the grid of ``prefix + seg``) when one is
+    given and builds its own otherwise.  X and V are integrated in one
+    trapezoid pass over their rates stacked along the dimension axis.
     """
     path = prefix.concat(seg) if prefix is not None else seg
     probe = FieldProbe(scenario, path, quad=quad or DEFAULT_QUAD)
     if scenario.lipschitz_w == 0.0:  # declared insensitive to the field
         W = np.zeros(seg.X.shape)
     else:
-        W = sensed_gradients(probe, seg.X, seg.times, delta)
+        W = sensed_gradients(probe, seg.X, seg.times, delta, table)
     forces = scenario.force.eval(seg.times, seg.X, seg.V, W)
     integral = trapezoid_cumulative(np.concatenate((seg.V, forces), axis=1), seg.times)
     n_dim = seg.X.shape[1]
@@ -516,6 +531,13 @@ def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, t0: float, t1
     when there is none (the first segment: t0 = 0 and no ``prefix``), out
     of the force at (X0, V0) (``_initial_force``).
 
+    The field time table of the segment (`_sensing_table`) is built once,
+    for the grid of ``prefix + seg`` and the segment's nodes, unless the
+    force is declared insensitive to the field: the initial force reads it
+    at its first node, and every sweep (``_sweep``) evaluates it on its own
+    input path, so a sweep computes only what the iterate changes.  The
+    table is dropped with the segment.
+
     Every path is tube-checked once before it is swept: the start by
     ``_start_path``, each later iterate here.  Stops when successive iterates
     differ by less than tol in the sup norm; returns the converged segment,
@@ -527,13 +549,17 @@ def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, t0: float, t1
             and max_iters >= 1):
         raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
     times = _segment_grid(t0, t1, dt)
-    force0 = _initial_force(scenario, times, X0, V0, delta, quad) if previous is None else None
+    table = None
+    if scenario.lipschitz_w != 0.0:
+        grid = times if prefix is None else np.concatenate([prefix.times, times[1:]])
+        table = _sensing_table(scenario, grid, times, X0.shape[1], delta, quad)
+    force0 = _initial_force(scenario, table, times, X0, V0) if previous is None else None
     current, start = _start_path(previous, times, X0, V0, scenario.R, force0)
     history: list[float] = []
     for sweep in range(max_iters):
         if sweep:
             _check_tube(current, X0, V0, scenario.R)
-        nxt = _sweep(scenario, prefix, current, X0, V0, delta, quad)
+        nxt = _sweep(scenario, prefix, current, X0, V0, delta, quad, table)
         history.append(nxt.sup_distance(current))
         current = nxt
         if history[-1] < tol:

@@ -20,6 +20,7 @@ derivatives are bounded declares the bound in a ``hessian_bound`` attribute
 
 from __future__ import annotations
 
+import inspect
 import math
 from typing import NamedTuple
 
@@ -197,11 +198,23 @@ def preset_catalog() -> dict[str, tuple[str, ...]]:
 
 def _from_spec(spec, preset, *args):
     """The preset a config names: a bare name, or a mapping of its name and
-    keyword parameters."""
+    keyword parameters.  A parameter the preset does not take raises
+    ScenarioError naming it; an error raised inside the preset propagates."""
     if isinstance(spec, str):
         return preset(spec, *args)
     params = {k: v for k, v in spec.items() if k != "name"}
-    return preset(spec.get("name"), *args, **params)
+    try:
+        return preset(spec.get("name"), *args, **params)
+    except TypeError:
+        # an unknown keyword fails the call before the preset runs; the
+        # keyword parameters follow the name and the positional arguments
+        accepted = list(inspect.signature(preset).parameters)[1 + len(args):]
+        unknown = [key for key in params if key not in accepted]
+        if not unknown:
+            raise
+        kind = preset.__name__.removesuffix("_preset")
+        raise ScenarioError(f"unknown parameter {unknown[0]!r} for {kind} preset "
+                            f"{spec.get('name')!r}; it takes {', '.join(accepted)}") from None
 
 
 def scenario_from_config(config: dict) -> Scenario:

@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from chemosim import field
 from chemosim.field import (
     BACKEND_FD,
     BACKEND_KERNEL,
     FieldProbe,
+    FieldTable,
     QuadratureSpec,
     _cached_sphere_rule,
     solve_field_fd,
@@ -306,14 +308,14 @@ def test_ball_average_sorted_times_sort_nothing(dim, monkeypatch):
     pts = rng.uniform(-1.0, 1.0, (4, dim))
     times = np.array([0.0, 0.05, 0.05, 0.2])  # in order, t = 0 and a tie included
     checks = []
-    check_times = FieldProbe._check_times
+    check_times = field._check_times
 
-    def recorded(self, t, n_points):
-        t, order = check_times(self, t, n_points)
+    def recorded(t, n_points, horizon):
+        t, order = check_times(t, n_points, horizon)
         checks.append(order)
         return t, order
 
-    monkeypatch.setattr(FieldProbe, "_check_times", recorded)
+    monkeypatch.setattr(field, "_check_times", recorded)
     got = probe.ball_average_gradient(pts, times, 0.1)
     assert len(checks) == 1 and checks[0] is None  # checked once, sorted nothing
     want = node_major_ball_average(probe, pts, times, 0.1)
@@ -532,8 +534,6 @@ def test_gradient_many_matches_s_node_loop_oracle():
 
 
 def test_gradient_many_2d_larger_than_one_chunk_matches_point_loop():
-    from chemosim import field
-
     scn = build(phi="gaussian", g="agent-secretion", dim=2,
                 X0=[[0.2, -0.3], [0.1, 0.4]], T=0.2)
     probe = FieldProbe(scn, moving_path(scn))
@@ -547,8 +547,6 @@ def test_gradient_many_2d_larger_than_one_chunk_matches_point_loop():
 
 
 def test_shared_quadrature_rules_are_read_only():
-    from chemosim import field
-
     offsets, wts = field._cached_sphere_rule(1, 0.1)
     nodes, weights = gauss_legendre(0.0, 1.0, 32)
     rules = field._cached_field_rules(2, 8.0, 48, 32, np.eye(2).tobytes())
@@ -735,8 +733,6 @@ def test_anisotropic_gaussian_evolution_oracle(dim):
 ], ids=["heat-1d", "heat-2d", "heat-3d", "anisotropic-2d", "anisotropic-3d", "drift-reaction-2d"])
 @pytest.mark.parametrize("g", ["agent-secretion", "constant"])
 def test_closed_form_pass_matches_per_item_oracle(coeff, dim, g):
-    from chemosim import field
-
     rng = np.random.default_rng(31)
     X0 = rng.uniform(-0.5, 0.5, (dim, 8))  # eight agents
     scn = build(coeff=coeff, phi=declared_gaussian_phi(), g=g, dim=dim, X0=X0, T=0.2,
@@ -872,3 +868,46 @@ def test_every_evaluator_rejects_points_of_another_dimension(dim, backend):
         assert probe.hessian_many(pts, 0.5).shape == (3, dim, dim)
         assert probe.ball_average_gradient(pts, 0.5, 0.1).shape == (3, dim)
         assert probe.ball_average_gradient(pts[0], 0.5, 0.1).shape == (dim,)
+
+
+# -- time tables ------------------------------------------------------------------------
+
+
+def test_a_table_evaluates_any_path_on_its_grid_and_rejects_another_call():
+    scn = build(phi="gaussian", g="agent-secretion", X0=[[0.2, -0.3]], T=0.2)
+    path = moving_path(scn)
+    probe = FieldProbe(scn, path)
+    pts = np.array([[-0.4], [0.1], [0.3], [0.7]])
+    times = np.array([0.0, 0.05, 0.05, 0.2])
+    table = FieldTable(scn, path.times, times, len(pts))
+    assert probe.gradient_many(pts, times, table=table).tobytes() == \
+        probe.gradient_many(pts, times).tobytes()
+    # another path on an equal grid (not the same array) takes the table
+    moved = FieldProbe(scn, AgentPath(path.times.copy(), 0.5 * path.X, path.V))
+    assert moved.gradient_many(pts, times, table=table).tobytes() == \
+        moved.gradient_many(pts, times).tobytes()
+    ball = FieldTable(scn, path.times, times, len(pts), (0,), 0.1)
+    assert moved.ball_average_gradient(pts, times, 0.1, table=ball).tobytes() == \
+        moved.ball_average_gradient(pts, times, 0.1).tobytes()
+    # another grid: other nodes, or the same nodes on a shorter span
+    for grid in (np.linspace(0.0, 0.2, 11), path.times[:-1]):
+        other = FieldProbe(scn, AgentPath(grid, np.zeros((len(grid), 1, 2)),
+                                          np.zeros((len(grid), 1, 2))))
+        with pytest.raises(ValueError, match="another time grid"):
+            other.gradient_many(pts, np.minimum(times, grid[-1]), table=table)
+    # other probe times, or another number of points
+    for t, p in ((times[::-1], pts), (0.5 * times, pts), (times[:3], pts[:3]), (0.05, pts)):
+        with pytest.raises(ValueError, match="other probe times"):
+            probe.gradient_many(p, t, table=table)
+    # another kind of call, radius, quadrature or scenario
+    with pytest.raises(ValueError, match="kind of call"):
+        probe.ball_average_gradient(pts, times, 0.1, table=table)
+    with pytest.raises(ValueError, match="kind of call"):
+        probe.gradient_many(pts, times, table=FieldTable(scn, path.times, times, len(pts), (1, 2)))
+    with pytest.raises(ValueError, match="kind of call"):
+        probe.ball_average_gradient(pts, times, 0.2, table=ball)
+    with pytest.raises(ValueError, match="kind of call"):
+        FieldProbe(scn, path, quad=QuadratureSpec(time_nodes=16)).gradient_many(pts, times,
+                                                                             table=table)
+    with pytest.raises(ValueError, match="kind of call"):
+        FieldProbe(dataclasses.replace(scn), path).gradient_many(pts, times, table=table)

@@ -627,6 +627,18 @@ def test_cli_nan_growth_constant_is_a_config_error(tmp_path, command):
     assert not out.exists()
 
 
+def test_cli_unknown_preset_parameter_is_a_config_error(tmp_path):
+    # the TypeError of the preset call escaped, and bounds exited 1 with a traceback
+    p = write_cfg(tmp_path, {**DAMPED_CFG, "force": {"name": "damped-chemotaxis", "chi2": 0.3}})
+    out = tmp_path / "run"
+    res = run_cli("bounds", "--config", str(p), "--output-dir", str(out))
+    assert res.returncode == 2, res.stderr
+    assert ("config error: unknown parameter 'chi2' for force preset 'damped-chemotaxis'"
+            in res.stderr)
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_cli_field_export(tmp_path):
     cfg = dict(DAMPED_CFG)
     cfg["horizon"] = 0.5

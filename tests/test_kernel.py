@@ -23,7 +23,7 @@ from chemosim.kernel import (
 )
 from chemosim.presets import coefficient_preset, inline_coefficients
 from chemosim.quadrature import gauss_legendre, tensor_grid
-from chemosim.scenario import GrowthSpec
+from chemosim.scenario import GrowthSpec, OperatorCoefficients
 
 from util import (
     build,
@@ -203,6 +203,23 @@ def test_kernel_semigroup_property_with_drift():
     composed = float(wz @ (g1 * g2))
     direct = float(kern.eval(x[None, :], t, xi[None, :], tau)[0])
     assert composed == pytest.approx(direct, rel=1e-10)
+
+
+@pytest.mark.parametrize("label,b,c", [
+    ("drift b", [math.nan], 0.0),
+    ("drift b", [0.2, math.inf], 0.0),
+    ("reaction rate c", [0.0], math.nan),
+    ("reaction rate c", [0.0, 0.0], -math.inf),
+])
+def test_make_kernel_rejects_non_finite_drift_or_reaction_by_name(label, b, c):
+    # coefficients built in Python skip the config's finiteness checks; a NaN c
+    # used to fail later as "degenerate constants", a NaN b as "requires zero drift"
+    dim = len(b)
+    coeffs = OperatorCoefficients(dimension=dim, a=lambda x, t: np.eye(dim),
+                                  b=lambda x, t: np.array(b), c=lambda x, t: c,
+                                  is_constant=True, holder_exponent=0.5)
+    with pytest.raises(ValueError, match=f"^{label} must be finite"):
+        make_kernel(coeffs)
 
 
 def test_kernel_reaction_rate_scales_mass_exactly():

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chemosim import picard, scenario as scenario_module
+from chemosim import paths as paths_module, picard, scenario as scenario_module
 from chemosim.field import FieldProbe, QuadratureSpec
 from chemosim.paths import AgentPath
 from chemosim.picard import (
@@ -29,7 +29,7 @@ from chemosim.picard import (
     solve_global,
     solve_local,
 )
-from chemosim.presets import inline_coefficients, phi_preset
+from chemosim.presets import GaussianSource, inline_coefficients, phi_preset
 from chemosim.quadrature import gauss_legendre, halton_points
 from chemosim.scenario import ForceLaw, build_scenario
 from chemosim.verify import residual_check
@@ -1158,3 +1158,130 @@ def test_c0_constant_rejects_a_non_finite_force():
                                lipschitz_global=0.0))
     with pytest.raises(ValueError, match="not finite at t = 0.5"):
         gronwall_bound_B(scn, 1.0)
+
+
+# -- the segment's field time table ---------------------------------------------------
+
+
+def _declared_phi():
+    """The gaussian phi preset, declaring its structure exp(-|x|^2)."""
+    phi, h_phi, c_phi, m_phi = phi_preset("gaussian")
+
+    def declared(x):
+        return phi(x)
+
+    declared.gaussian_source = GaussianSource(1.0, 1.0, False)
+    declared.hessian_bound = phi.hessian_bound
+    return declared, h_phi, c_phi, m_phi
+
+
+_SWEEP_DATA = {
+    "undeclared-phi": {"phi": "gaussian", "g": "agent-secretion"},
+    "declared-phi": {"phi": None, "g": "agent-secretion"},
+    "zero-phi": {"phi": "zero", "g": "agent-secretion"},
+    "zero-g": {"phi": "gaussian", "g": "zero"},
+}
+
+
+def _sweep_scenario(dim, data, delta):
+    """S1 with two agents and the data ``data`` (`_SWEEP_DATA`)."""
+    phi = _declared_phi() if data["phi"] is None else data["phi"]
+    X0 = np.array([[0.2, -0.3], [0.1, 0.05]])[:dim]
+    V0 = np.array([[0.3, 0.0], [0.0, 0.1]])[:dim]
+    return build(phi=phi, g=data["g"], force="damped-chemotaxis", dim=dim,
+                 force_kwargs={"chi": 0.3, "kappa_v": 1.0}, X0=X0, V0=V0, delta=delta)
+
+
+def _recorded_sensing(monkeypatch):
+    """Every gradient_many and ball_average_gradient call, with the method it
+    ran, its probe, its arguments and its result."""
+    calls = []
+    for name in ("gradient_many", "ball_average_gradient"):
+        def recorded(self, *args, _original=getattr(FieldProbe, name), **kwargs):
+            out = _original(self, *args, **kwargs)
+            calls.append((_original, self, args, kwargs, out))
+            return out
+
+        monkeypatch.setattr(FieldProbe, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("data", list(_SWEEP_DATA))
+@pytest.mark.parametrize("mode", [MODE_POINTWISE, MODE_NONLOCAL])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_every_sweep_senses_what_a_fresh_call_senses(monkeypatch, dim, mode, data):
+    delta = 0.1 if mode == MODE_NONLOCAL else None
+    scn = _sweep_scenario(dim, _SWEEP_DATA[data], delta)
+    t_bar = horizon_certificate(scn, mode=mode, delta=delta).t_bar
+    calls = _recorded_sensing(monkeypatch)
+    segments = []
+    solve_global(scn, 1.5 * t_bar, mode=mode, segments_out=segments)
+    monkeypatch.undo()
+    assert len(segments) >= 2
+    # one call per sweep and one for the first segment's initial force, each
+    # handed its segment's table (the initial force the table's first node)
+    assert len(calls) == 1 + sum(s.iterations for s in segments)
+    starts = []
+    for original, probe, args, kwargs, out in calls:
+        table = kwargs["table"]
+        assert table is not None and table.grid[0] == 0.0
+        starts.append(float(args[1][0]))
+        # the table's grid is the probe's path grid, and a fresh call builds its own
+        assert np.array_equal(table.grid, probe.path.times)
+        assert original(probe, *args).tobytes() == out.tobytes()
+    assert len(calls[0][2][0]) == scn.n and starts[0] == 0.0
+    assert set(starts) == {s.t_start for s in segments}  # first and continued segments
+
+
+def test_a_segment_forms_the_kernel_weights_once(monkeypatch):
+    # phi by the spatial rule: one kernel call on its nodes per segment, for
+    # every sweep of the segment, and still one gradient_many call per sweep
+    from chemosim.kernel import Kernel
+
+    scn = _sweep_scenario(1, _SWEEP_DATA["undeclared-phi"], None)
+    scn.estimate_params  # set-up
+    t_bar = horizon_certificate(scn).t_bar
+    shapes, sweeps = [], []
+    core, gradient_many = Kernel._core, FieldProbe.gradient_many
+
+    def counted_core(self, x, t, xi, tau):
+        shapes.append(np.shape(xi))
+        return core(self, x, t, xi, tau)
+
+    def counted_gradient_many(self, pts, t, table=None):
+        sweeps.append(table)
+        return gradient_many(self, pts, t, table=table)
+
+    monkeypatch.setattr(Kernel, "_core", counted_core)
+    monkeypatch.setattr(FieldProbe, "gradient_many", counted_gradient_many)
+    segments = []
+    solve_global(scn, 2.5 * t_bar, segments_out=segments)
+    assert len(segments) >= 3 and sum(s.iterations for s in segments) > len(segments)
+    nodes = QuadratureSpec().resolved_space_nodes(1)
+    assert shapes == [(nodes, 1)] * len(segments)
+    # the first call is the initial force's, at the first segment's first node
+    assert len(sweeps) == 1 + sum(s.iterations for s in segments)
+    assert sweeps[0].n_points == scn.n
+    # the sweeps of a segment share its table, and no two segments share one
+    # (the list keeps every table alive, so no id is reused)
+    tables = [id(table) for table in sweeps[1:]]
+    assert len(set(tables)) == len(segments)
+    assert sum(a != b for a, b in zip(tables, tables[1:])) == len(segments) - 1
+
+
+def test_a_lookup_on_one_path_serves_every_path_on_its_grid():
+    # a table looks X(tau) up on the grid once; each sweep gathers its own path
+    rng = np.random.default_rng(12)
+    times = np.linspace(0.0, 0.3, 7)
+    first = AgentPath(times, rng.normal(size=(7, 2, 3)), rng.normal(size=(7, 2, 3)))
+    other = AgentPath(times.copy(), rng.normal(size=(7, 2, 3)), rng.normal(size=(7, 2, 3)))
+    eps = 1e-9
+    t = np.array([[-0.5 * eps, -0.0, 0.0, 0.05],
+                  [times[3], 0.2999, 0.3, 0.3 + 0.5 * eps]])  # clamped ends included
+    lookup = paths_module._lookup(first.times, t)
+    for path in (first, other):
+        for values, method in ((path.X, path.positions_at), (path.V, path.velocities_at)):
+            gathered = paths_module._gather(values, lookup).reshape(values.shape[1:] + t.shape)
+            want = method(t)
+            assert np.moveaxis(gathered, (0, 1), (-2, -1)).tobytes() == want.tobytes()
+            assert want.tobytes() == masked_interp(path, values, t).tobytes()

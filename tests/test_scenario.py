@@ -5,6 +5,7 @@ import pytest
 
 from chemosim.presets import (
     GaussianSource,
+    _from_spec,
     coefficient_preset,
     force_preset,
     g_preset,
@@ -356,6 +357,25 @@ def test_unknown_preset_names_raise():
     for key, spec in (("g", {"value": 2.0}), ("force", {"chi": 0.3})):
         with pytest.raises(ScenarioError, match=f"unknown {key} preset None"):
             scenario_from_config(dict(S1_CONFIG, **{key: spec}))
+
+
+@pytest.mark.parametrize("key,spec,param", [
+    ("force", {"name": "damped-chemotaxis", "chi2": 0.3}, "chi2"),
+    ("g", {"name": "agent-secretion", "rate": 2.0}, "rate"),
+    ("g", {"name": "constant", "n_agents": 3}, "n_agents"),
+])
+def test_unknown_preset_parameters_raise_by_name(key, spec, param):
+    with pytest.raises(ScenarioError, match=f"unknown parameter '{param}' for {key} preset "
+                                            f"'{spec['name']}'"):
+        scenario_from_config(dict(S1_CONFIG, **{key: spec}))
+
+
+def test_a_type_error_inside_a_preset_propagates():
+    def broken_preset(name, chi=1.0):
+        raise TypeError("raised inside the preset")
+
+    with pytest.raises(TypeError, match="raised inside the preset"):
+        _from_spec({"name": "damped-chemotaxis", "chi": 0.3}, broken_preset)
 
 
 def test_scenario_exposes_lipschitz_policy():

@@ -7,7 +7,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from chemosim.field import FieldProbe, QuadratureSpec
+from chemosim.field import (
+    FieldProbe,
+    QuadratureSpec,
+    _gaussian_factors,
+    _gaussian_integrals,
+    _phi_at_zero,
+)
 from chemosim.paths import AgentPath
 from chemosim.picard import (
     MODE_NONLOCAL,
@@ -506,7 +512,7 @@ def loop_closed_form(scenario, path, x, t, order, time_nodes=32):
 
 def per_item_kernel_integral(probe, datum, source, pts, t, orders, chunk=2**13):
     """The kernel integral of phi (``source`` false) or g of
-    ``FieldProbe._kernel_integral`` in its per-item layout: item k is the
+    ``FieldTable._integral`` in its per-item layout: item k is the
     (s-node j, point i) pair k = j * P + i, and each item computes its own
     tau, weight and X(tau).  Passes of at most ``chunk`` entries run in item
     order, and each item is added to its point one s-node at a time.  A
@@ -557,9 +563,9 @@ def per_item_kernel_integral(probe, datum, source, pts, t, orders, chunk=2**13):
         else:
             centres = np.moveaxis(X, 0, -1) if gauss.at_agents else np.zeros((dim, 1, 1))
             d = pts_t[:, i][:, None, :] - centres + kern.b[:, None, None] * sigma
-            factors = probe._gaussian_factors(sigma, gauss.rate)
+            factors = _gaussian_factors(kern, sigma, gauss.rate)
             terms = [np.moveaxis(weight * (gauss.weight * k), -1, 0)
-                     for k in probe._gaussian_integrals(d, *factors, gauss.rate, orders)]
+                     for k in _gaussian_integrals(kern, d, *factors, gauss.rate, orders)]
         hi = lo + len(i)
         bounds = [lo, *range((lo // n_pts + 1) * n_pts, hi, n_pts), hi]
         for a, b in zip(bounds, bounds[1:]):
@@ -577,7 +583,7 @@ def per_item_derivatives(probe, pts, t, orders):
     dim = probe.scenario.dimension
     outs = [np.empty((len(pts),) + (dim,) * order) for order in orders]
     at_zero, live = t == 0.0, t != 0.0
-    for out, vals in zip(outs, probe._batch_at_zero(pts[at_zero], orders)):
+    for out, vals in zip(outs, _phi_at_zero(probe.scenario.phi, pts[at_zero], orders)):
         out[at_zero] = vals
     initial = per_item_kernel_integral(probe, probe.scenario.phi, False, pts[live], t[live], orders)
     source = per_item_kernel_integral(probe, probe.scenario.g, True, pts[live], t[live], orders)
