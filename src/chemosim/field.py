@@ -42,10 +42,10 @@ other factor of an item that depends on its cell alone (by the spatial
 rule sqrt(sigma), b sigma and the factor of each order; in closed form the
 eigenvalues of M, sqrt(det M) and c sigma) are computed once per (s-node,
 distinct time) cell, for every point at that time (the initial-datum term
-is the one row tau = 0, weight 1).  The cells form one table, which a pass
-gathers to its points with one ``take``, and X(tau) is one lookup of the
-cells' times on the path's grid and one gather (`paths._lookup`,
-`paths._gather`).  A pass is an (s-node, point)
+is the one row tau = 0, weight 1).  The cells form one table per term,
+from which each pass takes its points' columns with one ``take``, and
+X(tau) is one lookup of the cells' times on the path's grid and one gather
+per term (`paths._lookup`, `paths._gather`).  A pass is an (s-node, point)
 block: every s-row of a range of points or, when one point's rows exceed
 the pass size, a range of the rows of one point.  Each point adds its rows
 to its running sum one at a time in s-node order, in one
@@ -70,17 +70,20 @@ what depends on the probe times and the path's time grid alone: the one
 scan of the times (the order test, which a NaN fails; the range check then
 reads only the first and last sorted time), their runs, the points at
 t = 0, which are the first run when there are any, the kernel weights of
-the requested orders, each pass's cell factors already gathered to its
-items, and the lookup of X(tau) on the grid.  The evaluation takes the
+the requested orders and, for each term, its cell table (the factors of
+each s-node at each distinct time, once), its one lookup of X(tau) on the
+grid and its passes, which hold indices only.  So a table grows with the
+distinct times, not with cells times points.  The evaluation takes the
 table, the points and the path's positions X, and runs only the gather of
-X(tau), the datum, the Gaussian terms and the s-node-order accumulation.
-Every call builds its table and evaluates it; a Picard segment builds one
-for its grid and node times (`picard._sensing_table`), and each sweep of
-the segment evaluates it on its own iterate, so a sweep computes only what
-the iterate changes.  At the size of a sweep (tens of points) the table is
-about a quarter of a call.  An item's elementwise operations and a point's
-accumulation order are the same whether the table is new or reused, so a
-reused table gives every value bit for bit.
+X(tau), each pass's take of its cells, the datum, the Gaussian terms and
+the s-node-order accumulation.  Every call builds its table and evaluates
+it; a Picard segment builds one for its grid and node times
+(`picard._sensing_table`), and each sweep of the segment evaluates it on
+its own iterate, so a sweep computes only what the iterate changes.  At the
+size of a sweep (tens of points) the table is about a quarter of a call.
+An item's elementwise operations and a point's accumulation order are the
+same whether the table is new or reused, so a reused table gives every
+value bit for bit.
 
 Evaluation at t = 0 returns the initial datum (and its difference-quotient
 derivatives) by continuity.  The ball average of grad f is (N / delta) times
@@ -223,12 +226,12 @@ def _fd_hessian_of(fn, pts: np.ndarray, step: float = 1e-4) -> np.ndarray:
 # Size of one vectorized pass, counted in array entries per item (spatial
 # nodes x components of xi, or agents x derivative components for a datum
 # integrated in closed form); an item is an (s-node, point) cell of the
-# source integral or a point of the initial-datum integral.  The same cap
-# bounds a group's table of agent positions X(tau).  Small passes keep their
-# arrays in cache and the peak memory of a solve near its level before
-# batching (passes of 2^15 entries added 1.4 MB to a 2D solve; closed-form
-# source terms in one pass added 1.6 MB to a 1D solve); on a 1D Picard sweep,
-# 2^13 to 2^15 entries ran fastest, and smaller passes pay Python overhead.
+# source integral or a point of the initial-datum integral.  Small passes
+# keep their arrays in cache and the peak memory of a solve near its level
+# before batching (passes of 2^15 entries added 1.4 MB to a 2D solve;
+# closed-form source terms in one pass added 1.6 MB to a 1D solve); on a 1D
+# Picard sweep, 2^13 to 2^15 entries ran fastest, and smaller passes pay
+# Python overhead.
 _CHUNK_ELEMENTS = 2**13
 
 
@@ -370,8 +373,9 @@ def _gaussian_integrals(kern, d: np.ndarray, m, root_det: np.ndarray, c_sigma: n
 class FieldTable:
     """The time table of one field call: every part of the call that
     depends on its probe times and on the time grid of the path alone, built
-    once (module docstring).  `evaluate` runs the rest at any points, on any
-    path on that grid.
+    once (module docstring): the cells of each distinct probe time, one
+    lookup of X(tau) per term, and passes that hold indices only.
+    `evaluate` runs the rest at any points, on any path on that grid.
 
     ``t`` is one probe time for all ``n_points`` points or one time per
     point, ``grid`` the path's time grid and ``orders`` the derivative
@@ -428,13 +432,6 @@ class FieldTable:
         self._weights = self._rule_weights() if by_rule else None
         self._terms = (self._passes(phi, False, runs), self._passes(g, True, runs))
 
-    def head(self, count: int) -> "FieldTable":
-        """The table of this call at its first ``count`` probe times (its
-        first centres, for a ball average), on the same grid."""
-        t = self.times if self.times.ndim == 0 else self.times[:count]
-        return FieldTable(self.scenario, self.grid, t, count, self.orders, self.delta,
-                          self.quad, self.backend)
-
     # -- the time table ----------------------------------------------------------
 
     def _rule_weights(self) -> list[np.ndarray]:
@@ -452,11 +449,12 @@ class FieldTable:
         """The passes of the kernel integral of phi (``source`` false) or of
         g over (0, t), for the live points whose times ``runs`` groups
         (`_time_runs`): None for a zero datum, else (datum, source, its
-        Gaussian structure, groups).  A group of runs holds the `_lookup`
-        of X(tau) on its cells (None when the datum reads no agents), the
-        shape of its cells and its passes; a pass holds its points (by
-        sorted position), each point's column in the group, its s-rows and
-        its cell factors gathered to its items (field, row, point)."""
+        Gaussian structure, cells, lookup, passes).  ``cells`` is the one
+        `_cells` table of every distinct probe time and ``lookup`` the one
+        `_lookup` of X(tau) on those cells (None when the datum reads no
+        agents).  A pass holds indices only: its points (by sorted position),
+        each point's run, which is its column in the cell table, and its
+        s-rows."""
         if _is_zero(datum):
             return None
         dim, n_agents = self.scenario.dimension, self.scenario.n
@@ -471,28 +469,22 @@ class FieldTable:
         n_rows = len(self._s_base) if source else 1
         rows_per_pass = min(n_rows, max(1, _CHUNK_ELEMENTS // per_item))
         pts_per_pass = max(1, _CHUNK_ELEMENTS // (per_item * n_rows))
-        # a group of runs holds X(tau) of every agent for each of its cells
-        runs_per_group = max(1, _CHUNK_ELEMENTS // (n_rows * dim * n_agents))
-        groups = []
-        for g0 in range(0, len(run_times), runs_per_group):
-            g1 = min(g0 + runs_per_group, len(run_times))
-            cells, tau = self._cells(run_times[g0:g1], source, gauss)
-            passes = []
-            for p0 in range(bounds[g0], bounds[g1], pts_per_pass):
-                p1 = min(p0 + pts_per_pass, bounds[g1])
-                cols = run[p0:p1] - g0
-                for r0 in range(0, n_rows, rows_per_pass):
-                    rows = slice(r0, r0 + rows_per_pass)
-                    passes.append((_sorted_points(order, p0, p1), cols, rows,
-                                   cells[:, rows].take(cols, axis=2)))
-            groups.append((_lookup(self.grid, tau) if reads_agents else None, tau.shape, passes))
-        return datum, source, gauss, groups
+        cells, tau = self._cells(run_times, source, gauss)
+        passes = []
+        for p0 in range(bounds[0], bounds[-1], pts_per_pass):
+            p1 = min(p0 + pts_per_pass, bounds[-1])
+            for r0 in range(0, n_rows, rows_per_pass):
+                passes.append((_sorted_points(order, p0, p1), run[p0:p1],
+                               slice(r0, r0 + rows_per_pass)))
+        lookup = _lookup(self.grid, tau) if reads_agents else None
+        return datum, source, gauss, cells, lookup, passes
 
     def _cells(self, t_u: np.ndarray, source: bool, gauss) -> tuple[np.ndarray, np.ndarray]:
         """The (s-node, time) cells shared by every point at one of the
         distinct probe times ``t_u`` (U,): one table (field, row, U) of their
-        factors, which `_passes` gathers to each pass's points, and tau
-        (row, U), where an item reads X(tau).
+        factors, held once per term, from which each pass takes its points'
+        columns when it is evaluated, and tau (row, U), where an item reads
+        X(tau).
 
         The fields are the factors of an item that depend on its cell alone,
         computed once per cell by the elementwise operations an item would
@@ -566,22 +558,22 @@ class FieldTable:
         accs = [np.zeros((len(pts),) + (self.scenario.dimension,) * k) for k in self.orders]
         if term is None:
             return accs
-        datum, source, gauss, groups = term
-        for lookup, shape, passes in groups:
-            # X(tau) of every agent on the group's cells, (N * n, row, U)
-            X_cells = None if lookup is None else _gather(X, lookup).reshape((-1,) + shape)
-            for idx, cols, rows, cell in passes:
-                X_items = None if X_cells is None else X_cells[:, rows].take(cols, axis=2)
-                if gauss is None:
-                    blocks = self._rule_blocks(datum, source, pts[idx], cell, X_items)
-                else:
-                    blocks = self._closed_blocks(gauss, pts[idx], cell, X_items)
-                for acc, block in zip(accs, blocks):
-                    # the rows (block axis 0) go onto the point's running
-                    # sum one at a time, in s-node order: a sum would go
-                    # pairwise for a single point.  a + b is b + a exactly.
-                    block[0] += acc[idx]
-                    acc[idx] = np.add.accumulate(block, axis=0)[-1]
+        datum, source, gauss, cells, lookup, passes = term
+        # X(tau) of every agent on the cells, (N * n, row, time)
+        X_cells = None if lookup is None else _gather(X, lookup).reshape((-1,) + cells.shape[1:])
+        for idx, cols, rows in passes:
+            cell = cells[:, rows].take(cols, axis=2)
+            X_items = None if X_cells is None else X_cells[:, rows].take(cols, axis=2)
+            if gauss is None:
+                blocks = self._rule_blocks(datum, source, pts[idx], cell, X_items)
+            else:
+                blocks = self._closed_blocks(gauss, pts[idx], cell, X_items)
+            for acc, block in zip(accs, blocks):
+                # the rows (block axis 0) go onto the point's running sum
+                # one at a time, in s-node order: a sum would go pairwise
+                # for a single point.  a + b is b + a exactly.
+                block[0] += acc[idx]
+                acc[idx] = np.add.accumulate(block, axis=0)[-1]
         return accs
 
     def _rule_blocks(self, datum, source: bool, x: np.ndarray, cell: np.ndarray,

@@ -471,20 +471,20 @@ def _start_path(previous: AgentPath | None, times: np.ndarray, X0: np.ndarray,
     return AgentPath.constant(X0, V0, times), START_CONSTANT
 
 
-def _initial_force(scenario: Scenario, table: FieldTable | None, times: np.ndarray,
-                   X0: np.ndarray, V0: np.ndarray) -> np.ndarray:
+def _initial_force(scenario: Scenario, times: np.ndarray, X0: np.ndarray, V0: np.ndarray,
+                   delta: float | None, quad: QuadratureSpec | None) -> np.ndarray:
     """The force F(t0, X0, V0, w0) on every agent, shape (N, n), at the
     first node t0 of ``times``, for a segment with no segment before it
     (t0 = 0).  w0 is the gradient sensed at X0 on the path frozen at (X0,
-    V0), read through the segment's `_sensing_table` ``table`` at its first
-    node; at t0 = 0 the field is phi's, so w0 takes no kernel pass.  Without
-    a table (the force is declared insensitive to the field) w0 is zero."""
-    if table is None:
+    V0) over the segment's first two nodes; at t0 = 0 the field is phi's and
+    reads no path, so w0 takes no kernel pass.  When the force is declared
+    insensitive to the field, w0 is zero."""
+    if scenario.lipschitz_w == 0.0:
         W0 = np.zeros((1,) + X0.shape)
     else:
-        probe = FieldProbe(scenario, AgentPath.constant(X0, V0, table.grid), quad=table.quad)
-        W0 = sensed_gradients(probe, X0[None], times[:1], table.delta,
-                              table.head(X0.shape[1]))
+        probe = FieldProbe(scenario, AgentPath.constant(X0, V0, times[:2]),
+                           quad=quad or DEFAULT_QUAD)
+        W0 = sensed_gradients(probe, X0[None], times[:1], delta)
     return scenario.force.eval(times[:1], X0[None], V0[None], W0)[0]
 
 
@@ -533,10 +533,9 @@ def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, t0: float, t1
 
     The field time table of the segment (`_sensing_table`) is built once,
     for the grid of ``prefix + seg`` and the segment's nodes, unless the
-    force is declared insensitive to the field: the initial force reads it
-    at its first node, and every sweep (``_sweep``) evaluates it on its own
-    input path, so a sweep computes only what the iterate changes.  The
-    table is dropped with the segment.
+    force is declared insensitive to the field, and every sweep (``_sweep``)
+    evaluates it on its own input path, so a sweep computes only what the
+    iterate changes.  The table is dropped with the segment.
 
     Every path is tube-checked once before it is swept: the start by
     ``_start_path``, each later iterate here.  Stops when successive iterates
@@ -553,7 +552,7 @@ def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, t0: float, t1
     if scenario.lipschitz_w != 0.0:
         grid = times if prefix is None else np.concatenate([prefix.times, times[1:]])
         table = _sensing_table(scenario, grid, times, X0.shape[1], delta, quad)
-    force0 = _initial_force(scenario, table, times, X0, V0) if previous is None else None
+    force0 = _initial_force(scenario, times, X0, V0, delta, quad) if previous is None else None
     current, start = _start_path(previous, times, X0, V0, scenario.R, force0)
     history: list[float] = []
     for sweep in range(max_iters):
@@ -695,7 +694,8 @@ def gronwall_bound_B(scenario: Scenario, horizon: float,
                      delta: float | None = None,
                      params: EstimateParams | None = None) -> float:
     """A-priori bound B on sup_t |Y(t) - Y0| for globally Lipschitz forces and
-    linear-growth data; 0 when the additive constant vanishes.  A horizon
+    linear-growth data; 0 when the additive constant vanishes, and inf when
+    the bound overflows a float, which is still a valid bound.  A horizon
     outside [0, T] raises ValueError, since K2 is built from T, and so does
     a sensing radius delta that is given and not positive and finite."""
     if scenario.force.lipschitz_global is None:
@@ -716,7 +716,12 @@ def gronwall_bound_B(scenario: Scenario, horizon: float,
     exponent = ((1.0 + n * l_f * math.sqrt(2.0)) * t
                 + 2.0 * math.sqrt(t) * n * l_f * k1
                 + (2.0 / 3.0) * n * l_f * k1 * t**1.5)
-    return alpha_g * math.exp(exponent)
+    if alpha_g == 0.0:
+        return 0.0
+    try:
+        return alpha_g * math.exp(exponent)
+    except OverflowError:  # an infinite bound is still a bound
+        return math.inf
 
 
 def apriori_grad_bound(scenario: Scenario, x, t: float, path: AgentPath,

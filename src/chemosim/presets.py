@@ -196,13 +196,33 @@ def preset_catalog() -> dict[str, tuple[str, ...]]:
     }
 
 
+def _number(key: str, value, convert=float):
+    """``convert(value)`` of the config key ``key``; a value it cannot
+    convert, such as a string of letters, raises ScenarioError naming the
+    key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"config key {key!r} must be numeric, got {value!r}") from None
+
+
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def _from_spec(spec, preset, *args):
     """The preset a config names: a bare name, or a mapping of its name and
-    keyword parameters.  A parameter the preset does not take raises
+    keyword parameters, each converted to float.  Any other spec, a
+    parameter that is not numeric, or one the preset does not take raises
     ScenarioError naming it; an error raised inside the preset propagates."""
+    kind = preset.__name__.removesuffix("_preset")
     if isinstance(spec, str):
         return preset(spec, *args)
-    params = {k: v for k, v in spec.items() if k != "name"}
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"config key {kind!r} must be a preset name or a mapping, "
+                            f"got {spec!r}")
+    params = {key: _number(f"{kind}.{key}", value)
+              for key, value in spec.items() if key != "name"}
     try:
         return preset(spec.get("name"), *args, **params)
     except TypeError:
@@ -212,28 +232,34 @@ def _from_spec(spec, preset, *args):
         unknown = [key for key in params if key not in accepted]
         if not unknown:
             raise
-        kind = preset.__name__.removesuffix("_preset")
         raise ScenarioError(f"unknown parameter {unknown[0]!r} for {kind} preset "
                             f"{spec.get('name')!r}; it takes {', '.join(accepted)}") from None
 
 
 def scenario_from_config(config: dict) -> Scenario:
-    """Assemble and validate a Scenario from a parsed config mapping."""
+    """Assemble and validate a Scenario from a parsed config mapping; a
+    value of the wrong type, such as a string for a number, raises
+    ScenarioError naming its key."""
     try:
-        dimension = int(config["dimension"])
-        horizon = float(config["horizon"])
-        X0 = np.asarray(config["X0"], dtype=float)
-        V0 = np.asarray(config["V0"], dtype=float)
+        dimension = _number("dimension", config["dimension"], int)
+        horizon = _number("horizon", config["horizon"])
+        X0 = _number("X0", config["X0"], _array)
+        V0 = _number("V0", config["V0"], _array)
     except KeyError as exc:
         raise ScenarioError(f"config missing required key {exc.args[0]!r}") from None
-    alpha = float(config.get("alpha", 0.5))
+    alpha = _number("alpha", config.get("alpha", 0.5))
 
     coeff_spec = config.get("coefficients", "heat")
     if isinstance(coeff_spec, str):
         coeffs = coefficient_preset(coeff_spec, dimension, alpha)
+    elif not (isinstance(coeff_spec, dict) and "a" in coeff_spec):
+        raise ScenarioError(f"config key 'coefficients' must be a preset name or a mapping "
+                            f"with an 'a', got {coeff_spec!r}")
     else:
-        coeffs = inline_coefficients(coeff_spec["a"], coeff_spec.get("b"),
-                                     coeff_spec.get("c", 0.0), alpha)
+        b = coeff_spec.get("b")
+        coeffs = inline_coefficients(_number("coefficients.a", coeff_spec["a"], _array),
+                                     None if b is None else _number("coefficients.b", b, _array),
+                                     _number("coefficients.c", coeff_spec.get("c", 0.0)), alpha)
     if coeffs.dimension != dimension:
         raise ScenarioError("coefficient dimension does not match config dimension")
 
@@ -244,17 +270,20 @@ def scenario_from_config(config: dict) -> Scenario:
     force = _from_spec(config.get("force", "zero"), force_preset)
 
     overrides = config.get("growth", {})
+    if not isinstance(overrides, dict):
+        raise ScenarioError(f"config key 'growth' must be a mapping, got {overrides!r}")
     growth = GrowthSpec(
-        C=float(overrides.get("C", max(c_phi, c_g))),
-        H=float(overrides.get("H", h_phi)),
+        C=_number("growth.C", overrides.get("C", max(c_phi, c_g))),
+        H=_number("growth.H", overrides.get("H", h_phi)),
         HR=hr,
-        M=float(overrides.get("M", max(m_phi, m_g))),
+        M=_number("growth.M", overrides.get("M", max(m_phi, m_g))),
         T=horizon,
         H2=getattr(phi, "hessian_bound", None),
     )
     return make_scenario(
         coeffs, phi, g, force, X0, V0, growth,
-        R=float(config.get("R", 1.0)),
-        nonlocal_delta=(float(config["delta"]) if config.get("delta") is not None else None),
+        R=_number("R", config.get("R", 1.0)),
+        nonlocal_delta=(_number("delta", config["delta"]) if config.get("delta") is not None
+                        else None),
         name=str(config.get("name", "scenario")),
     )

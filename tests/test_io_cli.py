@@ -1,6 +1,7 @@
 """File formats, round trips, CLI subcommands and exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -637,6 +638,55 @@ def test_cli_unknown_preset_parameter_is_a_config_error(tmp_path):
             in res.stderr)
     assert "Traceback" not in res.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"force": {"name": "damped-chemotaxis", "chi": "x"}}, "force.chi"),
+    ({"g": {"name": "constant", "value": "abc"}}, "g.value"),
+    ({"dimension": "two"}, "dimension"),
+    ({"X0": [["a"]]}, "X0"),
+    ({"coefficients": {"a": [[1.0]], "b": "x"}}, "coefficients.b"),
+], ids=["force-chi", "g-value", "dimension", "X0", "inline-b"])
+def test_cli_non_numeric_config_value_is_a_config_error(tmp_path, capsys, change, key):
+    # the force parameter escaped as a TypeError (exit 1), the others as
+    # solver errors (exit 3)
+    p = write_cfg(tmp_path, {**DAMPED_CFG, **change})
+    out = tmp_path / "run"
+    assert cli.main(["bounds", "--config", str(p), "--output-dir", str(out)]) == 2
+    assert f"config error: config key {key!r} must be numeric" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"force": 3}, "config key 'force' must be a preset name or a mapping, got 3"),
+    ({"g": [1.0]}, "config key 'g' must be a preset name or a mapping, got [1.0]"),
+    ({"coefficients": {"c": -0.1}}, "config key 'coefficients' must be a preset name or a "
+                                    "mapping with an 'a'"),
+    ({"growth": 5}, "config key 'growth' must be a mapping, got 5"),
+], ids=["force", "g", "coefficients", "growth"])
+def test_cli_config_value_of_the_wrong_shape_is_a_config_error(tmp_path, capsys, change,
+                                                               message):
+    # each escaped as an AttributeError or KeyError traceback (exit 1)
+    p = write_cfg(tmp_path, {**DAMPED_CFG, **change})
+    assert cli.main(["bounds", "--config", str(p), "--output-dir", str(tmp_path / "run")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_cli_bounds_writes_an_infinite_B(tmp_path):
+    # 16 agents in 2D: B's exponent overflowed math.exp, and bounds exited 1
+    # with a traceback; an infinite bound is still a bound
+    rng = np.random.default_rng(0)
+    cfg = {"dimension": 2, "horizon": 0.5, "R": 4.0, "coefficients": "heat",
+           "phi": "gaussian", "g": "agent-secretion",
+           "force": {"name": "damped-chemotaxis", "chi": 0.3, "kappa_v": 1.0},
+           "X0": rng.uniform(-0.5, 0.5, (2, 16)).tolist(),
+           "V0": rng.uniform(-0.3, 0.3, (2, 16)).tolist()}
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert cli.main(["bounds", "--config", str(p), "--output-dir", str(out)]) == 0
+    assert "\nB = inf\n" in (out / "bounds.txt").read_text()
+    values = cio.read_bounds(out / "bounds.txt")
+    assert values["B"] == math.inf and math.isfinite(values["T_bar"])
 
 
 def test_cli_field_export(tmp_path):

@@ -1,6 +1,7 @@
 """Fixed-point machinery: update map, certificates, local/global solves, bounds."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -1078,6 +1079,16 @@ def test_gronwall_bound_zero_data_gives_zero():
     assert np.abs(path.X).max() == 0.0 and np.abs(path.V).max() == 0.0
 
 
+def test_gronwall_bound_overflow_is_infinite_and_zero_data_stay_zero():
+    # the exponent (1 + n L_F sqrt(2)) T is about 850, past a float's exp
+    stiff = {"chi": 600.0, "kappa_v": 600.0}
+    scn = build(force="damped-chemotaxis", force_kwargs=stiff, V0=[[0.2]], T=1.0)
+    assert gronwall_bound_B(scn, 1.0) == math.inf
+    # zero data and V0 = 0: B = 0, not 0 * inf
+    scn = build(force="damped-chemotaxis", force_kwargs=stiff, V0=np.zeros((1, 1)), T=1.0)
+    assert gronwall_bound_B(scn, 1.0) == 0.0
+
+
 @pytest.mark.parametrize("horizon", [-1.0, math.nan, 1.5])
 def test_gronwall_bound_rejects_a_horizon_outside_0_T(horizon):
     scn = build(force=constant_force_law([0.7]), V0=[[0.2]], T=1.0)
@@ -1215,21 +1226,27 @@ def test_every_sweep_senses_what_a_fresh_call_senses(monkeypatch, dim, mode, dat
     t_bar = horizon_certificate(scn, mode=mode, delta=delta).t_bar
     calls = _recorded_sensing(monkeypatch)
     segments = []
-    solve_global(scn, 1.5 * t_bar, mode=mode, segments_out=segments)
+    full = solve_global(scn, 1.5 * t_bar, mode=mode, segments_out=segments)
     monkeypatch.undo()
     assert len(segments) >= 2
-    # one call per sweep and one for the first segment's initial force, each
-    # handed its segment's table (the initial force the table's first node)
+    # one call for the first segment's initial force, then one per sweep
     assert len(calls) == 1 + sum(s.iterations for s in segments)
+    # the initial force senses at X0 at t = 0 with no table, on the path
+    # frozen over two nodes; at t = 0 the field reads no path, so a call on
+    # the solved path senses the same
+    original, probe, args, kwargs, out = calls[0]
+    assert kwargs.get("table") is None and len(probe.path.times) == 2
+    assert len(args[0]) == scn.n and not np.asarray(args[1]).any()
+    assert original(FieldProbe(scn, full), *args).tobytes() == out.tobytes()
     starts = []
-    for original, probe, args, kwargs, out in calls:
+    for original, probe, args, kwargs, out in calls[1:]:
+        # each sweep is handed its segment's table, on the probe's path grid
         table = kwargs["table"]
         assert table is not None and table.grid[0] == 0.0
         starts.append(float(args[1][0]))
-        # the table's grid is the probe's path grid, and a fresh call builds its own
         assert np.array_equal(table.grid, probe.path.times)
+        # and a fresh call, which builds its own table, senses the same bits
         assert original(probe, *args).tobytes() == out.tobytes()
-    assert len(calls[0][2][0]) == scn.n and starts[0] == 0.0
     assert set(starts) == {s.t_start for s in segments}  # first and continued segments
 
 
@@ -1259,14 +1276,42 @@ def test_a_segment_forms_the_kernel_weights_once(monkeypatch):
     assert len(segments) >= 3 and sum(s.iterations for s in segments) > len(segments)
     nodes = QuadratureSpec().resolved_space_nodes(1)
     assert shapes == [(nodes, 1)] * len(segments)
-    # the first call is the initial force's, at the first segment's first node
+    # the first call is the initial force's, at t = 0, which reads no table
     assert len(sweeps) == 1 + sum(s.iterations for s in segments)
-    assert sweeps[0].n_points == scn.n
+    assert sweeps[0] is None and None not in sweeps[1:]
     # the sweeps of a segment share its table, and no two segments share one
     # (the list keeps every table alive, so no id is reused)
     tables = [id(table) for table in sweeps[1:]]
     assert len(set(tables)) == len(segments)
     assert sum(a != b for a, b in zip(tables, tables[1:])) == len(segments) - 1
+
+
+def _table_bytes(n_agents):
+    """Bytes a continued 2D S1 segment's sensing table holds (17 nodes in
+    [0.1, 0.2] on a 33-node grid) for ``n_agents`` agents, by tracemalloc."""
+    rng = np.random.default_rng(0)
+    scn = build(phi="gaussian", g="agent-secretion", force="damped-chemotaxis", dim=2, R=4.0,
+                force_kwargs={"chi": 0.3, "kappa_v": 1.0},
+                X0=rng.uniform(-0.5, 0.5, (2, n_agents)), V0=rng.uniform(-0.3, 0.3, (2, n_agents)))
+    grid, times = np.linspace(0.0, 0.2, 33), np.linspace(0.1, 0.2, 17)
+    picard._sensing_table(scn, grid, times, n_agents, None, None)  # the shared rules
+    tracemalloc.start()
+    try:
+        table = picard._sensing_table(scn, grid, times, n_agents, None, None)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table._terms[1] is not None  # the source term is in the table
+    return held
+
+
+def test_a_segment_table_holds_each_cell_once():
+    # the (s-node, time) cell factors are held once per distinct time, not
+    # gathered to every point: an added point costs less than its own cells,
+    # (2N + 3) factors on each of the 32 s-rows of the source term
+    points = 17 * (32 - 2)
+    cells_per_point = (2 * 2 + 3) * 32 * 8
+    assert _table_bytes(32) - _table_bytes(2) < points * cells_per_point
 
 
 def test_a_lookup_on_one_path_serves_every_path_on_its_grid():
