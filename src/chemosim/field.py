@@ -36,59 +36,63 @@ truncated box (`backend_for`).
 
 Batch evaluations take one time per point, and the items of a batch run in
 a few vectorized passes, so one call serves a whole Picard sweep.  The
-layout is time-major: the points are sorted into runs of equal probe time,
-and tau, the weight, sigma = t - tau, the agent positions X(tau) and every
-other factor of an item that depends on its cell alone (by the spatial
-rule sqrt(sigma), b sigma and the factor of each order; in closed form the
-eigenvalues of M, sqrt(det M) and c sigma) are computed once per (s-node,
-distinct time) cell, for every point at that time (the initial-datum term
-is the one row tau = 0, weight 1).  The cells form one table per term,
-from which each pass takes its points' columns with one ``take``, and
-X(tau) is one lookup of the cells' times on the path's grid and one gather
-per term (`paths._lookup`, `paths._gather`).  A pass is an (s-node, point)
-block: every s-row of a range of points or, when one point's rows exceed
-the pass size, a range of the rows of one point.  Each point adds its rows
-to its running sum one at a time in s-node order, in one
-``np.add.accumulate`` per pass, so a point's value is the same whatever
-else the batch holds.  A call asks for any of the orders 0, 1, 2
-(``derivatives_many``), and each pass serves all of them.  A spatial-rule
-pass builds xi and the datum on it once, on (item, node, component)
-arrays, and contracts the datum with each order's weights by ``einsum``,
-which sums every item alone in node order (a BLAS product may block, and
-so round, an item by its position in the pass).  A closed-form pass runs
-axis-last, on (component, centre, item) arrays, so its reductions and
-products run along the long item axis: it rotates into the eigenbasis of a
-once and shares M^-1 d and the scalar factor between the orders.  Either
-way an item's value does not depend on the pass it falls in, and the
+points stay in the caller's order.  Their distinct probe times (t > 0) are
+found once, by ``np.unique``, whose inverse gives each point its column
+among them, and tau, the weight, sigma = t - tau, the agent positions X(tau)
+and every other factor of an item that depends on its cell alone (by the
+spatial rule sqrt(sigma), b sigma and the factor of each order; in closed
+form the eigenvalues of M, sqrt(det M) and c sigma) are computed once per
+(s-node, distinct time) cell, for every point at that time (the
+initial-datum term is the one row tau = 0, weight 1).  The cells form one
+table per term, from which each pass takes its points' columns with one
+``take``, and X(tau) is one lookup of the cells' times on the path's grid
+and one gather per term (`paths._lookup`, `paths._gather`).  A pass is an
+(s-node, point) block, computed from two sizes as the evaluation steps
+through the points: every s-row of a range of points or, when one point's
+rows exceed the pass size, a range of the rows of one point.  Each point
+adds its rows to its running sum one at a time in s-node order, in one
+``np.add.accumulate`` per pass, so a point's value is the same whatever else
+the batch holds and wherever it stands in it.  A call asks for any of the
+orders 0, 1, 2 (``derivatives_many``), and each pass serves all of them.  A
+spatial-rule pass builds xi and the datum on it once, on (item, node,
+component) arrays, and contracts the datum with each order's weights by
+``einsum``, which sums every item alone in node order (a BLAS product may
+block, and so round, an item by its position in the pass).  A closed-form
+pass runs axis-last, on (component, centre, item) arrays, so its reductions
+and products run along the long item axis: it rotates into the eigenbasis
+of a once and shares M^-1 d and the scalar factor between the orders.
+Either way an item's value does not depend on the pass it falls in, and the
 weights of each order equal its one-order kernel call, so every order
 equals its one-order call bit for bit.  The spatial rule and the s-rule are
 built once per (dimension, u_max, node counts, L) and shared read-only
 (`_cached_field_rules`); the kernel weights are formed per time table.
 
 A call is a time table and an evaluation (`FieldTable`).  The table holds
-what depends on the probe times and the path's time grid alone: the one
-scan of the times (the order test, which a NaN fails; the range check then
-reads only the first and last sorted time), their runs, the points at
-t = 0, which are the first run when there are any, the kernel weights of
-the requested orders and, for each term, its cell table (the factors of
-each s-node at each distinct time, once), its one lookup of X(tau) on the
-grid and its passes, which hold indices only.  So a table grows with the
-distinct times, not with cells times points.  The evaluation takes the
-table, the points and the path's positions X, and runs only the gather of
-X(tau), each pass's take of its cells, the datum, the Gaussian terms and
-the s-node-order accumulation.  Every call builds its table and evaluates
-it; a Picard segment builds one for its grid and node times
-(`picard._sensing_table`), and each sweep of the segment evaluates it on
-its own iterate, so a sweep computes only what the iterate changes.  At the
-size of a sweep (tens of points) the table is about a quarter of a call.
-An item's elementwise operations and a point's accumulation order are the
-same whether the table is new or reused, so a reused table gives every
-value bit for bit.
+what depends on the probe times and the path's time grid alone: the
+checked times (the range check reads their min and max, which a NaN
+fails), the points at t = 0 (a slice when they lead, as at a first
+segment's node 0, else a mask), each live point's time column, the kernel
+weights of the requested orders and, for each term, its cell table (the
+factors of each s-node at each distinct time, once), its one lookup of
+X(tau) on the grid and its two pass sizes.  So a table grows with the
+distinct times and holds one column index per point, not one entry per
+pass.  The evaluation takes the table, the points and the path's positions
+X, and runs only the gather of X(tau), each pass's take of its cells, the
+datum, the Gaussian terms and the s-node-order accumulation.  Every call
+builds its table and evaluates it; a Picard segment builds one for its grid
+and node times (`picard._sensing_table`), and each sweep of the segment
+evaluates it on its own iterate, so a sweep computes only what the iterate
+changes.  At the size of a sweep (tens of points) the table is about a
+quarter of a call.  An item's elementwise operations and a point's
+accumulation order are the same whether the table is new or reused, so a
+reused table gives every value bit for bit.
 
 Evaluation at t = 0 returns the initial datum (and its difference-quotient
 derivatives) by continuity.  The ball average of grad f is (N / delta) times
 the mean of f nu over the sphere of radius delta (divergence theorem), so
-non-local sensing takes field values only.
+non-local sensing takes field values only: `FieldProbe.ball_average_gradient`
+evaluates an order-0 table at every centre's sphere points, each at its
+centre's time, and averages.  That table holds no radius.
 """
 
 from __future__ import annotations
@@ -266,46 +270,37 @@ def _cached_sphere_rule(dim: int, delta: float) -> tuple[np.ndarray, np.ndarray]
     return _read_only(delta * nu, (dim / delta) * (w / w.sum())[:, None] * nu)
 
 
-def _check_times(t, n_points: int, horizon: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """Probe times ``t`` clamped to [0, horizon], one per point, and the
-    stable permutation that sorts them (None when they are in order).  The
-    one scan of the times is the order test, which a NaN fails; the sort puts
-    NaN last, so the range check reads the first and last sorted time."""
+def _check_times(t, n_points: int, horizon: float) -> np.ndarray:
+    """Probe times ``t`` clamped to [0, horizon], one per point.  The range
+    check reads their min and max, which a NaN makes NaN, so it fails."""
     t = np.asarray(t, dtype=float)
     if t.ndim > 1 or (t.ndim == 1 and len(t) != n_points):
         raise ValueError(f"need one probe time or one per point, got shape {t.shape}")
     if t.ndim == 0:
         t = np.full(max(n_points, 1), t)  # a lone time is checked, points or not
     elif not n_points:
-        return t, None
-    order = None if (t[:-1] <= t[1:]).all() else np.argsort(t, kind="stable")
-    lo, hi = (t[0], t[-1]) if order is None else (t[order[0]], t[order[-1]])
+        return t
+    lo, hi = t.min(), t.max()
     top = horizon * (1.0 + 1e-9) + 1e-12
     if not (lo >= -1e-12 and hi <= top):
         bad = t[~((t >= -1e-12) & (t <= top))][0]
         raise ValueError(f"probe time {float(bad)} outside [0, {horizon}]")
-    if lo < 0.0 or hi > horizon:  # clamping keeps the order
+    if lo < 0.0 or hi > horizon:
         t = np.minimum(np.maximum(t, 0.0), horizon)
-    return t[:n_points], order
+    return t[:n_points]
 
 
-def _time_runs(t: np.ndarray, order: np.ndarray | None) -> tuple:
-    """The points of probe times ``t`` (P,) in time order, given the stable
-    permutation ``order`` that sorts them (None when ``t`` is already in
-    order, as a sweep's node-major points are): that permutation, the run of
-    equal times each sorted point belongs to (P,), the bounds of the runs in
-    sorted order (runs + 1,) and the time of each run (runs,)."""
-    t_sorted = t if order is None else t[order]
-    new = np.empty(len(t) + 1, dtype=bool)
-    new[0] = new[-1] = True
-    np.not_equal(t_sorted[1:], t_sorted[:-1], out=new[1:-1])
-    bounds = new.nonzero()[0]
-    return order, np.cumsum(new[:-1]) - 1, bounds, t_sorted[bounds[:-1]]
-
-
-def _sorted_points(order: np.ndarray | None, start: int, stop: int):
-    """Index of the points at sorted positions [start, stop)."""
-    return slice(start, stop) if order is None else order[start:stop]
+def _sphere_times(t, n_centres: int, k: int):
+    """The probe times of the order-0 call behind a ball average at
+    ``n_centres`` centres: each centre's time (``t`` is one time for all or
+    one per centre) repeated over the k nodes of its sphere, in (centre,
+    node) order.  A lone time stays one time."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        return t
+    if t.shape != (n_centres,):
+        raise ValueError(f"need one probe time or one per point, got shape {t.shape}")
+    return np.repeat(t, k)
 
 
 def _phi_at_zero(phi, pts: np.ndarray, orders: tuple) -> list[np.ndarray]:
@@ -373,51 +368,39 @@ def _gaussian_integrals(kern, d: np.ndarray, m, root_det: np.ndarray, c_sigma: n
 class FieldTable:
     """The time table of one field call: every part of the call that
     depends on its probe times and on the time grid of the path alone, built
-    once (module docstring): the cells of each distinct probe time, one
-    lookup of X(tau) per term, and passes that hold indices only.
-    `evaluate` runs the rest at any points, on any path on that grid.
+    once (module docstring): the points at t = 0, each live point's column
+    among the distinct live times, and for each term the cells of those
+    times, one lookup of X(tau) and its pass sizes.  `evaluate` runs the
+    rest at any points, on any path on that grid.
 
     ``t`` is one probe time for all ``n_points`` points or one time per
-    point, ``grid`` the path's time grid and ``orders`` the derivative
-    orders of the call.  With a sensing radius ``delta`` it is the table of
-    `FieldProbe.ball_average_gradient`: the points are the centres, f (the
-    one order 0) is evaluated on each centre's sphere points, and the result
-    is the average.  ``backend`` defaults to `backend_for` the scenario.
-    Immutable after construction, and it lives as long as its caller holds
-    it: nothing caches it."""
+    point, in any order, ``grid`` the path's time grid and ``orders`` the
+    derivative orders of the call.  ``backend`` defaults to `backend_for`
+    the scenario.  Immutable after construction, and it lives as long as its
+    caller holds it: nothing caches it."""
 
     def __init__(self, scenario: Scenario, grid: np.ndarray, t, n_points: int,
-                 orders: tuple = (1,), delta: float | None = None,
-                 quad: QuadratureSpec = DEFAULT_QUAD, backend: str | None = None):
+                 orders: tuple = (1,), quad: QuadratureSpec = DEFAULT_QUAD,
+                 backend: str | None = None):
         self.scenario, self.grid, self.quad = scenario, grid, quad
         self.backend = backend_for(scenario) if backend is None else backend
-        self.n_points, self.orders, self.delta = n_points, tuple(orders), delta
+        self.n_points, self.orders = n_points, tuple(orders)
         self.times = _read_only(np.array(t, dtype=float))[0]
-        t, order = _check_times(self.times, n_points, float(grid[-1]))
-        if delta is not None:
-            # (centre, node) order: a centre's nodes share its time, so times
-            # in order stay in order, and the stable sort of the repeated
-            # times is the centres' sort, each index expanded to its k nodes
-            k = len(_cached_sphere_rule(scenario.dimension, float(delta))[0])
-            if order is not None:
-                order = (order[:, None] * k + np.arange(k)).ravel()
-            t = np.repeat(t, k)
-        self._at_zero = self._live = None
-        if not len(t):
+        t = _check_times(self.times, n_points, float(grid[-1]))
+        # the points at t = 0 and the live rest, by slices when the zeros
+        # lead, as at a first segment's node 0, and by masks otherwise
+        zero = t == 0.0
+        n_zero = int(np.count_nonzero(zero))
+        prefix = not n_zero or bool(zero[:n_zero].all())
+        self._at_zero = None if not n_zero else slice(0, n_zero) if prefix else zero
+        self._live = None if n_zero == len(t) else slice(n_zero, None) if prefix else ~zero
+        if self._live is None:
             return
-        runs = _time_runs(t, order)
-        _, run, bounds, run_times = runs
-        # the points at t = 0 are the first run, if there are any
-        zero = int(bounds[1]) if run_times[0] == 0.0 else 0
-        if zero:
-            runs = (order, run - 1, bounds[1:], run_times[1:])
-            self._at_zero = _sorted_points(order, 0, zero)
-        if zero == len(t):
-            return
-        self._live = _sorted_points(order, zero, len(t))
         if self.backend != BACKEND_KERNEL:
             self._live_times = t[self._live]
             return
+        # the distinct live times, and each live point's column among them
+        live_times, self._cols = np.unique(t[self._live], return_inverse=True)
         # xi = x + b sigma + sqrt(sigma) L u with a = L L^T, so the kernel is
         # exp(-|u|^2 / 4) up to a factor in sigma (module docstring)
         dim = scenario.dimension
@@ -430,7 +413,7 @@ class FieldTable:
         by_rule = any(not _is_zero(datum) and getattr(datum, "gaussian_source", None) is None
                       for datum in (phi, g))
         self._weights = self._rule_weights() if by_rule else None
-        self._terms = (self._passes(phi, False, runs), self._passes(g, True, runs))
+        self._terms = (self._term(phi, False, live_times), self._term(g, True, live_times))
 
     # -- the time table ----------------------------------------------------------
 
@@ -445,20 +428,17 @@ class FieldTable:
         return [np.multiply(d.transpose(tuple(range(1, k + 1)) + (0,)), self._u_wts, order="C")
                 for k, d in zip(self.orders, derivs)]
 
-    def _passes(self, datum, source: bool, runs: tuple):
-        """The passes of the kernel integral of phi (``source`` false) or of
-        g over (0, t), for the live points whose times ``runs`` groups
-        (`_time_runs`): None for a zero datum, else (datum, source, its
-        Gaussian structure, cells, lookup, passes).  ``cells`` is the one
-        `_cells` table of every distinct probe time and ``lookup`` the one
-        `_lookup` of X(tau) on those cells (None when the datum reads no
-        agents).  A pass holds indices only: its points (by sorted position),
-        each point's run, which is its column in the cell table, and its
-        s-rows."""
+    def _term(self, datum, source: bool, live_times: np.ndarray):
+        """The kernel integral of phi (``source`` false) or of g over (0, t)
+        at the distinct live times ``live_times``: None for a zero datum,
+        else (datum, source, its Gaussian structure, cells, lookup, points
+        per pass, rows per pass).  ``cells`` is the one `_cells` table of
+        those times and ``lookup`` the one `_lookup` of X(tau) on them (None
+        when the datum reads no agents).  A pass takes a range of the rows
+        of a range of the live points, in their order (`_integral`)."""
         if _is_zero(datum):
             return None
         dim, n_agents = self.scenario.dimension, self.scenario.n
-        order, run, bounds, run_times = runs
         gauss = getattr(datum, "gaussian_source", None)
         reads_agents = source and (gauss is None or gauss.at_agents)
         # a pass holds, for each of its items, at most one closed-form term per
@@ -469,21 +449,16 @@ class FieldTable:
         n_rows = len(self._s_base) if source else 1
         rows_per_pass = min(n_rows, max(1, _CHUNK_ELEMENTS // per_item))
         pts_per_pass = max(1, _CHUNK_ELEMENTS // (per_item * n_rows))
-        cells, tau = self._cells(run_times, source, gauss)
-        passes = []
-        for p0 in range(bounds[0], bounds[-1], pts_per_pass):
-            p1 = min(p0 + pts_per_pass, bounds[-1])
-            for r0 in range(0, n_rows, rows_per_pass):
-                passes.append((_sorted_points(order, p0, p1), run[p0:p1],
-                               slice(r0, r0 + rows_per_pass)))
+        cells, tau = self._cells(live_times, source, gauss)
         lookup = _lookup(self.grid, tau) if reads_agents else None
-        return datum, source, gauss, cells, lookup, passes
+        return datum, source, gauss, cells, lookup, pts_per_pass, rows_per_pass
 
     def _cells(self, t_u: np.ndarray, source: bool, gauss) -> tuple[np.ndarray, np.ndarray]:
         """The (s-node, time) cells shared by every point at one of the
-        distinct probe times ``t_u`` (U,): one table (field, row, U) of their
-        factors, held once per term, from which each pass takes its points'
-        columns when it is evaluated, and tau (row, U), where an item reads
+        distinct live probe times ``t_u`` (U,), in increasing order: one
+        table (field, row, U) of their factors, held once per term, from
+        which each pass takes its points' columns (the ``np.unique``
+        inverse) when it is evaluated, and tau (row, U), where an item reads
         X(tau).
 
         The fields are the factors of an item that depend on its cell alone,
@@ -519,61 +494,59 @@ class FieldTable:
     def evaluate(self, pts: np.ndarray, X: np.ndarray, fd_batch=None) -> list[np.ndarray]:
         """The call at points ``pts`` (P, N), on a path on the table's grid
         whose positions are ``X`` (nodes, N, n): one array per order, shaped
-        (P,) + (N,) * order, or for a ball average the one array of averages
-        (P, N).  What runs here is the datum, the Gaussian terms and the
-        s-node-order accumulation; the closed-form backend reads X through
-        the source cells' lookup, and on the finite-difference backend
-        ``fd_batch`` (points, times, orders) evaluates the points at t > 0.
-        Points at t = 0 take the initial datum and read no path."""
-        if self.delta is None:
-            return self._derivatives(pts, X, fd_batch)
-        offsets, wts = _cached_sphere_rule(self.scenario.dimension, float(self.delta))
-        k = len(offsets)
-        vals = self._derivatives((pts[:, None, :] + offsets).reshape(-1, pts.shape[1]),
-                                 X, fd_batch)[0]
-        # the sum runs over a (node, centre) view in node order, as for one centre
-        terms = np.multiply(vals.reshape(len(pts), k).T[:, :, None], wts[:, None, :], order="C")
-        return [terms.sum(axis=0)]
-
-    def _derivatives(self, pts: np.ndarray, X: np.ndarray, fd_batch) -> list[np.ndarray]:
+        (P,) + (N,) * order.  What runs here is the datum, the Gaussian
+        terms and the s-node-order accumulation; the closed-form backend
+        reads X through the source cells' lookup, and on the
+        finite-difference backend ``fd_batch`` (points, times, orders)
+        evaluates the points at t > 0.  Points at t = 0 take the initial
+        datum and read no path."""
         live, at_zero = self._live, self._at_zero
-        if live is not None and self.backend == BACKEND_KERNEL:
-            outs = [a - b for a, b in zip(self._integral(self._terms[0], pts, X),
-                                          self._integral(self._terms[1], pts, X))]
-        else:
-            outs = [np.empty((len(pts),) + (self.scenario.dimension,) * k) for k in self.orders]
-            if live is not None:
-                for out, vals in zip(outs, fd_batch(pts[live], self._live_times, self.orders)):
-                    out[live] = vals
+        if at_zero is None and live is not None:
+            return self._at_live(pts, X, fd_batch)
+        outs = [np.empty((len(pts),) + (self.scenario.dimension,) * k) for k in self.orders]
+        if live is not None:
+            for out, vals in zip(outs, self._at_live(pts[live], X, fd_batch)):
+                out[live] = vals
         if at_zero is not None:
             for out, vals in zip(outs, _phi_at_zero(self.scenario.phi, pts[at_zero], self.orders)):
                 out[at_zero] = vals
         return outs
 
-    def _integral(self, term, pts: np.ndarray, X: np.ndarray) -> list[np.ndarray]:
+    def _at_live(self, x: np.ndarray, X: np.ndarray, fd_batch) -> list[np.ndarray]:
+        """The call at the live points ``x``, those at t > 0."""
+        if self.backend != BACKEND_KERNEL:
+            return fd_batch(x, self._live_times, self.orders)
+        return [a - b for a, b in zip(self._integral(self._terms[0], x, X),
+                                      self._integral(self._terms[1], x, X))]
+
+    def _integral(self, term, x: np.ndarray, X: np.ndarray) -> list[np.ndarray]:
         """x-derivatives of the orders of the kernel integral of one datum
-        at points (P, N), for its `_passes` ``term``: one array per order,
-        shaped (P,) + (N,) * order, 0 at the points at t = 0.  Each point
-        sums its items in s-node order, across passes too."""
-        accs = [np.zeros((len(pts),) + (self.scenario.dimension,) * k) for k in self.orders]
+        at the live points ``x`` (P, N), for its `_term` ``term``: one array
+        per order, shaped (P,) + (N,) * order.  Each point sums its items in
+        s-node order, across passes too."""
+        accs = [np.zeros((len(x),) + (self.scenario.dimension,) * k) for k in self.orders]
         if term is None:
             return accs
-        datum, source, gauss, cells, lookup, passes = term
+        datum, source, gauss, cells, lookup, pts_per_pass, rows_per_pass = term
         # X(tau) of every agent on the cells, (N * n, row, time)
         X_cells = None if lookup is None else _gather(X, lookup).reshape((-1,) + cells.shape[1:])
-        for idx, cols, rows in passes:
-            cell = cells[:, rows].take(cols, axis=2)
-            X_items = None if X_cells is None else X_cells[:, rows].take(cols, axis=2)
-            if gauss is None:
-                blocks = self._rule_blocks(datum, source, pts[idx], cell, X_items)
-            else:
-                blocks = self._closed_blocks(gauss, pts[idx], cell, X_items)
-            for acc, block in zip(accs, blocks):
-                # the rows (block axis 0) go onto the point's running sum
-                # one at a time, in s-node order: a sum would go pairwise
-                # for a single point.  a + b is b + a exactly.
-                block[0] += acc[idx]
-                acc[idx] = np.add.accumulate(block, axis=0)[-1]
+        for p0 in range(0, len(x), pts_per_pass):
+            idx = slice(p0, p0 + pts_per_pass)
+            x_pass, cols = x[idx], self._cols[idx]
+            for r0 in range(0, cells.shape[1], rows_per_pass):
+                rows = slice(r0, r0 + rows_per_pass)
+                cell = cells[:, rows].take(cols, axis=2)
+                X_items = None if X_cells is None else X_cells[:, rows].take(cols, axis=2)
+                if gauss is None:
+                    blocks = self._rule_blocks(datum, source, x_pass, cell, X_items)
+                else:
+                    blocks = self._closed_blocks(gauss, x_pass, cell, X_items)
+                for acc, block in zip(accs, blocks):
+                    # the rows (block axis 0) go onto the point's running sum
+                    # one at a time, in s-node order: a sum would go pairwise
+                    # for a single point.  a + b is b + a exactly.
+                    block[0] += acc[idx]
+                    acc[idx] = np.add.accumulate(block, axis=0)[-1]
         return accs
 
     def _rule_blocks(self, datum, source: bool, x: np.ndarray, cell: np.ndarray,
@@ -645,18 +618,17 @@ class FieldProbe:
 
     # -- time tables ----------------------------------------------------------------
 
-    def _table(self, t, n_points: int, orders: tuple, delta: float | None = None,
+    def _table(self, t, n_points: int, orders: tuple,
                table: FieldTable | None = None) -> FieldTable:
         """The time table of a call at probe times ``t``: a new one, or the
         given ``table``, which must have been built for this probe's
         scenario, quadrature, backend and time grid and for this call's
-        kind and probe times (ValueError otherwise)."""
+        orders and probe times (ValueError otherwise)."""
         if table is None:
-            return FieldTable(self.scenario, self.path.times, t, n_points, orders, delta,
+            return FieldTable(self.scenario, self.path.times, t, n_points, orders,
                               self.quad, self.backend)
         if not (table.scenario is self.scenario and table.quad == self.quad
-                and table.backend == self.backend and table.orders == orders
-                and table.delta == delta):
+                and table.backend == self.backend and table.orders == orders):
             raise ValueError("the field table was built for another scenario, quadrature, "
                              "backend or kind of call")
         if not (table.grid is self.path.times or np.array_equal(table.grid, self.path.times)):
@@ -692,7 +664,7 @@ class FieldProbe:
 
     def _batch(self, pts, t, orders: tuple, table: FieldTable | None = None) -> list[np.ndarray]:
         pts = self._points(pts)
-        return self._evaluate(self._table(t, len(pts), orders, table=table), pts)
+        return self._evaluate(self._table(t, len(pts), orders, table), pts)
 
     def derivatives_many(self, pts, t, orders) -> tuple[np.ndarray, ...]:
         """f (order 0), grad f (1) and hess f (2) at stacked points ``pts``
@@ -735,13 +707,25 @@ class FieldProbe:
                               table: FieldTable | None = None) -> np.ndarray:
         """Average of grad f over the radius-delta ball around one point
         (N,) or stacked points (P, N), shaped like ``x``; ``t`` as in
-        ``derivatives_many`` and ``table`` as in ``gradient_many``.  One
-        value pass on the sphere rule (2, 16 or 128 nodes) serves every
-        point; in 1D the average is (f(x + delta) - f(x - delta)) / (2 delta)."""
+        ``derivatives_many`` and ``table`` as in ``gradient_many``.
+
+        The average is (N / delta) times the mean of f nu over the sphere
+        of radius delta (divergence theorem): one order-0 call at the k
+        sphere nodes of every centre (2, 16 or 128), in (centre, node)
+        order with each centre's time (`_sphere_times`), then the weighted
+        sum over each centre's nodes in node order.  So a ``table`` is an
+        order-0 table of those times, and it serves any radius.  In 1D the
+        average is (f(x + delta) - f(x - delta)) / (2 delta)."""
         if not 0.0 < delta < math.inf:  # NaN too
             raise ValueError(f"sensing radius delta must be positive and finite, got {delta!r}")
         pts = self._points(x)
-        avg = self._evaluate(self._table(t, len(pts), (0,), delta, table), pts)[0]
+        offsets, wts = _cached_sphere_rule(self.scenario.dimension, float(delta))
+        k = len(offsets)
+        table = self._table(_sphere_times(t, len(pts), k), len(pts) * k, (0,), table)
+        vals = self._evaluate(table, (pts[:, None, :] + offsets).reshape(-1, pts.shape[1]))[0]
+        # the sum runs over a (node, centre) view in node order, as for one centre
+        terms = np.multiply(vals.reshape(len(pts), k).T[:, :, None], wts[:, None, :], order="C")
+        avg = terms.sum(axis=0)
         return avg[0] if np.ndim(x) == 1 else avg
 
 

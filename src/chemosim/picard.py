@@ -49,10 +49,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import DEFAULT_QUAD, FieldProbe, FieldTable, QuadratureSpec
+from .field import DEFAULT_QUAD, FieldProbe, FieldTable, QuadratureSpec, _sphere_times
 from .kernel import EstimateParams, ell, sphere_area
 from .paths import AgentPath
-from .quadrature import gauss_legendre, trapezoid_cumulative
+from .quadrature import gauss_legendre, sphere_rule, trapezoid_cumulative
 from .scenario import Scenario
 
 __all__ = [
@@ -398,10 +398,13 @@ def sensed_gradients(probe: FieldProbe, X: np.ndarray, times,
 def _sensing_table(scenario: Scenario, grid: np.ndarray, times: np.ndarray, n_agents: int,
                    delta: float | None, quad: QuadratureSpec | None) -> FieldTable:
     """The time table of `sensed_gradients` for every agent at every node
-    of ``times``, on paths on the time grid ``grid``."""
+    of ``times``, on paths on the time grid ``grid``: of the gradients, or
+    of the field values on every agent's sphere for a ball average."""
     node_times = np.repeat(np.asarray(times, dtype=float), n_agents)
+    if delta is not None:
+        node_times = _sphere_times(node_times, len(node_times), len(sphere_rule(scenario.dimension)[1]))
     return FieldTable(scenario, grid, node_times, len(node_times),
-                      (1,) if delta is None else (0,), delta, quad or DEFAULT_QUAD)
+                      (1,) if delta is None else (0,), quad or DEFAULT_QUAD)
 
 
 def _tube_exit(path: AgentPath, X0: np.ndarray, V0: np.ndarray,

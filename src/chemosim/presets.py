@@ -196,18 +196,37 @@ def preset_catalog() -> dict[str, tuple[str, ...]]:
     }
 
 
-def _number(key: str, value, convert=float):
-    """``convert(value)`` of the config key ``key``; a value it cannot
-    convert, such as a string of letters, raises ScenarioError naming the
-    key."""
+def _number(key: str, value) -> float:
+    """The number ``value`` of the config key ``key`` as a float; any other
+    value, a bool or a string of digits too, raises ScenarioError naming
+    the key."""
+    # a float is tested first, alone, as most values are; bool is an int
+    if isinstance(value, float) or (isinstance(value, (int, np.integer, np.floating))
+                                    and not isinstance(value, bool)):
+        return float(value)
+    raise ScenarioError(f"config key {key!r} must be numeric, got {value!r}")
+
+
+def _integer(key: str, value) -> int:
+    """``_number`` of an integral value, as an int; 1.7 raises
+    ScenarioError naming the key, where ``int()`` would truncate it."""
+    number = _number(key, value)
+    if not number.is_integer():
+        raise ScenarioError(f"config key {key!r} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _array(key: str, value) -> np.ndarray:
+    """The array of numbers ``value`` of the config key ``key`` as floats.
+    One ``np.asarray`` reads it, and its dtype must be integer or float: bool,
+    string, mixed and ragged entries raise ScenarioError naming the key."""
     try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"config key {key!r} must be numeric, got {value!r}") from None
-
-
-def _array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+        arr = np.asarray(value)
+    except ValueError:  # ragged
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ScenarioError(f"config key {key!r} must be numeric, got {value!r}")
+    return arr if arr.dtype == float else arr.astype(float)
 
 
 def _from_spec(spec, preset, *args):
@@ -241,10 +260,10 @@ def scenario_from_config(config: dict) -> Scenario:
     value of the wrong type, such as a string for a number, raises
     ScenarioError naming its key."""
     try:
-        dimension = _number("dimension", config["dimension"], int)
+        dimension = _integer("dimension", config["dimension"])
         horizon = _number("horizon", config["horizon"])
-        X0 = _number("X0", config["X0"], _array)
-        V0 = _number("V0", config["V0"], _array)
+        X0 = _array("X0", config["X0"])
+        V0 = _array("V0", config["V0"])
     except KeyError as exc:
         raise ScenarioError(f"config missing required key {exc.args[0]!r}") from None
     alpha = _number("alpha", config.get("alpha", 0.5))
@@ -257,8 +276,8 @@ def scenario_from_config(config: dict) -> Scenario:
                             f"with an 'a', got {coeff_spec!r}")
     else:
         b = coeff_spec.get("b")
-        coeffs = inline_coefficients(_number("coefficients.a", coeff_spec["a"], _array),
-                                     None if b is None else _number("coefficients.b", b, _array),
+        coeffs = inline_coefficients(_array("coefficients.a", coeff_spec["a"]),
+                                     None if b is None else _array("coefficients.b", b),
                                      _number("coefficients.c", coeff_spec.get("c", 0.0)), alpha)
     if coeffs.dimension != dimension:
         raise ScenarioError("coefficient dimension does not match config dimension")

@@ -311,20 +311,24 @@ def test_ball_average_sorted_times_sort_nothing(dim, monkeypatch):
     check_times = field._check_times
 
     def recorded(t, n_points, horizon):
-        t, order = check_times(t, n_points, horizon)
-        checks.append(order)
-        return t, order
+        checks.append(n_points)
+        return check_times(t, n_points, horizon)
+
+    def checked_once(*args):
+        checks.clear()
+        out = probe.ball_average_gradient(*args)
+        assert checks == [len(pts) * k]  # one check of every sphere point's time
+        return out
 
     monkeypatch.setattr(field, "_check_times", recorded)
-    got = probe.ball_average_gradient(pts, times, 0.1)
-    assert len(checks) == 1 and checks[0] is None  # checked once, sorted nothing
+    k = len(field._cached_sphere_rule(dim, 0.1)[0])
     want = node_major_ball_average(probe, pts, times, 0.1)
-    assert got.tobytes() == want.tobytes()
-    # out of order, the centres' sort serves their sphere points
+    assert checked_once(pts, times, 0.1).tobytes() == want.tobytes()
+    # out of order, every centre's sphere points still take its time
     shuffled = [2, 0, 3, 1]
-    got = probe.ball_average_gradient(pts[shuffled], times[shuffled], 0.1)
-    assert got.tobytes() == want[shuffled].tobytes()
-    assert probe.ball_average_gradient(pts, 0.05, 0.1).tobytes() == \
+    assert checked_once(pts[shuffled], times[shuffled], 0.1).tobytes() == \
+        want[shuffled].tobytes()
+    assert checked_once(pts, 0.05, 0.1).tobytes() == \
         node_major_ball_average(probe, pts, 0.05, 0.1).tobytes()
 
 
@@ -886,9 +890,14 @@ def test_a_table_evaluates_any_path_on_its_grid_and_rejects_another_call():
     moved = FieldProbe(scn, AgentPath(path.times.copy(), 0.5 * path.X, path.V))
     assert moved.gradient_many(pts, times, table=table).tobytes() == \
         moved.gradient_many(pts, times).tobytes()
-    ball = FieldTable(scn, path.times, times, len(pts), (0,), 0.1)
+    # a ball average's table is the order-0 table of its sphere points' times
+    k = len(field._cached_sphere_rule(1, 0.1)[0])
+    ball = FieldTable(scn, path.times, field._sphere_times(times, len(pts), k), len(pts) * k, (0,))
     assert moved.ball_average_gradient(pts, times, 0.1, table=ball).tobytes() == \
         moved.ball_average_gradient(pts, times, 0.1).tobytes()
+    # which holds no radius, so it serves another one
+    assert moved.ball_average_gradient(pts, times, 0.2, table=ball).tobytes() == \
+        moved.ball_average_gradient(pts, times, 0.2).tobytes()
     # another grid: other nodes, or the same nodes on a shorter span
     for grid in (np.linspace(0.0, 0.2, 11), path.times[:-1]):
         other = FieldProbe(scn, AgentPath(grid, np.zeros((len(grid), 1, 2)),
@@ -899,13 +908,11 @@ def test_a_table_evaluates_any_path_on_its_grid_and_rejects_another_call():
     for t, p in ((times[::-1], pts), (0.5 * times, pts), (times[:3], pts[:3]), (0.05, pts)):
         with pytest.raises(ValueError, match="other probe times"):
             probe.gradient_many(p, t, table=table)
-    # another kind of call, radius, quadrature or scenario
+    # another kind of call, quadrature or scenario
     with pytest.raises(ValueError, match="kind of call"):
         probe.ball_average_gradient(pts, times, 0.1, table=table)
     with pytest.raises(ValueError, match="kind of call"):
         probe.gradient_many(pts, times, table=FieldTable(scn, path.times, times, len(pts), (1, 2)))
-    with pytest.raises(ValueError, match="kind of call"):
-        probe.ball_average_gradient(pts, times, 0.2, table=ball)
     with pytest.raises(ValueError, match="kind of call"):
         FieldProbe(scn, path, quad=QuadratureSpec(time_nodes=16)).gradient_many(pts, times,
                                                                              table=table)

@@ -640,20 +640,27 @@ def test_cli_unknown_preset_parameter_is_a_config_error(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("change, key", [
-    ({"force": {"name": "damped-chemotaxis", "chi": "x"}}, "force.chi"),
-    ({"g": {"name": "constant", "value": "abc"}}, "g.value"),
-    ({"dimension": "two"}, "dimension"),
-    ({"X0": [["a"]]}, "X0"),
-    ({"coefficients": {"a": [[1.0]], "b": "x"}}, "coefficients.b"),
-], ids=["force-chi", "g-value", "dimension", "X0", "inline-b"])
-def test_cli_non_numeric_config_value_is_a_config_error(tmp_path, capsys, change, key):
+@pytest.mark.parametrize("change, key, want", [
+    ({"force": {"name": "damped-chemotaxis", "chi": "x"}}, "force.chi", "numeric"),
+    ({"g": {"name": "constant", "value": "abc"}}, "g.value", "numeric"),
+    ({"dimension": "two"}, "dimension", "numeric"),
+    ({"X0": [["a"]]}, "X0", "numeric"),
+    ({"coefficients": {"a": [[1.0]], "b": "x"}}, "coefficients.b", "numeric"),
+    ({"dimension": 1.7}, "dimension", "an integer"),
+    ({"dimension": True}, "dimension", "numeric"),
+    ({"horizon": "0.5"}, "horizon", "numeric"),
+    ({"R": True}, "R", "numeric"),
+    ({"X0": [["0.2", "-0.3"]], "V0": [[0.5, 0.0]]}, "X0", "numeric"),
+], ids=["force-chi", "g-value", "dimension", "X0", "inline-b", "fractional-dimension",
+        "bool-dimension", "string-horizon", "bool-R", "string-X0"])
+def test_cli_non_numeric_config_value_is_a_config_error(tmp_path, capsys, change, key, want):
     # the force parameter escaped as a TypeError (exit 1), the others as
-    # solver errors (exit 3)
+    # solver errors (exit 3); int() truncated a dimension of 1.7 to 1 and
+    # float() read a bool or a string of digits, so those built
     p = write_cfg(tmp_path, {**DAMPED_CFG, **change})
     out = tmp_path / "run"
     assert cli.main(["bounds", "--config", str(p), "--output-dir", str(out)]) == 2
-    assert f"config error: config key {key!r} must be numeric" in capsys.readouterr().err
+    assert f"config error: config key {key!r} must be {want}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1314,6 +1314,14 @@ def test_a_segment_table_holds_each_cell_once():
     assert _table_bytes(32) - _table_bytes(2) < points * cells_per_point
 
 
+def test_a_many_agent_segment_table_holds_no_pass_list():
+    # 128 agents in 2D take one point per pass in both terms (phi by the
+    # spatial rule, g in closed form), 4352 passes in all: a table holds
+    # the two pass sizes per term and each point's time column, not the
+    # passes (1490 KiB when it held one tuple per pass)
+    assert _table_bytes(128) < 300 * 1024
+
+
 def test_a_lookup_on_one_path_serves_every_path_on_its_grid():
     # a table looks X(tau) up on the grid once; each sweep gathers its own path
     rng = np.random.default_rng(12)
