@@ -475,25 +475,28 @@ def _start_path(previous: AgentPath | None, times: np.ndarray, X0: np.ndarray,
 
 
 def _initial_force(scenario: Scenario, times: np.ndarray, X0: np.ndarray, V0: np.ndarray,
-                   delta: float | None, quad: QuadratureSpec | None) -> np.ndarray:
+                   delta: float | None,
+                   quad: QuadratureSpec | None) -> tuple[np.ndarray, np.ndarray]:
     """The force F(t0, X0, V0, w0) on every agent, shape (N, n), at the
     first node t0 of ``times``, for a segment with no segment before it
-    (t0 = 0).  w0 is the gradient sensed at X0 on the path frozen at (X0,
-    V0) over the segment's first two nodes; at t0 = 0 the field is phi's and
-    reads no path, so w0 takes no kernel pass.  When the force is declared
-    insensitive to the field, w0 is zero."""
+    (t0 = 0), and w0, shape (1, N, n).  w0 is the gradient sensed at X0 on
+    the path frozen at (X0, V0) over the segment's first two nodes; at t0 = 0
+    the field is phi's and reads no path, so w0 takes no kernel pass and is
+    what every sweep of the segment senses at its node 0.  When the force is
+    declared insensitive to the field, w0 is zero."""
     if scenario.lipschitz_w == 0.0:
         W0 = np.zeros((1,) + X0.shape)
     else:
         probe = FieldProbe(scenario, AgentPath.constant(X0, V0, times[:2]),
                            quad=quad or DEFAULT_QUAD)
         W0 = sensed_gradients(probe, X0[None], times[:1], delta)
-    return scenario.force.eval(times[:1], X0[None], V0[None], W0)[0]
+    return scenario.force.eval(times[:1], X0[None], V0[None], W0)[0], W0
 
 
 def _sweep(scenario: Scenario, prefix: AgentPath | None, seg: AgentPath,
            X0: np.ndarray, V0: np.ndarray, delta: float | None,
-           quad: QuadratureSpec | None, table: FieldTable | None = None) -> AgentPath:
+           quad: QuadratureSpec | None, table: FieldTable | None = None,
+           w0: np.ndarray | None = None) -> AgentPath:
     """One application of the update map on the grid of ``seg``, anchored at
     the segment start state (X0, V0).
 
@@ -503,15 +506,20 @@ def _sweep(scenario: Scenario, prefix: AgentPath | None, seg: AgentPath,
     laid down by earlier segments keeps acting.  The sensed gradients are
     one `sensed_gradients` call, which evaluates the segment's time table
     ``table`` (`_sensing_table` on the grid of ``prefix + seg``) when one is
-    given and builds its own otherwise.  X and V are integrated in one
-    trapezoid pass over their rates stacked along the dimension axis.
+    given and builds its own otherwise.  Given the gradient ``w0`` (1, N, n)
+    sensed at node 0, which on a first segment is X0 at t = 0 in every
+    sweep, the call senses only the later nodes, and ``table`` covers those.
+    X and V are integrated in one trapezoid pass over their rates stacked
+    along the dimension axis.
     """
     path = prefix.concat(seg) if prefix is not None else seg
     probe = FieldProbe(scenario, path, quad=quad or DEFAULT_QUAD)
     if scenario.lipschitz_w == 0.0:  # declared insensitive to the field
         W = np.zeros(seg.X.shape)
-    else:
+    elif w0 is None:
         W = sensed_gradients(probe, seg.X, seg.times, delta, table)
+    else:
+        W = np.concatenate((w0, sensed_gradients(probe, seg.X[1:], seg.times[1:], delta, table)))
     forces = scenario.force.eval(seg.times, seg.X, seg.V, W)
     integral = trapezoid_cumulative(np.concatenate((seg.V, forces), axis=1), seg.times)
     n_dim = seg.X.shape[1]
@@ -538,7 +546,9 @@ def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, t0: float, t1
     for the grid of ``prefix + seg`` and the segment's nodes, unless the
     force is declared insensitive to the field, and every sweep (``_sweep``)
     evaluates it on its own input path, so a sweep computes only what the
-    iterate changes.  The table is dropped with the segment.
+    iterate changes.  On a first segment that excludes node 0: it is X0 at
+    t = 0 in every sweep, and each sweep reads the gradient sensed there for
+    the initial force.  The table is dropped with the segment.
 
     Every path is tube-checked once before it is swept: the start by
     ``_start_path``, each later iterate here.  Stops when successive iterates
@@ -551,17 +561,19 @@ def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, t0: float, t1
             and max_iters >= 1):
         raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
     times = _segment_grid(t0, t1, dt)
-    table = None
+    force0 = W0 = table = None
+    if previous is None:
+        force0, W0 = _initial_force(scenario, times, X0, V0, delta, quad)
     if scenario.lipschitz_w != 0.0:
         grid = times if prefix is None else np.concatenate([prefix.times, times[1:]])
-        table = _sensing_table(scenario, grid, times, X0.shape[1], delta, quad)
-    force0 = _initial_force(scenario, times, X0, V0, delta, quad) if previous is None else None
+        sensed = times if W0 is None else times[1:]
+        table = _sensing_table(scenario, grid, sensed, X0.shape[1], delta, quad)
     current, start = _start_path(previous, times, X0, V0, scenario.R, force0)
     history: list[float] = []
     for sweep in range(max_iters):
         if sweep:
             _check_tube(current, X0, V0, scenario.R)
-        nxt = _sweep(scenario, prefix, current, X0, V0, delta, quad, table)
+        nxt = _sweep(scenario, prefix, current, X0, V0, delta, quad, table, W0)
         history.append(nxt.sup_distance(current))
         current = nxt
         if history[-1] < tol:

@@ -216,15 +216,26 @@ def _integer(key: str, value) -> int:
     return int(number)
 
 
+def _holds_bool(value) -> bool:
+    """Whether ``value`` is a bool or a nested list or tuple holding one."""
+    if isinstance(value, (list, tuple)):
+        for item in value:  # a loop, not any(), which costs a call per level
+            if _holds_bool(item):
+                return True
+        return False
+    return isinstance(value, (bool, np.bool_))
+
+
 def _array(key: str, value) -> np.ndarray:
     """The array of numbers ``value`` of the config key ``key`` as floats.
     One ``np.asarray`` reads it, and its dtype must be integer or float: bool,
-    string, mixed and ragged entries raise ScenarioError naming the key."""
+    string, mixed and ragged entries raise ScenarioError naming the key.  A
+    bool among numbers, which ``np.asarray`` reads as 0 or 1, raises too."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
+    if arr is None or arr.dtype.kind not in "iuf" or _holds_bool(value):
         raise ScenarioError(f"config key {key!r} must be numeric, got {value!r}")
     return arr if arr.dtype == float else arr.astype(float)
 

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -165,6 +167,68 @@ def test_field_snapshot_rows_match_the_per_value_format(tmp_path, dim):
     cio.write_field_snapshot(grid, 1.0, f)
     rows = values[1].reshape(-1, 4) if dim > 1 else values[1][None, :]
     assert f.read_text().splitlines()[1:] == per_value_lines(rows)
+
+
+# -- rewriting in place ------------------------------------------------------------
+
+
+def _writers():
+    """Each writer of chemosim.io, with small content to write."""
+    from types import SimpleNamespace
+
+    times = np.array([0.0, 0.5])
+    path = AgentPath(times, np.resize(AWKWARD_VALUES, (2, 1, 2)), np.zeros((2, 1, 2)))
+    grid = SimpleNamespace(axes=(np.linspace(-1.0, 1.0, 3),), times=times,
+                           values=np.resize(AWKWARD_VALUES, (2, 3)), h=1.0)
+    return {
+        "trajectory": lambda f: cio.write_trajectory(path, f),
+        "field": lambda f: cio.write_field_snapshot(grid, 0.5, f),
+        "bounds": lambda f: cio.write_bounds({"T1": 0.5, "S_value": 0.25}, f),
+        "manifest": lambda f: cio.write_manifest({"name": "demo"}, f),
+        "reports": lambda f: cio.write_reports([], f),
+    }
+
+
+@pytest.mark.parametrize("writer", list(_writers()))
+def test_rewriting_a_longer_file_leaves_exactly_the_new_bytes(tmp_path, writer):
+    write = _writers()[writer]
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    write(fresh)
+    old.write_bytes(b"9" * 10000 + b"\n")
+    write(old)
+    assert old.read_bytes() == fresh.read_bytes()
+    write(old)  # a rewrite of the same length
+    assert old.read_bytes() == fresh.read_bytes()
+
+
+def test_rewriting_keeps_the_inode_and_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    cio.write_bounds({"T1": 0.5, "S_value": 0.25, "K": 3.0}, target)
+    inode = target.stat().st_ino
+    link.symlink_to(target)
+    cio.write_bounds({"T1": 0.125}, link)
+    assert link.is_symlink() and target.stat().st_ino == inode
+    assert cio.read_bounds(target) == {"T1": 0.125}
+
+
+def test_a_new_output_file_gets_the_default_mode(tmp_path):
+    old = os.umask(0o027)
+    try:
+        cio.write_bounds({"T1": 0.5}, tmp_path / "bounds.txt")
+        (tmp_path / "plain.txt").write_text("T1 = 0.5\n")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "bounds.txt").stat().st_mode)
+    assert mode == 0o666 & ~0o027 == stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_cli_verify_writes_its_report_to_a_device(tmp_path):
+    # a device cannot be truncated, so the report is written as a stream
+    p = write_cfg(tmp_path)
+    res = run_cli("verify", "--config", str(p), "--suite", "holder", "--output", "/dev/null",
+                  "--output-dir", str(tmp_path / "run"))
+    assert res.returncode == 0, res.stderr
 
 
 # -- CLI ---------------------------------------------------------------------------------
@@ -651,12 +715,17 @@ def test_cli_unknown_preset_parameter_is_a_config_error(tmp_path):
     ({"horizon": "0.5"}, "horizon", "numeric"),
     ({"R": True}, "R", "numeric"),
     ({"X0": [["0.2", "-0.3"]], "V0": [[0.5, 0.0]]}, "X0", "numeric"),
+    ({"X0": [[True, 0.2]], "V0": [[0.5, 0.0]]}, "X0", "numeric"),
+    ({"X0": [[0.2, -0.3]], "V0": [[1, False]]}, "V0", "numeric"),
+    ({"coefficients": {"a": [[1.0, False], [0.0, 1.0]]}}, "coefficients.a", "numeric"),
 ], ids=["force-chi", "g-value", "dimension", "X0", "inline-b", "fractional-dimension",
-        "bool-dimension", "string-horizon", "bool-R", "string-X0"])
+        "bool-dimension", "string-horizon", "bool-R", "string-X0", "bool-among-floats-X0",
+        "bool-among-ints-V0", "bool-inline-a"])
 def test_cli_non_numeric_config_value_is_a_config_error(tmp_path, capsys, change, key, want):
     # the force parameter escaped as a TypeError (exit 1), the others as
-    # solver errors (exit 3); int() truncated a dimension of 1.7 to 1 and
-    # float() read a bool or a string of digits, so those built
+    # solver errors (exit 3); int() truncated a dimension of 1.7 to 1,
+    # float() read a bool or a string of digits, and np.asarray read a bool
+    # among numbers as 0 or 1, so those built
     p = write_cfg(tmp_path, {**DAMPED_CFG, **change})
     out = tmp_path / "run"
     assert cli.main(["bounds", "--config", str(p), "--output-dir", str(out)]) == 2

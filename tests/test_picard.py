@@ -1224,6 +1224,15 @@ def test_every_sweep_senses_what_a_fresh_call_senses(monkeypatch, dim, mode, dat
     delta = 0.1 if mode == MODE_NONLOCAL else None
     scn = _sweep_scenario(dim, _SWEEP_DATA[data], delta)
     t_bar = horizon_certificate(scn, mode=mode, delta=delta).t_bar
+    # the sensed gradients of every force call: the initial force's, then
+    # one stack per sweep
+    forced = []
+
+    def recorded_force(t, X, V, W, _original=scn.force.eval):
+        forced.append(np.array(W))
+        return _original(t, X, V, W)
+
+    scn = replace(scn, force=replace(scn.force, eval=recorded_force))
     calls = _recorded_sensing(monkeypatch)
     segments = []
     full = solve_global(scn, 1.5 * t_bar, mode=mode, segments_out=segments)
@@ -1231,6 +1240,7 @@ def test_every_sweep_senses_what_a_fresh_call_senses(monkeypatch, dim, mode, dat
     assert len(segments) >= 2
     # one call for the first segment's initial force, then one per sweep
     assert len(calls) == 1 + sum(s.iterations for s in segments)
+    assert len(forced) == len(calls)
     # the initial force senses at X0 at t = 0 with no table, on the path
     # frozen over two nodes; at t = 0 the field reads no path, so a call on
     # the solved path senses the same
@@ -1238,8 +1248,11 @@ def test_every_sweep_senses_what_a_fresh_call_senses(monkeypatch, dim, mode, dat
     assert kwargs.get("table") is None and len(probe.path.times) == 2
     assert len(args[0]) == scn.n and not np.asarray(args[1]).any()
     assert original(FieldProbe(scn, full), *args).tobytes() == out.tobytes()
+    w0 = forced[0]
+    assert w0.shape == (1,) + scn.X0.shape
+    first = segments[0].iterations
     starts = []
-    for original, probe, args, kwargs, out in calls[1:]:
+    for k, (original, probe, args, kwargs, out) in enumerate(calls[1:]):
         # each sweep is handed its segment's table, on the probe's path grid
         table = kwargs["table"]
         assert table is not None and table.grid[0] == 0.0
@@ -1247,7 +1260,14 @@ def test_every_sweep_senses_what_a_fresh_call_senses(monkeypatch, dim, mode, dat
         assert np.array_equal(table.grid, probe.path.times)
         # and a fresh call, which builds its own table, senses the same bits
         assert original(probe, *args).tobytes() == out.tobytes()
-    assert set(starts) == {s.t_start for s in segments}  # first and continued segments
+        if k < first:
+            # a first-segment sweep senses from its second node on, and its
+            # force reads the initial force's w0 at node 0, bit for bit
+            assert starts[-1] == probe.path.times[1]
+            assert forced[1 + k][:1].tobytes() == w0.tobytes()
+    # first segments from their second node, continued ones from their start
+    second = picard._segment_grid(0.0, segments[0].t_end, 1e-2)[1]
+    assert set(starts) == {second} | {s.t_start for s in segments[1:]}
 
 
 def test_a_segment_forms_the_kernel_weights_once(monkeypatch):
