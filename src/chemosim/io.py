@@ -6,22 +6,29 @@ re-running a deterministic solve reproduces files byte for byte.
 
 Every writer goes through ``_rewrite``, which rewrites an existing file in
 place: it opens without truncating, writes the new bytes over the old ones
-and then truncates the file to their length.  Truncating on open is what
-costs.  On an ext4 file system mounted with ``discard``, an open with
-truncation of a file that holds a data block took about 66 us, and its write
-and close another 14 us; writing in place and then calling ``ftruncate``
-took 3.4 us (3000 rewrites of a 2 kB file, 2-core x86-64 box).  Unlinking
-and re-creating the file took 9.2 us, but it breaks hard links, replaces
-symlinks and resets the mode; a temporary file renamed over the target took
-50 us.  A rewritten file keeps its inode, its mode and its links, and a
-symlinked output path is written through.  Only a regular file is
-truncated, so a device or a pipe (``verify --output /dev/stdout``) takes the
-bytes as a stream.
+and then truncates the file to their length.  On ext4 it is truncating a
+file that holds data blocks on open that costs: rewriting a 2 kB file 4 ms
+after its last rewrite took 225-290 us with truncation on open and 28-32 us
+in place, and 190-225 us against 45-65 us when each rewrite grew or shrank
+the file by 18 kB (2-core x86-64 box, root ext4 mounted with ``discard``;
+on tmpfs the two cost the same).  A rerun into a directory that holds the
+outputs gains from this: in one process, ``chemosim simulate`` of a
+one-segment 1D scenario into an existing directory took 0.5-0.8 ms more than
+into a new one with truncation on open, and as long as into a new one in
+place; the whole process, interpreter start included, took 250-275 ms.
+Writing a new file costs the same either way.  Unlinking and
+re-creating the file would break hard links, replace symlinks and reset the
+mode, and a temporary file renamed over the target took 50 us.  A rewritten
+file keeps its inode, its mode and its links, and a symlinked output path is
+written through.  Only a regular file is truncated, so a device or a pipe
+(``verify --output /dev/stdout``) takes the bytes as a stream.
 
-The rewrite is not atomic, and neither was truncating on open.  A crash in
-the middle of a rewrite can leave the new bytes written so far followed by
-the old file's bytes past them, where truncating on open could leave a
-short file.  Either way, a file whose run did not finish must not be read.
+The rewrite is not atomic, and neither was truncating on open.  An error
+part way through (a full disk, an interrupt) still cuts the file to the new
+bytes written so far, as truncating on open left it.  A process or machine
+that dies in the middle of a rewrite can leave those bytes followed by the
+old file's bytes past them, where truncating on open could leave a short
+file.  Either way, a file whose run did not finish must not be read.
 """
 
 from __future__ import annotations
@@ -47,17 +54,19 @@ def _rewrite(file, text: str) -> None:
     """Write ``text`` to ``file`` as UTF-8, in place (module docstring):
     open without truncating, creating the file with mode 0o666 less the
     umask, write every byte, then truncate a regular file to what was
-    written."""
+    written, also when a write fails part way."""
     data = memoryview(text.encode("utf-8"))
     fd = os.open(file, os.O_WRONLY | os.O_CREAT, 0o666)
+    written = 0
     try:
-        written = 0
         while written < len(data):  # a write may take fewer bytes than given
             written += os.write(fd, data[written:])
-        if stat.S_ISREG(os.fstat(fd).st_mode):  # ftruncate fails on a device or a pipe
-            os.ftruncate(fd, written)
-    finally:
-        os.close(fd)
+    finally:  # on an error too, so no old byte is left past the new ones
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # ftruncate fails on a device or a pipe
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
 
 
 def _fmt(x: float) -> str:

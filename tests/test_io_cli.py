@@ -211,6 +211,28 @@ def test_rewriting_keeps_the_inode_and_writes_through_a_symlink(tmp_path):
     assert cio.read_bounds(target) == {"T1": 0.125}
 
 
+def test_a_write_error_leaves_only_the_new_bytes_written(tmp_path, monkeypatch):
+    # a full disk part way through a rewrite: the file is cut to the bytes
+    # written, as truncating on open left it, with no old bytes past them
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    cio.write_manifest({"name": "demo"}, fresh)
+    old.write_bytes(b"9" * 10000 + b"\n")
+    calls = []
+
+    def short_then_full(fd, data, _write=os.write):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(28, "No space left on device")
+        return _write(fd, data[:7])
+
+    monkeypatch.setattr(cio.os, "write", short_then_full)
+    with pytest.raises(OSError, match="No space"):
+        cio.write_manifest({"name": "demo"}, old)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    assert old.read_bytes() == fresh.read_bytes()[:7]
+
+
 def test_a_new_output_file_gets_the_default_mode(tmp_path):
     old = os.umask(0o027)
     try:
