@@ -70,20 +70,20 @@ built once per (dimension, u_max, node counts, L) and shared read-only
 A call is a time table and an evaluation (`FieldTable`).  The table holds
 what depends on the probe times and the path's time grid alone: the
 checked times (the range check reads their min and max, which a NaN
-fails), the points at t = 0 (a slice when they lead, as at a first
-segment's node 0, else a mask), each live point's time column, the kernel
-weights of the requested orders and, for each term, its cell table (the
-factors of each s-node at each distinct time, once), its one lookup of
+fails), the mask of the points at t = 0, each live point's time column, the
+kernel weights of the requested orders and, for each term, its cell table
+(the factors of each s-node at each distinct time, once), its one lookup of
 X(tau) on the grid and its two pass sizes.  So a table grows with the
 distinct times and holds one column index per point, not one entry per
 pass.  The evaluation takes the table, the points and the path's positions
 X, and runs only the gather of X(tau), each pass's take of its cells, the
 datum, the Gaussian terms and the s-node-order accumulation.  Every call
-builds its table and evaluates it; a Picard segment builds one for its grid
-and node times (`picard._sensing_table`), and each sweep of the segment
-evaluates it on its own iterate, so a sweep computes only what the iterate
-changes.  At the size of a sweep (tens of points) the table is about a
-quarter of a call.  An item's elementwise operations and a point's
+builds its table and evaluates it.  A Picard sweep senses every (node,
+agent) pair in one call (`sensed_gradients`), whose table lives here too
+(`sensing_table`): a segment builds one for its grid and node times, and
+each sweep evaluates it on its own iterate, so a sweep computes only what
+the iterate changes.  At the size of a sweep (tens of points) the table is
+about a quarter of a call.  An item's elementwise operations and a point's
 accumulation order are the same whether the table is new or reused, so a
 reused table gives every value bit for bit.
 
@@ -112,6 +112,8 @@ __all__ = [
     "QuadratureSpec",
     "FieldProbe",
     "FieldTable",
+    "sensed_gradients",
+    "sensing_table",
     "backend_for",
     "FdField",
     "solve_field_fd",
@@ -305,8 +307,10 @@ def _sphere_times(t, n_centres: int, k: int):
 
 def _phi_at_zero(phi, pts: np.ndarray, orders: tuple) -> list[np.ndarray]:
     """The field at t = 0 by continuity: phi and its difference-quotient
-    derivatives at points (P, N), one array per order."""
-    derivs = (phi, lambda p: _fd_gradient_of(phi, p), lambda p: _fd_hessian_of(phi, p))
+    derivatives at points (P, N), one new float array per order (a phi may
+    return a view of the points)."""
+    derivs = (lambda p: np.array(phi(p), dtype=float), lambda p: _fd_gradient_of(phi, p),
+              lambda p: _fd_hessian_of(phi, p))
     return [derivs[order](pts) for order in orders]
 
 
@@ -387,20 +391,16 @@ class FieldTable:
         self.n_points, self.orders = n_points, tuple(orders)
         self.times = _read_only(np.array(t, dtype=float))[0]
         t = _check_times(self.times, n_points, float(grid[-1]))
-        # the points at t = 0 and the live rest, by slices when the zeros
-        # lead, as at a first segment's node 0, and by masks otherwise
-        zero = t == 0.0
-        n_zero = int(np.count_nonzero(zero))
-        prefix = not n_zero or bool(zero[:n_zero].all())
-        self._at_zero = None if not n_zero else slice(0, n_zero) if prefix else zero
-        self._live = None if n_zero == len(t) else slice(n_zero, None) if prefix else ~zero
-        if self._live is None:
+        # the points at t = 0, which take the initial datum, and their count
+        self._zero = t == 0.0
+        self._n_zero = int(np.count_nonzero(self._zero))
+        if self._n_zero == n_points:  # an empty table too
             return
+        self._live_times = t[~self._zero] if self._n_zero else t
         if self.backend != BACKEND_KERNEL:
-            self._live_times = t[self._live]
             return
         # the distinct live times, and each live point's column among them
-        live_times, self._cols = np.unique(t[self._live], return_inverse=True)
+        live_times, self._cols = np.unique(self._live_times, return_inverse=True)
         # xi = x + b sigma + sqrt(sigma) L u with a = L L^T, so the kernel is
         # exp(-|u|^2 / 4) up to a factor in sigma (module docstring)
         dim = scenario.dimension
@@ -500,16 +500,16 @@ class FieldTable:
         finite-difference backend ``fd_batch`` (points, times, orders)
         evaluates the points at t > 0.  Points at t = 0 take the initial
         datum and read no path."""
-        live, at_zero = self._live, self._at_zero
-        if at_zero is None and live is not None:
+        if self._n_zero == self.n_points:
+            return _phi_at_zero(self.scenario.phi, pts, self.orders)
+        if not self._n_zero:
             return self._at_live(pts, X, fd_batch)
+        zero, live = self._zero, ~self._zero
         outs = [np.empty((len(pts),) + (self.scenario.dimension,) * k) for k in self.orders]
-        if live is not None:
-            for out, vals in zip(outs, self._at_live(pts[live], X, fd_batch)):
-                out[live] = vals
-        if at_zero is not None:
-            for out, vals in zip(outs, _phi_at_zero(self.scenario.phi, pts[at_zero], self.orders)):
-                out[at_zero] = vals
+        for out, vals in zip(outs, self._at_live(pts[live], X, fd_batch)):
+            out[live] = vals
+        for out, vals in zip(outs, _phi_at_zero(self.scenario.phi, pts[zero], self.orders)):
+            out[zero] = vals
         return outs
 
     def _at_live(self, x: np.ndarray, X: np.ndarray, fd_batch) -> list[np.ndarray]:
@@ -729,6 +729,32 @@ class FieldProbe:
         return avg[0] if np.ndim(x) == 1 else avg
 
 
+def sensed_gradients(probe: FieldProbe, X: np.ndarray, times,
+                     delta: float | None, table: FieldTable | None = None) -> np.ndarray:
+    """w_j for every agent at every node, shape (K, N, n) like the stacked
+    configurations X (K, N, n) at ``times`` (K,): the field gradient at X_j,
+    or its average over the radius-delta ball, from one probe call, which
+    reads the `sensing_table` ``table`` when one is given."""
+    pts = np.swapaxes(X, 1, 2)  # (K, n, N): one point per (node, agent)
+    flat = pts.reshape(-1, pts.shape[2])
+    node_times = np.repeat(np.asarray(times, dtype=float), pts.shape[1])
+    grads = (probe.gradient_many(flat, node_times, table=table) if delta is None
+             else probe.ball_average_gradient(flat, node_times, delta, table=table))
+    return np.swapaxes(grads.reshape(pts.shape), 1, 2)
+
+
+def sensing_table(scenario: Scenario, grid: np.ndarray, times: np.ndarray, n_agents: int,
+                  delta: float | None, quad: QuadratureSpec | None) -> FieldTable:
+    """The time table of `sensed_gradients` for every agent at every node
+    of ``times``, on paths on the time grid ``grid``: of the gradients, or
+    of the field values on every agent's sphere for a ball average, in
+    (node, agent, sphere node) order (`_sphere_times`)."""
+    k = 1 if delta is None else len(_cached_sphere_rule(scenario.dimension, float(delta))[0])
+    node_times = np.repeat(np.asarray(times, dtype=float), n_agents * k)
+    return FieldTable(scenario, grid, node_times, len(node_times),
+                      (1,) if delta is None else (0,), quad or DEFAULT_QUAD)
+
+
 # -- finite-difference solve ----------------------------------------------------
 
 
@@ -806,6 +832,13 @@ def solve_field_fd(scenario: Scenario, path: AgentPath, quad: QuadratureSpec | N
     otherwise).  Variable coefficients are evaluated at every step, and the
     step is re-checked on each new grid of a.  Returns the stored grid with
     interpolating samplers.
+
+    A step from t sets each interior cell to f + dt (c f + sum_i [a_ii D_ii f
+    + b_i D_i f + sum_{j > i} 2 a_ij D_ij f] - g(x, X(t))), summed in that
+    order, leaving out a drift or mixed term whose coefficient is zero on the
+    grid, and each boundary cell to phi; with f[i +- 1] the neighbours along
+    axis i, D_ii f = (f[i+1] - 2 f + f[i-1]) / h^2, D_i f = (f[i+1] - f[i-1])
+    / (2 h) and D_ij f = (f[i+1, j+1] + f[i-1, j-1] - f[i+1, j-1] - f[i-1, j+1]) / (4 h^2).
     """
     quad = quad or DEFAULT_QUAD
     coeffs = scenario.coeffs
@@ -820,19 +853,14 @@ def solve_field_fd(scenario: Scenario, path: AgentPath, quad: QuadratureSpec | N
 
     f = np.asarray(scenario.phi(pts), dtype=float)
     sup_phi = float(np.abs(f).max())
-    boundary = np.zeros(f.shape, dtype=bool)
-    for i in range(dim):
-        sl = [slice(None)] * dim
-        sl[i] = 0
-        boundary[tuple(sl)] = True
-        sl[i] = -1
-        boundary[tuple(sl)] = True
-    max_phi_boundary = float(np.abs(f[boundary]).max()) if boundary.any() else 0.0
+    # the cells on a face of the box: an end node of some axis
+    boundary = np.any([(m == ax[0]) | (m == ax[-1]) for m in mesh], axis=0)
+    phi_boundary = f[boundary]
+    max_phi_boundary = float(np.abs(phi_boundary).max())
     if max_phi_boundary > _FD_TAIL_TOL * max(1.0, sup_phi):
         raise ValueError(
             f"box too small: |phi| = {max_phi_boundary:g} on the boundary exceeds the tail tolerance"
         )
-    phi_boundary = f[boundary].copy()
 
     def coeff_grids(t: float):
         a = np.asarray(coeffs.a(pts, t), dtype=float)
@@ -861,16 +889,7 @@ def solve_field_fd(scenario: Scenario, path: AgentPath, quad: QuadratureSpec | N
     check_step(a, 0.0)
     stride = max(1, int(math.ceil((n_steps + 1) / _FD_STORE_MAX)))
 
-    g_zero = _is_zero(scenario.g)
-
-    def a_entry(a, i, j):
-        return a[i, j] if a.shape == (dim, dim) else a[..., i, j]
-
-    def b_entry(b, i):
-        return b[i] if b.shape == (dim,) else b[..., i]
-
-    stored_t = [0.0]
-    stored_f = [f.copy()]
+    stored_t, stored_f = [0.0], [f.copy()]
     t = 0.0
     for k in range(n_steps):
         if k > 0 and not coeffs.is_constant:
@@ -879,20 +898,21 @@ def solve_field_fd(scenario: Scenario, path: AgentPath, quad: QuadratureSpec | N
             if not np.array_equal(a, a_prev):
                 check_step(a, t)
         rhs = c * f
+        # a and b are one matrix and vector or one per cell: a[..., i, j]
+        # and b[..., i] read either
         for i in range(dim):
-            dii = (_shift(f, i, 1) - 2.0 * f + _shift(f, i, -1)) / (h * h)
-            rhs = rhs + a_entry(a, i, i) * dii
-            di = (_shift(f, i, 1) - _shift(f, i, -1)) / (2.0 * h)
-            bi = b_entry(b, i)
+            up, down = _shift(f, i, 1), _shift(f, i, -1)  # f[i + 1], f[i - 1]
+            rhs = rhs + a[..., i, i] * ((up - 2.0 * f + down) / (h * h))
+            bi = b[..., i]
             if np.any(bi != 0.0):
-                rhs = rhs + bi * di
+                rhs = rhs + bi * ((up - down) / (2.0 * h))
             for j in range(i + 1, dim):
-                aij = a_entry(a, i, j)
+                aij = a[..., i, j]
                 if np.any(aij != 0.0):
-                    dij = (_shift(_shift(f, i, 1), j, 1) + _shift(_shift(f, i, -1), j, -1)
-                           - _shift(_shift(f, i, 1), j, -1) - _shift(_shift(f, i, -1), j, 1)) / (4.0 * h * h)
+                    dij = (_shift(up, j, 1) + _shift(down, j, -1)
+                           - _shift(up, j, -1) - _shift(down, j, 1)) / (4.0 * h * h)
                     rhs = rhs + 2.0 * aij * dij
-        if not g_zero:
+        if not _is_zero(scenario.g):
             rhs = rhs - scenario.g(pts, path.positions_at(min(t, horizon)))
         f = f + dt * rhs
         f[boundary] = phi_boundary

@@ -96,18 +96,26 @@ def write_trajectory(path: AgentPath, file) -> None:
 
 
 def read_trajectory(file) -> AgentPath:
+    """The path of a `write_trajectory` file; a file with no header, no rows
+    or a row whose length is not the header's raises ValueError naming it."""
     lines = Path(file).read_text().strip().splitlines()
     if not lines or lines[0] != f"# {TRAJECTORY_TAG}":
         raise ValueError(f"{file} is not a {TRAJECTORY_TAG} file")
+    if len(lines) < 3:
+        missing = "header" if len(lines) == 1 else "rows"
+        raise ValueError(f"{file} holds no {missing}: its run may not have finished")
     header = lines[1].lstrip("# ").split(",")
-    n_state = len(header) - 1
-    n_pairs = n_state // 2
+    rows = [line.split(",") for line in lines[2:]]
+    for k, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"{file}: row {k + 1} holds {len(row)} values, the header "
+                             f"names {len(header)}")
+    n_pairs = (len(header) - 1) // 2
     # column names encode agent and axis counts
     last_x = header[n_pairs]
     n_dim = int(last_x.split("_")[1])
     n_ag = n_pairs // n_dim
-    rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
-    data = np.asarray(rows)
+    data = np.asarray([[float(v) for v in row] for row in rows])
     times = data[:, 0]
     # agent-major columns -> (time, axis, agent)
     X, V = (block.reshape(len(times), n_ag, n_dim).transpose(0, 2, 1).copy()

@@ -49,10 +49,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import DEFAULT_QUAD, FieldProbe, FieldTable, QuadratureSpec, _sphere_times
+from .field import (DEFAULT_QUAD, FieldProbe, FieldTable, QuadratureSpec, sensed_gradients,
+                    sensing_table)
 from .kernel import EstimateParams, ell, sphere_area
 from .paths import AgentPath
-from .quadrature import gauss_legendre, sphere_rule, trapezoid_cumulative
+from .quadrature import gauss_legendre, trapezoid_cumulative
 from .scenario import Scenario
 
 __all__ = [
@@ -66,7 +67,6 @@ __all__ = [
     "horizon_certificate",
     "solve_local",
     "solve_global",
-    "sensed_gradients",
     "gronwall_bound_B",
     "apriori_grad_bound",
 ]
@@ -381,32 +381,6 @@ def _resolve_delta(scenario: Scenario, mode: str, delta: float | None) -> float 
     return _positive_finite("sensing radius delta", delta)
 
 
-def sensed_gradients(probe: FieldProbe, X: np.ndarray, times,
-                     delta: float | None, table: FieldTable | None = None) -> np.ndarray:
-    """w_j for every agent at every node, shape (K, N, n) like the stacked
-    configurations X (K, N, n) at ``times`` (K,): the field gradient at X_j,
-    or its average over the radius-delta ball, from one probe call, which
-    reads the `_sensing_table` ``table`` when one is given."""
-    pts = np.swapaxes(X, 1, 2)  # (K, n, N): one point per (node, agent)
-    flat = pts.reshape(-1, pts.shape[2])
-    node_times = np.repeat(np.asarray(times, dtype=float), pts.shape[1])
-    grads = (probe.gradient_many(flat, node_times, table=table) if delta is None
-             else probe.ball_average_gradient(flat, node_times, delta, table=table))
-    return np.swapaxes(grads.reshape(pts.shape), 1, 2)
-
-
-def _sensing_table(scenario: Scenario, grid: np.ndarray, times: np.ndarray, n_agents: int,
-                   delta: float | None, quad: QuadratureSpec | None) -> FieldTable:
-    """The time table of `sensed_gradients` for every agent at every node
-    of ``times``, on paths on the time grid ``grid``: of the gradients, or
-    of the field values on every agent's sphere for a ball average."""
-    node_times = np.repeat(np.asarray(times, dtype=float), n_agents)
-    if delta is not None:
-        node_times = _sphere_times(node_times, len(node_times), len(sphere_rule(scenario.dimension)[1]))
-    return FieldTable(scenario, grid, node_times, len(node_times),
-                      (1,) if delta is None else (0,), quad or DEFAULT_QUAD)
-
-
 def _tube_exit(path: AgentPath, X0: np.ndarray, V0: np.ndarray,
                radius: float) -> tuple[int, float, float] | None:
     """(node, |X - X0|, |V - V0|) at the first node of ``path`` outside the
@@ -505,7 +479,7 @@ def _sweep(scenario: Scenario, prefix: AgentPath | None, seg: AgentPath,
     field probe reads the whole input path ``prefix + seg``, so the source
     laid down by earlier segments keeps acting.  The sensed gradients are
     one `sensed_gradients` call, which evaluates the segment's time table
-    ``table`` (`_sensing_table` on the grid of ``prefix + seg``) when one is
+    ``table`` (`sensing_table` on the grid of ``prefix + seg``) when one is
     given and builds its own otherwise.  Given the gradient ``w0`` (1, N, n)
     sensed at node 0, which on a first segment is X0 at t = 0 in every
     sweep, the call senses only the later nodes, and ``table`` covers those.
@@ -542,7 +516,7 @@ def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, t0: float, t1
     when there is none (the first segment: t0 = 0 and no ``prefix``), out
     of the force at (X0, V0) (``_initial_force``).
 
-    The field time table of the segment (`_sensing_table`) is built once,
+    The field time table of the segment (`sensing_table`) is built once,
     for the grid of ``prefix + seg`` and the segment's nodes, unless the
     force is declared insensitive to the field, and every sweep (``_sweep``)
     evaluates it on its own input path, so a sweep computes only what the
@@ -567,7 +541,7 @@ def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, t0: float, t1
     if scenario.lipschitz_w != 0.0:
         grid = times if prefix is None else np.concatenate([prefix.times, times[1:]])
         sensed = times if W0 is None else times[1:]
-        table = _sensing_table(scenario, grid, sensed, X0.shape[1], delta, quad)
+        table = sensing_table(scenario, grid, sensed, X0.shape[1], delta, quad)
     current, start = _start_path(previous, times, X0, V0, scenario.R, force0)
     history: list[float] = []
     for sweep in range(max_iters):

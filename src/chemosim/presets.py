@@ -315,5 +315,4 @@ def scenario_from_config(config: dict) -> Scenario:
         R=_number("R", config.get("R", 1.0)),
         nonlocal_delta=(_number("delta", config["delta"]) if config.get("delta") is not None
                         else None),
-        name=str(config.get("name", "scenario")),
     )

@@ -120,7 +120,6 @@ class Scenario:
     growth: GrowthSpec
     R: float = 1.0
     nonlocal_delta: float | None = None
-    name: str = "scenario"
 
     @property
     def dimension(self) -> int:
@@ -139,8 +138,8 @@ class Scenario:
 
     @property
     def satisfies_global_hypotheses(self) -> bool:
-        """True when the force is globally Lipschitz and the data carry a
-        declared linear-growth constant, the preconditions for continuation."""
+        """True when the force is globally Lipschitz, the precondition for
+        continuation; only the force is read, as ``GrowthSpec.M`` is always declared and checked."""
         return self.force.lipschitz_global is not None
 
     @property
@@ -196,8 +195,7 @@ def make_scenario(coeffs: OperatorCoefficients,
                   X0, V0,
                   growth: GrowthSpec,
                   R: float = 1.0,
-                  nonlocal_delta: float | None = None,
-                  name: str = "scenario") -> Scenario:
+                  nonlocal_delta: float | None = None) -> Scenario:
     """Validate parts and assemble a Scenario.
 
     Every number a certificate reads is checked by name: the initial state
@@ -268,7 +266,7 @@ def make_scenario(coeffs: OperatorCoefficients,
 
     return Scenario(coeffs=coeffs, phi=phi, g=g, force=force, n=n,
                     X0=X0.copy(), V0=V0.copy(), growth=growth, R=R,
-                    nonlocal_delta=nonlocal_delta, name=name)
+                    nonlocal_delta=nonlocal_delta)
 
 
 def build_scenario(config: dict) -> Scenario:

@@ -25,10 +25,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import FieldProbe, _fd_hessian_of
+from .field import FieldProbe, _fd_hessian_of, sensed_gradients
 from .kernel import EstimateParams, Kernel
 from .paths import AgentPath
-from .picard import MODE_POINTWISE, _resolve_delta, sensed_gradients
+from .picard import MODE_POINTWISE, _resolve_delta
 from .quadrature import halton_points, tensor_grid, trapezoid_cumulative
 from .scenario import Scenario
 

@@ -29,6 +29,7 @@ from util import (
     heat_gaussian_grad,
     heat_gaussian_hess,
     loop_closed_form,
+    loop_fd_step,
     loop_gradient,
     per_item_derivatives,
     volume_ball_average,
@@ -74,6 +75,19 @@ def test_linear_data_preserved_by_the_flow():
         assert probe.value(np.array([x]), t) == pytest.approx(x, abs=1e-5)
         assert probe.gradient(np.array([x]), t)[0] == pytest.approx(1.0, abs=1e-5)
         assert abs(probe.hessian(np.array([x]), t)[0, 0]) < 1e-4
+
+
+def test_values_at_time_zero_are_new_arrays():
+    # this phi returns a view of its points; a call whose points are all at
+    # t = 0 still hands back its own array, as a mixed call does
+    linear = (lambda x: np.asarray(x)[..., 0], 1.0, 0.0, 1.0)
+    scn = build(phi=linear)
+    probe = FieldProbe(scn, constant_path(scn))
+    pts = np.array([[-0.7], [0.4]])
+    for t in (0.0, np.array([0.0, 0.5])):
+        vals = probe.value_many(pts, t)
+        assert vals.dtype == np.float64 and not np.shares_memory(vals, pts)
+        assert vals[0] == -0.7
 
 
 def test_grad_f_gaussian_oracle(gauss1):
@@ -429,6 +443,23 @@ def test_fd_box_too_small_guard():
     scn = build(phi="abs-sqrt", T=0.5)  # |x|^(1/2) is large on the boundary
     with pytest.raises(ValueError, match="box too small"):
         solve_field_fd(scn, constant_path(scn, 0.5))
+
+
+def test_fd_steps_equal_the_per_cell_stencil_oracle():
+    # a rotated a, a drift and a reaction on a 17 x 17 box, every step
+    # stored: each stored frame is one step of the documented stencil from
+    # the frame before it, bit for bit
+    coeffs = inline_coefficients([[1.0, 0.3], [0.3, 0.6]], [0.2, -0.1], -0.1)
+    scn = build(coeff=coeffs, phi="gaussian", g="agent-secretion", dim=2, T=0.2,
+                X0=[[0.2, -0.3], [0.1, 0.05]])
+    path = moving_path(scn)
+    fdf = solve_field_fd(scn, path, QuadratureSpec(fd_h=0.5, fd_half_width=4.0))
+    assert fdf.values.shape[1:] == (17, 17) and len(fdf.times) >= 4
+    dt = fdf.times[1]
+    assert np.array_equal(fdf.times, np.arange(len(fdf.times)) * dt)
+    for k, t in enumerate(fdf.times[:-1]):
+        step = loop_fd_step(scn, fdf.axes, fdf.h, fdf.values[k], t, dt, path.positions_at(t))
+        assert step.tobytes() == fdf.values[k + 1].tobytes()
 
 
 @pytest.mark.parametrize("coeff,dim", [("heat", 1), ("heat", 2), ("anisotropic-constant", 2)])

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -90,6 +91,26 @@ def test_trajectory_rejects_foreign_file(tmp_path):
     f = tmp_path / "x.csv"
     f.write_text("not a trajectory\n")
     with pytest.raises(ValueError):
+        cio.read_trajectory(f)
+
+
+@pytest.mark.parametrize("cut, message", [
+    (lambda lines: lines[:1], "holds no header"),
+    (lambda lines: lines[:2], "holds no rows"),
+    (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]], "row 2 holds 12 values, the header names 13"),
+    (lambda lines: lines[:4] + [lines[4] + ",0.5"], "row 3 holds 14 values, the header names 13"),
+    (lambda lines: [lines[0], lines[1][:8]] + lines[2:], "row 1 holds 13 values, the header names 2"),
+], ids=["tag-only", "no-rows", "short-row", "long-row", "short-header"])
+def test_a_cut_short_or_mixed_trajectory_names_its_file(tmp_path, cut, message):
+    # what a run that died part way through a write can leave: a short file,
+    # or new bytes followed by an old file's
+    rng = np.random.default_rng(0)
+    path = AgentPath(np.linspace(0.0, 1.0, 5), rng.normal(size=(5, 2, 3)),
+                     rng.normal(size=(5, 2, 3)))
+    f = tmp_path / "traj.csv"
+    cio.write_trajectory(path, f)
+    f.write_text("\n".join(cut(f.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=re.escape(str(f)) + ".* " + message):
         cio.read_trajectory(f)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chemosim import paths as paths_module, picard, scenario as scenario_module
-from chemosim.field import FieldProbe, QuadratureSpec
+from chemosim.field import FieldProbe, QuadratureSpec, sensing_table
 from chemosim.paths import AgentPath
 from chemosim.picard import (
     MODE_NONLOCAL,
@@ -57,7 +57,7 @@ def damped(chi=0.3, kappa_v=1.0, T=1.0, delta=None, g="agent-secretion",
     return build(phi="gaussian", g=g, force="damped-chemotaxis",
                  force_kwargs={"chi": chi, "kappa_v": kappa_v},
                  X0=np.asarray(X0), V0=np.asarray(V0), T=T, delta=delta,
-                 M_override=1.0, name="damped")
+                 M_override=1.0)
 
 
 # -- agent path ---------------------------------------------------------------------
@@ -1314,10 +1314,10 @@ def _table_bytes(n_agents):
                 force_kwargs={"chi": 0.3, "kappa_v": 1.0},
                 X0=rng.uniform(-0.5, 0.5, (2, n_agents)), V0=rng.uniform(-0.3, 0.3, (2, n_agents)))
     grid, times = np.linspace(0.0, 0.2, 33), np.linspace(0.1, 0.2, 17)
-    picard._sensing_table(scn, grid, times, n_agents, None, None)  # the shared rules
+    sensing_table(scn, grid, times, n_agents, None, None)  # the shared rules
     tracemalloc.start()
     try:
-        table = picard._sensing_table(scn, grid, times, n_agents, None, None)
+        table = sensing_table(scn, grid, times, n_agents, None, None)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

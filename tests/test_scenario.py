@@ -344,6 +344,18 @@ def test_build_scenario_missing_key_raises():
         scenario_from_config({"dimension": 1})
 
 
+def test_a_config_name_loads_like_any_unknown_key():
+    # a scenario holds no name, and a config key it does not read is ignored
+    named = scenario_from_config(dict(S1_CONFIG, name="s1"))
+    plain = scenario_from_config(S1_CONFIG)
+    assert not hasattr(named, "name")
+    np.testing.assert_array_equal(named.X0, plain.X0)
+    np.testing.assert_array_equal(named.V0, plain.V0)
+    assert (named.growth.C, named.growth.H, named.growth.M) == \
+        (plain.growth.C, plain.growth.H, plain.growth.M)
+    assert (named.coeffs.mu0, named.coeffs.mu1) == (plain.coeffs.mu0, plain.coeffs.mu1)
+
+
 def test_unknown_preset_names_raise():
     with pytest.raises(ScenarioError):
         coefficient_preset("nope", 1)

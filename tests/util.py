@@ -42,7 +42,7 @@ from chemosim.verify import EstimateReport
 
 
 def build(coeff="heat", phi="zero", g="zero", force="zero", dim=1, T=1.0,
-          X0=None, V0=None, R=1.0, delta=None, alpha=0.5, name="test",
+          X0=None, V0=None, R=1.0, delta=None, alpha=0.5,
           g_kwargs=None, force_kwargs=None, M_override=None, C_override=None):
     """Assemble a validated scenario from preset names (or ready-made parts);
     phi's ``hessian_bound``, when it declares one, is the growth's H2, as in
@@ -68,7 +68,7 @@ def build(coeff="heat", phi="zero", g="zero", force="zero", dim=1, T=1.0,
                         M=M_override if M_override is not None else max(m_phi, m_g),
                         T=T, H2=getattr(phi_fn, "hessian_bound", None))
     return make_scenario(coeffs, phi_fn, g_fn, force_law, X0, V0, growth,
-                         R=R, nonlocal_delta=delta, name=name)
+                         R=R, nonlocal_delta=delta)
 
 
 def constant_force_law(fbar) -> ForceLaw:
@@ -606,6 +606,49 @@ def loop_kernel_mass_deviations(kernel, samples, nodes=None):
         devs.append(abs(s ** (kernel.dim / 2.0) * math.exp(-kernel.c * s) * float(u_wts @ vals)
                         - 1.0))
     return np.asarray(devs)
+
+
+def loop_fd_step(scenario, axes, h, f, t, dt, X):
+    """One explicit step of the finite-difference solve from the grid values
+    ``f`` at time ``t`` on the box of ``axes`` with spacing ``h``, with the
+    agents at ``X`` (N, n), one cell at a time, from the stencil
+    `field.solve_field_fd` documents: an interior cell becomes
+    f + dt (c f + sum_i [a_ii D_ii f + b_i D_i f + sum_{j > i} 2 a_ij D_ij f] - g),
+    summed in that order with the coefficients at the cell, and a boundary
+    cell becomes phi.  phi and g are each one call on the grid's points,
+    since the data's own rounding is not the stencil's."""
+    coeffs = scenario.coeffs
+    dim = len(axes)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    phi, g = scenario.phi(pts), scenario.g(pts, X)
+    out = np.empty(f.shape)
+    for cell in np.ndindex(f.shape):
+        if any(k in (0, n - 1) for k, n in zip(cell, f.shape)):
+            out[cell] = phi[cell]
+            continue
+
+        def at(*steps):
+            # f at the cell moved by (axis, offset) steps
+            moved = list(cell)
+            for axis, offset in steps:
+                moved[axis] += offset
+            return float(f[tuple(moved)])
+
+        a = np.asarray(coeffs.a(pts[cell], t), dtype=float)
+        b = np.asarray(coeffs.b(pts[cell], t), dtype=float)
+        here = float(f[cell])
+        rhs = float(coeffs.c(pts[cell], t)) * here
+        for i in range(dim):
+            d_ii = (at((i, 1)) - 2.0 * here + at((i, -1))) / (h * h)
+            d_i = (at((i, 1)) - at((i, -1))) / (2.0 * h)
+            rhs = rhs + float(a[i, i]) * d_ii
+            rhs = rhs + float(b[i]) * d_i
+            for j in range(i + 1, dim):
+                d_ij = (at((i, 1), (j, 1)) + at((i, -1), (j, -1))
+                        - at((i, 1), (j, -1)) - at((i, -1), (j, 1))) / (4.0 * h * h)
+                rhs = rhs + 2.0 * float(a[i, j]) * d_ij
+        out[cell] = here + dt * (rhs - float(g[cell]))
+    return out
 
 
 def masked_interp(path, values, t):
