@@ -137,7 +137,10 @@ def _sensing(cfg, scenario: Scenario, mode: str | None = None,
              delta: float | None = None) -> tuple[Scenario, str, float | None]:
     """(scenario carrying the radius, mode, radius) of a run: ``mode`` and
     ``delta`` override the config's; pointwise sensing has no radius."""
-    mode = mode or cfg.get("mode", MODE_POINTWISE)
+    config_mode = cfg.get("mode", MODE_POINTWISE)
+    if config_mode not in (MODE_POINTWISE, MODE_NONLOCAL):
+        raise ConfigError(f"config key 'mode' must be 'pointwise' or 'nonlocal', got {config_mode!r}")
+    mode = mode or config_mode
     if mode != MODE_NONLOCAL:
         if delta is not None:
             raise ConfigError(f"--delta sets the non-local sensing radius; {mode} sensing has none")

@@ -200,14 +200,11 @@ def _is_zero(fn) -> bool:
 
 
 def _fd_gradient_of(fn, pts: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradients of fn at stacked points ``pts`` (P, N),
-    shape (P, N); one call of fn per offset serves every point."""
-    out = np.empty(pts.shape)
-    for i in range(pts.shape[1]):
-        e = np.zeros(pts.shape[1])
-        e[i] = step
-        out[:, i] = (fn(pts + e) - fn(pts - e)) / (2.0 * step)
-    return out
+    """Central differences of fn at stacked points ``pts`` (P, N): fn's value
+    with a trailing derivative axis, shape (P, ..., N); one call of fn per
+    offset serves every point."""
+    return np.stack([(fn(pts + e) - fn(pts - e)) / (2.0 * step)
+                     for e in step * np.eye(pts.shape[1])], axis=-1)
 
 
 def _fd_hessian_of(fn, pts: np.ndarray, step: float = 1e-4) -> np.ndarray:
@@ -743,14 +740,14 @@ def sensed_gradients(probe: FieldProbe, X: np.ndarray, times,
     return np.swapaxes(grads.reshape(pts.shape), 1, 2)
 
 
-def sensing_table(scenario: Scenario, grid: np.ndarray, times: np.ndarray, n_agents: int,
+def sensing_table(scenario: Scenario, grid: np.ndarray, times: np.ndarray,
                   delta: float | None, quad: QuadratureSpec | None) -> FieldTable:
-    """The time table of `sensed_gradients` for every agent at every node
-    of ``times``, on paths on the time grid ``grid``: of the gradients, or
-    of the field values on every agent's sphere for a ball average, in
-    (node, agent, sphere node) order (`_sphere_times`)."""
+    """The time table of `sensed_gradients` for every agent of the scenario
+    at every node of ``times``, on paths on the time grid ``grid``: of the
+    gradients, or of the field values on every agent's sphere for a ball
+    average, in (node, agent, sphere node) order (`_sphere_times`)."""
     k = 1 if delta is None else len(_cached_sphere_rule(scenario.dimension, float(delta))[0])
-    node_times = np.repeat(np.asarray(times, dtype=float), n_agents * k)
+    node_times = np.repeat(np.asarray(times, dtype=float), scenario.n * k)
     return FieldTable(scenario, grid, node_times, len(node_times),
                       (1,) if delta is None else (0,), quad or DEFAULT_QUAD)
 
@@ -809,17 +806,10 @@ class FdField:
         return np.stack([gi(q) for gi in self._grad_interp], axis=-1)
 
     def hessian_many(self, pts, t) -> np.ndarray:
-        """Symmetrized central differences of the interpolated gradient at
-        stacked points (P, N), shape (P, N, N); two ``gradient_many`` calls
-        per axis serve every point."""
-        pts = np.atleast_2d(pts)
-        dim = len(self.axes)
-        out = np.empty((len(pts), dim, dim))
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = self.h
-            out[:, :, j] = (self.gradient_many(pts + e, t)
-                            - self.gradient_many(pts - e, t)) / (2.0 * self.h)
+        """Symmetrized central differences (step h) of the interpolated
+        gradient at stacked points (P, N), shape (P, N, N); two
+        ``gradient_many`` calls per axis serve every point."""
+        out = _fd_gradient_of(lambda p: self.gradient_many(p, t), np.atleast_2d(pts), self.h)
         return 0.5 * (out + np.swapaxes(out, 1, 2))
 
 

@@ -17,9 +17,9 @@ the segment before it, which is usually within tol of the fixed point after
 one sweep.  A segment with no segment before it (the first segment of a
 global solve, and every local solve) starts from its first-order Taylor
 path, V(t) = V0 + F0 (t - t0) with F0 the force at the initial state and its
-sensed gradient.  A start that would leave the radius-R tube falls back to
-the path frozen at the segment's initial state.  The certificate covers
-every start, since the map sends the tube into itself.
+sensed gradient.  A start that would leave the certificate's tube falls
+back to the path frozen at the segment's initial state.  The certificate
+covers every start, since the map sends the tube into itself.
 
 One segment engine implements this: ``_sweep`` applies the update map once
 on a segment grid, with one batched field evaluation for every (node,
@@ -96,8 +96,10 @@ class PicardError(RuntimeError):
 class HorizonCertificate:
     """Certified solve horizon.
 
-    ``t_range`` keeps the update map inside the radius-R tube, ``t_contract``
-    makes its modulus S drop below one (with margin), and ``t_bar`` is the
+    ``t_range`` keeps the update map inside the tube of radius ``radius``
+    (the scenario's R unless issued for another), which Picard iteration
+    checks every path against; ``t_contract`` makes its modulus S drop below
+    one (with margin), and ``t_bar`` is the
     working horizon (safety factor times the smaller of the two).  ``s_value``
     is S at ``t_bar``, with the exponential factor e^{2 kappa (|X0|^2 + R^2 +
     delta^2)} the proof uses; ``gamma_bar`` must stay positive for the decay
@@ -448,16 +450,17 @@ def _start_path(previous: AgentPath | None, times: np.ndarray, X0: np.ndarray,
     return AgentPath.constant(X0, V0, times), START_CONSTANT
 
 
-def _initial_force(scenario: Scenario, times: np.ndarray, X0: np.ndarray, V0: np.ndarray,
-                   delta: float | None,
+def _initial_force(scenario: Scenario, times: np.ndarray, delta: float | None,
                    quad: QuadratureSpec | None) -> tuple[np.ndarray, np.ndarray]:
     """The force F(t0, X0, V0, w0) on every agent, shape (N, n), at the
-    first node t0 of ``times``, for a segment with no segment before it
-    (t0 = 0), and w0, shape (1, N, n).  w0 is the gradient sensed at X0 on
-    the path frozen at (X0, V0) over the segment's first two nodes; at t0 = 0
-    the field is phi's and reads no path, so w0 takes no kernel pass and is
-    what every sweep of the segment senses at its node 0.  When the force is
-    declared insensitive to the field, w0 is zero."""
+    scenario's state and the first node t0 of ``times``, for a segment with
+    no segment before it (t0 = 0), and w0, shape (1, N, n).  w0 is the
+    gradient sensed at X0 on the path frozen at (X0, V0) over the segment's
+    first two nodes; at t0 = 0 the field is phi's and reads no path, so w0
+    takes no kernel pass and is what every sweep of the segment senses at
+    its node 0.  When the force is declared insensitive to the field, w0 is
+    zero."""
+    X0, V0 = scenario.X0, scenario.V0
     if scenario.lipschitz_w == 0.0:
         W0 = np.zeros((1,) + X0.shape)
     else:
@@ -468,14 +471,13 @@ def _initial_force(scenario: Scenario, times: np.ndarray, X0: np.ndarray, V0: np
 
 
 def _sweep(scenario: Scenario, prefix: AgentPath | None, seg: AgentPath,
-           X0: np.ndarray, V0: np.ndarray, delta: float | None,
-           quad: QuadratureSpec | None, table: FieldTable | None = None,
-           w0: np.ndarray | None = None) -> AgentPath:
+           delta: float | None, quad: QuadratureSpec | None,
+           table: FieldTable | None = None, w0: np.ndarray | None = None) -> AgentPath:
     """One application of the update map on the grid of ``seg``, anchored at
-    the segment start state (X0, V0).
+    the segment's start state, the scenario's (X0, V0).
 
-    ``seg`` must stay inside the radius-R tube around the anchor, which the
-    caller checks (``_start_path``, ``_iterate_segment``, ``apply_psi``); the
+    ``seg`` must stay inside the tube around the anchor that the caller
+    checks (``_start_path``, ``_iterate_segment``, ``apply_psi``); the
     field probe reads the whole input path ``prefix + seg``, so the source
     laid down by earlier segments keeps acting.  The sensed gradients are
     one `sensed_gradients` call, which evaluates the segment's time table
@@ -497,7 +499,7 @@ def _sweep(scenario: Scenario, prefix: AgentPath | None, seg: AgentPath,
     forces = scenario.force.eval(seg.times, seg.X, seg.V, W)
     integral = trapezoid_cumulative(np.concatenate((seg.V, forces), axis=1), seg.times)
     n_dim = seg.X.shape[1]
-    return seg._on_grid(X0 + integral[:, :n_dim], V0 + integral[:, n_dim:])
+    return seg._on_grid(scenario.X0 + integral[:, :n_dim], scenario.V0 + integral[:, n_dim:])
 
 
 def _segment_grid(t0: float, t1: float, dt: float) -> np.ndarray:
@@ -506,15 +508,15 @@ def _segment_grid(t0: float, t1: float, dt: float) -> np.ndarray:
     return np.linspace(t0, t1, max(_MIN_NODES, int(math.ceil((t1 - t0) / dt)) + 1))
 
 
-def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, t0: float, t1: float,
-                     X0: np.ndarray, V0: np.ndarray, delta: float | None,
-                     tol: float, dt: float, max_iters: int,
+def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, t1: float, radius: float,
+                     delta: float | None, tol: float, dt: float, max_iters: int,
                      quad: QuadratureSpec | None,
                      previous: AgentPath | None = None) -> tuple[AgentPath, list[float], str]:
-    """Picard iteration on [t0, t1], on ``_segment_grid``, from the start
-    ``_start_path`` builds out of the ``previous`` converged segment, or,
-    when there is none (the first segment: t0 = 0 and no ``prefix``), out
-    of the force at (X0, V0) (``_initial_force``).
+    """Picard iteration on [t0, t1] (t0 the end of ``prefix``, 0 without
+    one) from the scenario's state (X0, V0) at t0, on ``_segment_grid``, from
+    the start ``_start_path`` builds out of the ``previous`` converged
+    segment, or, when there is none (the first segment: t0 = 0 and no
+    ``prefix``), out of the force at (X0, V0) (``_initial_force``).
 
     The field time table of the segment (`sensing_table`) is built once,
     for the grid of ``prefix + seg`` and the segment's nodes, unless the
@@ -524,30 +526,32 @@ def _iterate_segment(scenario: Scenario, prefix: AgentPath | None, t0: float, t1
     t = 0 in every sweep, and each sweep reads the gradient sensed there for
     the initial force.  The table is dropped with the segment.
 
-    Every path is tube-checked once before it is swept: the start by
-    ``_start_path``, each later iterate here.  Stops when successive iterates
-    differ by less than tol in the sup norm; returns the converged segment,
-    the per-iteration differences and the kind of start.
+    Every path is checked once, before it is swept, against the tube the
+    certificate proves, of radius ``radius`` (`HorizonCertificate.radius`):
+    the start by ``_start_path``, each later iterate here.  Stops when
+    successive iterates differ by less than tol in the sup norm; returns the
+    converged segment, the per-iteration differences and the kind of start.
     """
     _positive_finite("dt", dt)
     _positive_finite("tol", tol)
     if not (isinstance(max_iters, (int, np.integer)) and not isinstance(max_iters, bool)
             and max_iters >= 1):
         raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
-    times = _segment_grid(t0, t1, dt)
+    X0, V0 = scenario.X0, scenario.V0
+    times = _segment_grid(prefix.horizon if prefix is not None else 0.0, t1, dt)
     force0 = W0 = table = None
     if previous is None:
-        force0, W0 = _initial_force(scenario, times, X0, V0, delta, quad)
+        force0, W0 = _initial_force(scenario, times, delta, quad)
     if scenario.lipschitz_w != 0.0:
         grid = times if prefix is None else np.concatenate([prefix.times, times[1:]])
         sensed = times if W0 is None else times[1:]
-        table = sensing_table(scenario, grid, sensed, X0.shape[1], delta, quad)
-    current, start = _start_path(previous, times, X0, V0, scenario.R, force0)
+        table = sensing_table(scenario, grid, sensed, delta, quad)
+    current, start = _start_path(previous, times, X0, V0, radius, force0)
     history: list[float] = []
     for sweep in range(max_iters):
         if sweep:
-            _check_tube(current, X0, V0, scenario.R)
-        nxt = _sweep(scenario, prefix, current, X0, V0, delta, quad, table, W0)
+            _check_tube(current, X0, V0, radius)
+        nxt = _sweep(scenario, prefix, current, delta, quad, table, W0)
         history.append(nxt.sup_distance(current))
         current = nxt
         if history[-1] < tol:
@@ -566,11 +570,12 @@ def apply_psi(path: AgentPath, scenario: Scenario,
     """One application of the update map to a candidate path on [0, t_bar].
 
     The input path must stay inside the radius-R tube around the initial
-    state; field evaluations use the input path throughout.
+    state (no certificate names another R); field evaluations use the input
+    path throughout.
     """
     delta = _resolve_delta(scenario, mode, delta)
     _check_tube(path, scenario.X0, scenario.V0, scenario.R)
-    return _sweep(scenario, None, path, scenario.X0, scenario.V0, delta, quad)
+    return _sweep(scenario, None, path, delta, quad)
 
 
 def solve_local(scenario: Scenario, horizon: HorizonCertificate,
@@ -579,14 +584,14 @@ def solve_local(scenario: Scenario, horizon: HorizonCertificate,
     """Picard iteration on [0, t_bar] from the first-order Taylor path of
     the initial state (``_start_path``; the path frozen at the initial state
     when the Taylor path leaves the tube), with the sensing mode and radius
-    the certificate was issued for.
+    the certificate was issued for, and the tube it proves (``radius``).
 
     Stops when successive iterates differ by less than tol in the sup norm;
     returns the converged path and the per-iteration differences.
     """
     delta = _resolve_delta(scenario, horizon.mode, horizon.delta)
-    path, history, _ = _iterate_segment(scenario, None, 0.0, horizon.t_bar, scenario.X0,
-                                        scenario.V0, delta, tol, dt, max_iters, quad)
+    path, history, _ = _iterate_segment(scenario, None, horizon.t_bar, horizon.radius, delta,
+                                        tol, dt, max_iters, quad)
     return path, history
 
 
@@ -599,6 +604,9 @@ def solve_global(scenario: Scenario, horizon: float,
 
     Each segment restarts from the previous endpoint state with a freshly
     derived certificate; the field keeps reading the full path from time 0.
+    A segment's scenario, ``scenario`` or a copy holding the endpoint state,
+    is read by its certificate and by its Picard iteration, whose tube is
+    the certificate's (of radius R).
     A segment's certificate reads its start t0, since S charges the
     source's part over [t0, t0 + t_bar], so T2 is bisected once per segment
     (``horizon_certificate``).
@@ -620,29 +628,26 @@ def solve_global(scenario: Scenario, horizon: float,
 
     full: AgentPath | None = None
     seg: AgentPath | None = None
+    seg_scn = scenario
     t0 = 0.0
-    state_X, state_V = scenario.X0, scenario.V0
     while horizon - t0 > 1e-12 * max(1.0, horizon):
-        seg_scn = replace(scenario, X0=state_X, V0=state_V)
-        cert = horizon_certificate(seg_scn, seg_scn.R, mode=mode, delta=delta,
-                                   params=params, safety=safety, t0=t0)
+        cert = horizon_certificate(seg_scn, mode=mode, delta=delta, params=params,
+                                   safety=safety, t0=t0)
         if cert.t_bar < min_segment:
             raise PicardError(
                 f"segment horizon underflow at t = {t0:g}: certified step {cert.t_bar:g} "
                 f"is below the minimum {min_segment:g} (constants blow-up)"
             )
         seg_end = min(t0 + cert.t_bar, horizon)
-        seg, history, start = _iterate_segment(scenario, full, t0, seg_end, state_X,
-                                               state_V, delta, tol, dt, max_iters, quad,
-                                               previous=seg)
+        seg, history, start = _iterate_segment(seg_scn, full, seg_end, cert.radius, delta, tol,
+                                               dt, max_iters, quad, previous=seg)
         if segments_out is not None:
             segments_out.append(SegmentRecord(t_start=t0, t_end=seg_end, certificate=cert,
                                               iterations=len(history),
                                               final_diff=history[-1], start=start))
         full = full.concat(seg) if full is not None else seg
         t0 = seg_end
-        state_X = seg.X[-1].copy()
-        state_V = seg.V[-1].copy()
+        seg_scn = replace(scenario, X0=seg.X[-1].copy(), V0=seg.V[-1].copy())
     assert full is not None
     return full
 

@@ -29,6 +29,7 @@ from util import (
     heat_gaussian_grad,
     heat_gaussian_hess,
     loop_closed_form,
+    loop_fd_hessian,
     loop_fd_step,
     loop_gradient,
     per_item_derivatives,
@@ -534,6 +535,20 @@ def test_fd_hessian_many_matches_per_point_differences():
                 for e in fdf.h * np.eye(2)]
         want = np.stack(cols, axis=1)
         np.testing.assert_array_equal(got, 0.5 * (want + want.T))
+
+
+@pytest.mark.parametrize("coeff, dim", [
+    ("variable-sine", 1),
+    (inline_coefficients([[1.0, 0.3], [0.3, 0.6]], [0.2, -0.1], -0.1), 2),
+], ids=["variable-sine-1d", "rotated-drift-reaction-2d"])
+def test_fd_hessian_many_equals_the_per_axis_loop(coeff, dim):
+    scn = build(coeff=coeff, phi="gaussian", g="agent-secretion", dim=dim, T=0.2,
+                X0=[[0.2, -0.3], [0.1, 0.05]][:dim])
+    fdf = solve_field_fd(scn, moving_path(scn), QuadratureSpec(fd_h=0.2, fd_half_width=4.0))
+    rng = np.random.default_rng(14)
+    pts = rng.uniform(-1.0, 1.0, (8, dim))
+    for t in (0.13, rng.uniform(0.0, 0.2, 8)):
+        assert fdf.hessian_many(pts, t).tobytes() == loop_fd_hessian(fdf, pts, t).tobytes()
 
 
 def test_derivatives_at_time_zero_are_those_of_the_initial_datum():

@@ -677,6 +677,21 @@ def test_cli_nonlocal_config_without_radius_is_a_config_error(tmp_path, command)
     assert "non-local mode needs --delta or a config delta" in res.stderr
 
 
+@pytest.mark.parametrize("mode", ["non-local", None])
+@pytest.mark.parametrize("command", [("simulate",), ("bounds",), ("verify", "--suite", "holder")],
+                         ids=["simulate", "bounds", "verify-holder"])
+def test_cli_unknown_config_mode_is_a_config_error(tmp_path, capsys, command, mode):
+    # a misspelt mode was a solver error (simulate, bounds) or ran pointwise
+    # (verify)
+    p = write_cfg(tmp_path, dict(DAMPED_CFG, mode=mode))
+    out = tmp_path / "run"
+    assert cli.main([command[0], "--config", str(p), "--output-dir", str(out),
+                     *command[1:]]) == cli.EXIT_CONFIG
+    assert (f"config error: config key 'mode' must be 'pointwise' or 'nonlocal', got {mode!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("delta", ["0", "-1", "nan", "inf"])
 def test_cli_nonpositive_delta_flag_is_a_config_error(tmp_path, delta):
     p = write_cfg(tmp_path, dict(DAMPED_CFG, mode="nonlocal", delta=0.1))

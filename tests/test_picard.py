@@ -911,6 +911,25 @@ def test_iterate_leaving_the_tube_names_its_node():
         solve_local(scn, cert)
 
 
+def test_solve_local_checks_the_tube_its_certificate_proves():
+    # S1 under a radius-1 certificate: the iterates leave the scenario's
+    # radius-0.02 tube at node 9 but stay inside the certified one
+    scn = build(phi="gaussian", g="agent-secretion", force="damped-chemotaxis",
+                force_kwargs={"chi": 0.3, "kappa_v": 1.0},
+                X0=[[0.2, -0.3]], V0=[[0.3, 0.0]], R=0.02)
+    cert = horizon_certificate(scn, radius=1.0)
+    path, history = solve_local(scn, cert)
+    assert path.horizon == cert.t_bar and history[-1] < 1e-8
+
+
+def test_solve_local_refuses_a_path_outside_its_certificates_tube():
+    # the T1 gap (|V0| = 3, kappa_v 5): the path stays inside the scenario's
+    # R = 1 but leaves the radius-0.05 tube its certificate covers at node 9
+    gap = damped(kappa_v=5.0, V0=((3.0,),))
+    with pytest.raises(PicardError, match=r"radius-0.05 tube at node 9 "):
+        solve_local(gap, horizon_certificate(gap, radius=0.05))
+
+
 @pytest.mark.parametrize("dim, delta, horizon, quad", [
     (1, None, 0.02, None), (1, 0.1, 0.005, None), (2, None, 5e-5, None),
     # a coarse rule keeps the 2D ball averages cheap; both solves use it
@@ -1314,10 +1333,10 @@ def _table_bytes(n_agents):
                 force_kwargs={"chi": 0.3, "kappa_v": 1.0},
                 X0=rng.uniform(-0.5, 0.5, (2, n_agents)), V0=rng.uniform(-0.3, 0.3, (2, n_agents)))
     grid, times = np.linspace(0.0, 0.2, 33), np.linspace(0.1, 0.2, 17)
-    sensing_table(scn, grid, times, n_agents, None, None)  # the shared rules
+    sensing_table(scn, grid, times, None, None)  # the shared rules
     tracemalloc.start()
     try:
-        table = sensing_table(scn, grid, times, n_agents, None, None)
+        table = sensing_table(scn, grid, times, None, None)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

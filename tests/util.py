@@ -651,6 +651,21 @@ def loop_fd_step(scenario, axes, h, f, t, dt, X):
     return out
 
 
+def loop_fd_hessian(fdf, pts, t):
+    """``field.FdField.hessian_many`` as its own loop over the axes: column
+    j is the central difference, step h, of two ``gradient_many`` calls at
+    pts +- h e_j, and the result is symmetrized."""
+    pts = np.atleast_2d(pts)
+    dim = len(fdf.axes)
+    out = np.empty((len(pts), dim, dim))
+    for j in range(dim):
+        e = np.zeros(dim)
+        e[j] = fdf.h
+        out[:, :, j] = (fdf.gradient_many(pts + e, t)
+                        - fdf.gradient_many(pts - e, t)) / (2.0 * fdf.h)
+    return 0.5 * (out + np.swapaxes(out, 1, 2))
+
+
 def masked_interp(path, values, t):
     """``AgentPath.positions_at`` / ``velocities_at`` of ``values`` (nodes, N,
     n) at times ``t`` in its former layout: an elementwise range mask, both
@@ -724,13 +739,14 @@ def constant_start_global(scenario, horizon, tol=1e-8, mode=MODE_POINTWISE, dt=1
     t0 = 0.0
     X0, V0 = scenario.X0, scenario.V0
     while horizon - t0 > 1e-12 * max(1.0, horizon):
-        cert = horizon_certificate(replace(scenario, X0=X0, V0=V0), mode=mode, delta=delta,
+        seg_scn = replace(scenario, X0=X0, V0=V0)
+        cert = horizon_certificate(seg_scn, mode=mode, delta=delta,
                                    params=scenario.estimate_params, safety=safety, t0=t0)
         t1 = min(t0 + cert.t_bar, horizon)
         seg = AgentPath.constant(X0, V0, _segment_grid(t0, t1, dt))
         for sweep in range(1, max_iters + 1):
             _check_tube(seg, X0, V0, scenario.R)
-            nxt = _sweep(scenario, full, seg, X0, V0, delta, quad)
+            nxt = _sweep(seg_scn, full, seg, delta, quad)
             diff = nxt.sup_distance(seg)
             seg = nxt
             if diff < tol:
