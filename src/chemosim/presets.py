@@ -158,7 +158,8 @@ def g_preset(name: str, n_agents: int, value: float = 1.0):
 
 def force_preset(name: str, chi: float = 1.0, kappa_v: float = 1.0) -> ForceLaw:
     """Force law on stacked states (see `ForceLaw`): each preset reads column
-    j of W only for column j of the force."""
+    j of W only for column j of the force, and declares its drag
+    ``damping``, kappa_v for damped-chemotaxis and 0 for the others."""
     if name == "zero":
         def zero_force(t, X, V, W):
             return np.zeros(np.shape(X))
@@ -174,7 +175,7 @@ def force_preset(name: str, chi: float = 1.0, kappa_v: float = 1.0) -> ForceLaw:
             return -kappa_v * V + chi * W
         return ForceLaw(eval=damped, lipschitz_w=chi,
                         lipschitz_xv=lambda r: kappa_v,
-                        lipschitz_global=max(chi, kappa_v))
+                        lipschitz_global=max(chi, kappa_v), damping=kappa_v)
     if name == "saturating-chemotaxis":
         def saturating(t, X, V, W):
             # |w_j| per column; vecdot rounds it as np.linalg.norm(w_j) does

@@ -98,12 +98,18 @@ class ForceLaw:
     a compact of the given radius, and ``lipschitz_global`` (when not None)
     in all arguments jointly, which is what the global continuation
     requires.
+
+    ``damping`` declares the force's linear drag kappa >= 0: F(t, X, V, W)
+    + kappa V does not depend on V.  The Picard sweep integrates that part
+    implicitly (`picard._sweep`); 0, the default, declares no drag and is
+    right for every force, since the sweep then reads F as it is.
     """
 
     eval: Callable[[float | Array, Array, Array, Array], Array]
     lipschitz_w: float
     lipschitz_xv: Callable[[float], float]
     lipschitz_global: float | None = None
+    damping: float = 0.0
 
 
 @dataclass(eq=False)
@@ -199,8 +205,8 @@ def make_scenario(coeffs: OperatorCoefficients,
     """Validate parts and assemble a Scenario.
 
     Every number a certificate reads is checked by name: the initial state
-    must be finite, and H, M and the force's Lipschitz constants (in (X, V)
-    at the radius R) finite and nonnegative.  Variable coefficients must
+    must be finite, and H, M, the force's Lipschitz constants (in (X, V)
+    at the radius R) and its damping finite and nonnegative.  Variable coefficients must
     declare their eigenvalue range (mu0, mu1), which the sampled coefficient
     checks (symmetry, eigenvalue range) must not leave; a declared range is
     kept.  Constant coefficients that declare none get their exact spectrum,
@@ -233,7 +239,8 @@ def make_scenario(coeffs: OperatorCoefficients,
                          ("declared hessian bound H2", growth.H2),
                          ("force Lipschitz constant lipschitz_w", force.lipschitz_w),
                          ("force Lipschitz constant lipschitz_xv(R)", force.lipschitz_xv(R)),
-                         ("force Lipschitz constant lipschitz_global", force.lipschitz_global)):
+                         ("force Lipschitz constant lipschitz_global", force.lipschitz_global),
+                         ("force damping", force.damping)):
         if value is not None and not 0.0 <= value < math.inf:  # NaN too
             raise ScenarioError(f"{label} must be finite and nonnegative, got {value!r}")
     if getattr(getattr(phi, "gaussian_source", None), "at_agents", False):

@@ -39,6 +39,7 @@ from util import (
     build,
     constant_force_law,
     constant_start_global,
+    first_order_sweep,
     heat_gaussian_hess,
     loop_c0_constant,
     loop_cubic_extrapolation,
@@ -227,6 +228,139 @@ def test_apply_psi_rejects_path_outside_tube():
     path = AgentPath(times, X, np.zeros_like(X))
     with pytest.raises(PicardError, match="node 3"):
         apply_psi(path, scn)
+
+
+def _tube_distance(p, q):
+    """sup over nodes of max(|X_p - X_q|, |V_p - V_q|), each stacked over the
+    agents: the norm of the tube (``_tube_exit``) and of the contraction
+    claim in ``contraction_S``."""
+    dx = (p.X - q.X).reshape(len(p.times), -1)
+    dv = (p.V - q.V).reshape(len(p.times), -1)
+    return float(np.maximum(np.sqrt((dx * dx).sum(axis=1)), np.sqrt((dv * dv).sum(axis=1))).max())
+
+
+def _tube_paths(scn, times, rng, count):
+    """``count`` smooth paths in the tube of radius R around (X0, V0): two
+    sine modes per coordinate, scaled so that |X - X0| and |V - V0| stay
+    below rho R at every node, with rho drawn in (0.2, 1); then the path
+    frozen at (X0, V0) and V-only shifts of it, which keep X at X0."""
+    span = times[-1] - times[0]
+    shape = (len(times),) + scn.X0.shape
+    paths = []
+    for _ in range(count):
+        rows = []
+        for _ in range(2):  # X, then V
+            freq = rng.uniform(0.5, 4.0, (2,) + scn.X0.shape)
+            phase = rng.uniform(0.0, 2.0 * np.pi, (2,) + scn.X0.shape)
+            s = (times - times[0])[:, None, None] / span
+            wave = np.sin(freq[0] * np.pi * s + phase[0]) + 0.5 * np.sin(freq[1] * np.pi * s + phase[1])
+            norms = np.sqrt((wave.reshape(len(times), -1) ** 2).sum(axis=1)).max()
+            rows.append(rng.uniform(0.2, 1.0) * scn.R * wave / norms)
+        paths.append(AgentPath(times, scn.X0 + rows[0], scn.V0 + rows[1]))
+    frozen = AgentPath.constant(scn.X0, scn.V0, times)
+    paths.append(frozen)
+    for scale in (0.5, 1.0):
+        shift = rng.normal(size=scn.X0.shape)
+        shift *= scale * scn.R / np.linalg.norm(shift)
+        paths.append(AgentPath(times, frozen.X.copy(), frozen.V + shift))
+    assert all(_tube_exit(p, scn.X0, scn.V0, scn.R) is None for p in paths)
+    assert all(p.X.shape == shape for p in paths)
+    return paths
+
+
+@pytest.mark.parametrize("case", ["pure-chemotaxis-zero-data", "s1-1d", "s1-2d"])
+def test_update_map_modulus_stays_below_the_certified_s(case):
+    # the kinematic row: a V-only difference moves the first-order map's X
+    # by t |dV|, which an S without term 1 (here S = 0) does not bound; the
+    # map that takes X from the new V moves only with X
+    if case == "pure-chemotaxis-zero-data":
+        scn = build(force="pure-chemotaxis", force_kwargs={"chi": 1.0}, V0=[[1.0]])
+    else:
+        scn = _s1(int(case[-2]))
+    cert = horizon_certificate(scn)
+    if case == "pure-chemotaxis-zero-data":
+        assert cert.s_value == 0.0
+    times = np.linspace(0.0, cert.t_bar, 17)
+    paths = _tube_paths(scn, times, np.random.default_rng(36), 6)
+    images = [apply_psi(p, scn) for p in paths]
+    for i in range(len(paths)):
+        for j in range(i):
+            moved = _tube_distance(images[i], images[j])
+            assert moved <= cert.s_value * _tube_distance(paths[i], paths[j]) + 1e-12, (i, j)
+
+
+@pytest.mark.parametrize("dim, mode, horizon", [(1, MODE_POINTWISE, 1.0), (2, MODE_POINTWISE, 0.5),
+                                                (1, MODE_NONLOCAL, 1.0)],
+                         ids=["pointwise-1d", "pointwise-2d", "nonlocal-1d"])
+def test_the_first_order_map_has_the_same_fixed_point(monkeypatch, dim, mode, horizon):
+    scn = replace(_s1(dim), nonlocal_delta=0.1) if mode == MODE_NONLOCAL else _s1(dim)
+    segments, oracle_segments = [], []
+    path = solve_global(scn, horizon, tol=1e-8, mode=mode, segments_out=segments)
+    monkeypatch.setattr(picard, "_sweep", first_order_sweep)
+    oracle = solve_global(scn, horizon, tol=1e-8, mode=mode, segments_out=oracle_segments)
+    assert [s.certificate for s in segments] == [s.certificate for s in oracle_segments]
+    assert np.abs(path.X[-1] - oracle.X[-1]).max() <= 1e-9
+    assert np.abs(path.V[-1] - oracle.V[-1]).max() <= 1e-9
+    assert sum(s.iterations for s in segments) < sum(s.iterations for s in oracle_segments)
+
+
+def test_a_force_that_declares_no_damping_still_solves():
+    # S1's force written by hand, with its drag left undeclared: the sweep
+    # reads F whole, so it converges to the same fixed point in more sweeps
+    declared = _s1(1)
+    undeclared = replace(declared, force=ForceLaw(eval=lambda t, X, V, W: -1.0 * V + 0.3 * W,
+                                                  lipschitz_w=0.3, lipschitz_xv=lambda r: 1.0,
+                                                  lipschitz_global=1.0))
+    assert undeclared.force.damping == 0.0
+    paths, sweeps = [], []
+    for scn in (declared, undeclared):
+        segments = []
+        paths.append(solve_global(scn, 1.0, tol=1e-8, segments_out=segments))
+        sweeps.append(sum(s.iterations for s in segments))
+    assert np.abs(paths[0].X[-1] - paths[1].X[-1]).max() <= 1e-9
+    assert np.abs(paths[0].V[-1] - paths[1].V[-1]).max() <= 1e-9
+    assert sweeps[0] < sweeps[1]
+
+
+def _bidiagonal_solve(drive, times, kappa, V0):
+    """The implicit trapezoid recurrence as one dense lower-bidiagonal system
+    (row 0: V_0 = V0), solved by ``np.linalg.solve``."""
+    m = len(times)
+    A = np.zeros((m, m))
+    rhs = np.empty((m,) + drive.shape[1:])
+    A[0, 0], rhs[0] = 1.0, V0
+    for i in range(m - 1):
+        h = times[i + 1] - times[i]
+        A[i + 1, i + 1] = 1.0 + kappa * h / 2.0
+        A[i + 1, i] = -(1.0 - kappa * h / 2.0)
+        rhs[i + 1] = (h / 2.0) * (drive[i] + drive[i + 1])
+    return np.linalg.solve(A, rhs.reshape(m, -1)).reshape(rhs.shape)
+
+
+@pytest.mark.parametrize("grid", ["uniform", "non-uniform"])
+@pytest.mark.parametrize("kappa_h", [0.0, 0.5, 2.0, 3.0, 50.0])
+def test_damped_trapezoid_is_the_bidiagonal_solve_and_a_contraction(kappa_h, grid):
+    rng = np.random.default_rng(int(kappa_h * 10) + (grid == "uniform"))
+    m = 33
+    if grid == "uniform":
+        times = 0.25 + 0.125 * np.arange(m)  # an exact step, so kappa h is exact
+    else:
+        times = 0.25 + np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 0.2, m - 1))))
+    kappa = kappa_h / (0.125 if grid == "uniform" else np.diff(times).mean())
+    drive = rng.normal(size=(m, 2, 3))
+    V0 = rng.normal(size=(2, 3))
+    V = picard._damped_trapezoid(drive, times, kappa, V0)
+    np.testing.assert_allclose(V, _bidiagonal_solve(drive, times, kappa, V0), rtol=0.0, atol=1e-14)
+    # the weights of the drive: row i of the map G -> V (V0 = 0), whose
+    # absolute sum the exact filter's integral of e^{-kappa (t - tau)} bounds
+    weights = picard._damped_trapezoid(np.eye(m)[:, None, :], times, kappa, np.zeros((1, m)))[:, 0]
+    assert (np.abs(weights).sum(axis=1) <= (times - times[0]) * (1.0 + 1e-13)).all()
+    if kappa_h == 2.0 and grid == "uniform":
+        # the factor 1 - kappa h/2 is exactly 0: no node after the first
+        # reads V0, and nothing divides by the factor
+        other = picard._damped_trapezoid(drive, times, kappa, V0 + 1e3)
+        assert np.isfinite(V).all()
+        assert V[1:].tobytes() == other[1:].tobytes()
 
 
 # -- horizons --------------------------------------------------------------------------

@@ -382,6 +382,29 @@ def test_unknown_preset_parameters_raise_by_name(key, spec, param):
         scenario_from_config(dict(S1_CONFIG, **{key: spec}))
 
 
+@pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf")])
+def test_force_damping_is_rejected_by_name(value):
+    from dataclasses import replace
+
+    force = replace(force_preset("damped-chemotaxis", chi=0.3), damping=value)
+    with pytest.raises(ValueError, match=f"force damping must be finite and nonnegative, "
+                                         f"got {value!r}"):
+        build(phi="gaussian", force=force)
+
+
+@pytest.mark.parametrize("name", preset_catalog()["force"])
+def test_preset_force_is_its_declared_damping_plus_a_part_free_of_v(name):
+    # F(t, X, V, W) - F(t, X, 0, W) = -damping V: what the Picard sweep
+    # integrates implicitly is the force's whole dependence on V
+    force = force_preset(name, chi=0.7, kappa_v=1.3)
+    assert force.damping == (1.3 if name == "damped-chemotaxis" else 0.0)
+    rng = np.random.default_rng(5)
+    X, V, W = (rng.normal(size=(6, 2, 3)) for _ in range(3))
+    t = rng.uniform(0.0, 1.0, 6)
+    moved = force.eval(t, X, V, W) - force.eval(t, X, np.zeros_like(V), W)
+    np.testing.assert_allclose(moved, -force.damping * V, rtol=0.0, atol=1e-15)
+
+
 def test_a_type_error_inside_a_preset_propagates():
     def broken_preset(name, chi=1.0):
         raise TypeError("raised inside the preset")

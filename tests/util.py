@@ -8,11 +8,13 @@ from dataclasses import replace
 import numpy as np
 
 from chemosim.field import (
+    DEFAULT_QUAD,
     FieldProbe,
     QuadratureSpec,
     _gaussian_factors,
     _gaussian_integrals,
     _phi_at_zero,
+    sensed_gradients,
 )
 from chemosim.paths import AgentPath
 from chemosim.picard import (
@@ -689,22 +691,52 @@ def masked_interp(path, values, t):
 def per_node_sweep(path, scenario, delta=None):
     """The update map applied one time node at a time, with one field call
     per node (pointwise) or per agent and node (ball average) and one
-    force-law call per node."""
+    force-law call per node: the drive G = F + kappa V with the force's
+    declared drag kappa, the implicit trapezoid step
+
+        V_{k+1} = ((1 - kappa h/2) V_k + (h/2) (G_k + G_{k+1})) / (1 + kappa h/2)
+
+    as written, from V0, and X_{k+1} = X_k + (h/2) (V_k + V_{k+1}) of the
+    new V, from X0."""
     probe = FieldProbe(scenario, path)
     times = path.times
-    forces = np.empty(path.X.shape)
-    v_in = np.empty(path.V.shape)
+    kappa = scenario.force.damping
+    drive = np.empty(path.X.shape)
     for k, t in enumerate(times):
         xk = path.positions_at(float(t))
         vk = path.velocities_at(float(t))
-        v_in[k] = vk
         if delta is None:
             w = probe.gradient_many(xk.T, float(t)).T
         else:
             w = np.stack([probe.ball_average_gradient(x, float(t), delta) for x in xk.T], axis=1)
-        forces[k] = scenario.force.eval(float(t), xk, vk, w)
-    return AgentPath(times, scenario.X0 + trapezoid_cumulative(v_in, times),
-                     scenario.V0 + trapezoid_cumulative(forces, times))
+        drive[k] = scenario.force.eval(float(t), xk, vk, w) + kappa * vk
+    X = np.empty(path.X.shape)
+    V = np.empty(path.V.shape)
+    X[0], V[0] = scenario.X0, scenario.V0
+    for k in range(len(times) - 1):
+        h = times[k + 1] - times[k]
+        V[k + 1] = ((1.0 - kappa * h / 2.0) * V[k]
+                    + (h / 2.0) * (drive[k] + drive[k + 1])) / (1.0 + kappa * h / 2.0)
+        X[k + 1] = X[k] + (h / 2.0) * (V[k] + V[k + 1])
+    return AgentPath(times, X, V)
+
+
+def first_order_sweep(scenario, prefix, seg, delta, quad, table=None, w0=None):
+    """The first-order update map, X = X0 + trap(V_k) and V = V0 + trap(F_k)
+    with F_k the force on the input path, in ``picard._sweep``'s signature,
+    so that it can stand in for it.  It has the same discrete fixed points
+    as ``_sweep``, and no drag term or kinematic row taken from the new V."""
+    path = prefix.concat(seg) if prefix is not None else seg
+    probe = FieldProbe(scenario, path, quad=quad or DEFAULT_QUAD)
+    if scenario.lipschitz_w == 0.0:
+        W = np.zeros(seg.X.shape)
+    elif w0 is None:
+        W = sensed_gradients(probe, seg.X, seg.times, delta, table)
+    else:
+        W = np.concatenate((w0, sensed_gradients(probe, seg.X[1:], seg.times[1:], delta, table)))
+    forces = scenario.force.eval(seg.times, seg.X, seg.V, W)
+    return AgentPath(seg.times, scenario.X0 + trapezoid_cumulative(seg.V, seg.times),
+                     scenario.V0 + trapezoid_cumulative(forces, seg.times))
 
 
 def loop_cubic_extrapolation(previous, times):
